@@ -15,20 +15,14 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import data as data_mod
 from .config import ExperimentConfig, parse_config, parse_label_split
-from .correction import CorrectionConfig
-from .dp import DpConfig, PrivacyLedger, epsilon_spent, steps_for_budget
-from .federation import (
-    ExperimentResult,
-    ExperimentState,
-    FederationConfig,
-    init_state,
-    run_experiment,
-)
+from .dp import PrivacyLedger, epsilon_spent, steps_for_budget
+from .federation import ExperimentResult, ExperimentState, init_state, run_experiment
 from .model import MlpSpec
 
 CSV_HEADER = [
@@ -56,16 +50,16 @@ def _derived_seed(*parts: int) -> int:
 
 def build_data(
     cfg: ExperimentConfig, seed: int
-) -> tuple[list[data_mod.ClientShard], list[data_mod.Example], int, int]:
-    """(shards, test examples, num_classes, feature_dim) for one run seed."""
+) -> tuple[data_mod.Dataset, list[data_mod.ClientShard], data_mod.Dataset]:
+    """(train set, client shards of it, test set) for one run seed."""
     if cfg.dataset == "idx":
         train = data_mod.load_idx(cfg.train_images, cfg.train_labels)
         test = data_mod.load_idx(cfg.test_images, cfg.test_labels)
         if train.num_classes != test.num_classes:
             # a small test split can simply miss the largest label
             classes = max(train.num_classes, test.num_classes)
-            train = data_mod.Dataset(train.examples, classes)
-            test = data_mod.Dataset(test.examples, classes)
+            train = data_mod.Dataset(train.X, train.y, classes)
+            test = data_mod.Dataset(test.X, test.y, classes)
     else:
         train = data_mod.synthetic_blobs(
             cfg.synthetic_classes,
@@ -97,11 +91,12 @@ def build_data(
         shards = data_mod.partition_label_split(
             train, parse_label_split(cfg.label_split)
         )
-    return shards, test.examples, train.num_classes, train.feature_dim
+    return train, shards, test
 
 
 def build_state(cfg: ExperimentConfig, seed: int) -> ExperimentState:
-    shards, test_examples, num_classes, feature_dim = build_data(cfg, seed)
+    train, shards, test = build_data(cfg, seed)
+    feature_dim, num_classes = train.feature_dim, train.num_classes
     sizes = cfg.layer_sizes or (feature_dim, 128, num_classes)
     if sizes[0] != feature_dim:
         raise ValueError(
@@ -112,43 +107,7 @@ def build_state(cfg: ExperimentConfig, seed: int) -> ExperimentState:
             f"layer_sizes ends at {sizes[-1]} but the data has {num_classes} classes"
         )
     spec = MlpSpec(tuple(sizes))
-    dp_cfg = DpConfig(
-        clip_threshold=cfg.clip_threshold,
-        noise_multiplier=cfg.sigma,
-        sampling_rate=cfg.sampling_rate if cfg.batch_size == 0 else 1.0,
-        delta=cfg.delta,
-        sampling_mode=cfg.sampling_mode,
-    )
-    fed_cfg = FederationConfig(
-        n_clients=cfg.n_clients,
-        clients_per_round=cfg.clients_per_round,
-        rounds=cfg.rounds,
-        local_steps=cfg.local_steps,
-        learning_rate=cfg.eta,
-        algorithm=cfg.algorithm,
-        weighting=cfg.weighting,
-        prox_mu=cfg.prox_mu,
-        global_seed=seed,
-        epsilon_budget=cfg.epsilon_budget,
-        parallel_clients=cfg.parallel_clients,
-        record_timing=cfg.record_timing,
-        eval_batch_size=cfg.eval_batch_size,
-    )
-    corr_cfg = CorrectionConfig(
-        mode=cfg.correction_mode,
-        num_references=cfg.num_references,
-        order_seed=cfg.order_seed,
-    )
-    return init_state(
-        spec,
-        dp_cfg,
-        fed_cfg,
-        corr_cfg,
-        shards,
-        test_examples,
-        num_classes,
-        cfg.batch_size,
-    )
+    return init_state(spec, *cfg.sub_configs(seed), shards, test)
 
 
 def _fmt(x: float) -> str:
@@ -259,8 +218,7 @@ def cmd_compare(args) -> int:
     rows = []
     baseline_hashes: dict[int, list[str]] = {}
     for algo in algos:
-        acfg = parse_config(args.config, args.override)
-        acfg.algorithm = algo
+        acfg = replace(cfg, algorithm=algo)
         acfg.validate()
         for seed in acfg.seeds:
             state = build_state(acfg, seed)
@@ -314,13 +272,7 @@ def cmd_privacy(args) -> int:
         print("sigma is 0: no noise is added, so there is no DP guarantee "
               "(epsilon is unbounded)")
         return 0
-    dp_cfg = DpConfig(
-        clip_threshold=cfg.clip_threshold,
-        noise_multiplier=cfg.sigma,
-        sampling_rate=cfg.sampling_rate if cfg.batch_size == 0 else 1.0,
-        delta=cfg.delta,
-        sampling_mode=cfg.sampling_mode,
-    )
+    dp_cfg = cfg.sub_configs(cfg.seeds[0])[0]
     print(f"sigma={cfg.sigma} delta={cfg.delta} local_steps={cfg.local_steps}")
     print(f"{'round':>6} {'steps':>6} {'epsilon':>12} {'alpha':>6}")
     for t in range(1, cfg.rounds + 1):

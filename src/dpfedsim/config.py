@@ -48,9 +48,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
-from .correction import CORRECTION_MODES
-from .dp import SAMPLING_MODES
-from .federation import ALGORITHMS, WEIGHTINGS
+from .correction import CorrectionConfig
+from .dp import DpConfig
+from .federation import FederationConfig
+from .model import MlpSpec
 
 
 def _parse_bool(raw: str) -> bool:
@@ -107,6 +108,11 @@ class ExperimentConfig:
     record_timing: bool = True
 
     def validate(self) -> None:
+        """Check the dataset, partition, seed and cross-field rules.
+
+        Every other key feeds one sub-config, whose constructor checks it:
+        building them here reports a bad value before any data is made.
+        """
         if self.dataset not in ("synthetic", "idx"):
             raise ValueError(f"dataset must be synthetic or idx, got {self.dataset!r}")
         if self.dataset == "idx":
@@ -133,64 +139,14 @@ class ExperimentConfig:
             raise ValueError(
                 f"partition must be iid or label_split, got {self.partition!r}"
             )
-        if self.n_clients < 1:
-            raise ValueError("n_clients must be >= 1")
-        if not 0 <= self.clients_per_round <= self.n_clients:
-            raise ValueError("clients_per_round must be in [0, n_clients]")
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        if self.local_steps < 1:
-            raise ValueError("local_steps must be >= 1")
-        if not self.eta > 0:
-            raise ValueError("eta must be > 0")
-        if self.batch_size < 0:
-            raise ValueError("batch_size must be >= 0 (0 uses sampling_rate)")
-        if self.batch_size == 0 and not 0 < self.sampling_rate <= 1:
-            raise ValueError(
-                "sampling_rate must be in (0, 1] when batch_size is 0"
-            )
-        if self.sampling_mode not in SAMPLING_MODES:
-            raise ValueError(
-                f"sampling_mode must be one of {SAMPLING_MODES}, "
-                f"got {self.sampling_mode!r}"
-            )
-        if self.eval_batch_size < 1:
-            raise ValueError("eval_batch_size must be >= 1")
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(
-                f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}"
-            )
-        if self.weighting not in WEIGHTINGS:
-            raise ValueError(
-                f"weighting must be one of {WEIGHTINGS}, got {self.weighting!r}"
-            )
-        if self.prox_mu < 0:
-            raise ValueError("prox_mu must be >= 0")
-        if self.sigma < 0:
-            raise ValueError("noise_multiplier must be >= 0")
-        if not self.clip_threshold > 0:
-            raise ValueError("clip_threshold must be > 0")
-        if not 0 < self.delta < 1:
-            raise ValueError("delta must be in (0, 1)")
-        if self.epsilon_budget < 0:
-            raise ValueError("epsilon_budget must be >= 0")
-        if self.correction_mode not in CORRECTION_MODES:
-            raise ValueError(
-                f"correction_mode must be one of {CORRECTION_MODES}, "
-                f"got {self.correction_mode!r}"
-            )
-        if self.num_references < 0:
-            raise ValueError("num_references must be >= 0 (0 means auto)")
-        if self.num_references >= self.n_clients and self.n_clients > 1:
-            raise ValueError("num_references must be < n_clients")
-        if self.order_seed < 0:
-            raise ValueError("order_seed must be >= 0")
         if not self.seeds:
             raise ValueError("seeds must list at least one seed")
         if any(s < 0 for s in self.seeds):
             raise ValueError("seeds must be >= 0")
-        if self.layer_sizes and len(self.layer_sizes) < 2:
-            raise ValueError("layer_sizes needs at least input and output sizes")
+        if self.layer_sizes:
+            MlpSpec(self.layer_sizes)
+        if self.num_references >= self.n_clients and self.n_clients > 1:
+            raise ValueError("num_references must be < n_clients")
         if self.partition == "label_split":
             groups = parse_label_split(self.label_split)
             if len(groups) != self.n_clients:
@@ -198,6 +154,41 @@ class ExperimentConfig:
                     f"label_split defines {len(groups)} groups "
                     f"but n_clients is {self.n_clients}"
                 )
+        self.sub_configs(self.seeds[0])
+
+    def sub_configs(
+        self, seed: int
+    ) -> tuple[DpConfig, FederationConfig, CorrectionConfig]:
+        """The mechanism, federation and correction configs for one run seed."""
+        dp_cfg = DpConfig(
+            clip_threshold=self.clip_threshold,
+            noise_multiplier=self.sigma,
+            sampling_rate=self.sampling_rate,
+            delta=self.delta,
+            sampling_mode=self.sampling_mode,
+            batch_size=self.batch_size,
+        )
+        fed_cfg = FederationConfig(
+            n_clients=self.n_clients,
+            clients_per_round=self.clients_per_round,
+            rounds=self.rounds,
+            local_steps=self.local_steps,
+            learning_rate=self.eta,
+            algorithm=self.algorithm,
+            weighting=self.weighting,
+            prox_mu=self.prox_mu,
+            global_seed=seed,
+            epsilon_budget=self.epsilon_budget,
+            parallel_clients=self.parallel_clients,
+            record_timing=self.record_timing,
+            eval_batch_size=self.eval_batch_size,
+        )
+        corr_cfg = CorrectionConfig(
+            mode=self.correction_mode,
+            num_references=self.num_references,
+            order_seed=self.order_seed,
+        )
+        return dp_cfg, fed_cfg, corr_cfg
 
     def resolved(self) -> dict:
         """Plain-serializable view of every key's final value."""

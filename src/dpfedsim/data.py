@@ -4,65 +4,70 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 _IDX_IMAGES_MAGIC = 2051
 _IDX_LABELS_MAGIC = 2049
+_FINGERPRINT_ROWS = 1024
 
 
-@dataclass(frozen=True)
-class Example:
-    """One labeled observation: float64 feature vector in [0, 1] plus class id."""
-
-    features: np.ndarray
-    label: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    examples: list[Example] = field(default_factory=list)
-    num_classes: int = 0
+    """Labeled observations stored column-wise.
+
+    X is an (n, d) C-contiguous float64 matrix of features in [0, 1]; y holds
+    the n int64 class ids.
+    """
+
+    X: np.ndarray
+    y: np.ndarray
+    num_classes: int
 
     def __post_init__(self):
-        if not self.examples:
+        X = np.ascontiguousarray(self.X, dtype=np.float64)
+        y = np.asarray(self.y, dtype=np.int64)
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "y", y)
+        if X.ndim != 2 or y.shape != X.shape[:1]:
+            raise ValueError(
+                f"features {X.shape} and labels {y.shape} must be (n, d) and (n,)"
+            )
+        if not y.size:
             raise ValueError("dataset must contain at least one example")
         if self.num_classes < 2:
             raise ValueError("dataset needs at least 2 classes")
-        for ex in self.examples:
-            if not 0 <= ex.label < self.num_classes:
-                raise ValueError(
-                    f"label {ex.label} out of range [0, {self.num_classes})"
-                )
+        bad = y[(y < 0) | (y >= self.num_classes)]
+        if bad.size:
+            raise ValueError(
+                f"label {bad[0]} out of range [0, {self.num_classes})"
+            )
 
     @property
     def size(self) -> int:
-        return len(self.examples)
+        return int(self.y.shape[0])
 
     @property
     def feature_dim(self) -> int:
-        return int(self.examples[0].features.shape[0])
+        return int(self.X.shape[1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClientShard:
-    """The slice of training data one simulated client holds."""
+    """The slice of training data one simulated client holds: row indices
+    into the shared training set, not copies of the rows."""
 
     client_id: int
-    examples: list[Example]
+    dataset: Dataset
+    indices: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "indices", np.asarray(self.indices, dtype=np.int64))
 
     @property
     def size(self) -> int:
-        return len(self.examples)
-
-
-def features_matrix(examples: list[Example]) -> np.ndarray:
-    return np.stack([ex.features for ex in examples])
-
-
-def labels_array(examples: list[Example]) -> np.ndarray:
-    return np.array([ex.label for ex in examples], dtype=np.int64)
+        return int(self.indices.shape[0])
 
 
 def _read_exact(f, n: int, path: str, what: str) -> bytes:
@@ -107,8 +112,7 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
     pixels = np.frombuffer(raw, dtype=np.uint8).astype(np.float64) / 255.0
     pixels = pixels.reshape(count, rows * cols)
     labels = np.frombuffer(label_raw, dtype=np.uint8).astype(np.int64)
-    examples = [Example(pixels[i], int(labels[i])) for i in range(count)]
-    return Dataset(examples, num_classes=int(labels.max()) + 1)
+    return Dataset(pixels, labels, num_classes=int(labels.max()) + 1)
 
 
 def synthetic_blobs(
@@ -137,16 +141,19 @@ def synthetic_blobs(
         centers = q[:, :num_classes].T
     else:
         centers = raw.T / np.linalg.norm(raw.T, axis=1, keepdims=True)
-    examples = []
+    X = np.empty((num_classes * per_class, dim))
     for c in range(num_classes):
-        noise = (
-            rng.standard_normal((per_class, dim)) * spread
-            if spread > 0
-            else np.zeros((per_class, dim))
-        )
-        feats = np.clip((centers[c] + noise + 1.0) / 2.0, 0.0, 1.0)
-        examples.extend(Example(feats[i], c) for i in range(per_class))
-    return Dataset(examples, num_classes=num_classes)
+        block = X[c * per_class : (c + 1) * per_class]
+        if spread > 0:
+            np.multiply(rng.standard_normal((per_class, dim)), spread, out=block)
+            block += centers[c]
+        else:
+            block[...] = centers[c]
+        block += 1.0
+        block /= 2.0
+        np.clip(block, 0.0, 1.0, out=block)
+    y = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
+    return Dataset(X, y, num_classes=num_classes)
 
 
 def partition_iid(dataset: Dataset, n_clients: int, seed: int) -> list[ClientShard]:
@@ -162,10 +169,7 @@ def partition_iid(dataset: Dataset, n_clients: int, seed: int) -> list[ClientSha
     rng = np.random.default_rng(seed)
     order = rng.permutation(dataset.size)
     chunks = np.array_split(order, n_clients)
-    return [
-        ClientShard(i, [dataset.examples[j] for j in chunk])
-        for i, chunk in enumerate(chunks)
-    ]
+    return [ClientShard(i, dataset, chunk) for i, chunk in enumerate(chunks)]
 
 
 def partition_label_split(
@@ -190,10 +194,10 @@ def partition_label_split(
         raise ValueError(f"label groups do not cover classes {sorted(missing)}")
     shards = []
     for i, group in enumerate(label_groups):
-        members = [ex for ex in dataset.examples if ex.label in group]
-        if not members:
+        members = np.flatnonzero(np.isin(dataset.y, sorted(group)))
+        if not members.size:
             raise ValueError(f"label group {i} selects no examples")
-        shards.append(ClientShard(i, members))
+        shards.append(ClientShard(i, dataset, members))
     return shards
 
 
@@ -206,7 +210,7 @@ def subsample(dataset: Dataset, n: int, seed: int) -> Dataset:
     """
     if not 1 <= n <= dataset.size:
         raise ValueError(f"n must be in [1, {dataset.size}], got {n}")
-    labels = labels_array(dataset.examples)
+    labels = dataset.y
     counts = np.bincount(labels, minlength=dataset.num_classes)
     exact = n * counts / dataset.size
     targets = np.floor(exact).astype(np.int64)
@@ -219,7 +223,7 @@ def subsample(dataset: Dataset, n: int, seed: int) -> Dataset:
         for c in order[:leftover]:
             targets[c] += 1
     rng = np.random.default_rng(seed)
-    chosen: list[int] = []
+    chosen = []
     for c in range(dataset.num_classes):
         pool = np.flatnonzero(labels == c)
         if targets[c] > pool.size:
@@ -227,16 +231,26 @@ def subsample(dataset: Dataset, n: int, seed: int) -> Dataset:
                 f"class {c} has only {pool.size} examples, need {targets[c]}"
             )
         if targets[c]:
-            chosen.extend(rng.choice(pool, size=int(targets[c]), replace=False))
-    chosen.sort()
-    return Dataset([dataset.examples[i] for i in chosen], dataset.num_classes)
+            chosen.append(rng.choice(pool, size=int(targets[c]), replace=False))
+    rows = np.sort(np.concatenate(chosen))
+    return Dataset(dataset.X[rows], dataset.y[rows], dataset.num_classes)
 
 
 def shard_fingerprint(shard: ClientShard) -> str:
-    """sha256 over the shard's labels and raw feature bytes, for run comparison."""
+    """sha256 over the shard's labels and raw feature bytes, for run comparison.
+
+    Hashes the client id, then per example in shard order its label as a
+    4-byte big-endian int followed by its float64 features, in chunks of
+    rows so that a large shard is never copied whole.
+    """
     h = hashlib.sha256()
     h.update(str(shard.client_id).encode())
-    for ex in shard.examples:
-        h.update(int(ex.label).to_bytes(4, "big"))
-        h.update(np.ascontiguousarray(ex.features, dtype=np.float64).tobytes())
+    data = shard.dataset
+    row = np.dtype([("label", ">i4"), ("features", np.float64, (data.feature_dim,))])
+    for lo in range(0, shard.size, _FINGERPRINT_ROWS):
+        idx = shard.indices[lo : lo + _FINGERPRINT_ROWS]
+        records = np.empty(idx.size, dtype=row)
+        records["label"] = data.y[idx]
+        records["features"] = data.X[idx]
+        h.update(records.tobytes())
     return h.hexdigest()

@@ -34,20 +34,20 @@ SAMPLING_MODES = ("fixed_size", "poisson")
 class DpConfig:
     clip_threshold: float = 1.5
     noise_multiplier: float = 0.8
-    sampling_rate: float = 0.01
+    sampling_rate: float = 0.01  # used only when batch_size is 0
     delta: float = 1e-5
     sampling_mode: str = "fixed_size"
+    batch_size: int = 0  # 0 = draw batches at sampling_rate
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         if not self.clip_threshold > 0:
             raise ValueError("clip_threshold must be > 0")
         if not self.noise_multiplier >= 0:
             raise ValueError("noise_multiplier must be >= 0")
-        if not 0 < self.sampling_rate <= 1:
-            raise ValueError("sampling_rate must be in (0, 1]")
+        if self.batch_size < 0:
+            raise ValueError("batch_size must be >= 0 (0 uses sampling_rate)")
+        if self.batch_size == 0 and not 0 < self.sampling_rate <= 1:
+            raise ValueError("sampling_rate must be in (0, 1] when batch_size is 0")
         if not 0 < self.delta < 1:
             raise ValueError("delta must be in (0, 1)")
         if self.sampling_mode not in SAMPLING_MODES:
@@ -72,22 +72,35 @@ def clip_gradient(gradient: ParamVector, clip_threshold: float) -> ParamVector:
 
 
 def poisson_sample(
-    shard_size: int, rate: float, mode: str, rng: np.random.Generator
+    shard_size: int,
+    rate: float,
+    mode: str,
+    rng: np.random.Generator,
+    batch_size: int = 0,
 ) -> np.ndarray:
     """Indices of one minibatch draw, ascending.
 
-    poisson: each index independently kept with probability rate (may be empty).
-    fixed_size: exactly max(1, floor(rate * shard_size)) distinct indices.
+    batch_size > 0 sets the batch and rate is unused: fixed_size draws
+    exactly min(batch_size, shard_size) distinct indices; poisson keeps each
+    index with probability min(1, batch_size / shard_size), so batch_size is
+    the expected size.  batch_size == 0 draws at rate: poisson keeps each
+    index with probability rate (may be empty); fixed_size draws
+    max(1, floor(rate * shard_size)) distinct indices.
     """
     if shard_size < 1:
         raise ValueError("shard_size must be >= 1")
-    if not 0 < rate <= 1:
+    if batch_size == 0 and not 0 < rate <= 1:
         raise ValueError("sampling_rate must be in (0, 1]")
     if mode == "poisson":
+        if batch_size:
+            rate = min(1.0, batch_size / shard_size)
         mask = rng.random(shard_size) < rate
         return np.flatnonzero(mask)
     if mode == "fixed_size":
-        size = max(1, int(math.floor(rate * shard_size)))
+        if batch_size:
+            size = min(batch_size, shard_size)
+        else:
+            size = max(1, int(math.floor(rate * shard_size)))
         picked = rng.choice(shard_size, size=size, replace=False)
         return np.sort(picked)
     raise ValueError(f"sampling_mode must be one of {SAMPLING_MODES}, got {mode!r}")

@@ -16,14 +16,14 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import metrics as metrics_mod
 from . import model as model_mod
 from .correction import CorrectionConfig, CorrectionReport, correct_round
-from .data import ClientShard, Example, features_matrix, labels_array
+from .data import ClientShard, Dataset
 from .dp import (
     DpConfig,
     PrivacyLedger,
@@ -84,7 +84,7 @@ class FederationConfig:
         if self.local_steps < 1:
             raise ValueError("local_steps must be >= 1")
         if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be > 0")
+            raise ValueError("learning_rate (config key eta) must be > 0")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(
                 f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}"
@@ -143,24 +143,16 @@ class ExperimentState:
     fed: FederationConfig
     correction: CorrectionConfig
     shards: list[ClientShard]
-    test_examples: list[Example]
-    num_classes: int
+    test: Dataset
     weights: ParamVector
     ledger: PrivacyLedger
     client_models: dict[int, ParamVector] = field(default_factory=dict)
     scaffold: ScaffoldState | None = None
-    batch_size: int = 32  # 0 = use dp.sampling_rate directly
 
 
 def derive_rng(*entropy: int) -> np.random.Generator:
     """Independent PCG64 stream named by a tuple of nonnegative ints."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
-
-
-def client_sampling_rate(state: ExperimentState, shard: ClientShard) -> float:
-    if state.batch_size > 0:
-        return min(1.0, state.batch_size / shard.size)
-    return state.dp.sampling_rate
 
 
 def client_local_phase(
@@ -194,16 +186,20 @@ def client_local_phase(
 
     for _ in range(fed_cfg.local_steps):
         idx = poisson_sample(
-            shard.size, dp_cfg.sampling_rate, dp_cfg.sampling_mode, batch_rng
+            shard.size,
+            dp_cfg.sampling_rate,
+            dp_cfg.sampling_mode,
+            batch_rng,
+            dp_cfg.batch_size,
         )
         if idx.size == 0:
             continue  # empty poisson draw: no step, no privacy cost
+        rows = shard.indices[idx]
         clipped = []
         batch_loss = 0.0
-        for i in idx:
-            ex = shard.examples[int(i)]
+        for features, label in zip(shard.dataset.X[rows], shard.dataset.y[rows]):
             sample_loss, grad = model_mod.loss_and_gradient(
-                model_spec, w_local, ex.features, ex.label
+                model_spec, w_local, features, label
             )
             if is_prox:
                 grad = scale_add(grad, fed_cfg.prox_mu, w_local - start_params)
@@ -276,19 +272,13 @@ def server_step(
 
 
 def _evaluate(
-    model_spec: MlpSpec,
-    w: ParamVector,
-    examples: list[Example],
-    num_classes: int,
-    eval_batch: int,
+    model_spec: MlpSpec, w: ParamVector, test: Dataset, eval_batch: int
 ) -> tuple[float, float, float]:
-    feats = features_matrix(examples)
-    labs = labels_array(examples)
-    preds = np.empty(len(examples), dtype=np.int64)
-    for lo in range(0, len(examples), eval_batch):
-        probs = model_mod.forward_batch(model_spec, w, feats[lo : lo + eval_batch])
+    preds = np.empty(test.size, dtype=np.int64)
+    for lo in range(0, test.size, eval_batch):
+        probs = model_mod.forward_batch(model_spec, w, test.X[lo : lo + eval_batch])
         preds[lo : lo + probs.shape[0]] = np.argmax(probs, axis=1)
-    cm = metrics_mod.accumulate(preds, labs, num_classes)
+    cm = metrics_mod.accumulate(preds, test.y, model_spec.num_classes)
     return (
         metrics_mod.accuracy(cm),
         metrics_mod.macro_recall(cm),
@@ -325,14 +315,11 @@ def run_round(
         shift = None
         if fed.algorithm == "dp_scaffold":
             shift = state.scaffold.server_variate - state.scaffold.client_variates[cid]
-        dp_cfg = replace(
-            state.dp, sampling_rate=client_sampling_rate(state, shard)
-        )
         result = client_local_phase(
             shard,
             start,
             state.model_spec,
-            dp_cfg,
+            state.dp,
             fed,
             derive_rng(fed.global_seed, round_index, cid, _P_BATCH),
             derive_rng(fed.global_seed, round_index, cid, _P_NOISE),
@@ -399,8 +386,7 @@ def run_round(
             _evaluate(
                 state.model_spec,
                 state.client_models[cid],
-                state.test_examples,
-                state.num_classes,
+                state.test,
                 fed.eval_batch_size,
             )
             for cid in sorted(state.client_models)
@@ -408,11 +394,7 @@ def run_round(
         acc, rec, f1 = (float(np.mean([p[k] for p in per_client])) for k in range(3))
     else:
         acc, rec, f1 = _evaluate(
-            state.model_spec,
-            state.weights,
-            state.test_examples,
-            state.num_classes,
-            fed.eval_batch_size,
+            state.model_spec, state.weights, state.test, fed.eval_batch_size
         )
 
     if state.dp.noise_multiplier == 0:
@@ -450,9 +432,7 @@ def init_state(
     fed_cfg: FederationConfig,
     corr_cfg: CorrectionConfig,
     shards: list[ClientShard],
-    test_examples: list[Example],
-    num_classes: int,
-    batch_size: int,
+    test: Dataset,
 ) -> ExperimentState:
     if len(shards) != fed_cfg.n_clients:
         raise ValueError(
@@ -468,11 +448,9 @@ def init_state(
         fed=fed_cfg,
         correction=corr_cfg,
         shards=shards,
-        test_examples=test_examples,
-        num_classes=num_classes,
+        test=test,
         weights=w,
         ledger=PrivacyLedger(config=dp_cfg),
-        batch_size=batch_size,
     )
     ids = [s.client_id for s in shards]
     if fed_cfg.algorithm == "isolated":

@@ -238,7 +238,7 @@ def _no_conflict_state(algorithm: str):
     train = synthetic_blobs(num_classes=3, per_class=30, dim=6, spread=0.02, seed=7)
     test = synthetic_blobs(num_classes=3, per_class=6, dim=6, spread=0.02, seed=8)
     shards = partition_iid(train, 2, seed=9)
-    dp_cfg = DpConfig(noise_multiplier=0.0, sampling_rate=1.0)
+    dp_cfg = DpConfig(noise_multiplier=0.0, sampling_rate=1.0)  # full batches
     fed_cfg = FederationConfig(
         n_clients=2,
         rounds=3,
@@ -248,14 +248,7 @@ def _no_conflict_state(algorithm: str):
         record_timing=False,
     )
     return init_state(
-        MlpSpec((6, 5, 3)),
-        dp_cfg,
-        fed_cfg,
-        CorrectionConfig(),
-        shards,
-        test.examples,
-        3,
-        0,  # batch_size 0: use sampling_rate 1.0 (full batch)
+        MlpSpec((6, 5, 3)), dp_cfg, fed_cfg, CorrectionConfig(), shards, test
     )
 
 

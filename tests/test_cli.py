@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -159,3 +163,43 @@ def test_golden_two_round_run(tmp_path):
         "1,16.801691,1.136910,0.333333,0.333333,0.166667,0,0\n"
     )
     assert got == expected
+
+
+def test_run_is_byte_identical_across_blas_thread_counts(tmp_path):
+    """metrics.csv and summary.json do not depend on the BLAS thread count.
+
+    The layers are sized so that the evaluation matrix products are large
+    enough for OpenBLAS to split them over threads.
+    """
+    cfg = write_cfg(
+        tmp_path,
+        """
+        synthetic_classes = 5
+        synthetic_per_class = 200
+        synthetic_dim = 128
+        layer_sizes = 128,96,5
+        n_clients = 3
+        rounds = 2
+        eta = 0.05
+        batch_size = 16
+        seeds = 4
+        record_timing = false
+        """,
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        out = tmp_path / f"threads{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "dpfedsim.cli", "run", "--config", cfg,
+             "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=120,
+        )
+        outputs.append(
+            ((out / "metrics.csv").read_bytes(), (out / "summary.json").read_bytes())
+        )
+    assert outputs[0] == outputs[1]

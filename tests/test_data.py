@@ -3,11 +3,11 @@ import struct
 import numpy as np
 import pytest
 
+from dpfedsim.cli import build_state
+from dpfedsim.config import ExperimentConfig
 from dpfedsim.data import (
     ClientShard,
     Dataset,
-    Example,
-    labels_array,
     load_idx,
     partition_iid,
     partition_label_split,
@@ -43,12 +43,10 @@ def test_load_idx_roundtrip(tmp_path):
     assert ds.size == 5
     assert ds.num_classes == 3
     assert ds.feature_dim == 6
-    np.testing.assert_array_equal(labels_array(ds.examples), labels)
-    np.testing.assert_allclose(
-        ds.examples[3].features, images[3].reshape(-1) / 255.0
-    )
-    assert ds.examples[0].features.min() >= 0.0
-    assert ds.examples[0].features.max() <= 1.0
+    np.testing.assert_array_equal(ds.y, labels)
+    np.testing.assert_allclose(ds.X[3], images[3].reshape(-1) / 255.0)
+    assert ds.X[0].min() >= 0.0
+    assert ds.X[0].max() <= 1.0
 
 
 def test_load_idx_bad_image_magic(tmp_path):
@@ -81,9 +79,9 @@ def test_blobs_shape_balance_and_range():
     ds = synthetic_blobs(num_classes=4, per_class=25, dim=12, spread=0.3, seed=5)
     assert ds.size == 100
     assert ds.num_classes == 4
-    counts = np.bincount(labels_array(ds.examples))
+    counts = np.bincount(ds.y)
     np.testing.assert_array_equal(counts, [25, 25, 25, 25])
-    feats = np.stack([ex.features for ex in ds.examples])
+    feats = ds.X
     assert feats.min() >= 0.0 and feats.max() <= 1.0
 
 
@@ -91,19 +89,16 @@ def test_blobs_deterministic_in_seed():
     a = synthetic_blobs(3, 10, 8, 0.2, seed=9)
     b = synthetic_blobs(3, 10, 8, 0.2, seed=9)
     c = synthetic_blobs(3, 10, 8, 0.2, seed=10)
-    for ea, eb in zip(a.examples, b.examples):
-        np.testing.assert_array_equal(ea.features, eb.features)
-    assert any(
-        not np.array_equal(ea.features, ec.features)
-        for ea, ec in zip(a.examples, c.examples)
-    )
+    for ea, eb in zip(a.X, b.X):
+        np.testing.assert_array_equal(ea, eb)
+    assert any(not np.array_equal(ea, ec) for ea, ec in zip(a.X, c.X))
 
 
 def test_blobs_zero_spread_collapses_classes():
     ds = synthetic_blobs(3, 5, 6, spread=0.0, seed=1)
     by_class = {}
-    for ex in ds.examples:
-        by_class.setdefault(ex.label, []).append(ex.features)
+    for features, label in zip(ds.X, ds.y):
+        by_class.setdefault(label, []).append(features)
     for feats in by_class.values():
         for f in feats[1:]:
             np.testing.assert_array_equal(f, feats[0])
@@ -120,7 +115,8 @@ def test_blobs_validation():
 
 def _tiny_dataset(n, num_classes=2):
     return Dataset(
-        [Example(np.array([float(i) / n]), i % num_classes) for i in range(n)],
+        np.arange(n, dtype=np.float64)[:, None] / n,
+        np.arange(n) % num_classes,
         num_classes,
     )
 
@@ -136,9 +132,9 @@ def test_partition_iid_is_a_permutation():
     ds = _tiny_dataset(30)
     shards = partition_iid(ds, 4, seed=3)
     seen = sorted(
-        float(ex.features[0]) for s in shards for ex in s.examples
+        float(ds.X[i, 0]) for s in shards for i in s.indices
     )
-    assert seen == sorted(float(ex.features[0]) for ex in ds.examples)
+    assert seen == sorted(float(x[0]) for x in ds.X)
 
 
 def test_partition_iid_deterministic():
@@ -146,20 +142,18 @@ def test_partition_iid_deterministic():
     a = partition_iid(ds, 3, seed=7)
     b = partition_iid(ds, 3, seed=7)
     for sa, sb in zip(a, b):
-        assert [e.label for e in sa.examples] == [e.label for e in sb.examples]
+        assert list(ds.y[sa.indices]) == list(ds.y[sb.indices])
 
 
 def test_partition_label_split_basic():
-    ds = Dataset(
-        [Example(np.zeros(1), l) for l in [0, 1, 2, 3, 0, 2, 1, 3]], 4
-    )
+    ds = Dataset(np.zeros((8, 1)), [0, 1, 2, 3, 0, 2, 1, 3], 4)
     shards = partition_label_split(ds, [{0, 1}, {2, 3}])
-    assert [e.label for e in shards[0].examples] == [0, 1, 0, 1]
-    assert [e.label for e in shards[1].examples] == [2, 3, 2, 3]
+    assert list(ds.y[shards[0].indices]) == [0, 1, 0, 1]
+    assert list(ds.y[shards[1].indices]) == [2, 3, 2, 3]
 
 
 def test_partition_label_split_rejects_overlap_and_gaps():
-    ds = Dataset([Example(np.zeros(1), l) for l in [0, 1, 2]], 3)
+    ds = Dataset(np.zeros((3, 1)), [0, 1, 2], 3)
     with pytest.raises(ValueError, match="overlap"):
         partition_label_split(ds, [{0, 1}, {1, 2}])
     with pytest.raises(ValueError, match="cover"):
@@ -169,29 +163,23 @@ def test_partition_label_split_rejects_overlap_and_gaps():
 
 
 def test_subsample_balanced_exact():
-    ds = Dataset(
-        [Example(np.zeros(1), i % 10) for i in range(5000)], 10
-    )
+    ds = Dataset(np.zeros((5000, 1)), np.arange(5000) % 10, 10)
     sub = subsample(ds, 1000, seed=4)
-    counts = np.bincount(labels_array(sub.examples), minlength=10)
+    counts = np.bincount(sub.y, minlength=10)
     np.testing.assert_array_equal(counts, [100] * 10)
 
 
 def test_subsample_full_size_is_identity_multiset():
     ds = _tiny_dataset(40, num_classes=4)
     sub = subsample(ds, 40, seed=0)
-    assert sorted(e.label for e in sub.examples) == sorted(
-        e.label for e in ds.examples
-    )
+    assert sorted(sub.y) == sorted(ds.y)
 
 
 def test_subsample_keeps_proportions_with_remainder():
     # 30 of class 0, 10 of class 1 -> n=9 should give 7/2 (floor 6.75 -> 6, 2.25 -> 2, +1 to larger remainder)
-    ds = Dataset(
-        [Example(np.zeros(1), 0)] * 30 + [Example(np.zeros(1), 1)] * 10, 2
-    )
+    ds = Dataset(np.zeros((40, 1)), [0] * 30 + [1] * 10, 2)
     sub = subsample(ds, 9, seed=0)
-    counts = np.bincount(labels_array(sub.examples), minlength=2)
+    counts = np.bincount(sub.y, minlength=2)
     assert counts.sum() == 9
     assert counts[0] == 7 and counts[1] == 2
 
@@ -206,14 +194,57 @@ def test_subsample_bounds():
 
 def test_dataset_validation():
     with pytest.raises(ValueError, match="at least one"):
-        Dataset([], 2)
+        Dataset(np.zeros((0, 1)), [], 2)
     with pytest.raises(ValueError, match="range"):
-        Dataset([Example(np.zeros(1), 5)], 2)
+        Dataset(np.zeros((1, 1)), [5], 2)
 
 
 def test_shard_fingerprint_sensitive_to_content():
-    a = ClientShard(0, [Example(np.array([0.5]), 1)])
-    b = ClientShard(0, [Example(np.array([0.5]), 1)])
-    c = ClientShard(0, [Example(np.array([0.6]), 1)])
+    a = ClientShard(0, Dataset([[0.5]], [1], 2), [0])
+    b = ClientShard(0, Dataset([[0.5]], [1], 2), [0])
+    c = ClientShard(0, Dataset([[0.6]], [1], 2), [0])
     assert shard_fingerprint(a) == shard_fingerprint(b)
     assert shard_fingerprint(a) != shard_fingerprint(c)
+
+
+# Digests recorded with the per-example implementation that preceded the
+# columnar one; equal digests mean `compare` output agrees across versions.
+PINNED_FINGERPRINTS = {
+    "iid_n3": (
+        dict(n_clients=3),
+        [
+            "08a99bdcf17f7cc59ad6c7ab9934b222082bbea6ce1b2261cbda1429add400f8",
+            "dabb8da5dfcd7fc7119fab2b062dc0176e38b54b63a7c5cb89e5a6b99b1ef793",
+            "77e286ca80603f7a3a3bafe8465ca054b658cc65a6e02051ca53a2e90226b633",
+        ],
+    ),
+    "label_split": (
+        dict(n_clients=2, partition="label_split", label_split="0,2;1,3"),
+        [
+            "350098d3dcf229e409caf082a0ae29f7f9475c84b8eed2a2f5a2c965e9ebdf01",
+            "6fbab7130c6b9573407560982f8385eace032e2beee5d5ffd34dc78da0a29445",
+        ],
+    ),
+    "subsample_train": (
+        dict(n_clients=2, subsample_train=30),
+        [
+            "9573921fcfe435751a87c02726842dbe4b7ac6943f8b56bb646b29808a3e666b",
+            "a2ff428c9cb04d52b17462e045f794cec0c38f67ab083619c0ecb5882de9356d",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_FINGERPRINTS))
+def test_shard_fingerprints_are_pinned(case):
+    extra, expected = PINNED_FINGERPRINTS[case]
+    cfg = ExperimentConfig(
+        synthetic_classes=4,
+        synthetic_per_class=12,
+        synthetic_dim=5,
+        layer_sizes=(5, 4, 4),
+        **extra,
+    )
+    cfg.validate()
+    state = build_state(cfg, 7)
+    assert [shard_fingerprint(s) for s in state.shards] == expected

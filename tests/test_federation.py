@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import dpfedsim.federation as federation
 from dpfedsim.correction import CorrectionConfig
-from dpfedsim.data import partition_iid, synthetic_blobs
-from dpfedsim.dp import DpConfig
+from dpfedsim.data import ClientShard, partition_iid, synthetic_blobs
+from dpfedsim.dp import DpConfig, noisy_batch_gradient, poisson_sample
 from dpfedsim.federation import (
     FederationConfig,
     ScaffoldState,
@@ -40,7 +41,10 @@ def make_state(
     shards = partition_iid(ds, n_clients, seed=seed + 2)
     spec = MlpSpec((6, 5, 3))
     dp_cfg = DpConfig(
-        noise_multiplier=sigma, sampling_rate=1.0, sampling_mode=sampling_mode
+        noise_multiplier=sigma,
+        sampling_rate=1.0,
+        sampling_mode=sampling_mode,
+        batch_size=batch_size,
     )
     fed_cfg = FederationConfig(
         n_clients=n_clients,
@@ -56,9 +60,7 @@ def make_state(
         record_timing=False,
         epsilon_budget=epsilon_budget,
     )
-    return init_state(
-        spec, dp_cfg, fed_cfg, CorrectionConfig(), shards, test.examples, 3, batch_size
-    )
+    return init_state(spec, dp_cfg, fed_cfg, CorrectionConfig(), shards, test)
 
 
 def test_local_phase_exact_batch_gradient_when_noise_free():
@@ -78,9 +80,9 @@ def test_local_phase_exact_batch_gradient_when_noise_free():
     )
     assert result.noisy_steps == 1
     total = np.zeros_like(state.weights)
-    for ex in shard.examples:
+    for i in shard.indices:
         total = total + per_sample_gradient(
-            state.model_spec, state.weights, ex.features, ex.label
+            state.model_spec, state.weights, shard.dataset.X[i], shard.dataset.y[i]
         )
     np.testing.assert_allclose(
         result.gradient, total / shard.size, rtol=0, atol=1e-12
@@ -88,12 +90,10 @@ def test_local_phase_exact_batch_gradient_when_noise_free():
 
 
 def test_local_phase_empty_shard_errors():
-    from dpfedsim.data import ClientShard
-
     state = make_state()
     with pytest.raises(ValueError, match="empty shard"):
         client_local_phase(
-            ClientShard(0, []),
+            ClientShard(0, state.shards[0].dataset, []),
             state.weights,
             state.model_spec,
             state.dp,
@@ -159,13 +159,78 @@ def test_aggregate_weighted_sum_and_validation():
 
 
 def test_by_samples_weighting_uses_shard_sizes():
-    state = make_state(weighting="by_samples", sigma=0.0, n_clients=3)
-    # shard sizes 20/20/20 for 60 examples; force unequal by dropping examples
-    state.shards[2].examples.pop()
-    state.shards[2].examples.pop()
-    sizes = [s.size for s in state.shards]
+    # full noise-free batches, so each upload is a deterministic batch mean
+    base = make_state(
+        algorithm="dp_fedavg", weighting="by_samples", sigma=0.0, n_clients=3,
+        batch_size=0,
+    )
+    train = base.shards[0].dataset
+    parts = np.split(np.arange(train.size), [30, 48])  # sizes 30, 18, 12
+    shards = [ClientShard(i, train, idx) for i, idx in enumerate(parts)]
+    state = init_state(
+        base.model_spec, base.dp, base.fed, base.correction, shards, base.test
+    )
+    w0 = state.weights.copy()
+    uploads = [
+        client_local_phase(
+            shard, w0, state.model_spec, state.dp, state.fed,
+            derive_rng(0), derive_rng(1),
+        ).gradient
+        for shard in shards
+    ]
     run_round(state, 0)
-    assert sizes == [20, 20, 18]  # sanity: weights were 20/58, 20/58, 18/58
+    by_size = sum(p.size / train.size * g for p, g in zip(parts, uploads))
+    uniform = sum(uploads) / 3
+    eta = state.fed.learning_rate
+    np.testing.assert_allclose(state.weights, w0 - eta * by_size, rtol=0, atol=1e-12)
+    assert np.abs(state.weights - (w0 - eta * uniform)).max() > 1e-6
+
+
+def _local_batch_sizes(monkeypatch, shard_size, batch_size, mode, steps):
+    """Run client_local_phase on a shard of shard_size examples and return
+    the index arrays it drew and the number of samples each step trained on."""
+    train = synthetic_blobs(7, 7, 6, 0.2, seed=2)
+    shard = ClientShard(0, train, np.arange(shard_size))
+    spec = MlpSpec((6, 5, 7))
+    drawn, trained = [], []
+
+    def record_sample(*args):
+        drawn.append(poisson_sample(*args))
+        return drawn[-1]
+
+    def record_noisy(clipped, *args):
+        trained.append(len(clipped))
+        return noisy_batch_gradient(clipped, *args)
+
+    monkeypatch.setattr(federation, "poisson_sample", record_sample)
+    monkeypatch.setattr(federation, "noisy_batch_gradient", record_noisy)
+    client_local_phase(
+        shard,
+        np.zeros(spec.num_params),
+        spec,
+        DpConfig(noise_multiplier=0.5, sampling_mode=mode, batch_size=batch_size),
+        FederationConfig(local_steps=steps, learning_rate=0.05),
+        derive_rng(3, 0),
+        derive_rng(3, 1),
+    )
+    return drawn, trained
+
+
+def test_batch_size_is_exact_for_fixed_size_and_expected_for_poisson(monkeypatch):
+    # 8 / 49 * 49 rounds down to 7: the batch must not go through a rate
+    _, trained = _local_batch_sizes(monkeypatch, 49, 8, "fixed_size", steps=6)
+    assert trained == [8] * 6
+    # a batch larger than the shard takes all of it
+    _, trained = _local_batch_sizes(monkeypatch, 49, 64, "fixed_size", steps=6)
+    assert trained == [49] * 6
+    # poisson keeps each example with probability batch_size / shard size
+    drawn, trained = _local_batch_sizes(monkeypatch, 49, 8, "poisson", steps=20)
+    rng = derive_rng(3, 0)
+    expected = [np.flatnonzero(rng.random(49) < 8 / 49) for _ in range(20)]
+    assert len(drawn) == 20
+    for got, want in zip(drawn, expected):
+        np.testing.assert_array_equal(got, want)
+    assert trained == [e.size for e in expected if e.size]
 
 
 def test_scaffold_server_variate_is_mean_of_clients():
@@ -271,9 +336,7 @@ def test_init_state_validates_shard_count():
             state.fed,
             state.correction,
             state.shards[:1],
-            state.test_examples,
-            3,
-            8,
+            state.test,
         )
 
 
