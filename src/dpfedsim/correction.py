@@ -55,13 +55,13 @@ class CorrectionReport:
     reference_ids: list[int] = field(default_factory=list)
     cosines: dict[tuple[int, int], float] = field(default_factory=dict)
     projections_applied: int = 0
-    dot_products_executed: int = 0
+    cosine_tests: int = 0
 
     def summary(self) -> dict:
         values = list(self.cosines.values())
         return {
             "references": list(self.reference_ids),
-            "cosine_evaluations": self.dot_products_executed,
+            "cosine_evaluations": self.cosine_tests,
             "projections_applied": self.projections_applied,
             "negative_cosines": sum(1 for v in values if v < 0),
             "cosine_min": min(values) if values else None,
@@ -137,7 +137,7 @@ def correct_round(
             for j in order:
                 j = int(j)
                 report.cosines[(i, j)] = cosine(running, gradients[j])
-                report.dot_products_executed += 1
+                report.cosine_tests += 1
                 running, applied = project_if_conflicting(running, gradients[j])
                 if applied:
                     report.projections_applied += 1
@@ -149,7 +149,7 @@ def correct_round(
                 if j == i:
                     continue
                 report.cosines[(i, j)] = cosine(running, gradients[j])
-                report.dot_products_executed += 1
+                report.cosine_tests += 1
                 running, applied = project_if_conflicting(running, gradients[j])
                 if applied:
                     report.projections_applied += 1

@@ -1,11 +1,12 @@
-"""Differential privacy primitives: clipping, Gaussian noise, RDP accounting.
+"""Differential privacy primitives: batch sampling, Gaussian noise, RDP accounting.
 
-Each training step clips per-sample gradients to an L2 threshold C, sums them
-in sample order, adds a single Gaussian draw N(0, (sigma*C)^2 I) to the sum,
-and divides by the realized batch size.  Privacy is tracked in Renyi DP: one
-noisy step at order alpha costs alpha / (2 sigma^2); steps compose by adding
-costs; the (epsilon, delta) guarantee is obtained by converting the composed
-cost at each alpha on a fixed grid and taking the minimum,
+Each training step clips per-sample gradients to an L2 threshold C and sums
+them (``model.clipped_gradient_sum``), adds a single Gaussian draw
+N(0, (sigma*C)^2 I) to the sum, and divides by the realized batch size.
+Privacy is tracked in Renyi DP: one noisy step at order alpha costs
+alpha / (2 sigma^2); steps compose by adding costs; the (epsilon, delta)
+guarantee is obtained by converting the composed cost at each alpha on a
+fixed grid and taking the minimum,
 
     epsilon = R(alpha) + log((alpha-1)/alpha) - (log(delta) + log(alpha)) / (alpha-1).
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ParamVector, l2_norm
+from .linalg import ParamVector
 
 DEFAULT_ALPHA_GRID: tuple[float, ...] = (1.5,) + tuple(float(a) for a in range(2, 65))
 
@@ -55,20 +56,6 @@ class DpConfig:
                 f"sampling_mode must be one of {SAMPLING_MODES}, "
                 f"got {self.sampling_mode!r}"
             )
-
-
-def clip_gradient(gradient: ParamVector, clip_threshold: float) -> ParamVector:
-    """Scale the vector onto the L2 ball of radius clip_threshold.
-
-    Vectors already inside the ball are returned unchanged (same object, same
-    bits); callers treat gradients as immutable.
-    """
-    if not clip_threshold > 0:
-        raise ValueError("clip_threshold must be > 0")
-    norm = l2_norm(gradient)
-    if norm <= clip_threshold:
-        return gradient
-    return gradient * (clip_threshold / norm)
 
 
 def poisson_sample(
@@ -107,31 +94,30 @@ def poisson_sample(
 
 
 def noisy_batch_gradient(
-    clipped: list[ParamVector],
+    clipped_sum: ParamVector,
+    batch_size: int,
     clip_threshold: float,
     noise_multiplier: float,
     rng: np.random.Generator,
 ) -> ParamVector:
-    """Noisy mean of already-clipped per-sample gradients.
+    """Noisy mean of a batch of clipped per-sample gradients, given their sum.
 
-    Sum in list (sample) order, add one N(0, (sigma*C)^2 I) draw to the sum,
-    divide by the realized batch size.  sigma == 0 skips the draw entirely so
-    the no-noise path is bit-deterministic.
+    Add one N(0, (sigma*C)^2 I) draw to the sum and divide by the realized
+    batch size.  sigma == 0 skips the draw entirely so the no-noise path is
+    bit-deterministic.
     """
-    if not clipped:
+    if batch_size < 1:
         raise ValueError("noisy_batch_gradient needs a nonempty batch")
     if not clip_threshold > 0:
         raise ValueError("clip_threshold must be > 0")
     if noise_multiplier < 0:
         raise ValueError("noise_multiplier must be >= 0")
-    total = np.zeros_like(clipped[0])
-    for g in clipped:
-        total = total + g
+    total = clipped_sum
     if noise_multiplier > 0:
         total = total + rng.standard_normal(total.shape[0]) * (
             noise_multiplier * clip_threshold
         )
-    return total / len(clipped)
+    return total / batch_size
 
 
 def rdp_cost_per_step(noise_multiplier: float, alpha: float) -> float:

@@ -27,7 +27,6 @@ from .data import ClientShard, Dataset
 from .dp import (
     DpConfig,
     PrivacyLedger,
-    clip_gradient,
     epsilon_spent,
     noisy_batch_gradient,
     poisson_sample,
@@ -167,12 +166,14 @@ def client_local_phase(
 ) -> LocalPhaseResult:
     """Run one client's local steps and return its upload.
 
-    Per step: draw a minibatch, clip each per-sample gradient to C, sum, add
-    one Gaussian draw, divide by the realized batch size, then step the local
-    model.  dp_fedprox adds prox_mu * (w_local - w_start) to each per-sample
-    gradient before clipping; dp_scaffold adds the control-variate shift
-    (server - client) after noising.  The upload is the mean of the noisy
-    batch gradients over the steps that actually ran.
+    Per step: draw a minibatch, clip each per-sample gradient to C and sum in
+    one batched pass, add one Gaussian draw, divide by the realized batch
+    size, then step the local model.  dp_fedprox adds prox_mu * (w_local -
+    w_start) to each per-sample gradient before clipping; dp_scaffold adds
+    the control-variate shift (server - client) after noising.  The upload
+    is the mean of the noisy batch gradients over the steps that actually
+    ran.  A non-finite per-sample gradient norm or step gradient raises
+    ValueError naming the client.
     """
     if shard.size == 0:
         raise ValueError(f"client {shard.client_id} holds an empty shard")
@@ -195,25 +196,35 @@ def client_local_phase(
         if idx.size == 0:
             continue  # empty poisson draw: no step, no privacy cost
         rows = shard.indices[idx]
-        clipped = []
-        batch_loss = 0.0
-        for features, label in zip(shard.dataset.X[rows], shard.dataset.y[rows]):
-            sample_loss, grad = model_mod.loss_and_gradient(
-                model_spec, w_local, features, label
-            )
-            if is_prox:
-                grad = scale_add(grad, fed_cfg.prox_mu, w_local - start_params)
-            clipped.append(clip_gradient(grad, dp_cfg.clip_threshold))
-            batch_loss += sample_loss
+        prox_shift = (
+            fed_cfg.prox_mu * (w_local - start_params) if is_prox else None
+        )
+        losses, sq_norms, clipped_sum = model_mod.clipped_gradient_sum(
+            model_spec,
+            w_local,
+            shard.dataset.X[rows],
+            shard.dataset.y[rows],
+            dp_cfg.clip_threshold,
+            prox_shift,
+        )
         noisy = noisy_batch_gradient(
-            clipped, dp_cfg.clip_threshold, dp_cfg.noise_multiplier, noise_rng
+            clipped_sum,
+            idx.size,
+            dp_cfg.clip_threshold,
+            dp_cfg.noise_multiplier,
+            noise_rng,
         )
         if scaffold_shift is not None:
             noisy = noisy + scaffold_shift
+        if not (np.isfinite(sq_norms).all() and np.isfinite(noisy).all()):
+            raise ValueError(
+                f"client {shard.client_id}: non-finite per-sample gradient "
+                f"norm or upload at local step {steps + 1}"
+            )
         w_local = scale_add(w_local, -eta, noisy)
         grad_sum = grad_sum + noisy
         steps += 1
-        loss_total += batch_loss / idx.size
+        loss_total += float(np.sum(losses)) / idx.size
 
     gradient = grad_sum / steps if steps else grad_sum
     mean_loss = loss_total / steps if steps else math.nan
@@ -315,16 +326,19 @@ def run_round(
         shift = None
         if fed.algorithm == "dp_scaffold":
             shift = state.scaffold.server_variate - state.scaffold.client_variates[cid]
-        result = client_local_phase(
-            shard,
-            start,
-            state.model_spec,
-            state.dp,
-            fed,
-            derive_rng(fed.global_seed, round_index, cid, _P_BATCH),
-            derive_rng(fed.global_seed, round_index, cid, _P_NOISE),
-            scaffold_shift=shift,
-        )
+        try:
+            result = client_local_phase(
+                shard,
+                start,
+                state.model_spec,
+                state.dp,
+                fed,
+                derive_rng(fed.global_seed, round_index, cid, _P_BATCH),
+                derive_rng(fed.global_seed, round_index, cid, _P_NOISE),
+                scaffold_shift=shift,
+            )
+        except ValueError as exc:
+            raise ValueError(f"round {round_index}, {exc}") from exc
         return cid, result
 
     if fed.parallel_clients and len(participants) > 1:

@@ -6,6 +6,12 @@ fixed length D.  All reductions here accumulate strictly left to right
 rerun — the same inputs give the same bits.  ``np.add.accumulate`` performs
 a sequential pairwise-free scan and is bitwise identical to an explicit
 Python loop (property-tested), at C speed.
+
+These ordered reductions serve correction and the server step.  The DP
+step's per-sample norms and clipped sums (``model.clipped_gradient_sum``)
+come from numpy reductions and BLAS matrix products instead; a subprocess
+test in ``tests/test_cli.py`` checks that their output bytes do not change
+with the BLAS thread count.
 """
 
 from __future__ import annotations

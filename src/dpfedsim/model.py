@@ -5,6 +5,8 @@ treat a model as a point in R^D.  Layout, per layer l (sizes n_l -> n_{l+1}):
 the weight matrix W_l of shape (n_l, n_{l+1}) in row-major order, followed by
 the bias b_l of length n_{l+1}.  A forward pass computes
 h_{l+1} = relu(h_l @ W_l + b_l) for hidden layers and softmax on the last.
+``clipped_gradient_sum`` runs the DP step's forward/backward for a whole
+minibatch and returns per-sample gradient norms and the clipped gradient sum.
 """
 
 from __future__ import annotations
@@ -85,8 +87,10 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def forward_batch(spec: MlpSpec, w: ParamVector, features: np.ndarray) -> np.ndarray:
-    """Class probabilities for a (n, input_dim) batch; rows sum to 1."""
+def _forward(
+    spec: MlpSpec, w: ParamVector, features: np.ndarray
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """(inputs of every layer, the features first; class probabilities)."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
@@ -95,11 +99,16 @@ def forward_batch(spec: MlpSpec, w: ParamVector, features: np.ndarray) -> np.nda
             f"feature dimension {x.shape[1]} != input layer {spec.layer_sizes[0]}"
         )
     layers = unpack(spec, w)
-    h = x
+    inputs = [x]
     for weight, bias in layers[:-1]:
-        h = np.maximum(h @ weight + bias, 0.0)
+        inputs.append(np.maximum(inputs[-1] @ weight + bias, 0.0))
     weight, bias = layers[-1]
-    return _softmax_rows(h @ weight + bias)
+    return inputs, _softmax_rows(inputs[-1] @ weight + bias)
+
+
+def forward_batch(spec: MlpSpec, w: ParamVector, features: np.ndarray) -> np.ndarray:
+    """Class probabilities for a (n, input_dim) batch; rows sum to 1."""
+    return _forward(spec, w, features)[1]
 
 
 def forward(spec: MlpSpec, w: ParamVector, features: np.ndarray) -> np.ndarray:
@@ -112,13 +121,19 @@ def predict(spec: MlpSpec, w: ParamVector, features: np.ndarray) -> int:
     return int(np.argmax(forward(spec, w, features)))
 
 
-def loss(spec: MlpSpec, w: ParamVector, features: np.ndarray, labels) -> float:
-    """Mean cross-entropy -log p[label] over a nonempty batch."""
+def _batch_labels(spec: MlpSpec, labels) -> np.ndarray:
+    """Labels as a flat int64 array; rejects an empty batch or a bad class."""
     labs = np.asarray(labels, dtype=np.int64).reshape(-1)
     if labs.size == 0:
         raise ValueError("loss over an empty batch is undefined")
     if labs.min() < 0 or labs.max() >= spec.num_classes:
         raise ValueError(f"label out of range [0, {spec.num_classes})")
+    return labs
+
+
+def loss(spec: MlpSpec, w: ParamVector, features: np.ndarray, labels) -> float:
+    """Mean cross-entropy -log p[label] over a nonempty batch."""
+    labs = _batch_labels(spec, labels)
     probs = forward_batch(spec, w, features)
     if probs.shape[0] != labs.size:
         raise ValueError("features and labels disagree on batch size")
@@ -126,50 +141,65 @@ def loss(spec: MlpSpec, w: ParamVector, features: np.ndarray, labels) -> float:
     return float(np.add.accumulate(-np.log(picked))[-1] / labs.size)
 
 
-def loss_and_gradient(
-    spec: MlpSpec, w: ParamVector, features: np.ndarray, label: int
-) -> tuple[float, ParamVector]:
-    """Single-example loss and its gradient w.r.t. the flat parameter vector.
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # einsum, not BLAS: the bits do not depend on the BLAS thread count
+    return np.einsum("ij,ij->i", a, b)
 
-    Backprop with the fused softmax cross-entropy delta (probs - onehot),
-    assembled into the same flat layout as the input.
+
+def clipped_gradient_sum(
+    spec: MlpSpec,
+    w: ParamVector,
+    features: np.ndarray,
+    labels,
+    clip_threshold: float,
+    shift: ParamVector | None = None,
+) -> tuple[np.ndarray, np.ndarray, ParamVector]:
+    """(losses, sq_norms, clipped_sum) of one batch, from one forward/backward.
+
+    Sample n's gradient is g_n = grad_n + v, its loss gradient plus an
+    optional shift v.  sq_norms[n] is ||g_n||^2 and clipped_sum is
+    sum_n s_n g_n with s_n = min(1, C / ||g_n||), the sum of the per-sample
+    gradients clipped to L2 norm C.  No per-sample gradient is built.
+
+    Layer l's weight gradient for sample n is the outer product of its input
+    a_n and output delta d_n, so ||grad_n||^2 = sum_l (||a_n||^2 + 1) ||d_n||^2
+    (the 1 is the bias), and the layer's clipped sum is A^T (s * D) for the
+    weights and sum_n s_n d_n for the bias: one matrix product per layer
+    (Goodfellow, arXiv:1510.01799).  A shift adds 2 <grad_n, v> + ||v||^2 to
+    the squared norm, with <grad_n, v> = sum_l a_n^T V_l d_n + d_n . v_b, and
+    (sum_n s_n) v to the sum.
     """
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != spec.layer_sizes[0]:
-        raise ValueError(
-            f"expected a flat feature vector of length {spec.layer_sizes[0]}"
-        )
-    label = int(label)
-    if not 0 <= label < spec.num_classes:
-        raise ValueError(f"label out of range [0, {spec.num_classes})")
+    labs = _batch_labels(spec, labels)
+    inputs, probs = _forward(spec, w, features)
+    if probs.shape[0] != labs.size:
+        raise ValueError("features and labels disagree on batch size")
+    rows = np.arange(labs.size)
+    losses = -np.log(np.maximum(probs[rows, labs], _PROB_FLOOR))
+
+    delta = probs
+    delta[rows, labs] -= 1.0  # d loss / d logits for softmax + cross-entropy
     layers = unpack(spec, w)
+    deltas = [delta]  # output deltas of every layer, filled from the last
+    for l in range(len(layers) - 1, 0, -1):
+        # relu derivative: the stored input is already max(z, 0)
+        delta = (delta @ layers[l][0].T) * (inputs[l] > 0.0)
+        deltas.insert(0, delta)
+    sq_norms = sum(
+        (_row_dots(a, a) + 1.0) * _row_dots(d, d) for a, d in zip(inputs, deltas)
+    )
+    if shift is not None:
+        cross = sum(
+            _row_dots(a @ v_weight + v_bias, d)
+            for (v_weight, v_bias), a, d in zip(unpack(spec, shift), inputs, deltas)
+        )
+        sq_norms = np.maximum(sq_norms + 2.0 * cross + np.sum(shift * shift), 0.0)
 
-    # forward, keeping activations per layer
-    activations = [x]
-    h = x
-    for weight, bias in layers[:-1]:
-        h = np.maximum(h @ weight + bias, 0.0)
-        activations.append(h)
-    weight, bias = layers[-1]
-    probs = _softmax_rows(h @ weight + bias)
-    loss_value = -float(np.log(max(probs[label], _PROB_FLOOR)))
-
-    grad = np.zeros(spec.num_params, dtype=np.float64)
-    grad_layers = unpack(spec, grad)
-
-    delta = probs.copy()
-    delta[label] -= 1.0  # d loss / d logits for softmax + cross-entropy
-    for l in range(len(layers) - 1, -1, -1):
-        g_weight, g_bias = grad_layers[l]
-        np.outer(activations[l], delta, out=g_weight)
-        g_bias[...] = delta
-        if l > 0:
-            # relu derivative: the stored activation is already max(z, 0)
-            delta = (layers[l][0] @ delta) * (activations[l] > 0.0)
-    return loss_value, grad
-
-
-def per_sample_gradient(
-    spec: MlpSpec, w: ParamVector, features: np.ndarray, label: int
-) -> ParamVector:
-    return loss_and_gradient(spec, w, features, label)[1]
+    scale = clip_threshold / np.maximum(np.sqrt(sq_norms), clip_threshold)
+    clipped_sum = np.empty(spec.num_params)
+    for (g_weight, g_bias), a, d in zip(unpack(spec, clipped_sum), inputs, deltas):
+        scaled = d * scale[:, None]
+        np.matmul(a.T, scaled, out=g_weight)
+        scaled.sum(axis=0, out=g_bias)
+    if shift is not None:
+        clipped_sum += np.sum(scale) * shift
+    return losses, sq_norms, clipped_sum

@@ -97,6 +97,15 @@ def test_missing_config_file_returns_nonzero(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_run_returns_nonzero(tmp_path, capsys):
+    # eta = 1e300 overflows the weights in round 0, so round 1 sees NaN
+    # gradients; the run must stop instead of writing NaN losses
+    cfg = write_cfg(tmp_path, FAST_CFG.replace("eta = 0.05", "eta = 1e300"))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "round 1, client 0: non-finite" in capsys.readouterr().err
+
+
 def test_compare_runs_algorithms_on_identical_shards(tmp_path):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "cmp"
@@ -169,11 +178,11 @@ def test_run_is_byte_identical_across_blas_thread_counts(tmp_path):
     """metrics.csv and summary.json do not depend on the BLAS thread count.
 
     The layers are sized so that the evaluation matrix products are large
-    enough for OpenBLAS to split them over threads.
+    enough for OpenBLAS to split them over threads.  The second config runs
+    the prox shift through two local steps on Poisson batches of about 64, so
+    the clipping kernel's per-layer products A^T (s * Delta) are split too.
     """
-    cfg = write_cfg(
-        tmp_path,
-        """
+    base = """
         synthetic_classes = 5
         synthetic_per_class = 200
         synthetic_dim = 128
@@ -184,22 +193,31 @@ def test_run_is_byte_identical_across_blas_thread_counts(tmp_path):
         batch_size = 16
         seeds = 4
         record_timing = false
-        """,
-    )
+        """
+    prox = base.replace("batch_size = 16", "batch_size = 64") + """
+        algorithm = dp_fedprox
+        sampling_mode = poisson
+        local_steps = 2
+        """
     src = str(Path(__file__).resolve().parent.parent / "src")
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
-        out = tmp_path / f"threads{threads}"
-        subprocess.run(
-            [sys.executable, "-m", "dpfedsim.cli", "run", "--config", cfg,
-             "--out", str(out)],
-            env=env, check=True, capture_output=True, timeout=120,
-        )
-        outputs.append(
-            ((out / "metrics.csv").read_bytes(), (out / "summary.json").read_bytes())
-        )
-    assert outputs[0] == outputs[1]
+    for name, text in (("base", base), ("prox", prox)):
+        cfg = write_cfg(tmp_path, text, name=f"{name}.cfg")
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(
+                os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads
+            )
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, env.get("PYTHONPATH")) if p
+            )
+            out = tmp_path / f"{name}_threads{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "dpfedsim.cli", "run", "--config", cfg,
+                 "--out", str(out)],
+                env=env, check=True, capture_output=True, timeout=120,
+            )
+            outputs.append(
+                ((out / "metrics.csv").read_bytes(),
+                 (out / "summary.json").read_bytes())
+            )
+        assert outputs[0] == outputs[1], name

