@@ -17,15 +17,25 @@ to test.  Cosine evaluations per round are exactly M * (N - M).
 pairwise mode: every ordered pair (i, j), i != j, in ascending id order; the
 running, partially corrected g_i is tested against the *original* upload of
 client j.
+
+Every test runs in coefficient space (the Gram formulation of PCGrad, Yu et
+al. 2020, arXiv:2001.06782).  The Gram matrix G[a, b] = <g_a, g_b> of the
+original uploads is built once per round.  For the running vector r of
+client i the scalars row[k] = <r, g_k> and q = ||r||^2 start as G[i] and
+G[i, i]; a test against j reads d = row[j], and a projection with
+coefficient c = d / G[j, j] updates them as row -= c * G[j] and
+q = max(0, q - c * d).  The only D-length work after the Gram is one
+scale_add per projection.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ParamVector, cosine, dot, scale_add
+from .linalg import ParamVector, scale_add
 
 CORRECTION_MODES = ("reference", "pairwise")
 
@@ -70,18 +80,38 @@ class CorrectionReport:
         }
 
 
-def project_if_conflicting(
-    g_i: ParamVector, g_j: ParamVector
-) -> tuple[ParamVector, bool]:
-    """Project g_i off g_j when they conflict (cosine < 0).
+def cosine_from_products(sq_a: float, sq_b: float, ab: float) -> float:
+    """Cosine of a and b from ||a||^2, ||b||^2 and <a, b>; 0.0 when either is zero.
 
-    Returns (vector, applied).  Non-conflicting input comes back as the same
-    object, bitwise untouched.  Zero vectors never conflict (cosine is 0).
+    The denominator is sqrt(sq_a * sq_b) — one square root instead of two
+    keeps exactly parallel vectors at exactly +/-1 — with a two-root fallback
+    when the product overflows.  The quotient is clamped to [-1, 1] so sign
+    tests never see |cos| > 1 from rounding.
     """
-    if cosine(g_i, g_j) < 0:
-        coef = dot(g_i, g_j) / dot(g_j, g_j)
-        return scale_add(g_i, -coef, g_j), True
-    return g_i, False
+    if sq_a == 0.0 or sq_b == 0.0:
+        return 0.0
+    product = sq_a * sq_b
+    if math.isfinite(product) and product > 0.0:
+        denom = math.sqrt(product)
+    else:  # product over- or underflowed; take the roots separately
+        denom = math.sqrt(sq_a) * math.sqrt(sq_b)
+    if denom == 0.0:  # norms so small even their product underflows
+        return 0.0
+    return min(1.0, max(-1.0, float(ab) / denom))
+
+
+def gram(vectors: list[ParamVector]) -> np.ndarray:
+    """G[a, b] = <v_a, v_b>, one einsum per unordered pair, read in place.
+
+    einsum runs numpy's own loop, not BLAS, so the bytes do not depend on the
+    BLAS thread count; and no (N, D) stack of the vectors is built.
+    """
+    n = len(vectors)
+    g = np.empty((n, n))
+    for a in range(n):
+        for b in range(a, n):
+            g[a, b] = g[b, a] = np.einsum("d,d->", vectors[a], vectors[b])
+    return g
 
 
 def select_references(
@@ -119,8 +149,34 @@ def correct_round(
         if gradients[i].shape != (dim,):
             raise ValueError("client gradients must all share one dimension")
 
+    uploads = [gradients[i] for i in ids]
+    g = gram(uploads)
+    position = {cid: p for p, cid in enumerate(ids)}
     report = CorrectionReport()
     corrected: dict[int, ParamVector] = {}
+
+    def correct_one(i: int, order: list[int]) -> ParamVector:
+        """Test upload i against uploads[j], j in order (positions in ids).
+
+        row[k] = <running, uploads[k]> and q = ||running||^2 are scalars, so a
+        test costs O(1) and a projection O(N) plus one scale_add.
+        """
+        running = uploads[i]
+        row = g[i].copy()
+        q = float(g[i, i])
+        for j in order:
+            d = float(row[j])
+            sq_j = float(g[j, j])
+            cos = cosine_from_products(q, sq_j, d)
+            report.cosines[(ids[i], ids[j])] = cos
+            report.cosine_tests += 1
+            if cos < 0:
+                c = d / sq_j
+                running = scale_add(running, -c, uploads[j])
+                row -= c * g[j]
+                q = max(0.0, q - c * d)
+                report.projections_applied += 1
+        return running
 
     if config.mode == "reference":
         m = resolve_num_references(config, len(ids))
@@ -132,27 +188,11 @@ def correct_round(
         for i in ids:
             if i in corrected:
                 continue
-            running = gradients[i]
-            order = rng.permutation(ref_array)
-            for j in order:
-                j = int(j)
-                report.cosines[(i, j)] = cosine(running, gradients[j])
-                report.cosine_tests += 1
-                running, applied = project_if_conflicting(running, gradients[j])
-                if applied:
-                    report.projections_applied += 1
-            corrected[i] = running
+            order = [position[int(j)] for j in rng.permutation(ref_array)]
+            corrected[i] = correct_one(position[i], order)
     else:  # pairwise
-        for i in ids:
-            running = gradients[i]
-            for j in ids:
-                if j == i:
-                    continue
-                report.cosines[(i, j)] = cosine(running, gradients[j])
-                report.cosine_tests += 1
-                running, applied = project_if_conflicting(running, gradients[j])
-                if applied:
-                    report.projections_applied += 1
-            corrected[i] = running
+        for p in range(len(ids)):
+            order = [j for j in range(len(ids)) if j != p]
+            corrected[ids[p]] = correct_one(p, order)
 
     return corrected, report

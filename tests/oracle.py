@@ -1,17 +1,36 @@
-"""Scalar reference implementations that the package replaced with batched kernels.
+"""Scalar reference implementations that the package replaced with faster kernels.
 
 ``model.clipped_gradient_sum`` computes every per-sample gradient norm and the
 clipped gradient sum of a batch without building any per-sample gradient.
-These one-sample-at-a-time functions are the slow, obvious form of the same
-arithmetic; tests compare the kernel against them.
+``correction.correct_round`` runs every cosine test on scalars read from one
+Gram matrix per round.  The functions here are the slow, obvious form of the
+same arithmetic: one sample at a time, and conflict correction on the
+D-length vectors with fresh ordered dot products for every test.  Tests
+compare the kernels against them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from dpfedsim.linalg import ParamVector, l2_norm
+from dpfedsim.correction import (
+    CorrectionConfig,
+    CorrectionReport,
+    cosine_from_products,
+    resolve_num_references,
+    select_references,
+)
+from dpfedsim.linalg import ParamVector, dot, scale_add
 from dpfedsim.model import _PROB_FLOOR, MlpSpec, _softmax_rows, unpack
+
+
+def l2_norm(a: ParamVector) -> float:
+    return float(np.sqrt(dot(a, a)))
+
+
+def cosine(a: ParamVector, b: ParamVector) -> float:
+    """Cosine similarity from three ordered dot products, 0.0 for a zero vector."""
+    return cosine_from_products(dot(a, a), dot(b, b), dot(a, b))
 
 
 def loss_and_gradient(
@@ -75,3 +94,54 @@ def clip_gradient(gradient: ParamVector, clip_threshold: float) -> ParamVector:
     if norm <= clip_threshold:
         return gradient
     return gradient * (clip_threshold / norm)
+
+
+def project_if_conflicting(
+    g_i: ParamVector, g_j: ParamVector
+) -> tuple[ParamVector, bool]:
+    """Project g_i off g_j when they conflict (cosine < 0).
+
+    Returns (vector, applied).  Non-conflicting input comes back as the same
+    object, bitwise untouched.  Zero vectors never conflict (cosine is 0).
+    """
+    if cosine(g_i, g_j) < 0:
+        coef = dot(g_i, g_j) / dot(g_j, g_j)
+        return scale_add(g_i, -coef, g_j), True
+    return g_i, False
+
+
+def correct_round(
+    gradients: dict[int, ParamVector],
+    config: CorrectionConfig,
+    rng: np.random.Generator,
+) -> tuple[dict[int, ParamVector], CorrectionReport]:
+    """``correction.correct_round`` on the vectors: every test recomputes the
+    cosine, and every projection its coefficient, from D-length dots."""
+    ids = sorted(gradients)
+    report = CorrectionReport()
+    corrected: dict[int, ParamVector] = {}
+
+    def correct_one(i: int, order) -> ParamVector:
+        running = gradients[i]
+        for j in order:
+            j = int(j)
+            report.cosines[(i, j)] = cosine(running, gradients[j])
+            report.cosine_tests += 1
+            running, applied = project_if_conflicting(running, gradients[j])
+            if applied:
+                report.projections_applied += 1
+        return running
+
+    if config.mode == "reference":
+        refs = select_references(ids, resolve_num_references(config, len(ids)), rng)
+        report.reference_ids = refs
+        ref_array = np.asarray(refs)
+        for i in refs:
+            corrected[i] = gradients[i]
+        for i in ids:
+            if i not in corrected:
+                corrected[i] = correct_one(i, rng.permutation(ref_array))
+    else:  # pairwise
+        for i in ids:
+            corrected[i] = correct_one(i, [j for j in ids if j != i])
+    return corrected, report

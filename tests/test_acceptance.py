@@ -20,7 +20,7 @@ import pytest
 
 from dpfedsim.cli import main, run_seeds
 from dpfedsim.config import ExperimentConfig
-from dpfedsim.correction import CorrectionConfig, correct_round, project_if_conflicting
+from dpfedsim.correction import CorrectionConfig, correct_round
 from dpfedsim.data import partition_iid, synthetic_blobs
 from dpfedsim.dp import (
     DpConfig,
@@ -30,10 +30,15 @@ from dpfedsim.dp import (
     rdp_to_dp,
 )
 from dpfedsim.federation import FederationConfig, init_state, run_experiment
-from dpfedsim.linalg import dot, l2_norm
+from dpfedsim.linalg import dot
 from dpfedsim.metrics import accumulate, accuracy, macro_f1, macro_recall
 from dpfedsim.model import MlpSpec, loss
-from oracle import clip_gradient, per_sample_gradient
+from oracle import (
+    clip_gradient,
+    l2_norm,
+    per_sample_gradient,
+    project_if_conflicting,
+)
 
 
 def test_criterion_01_clipping_bound():

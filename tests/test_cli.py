@@ -181,6 +181,8 @@ def test_run_is_byte_identical_across_blas_thread_counts(tmp_path):
     enough for OpenBLAS to split them over threads.  The second config runs
     the prox shift through two local steps on Poisson batches of about 64, so
     the clipping kernel's per-layer products A^T (s * Delta) are split too.
+    The third runs pairwise correction over six clients (30 cosine tests a
+    round), so summary.json's cosine statistics come from the Gram path.
     """
     base = """
         synthetic_classes = 5
@@ -199,8 +201,12 @@ def test_run_is_byte_identical_across_blas_thread_counts(tmp_path):
         sampling_mode = poisson
         local_steps = 2
         """
+    pairwise = base.replace("n_clients = 3", "n_clients = 6") + """
+        correction_mode = pairwise
+        """
     src = str(Path(__file__).resolve().parent.parent / "src")
-    for name, text in (("base", base), ("prox", prox)):
+    configs = (("base", base), ("prox", prox), ("pairwise", pairwise))
+    for name, text in configs:
         cfg = write_cfg(tmp_path, text, name=f"{name}.cfg")
         outputs = []
         for threads in ("1", "2"):

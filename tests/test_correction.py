@@ -1,14 +1,23 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
 from dpfedsim.correction import (
+    CORRECTION_MODES,
     CorrectionConfig,
     correct_round,
-    project_if_conflicting,
     resolve_num_references,
     select_references,
 )
-from dpfedsim.linalg import dot, l2_norm
+from dpfedsim.linalg import dot
+from oracle import l2_norm, project_if_conflicting
 
 
 def test_projection_worked_example():
@@ -212,3 +221,228 @@ def test_report_summary_shape():
     assert s["cosine_evaluations"] == report.cosine_tests
     assert s["projections_applied"] == report.projections_applied
     assert s["cosine_min"] <= s["cosine_mean"] <= s["cosine_max"]
+
+
+# Unit roundoff of float64.
+U = 2.0**-53
+
+
+def _gamma(dim: int) -> float:
+    """Higham's gamma_D = D u / (1 - D u).
+
+    A D-term dot product summed in any order is within gamma_D * ||a|| ||b||
+    of the exact value (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., eq. 3.5, with Cauchy-Schwarz).  This covers both the
+    oracle's sequential scan and the einsum loop that builds the Gram matrix.
+    """
+    return dim * U / (1.0 - dim * U)
+
+
+def _assert_matches_oracle(grads, config, seed):
+    """correct_round against the vector-space oracle, with the same rng seed.
+
+    Both take the same references and test the same pairs in the same order.
+    For each client, walk its tests along the oracle's trajectory; before a
+    test, r is the oracle's running vector and p the projections applied to
+    it so far, and kappa = ||g_i|| / ||r||.  The tolerance is
+
+        tol = 4 (p + 1)^2 gamma_D kappa^2.
+
+    Why: every projection coefficient satisfies |c| ||g_j|| <= ||r|| <=
+    ||g_i||, so after p projections the scalars row[k] and q are within about
+    (p + 1) gamma_D ||g_i|| ||g_k|| and (p + 1) gamma_D ||g_i||^2 of the inner
+    products of the vector actually formed; and since an orthogonal
+    projection is non-expansive, two trajectories that make the same
+    decisions stay within (p + 1)(p + 2) / 2 * gamma_D ||g_i|| of each other.
+    Dividing by ||r|| ||g_k|| (and by q for the norm term) gives
+    (p + 1)^2 gamma_D kappa^2 up to the factor 4, which also absorbs the
+    second-order terms.
+
+    A cosine within tol of zero may be decided either way, so the decisions
+    must agree only where the oracle's |cos| > tol; after the first test
+    inside that margin the two trajectories may part, and the rest of that
+    client is not compared.  A client compared to the end must come back
+    within 2 (p + 1)^2 gamma_D ||g_i|| of the oracle (the bound on the
+    trajectories above, doubled for the scale_add roundings), and as the
+    same object when nothing was projected.
+    """
+    out, report = correct_round(grads, config, np.random.default_rng(seed))
+    want, want_report = oracle.correct_round(
+        grads, config, np.random.default_rng(seed)
+    )
+    assert report.reference_ids == want_report.reference_ids
+    assert report.cosine_tests == want_report.cosine_tests
+    assert list(report.cosines) == list(want_report.cosines)
+    assert set(out) == set(grads)
+
+    gamma = _gamma(next(iter(grads.values())).shape[0])
+    running = dict(grads)
+    projections = dict.fromkeys(grads, 0)
+    parted = set()
+    for (i, j), want_cos in want_report.cosines.items():
+        if i in parted:
+            continue
+        norm_i, norm_r = l2_norm(grads[i]), l2_norm(running[i])
+        kappa = 1.0 if norm_i == 0.0 else norm_i / norm_r if norm_r else np.inf
+        tol = 4 * (projections[i] + 1) ** 2 * gamma * kappa**2
+        cos = report.cosines[(i, j)]
+        assert abs(cos - want_cos) <= tol, (i, j, cos, want_cos, tol)
+        if abs(want_cos) <= tol:
+            parted.add(i)
+            continue
+        assert (cos < 0) == (want_cos < 0)
+        running[i], applied = project_if_conflicting(running[i], grads[j])
+        projections[i] += applied
+
+    for i in grads:
+        if i in parted:
+            continue
+        np.testing.assert_array_equal(running[i], want[i])  # the walk replays it
+        if projections[i] == 0:
+            assert out[i] is grads[i] and want[i] is grads[i]
+        else:
+            err = l2_norm(out[i] - want[i])
+            assert err <= 2 * (projections[i] + 1) ** 2 * gamma * l2_norm(grads[i])
+    if not parted:
+        assert report.projections_applied == want_report.projections_applied
+    return out, report
+
+
+def _uploads(rng, n, dim, shared):
+    """n uploads sharing a direction with weight ``shared``, norms over 6 decades.
+
+    With shared = 0 about half of all pairs conflict."""
+    base = rng.standard_normal(dim)
+    return {
+        i: (shared * base + rng.standard_normal(dim)) * 10.0 ** rng.uniform(-3, 3)
+        for i in range(n)
+    }
+
+
+def _config(mode, n, num_references):
+    return CorrectionConfig(mode=mode, num_references=num_references % n)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 12),
+    dim=st.integers(1, 40),
+    mode=st.sampled_from(CORRECTION_MODES),
+    num_references=st.integers(0, 11),
+    shared=st.sampled_from([0.0, 0.3, 1.0]),
+)
+@settings(max_examples=200, deadline=None)
+def test_correct_round_matches_vector_space_oracle(
+    seed, n, dim, mode, num_references, shared
+):
+    grads = _uploads(np.random.default_rng(seed), n, dim, shared)
+    _assert_matches_oracle(grads, _config(mode, n, num_references), seed)
+
+
+@pytest.mark.parametrize("mode", CORRECTION_MODES)
+def test_correct_round_matches_oracle_at_d_1e4(mode):
+    rng = np.random.default_rng(44)
+    for _ in range(3):
+        grads = _uploads(rng, 12, 10_000, 0.0)
+        _, report = _assert_matches_oracle(
+            grads, _config(mode, 12, int(rng.integers(0, 12))), int(rng.integers(99))
+        )
+        assert report.projections_applied > 0
+
+
+@pytest.mark.parametrize("mode", CORRECTION_MODES)
+def test_zero_upload_never_conflicts(mode):
+    grads = _uploads(np.random.default_rng(1), 5, 7, 0.0)
+    grads[2] = np.zeros(7)
+    out, report = _assert_matches_oracle(grads, CorrectionConfig(mode=mode), 3)
+    assert out[2] is grads[2]
+    for (i, j), cos in report.cosines.items():
+        if 2 in (i, j):
+            assert cos == 0.0
+
+
+@pytest.mark.parametrize("mode", CORRECTION_MODES)
+def test_duplicate_uploads_match_oracle(mode):
+    grads = _uploads(np.random.default_rng(2), 6, 9, 0.0)
+    grads[1] = grads[0].copy()
+    grads[3] = grads[0]
+    out, report = _assert_matches_oracle(grads, CorrectionConfig(mode=mode), 4)
+    if mode == "pairwise":
+        # first test of client 0 is against its duplicate: exactly parallel
+        assert report.cosines[(0, 1)] == 1.0
+        assert report.cosines[(1, 0)] == 1.0
+
+
+def test_antiparallel_pair_corrects_to_exact_zero():
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal(11)
+    # pairwise: clients 0 and 1 test each other first and end at exact zero
+    grads = {0: g, 1: -g, **{i: rng.standard_normal(11) for i in range(2, 6)}}
+    out, report = _assert_matches_oracle(
+        grads, CorrectionConfig(mode="pairwise"), 0
+    )
+    want, _ = oracle.correct_round(
+        grads, CorrectionConfig(mode="pairwise"), np.random.default_rng(0)
+    )
+    for i in (0, 1):
+        assert report.cosines[(i, 1 - i)] == -1.0
+        assert np.all(out[i] == 0.0) and np.all(want[i] == 0.0)
+        later = [cos for (a, b), cos in report.cosines.items() if a == i and b > 1]
+        assert later == [0.0] * 4
+    # reference mode: the non-reference client ends at exact zero
+    out, report = _assert_matches_oracle({0: g, 1: -g}, CorrectionConfig(), 5)
+    (other,) = {0, 1} - set(report.reference_ids)
+    assert report.projections_applied == 1
+    assert np.all(out[other] == 0.0)
+
+
+@pytest.mark.parametrize("mode", CORRECTION_MODES)
+def test_all_aligned_uploads_come_back_as_the_same_objects(mode):
+    grads = _uploads(np.random.default_rng(6), 8, 13, 20.0)
+    out, report = _assert_matches_oracle(grads, CorrectionConfig(mode=mode), 7)
+    assert report.projections_applied == 0
+    assert all(cos > 0 for cos in report.cosines.values())
+    for i in grads:
+        assert out[i] is grads[i]
+
+
+_BLAS_PROBE = """
+import hashlib, sys
+import numpy as np
+from dpfedsim.correction import CorrectionConfig, correct_round
+
+rng = np.random.default_rng(2024)
+base = rng.standard_normal(101_770)
+grads = {i: 1e-3 * base + rng.standard_normal(101_770) for i in range(32)}
+for mode in ("reference", "pairwise"):
+    out, report = correct_round(
+        grads, CorrectionConfig(mode=mode), np.random.default_rng(11)
+    )
+    digest = hashlib.sha256()
+    for i in sorted(out):
+        digest.update(out[i].tobytes())
+    digest.update(repr(sorted(report.cosines.items())).encode())
+    digest.update(repr((report.reference_ids, report.projections_applied)).encode())
+    print(mode, report.projections_applied, digest.hexdigest())
+"""
+
+
+def test_correct_round_is_byte_identical_across_blas_thread_counts():
+    """At the benchmark shape (N = 32, D = 101,770) the corrected vectors and
+    the reports do not depend on the BLAS thread count."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", _BLAS_PROBE],
+            env=env, check=True, capture_output=True, text=True, timeout=120,
+        )
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    lines = outputs[0].split()
+    assert lines[0] == "reference" and lines[3] == "pairwise"
+    assert int(lines[1]) > 0 and int(lines[4]) > 0  # projections were exercised

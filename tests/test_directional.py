@@ -23,8 +23,9 @@ from dpfedsim.correction import CorrectionConfig, correct_round
 from dpfedsim.data import partition_label_split, synthetic_blobs
 from dpfedsim.dp import DpConfig, PrivacyLedger, epsilon_spent
 from dpfedsim.federation import FederationConfig, client_local_phase, derive_rng
-from dpfedsim.linalg import cosine, dot
+from dpfedsim.linalg import dot
 from dpfedsim.model import MlpSpec, init_params
+from oracle import cosine
 
 
 def _conflicting_client_gradients():

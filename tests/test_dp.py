@@ -14,8 +14,7 @@ from dpfedsim.dp import (
     rdp_to_dp,
     steps_for_budget,
 )
-from dpfedsim.linalg import l2_norm
-from oracle import clip_gradient
+from oracle import clip_gradient, l2_norm
 
 
 def test_clip_worked_example():
