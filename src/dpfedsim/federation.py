@@ -5,6 +5,19 @@ takes local_steps noisy clipped-SGD steps on its own shard, and uploads the
 mean of its noisy batch gradients.  The server optionally corrects conflicts
 between uploads (algorithm "gcfl"), aggregates them, and takes a global step.
 
+Every aggregate is one weighted sum over the raw uploads in ascending client
+id order (``linalg.weighted_sum``).  For gcfl the correction is folded into
+its weights: ``correction.plan_round`` decides the projections from the
+uploads' Gram matrix, ``correction.fold_weights`` turns the participant
+weights w into alpha = w^T M, and the update is sum_j alpha_j g_j, so no
+corrected vector is built.  That is the weighted sum of the corrected
+uploads up to rounding; with no projection in a round alpha == w, and the
+bytes are those of ``aggregate``.  Three fixed orders set the update's
+bytes, none of them BLAS: the Gram's (whole-vector dots below
+``correction.GRAM_BLOCKED_MIN_N`` uploads, ascending blocks of
+``correction.GRAM_BLOCK`` columns from it on; see ``correction.gram``), the
+fold's (ascending i, then plan order) and the weighted sum's (ascending j).
+
 All randomness is drawn from named streams derived via SeedSequence from
 (global_seed, round, client_id, purpose), so any client's draws are
 identical whether clients run sequentially or on a thread pool, and reruns
@@ -22,7 +35,7 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from . import model as model_mod
-from .correction import CorrectionConfig, CorrectionReport, correct_round
+from .correction import CorrectionConfig, CorrectionReport, fold_weights, plan_round
 from .data import ClientShard, Dataset
 from .dp import (
     DpConfig,
@@ -32,7 +45,7 @@ from .dp import (
     poisson_sample,
     steps_for_budget,
 )
-from .linalg import ParamVector, dot, scale_add
+from .linalg import ParamVector, dot, scale_add, weighted_sum
 from .model import MlpSpec
 
 ALGORITHMS = (
@@ -47,6 +60,9 @@ ALGORITHMS = (
 WEIGHTINGS = ("uniform", "by_samples")
 
 _FEDEXP_EPS = 1e-3
+
+# the algorithms whose server side reads a client's final local model
+_READS_FINAL_PARAMS = ("isolated", "dp_scaffold")
 
 # purpose tags for seed-stream derivation
 _P_BATCH = 0
@@ -130,7 +146,8 @@ class ScaffoldState:
 @dataclass
 class LocalPhaseResult:
     gradient: ParamVector
-    final_params: ParamVector
+    # run_round keeps it only for the algorithms in _READS_FINAL_PARAMS
+    final_params: ParamVector | None
     noisy_steps: int
     mean_batch_loss: float
 
@@ -242,11 +259,7 @@ def aggregate(
     total_w = math.fsum(weights.values())
     if abs(total_w - 1.0) > 1e-12:
         raise ValueError(f"aggregation weights sum to {total_w}, expected 1")
-    ids = sorted(gradients)
-    out = np.zeros_like(gradients[ids[0]])
-    for i in ids:
-        out = out + weights[i] * gradients[i]
-    return out
+    return weighted_sum(gradients, weights)
 
 
 def _participant_weights(
@@ -339,6 +352,8 @@ def run_round(
             )
         except ValueError as exc:
             raise ValueError(f"round {round_index}, {exc}") from exc
+        if fed.algorithm not in _READS_FINAL_PARAMS:
+            result.final_params = None  # a D-length model per client, unread
         return cid, result
 
     if fed.parallel_clients and len(participants) > 1:
@@ -356,6 +371,7 @@ def run_round(
             state.client_models[cid] = res.final_params
     else:
         gradients = {cid: res.gradient for cid, res in results.items()}
+        weights = _participant_weights(state, participants)
         if fed.algorithm == "gcfl" and len(participants) > 1:
             corr_rng = derive_rng(
                 fed.global_seed,
@@ -363,9 +379,10 @@ def run_round(
                 round_index,
                 _P_CORRECTION,
             )
-            gradients, report = correct_round(gradients, state.correction, corr_rng)
-        weights = _participant_weights(state, participants)
-        aggregated = aggregate(gradients, weights)
+            plan, report = plan_round(gradients, state.correction, corr_rng)
+            aggregated = weighted_sum(gradients, fold_weights(plan, weights))
+        else:
+            aggregated = aggregate(gradients, weights)
         state.weights = server_step(state.weights, aggregated, fed, gradients)
 
         if fed.algorithm == "dp_scaffold":

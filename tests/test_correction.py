@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -11,8 +12,13 @@ from hypothesis import strategies as st
 import oracle
 from dpfedsim.correction import (
     CORRECTION_MODES,
+    GRAM_BLOCK,
+    GRAM_BLOCKED_MIN_N,
     CorrectionConfig,
     correct_round,
+    fold_weights,
+    gram,
+    plan_round,
     resolve_num_references,
     select_references,
 )
@@ -406,6 +412,110 @@ def test_all_aligned_uploads_come_back_as_the_same_objects(mode):
         assert out[i] is grads[i]
 
 
+def _exact_product_vectors(rng, n, dim):
+    """n vectors of k * 2**e, |k| < 2**20 and |e| <= 30: every elementwise
+    product is exact, so math.fsum of the products is the exact dot correctly
+    rounded, while the summation in ``gram`` does round."""
+    return [
+        rng.integers(-(2**20), 2**20, dim) * 2.0 ** rng.integers(-30, 31, dim)
+        for _ in range(n)
+    ]
+
+
+_GRAM_DIMS = [1, GRAM_BLOCK - 1, GRAM_BLOCK, GRAM_BLOCK + 1, 3 * GRAM_BLOCK + 7]
+
+
+@pytest.mark.parametrize("n", [5, GRAM_BLOCKED_MIN_N])
+@pytest.mark.parametrize("dim", _GRAM_DIMS)
+def test_gram_is_within_gamma_d_of_exact_dots(n, dim):
+    """|G[a, b] - <v_a, v_b>| <= gamma_D ||v_a|| ||v_b||: a D-term dot summed
+    in any order (here block by block) meets Higham's bound; the fsum
+    reference itself rounds once, inside the slack between gamma_{D-1} (the
+    summation with exact products) and gamma_D."""
+    vectors = _exact_product_vectors(np.random.default_rng(dim), n, dim)
+    g = gram(vectors)
+    gamma = _gamma(dim)
+    for a, va in enumerate(vectors):
+        for b, vb in enumerate(vectors):
+            exact = math.fsum(va * vb)
+            bound = gamma * l2_norm(va) * l2_norm(vb)
+            assert abs(g[a, b] - exact) <= bound, (a, b, g[a, b], exact, bound)
+
+
+@pytest.mark.parametrize("n", [2, GRAM_BLOCKED_MIN_N - 1, GRAM_BLOCKED_MIN_N, 32])
+@pytest.mark.parametrize("dim", _GRAM_DIMS)
+def test_gram_follows_its_reduction_order_bitwise(n, dim):
+    """Below GRAM_BLOCKED_MIN_N vectors each entry is one whole-vector einsum
+    dot; from it on, the per-block einsum dots added to 0.0 in ascending
+    block order, which with one block is the same bytes."""
+    vectors = list(_uploads(np.random.default_rng(dim), n, dim, 0.0).values())
+    g = gram(vectors)
+    for a, va in enumerate(vectors):
+        for b, vb in enumerate(vectors):
+            whole = np.einsum("d,d->", va, vb)
+            blocked = 0.0
+            for lo in range(0, dim, GRAM_BLOCK):
+                hi = lo + GRAM_BLOCK
+                blocked += float(np.einsum("d,d->", va[lo:hi], vb[lo:hi]))
+            want = blocked if n >= GRAM_BLOCKED_MIN_N else whole
+            assert g[a, b] == want, (a, b)
+            if dim <= GRAM_BLOCK:
+                assert blocked == whole
+
+
+@pytest.mark.parametrize("n", [9, GRAM_BLOCKED_MIN_N + 1])
+@pytest.mark.parametrize("dim", [7, GRAM_BLOCK, 2 * GRAM_BLOCK + 3])
+def test_gram_is_exactly_symmetric_and_reproducible(n, dim):
+    rng = np.random.default_rng(dim)
+    vectors = list(_uploads(rng, n, dim, 0.3).values())
+    g = gram(vectors)
+    np.testing.assert_array_equal(g, g.T)
+    assert gram(vectors).tobytes() == g.tobytes()
+    # the same values at other addresses, one of them off 16-byte alignment
+    backing = np.empty(dim + 1)
+    shifted = backing[1:]
+    shifted[:] = vectors[0]
+    moved = [shifted] + [v.copy() for v in vectors[1:]]
+    assert gram(moved).tobytes() == g.tobytes()
+
+
+@pytest.mark.parametrize("mode", CORRECTION_MODES)
+def test_correct_round_materialises_plan_round_in_plan_order(mode):
+    grads = _uploads(np.random.default_rng(12), 7, 30, 0.0)
+    config = CorrectionConfig(mode=mode)
+    plan, report = plan_round(grads, config, np.random.default_rng(5))
+    out, want_report = correct_round(grads, config, np.random.default_rng(5))
+    assert report.cosines == want_report.cosines
+    assert report.projections_applied == sum(len(s) for s in plan.values()) > 0
+    assert list(plan) == sorted(grads)
+    for i, steps in plan.items():
+        running = grads[i]
+        for j, c in steps:
+            running = running - c * grads[j]
+        assert out[i].tobytes() == running.tobytes()
+        assert (out[i] is grads[i]) == (not steps)
+
+
+@pytest.mark.parametrize("mode", CORRECTION_MODES)
+def test_fold_weights_is_w_transpose_m(mode):
+    """corrected_i = g_i - sum c_ij g_j, so sum_i w_i corrected_i = sum_j
+    alpha_j g_j with alpha_j = w_j - sum_i w_i c_ij; the fold sums those
+    terms in a fixed order, within gamma_2N of the exact sum."""
+    grads = _uploads(np.random.default_rng(21), 6, 12, 0.0)
+    plan, _ = plan_round(grads, CorrectionConfig(mode=mode), np.random.default_rng(2))
+    assert any(plan.values())
+    weights = {i: (i + 1) / 21 for i in grads}
+    alpha = fold_weights(plan, weights)
+    assert list(alpha) == list(weights)
+    for j in grads:
+        terms = [weights[j]] + [
+            -weights[i] * c for i, steps in plan.items() for k, c in steps if k == j
+        ]
+        bound = _gamma(2 * len(grads)) * math.fsum(abs(t) for t in terms)
+        assert abs(alpha[j] - math.fsum(terms)) <= bound
+    assert fold_weights({i: [] for i in grads}, weights) == weights
+
+
 _BLAS_PROBE = """
 import hashlib, sys
 import numpy as np
@@ -427,9 +537,8 @@ for mode in ("reference", "pairwise"):
 """
 
 
-def test_correct_round_is_byte_identical_across_blas_thread_counts():
-    """At the benchmark shape (N = 32, D = 101,770) the corrected vectors and
-    the reports do not depend on the BLAS thread count."""
+def _outputs_under_blas_threads(probe: str) -> list[str]:
+    """Standard output of ``python -c probe`` under one and two BLAS threads."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     outputs = []
     for threads in ("1", "2"):
@@ -438,10 +547,48 @@ def test_correct_round_is_byte_identical_across_blas_thread_counts():
             p for p in (src, env.get("PYTHONPATH")) if p
         )
         done = subprocess.run(
-            [sys.executable, "-c", _BLAS_PROBE],
+            [sys.executable, "-c", probe],
             env=env, check=True, capture_output=True, text=True, timeout=120,
         )
         outputs.append(done.stdout)
+    return outputs
+
+
+def test_correct_round_is_byte_identical_across_blas_thread_counts():
+    """At the benchmark shape (N = 32, D = 101,770) the corrected vectors and
+    the reports do not depend on the BLAS thread count."""
+    outputs = _outputs_under_blas_threads(_BLAS_PROBE)
+    assert outputs[0] == outputs[1]
+    lines = outputs[0].split()
+    assert lines[0] == "reference" and lines[3] == "pairwise"
+    assert int(lines[1]) > 0 and int(lines[4]) > 0  # projections were exercised
+
+
+_FOLD_PROBE = """
+import hashlib
+import numpy as np
+from dpfedsim.correction import CorrectionConfig, fold_weights, plan_round
+from dpfedsim.linalg import weighted_sum
+
+rng = np.random.default_rng(2024)
+base = rng.standard_normal(101_770)
+grads = {i: 1e-3 * base + rng.standard_normal(101_770) for i in range(32)}
+weights = {i: (i + 1) / 528 for i in grads}
+for mode in ("reference", "pairwise"):
+    plan, report = plan_round(
+        grads, CorrectionConfig(mode=mode), np.random.default_rng(11)
+    )
+    alpha = fold_weights(plan, weights)
+    digest = hashlib.sha256(weighted_sum(grads, alpha).tobytes())
+    digest.update(repr(sorted(alpha.items())).encode())
+    print(mode, report.projections_applied, digest.hexdigest())
+"""
+
+
+def test_folded_aggregate_is_byte_identical_across_blas_thread_counts():
+    """The update a gcfl round takes, sum_j alpha_j g_j with alpha folded from
+    the plan, does not depend on the BLAS thread count at the benchmark shape."""
+    outputs = _outputs_under_blas_threads(_FOLD_PROBE)
     assert outputs[0] == outputs[1]
     lines = outputs[0].split()
     assert lines[0] == "reference" and lines[3] == "pairwise"

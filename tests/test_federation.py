@@ -1,13 +1,21 @@
+import copy
 import math
 
 import numpy as np
 import pytest
 
 import dpfedsim.federation as federation
-from dpfedsim.correction import CorrectionConfig
+from dpfedsim.correction import (
+    CORRECTION_MODES,
+    CorrectionConfig,
+    correct_round,
+    plan_round,
+)
 from dpfedsim.data import ClientShard, partition_iid, synthetic_blobs
 from dpfedsim.dp import DpConfig, noisy_batch_gradient, poisson_sample
 from dpfedsim.federation import (
+    ALGORITHMS,
+    WEIGHTINGS,
     FederationConfig,
     ScaffoldState,
     aggregate,
@@ -372,3 +380,121 @@ def test_federation_config_validation():
         FederationConfig(prox_mu=-1.0)
     with pytest.raises(ValueError, match="weighting"):
         FederationConfig(weighting="quadratic")
+
+
+def _capture_round_zero(monkeypatch, state):
+    """Run round 0 and return (start weights, client results, report, and a
+    copy of the correction rng as run_round handed it to plan_round)."""
+    results, handed = {}, []
+    real_local, real_plan = federation.client_local_phase, federation.plan_round
+
+    def local(shard, *args, **kwargs):
+        results[shard.client_id] = real_local(shard, *args, **kwargs)
+        return results[shard.client_id]
+
+    def plan(gradients, config, rng):
+        handed.append(copy.deepcopy(rng))
+        return real_plan(gradients, config, rng)
+
+    monkeypatch.setattr(federation, "client_local_phase", local)
+    monkeypatch.setattr(federation, "plan_round", plan)
+    w0 = state.weights
+    _, report = run_round(state, 0)
+    return w0, results, report, handed[0] if handed else None
+
+
+U = 2.0**-53
+
+
+def _gamma(k):
+    return k * U / (1.0 - k * U)
+
+
+@pytest.mark.parametrize("weighting", WEIGHTINGS)
+@pytest.mark.parametrize("mode", CORRECTION_MODES)
+def test_gcfl_round_matches_aggregating_the_corrected_uploads(
+    monkeypatch, mode, weighting
+):
+    """run_round folds the projections into the weights: its new weights are
+    server_step(aggregate(correct_round(uploads))) up to rounding.
+
+    Both sides compute w0 - eta sum_i w_i (g_i - sum_j c_ij g_j) with the
+    same c_ij.  Per coordinate, with A = sum_i w_i (|g_i| + sum_j |c_ij|
+    |g_j|), the corrected-vector path (at most N - 1 axpys, then N weighted
+    adds) is within gamma_2N A of it, and so is the folded path (alpha_j
+    from at most N terms, then N weighted adds).  The server step scales the
+    gap by eta and rounds each side once more:
+    tol = 4 gamma_{2N+2} eta A + 3 u |w|.
+    """
+    base = make_state(n_clients=6, sigma=2.0, weighting=weighting, seed=3)
+    train = base.shards[0].dataset
+    parts = np.split(np.arange(train.size), [5, 15, 22, 30, 45])  # unequal
+    shards = [ClientShard(i, train, idx) for i, idx in enumerate(parts)]
+    state = init_state(
+        base.model_spec, base.dp, base.fed, CorrectionConfig(mode=mode),
+        shards, base.test,
+    )
+    w0, results, report, rng = _capture_round_zero(monkeypatch, state)
+    uploads = {cid: r.gradient for cid, r in results.items()}
+    weights = federation._participant_weights(state, sorted(uploads))
+    plan, _ = plan_round(uploads, state.correction, copy.deepcopy(rng))
+    corrected, want_report = correct_round(uploads, state.correction, rng)
+    want = server_step(w0, aggregate(corrected, weights), state.fed)
+
+    assert report.cosines == want_report.cosines
+    assert report.projections_applied == want_report.projections_applied > 0
+    magnitude = sum(
+        weights[i] * (np.abs(g) + sum(abs(c) * np.abs(uploads[j]) for j, c in plan[i]))
+        for i, g in uploads.items()
+    )
+    eta = state.fed.learning_rate
+    tol = 4 * _gamma(2 * len(uploads) + 2) * eta * magnitude + 3 * U * np.abs(want)
+    assert np.all(np.abs(state.weights - want) <= tol)
+
+
+@pytest.mark.parametrize("mode", CORRECTION_MODES)
+def test_gcfl_round_without_projections_is_the_plain_aggregate_bitwise(
+    monkeypatch, mode
+):
+    """With no projection, alpha == w and the update is bit-equal to
+    aggregating the untouched uploads, as when correct_round ran."""
+    state = make_state(n_clients=4, sigma=0.0, batch_size=0)
+    state.correction = CorrectionConfig(mode=mode)
+    w0, results, report, _ = _capture_round_zero(monkeypatch, state)
+    assert report.cosine_tests > 0 and report.projections_applied == 0
+    uploads = {cid: r.gradient for cid, r in results.items()}
+    weights = {cid: 1.0 / len(uploads) for cid in uploads}
+    want = server_step(w0, aggregate(uploads, weights), state.fed)
+    assert state.weights.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "algorithm, clients_per_round",
+    [(a, 0) for a in ALGORITHMS if a not in ("gcfl", "isolated")] + [("gcfl", 1)],
+)
+def test_uncorrected_round_aggregates_the_raw_uploads_bitwise(
+    monkeypatch, algorithm, clients_per_round
+):
+    state = make_state(
+        algorithm=algorithm, n_clients=4, sigma=1.0,
+        clients_per_round=clients_per_round,
+    )
+    w0, results, report, rng = _capture_round_zero(monkeypatch, state)
+    assert report is None and rng is None
+    uploads = {cid: r.gradient for cid, r in results.items()}
+    weights = {cid: 1.0 / len(uploads) for cid in uploads}
+    want = server_step(w0, aggregate(uploads, weights), state.fed, uploads)
+    assert state.weights.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_run_round_keeps_final_params_only_where_the_server_reads_them(
+    monkeypatch, algorithm
+):
+    state = make_state(algorithm=algorithm, n_clients=3)
+    _, results, _, _ = _capture_round_zero(monkeypatch, state)
+    kept = [r.final_params is not None for r in results.values()]
+    assert kept == [algorithm in ("isolated", "dp_scaffold")] * 3
+    if algorithm == "isolated":
+        for cid, r in results.items():
+            assert state.client_models[cid] is r.final_params
