@@ -40,16 +40,15 @@ Keys (defaults in parentheses):
   num_references (0)             0 = max(1, n_clients // 2)
   order_seed (0)
   seeds (1,2,3)                  comma list of run seeds
-  parallel_clients (false)
   record_timing (true)           false writes wall_ms as 0 (reproducible files)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .correction import CorrectionConfig
-from .dp import DpConfig
+from .dp import DpConfig, steps_for_budget
 from .federation import FederationConfig
 from .model import MlpSpec
 
@@ -104,14 +103,14 @@ class ExperimentConfig:
     num_references: int = 0
     order_seed: int = 0
     seeds: tuple[int, ...] = (1, 2, 3)
-    parallel_clients: bool = False
     record_timing: bool = True
 
     def validate(self) -> None:
         """Check the dataset, partition, seed and cross-field rules.
 
         Every other key feeds one sub-config, whose constructor checks it:
-        building them here reports a bad value before any data is made.
+        building them here reports a bad value before any data is made.  So
+        does an epsilon budget too small for even the first round.
         """
         if self.dataset not in ("synthetic", "idx"):
             raise ValueError(f"dataset must be synthetic or idx, got {self.dataset!r}")
@@ -145,8 +144,12 @@ class ExperimentConfig:
             raise ValueError("seeds must be >= 0")
         if self.layer_sizes:
             MlpSpec(self.layer_sizes)
-        if self.num_references >= self.n_clients and self.n_clients > 1:
-            raise ValueError("num_references must be < n_clients")
+        per_round = self.clients_per_round or self.n_clients
+        if self.num_references >= per_round > 1:
+            raise ValueError(
+                f"num_references = {self.num_references} must be < {per_round}, the "
+                "clients in a round (clients_per_round, or n_clients if it is 0)"
+            )
         if self.partition == "label_split":
             groups = parse_label_split(self.label_split)
             if len(groups) != self.n_clients:
@@ -154,7 +157,17 @@ class ExperimentConfig:
                     f"label_split defines {len(groups)} groups "
                     f"but n_clients is {self.n_clients}"
                 )
-        self.sub_configs(self.seeds[0])
+        dp_cfg, _, _ = self.sub_configs(self.seeds[0])
+        if self.epsilon_budget > 0 and self.sigma > 0:
+            try:
+                allowed = steps_for_budget(dp_cfg, self.epsilon_budget)
+            except ValueError as exc:  # below the conversion floor
+                raise ValueError(f"epsilon_budget: {exc}") from None
+            if allowed < self.local_steps:
+                raise ValueError(
+                    f"epsilon_budget = {self.epsilon_budget} allows {allowed} noisy "
+                    f"steps, fewer than one round's local_steps = {self.local_steps}"
+                )
 
     def sub_configs(
         self, seed: int
@@ -179,7 +192,6 @@ class ExperimentConfig:
             prox_mu=self.prox_mu,
             global_seed=seed,
             epsilon_budget=self.epsilon_budget,
-            parallel_clients=self.parallel_clients,
             record_timing=self.record_timing,
             eval_batch_size=self.eval_batch_size,
         )

@@ -27,14 +27,13 @@ G[i] and G[i, i]; a test against j reads d = row[j], and a projection with
 coefficient c = d / G[j, j] updates them as row -= c * G[j] and
 q = max(0, q - c * d).
 
-A round is split in two.  ``plan_round`` is the decision step: from G alone
-it returns each client's ordered projections (j, c), so that corrected_i =
-g_i - sum c g_j, i.e. the coefficient matrix M with corrected_i = sum_j
-M_ij g_j.  ``correct_round`` runs it and then materialises the corrected
-uploads with one scale_add per projection in plan order.  A federated round
+``plan_round`` is the decision step: from G alone it returns each client's
+ordered projections (j, c), so that corrected_i = g_i - sum c g_j, i.e. the
+coefficient matrix M with corrected_i = sum_j M_ij g_j.  A federated round
 needs only the weighted sum of the corrected uploads, sum_i w_i corrected_i
-= sum_j alpha_j g_j with alpha = w^T M (``fold_weights``), so it calls only
-the decision step and never builds a corrected vector.
+= sum_j alpha_j g_j with alpha = w^T M (``fold_weights``), so no corrected
+vector is ever built here.  The tests' oracle (``tests/oracle.py``)
+materialises a plan, one scale_add per projection in plan order.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ParamVector, scale_add
+from .linalg import ParamVector
 
 CORRECTION_MODES = ("reference", "pairwise")
 
@@ -253,24 +252,3 @@ def fold_weights(
         for j, c in plan[i]:
             alpha[j] -= weights[i] * c
     return alpha
-
-
-def correct_round(
-    gradients: dict[int, ParamVector],
-    config: CorrectionConfig,
-    rng: np.random.Generator,
-) -> tuple[dict[int, ParamVector], CorrectionReport]:
-    """Apply one round of conflict correction to the uploaded gradients.
-
-    ``plan_round`` decides the projections; each is then materialised as one
-    scale_add r <- r - c g_j, in plan order.  The input mapping is never
-    mutated; untouched gradients appear in the output as the same objects.
-    """
-    plan, report = plan_round(gradients, config, rng)
-    corrected: dict[int, ParamVector] = {}
-    for i, steps in plan.items():
-        running = gradients[i]
-        for j, c in steps:
-            running = scale_add(running, -c, gradients[j])
-        corrected[i] = running
-    return corrected, report

@@ -11,24 +11,24 @@ its weights: ``correction.plan_round`` decides the projections from the
 uploads' Gram matrix, ``correction.fold_weights`` turns the participant
 weights w into alpha = w^T M, and the update is sum_j alpha_j g_j, so no
 corrected vector is built.  That is the weighted sum of the corrected
-uploads up to rounding; with no projection in a round alpha == w, and the
-bytes are those of ``aggregate``.  Three fixed orders set the update's
-bytes, none of them BLAS: the Gram's (whole-vector dots below
-``correction.GRAM_BLOCKED_MIN_N`` uploads, ascending blocks of
-``correction.GRAM_BLOCK`` columns from it on; see ``correction.gram``), the
-fold's (ascending i, then plan order) and the weighted sum's (ascending j).
+uploads up to rounding.  Every other round folds the empty plan, and
+``fold_weights({}, w)`` is w itself: the plain weighted average.  Three
+fixed orders set the update's bytes, none of them BLAS: the Gram's
+(whole-vector dots below ``correction.GRAM_BLOCKED_MIN_N`` uploads,
+ascending blocks of ``correction.GRAM_BLOCK`` columns from it on; see
+``correction.gram``), the fold's (ascending i, then plan order) and the
+weighted sum's (ascending j).
 
 All randomness is drawn from named streams derived via SeedSequence from
-(global_seed, round, client_id, purpose), so any client's draws are
-identical whether clients run sequentially or on a thread pool, and reruns
-are bit-identical.
+(global_seed, round, client_id, purpose), so a client's draws do not
+depend on which other clients take part, and reruns are bit-identical.
+Clients run one after another in ascending id order.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +45,7 @@ from .dp import (
     poisson_sample,
     steps_for_budget,
 )
-from .linalg import ParamVector, dot, scale_add, weighted_sum
+from .linalg import ParamVector, scale_add, weighted_sum
 from .model import MlpSpec
 
 ALGORITHMS = (
@@ -83,7 +83,6 @@ class FederationConfig:
     prox_mu: float = 0.01
     global_seed: int = 0
     epsilon_budget: float = 0.0  # 0 means no budget stop
-    parallel_clients: bool = False
     record_timing: bool = True
     eval_batch_size: int = 1024
 
@@ -195,9 +194,8 @@ def client_local_phase(
     if shard.size == 0:
         raise ValueError(f"client {shard.client_id} holds an empty shard")
     eta = fed_cfg.learning_rate
-    w_local = start_params.copy()
-    dim = start_params.shape[0]
-    grad_sum = np.zeros(dim)
+    w_local = start_params  # never written in place: each step builds a new vector
+    grad_sum = np.zeros(start_params.shape[0])
     steps = 0
     loss_total = 0.0
     is_prox = fed_cfg.algorithm == "dp_fedprox" and fed_cfg.prox_mu != 0
@@ -248,20 +246,6 @@ def client_local_phase(
     return LocalPhaseResult(gradient, w_local, steps, mean_loss)
 
 
-def aggregate(
-    gradients: dict[int, ParamVector], weights: dict[int, float]
-) -> ParamVector:
-    """Weighted sum in ascending client-id order; weights must sum to 1."""
-    if set(gradients) != set(weights):
-        raise ValueError("gradients and weights must cover the same client ids")
-    if any(w < 0 for w in weights.values()):
-        raise ValueError("aggregation weights must be nonnegative")
-    total_w = math.fsum(weights.values())
-    if abs(total_w - 1.0) > 1e-12:
-        raise ValueError(f"aggregation weights sum to {total_w}, expected 1")
-    return weighted_sum(gradients, weights)
-
-
 def _participant_weights(
     state: ExperimentState, participants: list[int]
 ) -> dict[int, float]:
@@ -288,9 +272,13 @@ def server_step(
     if fed_cfg.algorithm == "dp_fedexp":
         if not client_gradients:
             raise ValueError("dp_fedexp needs the per-client gradients")
-        ids = sorted(client_gradients)
-        sum_sq = math.fsum(dot(client_gradients[i], client_gradients[i]) for i in ids)
-        denom = 2.0 * len(ids) * dot(aggregated, aggregated) + _FEDEXP_EPS
+        # N + 1 einsum dots, each one Gram entry's (correction.gram), not
+        # the whole Gram's N(N+1)/2; fsum is exact, so order is immaterial
+        sum_sq = math.fsum(
+            float(np.einsum("d,d->", g, g)) for g in client_gradients.values()
+        )
+        sq_mean = float(np.einsum("d,d->", aggregated, aggregated))
+        denom = 2.0 * len(client_gradients) * sq_mean + _FEDEXP_EPS
         eta_g = fed_cfg.learning_rate * max(1.0, sum_sq / denom)
     return scale_add(w, -eta_g, aggregated)
 
@@ -329,8 +317,8 @@ def run_round(
     w_round_start = state.weights
     participants = _select_participants(state, round_index)
 
-    def one_client(cid: int) -> tuple[int, LocalPhaseResult]:
-        shard = state.shards[cid]
+    results: dict[int, LocalPhaseResult] = {}
+    for cid in participants:
         start = (
             state.client_models[cid]
             if fed.algorithm == "isolated"
@@ -341,7 +329,7 @@ def run_round(
             shift = state.scaffold.server_variate - state.scaffold.client_variates[cid]
         try:
             result = client_local_phase(
-                shard,
+                state.shards[cid],
                 start,
                 state.model_spec,
                 state.dp,
@@ -354,13 +342,7 @@ def run_round(
             raise ValueError(f"round {round_index}, {exc}") from exc
         if fed.algorithm not in _READS_FINAL_PARAMS:
             result.final_params = None  # a D-length model per client, unread
-        return cid, result
-
-    if fed.parallel_clients and len(participants) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, len(participants))) as pool:
-            results = dict(pool.map(one_client, participants))
-    else:
-        results = dict(one_client(cid) for cid in participants)
+        results[cid] = result
 
     # disjoint shards: the round costs the worst-case client's step count
     state.ledger.record_steps(max(r.noisy_steps for r in results.values()))
@@ -371,7 +353,7 @@ def run_round(
             state.client_models[cid] = res.final_params
     else:
         gradients = {cid: res.gradient for cid, res in results.items()}
-        weights = _participant_weights(state, participants)
+        plan = {}  # no projections: fold_weights returns the weights as given
         if fed.algorithm == "gcfl" and len(participants) > 1:
             corr_rng = derive_rng(
                 fed.global_seed,
@@ -380,15 +362,13 @@ def run_round(
                 _P_CORRECTION,
             )
             plan, report = plan_round(gradients, state.correction, corr_rng)
-            aggregated = weighted_sum(gradients, fold_weights(plan, weights))
-        else:
-            aggregated = aggregate(gradients, weights)
+        weights = fold_weights(plan, _participant_weights(state, participants))
+        aggregated = weighted_sum(gradients, weights)
         state.weights = server_step(state.weights, aggregated, fed, gradients)
 
         if fed.algorithm == "dp_scaffold":
-            deltas = []
-            for cid in participants:
-                res = results[cid]
+            deltas = {}
+            for cid, res in results.items():
                 if res.noisy_steps == 0:
                     continue
                 old = state.scaffold.client_variates[cid]
@@ -398,16 +378,12 @@ def run_round(
                     + (w_round_start - res.final_params)
                     / (res.noisy_steps * fed.learning_rate)
                 )
-                deltas.append(new - old)
+                deltas[cid] = new - old
                 state.scaffold.client_variates[cid] = new
-            if deltas:
-                mean_delta = deltas[0]
-                for d in deltas[1:]:
-                    mean_delta = mean_delta + d
-                mean_delta = mean_delta / len(deltas)
-                state.scaffold.server_variate = state.scaffold.server_variate + (
-                    len(deltas) / fed.n_clients
-                ) * mean_delta
+            if deltas:  # adds (k / n) * the mean of the k deltas
+                share = dict.fromkeys(deltas, 1.0 / fed.n_clients)
+                step = weighted_sum(deltas, share)
+                state.scaffold.server_variate = state.scaffold.server_variate + step
 
     # metrics
     losses = [r.mean_batch_loss for r in results.values() if r.noisy_steps > 0]
@@ -450,10 +426,8 @@ def run_round(
 
 @dataclass
 class ExperimentResult:
-    seed: int
     rounds: list[RoundMetrics]
     correction_summaries: list[dict]
-    final_epsilon: float
     stopped_early: bool
 
 
@@ -508,11 +482,8 @@ def run_experiment(state: ExperimentState) -> ExperimentResult:
         rm, report = run_round(state, t)
         rounds.append(rm)
         summaries.append(report.summary() if report else {})
-    final_eps = rounds[-1].epsilon_spent if rounds else 0.0
     return ExperimentResult(
-        seed=fed.global_seed,
         rounds=rounds,
         correction_summaries=summaries,
-        final_epsilon=final_eps,
         stopped_early=stopped,
     )

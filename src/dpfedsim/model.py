@@ -111,16 +111,6 @@ def forward_batch(spec: MlpSpec, w: ParamVector, features: np.ndarray) -> np.nda
     return _forward(spec, w, features)[1]
 
 
-def forward(spec: MlpSpec, w: ParamVector, features: np.ndarray) -> np.ndarray:
-    """Class probabilities for a single example (1-D feature vector)."""
-    return forward_batch(spec, w, features)[0]
-
-
-def predict(spec: MlpSpec, w: ParamVector, features: np.ndarray) -> int:
-    """Argmax class; ties resolve to the lowest index (np.argmax semantics)."""
-    return int(np.argmax(forward(spec, w, features)))
-
-
 def _batch_labels(spec: MlpSpec, labels) -> np.ndarray:
     """Labels as a flat int64 array; rejects an empty batch or a bad class."""
     labs = np.asarray(labels, dtype=np.int64).reshape(-1)
@@ -129,16 +119,6 @@ def _batch_labels(spec: MlpSpec, labels) -> np.ndarray:
     if labs.min() < 0 or labs.max() >= spec.num_classes:
         raise ValueError(f"label out of range [0, {spec.num_classes})")
     return labs
-
-
-def loss(spec: MlpSpec, w: ParamVector, features: np.ndarray, labels) -> float:
-    """Mean cross-entropy -log p[label] over a nonempty batch."""
-    labs = _batch_labels(spec, labels)
-    probs = forward_batch(spec, w, features)
-    if probs.shape[0] != labs.size:
-        raise ValueError("features and labels disagree on batch size")
-    picked = np.maximum(probs[np.arange(labs.size), labs], _PROB_FLOOR)
-    return float(np.add.accumulate(-np.log(picked))[-1] / labs.size)
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

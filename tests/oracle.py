@@ -1,15 +1,18 @@
-"""Scalar reference implementations that the package replaced with faster kernels.
+"""Reference implementations the package replaced, and helpers only tests call.
 
-``model.clipped_gradient_sum`` computes every per-sample gradient norm and the
-clipped gradient sum of a batch without building any per-sample gradient.
-``correction.correct_round`` runs every cosine test on scalars read from one
-Gram matrix per round.  The functions here are the slow, obvious form of the
-same arithmetic: one sample at a time, and conflict correction on the
-D-length vectors with fresh ordered dot products for every test.  Tests
-compare the kernels against them.
+Tests compare the package's kernels against the slow, obvious form of the
+same arithmetic: ``dot`` accumulates strictly left to right, and
+``loss_and_gradient`` and ``clip_gradient`` take one sample at a time where
+``model.clipped_gradient_sum`` builds no per-sample gradient.
+``correct_round`` materialises ``correction.plan_round`` in plan order, and
+``correct_round_on_vectors`` corrects the D-length vectors with fresh dots
+for every test.  ``aggregate`` is the plain weighted average, which every
+round takes as one weighted sum of folded weights.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -17,11 +20,34 @@ from dpfedsim.correction import (
     CorrectionConfig,
     CorrectionReport,
     cosine_from_products,
+    plan_round,
     resolve_num_references,
     select_references,
 )
-from dpfedsim.linalg import ParamVector, dot, scale_add
-from dpfedsim.model import _PROB_FLOOR, MlpSpec, _softmax_rows, unpack
+from dpfedsim.linalg import ParamVector, scale_add, weighted_sum
+from dpfedsim.model import _PROB_FLOOR, MlpSpec, _batch_labels, _softmax_rows
+from dpfedsim.model import forward_batch, unpack
+
+
+def as_vector(values) -> ParamVector:
+    """Coerce to a 1-D float64 array, rejecting higher-rank input."""
+    v = np.asarray(values, dtype=np.float64)
+    if v.ndim != 1:
+        raise ValueError(f"expected a flat vector, got array of shape {v.shape}")
+    return v
+
+
+def dot(a: ParamVector, b: ParamVector) -> float:
+    """Inner product accumulated in fixed index order, index 0 upward.
+
+    ``np.add.accumulate`` is a sequential scan, bitwise identical to an
+    explicit Python loop at C speed, whatever the thread count.
+    """
+    if a.shape[0] != b.shape[0]:
+        raise ValueError(f"vector length mismatch: {a.shape[0]} vs {b.shape[0]}")
+    if a.shape[0] == 0:
+        return 0.0
+    return float(np.add.accumulate(np.multiply(a, b))[-1])
 
 
 def l2_norm(a: ParamVector) -> float:
@@ -31,6 +57,26 @@ def l2_norm(a: ParamVector) -> float:
 def cosine(a: ParamVector, b: ParamVector) -> float:
     """Cosine similarity from three ordered dot products, 0.0 for a zero vector."""
     return cosine_from_products(dot(a, a), dot(b, b), dot(a, b))
+
+
+def forward(spec: MlpSpec, w: ParamVector, features: np.ndarray) -> np.ndarray:
+    """Class probabilities for a single example (1-D feature vector)."""
+    return forward_batch(spec, w, features)[0]
+
+
+def predict(spec: MlpSpec, w: ParamVector, features: np.ndarray) -> int:
+    """Argmax class; ties resolve to the lowest index (np.argmax semantics)."""
+    return int(np.argmax(forward(spec, w, features)))
+
+
+def loss(spec: MlpSpec, w: ParamVector, features: np.ndarray, labels) -> float:
+    """Mean cross-entropy -log p[label] over a nonempty batch."""
+    labs = _batch_labels(spec, labels)
+    probs = forward_batch(spec, w, features)
+    if probs.shape[0] != labs.size:
+        raise ValueError("features and labels disagree on batch size")
+    picked = np.maximum(probs[np.arange(labs.size), labs], _PROB_FLOOR)
+    return float(np.add.accumulate(-np.log(picked))[-1] / labs.size)
 
 
 def loss_and_gradient(
@@ -110,13 +156,48 @@ def project_if_conflicting(
     return g_i, False
 
 
+def aggregate(
+    gradients: dict[int, ParamVector], weights: dict[int, float]
+) -> ParamVector:
+    """Weighted sum in ascending client-id order; weights must sum to 1."""
+    if set(gradients) != set(weights):
+        raise ValueError("gradients and weights must cover the same client ids")
+    if any(w < 0 for w in weights.values()):
+        raise ValueError("aggregation weights must be nonnegative")
+    total_w = math.fsum(weights.values())
+    if abs(total_w - 1.0) > 1e-12:
+        raise ValueError(f"aggregation weights sum to {total_w}, expected 1")
+    return weighted_sum(gradients, weights)
+
+
 def correct_round(
     gradients: dict[int, ParamVector],
     config: CorrectionConfig,
     rng: np.random.Generator,
 ) -> tuple[dict[int, ParamVector], CorrectionReport]:
-    """``correction.correct_round`` on the vectors: every test recomputes the
-    cosine, and every projection its coefficient, from D-length dots."""
+    """Materialise ``correction.plan_round`` in plan order.
+
+    Each projection (j, c) of client i is one scale_add r <- r - c g_j.  The
+    input mapping is never mutated; untouched gradients appear in the output
+    as the same objects.
+    """
+    plan, report = plan_round(gradients, config, rng)
+    corrected: dict[int, ParamVector] = {}
+    for i, steps in plan.items():
+        running = gradients[i]
+        for j, c in steps:
+            running = scale_add(running, -c, gradients[j])
+        corrected[i] = running
+    return corrected, report
+
+
+def correct_round_on_vectors(
+    gradients: dict[int, ParamVector],
+    config: CorrectionConfig,
+    rng: np.random.Generator,
+) -> tuple[dict[int, ParamVector], CorrectionReport]:
+    """``correct_round`` on the vectors: every test recomputes the cosine,
+    and every projection its coefficient, from D-length dots."""
     ids = sorted(gradients)
     report = CorrectionReport()
     corrected: dict[int, ParamVector] = {}

@@ -106,6 +106,22 @@ def test_diverging_run_returns_nonzero(tmp_path, capsys):
     assert "round 1, client 0: non-finite" in capsys.readouterr().err
 
 
+def test_budget_that_fits_no_round_is_one_error_line(tmp_path, capsys):
+    # at the default sigma = 0.8, epsilon 1.0 allows no noisy step at all
+    cfg = write_cfg(tmp_path, FAST_CFG + "epsilon_budget = 1.0\n")
+    for command in (["run"], ["compare", "--algos", "gcfl,dp_fedavg"]):
+        out = tmp_path / command[0]
+        assert main([*command, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: epsilon_budget")
+        assert "allows 0 noisy steps" in err[0]
+        assert not out.exists()  # rejected before any data is made
+    # below the conversion floor (about 0.1 here) no step count fits at all
+    cfg = write_cfg(tmp_path, FAST_CFG + "epsilon_budget = 0.01\n")
+    assert main(["privacy", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith("error: epsilon_budget: ")
+
+
 def test_compare_runs_algorithms_on_identical_shards(tmp_path):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "cmp"

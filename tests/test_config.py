@@ -34,7 +34,7 @@ def test_parses_keys_comments_and_blanks(tmp_path):
             algorithm = dp_scaffold
             seeds = 7, 8
             layer_sizes = 6,4,3
-            parallel_clients = true
+            record_timing = false
             """,
         )
     )
@@ -43,7 +43,7 @@ def test_parses_keys_comments_and_blanks(tmp_path):
     assert cfg.algorithm == "dp_scaffold"
     assert cfg.seeds == (7, 8)
     assert cfg.layer_sizes == (6, 4, 3)
-    assert cfg.parallel_clients is True
+    assert cfg.record_timing is False
 
 
 def test_unknown_key_lists_valid_ones(tmp_path):
@@ -52,6 +52,14 @@ def test_unknown_key_lists_valid_ones(tmp_path):
     msg = str(exc.value)
     assert "unknown config key 'learning_rate'" in msg
     assert "eta" in msg and "sigma" in msg  # the valid keys are listed
+
+
+def test_removed_parallel_clients_key_is_unknown_with_its_line(tmp_path):
+    with pytest.raises(ValueError) as exc:
+        parse_config(write(tmp_path, "rounds = 5\nparallel_clients = true\n"))
+    msg = str(exc.value)
+    assert "unknown config key 'parallel_clients'" in msg
+    assert "exp.cfg:2" in msg
 
 
 def test_parse_error_reports_line_number(tmp_path):
@@ -96,6 +104,20 @@ def test_cross_field_validation(tmp_path):
         )
     with pytest.raises(ValueError, match="dataset=idx requires"):
         parse_config(write(tmp_path, "dataset = idx\n"))
+
+
+def test_num_references_is_checked_against_the_clients_in_a_round(tmp_path):
+    """Correction picks references among a round's participants, so the
+    bound is clients_per_round when it is set, not n_clients."""
+    path = write(tmp_path, "n_clients = 6\nclients_per_round = 3\n")
+    with pytest.raises(ValueError) as exc:
+        parse_config(path, ["num_references=3"])
+    msg = str(exc.value)
+    assert "num_references" in msg and "clients_per_round" in msg
+    assert "n_clients" in msg
+    assert parse_config(path, ["num_references=2"]).num_references == 2
+    cfg = parse_config(write(tmp_path, "n_clients = 6\nnum_references = 5\n"))
+    assert cfg.num_references == 5
 
 
 def test_parse_label_split():

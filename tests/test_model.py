@@ -1,16 +1,8 @@
 import numpy as np
 import pytest
 
-from dpfedsim.model import (
-    MlpSpec,
-    forward,
-    forward_batch,
-    init_params,
-    loss,
-    predict,
-    unpack,
-)
-from oracle import loss_and_gradient, per_sample_gradient
+from dpfedsim.model import MlpSpec, forward_batch, init_params, unpack
+from oracle import forward, loss, loss_and_gradient, per_sample_gradient, predict
 
 SMALL = MlpSpec((6, 5, 3))
 
