@@ -21,7 +21,7 @@ import numpy as np
 
 from . import data as data_mod
 from .config import ExperimentConfig, parse_config, parse_label_split
-from .dp import PrivacyLedger, epsilon_spent, steps_for_budget
+from .dp import epsilon_spent, steps_for_budget
 from .federation import ExperimentResult, ExperimentState, init_state, run_experiment
 from .model import MlpSpec
 
@@ -107,7 +107,7 @@ def build_state(cfg: ExperimentConfig, seed: int) -> ExperimentState:
             f"layer_sizes ends at {sizes[-1]} but the data has {num_classes} classes"
         )
     spec = MlpSpec(tuple(sizes))
-    return init_state(spec, *cfg.sub_configs(seed), shards, test)
+    return init_state(spec, cfg, seed, shards, test)
 
 
 def _fmt(x: float) -> str:
@@ -214,12 +214,12 @@ def cmd_compare(args) -> int:
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     if not algos:
         raise ValueError("--algos must list at least one algorithm")
+    # building each config validates it, so a bad name fails before training
+    configs = [replace(cfg, algorithm=a) for a in algos]
     os.makedirs(args.out, exist_ok=True)
     rows = []
     baseline_hashes: dict[int, list[str]] = {}
-    for algo in algos:
-        acfg = replace(cfg, algorithm=algo)
-        acfg.validate()
+    for algo, acfg in zip(algos, configs):
         for seed in acfg.seeds:
             state = build_state(acfg, seed)
             hashes = [data_mod.shard_fingerprint(s) for s in state.shards]
@@ -272,15 +272,13 @@ def cmd_privacy(args) -> int:
         print("sigma is 0: no noise is added, so there is no DP guarantee "
               "(epsilon is unbounded)")
         return 0
-    dp_cfg = cfg.sub_configs(cfg.seeds[0])[0]
     print(f"sigma={cfg.sigma} delta={cfg.delta} local_steps={cfg.local_steps}")
     print(f"{'round':>6} {'steps':>6} {'epsilon':>12} {'alpha':>6}")
     for t in range(1, cfg.rounds + 1):
-        ledger = PrivacyLedger(config=dp_cfg, steps_taken=t * cfg.local_steps)
-        eps, alpha = epsilon_spent(ledger)
+        eps, alpha = epsilon_spent(t * cfg.local_steps, cfg.sigma, cfg.delta)
         print(f"{t:>6} {t * cfg.local_steps:>6} {eps:>12.6f} {alpha:>6g}")
     if cfg.epsilon_budget > 0:
-        steps = steps_for_budget(dp_cfg, cfg.epsilon_budget)
+        steps = steps_for_budget(cfg.sigma, cfg.delta, cfg.epsilon_budget)
         print(
             f"budget epsilon={cfg.epsilon_budget}: at most {steps} noisy steps "
             f"({steps // cfg.local_steps} full rounds)"

@@ -5,51 +5,20 @@ comment (full-line or trailing), blank lines ignored.  ``--override key=value``
 on the command line wins over the file.  Unknown keys are an error that lists
 the valid ones.  An empty file runs the full default experiment.
 
-Keys (defaults in parentheses):
-
-  dataset (synthetic)            synthetic | idx
-  train_images/train_labels ('') IDX paths, required when dataset=idx
-  test_images/test_labels ('')   IDX paths, required when dataset=idx
-  synthetic_classes (10)         blob generator shape
-  synthetic_per_class (100)
-  synthetic_dim (32)
-  synthetic_spread (0.25)
-  subsample_train (0)            0 = keep all; else stratified subsample size
-  subsample_test (0)
-  partition (iid)                iid | label_split
-  label_split (0-4;5-9)          ;-separated label groups, e.g. 0,1;2-5;6-9
-  layer_sizes ('')               comma list; '' = input_dim,128,num_classes
-  n_clients (2)
-  clients_per_round (0)          0 = every client participates
-  rounds (30)
-  local_steps (1)
-  eta (0.002)                    client and server learning rate
-  batch_size (32)                0 = use sampling_rate instead
-  sampling_rate (0.0)            per-step sampling fraction when batch_size=0
-  sampling_mode (fixed_size)     fixed_size | poisson
-  eval_batch_size (1024)
-  algorithm (gcfl)               gcfl | dp_fedavg | dp_fedprox | dp_scaffold |
-                                 dp_fedexp | isolated
-  weighting (uniform)            uniform | by_samples
-  prox_mu (0.01)
-  sigma (0.8)                    Gaussian noise multiplier
-  clip_threshold (1.5)
-  delta (1e-5)
-  epsilon_budget (0.0)           0 = no early privacy stop
-  correction_mode (reference)    reference | pairwise
-  num_references (0)             0 = max(1, n_clients // 2)
-  order_seed (0)
-  seeds (1,2,3)                  comma list of run seeds
-  record_timing (true)           false writes wall_ms as 0 (reproducible files)
+``ExperimentConfig`` is the one config record: every layer reads its keys by
+name.  The README's config table lists each key with its default and
+meaning.  Constructing a config validates it, so every config in the program
+is a valid one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
-from .correction import CorrectionConfig
-from .dp import DpConfig, steps_for_budget
-from .federation import FederationConfig
+from .correction import CORRECTION_MODES
+from .dp import SAMPLING_MODES, steps_for_budget
+from .federation import ALGORITHMS, WEIGHTINGS
 from .model import MlpSpec
 
 
@@ -67,7 +36,7 @@ def _parse_int_list(raw: str) -> tuple[int, ...]:
     return tuple(int(p) for p in parts)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     dataset: str = "synthetic"
     train_images: str = ""
@@ -105,13 +74,23 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = (1, 2, 3)
     record_timing: bool = True
 
-    def validate(self) -> None:
-        """Check the dataset, partition, seed and cross-field rules.
+    def __post_init__(self):
+        self.validate()
 
-        Every other key feeds one sub-config, whose constructor checks it:
-        building them here reports a bad value before any data is made.  So
-        does an epsilon budget too small for even the first round.
+    def validate(self) -> None:
+        """Check every key's value, then the rules that join keys.
+
+        Each message names the key at fault.  A budget too small for even the
+        first round is rejected here too, before any data is made.
         """
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type != "float" or math.isfinite(value):
+                continue
+            if f.name != "epsilon_budget":
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+            if value != math.inf:  # inf is the one non-finite budget: none
+                raise ValueError(f"epsilon_budget must be finite or inf, got {value!r}")
         if self.dataset not in ("synthetic", "idx"):
             raise ValueError(f"dataset must be synthetic or idx, got {self.dataset!r}")
         if self.dataset == "idx":
@@ -132,18 +111,72 @@ class ExperimentConfig:
             raise ValueError("synthetic_dim must be >= 1")
         if self.synthetic_spread < 0:
             raise ValueError("synthetic_spread must be >= 0")
-        if self.subsample_train < 0 or self.subsample_test < 0:
-            raise ValueError("subsample sizes must be >= 0 (0 keeps everything)")
+        for name in ("subsample_train", "subsample_test"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0 (0 keeps everything)")
         if self.partition not in ("iid", "label_split"):
             raise ValueError(
                 f"partition must be iid or label_split, got {self.partition!r}"
             )
+        if self.layer_sizes:
+            try:
+                MlpSpec(self.layer_sizes)
+            except ValueError as exc:
+                raise ValueError(f"layer_sizes: {exc}") from None
+        if self.n_clients < 1:
+            raise ValueError("n_clients must be >= 1")
+        if not 0 <= self.clients_per_round <= self.n_clients:
+            raise ValueError(
+                f"clients_per_round must be in [0, n_clients={self.n_clients}]"
+            )
+        if self.rounds < 1:
+            raise ValueError("rounds must be >= 1")
+        if self.local_steps < 1:
+            raise ValueError("local_steps must be >= 1")
+        if self.eta <= 0:
+            raise ValueError("eta: learning_rate must be > 0")
+        if self.batch_size < 0:
+            raise ValueError("batch_size must be >= 0 (0 uses sampling_rate)")
+        if self.batch_size == 0 and not 0 < self.sampling_rate <= 1:
+            raise ValueError("sampling_rate must be in (0, 1] when batch_size is 0")
+        if self.sampling_mode not in SAMPLING_MODES:
+            raise ValueError(
+                f"sampling_mode must be one of {SAMPLING_MODES}, "
+                f"got {self.sampling_mode!r}"
+            )
+        if self.eval_batch_size < 1:
+            raise ValueError("eval_batch_size must be >= 1")
+        if self.algorithm not in ALGORITHMS:
+            raise ValueError(
+                f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}"
+            )
+        if self.weighting not in WEIGHTINGS:
+            raise ValueError(
+                f"weighting must be one of {WEIGHTINGS}, got {self.weighting!r}"
+            )
+        if self.prox_mu < 0:
+            raise ValueError("prox_mu must be >= 0")
+        if self.sigma < 0:
+            raise ValueError("sigma: noise_multiplier must be >= 0")
+        if self.clip_threshold <= 0:
+            raise ValueError("clip_threshold must be > 0")
+        if not 0 < self.delta < 1:
+            raise ValueError("delta must be in (0, 1)")
+        if self.epsilon_budget < 0:
+            raise ValueError("epsilon_budget must be >= 0")
+        if self.correction_mode not in CORRECTION_MODES:
+            raise ValueError(
+                f"correction_mode must be one of {CORRECTION_MODES}, "
+                f"got {self.correction_mode!r}"
+            )
+        if self.num_references < 0:
+            raise ValueError("num_references must be >= 0 (0 means auto)")
+        if self.order_seed < 0:
+            raise ValueError("order_seed must be >= 0")
         if not self.seeds:
             raise ValueError("seeds must list at least one seed")
         if any(s < 0 for s in self.seeds):
             raise ValueError("seeds must be >= 0")
-        if self.layer_sizes:
-            MlpSpec(self.layer_sizes)
         per_round = self.clients_per_round or self.n_clients
         if self.num_references >= per_round > 1:
             raise ValueError(
@@ -151,16 +184,18 @@ class ExperimentConfig:
                 "clients in a round (clients_per_round, or n_clients if it is 0)"
             )
         if self.partition == "label_split":
-            groups = parse_label_split(self.label_split)
+            try:
+                groups = parse_label_split(self.label_split)
+            except ValueError as exc:
+                raise ValueError(f"label_split: {exc}") from None
             if len(groups) != self.n_clients:
                 raise ValueError(
                     f"label_split defines {len(groups)} groups "
                     f"but n_clients is {self.n_clients}"
                 )
-        dp_cfg, _, _ = self.sub_configs(self.seeds[0])
         if self.epsilon_budget > 0 and self.sigma > 0:
             try:
-                allowed = steps_for_budget(dp_cfg, self.epsilon_budget)
+                allowed = steps_for_budget(self.sigma, self.delta, self.epsilon_budget)
             except ValueError as exc:  # below the conversion floor
                 raise ValueError(f"epsilon_budget: {exc}") from None
             if allowed < self.local_steps:
@@ -168,39 +203,6 @@ class ExperimentConfig:
                     f"epsilon_budget = {self.epsilon_budget} allows {allowed} noisy "
                     f"steps, fewer than one round's local_steps = {self.local_steps}"
                 )
-
-    def sub_configs(
-        self, seed: int
-    ) -> tuple[DpConfig, FederationConfig, CorrectionConfig]:
-        """The mechanism, federation and correction configs for one run seed."""
-        dp_cfg = DpConfig(
-            clip_threshold=self.clip_threshold,
-            noise_multiplier=self.sigma,
-            sampling_rate=self.sampling_rate,
-            delta=self.delta,
-            sampling_mode=self.sampling_mode,
-            batch_size=self.batch_size,
-        )
-        fed_cfg = FederationConfig(
-            n_clients=self.n_clients,
-            clients_per_round=self.clients_per_round,
-            rounds=self.rounds,
-            local_steps=self.local_steps,
-            learning_rate=self.eta,
-            algorithm=self.algorithm,
-            weighting=self.weighting,
-            prox_mu=self.prox_mu,
-            global_seed=seed,
-            epsilon_budget=self.epsilon_budget,
-            record_timing=self.record_timing,
-            eval_batch_size=self.eval_batch_size,
-        )
-        corr_cfg = CorrectionConfig(
-            mode=self.correction_mode,
-            num_references=self.num_references,
-            order_seed=self.order_seed,
-        )
-        return dp_cfg, fed_cfg, corr_cfg
 
     def resolved(self) -> dict:
         """Plain-serializable view of every key's final value."""
@@ -242,23 +244,21 @@ def _field_registry() -> dict[str, type]:
 _REGISTRY = _field_registry()
 
 
-def _assign(cfg: ExperimentConfig, key: str, raw: str, where: str) -> None:
+def _parse_value(key: str, raw: str, where: str):
     if key not in _REGISTRY:
         valid = ", ".join(sorted(_REGISTRY))
         raise ValueError(f"unknown config key {key!r} ({where}); valid keys: {valid}")
-    kind = _REGISTRY[key]
     try:
-        value = _PARSERS[kind](raw)
+        return _PARSERS[_REGISTRY[key]](raw)
     except ValueError as exc:
         raise ValueError(
             f"invalid value for {key} ({where}): {raw!r} ({exc})"
         ) from None
-    setattr(cfg, key, value)
 
 
 def parse_config(path: str, overrides: list[str] | None = None) -> ExperimentConfig:
-    """Read a key=value file, apply overrides, validate, and return the config."""
-    cfg = ExperimentConfig()
+    """Read a key=value file, apply overrides, and build the validated config."""
+    values: dict[str, object] = {}
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             stripped = line.split("#", 1)[0].strip()
@@ -268,15 +268,14 @@ def parse_config(path: str, overrides: list[str] | None = None) -> ExperimentCon
                 raise ValueError(
                     f"{path}:{lineno}: expected 'key = value', got {line.rstrip()!r}"
                 )
-            key, raw = stripped.split("=", 1)
-            _assign(cfg, key.strip(), raw.strip(), f"{path}:{lineno}")
+            key, raw = (part.strip() for part in stripped.split("=", 1))
+            values[key] = _parse_value(key, raw, f"{path}:{lineno}")
     for item in overrides or []:
         if "=" not in item:
             raise ValueError(f"override must look like key=value, got {item!r}")
-        key, raw = item.split("=", 1)
-        _assign(cfg, key.strip(), raw.strip(), "--override")
-    cfg.validate()
-    return cfg
+        key, raw = (part.strip() for part in item.split("=", 1))
+        values[key] = _parse_value(key, raw, "--override")
+    return ExperimentConfig(**values)
 
 
 def parse_label_split(raw: str) -> list[set[int]]:

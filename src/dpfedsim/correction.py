@@ -65,24 +65,6 @@ CorrectionPlan = dict[int, list[tuple[int, float]]]
 
 
 @dataclass
-class CorrectionConfig:
-    mode: str = "reference"
-    # 0 means "pick max(1, n_clients // 2) at runtime"
-    num_references: int = 0
-    order_seed: int = 0
-
-    def __post_init__(self):
-        if self.mode not in CORRECTION_MODES:
-            raise ValueError(
-                f"correction mode must be one of {CORRECTION_MODES}, got {self.mode!r}"
-            )
-        if self.num_references < 0:
-            raise ValueError("num_references must be >= 0 (0 means auto)")
-        if self.order_seed < 0:
-            raise ValueError("order_seed must be >= 0")
-
-
-@dataclass
 class CorrectionReport:
     """What one round of correction did, for metrics and audit."""
 
@@ -173,19 +155,22 @@ def select_references(
     return sorted(int(i) for i in picked)
 
 
-def resolve_num_references(config: CorrectionConfig, n_clients: int) -> int:
-    return config.num_references if config.num_references else max(1, n_clients // 2)
+def resolve_num_references(num_references: int, n_clients: int) -> int:
+    """The reference-set size: num_references, or max(1, n_clients // 2) for 0."""
+    return num_references if num_references else max(1, n_clients // 2)
 
 
 def plan_round(
     gradients: dict[int, ParamVector],
-    config: CorrectionConfig,
+    mode: str,
+    num_references: int,
     rng: np.random.Generator,
 ) -> tuple[CorrectionPlan, CorrectionReport]:
     """Decide one round of conflict correction from the Gram matrix alone.
 
-    Returns every client's ordered projections and the report; the uploads
-    are read only to build the Gram matrix.
+    mode is one of CORRECTION_MODES; num_references (0 = auto) is read only
+    in reference mode.  Returns every client's ordered projections and the
+    report; the uploads are read only to build the Gram matrix.
     """
     ids = sorted(gradients)
     if len(ids) < 2:
@@ -222,8 +207,8 @@ def plan_round(
                 q = max(0.0, q - c * d)
         report.projections_applied += len(steps)
 
-    if config.mode == "reference":
-        m = resolve_num_references(config, len(ids))
+    if mode == "reference":
+        m = resolve_num_references(num_references, len(ids))
         refs = select_references(ids, m, rng)
         report.reference_ids = refs
         ref_array = np.asarray(refs)

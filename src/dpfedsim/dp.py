@@ -11,16 +11,18 @@ fixed grid and taking the minimum,
     epsilon = R(alpha) + log((alpha-1)/alpha) - (log(delta) + log(alpha)) / (alpha-1).
 
 No subsampling amplification is applied, so the reported epsilon is an upper
-bound regardless of the sampling mode.  Rounds advance the ledger by the
-maximum noisy-step count over that round's clients: shards are disjoint, so
-per-round cost composes in parallel across clients and sequentially across a
-single client's steps.
+bound regardless of the sampling mode.  The accountant is a pure function of
+the noisy-step count, sigma and delta; the caller keeps the count.  A round
+advances it by the maximum noisy-step count over that round's clients:
+shards are disjoint, so per-round cost composes in parallel across clients
+and sequentially across a single client's steps.  The mechanism's settings
+are validated once, where the config is built; the functions here check only
+what their own arithmetic needs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,33 +31,6 @@ from .linalg import ParamVector
 DEFAULT_ALPHA_GRID: tuple[float, ...] = (1.5,) + tuple(float(a) for a in range(2, 65))
 
 SAMPLING_MODES = ("fixed_size", "poisson")
-
-
-@dataclass
-class DpConfig:
-    clip_threshold: float = 1.5
-    noise_multiplier: float = 0.8
-    sampling_rate: float = 0.01  # used only when batch_size is 0
-    delta: float = 1e-5
-    sampling_mode: str = "fixed_size"
-    batch_size: int = 0  # 0 = draw batches at sampling_rate
-
-    def __post_init__(self):
-        if not self.clip_threshold > 0:
-            raise ValueError("clip_threshold must be > 0")
-        if not self.noise_multiplier >= 0:
-            raise ValueError("noise_multiplier must be >= 0")
-        if self.batch_size < 0:
-            raise ValueError("batch_size must be >= 0 (0 uses sampling_rate)")
-        if self.batch_size == 0 and not 0 < self.sampling_rate <= 1:
-            raise ValueError("sampling_rate must be in (0, 1] when batch_size is 0")
-        if not 0 < self.delta < 1:
-            raise ValueError("delta must be in (0, 1)")
-        if self.sampling_mode not in SAMPLING_MODES:
-            raise ValueError(
-                f"sampling_mode must be one of {SAMPLING_MODES}, "
-                f"got {self.sampling_mode!r}"
-            )
 
 
 def poisson_sample(
@@ -146,38 +121,23 @@ def rdp_to_dp(rdp: float, alpha: float, delta: float) -> float:
     )
 
 
-@dataclass
-class PrivacyLedger:
-    """Running count of noisy steps plus the knobs needed to price them."""
-
-    config: DpConfig
-    steps_taken: int = 0
-    alpha_grid: tuple[float, ...] = field(default=DEFAULT_ALPHA_GRID)
-
-    def __post_init__(self):
-        if self.steps_taken < 0:
-            raise ValueError("steps_taken must be >= 0")
-        if not self.alpha_grid or any(a <= 1 for a in self.alpha_grid):
-            raise ValueError("alpha_grid must be nonempty with every alpha > 1")
-
-    def record_steps(self, n: int) -> None:
-        if n < 0:
-            raise ValueError("cannot record a negative number of steps")
-        self.steps_taken += n
-
-
-def epsilon_spent(ledger: PrivacyLedger) -> tuple[float, float]:
-    """(epsilon, best_alpha) at the ledger's current step count.
+def epsilon_spent(
+    steps: int,
+    sigma: float,
+    delta: float,
+    alpha_grid: tuple[float, ...] = DEFAULT_ALPHA_GRID,
+) -> tuple[float, float]:
+    """(epsilon, best_alpha) after `steps` noisy steps at noise multiplier sigma.
 
     Minimizes the converted bound over the alpha grid; ties go to the
     smaller alpha.
     """
-    sigma = ledger.config.noise_multiplier
-    delta = ledger.config.delta
+    if not alpha_grid:
+        raise ValueError("alpha_grid must be nonempty")
     best_eps = math.inf
     best_alpha = None
-    for alpha in sorted(ledger.alpha_grid):
-        rdp = ledger.steps_taken * rdp_cost_per_step(sigma, alpha)
+    for alpha in sorted(alpha_grid):
+        rdp = steps * rdp_cost_per_step(sigma, alpha)
         eps = rdp_to_dp(rdp, alpha, delta)
         if eps < best_eps:
             best_eps = eps
@@ -185,15 +145,13 @@ def epsilon_spent(ledger: PrivacyLedger) -> tuple[float, float]:
     return best_eps, best_alpha
 
 
-def steps_for_budget(config: DpConfig, epsilon_target: float) -> int:
+def steps_for_budget(sigma: float, delta: float, epsilon_target: float) -> int:
     """Largest noisy-step count whose spent epsilon stays <= epsilon_target."""
     if not epsilon_target > 0:
         raise ValueError("epsilon_target must be > 0")
 
     def eps_at(steps: int) -> float:
-        return epsilon_spent(
-            PrivacyLedger(config=config, steps_taken=steps)
-        )[0]
+        return epsilon_spent(steps, sigma, delta)[0]
 
     if eps_at(0) > epsilon_target:
         raise ValueError(

@@ -19,10 +19,14 @@ ascending blocks of ``correction.GRAM_BLOCK`` columns from it on; see
 ``correction.gram``), the fold's (ascending i, then plan order) and the
 weighted sum's (ascending j).
 
-All randomness is drawn from named streams derived via SeedSequence from
-(global_seed, round, client_id, purpose), so a client's draws do not
-depend on which other clients take part, and reruns are bit-identical.
-Clients run one after another in ascending id order.
+Every function here reads its settings from the run's ``ExperimentConfig``
+by key name (``cfg.sigma``, ``cfg.eta``, ``cfg.correction_mode``); the
+config validated them when it was built.  The run seed is not a config key
+(a config lists several) and travels as ``ExperimentState.seed``.  All
+randomness is drawn from named streams derived via SeedSequence from
+(seed, round, client_id, purpose), so a client's draws do not depend on
+which other clients take part, and reruns are bit-identical.  Clients run
+one after another in ascending id order.
 """
 
 from __future__ import annotations
@@ -30,23 +34,20 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import metrics as metrics_mod
 from . import model as model_mod
-from .correction import CorrectionConfig, CorrectionReport, fold_weights, plan_round
+from .correction import CorrectionReport, fold_weights, plan_round
 from .data import ClientShard, Dataset
-from .dp import (
-    DpConfig,
-    PrivacyLedger,
-    epsilon_spent,
-    noisy_batch_gradient,
-    poisson_sample,
-    steps_for_budget,
-)
+from .dp import epsilon_spent, noisy_batch_gradient, poisson_sample, steps_for_budget
 from .linalg import ParamVector, scale_add, weighted_sum
 from .model import MlpSpec
+
+if TYPE_CHECKING:  # config.py imports this module's mode tuples
+    from .config import ExperimentConfig
 
 ALGORITHMS = (
     "gcfl",
@@ -69,52 +70,6 @@ _P_BATCH = 0
 _P_NOISE = 1
 _P_CORRECTION = 2
 _P_SELECT = 3
-
-
-@dataclass
-class FederationConfig:
-    n_clients: int = 2
-    clients_per_round: int = 0  # 0 means all clients every round
-    rounds: int = 30
-    local_steps: int = 1
-    learning_rate: float = 0.002
-    algorithm: str = "gcfl"
-    weighting: str = "uniform"
-    prox_mu: float = 0.01
-    global_seed: int = 0
-    epsilon_budget: float = 0.0  # 0 means no budget stop
-    record_timing: bool = True
-    eval_batch_size: int = 1024
-
-    def __post_init__(self):
-        if self.n_clients < 1:
-            raise ValueError("n_clients must be >= 1")
-        if not 0 <= self.clients_per_round <= self.n_clients:
-            raise ValueError(
-                f"clients_per_round must be in [0, n_clients={self.n_clients}]"
-            )
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        if self.local_steps < 1:
-            raise ValueError("local_steps must be >= 1")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate (config key eta) must be > 0")
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(
-                f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}"
-            )
-        if self.weighting not in WEIGHTINGS:
-            raise ValueError(
-                f"weighting must be one of {WEIGHTINGS}, got {self.weighting!r}"
-            )
-        if self.prox_mu < 0:
-            raise ValueError("prox_mu must be >= 0")
-        if self.global_seed < 0:
-            raise ValueError("global_seed must be >= 0")
-        if self.epsilon_budget < 0:
-            raise ValueError("epsilon_budget must be >= 0")
-        if self.eval_batch_size < 1:
-            raise ValueError("eval_batch_size must be >= 1")
 
 
 @dataclass
@@ -154,13 +109,12 @@ class LocalPhaseResult:
 @dataclass
 class ExperimentState:
     model_spec: MlpSpec
-    dp: DpConfig
-    fed: FederationConfig
-    correction: CorrectionConfig
+    cfg: ExperimentConfig
+    seed: int
     shards: list[ClientShard]
     test: Dataset
     weights: ParamVector
-    ledger: PrivacyLedger
+    steps_taken: int = 0  # noisy steps charged to the accountant so far
     client_models: dict[int, ParamVector] = field(default_factory=dict)
     scaffold: ScaffoldState | None = None
 
@@ -174,8 +128,7 @@ def client_local_phase(
     shard: ClientShard,
     start_params: ParamVector,
     model_spec: MlpSpec,
-    dp_cfg: DpConfig,
-    fed_cfg: FederationConfig,
+    cfg: ExperimentConfig,
     batch_rng: np.random.Generator,
     noise_rng: np.random.Generator,
     scaffold_shift: ParamVector | None = None,
@@ -193,41 +146,31 @@ def client_local_phase(
     """
     if shard.size == 0:
         raise ValueError(f"client {shard.client_id} holds an empty shard")
-    eta = fed_cfg.learning_rate
+    eta = cfg.eta
     w_local = start_params  # never written in place: each step builds a new vector
     grad_sum = np.zeros(start_params.shape[0])
     steps = 0
     loss_total = 0.0
-    is_prox = fed_cfg.algorithm == "dp_fedprox" and fed_cfg.prox_mu != 0
+    is_prox = cfg.algorithm == "dp_fedprox" and cfg.prox_mu != 0
 
-    for _ in range(fed_cfg.local_steps):
+    for _ in range(cfg.local_steps):
         idx = poisson_sample(
-            shard.size,
-            dp_cfg.sampling_rate,
-            dp_cfg.sampling_mode,
-            batch_rng,
-            dp_cfg.batch_size,
+            shard.size, cfg.sampling_rate, cfg.sampling_mode, batch_rng, cfg.batch_size
         )
         if idx.size == 0:
             continue  # empty poisson draw: no step, no privacy cost
         rows = shard.indices[idx]
-        prox_shift = (
-            fed_cfg.prox_mu * (w_local - start_params) if is_prox else None
-        )
+        prox_shift = cfg.prox_mu * (w_local - start_params) if is_prox else None
         losses, sq_norms, clipped_sum = model_mod.clipped_gradient_sum(
             model_spec,
             w_local,
             shard.dataset.X[rows],
             shard.dataset.y[rows],
-            dp_cfg.clip_threshold,
+            cfg.clip_threshold,
             prox_shift,
         )
         noisy = noisy_batch_gradient(
-            clipped_sum,
-            idx.size,
-            dp_cfg.clip_threshold,
-            dp_cfg.noise_multiplier,
-            noise_rng,
+            clipped_sum, idx.size, cfg.clip_threshold, cfg.sigma, noise_rng
         )
         if scaffold_shift is not None:
             noisy = noisy + scaffold_shift
@@ -249,7 +192,7 @@ def client_local_phase(
 def _participant_weights(
     state: ExperimentState, participants: list[int]
 ) -> dict[int, float]:
-    if state.fed.weighting == "uniform":
+    if state.cfg.weighting == "uniform":
         return {i: 1.0 / len(participants) for i in participants}
     sizes = {i: state.shards[i].size for i in participants}
     total = sum(sizes.values())
@@ -259,7 +202,7 @@ def _participant_weights(
 def server_step(
     w: ParamVector,
     aggregated: ParamVector,
-    fed_cfg: FederationConfig,
+    cfg: ExperimentConfig,
     client_gradients: dict[int, ParamVector] | None = None,
 ) -> ParamVector:
     """Global update w - eta_g * aggregate.
@@ -268,8 +211,8 @@ def server_step(
     (2 n ||g_bar||^2 + 1e-3)) with g_bar the aggregate; every other
     algorithm uses eta_g = eta.
     """
-    eta_g = fed_cfg.learning_rate
-    if fed_cfg.algorithm == "dp_fedexp":
+    eta_g = cfg.eta
+    if cfg.algorithm == "dp_fedexp":
         if not client_gradients:
             raise ValueError("dp_fedexp needs the per-client gradients")
         # N + 1 einsum dots, each one Gram entry's (correction.gram), not
@@ -279,7 +222,7 @@ def server_step(
         )
         sq_mean = float(np.einsum("d,d->", aggregated, aggregated))
         denom = 2.0 * len(client_gradients) * sq_mean + _FEDEXP_EPS
-        eta_g = fed_cfg.learning_rate * max(1.0, sum_sq / denom)
+        eta_g = cfg.eta * max(1.0, sum_sq / denom)
     return scale_add(w, -eta_g, aggregated)
 
 
@@ -300,10 +243,10 @@ def _evaluate(
 
 def _select_participants(state: ExperimentState, round_index: int) -> list[int]:
     all_ids = [s.client_id for s in state.shards]
-    k = state.fed.clients_per_round
+    k = state.cfg.clients_per_round
     if k == 0 or k >= len(all_ids):
         return all_ids
-    rng = derive_rng(state.fed.global_seed, round_index, _P_SELECT)
+    rng = derive_rng(state.seed, round_index, _P_SELECT)
     picked = rng.choice(np.asarray(all_ids), size=k, replace=False)
     return sorted(int(i) for i in picked)
 
@@ -313,7 +256,7 @@ def run_round(
 ) -> tuple[RoundMetrics, CorrectionReport | None]:
     """Advance the experiment by one round, mutating state in place."""
     t0 = time.perf_counter()
-    fed = state.fed
+    cfg = state.cfg
     w_round_start = state.weights
     participants = _select_participants(state, round_index)
 
@@ -321,52 +264,50 @@ def run_round(
     for cid in participants:
         start = (
             state.client_models[cid]
-            if fed.algorithm == "isolated"
+            if cfg.algorithm == "isolated"
             else state.weights
         )
         shift = None
-        if fed.algorithm == "dp_scaffold":
+        if cfg.algorithm == "dp_scaffold":
             shift = state.scaffold.server_variate - state.scaffold.client_variates[cid]
         try:
             result = client_local_phase(
                 state.shards[cid],
                 start,
                 state.model_spec,
-                state.dp,
-                fed,
-                derive_rng(fed.global_seed, round_index, cid, _P_BATCH),
-                derive_rng(fed.global_seed, round_index, cid, _P_NOISE),
+                cfg,
+                derive_rng(state.seed, round_index, cid, _P_BATCH),
+                derive_rng(state.seed, round_index, cid, _P_NOISE),
                 scaffold_shift=shift,
             )
         except ValueError as exc:
             raise ValueError(f"round {round_index}, {exc}") from exc
-        if fed.algorithm not in _READS_FINAL_PARAMS:
+        if cfg.algorithm not in _READS_FINAL_PARAMS:
             result.final_params = None  # a D-length model per client, unread
         results[cid] = result
 
     # disjoint shards: the round costs the worst-case client's step count
-    state.ledger.record_steps(max(r.noisy_steps for r in results.values()))
+    state.steps_taken += max(r.noisy_steps for r in results.values())
 
     report: CorrectionReport | None = None
-    if fed.algorithm == "isolated":
+    if cfg.algorithm == "isolated":
         for cid, res in results.items():
             state.client_models[cid] = res.final_params
     else:
         gradients = {cid: res.gradient for cid, res in results.items()}
         plan = {}  # no projections: fold_weights returns the weights as given
-        if fed.algorithm == "gcfl" and len(participants) > 1:
+        if cfg.algorithm == "gcfl" and len(participants) > 1:
             corr_rng = derive_rng(
-                fed.global_seed,
-                state.correction.order_seed,
-                round_index,
-                _P_CORRECTION,
+                state.seed, cfg.order_seed, round_index, _P_CORRECTION
             )
-            plan, report = plan_round(gradients, state.correction, corr_rng)
+            plan, report = plan_round(
+                gradients, cfg.correction_mode, cfg.num_references, corr_rng
+            )
         weights = fold_weights(plan, _participant_weights(state, participants))
         aggregated = weighted_sum(gradients, weights)
-        state.weights = server_step(state.weights, aggregated, fed, gradients)
+        state.weights = server_step(state.weights, aggregated, cfg, gradients)
 
-        if fed.algorithm == "dp_scaffold":
+        if cfg.algorithm == "dp_scaffold":
             deltas = {}
             for cid, res in results.items():
                 if res.noisy_steps == 0:
@@ -376,40 +317,40 @@ def run_round(
                     old
                     - state.scaffold.server_variate
                     + (w_round_start - res.final_params)
-                    / (res.noisy_steps * fed.learning_rate)
+                    / (res.noisy_steps * cfg.eta)
                 )
                 deltas[cid] = new - old
                 state.scaffold.client_variates[cid] = new
             if deltas:  # adds (k / n) * the mean of the k deltas
-                share = dict.fromkeys(deltas, 1.0 / fed.n_clients)
+                share = dict.fromkeys(deltas, 1.0 / cfg.n_clients)
                 step = weighted_sum(deltas, share)
                 state.scaffold.server_variate = state.scaffold.server_variate + step
 
     # metrics
     losses = [r.mean_batch_loss for r in results.values() if r.noisy_steps > 0]
     train_loss = float(np.mean(losses)) if losses else math.nan
-    if fed.algorithm == "isolated":
+    if cfg.algorithm == "isolated":
         per_client = [
             _evaluate(
                 state.model_spec,
                 state.client_models[cid],
                 state.test,
-                fed.eval_batch_size,
+                cfg.eval_batch_size,
             )
             for cid in sorted(state.client_models)
         ]
         acc, rec, f1 = (float(np.mean([p[k] for p in per_client])) for k in range(3))
     else:
         acc, rec, f1 = _evaluate(
-            state.model_spec, state.weights, state.test, fed.eval_batch_size
+            state.model_spec, state.weights, state.test, cfg.eval_batch_size
         )
 
-    if state.dp.noise_multiplier == 0:
+    if cfg.sigma == 0:
         eps = math.inf  # no noise: nothing is private
     else:
-        eps = epsilon_spent(state.ledger)[0]
+        eps = epsilon_spent(state.steps_taken, cfg.sigma, cfg.delta)[0]
     wall = (
-        int(round((time.perf_counter() - t0) * 1000.0)) if fed.record_timing else 0
+        int(round((time.perf_counter() - t0) * 1000.0)) if cfg.record_timing else 0
     )
     rm = RoundMetrics(
         round_index=round_index,
@@ -433,50 +374,46 @@ class ExperimentResult:
 
 def init_state(
     model_spec: MlpSpec,
-    dp_cfg: DpConfig,
-    fed_cfg: FederationConfig,
-    corr_cfg: CorrectionConfig,
+    cfg: ExperimentConfig,
+    seed: int,
     shards: list[ClientShard],
     test: Dataset,
 ) -> ExperimentState:
-    if len(shards) != fed_cfg.n_clients:
-        raise ValueError(
-            f"got {len(shards)} shards for n_clients={fed_cfg.n_clients}"
-        )
+    """The state before round 0 of the run with this seed."""
+    if len(shards) != cfg.n_clients:
+        raise ValueError(f"got {len(shards)} shards for n_clients={cfg.n_clients}")
     for idx, shard in enumerate(shards):
         if shard.client_id != idx:
             raise ValueError("shards must be ordered so client_id matches index")
-    w = model_mod.init_params(model_spec, fed_cfg.global_seed)
+    w = model_mod.init_params(model_spec, seed)
     state = ExperimentState(
         model_spec=model_spec,
-        dp=dp_cfg,
-        fed=fed_cfg,
-        correction=corr_cfg,
+        cfg=cfg,
+        seed=seed,
         shards=shards,
         test=test,
         weights=w,
-        ledger=PrivacyLedger(config=dp_cfg),
     )
     ids = [s.client_id for s in shards]
-    if fed_cfg.algorithm == "isolated":
+    if cfg.algorithm == "isolated":
         state.client_models = {i: w.copy() for i in ids}
-    if fed_cfg.algorithm == "dp_scaffold":
+    if cfg.algorithm == "dp_scaffold":
         state.scaffold = ScaffoldState.zeros(w.shape[0], ids)
     return state
 
 
 def run_experiment(state: ExperimentState) -> ExperimentResult:
     """Run all configured rounds (stopping early on the epsilon budget)."""
-    fed = state.fed
+    cfg = state.cfg
     max_steps = None
-    if fed.epsilon_budget > 0 and state.dp.noise_multiplier > 0:
-        max_steps = steps_for_budget(state.dp, fed.epsilon_budget)
+    if cfg.epsilon_budget > 0 and cfg.sigma > 0:
+        max_steps = steps_for_budget(cfg.sigma, cfg.delta, cfg.epsilon_budget)
     rounds: list[RoundMetrics] = []
     summaries: list[dict] = []
     stopped = False
-    for t in range(fed.rounds):
+    for t in range(cfg.rounds):
         if max_steps is not None:
-            if state.ledger.steps_taken + fed.local_steps > max_steps:
+            if state.steps_taken + cfg.local_steps > max_steps:
                 stopped = True
                 break
         rm, report = run_round(state, t)

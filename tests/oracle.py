@@ -17,7 +17,6 @@ import math
 import numpy as np
 
 from dpfedsim.correction import (
-    CorrectionConfig,
     CorrectionReport,
     cosine_from_products,
     plan_round,
@@ -172,7 +171,8 @@ def aggregate(
 
 def correct_round(
     gradients: dict[int, ParamVector],
-    config: CorrectionConfig,
+    mode: str,
+    num_references: int,
     rng: np.random.Generator,
 ) -> tuple[dict[int, ParamVector], CorrectionReport]:
     """Materialise ``correction.plan_round`` in plan order.
@@ -181,7 +181,7 @@ def correct_round(
     input mapping is never mutated; untouched gradients appear in the output
     as the same objects.
     """
-    plan, report = plan_round(gradients, config, rng)
+    plan, report = plan_round(gradients, mode, num_references, rng)
     corrected: dict[int, ParamVector] = {}
     for i, steps in plan.items():
         running = gradients[i]
@@ -193,7 +193,8 @@ def correct_round(
 
 def correct_round_on_vectors(
     gradients: dict[int, ParamVector],
-    config: CorrectionConfig,
+    mode: str,
+    num_references: int,
     rng: np.random.Generator,
 ) -> tuple[dict[int, ParamVector], CorrectionReport]:
     """``correct_round`` on the vectors: every test recomputes the cosine,
@@ -213,8 +214,9 @@ def correct_round_on_vectors(
                 report.projections_applied += 1
         return running
 
-    if config.mode == "reference":
-        refs = select_references(ids, resolve_num_references(config, len(ids)), rng)
+    if mode == "reference":
+        m = resolve_num_references(num_references, len(ids))
+        refs = select_references(ids, m, rng)
         report.reference_ids = refs
         ref_array = np.asarray(refs)
         for i in refs:

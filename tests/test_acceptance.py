@@ -20,16 +20,13 @@ import pytest
 
 from dpfedsim.cli import main, run_seeds
 from dpfedsim.config import ExperimentConfig
-from dpfedsim.correction import CorrectionConfig
 from dpfedsim.data import partition_iid, synthetic_blobs
 from dpfedsim.dp import (
-    DpConfig,
-    PrivacyLedger,
     epsilon_spent,
     noisy_batch_gradient,
     rdp_to_dp,
 )
-from dpfedsim.federation import FederationConfig, init_state, run_experiment
+from dpfedsim.federation import init_state, run_experiment
 from dpfedsim.metrics import accumulate, accuracy, macro_f1, macro_recall
 from dpfedsim.model import MlpSpec
 from oracle import (
@@ -192,20 +189,12 @@ def test_criterion_05_accountant_matches_high_precision_oracle():
     assert points == 50
     assert worst <= 1e-9
     # monotone in steps
-    cfg = DpConfig(noise_multiplier=0.8)
-    eps_seq = [
-        epsilon_spent(PrivacyLedger(config=cfg, steps_taken=t))[0]
-        for t in range(0, 60, 5)
-    ]
+    eps_seq = [epsilon_spent(t, 0.8, 1e-5)[0] for t in range(0, 60, 5)]
     assert all(b > a for a, b in zip(eps_seq, eps_seq[1:]))
     # sigma doubling strictly decreases epsilon
     for steps in (1, 30):
-        e1 = epsilon_spent(
-            PrivacyLedger(config=DpConfig(noise_multiplier=0.8), steps_taken=steps)
-        )[0]
-        e2 = epsilon_spent(
-            PrivacyLedger(config=DpConfig(noise_multiplier=1.6), steps_taken=steps)
-        )[0]
+        e1 = epsilon_spent(steps, 0.8, 1e-5)[0]
+        e2 = epsilon_spent(steps, 1.6, 1e-5)[0]
         assert e2 < e1
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -225,9 +214,7 @@ def test_criterion_06_cosine_evaluation_count():
         for m in range(1, n):
             grads = {i: rng.standard_normal(5) for i in range(n)}
             _, report = correct_round(
-                grads,
-                CorrectionConfig(num_references=m),
-                np.random.default_rng(n * 100 + m),
+                grads, "reference", m, np.random.default_rng(n * 100 + m)
             )
             assert report.cosine_tests == m * (n - m)
             checked += 1
@@ -245,18 +232,17 @@ def _no_conflict_state(algorithm: str):
     train = synthetic_blobs(num_classes=3, per_class=30, dim=6, spread=0.02, seed=7)
     test = synthetic_blobs(num_classes=3, per_class=6, dim=6, spread=0.02, seed=8)
     shards = partition_iid(train, 2, seed=9)
-    dp_cfg = DpConfig(noise_multiplier=0.0, sampling_rate=1.0)  # full batches
-    fed_cfg = FederationConfig(
+    cfg = ExperimentConfig(
+        sigma=0.0,
+        sampling_rate=1.0,
+        batch_size=0,  # full batches
         n_clients=2,
         rounds=3,
-        learning_rate=0.05,
+        eta=0.05,
         algorithm=algorithm,
-        global_seed=4,
         record_timing=False,
     )
-    return init_state(
-        MlpSpec((6, 5, 3)), dp_cfg, fed_cfg, CorrectionConfig(), shards, test
-    )
+    return init_state(MlpSpec((6, 5, 3)), cfg, 4, shards, test)
 
 
 def test_criterion_07_gcfl_equals_fedavg_without_conflicts():

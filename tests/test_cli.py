@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import dpfedsim.cli
 from dpfedsim.cli import CSV_HEADER, main
 
 FAST_CFG = """
@@ -143,6 +144,21 @@ def test_compare_runs_algorithms_on_identical_shards(tmp_path):
     hash_gcfl = lines[1].split(",")[2]
     hash_avg = lines[2].split(",")[2]
     assert hash_gcfl == hash_avg
+
+
+def test_compare_rejects_a_bad_algorithm_before_training_any(
+    tmp_path, capsys, monkeypatch
+):
+    trained = []
+    monkeypatch.setattr(dpfedsim.cli, "run_experiment", trained.append)
+    out = tmp_path / "cmp"
+    argv = ["compare", "--config", write_cfg(tmp_path), "--out", str(out)]
+    assert main([*argv, "--algos", "gcfl,dp_fedavg,fedsgd"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: algorithm")
+    assert "fedsgd" in err[0]
+    assert trained == []
+    assert not out.exists()
 
 
 def test_privacy_prints_schedule(tmp_path, capsys):

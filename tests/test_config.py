@@ -1,3 +1,6 @@
+import math
+from dataclasses import FrozenInstanceError, fields, replace
+
 import pytest
 
 from dpfedsim.config import ExperimentConfig, parse_config, parse_label_split
@@ -136,3 +139,97 @@ def test_resolved_is_serializable_view():
     assert view["seeds"] == "1,2,3"
     assert view["layer_sizes"] == ""
     assert set(view) == {f for f in view}
+
+
+FLOAT_KEYS = [
+    "synthetic_spread",
+    "eta",
+    "sampling_rate",
+    "prox_mu",
+    "sigma",
+    "clip_threshold",
+    "delta",
+    "epsilon_budget",
+]
+
+
+def test_float_keys_are_every_float_field():
+    floats = [f.name for f in fields(ExperimentConfig) if f.type == "float"]
+    assert floats == FLOAT_KEYS
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_is_a_parse_error_naming_the_key(tmp_path, key, raw):
+    path = write(tmp_path, f"{key} = {raw}\n")
+    if key == "epsilon_budget" and raw == "inf":  # inf means no budget
+        assert parse_config(path).epsilon_budget == math.inf
+        return
+    with pytest.raises(ValueError) as exc:
+        parse_config(path)
+    assert str(exc.value).startswith(f"{key} must be finite")
+
+
+# key -> overrides that make that key's value (or its pairing) invalid
+BAD_VALUES = {
+    "dataset": {"dataset": "mnist"},
+    "train_images": {"dataset": "idx", "train_labels": "a", "test_images": "b",
+                     "test_labels": "c"},
+    "train_labels": {"dataset": "idx", "train_images": "a", "test_images": "b",
+                     "test_labels": "c"},
+    "test_images": {"dataset": "idx", "train_images": "a", "train_labels": "b",
+                    "test_labels": "c"},
+    "test_labels": {"dataset": "idx", "train_images": "a", "train_labels": "b",
+                    "test_images": "c"},
+    "synthetic_classes": {"synthetic_classes": "1"},
+    "synthetic_per_class": {"synthetic_per_class": "0"},
+    "synthetic_dim": {"synthetic_dim": "0"},
+    "synthetic_spread": {"synthetic_spread": "-0.5"},
+    "subsample_train": {"subsample_train": "-1"},
+    "subsample_test": {"subsample_test": "-1"},
+    "partition": {"partition": "dirichlet"},
+    "label_split": {"partition": "label_split", "label_split": "0-4;;5-9"},
+    "layer_sizes": {"layer_sizes": "6,0,3"},
+    "n_clients": {"n_clients": "0"},
+    "clients_per_round": {"clients_per_round": "3"},
+    "rounds": {"rounds": "0"},
+    "local_steps": {"local_steps": "0"},
+    "eta": {"eta": "0"},
+    "batch_size": {"batch_size": "-1"},
+    "sampling_rate": {"batch_size": "0", "sampling_rate": "1.5"},
+    "sampling_mode": {"sampling_mode": "uniform"},
+    "eval_batch_size": {"eval_batch_size": "0"},
+    "algorithm": {"algorithm": "fedsgd"},
+    "weighting": {"weighting": "quadratic"},
+    "prox_mu": {"prox_mu": "-1"},
+    "sigma": {"sigma": "-1"},
+    "clip_threshold": {"clip_threshold": "0"},
+    "delta": {"delta": "1"},
+    "epsilon_budget": {"epsilon_budget": "-1"},
+    "correction_mode": {"correction_mode": "global"},
+    "num_references": {"num_references": "-1"},
+    "order_seed": {"order_seed": "-1"},
+    "seeds": {"seeds": "1,-2"},
+    "record_timing": {"record_timing": "sometimes"},
+}
+
+
+def test_bad_value_cases_cover_every_key():
+    assert set(BAD_VALUES) == {f.name for f in fields(ExperimentConfig)}
+
+
+@pytest.mark.parametrize("key", list(BAD_VALUES))
+def test_every_value_error_names_its_key(tmp_path, key):
+    overrides = [f"{k}={v}" for k, v in BAD_VALUES[key].items()]
+    with pytest.raises(ValueError) as exc:
+        parse_config(write(tmp_path, ""), overrides)
+    assert key in str(exc.value)
+
+
+def test_config_is_frozen_and_replace_validates():
+    cfg = ExperimentConfig()
+    with pytest.raises(FrozenInstanceError):
+        cfg.sigma = 2.0
+    assert replace(cfg, sigma=2.0).sigma == 2.0
+    with pytest.raises(ValueError, match="algorithm"):
+        replace(cfg, algorithm="fedsgd")

@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from dpfedsim.config import ExperimentConfig
 from dpfedsim.correction import (
     CORRECTION_MODES,
     GRAM_BLOCK,
     GRAM_BLOCKED_MIN_N,
-    CorrectionConfig,
     fold_weights,
     gram,
     plan_round,
@@ -100,10 +100,10 @@ def test_select_references_uniform_frequency():
 
 
 def test_resolve_num_references_default_half():
-    assert resolve_num_references(CorrectionConfig(), 2) == 1
-    assert resolve_num_references(CorrectionConfig(), 5) == 2
-    assert resolve_num_references(CorrectionConfig(), 8) == 4
-    assert resolve_num_references(CorrectionConfig(num_references=3), 8) == 3
+    assert resolve_num_references(0, 2) == 1
+    assert resolve_num_references(0, 5) == 2
+    assert resolve_num_references(0, 8) == 4
+    assert resolve_num_references(3, 8) == 3
 
 
 def test_correct_round_counts_cosine_evaluations():
@@ -111,8 +111,7 @@ def test_correct_round_counts_cosine_evaluations():
     for n in range(2, 9):
         for m in range(1, n):
             grads = {i: rng_data.standard_normal(4) for i in range(n)}
-            cfg = CorrectionConfig(num_references=m)
-            out, report = correct_round(grads, cfg, np.random.default_rng(1))
+            out, report = correct_round(grads, "reference", m, np.random.default_rng(1))
             assert report.cosine_tests == m * (n - m)
             assert len(report.reference_ids) == m
             assert set(out) == set(grads)
@@ -122,7 +121,7 @@ def test_correct_round_references_pass_through_untouched():
     rng = np.random.default_rng(3)
     grads = {i: rng.standard_normal(6) for i in range(4)}
     out, report = correct_round(
-        grads, CorrectionConfig(num_references=2), np.random.default_rng(9)
+        grads, "reference", 2, np.random.default_rng(9)
     )
     for i in report.reference_ids:
         assert out[i] is grads[i]
@@ -132,7 +131,7 @@ def test_correct_round_no_conflicts_is_identity():
     base = np.array([1.0, 2.0, 0.5, -0.3])
     grads = {i: base + 0.01 * i for i in range(4)}  # all mutually aligned
     out, report = correct_round(
-        grads, CorrectionConfig(), np.random.default_rng(2)
+        grads, "reference", 0, np.random.default_rng(2)
     )
     assert report.projections_applied == 0
     for i in grads:
@@ -144,7 +143,7 @@ def test_correct_round_resolves_conflict():
     # the other ends up non-negative against it
     grads = {0: np.array([1.0, 0.0]), 1: np.array([-1.0, 0.1])}
     out, report = correct_round(
-        grads, CorrectionConfig(), np.random.default_rng(4)
+        grads, "reference", 0, np.random.default_rng(4)
     )
     assert report.projections_applied == 1
     ref = report.reference_ids[0]
@@ -156,8 +155,8 @@ def test_correct_round_resolves_conflict():
 def test_correct_round_is_deterministic_given_rng_seed():
     rng_data = np.random.default_rng(8)
     grads = {i: rng_data.standard_normal(10) for i in range(5)}
-    out1, rep1 = correct_round(grads, CorrectionConfig(), np.random.default_rng(77))
-    out2, rep2 = correct_round(grads, CorrectionConfig(), np.random.default_rng(77))
+    out1, rep1 = correct_round(grads, "reference", 0, np.random.default_rng(77))
+    out2, rep2 = correct_round(grads, "reference", 0, np.random.default_rng(77))
     assert rep1.reference_ids == rep2.reference_ids
     assert rep1.cosines == rep2.cosines
     for i in grads:
@@ -167,7 +166,7 @@ def test_correct_round_is_deterministic_given_rng_seed():
 def test_correct_round_does_not_mutate_input():
     grads = {0: np.array([1.0, 0.0]), 1: np.array([-1.0, 0.0])}
     copies = {i: g.copy() for i, g in grads.items()}
-    correct_round(grads, CorrectionConfig(), np.random.default_rng(0))
+    correct_round(grads, "reference", 0, np.random.default_rng(0))
     for i in grads:
         np.testing.assert_array_equal(grads[i], copies[i])
 
@@ -175,8 +174,7 @@ def test_correct_round_does_not_mutate_input():
 def test_pairwise_mode_tests_all_ordered_pairs():
     rng = np.random.default_rng(1)
     grads = {i: rng.standard_normal(5) for i in range(4)}
-    cfg = CorrectionConfig(mode="pairwise")
-    out, report = correct_round(grads, cfg, np.random.default_rng(0))
+    out, report = correct_round(grads, "pairwise", 0, np.random.default_rng(0))
     assert report.cosine_tests == 4 * 3
     assert report.reference_ids == []
     assert set(report.cosines) == {
@@ -190,8 +188,7 @@ def test_pairwise_uses_original_counterpart_gradients():
     g0 = np.array([-1.0, 0.0])
     g1 = np.array([1.0, 1.0])
     grads = {0: g0, 1: g1}
-    cfg = CorrectionConfig(mode="pairwise")
-    out, report = correct_round(grads, cfg, np.random.default_rng(0))
+    out, report = correct_round(grads, "pairwise", 0, np.random.default_rng(0))
     # manual recomputation of the double loop against originals
     expected0, _ = project_if_conflicting(g0, g1)
     expected1, _ = project_if_conflicting(g1, g0)
@@ -201,26 +198,27 @@ def test_pairwise_uses_original_counterpart_gradients():
 
 def test_correct_round_validation():
     with pytest.raises(ValueError, match="at least 2"):
-        correct_round({0: np.ones(2)}, CorrectionConfig(), np.random.default_rng(0))
+        correct_round({0: np.ones(2)}, "reference", 0, np.random.default_rng(0))
     with pytest.raises(ValueError, match="dimension"):
         correct_round(
             {0: np.ones(2), 1: np.ones(3)},
-            CorrectionConfig(),
+            "reference",
+            0,
             np.random.default_rng(0),
         )
 
 
 def test_correction_config_validation():
     with pytest.raises(ValueError, match="mode"):
-        CorrectionConfig(mode="global")
+        ExperimentConfig(correction_mode="global")
     with pytest.raises(ValueError):
-        CorrectionConfig(num_references=-1)
+        ExperimentConfig(num_references=-1)
 
 
 def test_report_summary_shape():
     rng = np.random.default_rng(10)
     grads = {i: rng.standard_normal(8) for i in range(4)}
-    _, report = correct_round(grads, CorrectionConfig(), np.random.default_rng(3))
+    _, report = correct_round(grads, "reference", 0, np.random.default_rng(3))
     s = report.summary()
     assert s["cosine_evaluations"] == report.cosine_tests
     assert s["projections_applied"] == report.projections_applied
@@ -243,7 +241,8 @@ def _gamma(dim: int) -> float:
 
 
 def _assert_matches_oracle(grads, config, seed):
-    """correct_round against the vector-space oracle, with the same rng seed.
+    """correct_round against the vector-space oracle, with the same rng seed
+    and config = (mode, num_references).
 
     Both take the same references and test the same pairs in the same order.
     For each client, walk its tests along the oracle's trajectory; before a
@@ -270,9 +269,9 @@ def _assert_matches_oracle(grads, config, seed):
     trajectories above, doubled for the scale_add roundings), and as the
     same object when nothing was projected.
     """
-    out, report = correct_round(grads, config, np.random.default_rng(seed))
+    out, report = correct_round(grads, *config, np.random.default_rng(seed))
     want, want_report = oracle.correct_round_on_vectors(
-        grads, config, np.random.default_rng(seed)
+        grads, *config, np.random.default_rng(seed)
     )
     assert report.reference_ids == want_report.reference_ids
     assert report.cosine_tests == want_report.cosine_tests
@@ -324,7 +323,7 @@ def _uploads(rng, n, dim, shared):
 
 
 def _config(mode, n, num_references):
-    return CorrectionConfig(mode=mode, num_references=num_references % n)
+    return mode, num_references % n
 
 
 @given(
@@ -358,7 +357,7 @@ def test_correct_round_matches_oracle_at_d_1e4(mode):
 def test_zero_upload_never_conflicts(mode):
     grads = _uploads(np.random.default_rng(1), 5, 7, 0.0)
     grads[2] = np.zeros(7)
-    out, report = _assert_matches_oracle(grads, CorrectionConfig(mode=mode), 3)
+    out, report = _assert_matches_oracle(grads, (mode, 0), 3)
     assert out[2] is grads[2]
     for (i, j), cos in report.cosines.items():
         if 2 in (i, j):
@@ -370,7 +369,7 @@ def test_duplicate_uploads_match_oracle(mode):
     grads = _uploads(np.random.default_rng(2), 6, 9, 0.0)
     grads[1] = grads[0].copy()
     grads[3] = grads[0]
-    out, report = _assert_matches_oracle(grads, CorrectionConfig(mode=mode), 4)
+    out, report = _assert_matches_oracle(grads, (mode, 0), 4)
     if mode == "pairwise":
         # first test of client 0 is against its duplicate: exactly parallel
         assert report.cosines[(0, 1)] == 1.0
@@ -382,11 +381,9 @@ def test_antiparallel_pair_corrects_to_exact_zero():
     g = rng.standard_normal(11)
     # pairwise: clients 0 and 1 test each other first and end at exact zero
     grads = {0: g, 1: -g, **{i: rng.standard_normal(11) for i in range(2, 6)}}
-    out, report = _assert_matches_oracle(
-        grads, CorrectionConfig(mode="pairwise"), 0
-    )
+    out, report = _assert_matches_oracle(grads, ("pairwise", 0), 0)
     want, _ = oracle.correct_round_on_vectors(
-        grads, CorrectionConfig(mode="pairwise"), np.random.default_rng(0)
+        grads, "pairwise", 0, np.random.default_rng(0)
     )
     for i in (0, 1):
         assert report.cosines[(i, 1 - i)] == -1.0
@@ -394,7 +391,7 @@ def test_antiparallel_pair_corrects_to_exact_zero():
         later = [cos for (a, b), cos in report.cosines.items() if a == i and b > 1]
         assert later == [0.0] * 4
     # reference mode: the non-reference client ends at exact zero
-    out, report = _assert_matches_oracle({0: g, 1: -g}, CorrectionConfig(), 5)
+    out, report = _assert_matches_oracle({0: g, 1: -g}, ("reference", 0), 5)
     (other,) = {0, 1} - set(report.reference_ids)
     assert report.projections_applied == 1
     assert np.all(out[other] == 0.0)
@@ -403,7 +400,7 @@ def test_antiparallel_pair_corrects_to_exact_zero():
 @pytest.mark.parametrize("mode", CORRECTION_MODES)
 def test_all_aligned_uploads_come_back_as_the_same_objects(mode):
     grads = _uploads(np.random.default_rng(6), 8, 13, 20.0)
-    out, report = _assert_matches_oracle(grads, CorrectionConfig(mode=mode), 7)
+    out, report = _assert_matches_oracle(grads, (mode, 0), 7)
     assert report.projections_applied == 0
     assert all(cos > 0 for cos in report.cosines.values())
     for i in grads:
@@ -480,9 +477,8 @@ def test_gram_is_exactly_symmetric_and_reproducible(n, dim):
 @pytest.mark.parametrize("mode", CORRECTION_MODES)
 def test_correct_round_materialises_plan_round_in_plan_order(mode):
     grads = _uploads(np.random.default_rng(12), 7, 30, 0.0)
-    config = CorrectionConfig(mode=mode)
-    plan, report = plan_round(grads, config, np.random.default_rng(5))
-    out, want_report = correct_round(grads, config, np.random.default_rng(5))
+    plan, report = plan_round(grads, mode, 0, np.random.default_rng(5))
+    out, want_report = correct_round(grads, mode, 0, np.random.default_rng(5))
     assert report.cosines == want_report.cosines
     assert report.projections_applied == sum(len(s) for s in plan.values()) > 0
     assert list(plan) == sorted(grads)
@@ -500,7 +496,7 @@ def test_fold_weights_is_w_transpose_m(mode):
     alpha_j g_j with alpha_j = w_j - sum_i w_i c_ij; the fold sums those
     terms in a fixed order, within gamma_2N of the exact sum."""
     grads = _uploads(np.random.default_rng(21), 6, 12, 0.0)
-    plan, _ = plan_round(grads, CorrectionConfig(mode=mode), np.random.default_rng(2))
+    plan, _ = plan_round(grads, mode, 0, np.random.default_rng(2))
     assert any(plan.values())
     weights = {i: (i + 1) / 21 for i in grads}
     alpha = fold_weights(plan, weights)
@@ -517,16 +513,13 @@ def test_fold_weights_is_w_transpose_m(mode):
 _BLAS_PROBE = """
 import hashlib, sys
 import numpy as np
-from dpfedsim.correction import CorrectionConfig
 from oracle import correct_round
 
 rng = np.random.default_rng(2024)
 base = rng.standard_normal(101_770)
 grads = {i: 1e-3 * base + rng.standard_normal(101_770) for i in range(32)}
 for mode in ("reference", "pairwise"):
-    out, report = correct_round(
-        grads, CorrectionConfig(mode=mode), np.random.default_rng(11)
-    )
+    out, report = correct_round(grads, mode, 0, np.random.default_rng(11))
     digest = hashlib.sha256()
     for i in sorted(out):
         digest.update(out[i].tobytes())
@@ -568,7 +561,7 @@ def test_correct_round_is_byte_identical_across_blas_thread_counts():
 _FOLD_PROBE = """
 import hashlib
 import numpy as np
-from dpfedsim.correction import CorrectionConfig, fold_weights, plan_round
+from dpfedsim.correction import fold_weights, plan_round
 from dpfedsim.linalg import weighted_sum
 
 rng = np.random.default_rng(2024)
@@ -576,9 +569,7 @@ base = rng.standard_normal(101_770)
 grads = {i: 1e-3 * base + rng.standard_normal(101_770) for i in range(32)}
 weights = {i: (i + 1) / 528 for i in grads}
 for mode in ("reference", "pairwise"):
-    plan, report = plan_round(
-        grads, CorrectionConfig(mode=mode), np.random.default_rng(11)
-    )
+    plan, report = plan_round(grads, mode, 0, np.random.default_rng(11))
     alpha = fold_weights(plan, weights)
     digest = hashlib.sha256(weighted_sum(grads, alpha).tobytes())
     digest.update(repr(sorted(alpha.items())).encode())

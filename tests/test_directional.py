@@ -8,7 +8,7 @@ noise.  What these tests pin down instead:
   conflict the corrected aggregate agrees strictly better with the
   reference client's descent direction than plain averaging does;
 * full-protocol health on both partitions: corrections fire where expected,
-  emitted epsilons match an offline ledger recomputation, and the measured
+  emitted epsilons match an offline accountant recomputation, and the measured
   accuracy gap is reported for the record.
 """
 
@@ -19,10 +19,9 @@ import pytest
 
 from dpfedsim.cli import run_seeds
 from dpfedsim.config import ExperimentConfig
-from dpfedsim.correction import CorrectionConfig
 from dpfedsim.data import partition_label_split, synthetic_blobs
-from dpfedsim.dp import DpConfig, PrivacyLedger, epsilon_spent
-from dpfedsim.federation import FederationConfig, client_local_phase, derive_rng
+from dpfedsim.dp import epsilon_spent
+from dpfedsim.federation import client_local_phase, derive_rng
 from dpfedsim.model import MlpSpec, init_params
 from oracle import correct_round, cosine, dot
 
@@ -33,16 +32,22 @@ def _conflicting_client_gradients():
     shards = partition_label_split(train, [{0, 1}, {2, 3}])
     spec = MlpSpec((8, 10, 4))
     w0 = init_params(spec, seed=12)
-    dp_cfg = DpConfig(clip_threshold=1e9, noise_multiplier=0.0, sampling_rate=1.0)
-    fed_cfg = FederationConfig(n_clients=2, learning_rate=0.1, algorithm="gcfl")
+    cfg = ExperimentConfig(
+        clip_threshold=1e9,
+        sigma=0.0,
+        sampling_rate=1.0,
+        batch_size=0,
+        n_clients=2,
+        eta=0.1,
+        algorithm="gcfl",
+    )
     grads = {}
     for shard in shards:
         res = client_local_phase(
             shard,
             w0,
             spec,
-            dp_cfg,
-            fed_cfg,
+            cfg,
             derive_rng(0, shard.client_id, 0),
             derive_rng(0, shard.client_id, 1),
         )
@@ -58,7 +63,7 @@ def test_label_skew_clients_do_conflict():
 def test_correction_strictly_improves_reference_alignment():
     grads = _conflicting_client_gradients()
     corrected, report = correct_round(
-        grads, CorrectionConfig(), np.random.default_rng(5)
+        grads, "reference", 0, np.random.default_rng(5)
     )
     assert report.projections_applied == 1
     ref = report.reference_ids[0]
@@ -109,22 +114,13 @@ def test_same_protocol_pipeline_health(partition):
     runs = _protocol_runs(partition)
     for algo, (cfg, results) in runs.items():
         for seed, res in results.items():
-            dp_cfg = DpConfig(
-                clip_threshold=cfg.clip_threshold,
-                noise_multiplier=cfg.sigma,
-                sampling_rate=1.0,
-                delta=cfg.delta,
-            )
             for t, rm in enumerate(res.rounds):
                 assert 0.0 <= rm.test_accuracy <= 1.0
                 assert 0.0 <= rm.test_macro_f1 <= 1.0
                 assert math.isfinite(rm.train_loss)
-                # emitted epsilon must equal an offline ledger recomputation
+                # emitted epsilon must equal an offline accountant recomputation
                 offline = epsilon_spent(
-                    PrivacyLedger(
-                        config=dp_cfg,
-                        steps_taken=(t + 1) * cfg.local_steps,
-                    )
+                    (t + 1) * cfg.local_steps, cfg.sigma, cfg.delta
                 )[0]
                 assert rm.epsilon_spent == pytest.approx(offline, abs=1e-12)
     gcfl_proj = sum(

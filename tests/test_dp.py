@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from dpfedsim.config import ExperimentConfig
 from dpfedsim.dp import (
     DEFAULT_ALPHA_GRID,
-    DpConfig,
-    PrivacyLedger,
     epsilon_spent,
     noisy_batch_gradient,
     poisson_sample,
@@ -143,79 +142,59 @@ def test_default_alpha_grid():
 
 
 def test_epsilon_spent_zero_steps_is_conversion_floor():
-    ledger = PrivacyLedger(config=DpConfig())
-    eps, alpha = epsilon_spent(ledger)
+    eps, alpha = epsilon_spent(0, 0.8, 1e-5)
     # with no accumulated cost the best alpha is the largest on the grid
     assert alpha == 64.0
     assert eps == pytest.approx(rdp_to_dp(0.0, 64.0, 1e-5))
 
 
 def test_epsilon_monotone_in_steps():
-    cfg = DpConfig(noise_multiplier=0.8)
     values = []
     for steps in range(0, 40, 3):
-        values.append(
-            epsilon_spent(PrivacyLedger(config=cfg, steps_taken=steps))[0]
-        )
+        values.append(epsilon_spent(steps, 0.8, 1e-5)[0])
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
 def test_epsilon_decreases_when_sigma_doubles():
     for steps in (1, 10, 100):
-        lo = epsilon_spent(
-            PrivacyLedger(config=DpConfig(noise_multiplier=0.8), steps_taken=steps)
-        )[0]
-        hi = epsilon_spent(
-            PrivacyLedger(config=DpConfig(noise_multiplier=1.6), steps_taken=steps)
-        )[0]
+        lo = epsilon_spent(steps, 0.8, 1e-5)[0]
+        hi = epsilon_spent(steps, 1.6, 1e-5)[0]
         assert hi < lo
 
 
 def test_epsilon_tie_goes_to_smaller_alpha():
-    cfg = DpConfig(noise_multiplier=0.8)
-    ledger = PrivacyLedger(config=cfg, steps_taken=5, alpha_grid=(2.0, 2.0, 3.0))
-    eps, alpha = epsilon_spent(ledger)
+    delta = 1e-5
+    eps, alpha = epsilon_spent(5, 0.8, delta, alpha_grid=(2.0, 2.0, 3.0))
     assert alpha in (2.0, 3.0)
-    two = rdp_to_dp(5 * rdp_cost_per_step(0.8, 2.0), 2.0, cfg.delta)
-    three = rdp_to_dp(5 * rdp_cost_per_step(0.8, 3.0), 3.0, cfg.delta)
+    two = rdp_to_dp(5 * rdp_cost_per_step(0.8, 2.0), 2.0, delta)
+    three = rdp_to_dp(5 * rdp_cost_per_step(0.8, 3.0), 3.0, delta)
     assert eps == min(two, three)
     if two == three:
         assert alpha == 2.0
 
 
-def test_ledger_record_steps():
-    ledger = PrivacyLedger(config=DpConfig())
-    ledger.record_steps(3)
-    ledger.record_steps(0)
-    assert ledger.steps_taken == 3
-    with pytest.raises(ValueError):
-        ledger.record_steps(-1)
-
-
 def test_steps_for_budget_round_trip():
-    cfg = DpConfig(noise_multiplier=0.8)
     for target in (2.0, 10.0, 57.3):
-        steps = steps_for_budget(cfg, target)
-        at = epsilon_spent(PrivacyLedger(config=cfg, steps_taken=steps))[0]
-        over = epsilon_spent(PrivacyLedger(config=cfg, steps_taken=steps + 1))[0]
+        steps = steps_for_budget(0.8, 1e-5, target)
+        at = epsilon_spent(steps, 0.8, 1e-5)[0]
+        over = epsilon_spent(steps + 1, 0.8, 1e-5)[0]
         assert at <= target < over
 
 
 def test_steps_for_budget_unreachable_target():
-    cfg = DpConfig(noise_multiplier=0.8)
-    floor = epsilon_spent(PrivacyLedger(config=cfg))[0]
+    floor = epsilon_spent(0, 0.8, 1e-5)[0]
     with pytest.raises(ValueError, match="floor"):
-        steps_for_budget(cfg, floor / 2)
+        steps_for_budget(0.8, 1e-5, floor / 2)
 
 
 def test_dp_config_validation_messages():
     with pytest.raises(ValueError, match="clip_threshold must be > 0"):
-        DpConfig(clip_threshold=-1)
+        ExperimentConfig(clip_threshold=-1)
     with pytest.raises(ValueError, match="noise_multiplier must be >= 0"):
-        DpConfig(noise_multiplier=-0.1)
+        ExperimentConfig(sigma=-0.1)
     with pytest.raises(ValueError, match=r"sampling_rate must be in \(0, 1\]"):
-        DpConfig(sampling_rate=1.5)
+        ExperimentConfig(batch_size=0, sampling_rate=1.5)
     with pytest.raises(ValueError, match=r"delta must be in \(0, 1\)"):
-        DpConfig(delta=0)
+        ExperimentConfig(delta=0)
     with pytest.raises(ValueError, match="sampling_mode"):
-        DpConfig(sampling_mode="uniform")
+        ExperimentConfig(sampling_mode="uniform")

@@ -1,21 +1,18 @@
 import copy
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import dpfedsim.federation as federation
-from dpfedsim.correction import (
-    CORRECTION_MODES,
-    CorrectionConfig,
-    plan_round,
-)
+from dpfedsim.config import ExperimentConfig
+from dpfedsim.correction import CORRECTION_MODES, plan_round
 from dpfedsim.data import ClientShard, partition_iid, synthetic_blobs
-from dpfedsim.dp import DpConfig, noisy_batch_gradient, poisson_sample
+from dpfedsim.dp import noisy_batch_gradient, poisson_sample
 from dpfedsim.federation import (
     ALGORITHMS,
     WEIGHTINGS,
-    FederationConfig,
     ScaffoldState,
     client_local_phase,
     derive_rng,
@@ -46,40 +43,36 @@ def make_state(
     test = synthetic_blobs(num_classes=3, per_class=5, dim=6, spread=0.2, seed=seed + 1)
     shards = partition_iid(ds, n_clients, seed=seed + 2)
     spec = MlpSpec((6, 5, 3))
-    dp_cfg = DpConfig(
-        noise_multiplier=sigma,
+    cfg = ExperimentConfig(
+        sigma=sigma,
         sampling_rate=1.0,
         sampling_mode=sampling_mode,
         batch_size=batch_size,
-    )
-    fed_cfg = FederationConfig(
         n_clients=n_clients,
         clients_per_round=clients_per_round,
         rounds=rounds,
         local_steps=local_steps,
-        learning_rate=0.05,
+        eta=0.05,
         algorithm=algorithm,
         weighting=weighting,
         prox_mu=prox_mu,
-        global_seed=seed,
         record_timing=False,
         epsilon_budget=epsilon_budget,
     )
-    return init_state(spec, dp_cfg, fed_cfg, CorrectionConfig(), shards, test)
+    return init_state(spec, cfg, seed, shards, test)
 
 
 def test_local_phase_exact_batch_gradient_when_noise_free():
     state = make_state(sigma=0.0, batch_size=0)  # rate 1.0: full batch
     shard = state.shards[0]
-    dp_cfg = DpConfig(
-        clip_threshold=1e9, noise_multiplier=0.0, sampling_rate=1.0
+    cfg = replace(
+        state.cfg, clip_threshold=1e9, sigma=0.0, sampling_rate=1.0, batch_size=0
     )
     result = client_local_phase(
         shard,
         state.weights,
         state.model_spec,
-        dp_cfg,
-        state.fed,
+        cfg,
         derive_rng(0, 0, 0, 0),
         derive_rng(0, 0, 0, 1),
     )
@@ -101,8 +94,7 @@ def test_local_phase_empty_shard_errors():
             ClientShard(0, state.shards[0].dataset, []),
             state.weights,
             state.model_spec,
-            state.dp,
-            state.fed,
+            state.cfg,
             derive_rng(0),
             derive_rng(1),
         )
@@ -130,22 +122,22 @@ def test_prox_term_changes_trajectory_when_positive():
 
 
 def test_fedexp_identical_gradients_reduce_to_plain_step():
-    fed = FederationConfig(algorithm="dp_fedexp", learning_rate=0.1)
+    cfg = ExperimentConfig(algorithm="dp_fedexp", eta=0.1)
     g = np.array([0.5, -1.0, 2.0])
     grads = {0: g.copy(), 1: g.copy(), 2: g.copy()}
     w = np.zeros(3)
     agg = aggregate(grads, {i: 1 / 3 for i in range(3)})
-    stepped = server_step(w, agg, fed, grads)
-    plain = server_step(w, agg, FederationConfig(algorithm="dp_fedavg", learning_rate=0.1))
+    stepped = server_step(w, agg, cfg, grads)
+    plain = server_step(w, agg, ExperimentConfig(algorithm="dp_fedavg", eta=0.1))
     np.testing.assert_array_equal(stepped, plain)
 
 
 def test_fedexp_boosts_step_on_disagreement():
-    fed = FederationConfig(algorithm="dp_fedexp", learning_rate=0.1)
+    cfg = ExperimentConfig(algorithm="dp_fedexp", eta=0.1)
     grads = {0: np.array([1.0, 0.0]), 1: np.array([-1.0, 0.001])}
     agg = aggregate(grads, {0: 0.5, 1: 0.5})  # near-cancellation
     w = np.zeros(2)
-    stepped = server_step(w, agg, fed, grads)
+    stepped = server_step(w, agg, cfg, grads)
     plain = w - 0.1 * agg
     # eta_g > eta because sum ||g_i||^2 >> 2n||mean||^2
     assert np.linalg.norm(stepped) > np.linalg.norm(plain)
@@ -172,21 +164,18 @@ def test_by_samples_weighting_uses_shard_sizes():
     train = base.shards[0].dataset
     parts = np.split(np.arange(train.size), [30, 48])  # sizes 30, 18, 12
     shards = [ClientShard(i, train, idx) for i, idx in enumerate(parts)]
-    state = init_state(
-        base.model_spec, base.dp, base.fed, base.correction, shards, base.test
-    )
+    state = init_state(base.model_spec, base.cfg, base.seed, shards, base.test)
     w0 = state.weights.copy()
     uploads = [
         client_local_phase(
-            shard, w0, state.model_spec, state.dp, state.fed,
-            derive_rng(0), derive_rng(1),
+            shard, w0, state.model_spec, state.cfg, derive_rng(0), derive_rng(1)
         ).gradient
         for shard in shards
     ]
     run_round(state, 0)
     by_size = sum(p.size / train.size * g for p, g in zip(parts, uploads))
     uniform = sum(uploads) / 3
-    eta = state.fed.learning_rate
+    eta = state.cfg.eta
     np.testing.assert_allclose(state.weights, w0 - eta * by_size, rtol=0, atol=1e-12)
     assert np.abs(state.weights - (w0 - eta * uniform)).max() > 1e-6
 
@@ -213,8 +202,14 @@ def _local_batch_sizes(monkeypatch, shard_size, batch_size, mode, steps):
         shard,
         np.zeros(spec.num_params),
         spec,
-        DpConfig(noise_multiplier=0.5, sampling_mode=mode, batch_size=batch_size),
-        FederationConfig(local_steps=steps, learning_rate=0.05),
+        ExperimentConfig(
+            sigma=0.5,
+            sampling_rate=0.01,
+            sampling_mode=mode,
+            batch_size=batch_size,
+            local_steps=steps,
+            eta=0.05,
+        ),
         derive_rng(3, 0),
         derive_rng(3, 1),
     )
@@ -262,7 +257,7 @@ def test_scaffold_server_variate_is_mean_of_clients():
     state = make_state(algorithm="dp_scaffold", sigma=0.3, rounds=5, local_steps=3)
     result = run_experiment(state)
     assert len(result.rounds) == 5
-    variates = [state.scaffold.client_variates[i] for i in range(state.fed.n_clients)]
+    variates = [state.scaffold.client_variates[i] for i in range(state.cfg.n_clients)]
     mean = sum(variates) / len(variates)
     np.testing.assert_allclose(state.scaffold.server_variate, mean, rtol=0, atol=1e-12)
     assert any(np.linalg.norm(v) > 0 for v in variates)
@@ -287,7 +282,7 @@ def test_run_experiment_deterministic_bitwise():
 def test_ledger_advances_by_local_steps_per_round():
     state = make_state(sigma=0.5, rounds=4, local_steps=3)
     run_experiment(state)
-    assert state.ledger.steps_taken == 4 * 3
+    assert state.steps_taken == 4 * 3
 
 
 def test_epsilon_monotone_and_inf_when_noise_free():
@@ -347,9 +342,8 @@ def test_init_state_validates_shard_count():
     with pytest.raises(ValueError, match="shards"):
         init_state(
             state.model_spec,
-            state.dp,
-            state.fed,
-            state.correction,
+            state.cfg,
+            state.seed,
             state.shards[:1],
             state.test,
         )
@@ -357,15 +351,15 @@ def test_init_state_validates_shard_count():
 
 def test_federation_config_validation():
     with pytest.raises(ValueError, match="algorithm"):
-        FederationConfig(algorithm="fedsgd")
+        ExperimentConfig(algorithm="fedsgd")
     with pytest.raises(ValueError, match="clients_per_round"):
-        FederationConfig(n_clients=2, clients_per_round=3)
+        ExperimentConfig(n_clients=2, clients_per_round=3)
     with pytest.raises(ValueError, match="learning_rate"):
-        FederationConfig(learning_rate=0.0)
+        ExperimentConfig(eta=0.0)
     with pytest.raises(ValueError, match="prox_mu"):
-        FederationConfig(prox_mu=-1.0)
+        ExperimentConfig(prox_mu=-1.0)
     with pytest.raises(ValueError, match="weighting"):
-        FederationConfig(weighting="quadratic")
+        ExperimentConfig(weighting="quadratic")
 
 
 def _capture_round_zero(monkeypatch, state):
@@ -378,9 +372,9 @@ def _capture_round_zero(monkeypatch, state):
         results[shard.client_id] = real_local(shard, *args, **kwargs)
         return results[shard.client_id]
 
-    def plan(gradients, config, rng):
+    def plan(gradients, mode, num_references, rng):
         handed.append(copy.deepcopy(rng))
-        return real_plan(gradients, config, rng)
+        return real_plan(gradients, mode, num_references, rng)
 
     monkeypatch.setattr(federation, "client_local_phase", local)
     monkeypatch.setattr(federation, "plan_round", plan)
@@ -417,15 +411,15 @@ def test_gcfl_round_matches_aggregating_the_corrected_uploads(
     parts = np.split(np.arange(train.size), [5, 15, 22, 30, 45])  # unequal
     shards = [ClientShard(i, train, idx) for i, idx in enumerate(parts)]
     state = init_state(
-        base.model_spec, base.dp, base.fed, CorrectionConfig(mode=mode),
+        base.model_spec, replace(base.cfg, correction_mode=mode), base.seed,
         shards, base.test,
     )
     w0, results, report, rng = _capture_round_zero(monkeypatch, state)
     uploads = {cid: r.gradient for cid, r in results.items()}
     weights = federation._participant_weights(state, sorted(uploads))
-    plan, _ = plan_round(uploads, state.correction, copy.deepcopy(rng))
-    corrected, want_report = correct_round(uploads, state.correction, rng)
-    want = server_step(w0, aggregate(corrected, weights), state.fed)
+    plan, _ = plan_round(uploads, mode, 0, copy.deepcopy(rng))
+    corrected, want_report = correct_round(uploads, mode, 0, rng)
+    want = server_step(w0, aggregate(corrected, weights), state.cfg)
 
     assert report.cosines == want_report.cosines
     assert report.projections_applied == want_report.projections_applied > 0
@@ -433,7 +427,7 @@ def test_gcfl_round_matches_aggregating_the_corrected_uploads(
         weights[i] * (np.abs(g) + sum(abs(c) * np.abs(uploads[j]) for j, c in plan[i]))
         for i, g in uploads.items()
     )
-    eta = state.fed.learning_rate
+    eta = state.cfg.eta
     tol = 4 * _gamma(2 * len(uploads) + 2) * eta * magnitude + 3 * U * np.abs(want)
     assert np.all(np.abs(state.weights - want) <= tol)
 
@@ -445,12 +439,12 @@ def test_gcfl_round_without_projections_is_the_plain_aggregate_bitwise(
     """With no projection, alpha == w and the update is bit-equal to
     aggregating the untouched uploads, as when correct_round ran."""
     state = make_state(n_clients=4, sigma=0.0, batch_size=0)
-    state.correction = CorrectionConfig(mode=mode)
+    state.cfg = replace(state.cfg, correction_mode=mode)
     w0, results, report, _ = _capture_round_zero(monkeypatch, state)
     assert report.cosine_tests > 0 and report.projections_applied == 0
     uploads = {cid: r.gradient for cid, r in results.items()}
     weights = {cid: 1.0 / len(uploads) for cid in uploads}
-    want = server_step(w0, aggregate(uploads, weights), state.fed)
+    want = server_step(w0, aggregate(uploads, weights), state.cfg)
     assert state.weights.tobytes() == want.tobytes()
 
 
@@ -469,7 +463,7 @@ def test_uncorrected_round_aggregates_the_raw_uploads_bitwise(
     assert report is None and rng is None
     uploads = {cid: r.gradient for cid, r in results.items()}
     weights = {cid: 1.0 / len(uploads) for cid in uploads}
-    want = server_step(w0, aggregate(uploads, weights), state.fed, uploads)
+    want = server_step(w0, aggregate(uploads, weights), state.cfg, uploads)
     assert state.weights.tobytes() == want.tobytes()
 
 

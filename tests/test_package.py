@@ -1,11 +1,21 @@
-"""Every public top-level function and class in ``src/dpfedsim`` has a
-caller in ``src/dpfedsim``: code that only tests call lives in
-``tests/oracle.py``, not in the package."""
+"""Tooling guards on the package's own source.
+
+Every public top-level function and class in ``src/dpfedsim`` has a caller
+in ``src/dpfedsim``: code that only tests call lives in ``tests/oracle.py``,
+not in the package.  Every config key is read by the layer it configures,
+and the README's config table names exactly the config keys.
+"""
 
 import ast
+import re
+from dataclasses import fields
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dpfedsim"
+from dpfedsim.config import ExperimentConfig
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "dpfedsim"
+CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
 
 
 def test_every_public_function_and_class_is_used_in_the_package():
@@ -28,3 +38,35 @@ def test_every_public_function_and_class_is_used_in_the_package():
                 used.update(alias.name for alias in node.names)
     unused = sorted(name for name in defined if name.split(":")[1] not in used)
     assert unused == []
+
+
+def _is_config(node: ast.expr) -> bool:
+    """``cfg`` or ``<anything>.cfg``: the names the package gives a config."""
+    return (isinstance(node, ast.Name) and node.id == "cfg") or (
+        isinstance(node, ast.Attribute) and node.attr == "cfg"
+    )
+
+
+def test_every_config_key_is_read_outside_config_py():
+    read = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "config.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)
+                and _is_config(node.value)
+            ):
+                read.add(node.attr)
+    assert sorted(CONFIG_KEYS - read) == []
+
+
+def test_readme_config_table_names_exactly_the_config_keys():
+    readme = (ROOT / "README.md").read_text()
+    table = readme.split("## Config file format", 1)[1].split("\n## ", 1)[0]
+    named = set()
+    for line in table.splitlines():
+        if line.startswith("| `"):
+            named.update(re.findall(r"`(\w+)`", line.split("|")[1]))
+    assert named == CONFIG_KEYS
