@@ -21,7 +21,7 @@ import numpy as np
 
 from . import data as data_mod
 from .config import ExperimentConfig, parse_config, parse_label_split
-from .dp import epsilon_spent, steps_for_budget
+from .dp import epsilon_spent
 from .federation import ExperimentResult, ExperimentState, init_state, run_experiment
 from .model import MlpSpec
 
@@ -277,8 +277,8 @@ def cmd_privacy(args) -> int:
     for t in range(1, cfg.rounds + 1):
         eps, alpha = epsilon_spent(t * cfg.local_steps, cfg.sigma, cfg.delta)
         print(f"{t:>6} {t * cfg.local_steps:>6} {eps:>12.6f} {alpha:>6g}")
-    if cfg.epsilon_budget > 0:
-        steps = steps_for_budget(cfg.sigma, cfg.delta, cfg.epsilon_budget)
+    steps = cfg.budget_steps()
+    if steps is not None:
         print(
             f"budget epsilon={cfg.epsilon_budget}: at most {steps} noisy steps "
             f"({steps // cfg.local_steps} full rounds)"

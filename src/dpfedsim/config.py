@@ -60,7 +60,6 @@ class ExperimentConfig:
     batch_size: int = 32
     sampling_rate: float = 0.0
     sampling_mode: str = "fixed_size"
-    eval_batch_size: int = 1024
     algorithm: str = "gcfl"
     weighting: str = "uniform"
     prox_mu: float = 0.01
@@ -144,8 +143,6 @@ class ExperimentConfig:
                 f"sampling_mode must be one of {SAMPLING_MODES}, "
                 f"got {self.sampling_mode!r}"
             )
-        if self.eval_batch_size < 1:
-            raise ValueError("eval_batch_size must be >= 1")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(
                 f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}"
@@ -193,16 +190,21 @@ class ExperimentConfig:
                     f"label_split defines {len(groups)} groups "
                     f"but n_clients is {self.n_clients}"
                 )
-        if self.epsilon_budget > 0 and self.sigma > 0:
-            try:
-                allowed = steps_for_budget(self.sigma, self.delta, self.epsilon_budget)
-            except ValueError as exc:  # below the conversion floor
-                raise ValueError(f"epsilon_budget: {exc}") from None
-            if allowed < self.local_steps:
-                raise ValueError(
-                    f"epsilon_budget = {self.epsilon_budget} allows {allowed} noisy "
-                    f"steps, fewer than one round's local_steps = {self.local_steps}"
-                )
+        try:
+            allowed = self.budget_steps()
+        except ValueError as exc:  # no noise, below the floor or above the cap
+            raise ValueError(f"epsilon_budget: {exc}") from None
+        if allowed is not None and allowed < self.local_steps:
+            raise ValueError(
+                f"epsilon_budget = {self.epsilon_budget} allows {allowed} noisy "
+                f"steps, fewer than one round's local_steps = {self.local_steps}"
+            )
+
+    def budget_steps(self) -> int | None:
+        """The noisy steps epsilon_budget allows, or None for no budget (0 or inf)."""
+        if not 0 < self.epsilon_budget < math.inf:
+            return None
+        return steps_for_budget(self.sigma, self.delta, self.epsilon_budget)
 
     def resolved(self) -> dict:
         """Plain-serializable view of every key's final value."""

@@ -146,9 +146,13 @@ def epsilon_spent(
 
 
 def steps_for_budget(sigma: float, delta: float, epsilon_target: float) -> int:
-    """Largest noisy-step count whose spent epsilon stays <= epsilon_target."""
-    if not epsilon_target > 0:
-        raise ValueError("epsilon_target must be > 0")
+    """Largest noisy-step count whose spent epsilon stays <= epsilon_target.
+
+    Raises ValueError unless sigma > 0, the target is finite (inf is no
+    budget, which has no step count) and the count is at most 2**40.
+    """
+    if not 0 < epsilon_target < math.inf:
+        raise ValueError(f"epsilon_target must be finite and > 0, got {epsilon_target}")
 
     def eps_at(steps: int) -> float:
         return epsilon_spent(steps, sigma, delta)[0]
@@ -158,11 +162,14 @@ def steps_for_budget(sigma: float, delta: float, epsilon_target: float) -> int:
             f"epsilon_target {epsilon_target} is below the conversion floor "
             f"{eps_at(0):.6f}; no number of steps fits the budget"
         )
+    if eps_at((1 << 40) + 1) <= epsilon_target:
+        raise ValueError(
+            f"epsilon_target {epsilon_target} allows more than 2**40 noisy steps; "
+            "use inf for no budget"
+        )
     hi = 1
     while eps_at(hi) <= epsilon_target:
         hi *= 2
-        if hi > 1 << 40:
-            return hi  # budget effectively unbounded at this sigma/delta
     lo = hi // 2  # eps_at(lo) <= target < eps_at(hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2

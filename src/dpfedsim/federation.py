@@ -5,6 +5,11 @@ takes local_steps noisy clipped-SGD steps on its own shard, and uploads the
 mean of its noisy batch gradients.  The server optionally corrects conflicts
 between uploads (algorithm "gcfl"), aggregates them, and takes a global step.
 
+The upload is the only per-client vector the server reads.  A client's K
+local steps w <- w - eta * noisy_k end at start - K eta * upload, so
+isolated stores that as the client's model, and dp_scaffold's option-II
+update c_i <- c_i - c + (start - w_K) / (K eta) adds the upload itself.
+
 Every aggregate is one weighted sum over the raw uploads in ascending client
 id order (``linalg.weighted_sum``).  For gcfl the correction is folded into
 its weights: ``correction.plan_round`` decides the projections from the
@@ -42,7 +47,7 @@ from . import metrics as metrics_mod
 from . import model as model_mod
 from .correction import CorrectionReport, fold_weights, plan_round
 from .data import ClientShard, Dataset
-from .dp import epsilon_spent, noisy_batch_gradient, poisson_sample, steps_for_budget
+from .dp import epsilon_spent, noisy_batch_gradient, poisson_sample
 from .linalg import ParamVector, scale_add, weighted_sum
 from .model import MlpSpec
 
@@ -62,8 +67,7 @@ WEIGHTINGS = ("uniform", "by_samples")
 
 _FEDEXP_EPS = 1e-3
 
-# the algorithms whose server side reads a client's final local model
-_READS_FINAL_PARAMS = ("isolated", "dp_scaffold")
+_EVAL_ROWS = 1024  # test rows per forward pass: keeps activations in cache
 
 # purpose tags for seed-stream derivation
 _P_BATCH = 0
@@ -100,8 +104,6 @@ class ScaffoldState:
 @dataclass
 class LocalPhaseResult:
     gradient: ParamVector
-    # run_round keeps it only for the algorithms in _READS_FINAL_PARAMS
-    final_params: ParamVector | None
     noisy_steps: int
     mean_batch_loss: float
 
@@ -186,7 +188,7 @@ def client_local_phase(
 
     gradient = grad_sum / steps if steps else grad_sum
     mean_loss = loss_total / steps if steps else math.nan
-    return LocalPhaseResult(gradient, w_local, steps, mean_loss)
+    return LocalPhaseResult(gradient, steps, mean_loss)
 
 
 def _participant_weights(
@@ -227,11 +229,11 @@ def server_step(
 
 
 def _evaluate(
-    model_spec: MlpSpec, w: ParamVector, test: Dataset, eval_batch: int
+    model_spec: MlpSpec, w: ParamVector, test: Dataset
 ) -> tuple[float, float, float]:
     preds = np.empty(test.size, dtype=np.int64)
-    for lo in range(0, test.size, eval_batch):
-        probs = model_mod.forward_batch(model_spec, w, test.X[lo : lo + eval_batch])
+    for lo in range(0, test.size, _EVAL_ROWS):
+        probs = model_mod.forward_batch(model_spec, w, test.X[lo : lo + _EVAL_ROWS])
         preds[lo : lo + probs.shape[0]] = np.argmax(probs, axis=1)
     cm = metrics_mod.accumulate(preds, test.y, model_spec.num_classes)
     return (
@@ -257,7 +259,6 @@ def run_round(
     """Advance the experiment by one round, mutating state in place."""
     t0 = time.perf_counter()
     cfg = state.cfg
-    w_round_start = state.weights
     participants = _select_participants(state, round_index)
 
     results: dict[int, LocalPhaseResult] = {}
@@ -271,7 +272,7 @@ def run_round(
         if cfg.algorithm == "dp_scaffold":
             shift = state.scaffold.server_variate - state.scaffold.client_variates[cid]
         try:
-            result = client_local_phase(
+            results[cid] = client_local_phase(
                 state.shards[cid],
                 start,
                 state.model_spec,
@@ -282,17 +283,16 @@ def run_round(
             )
         except ValueError as exc:
             raise ValueError(f"round {round_index}, {exc}") from exc
-        if cfg.algorithm not in _READS_FINAL_PARAMS:
-            result.final_params = None  # a D-length model per client, unread
-        results[cid] = result
 
     # disjoint shards: the round costs the worst-case client's step count
     state.steps_taken += max(r.noisy_steps for r in results.values())
 
     report: CorrectionReport | None = None
     if cfg.algorithm == "isolated":
-        for cid, res in results.items():
-            state.client_models[cid] = res.final_params
+        for cid, res in results.items():  # 0 steps: a zero upload, no move
+            state.client_models[cid] = scale_add(
+                state.client_models[cid], -cfg.eta * res.noisy_steps, res.gradient
+            )
     else:
         gradients = {cid: res.gradient for cid, res in results.items()}
         plan = {}  # no projections: fold_weights returns the weights as given
@@ -313,12 +313,7 @@ def run_round(
                 if res.noisy_steps == 0:
                     continue
                 old = state.scaffold.client_variates[cid]
-                new = (
-                    old
-                    - state.scaffold.server_variate
-                    + (w_round_start - res.final_params)
-                    / (res.noisy_steps * cfg.eta)
-                )
+                new = old - state.scaffold.server_variate + res.gradient
                 deltas[cid] = new - old
                 state.scaffold.client_variates[cid] = new
             if deltas:  # adds (k / n) * the mean of the k deltas
@@ -331,19 +326,12 @@ def run_round(
     train_loss = float(np.mean(losses)) if losses else math.nan
     if cfg.algorithm == "isolated":
         per_client = [
-            _evaluate(
-                state.model_spec,
-                state.client_models[cid],
-                state.test,
-                cfg.eval_batch_size,
-            )
+            _evaluate(state.model_spec, state.client_models[cid], state.test)
             for cid in sorted(state.client_models)
         ]
         acc, rec, f1 = (float(np.mean([p[k] for p in per_client])) for k in range(3))
     else:
-        acc, rec, f1 = _evaluate(
-            state.model_spec, state.weights, state.test, cfg.eval_batch_size
-        )
+        acc, rec, f1 = _evaluate(state.model_spec, state.weights, state.test)
 
     if cfg.sigma == 0:
         eps = math.inf  # no noise: nothing is private
@@ -405,9 +393,7 @@ def init_state(
 def run_experiment(state: ExperimentState) -> ExperimentResult:
     """Run all configured rounds (stopping early on the epsilon budget)."""
     cfg = state.cfg
-    max_steps = None
-    if cfg.epsilon_budget > 0 and cfg.sigma > 0:
-        max_steps = steps_for_budget(cfg.sigma, cfg.delta, cfg.epsilon_budget)
+    max_steps = cfg.budget_steps()
     rounds: list[RoundMetrics] = []
     summaries: list[dict] = []
     stopped = False

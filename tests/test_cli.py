@@ -9,6 +9,7 @@ import pytest
 
 import dpfedsim.cli
 from dpfedsim.cli import CSV_HEADER, main
+from dpfedsim.dp import steps_for_budget
 
 FAST_CFG = """
 synthetic_classes = 3
@@ -121,6 +122,42 @@ def test_budget_that_fits_no_round_is_one_error_line(tmp_path, capsys):
     cfg = write_cfg(tmp_path, FAST_CFG + "epsilon_budget = 0.01\n")
     assert main(["privacy", "--config", cfg]) == 1
     assert capsys.readouterr().err.startswith("error: epsilon_budget: ")
+
+
+def test_budget_without_noise_is_one_error_line(tmp_path, capsys):
+    # sigma = 0 spends epsilon = inf on the first step, so no budget fits
+    cfg = write_cfg(tmp_path, FAST_CFG + "sigma = 0\nepsilon_budget = 5\n")
+    for command in (["run"], ["compare", "--algos", "gcfl,dp_fedavg"], ["privacy"]):
+        out = tmp_path / command[0]
+        args = [*command, "--config", cfg]
+        if command[0] != "privacy":
+            args += ["--out", str(out)]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: epsilon_budget: ")
+        assert captured.out == ""
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("budget", ["0", "inf"])
+def test_privacy_prints_no_step_count_without_a_budget(tmp_path, capsys, budget):
+    cfg = write_cfg(tmp_path)
+    override = f"epsilon_budget={budget}"
+    assert main(["privacy", "--config", cfg, "--override", override]) == 0
+    out = capsys.readouterr().out
+    assert "budget" not in out and "noisy steps" not in out
+    assert len(out.splitlines()) == 2 + 3  # two header lines, 3 rounds
+
+
+def test_privacy_prints_the_step_count_of_a_finite_budget(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, FAST_CFG + "epsilon_budget = 20\n")
+    assert main(["privacy", "--config", cfg]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    steps = steps_for_budget(0.8, 1e-5, 20.0)
+    assert last == (
+        f"budget epsilon=20.0: at most {steps} noisy steps ({steps} full rounds)"
+    )
 
 
 def test_compare_runs_algorithms_on_identical_shards(tmp_path):

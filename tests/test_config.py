@@ -58,11 +58,12 @@ def test_unknown_key_lists_valid_ones(tmp_path):
 
 
 def test_removed_parallel_clients_key_is_unknown_with_its_line(tmp_path):
-    with pytest.raises(ValueError) as exc:
-        parse_config(write(tmp_path, "rounds = 5\nparallel_clients = true\n"))
-    msg = str(exc.value)
-    assert "unknown config key 'parallel_clients'" in msg
-    assert "exp.cfg:2" in msg
+    for key, raw in (("parallel_clients", "true"), ("eval_batch_size", "1024")):
+        with pytest.raises(ValueError) as exc:
+            parse_config(write(tmp_path, f"rounds = 5\n{key} = {raw}\n"))
+        msg = str(exc.value)
+        assert f"unknown config key '{key}'" in msg
+        assert "exp.cfg:2" in msg
 
 
 def test_parse_error_reports_line_number(tmp_path):
@@ -121,6 +122,15 @@ def test_num_references_is_checked_against_the_clients_in_a_round(tmp_path):
     assert parse_config(path, ["num_references=2"]).num_references == 2
     cfg = parse_config(write(tmp_path, "n_clients = 6\nnum_references = 5\n"))
     assert cfg.num_references == 5
+
+
+def test_budget_is_set_only_between_zero_and_inf():
+    for budget in (0.0, math.inf):  # no budget: no noise is needed
+        assert ExperimentConfig(sigma=0, epsilon_budget=budget).sigma == 0
+    with pytest.raises(ValueError, match=r"^epsilon_budget: .*sigma == 0 has infinite"):
+        ExperimentConfig(sigma=0, epsilon_budget=5.0)
+    with pytest.raises(ValueError, match=r"^epsilon_budget: .* more than 2\*\*40"):
+        ExperimentConfig(epsilon_budget=1.76e12)
 
 
 def test_parse_label_split():
@@ -198,7 +208,6 @@ BAD_VALUES = {
     "batch_size": {"batch_size": "-1"},
     "sampling_rate": {"batch_size": "0", "sampling_rate": "1.5"},
     "sampling_mode": {"sampling_mode": "uniform"},
-    "eval_batch_size": {"eval_batch_size": "0"},
     "algorithm": {"algorithm": "fedsgd"},
     "weighting": {"weighting": "quadratic"},
     "prox_mu": {"prox_mu": "-1"},

@@ -187,6 +187,26 @@ def test_steps_for_budget_unreachable_target():
         steps_for_budget(0.8, 1e-5, floor / 2)
 
 
+def test_steps_for_budget_is_exact_up_to_2_pow_40_and_raises_past_it():
+    # at sigma = 0.8 epsilon grows by about 1.17 a step, so 1e12 fits about
+    # 8.5e11 steps, below the cap, and 1.76e12 about 1.5e12, above it
+    steps = steps_for_budget(0.8, 1e-5, 1e12)
+    assert steps < 2**40
+    at, over = (epsilon_spent(n, 0.8, 1e-5)[0] for n in (steps, steps + 1))
+    assert at <= 1e12 < over
+    at_cap = epsilon_spent(2**40, 0.8, 1e-5)[0]
+    assert steps_for_budget(0.8, 1e-5, at_cap) == 2**40
+    for target in (1.76e12, 1e13):
+        with pytest.raises(ValueError, match=r"more than 2\*\*40 noisy steps; use inf"):
+            steps_for_budget(0.8, 1e-5, target)
+
+
+@pytest.mark.parametrize("target", [math.inf, math.nan, 0.0])
+def test_steps_for_budget_rejects_a_target_that_is_no_budget(target):
+    with pytest.raises(ValueError, match="epsilon_target must be finite and > 0"):
+        steps_for_budget(0.8, 1e-5, target)
+
+
 def test_dp_config_validation_messages():
     with pytest.raises(ValueError, match="clip_threshold must be > 0"):
         ExperimentConfig(clip_threshold=-1)

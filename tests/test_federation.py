@@ -21,6 +21,7 @@ from dpfedsim.federation import (
     run_round,
     server_step,
 )
+from dpfedsim.linalg import scale_add
 from dpfedsim.model import MlpSpec
 from oracle import aggregate, correct_round, per_sample_gradient
 
@@ -467,14 +468,147 @@ def test_uncorrected_round_aggregates_the_raw_uploads_bitwise(
     assert state.weights.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_run_round_keeps_final_params_only_where_the_server_reads_them(
+def _record_round(monkeypatch, state, round_index):
+    """Run one round; return each client's start vector and the step vectors
+    its local steps took (noisy batch gradient plus any scaffold shift, the
+    exact bytes client_local_phase stepped by), in step order."""
+    starts, steps, current = {}, {}, []
+    real_local = federation.client_local_phase
+    real_noisy = federation.noisy_batch_gradient
+
+    def local(shard, start_params, *args, **kwargs):
+        current[:] = [shard.client_id, kwargs.get("scaffold_shift")]
+        starts[shard.client_id], steps[shard.client_id] = start_params, []
+        return real_local(shard, start_params, *args, **kwargs)
+
+    def noisy(*args):
+        out = real_noisy(*args)
+        cid, shift = current
+        steps[cid].append(out if shift is None else out + shift)
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(federation, "client_local_phase", local)
+        patch.setattr(federation, "noisy_batch_gradient", noisy)
+        run_round(state, round_index)
+    return starts, steps
+
+
+def _sequential_model(start, steps, eta):
+    """w_K = start - eta n_1 - ... - eta n_K, one step at a time."""
+    w = start
+    for n in steps:
+        w = scale_add(w, -eta, n)
+    return w
+
+
+# (local_steps, sampling_mode, batch_size); poisson at 2 of 15 examples per
+# shard leaves some client with an empty draw in round 1 (asserted below)
+LOCAL_PHASES = [(1, "fixed_size", 8), (3, "fixed_size", 8), (3, "poisson", 2)]
+
+
+def _state_after_round_zero(algorithm, local_steps, sampling_mode, batch_size):
+    state = make_state(
+        algorithm=algorithm, n_clients=4, sigma=0.5, seed=7,
+        local_steps=local_steps, sampling_mode=sampling_mode,
+        batch_size=batch_size,
+    )
+    run_round(state, 0)  # round 1 starts from diverged models and variates
+    return state
+
+
+def _assert_some_client_skipped_one_step(steps, local_steps, sampling_mode):
+    if sampling_mode == "poisson":
+        assert local_steps - 1 in {len(n) for n in steps.values()}
+
+
+@pytest.mark.parametrize("local_steps, sampling_mode, batch_size", LOCAL_PHASES)
+def test_isolated_model_is_the_sequential_local_model(
+    monkeypatch, local_steps, sampling_mode, batch_size
+):
+    """isolated stores start - (K eta) * upload, where the upload is the
+    mean of the K step vectors; the client's own steps reach w_K.
+
+    With K <= 1 both sides compute start + (-eta) * n_1 (or start + -0.0),
+    so they are bitwise equal.  Otherwise, per coordinate with
+    S = |start| + eta sum_k |n_k| and u = 2^-53: the sequential w_K is
+    K + 1 roundings of a sum of K + 1 terms, within gamma_{K+1} S of the
+    exact start - eta sum_k n_k.  The stored model is K - 1 additions and a
+    division for the upload, the product -eta * K, its product with the
+    upload and one addition: gamma_{K+3} S.  tol = 2 gamma_{K+3} S.
+    """
+    state = _state_after_round_zero("isolated", local_steps, sampling_mode, batch_size)
+    before = dict(state.client_models)
+    starts, steps = _record_round(monkeypatch, state, 1)
+    eta = state.cfg.eta
+    for cid, start in starts.items():
+        assert start is before[cid]
+        got = state.client_models[cid]
+        want = _sequential_model(start, steps[cid], eta)
+        k = len(steps[cid])
+        if k <= 1:
+            assert got.tobytes() == want.tobytes()
+            continue
+        size = np.abs(start) + eta * sum(np.abs(n) for n in steps[cid])
+        assert np.all(np.abs(got - want) <= 2 * _gamma(k + 3) * size)
+    _assert_some_client_skipped_one_step(steps, local_steps, sampling_mode)
+
+
+@pytest.mark.parametrize("local_steps, sampling_mode, batch_size", LOCAL_PHASES)
+def test_scaffold_variate_is_option_two_of_the_local_model(
+    monkeypatch, local_steps, sampling_mode, batch_size
+):
+    """dp_scaffold's new variate old - c + upload is SCAFFOLD's option II,
+    old - c + (start - w_K) / (K eta), with w_K the sequential local model.
+
+    Per coordinate, with A = sum_k |n_k|, u = 2^-53 and g = sum_k n_k / K:
+    the upload is K - 1 additions and a division, within gamma_K A / K of
+    g.  w_K is within E_w = gamma_{K+1} (|start| + eta A) of start - eta K g
+    (see the isolated test), and the subtraction, the product K * eta and
+    the division add gamma_3, so the model difference over K eta is within
+    ((1 + gamma_3) E_w + gamma_3 eta A) / (K eta) of g.  Both sides then
+    add their value to the same rounded old - c, one rounding each:
+    tol = gamma_K A / K + ((1 + gamma_3) E_w + gamma_3 eta A) / (K eta)
+    + u / (1 - u) (|new| + |want|).
+    """
+    state = _state_after_round_zero("dp_scaffold", local_steps, sampling_mode, batch_size)
+    c = state.scaffold.server_variate
+    assert np.all(c != 0)  # round 0 moved it, so a sign slip in c shows
+    old = dict(state.scaffold.client_variates)
+    starts, steps = _record_round(monkeypatch, state, 1)
+    eta = state.cfg.eta
+    for cid, start in starts.items():
+        new = state.scaffold.client_variates[cid]
+        k = len(steps[cid])
+        if k == 0:
+            assert new is old[cid]
+            continue
+        w_k = _sequential_model(start, steps[cid], eta)
+        want = old[cid] - c + (start - w_k) / (k * eta)
+        a = sum(np.abs(n) for n in steps[cid])
+        e_w = _gamma(k + 1) * (np.abs(start) + eta * a)
+        tol = (
+            _gamma(k) * a / k
+            + ((1 + _gamma(3)) * e_w + _gamma(3) * eta * a) / (k * eta)
+            + U / (1 - U) * (np.abs(new) + np.abs(want))
+        )
+        assert np.all(np.abs(new - want) <= tol)
+    _assert_some_client_skipped_one_step(steps, local_steps, sampling_mode)
+
+
+@pytest.mark.parametrize("algorithm", ["isolated", "dp_scaffold"])
+def test_client_without_a_noisy_step_keeps_its_model_and_variate(
     monkeypatch, algorithm
 ):
-    state = make_state(algorithm=algorithm, n_clients=3)
-    _, results, _, _ = _capture_round_zero(monkeypatch, state)
-    kept = [r.final_params is not None for r in results.values()]
-    assert kept == [algorithm in ("isolated", "dp_scaffold")] * 3
-    if algorithm == "isolated":
-        for cid, r in results.items():
-            assert state.client_models[cid] is r.final_params
+    state = _state_after_round_zero(algorithm, 3, "poisson", 2)
+    models = {cid: m.tobytes() for cid, m in state.client_models.items()}
+    variates = dict(state.scaffold.client_variates) if state.scaffold else {}
+    server = state.scaffold.server_variate if state.scaffold else None
+    monkeypatch.setattr(
+        federation, "poisson_sample", lambda *args: np.array([], dtype=np.int64)
+    )
+    run_round(state, 1)
+    assert {cid: m.tobytes() for cid, m in state.client_models.items()} == models
+    if state.scaffold:
+        assert all(state.scaffold.client_variates[c] is v for c, v in variates.items())
+        assert state.scaffold.server_variate is server

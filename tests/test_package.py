@@ -2,8 +2,9 @@
 
 Every public top-level function and class in ``src/dpfedsim`` has a caller
 in ``src/dpfedsim``: code that only tests call lives in ``tests/oracle.py``,
-not in the package.  Every config key is read by the layer it configures,
-and the README's config table names exactly the config keys.
+not in the package.  Every dataclass field is read somewhere in the
+package.  Every config key is read by the layer it configures, and the
+README's config table names exactly the config keys.
 """
 
 import ast
@@ -38,6 +39,38 @@ def test_every_public_function_and_class_is_used_in_the_package():
                 used.update(alias.name for alias in node.names)
     unused = sorted(name for name in defined if name.split(":")[1] not in used)
     assert unused == []
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        (isinstance(d, ast.Name) and d.id == "dataclass")
+        or (isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass")
+        for d in node.decorator_list
+    )
+
+
+def test_every_dataclass_field_is_read_in_the_package():
+    """A field nothing reads is state carried for no one.  ExperimentConfig
+    is left out: its keys are checked against their readers below."""
+    trees = [ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")]
+    declared = {
+        f"{cls.name}.{item.target.id}"
+        for tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        and _is_dataclass(cls)
+        and cls.name != "ExperimentConfig"
+        for item in cls.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    }
+    read = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    assert len(declared) > 30  # the walk found the dataclasses
+    assert sorted(f for f in declared if f.split(".")[1] not in read) == []
 
 
 def _is_config(node: ast.expr) -> bool:
