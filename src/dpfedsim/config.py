@@ -58,7 +58,6 @@ class ExperimentConfig:
     local_steps: int = 1
     eta: float = 0.002
     batch_size: int = 32
-    sampling_rate: float = 0.0
     sampling_mode: str = "fixed_size"
     algorithm: str = "gcfl"
     weighting: str = "uniform"
@@ -134,10 +133,8 @@ class ExperimentConfig:
             raise ValueError("local_steps must be >= 1")
         if self.eta <= 0:
             raise ValueError("eta: learning_rate must be > 0")
-        if self.batch_size < 0:
-            raise ValueError("batch_size must be >= 0 (0 uses sampling_rate)")
-        if self.batch_size == 0 and not 0 < self.sampling_rate <= 1:
-            raise ValueError("sampling_rate must be in (0, 1] when batch_size is 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if self.sampling_mode not in SAMPLING_MODES:
             raise ValueError(
                 f"sampling_mode must be one of {SAMPLING_MODES}, "

@@ -53,7 +53,7 @@ CORRECTION_MODES = ("reference", "pairwise")
 # np.einsum("d,bd->b") splits its sums in another order than "d,d->".
 GRAM_BLOCK = 4096
 # From this many uploads on the Gram is blocked.  With fewer, a block's rows
-# are reused too little to pay for its copies and einsum calls: at
+# are reused too little to pay for the extra einsum calls: at
 # D = 101,770 on a 2-core Xeon with a 2 MiB L2, whole-vector dots take
 # 0.19 ms at N = 2 against 0.76 ms blocked, and the two meet between N = 12
 # and N = 14.
@@ -106,35 +106,31 @@ def cosine_from_products(sq_a: float, sq_b: float, ab: float) -> float:
     return min(1.0, max(-1.0, float(ab) / denom))
 
 
-def gram(vectors: list[ParamVector]) -> np.ndarray:
-    """G[a, b] = <v_a, v_b>, in a reduction order that fixes the output bytes.
+def gram(uploads: np.ndarray) -> np.ndarray:
+    """G[a, b] = <u_a, u_b> over the rows of ``uploads``, an (N, D) array,
+    in a reduction order that fixes the output bytes.
 
-    Below GRAM_BLOCKED_MIN_N vectors each entry is one np.einsum("d,d->",
-    v_a, v_b) over the whole vectors.  From GRAM_BLOCKED_MIN_N on, the D
-    columns are cut into blocks of GRAM_BLOCK, taken in ascending order: a
-    block's N slices are copied into one (N, w) buffer, row a's dots with
-    rows a..N-1 of it come from one np.einsum("d,bd->b"), each pair's block
+    Below GRAM_BLOCKED_MIN_N rows each entry is one np.einsum("d,d->", u_a,
+    u_b) over the whole rows.  From GRAM_BLOCKED_MIN_N on, the D columns are
+    cut into blocks of GRAM_BLOCK, taken in ascending order: a block is the
+    column view uploads[:, lo:lo + GRAM_BLOCK], row a's dots with rows
+    a..N-1 of it come from one np.einsum("d,bd->b"), each pair's block
     partials are added to 0.0 in ascending block order, and the lower
     triangle is copied from the upper.  With D <= GRAM_BLOCK both orders give
     the same bytes.  Either way G is exactly symmetric, einsum runs numpy's
     own loop rather than BLAS, so the bytes do not depend on the BLAS thread
-    count, and no (N, D) stack of the vectors is built.
+    count, and no upload data is copied.
     """
-    n = len(vectors)
+    n, dim = uploads.shape
     if n < GRAM_BLOCKED_MIN_N:
         g = np.empty((n, n))
         for a in range(n):
             for b in range(a, n):
-                g[a, b] = g[b, a] = np.einsum("d,d->", vectors[a], vectors[b])
+                g[a, b] = g[b, a] = np.einsum("d,d->", uploads[a], uploads[b])
         return g
-    dim = vectors[0].shape[0]
     g = np.zeros((n, n))
-    buffer = np.empty((n, min(GRAM_BLOCK, dim)))
     for lo in range(0, dim, GRAM_BLOCK):
-        hi = min(lo + GRAM_BLOCK, dim)
-        rows = buffer[:, : hi - lo]
-        for row, v in zip(rows, vectors):
-            row[:] = v[lo:hi]
+        rows = uploads[:, lo : lo + GRAM_BLOCK]
         for a in range(n):
             g[a, a:] += np.einsum("d,bd->b", rows[a], rows[a:])
     for a in range(n):
@@ -161,26 +157,24 @@ def resolve_num_references(num_references: int, n_clients: int) -> int:
 
 
 def plan_round(
-    gradients: dict[int, ParamVector],
+    uploads: np.ndarray,
+    ids: list[int],
     mode: str,
     num_references: int,
     rng: np.random.Generator,
 ) -> tuple[CorrectionPlan, CorrectionReport]:
     """Decide one round of conflict correction from the Gram matrix alone.
 
-    mode is one of CORRECTION_MODES; num_references (0 = auto) is read only
-    in reference mode.  Returns every client's ordered projections and the
-    report; the uploads are read only to build the Gram matrix.
+    Row p of the (N, D) array uploads is the upload of client ids[p], ids
+    ascending.  mode is one of CORRECTION_MODES; num_references (0 = auto)
+    is read only in reference mode.  Returns every client's ordered
+    projections and the report; the uploads are read only to build the Gram
+    matrix.
     """
-    ids = sorted(gradients)
     if len(ids) < 2:
         raise ValueError("correction needs at least 2 client gradients")
-    dim = gradients[ids[0]].shape[0]
-    for i in ids:
-        if gradients[i].shape != (dim,):
-            raise ValueError("client gradients must all share one dimension")
 
-    g = gram([gradients[i] for i in ids])
+    g = gram(uploads)
     position = {cid: p for p, cid in enumerate(ids)}
     report = CorrectionReport()
     plan: CorrectionPlan = {i: [] for i in ids}

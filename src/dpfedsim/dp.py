@@ -34,37 +34,24 @@ SAMPLING_MODES = ("fixed_size", "poisson")
 
 
 def poisson_sample(
-    shard_size: int,
-    rate: float,
-    mode: str,
-    rng: np.random.Generator,
-    batch_size: int = 0,
+    shard_size: int, batch_size: int, mode: str, rng: np.random.Generator
 ) -> np.ndarray:
     """Indices of one minibatch draw, ascending.
 
-    batch_size > 0 sets the batch and rate is unused: fixed_size draws
-    exactly min(batch_size, shard_size) distinct indices; poisson keeps each
-    index with probability min(1, batch_size / shard_size), so batch_size is
-    the expected size.  batch_size == 0 draws at rate: poisson keeps each
-    index with probability rate (may be empty); fixed_size draws
-    max(1, floor(rate * shard_size)) distinct indices.
+    fixed_size draws exactly min(batch_size, shard_size) distinct indices;
+    poisson keeps each index with probability min(1, batch_size /
+    shard_size), so batch_size is the expected size (the draw may be empty).
     """
     if shard_size < 1:
         raise ValueError("shard_size must be >= 1")
-    if batch_size == 0 and not 0 < rate <= 1:
-        raise ValueError("sampling_rate must be in (0, 1]")
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
     if mode == "poisson":
-        if batch_size:
-            rate = min(1.0, batch_size / shard_size)
-        mask = rng.random(shard_size) < rate
+        mask = rng.random(shard_size) < min(1.0, batch_size / shard_size)
         return np.flatnonzero(mask)
     if mode == "fixed_size":
-        if batch_size:
-            size = min(batch_size, shard_size)
-        else:
-            size = max(1, int(math.floor(rate * shard_size)))
-        picked = rng.choice(shard_size, size=size, replace=False)
-        return np.sort(picked)
+        size = min(batch_size, shard_size)
+        return np.sort(rng.choice(shard_size, size=size, replace=False))
     raise ValueError(f"sampling_mode must be one of {SAMPLING_MODES}, got {mode!r}")
 
 

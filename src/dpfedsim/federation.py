@@ -5,15 +5,18 @@ takes local_steps noisy clipped-SGD steps on its own shard, and uploads the
 mean of its noisy batch gradients.  The server optionally corrects conflicts
 between uploads (algorithm "gcfl"), aggregates them, and takes a global step.
 
-The upload is the only per-client vector the server reads.  A client's K
-local steps w <- w - eta * noisy_k end at start - K eta * upload, so
-isolated stores that as the client's model, and dp_scaffold's option-II
-update c_i <- c_i - c + (start - w_K) / (K eta) adds the upload itself.
+The round's uploads are the rows of one (P, D) array U, one row per
+participant in ascending client id; each client writes its upload into its
+row, and U is dropped before evaluation.  The upload is the only per-client
+vector the server reads.  A client's K local steps w <- w - eta * noisy_k
+end at start - K eta * upload, so isolated stores that as the client's
+model, and dp_scaffold's option-II update c_i <- c_i - c + (start - w_K) /
+(K eta) adds the upload itself.
 
-Every aggregate is one weighted sum over the raw uploads in ascending client
-id order (``linalg.weighted_sum``).  For gcfl the correction is folded into
-its weights: ``correction.plan_round`` decides the projections from the
-uploads' Gram matrix, ``correction.fold_weights`` turns the participant
+Every aggregate is one weighted sum over the rows of U in order
+(``linalg.weighted_sum``).  For gcfl the correction is folded into its
+weights: ``correction.plan_round`` decides the projections from the Gram
+matrix of U, ``correction.fold_weights`` turns the participant
 weights w into alpha = w^T M, and the update is sum_j alpha_j g_j, so no
 corrected vector is built.  That is the weighted sum of the corrected
 uploads up to rounding.  Every other round folds the empty plan, and
@@ -28,10 +31,12 @@ Every function here reads its settings from the run's ``ExperimentConfig``
 by key name (``cfg.sigma``, ``cfg.eta``, ``cfg.correction_mode``); the
 config validated them when it was built.  The run seed is not a config key
 (a config lists several) and travels as ``ExperimentState.seed``.  All
-randomness is drawn from named streams derived via SeedSequence from
-(seed, round, client_id, purpose), so a client's draws do not depend on
-which other clients take part, and reruns are bit-identical.  Clients run
-one after another in ascending id order.
+randomness is drawn from named streams derived via SeedSequence from four
+ints with a purpose tag last: (seed, round, client_id, _P_BATCH or
+_P_NOISE), (seed, order_seed, round, _P_CORRECTION) and (seed, round, 0,
+_P_SELECT).  So a client's draws do not depend on which other clients take
+part, and reruns are bit-identical.  Clients run one after another in
+ascending id order.
 """
 
 from __future__ import annotations
@@ -102,13 +107,6 @@ class ScaffoldState:
 
 
 @dataclass
-class LocalPhaseResult:
-    gradient: ParamVector
-    noisy_steps: int
-    mean_batch_loss: float
-
-
-@dataclass
 class ExperimentState:
     model_spec: MlpSpec
     cfg: ExperimentConfig
@@ -121,9 +119,14 @@ class ExperimentState:
     scaffold: ScaffoldState | None = None
 
 
-def derive_rng(*entropy: int) -> np.random.Generator:
-    """Independent PCG64 stream named by a tuple of nonnegative ints."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+def derive_rng(*name: int) -> np.random.Generator:
+    """Independent PCG64 stream named by four nonnegative ints, a purpose tag last.
+
+    SeedSequence pads a short name with zeros, so (seed, round, 3) would be
+    the stream (seed, round, 3, 0).  Every name therefore has exactly four
+    ints, and each kind of stream has its own tag.
+    """
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(name)))
 
 
 def client_local_phase(
@@ -133,9 +136,11 @@ def client_local_phase(
     cfg: ExperimentConfig,
     batch_rng: np.random.Generator,
     noise_rng: np.random.Generator,
+    upload: ParamVector,
     scaffold_shift: ParamVector | None = None,
-) -> LocalPhaseResult:
-    """Run one client's local steps and return its upload.
+) -> tuple[int, float]:
+    """Run one client's local steps, write its upload into the zeroed
+    ``upload`` row, and return (noisy steps, mean batch loss).
 
     Per step: draw a minibatch, clip each per-sample gradient to C and sum in
     one batched pass, add one Gaussian draw, divide by the realized batch
@@ -143,22 +148,20 @@ def client_local_phase(
     w_start) to each per-sample gradient before clipping; dp_scaffold adds
     the control-variate shift (server - client) after noising.  The upload
     is the mean of the noisy batch gradients over the steps that actually
-    ran.  A non-finite per-sample gradient norm or step gradient raises
-    ValueError naming the client.
+    ran: each is added into the row, and the row is divided once when more
+    than one step ran.  No local model is built after the last step.  A
+    non-finite per-sample gradient norm or step gradient raises ValueError
+    naming the client.
     """
     if shard.size == 0:
         raise ValueError(f"client {shard.client_id} holds an empty shard")
-    eta = cfg.eta
     w_local = start_params  # never written in place: each step builds a new vector
-    grad_sum = np.zeros(start_params.shape[0])
     steps = 0
     loss_total = 0.0
     is_prox = cfg.algorithm == "dp_fedprox" and cfg.prox_mu != 0
 
-    for _ in range(cfg.local_steps):
-        idx = poisson_sample(
-            shard.size, cfg.sampling_rate, cfg.sampling_mode, batch_rng, cfg.batch_size
-        )
+    for k in range(cfg.local_steps):
+        idx = poisson_sample(shard.size, cfg.batch_size, cfg.sampling_mode, batch_rng)
         if idx.size == 0:
             continue  # empty poisson draw: no step, no privacy cost
         rows = shard.indices[idx]
@@ -181,14 +184,16 @@ def client_local_phase(
                 f"client {shard.client_id}: non-finite per-sample gradient "
                 f"norm or upload at local step {steps + 1}"
             )
-        w_local = scale_add(w_local, -eta, noisy)
-        grad_sum = grad_sum + noisy
+        if k + 1 < cfg.local_steps:
+            w_local = scale_add(w_local, -cfg.eta, noisy)
+        upload += noisy
         steps += 1
         loss_total += float(np.sum(losses)) / idx.size
 
-    gradient = grad_sum / steps if steps else grad_sum
+    if steps > 1:
+        upload /= steps
     mean_loss = loss_total / steps if steps else math.nan
-    return LocalPhaseResult(gradient, steps, mean_loss)
+    return steps, mean_loss
 
 
 def _participant_weights(
@@ -205,25 +210,23 @@ def server_step(
     w: ParamVector,
     aggregated: ParamVector,
     cfg: ExperimentConfig,
-    client_gradients: dict[int, ParamVector] | None = None,
+    uploads: np.ndarray | None = None,
 ) -> ParamVector:
     """Global update w - eta_g * aggregate.
 
     dp_fedexp scales the step: eta_g = eta * max(1, sum_i ||g_i||^2 /
-    (2 n ||g_bar||^2 + 1e-3)) with g_bar the aggregate; every other
-    algorithm uses eta_g = eta.
+    (2 n ||g_bar||^2 + 1e-3)) with g_i the rows of uploads and g_bar the
+    aggregate; every other algorithm uses eta_g = eta.
     """
     eta_g = cfg.eta
     if cfg.algorithm == "dp_fedexp":
-        if not client_gradients:
-            raise ValueError("dp_fedexp needs the per-client gradients")
+        if uploads is None:
+            raise ValueError("dp_fedexp needs the per-client uploads")
         # N + 1 einsum dots, each one Gram entry's (correction.gram), not
         # the whole Gram's N(N+1)/2; fsum is exact, so order is immaterial
-        sum_sq = math.fsum(
-            float(np.einsum("d,d->", g, g)) for g in client_gradients.values()
-        )
+        sum_sq = math.fsum(float(np.einsum("d,d->", g, g)) for g in uploads)
         sq_mean = float(np.einsum("d,d->", aggregated, aggregated))
-        denom = 2.0 * len(client_gradients) * sq_mean + _FEDEXP_EPS
+        denom = 2.0 * len(uploads) * sq_mean + _FEDEXP_EPS
         eta_g = cfg.eta * max(1.0, sum_sq / denom)
     return scale_add(w, -eta_g, aggregated)
 
@@ -248,7 +251,7 @@ def _select_participants(state: ExperimentState, round_index: int) -> list[int]:
     k = state.cfg.clients_per_round
     if k == 0 or k >= len(all_ids):
         return all_ids
-    rng = derive_rng(state.seed, round_index, _P_SELECT)
+    rng = derive_rng(state.seed, round_index, 0, _P_SELECT)
     picked = rng.choice(np.asarray(all_ids), size=k, replace=False)
     return sorted(int(i) for i in picked)
 
@@ -261,8 +264,11 @@ def run_round(
     cfg = state.cfg
     participants = _select_participants(state, round_index)
 
-    results: dict[int, LocalPhaseResult] = {}
-    for cid in participants:
+    # row p is the upload of participants[p], ascending client id
+    uploads = np.zeros((len(participants), state.weights.shape[0]))
+    steps = np.empty(len(participants), dtype=np.int64)
+    losses = np.empty(len(participants))
+    for p, cid in enumerate(participants):
         start = (
             state.client_models[cid]
             if cfg.algorithm == "isolated"
@@ -272,58 +278,60 @@ def run_round(
         if cfg.algorithm == "dp_scaffold":
             shift = state.scaffold.server_variate - state.scaffold.client_variates[cid]
         try:
-            results[cid] = client_local_phase(
+            steps[p], losses[p] = client_local_phase(
                 state.shards[cid],
                 start,
                 state.model_spec,
                 cfg,
                 derive_rng(state.seed, round_index, cid, _P_BATCH),
                 derive_rng(state.seed, round_index, cid, _P_NOISE),
+                uploads[p],
                 scaffold_shift=shift,
             )
         except ValueError as exc:
             raise ValueError(f"round {round_index}, {exc}") from exc
 
     # disjoint shards: the round costs the worst-case client's step count
-    state.steps_taken += max(r.noisy_steps for r in results.values())
+    state.steps_taken += int(steps.max())
 
     report: CorrectionReport | None = None
     if cfg.algorithm == "isolated":
-        for cid, res in results.items():  # 0 steps: a zero upload, no move
+        for p, cid in enumerate(participants):  # 0 steps: a zero upload, no move
             state.client_models[cid] = scale_add(
-                state.client_models[cid], -cfg.eta * res.noisy_steps, res.gradient
+                state.client_models[cid], -cfg.eta * int(steps[p]), uploads[p]
             )
     else:
-        gradients = {cid: res.gradient for cid, res in results.items()}
         plan = {}  # no projections: fold_weights returns the weights as given
         if cfg.algorithm == "gcfl" and len(participants) > 1:
             corr_rng = derive_rng(
                 state.seed, cfg.order_seed, round_index, _P_CORRECTION
             )
             plan, report = plan_round(
-                gradients, cfg.correction_mode, cfg.num_references, corr_rng
+                uploads, participants, cfg.correction_mode, cfg.num_references,
+                corr_rng,
             )
-        weights = fold_weights(plan, _participant_weights(state, participants))
-        aggregated = weighted_sum(gradients, weights)
-        state.weights = server_step(state.weights, aggregated, cfg, gradients)
+        alpha = fold_weights(plan, _participant_weights(state, participants))
+        aggregated = weighted_sum(uploads, [alpha[cid] for cid in participants])
+        state.weights = server_step(state.weights, aggregated, cfg, uploads)
 
         if cfg.algorithm == "dp_scaffold":
-            deltas = {}
-            for cid, res in results.items():
-                if res.noisy_steps == 0:
+            deltas = []
+            for p, cid in enumerate(participants):
+                if steps[p] == 0:
                     continue
                 old = state.scaffold.client_variates[cid]
-                new = old - state.scaffold.server_variate + res.gradient
-                deltas[cid] = new - old
+                new = old - state.scaffold.server_variate + uploads[p]
+                deltas.append(new - old)
                 state.scaffold.client_variates[cid] = new
             if deltas:  # adds (k / n) * the mean of the k deltas
-                share = dict.fromkeys(deltas, 1.0 / cfg.n_clients)
+                share = [1.0 / cfg.n_clients] * len(deltas)
                 step = weighted_sum(deltas, share)
                 state.scaffold.server_variate = state.scaffold.server_variate + step
+    del uploads  # the round's P x D uploads are not held through evaluation
 
     # metrics
-    losses = [r.mean_batch_loss for r in results.values() if r.noisy_steps > 0]
-    train_loss = float(np.mean(losses)) if losses else math.nan
+    ran = losses[steps > 0]
+    train_loss = float(np.mean(ran)) if ran.size else math.nan
     if cfg.algorithm == "isolated":
         per_client = [
             _evaluate(state.model_spec, state.client_models[cid], state.test)

@@ -1,12 +1,13 @@
 """Flat-vector numeric kernel.
 
 Every model, gradient, and update in this package is a 1-D float64 array of
-fixed length D.  ``weighted_sum`` forms every aggregate, the folded gcfl
-update included, as elementwise axpys in ascending id order.  Correction
-and the dp_fedexp server step read their inner products as einsum dots
-(``correction.gram``), which do not call BLAS.  The DP step's per-sample
-norms and clipped sums (``model.clipped_gradient_sum``) and the forward
-pass use numpy reductions and BLAS matrix products.  Subprocess tests in
+fixed length D; a round's uploads are the rows of one (P, D) array, in
+ascending client id.  ``weighted_sum`` forms every aggregate, the folded
+gcfl update included, as in-place elementwise axpys over those rows in
+order.  Correction and the dp_fedexp server step read their inner products
+as einsum dots (``correction.gram``), which do not call BLAS.  The DP
+step's per-sample norms and clipped sums (``model.clipped_gradient_sum``)
+and the forward pass use numpy reductions and BLAS matrix products.  Subprocess tests in
 ``tests/test_cli.py`` and ``tests/test_correction.py`` check that output
 bytes do not change between one and two BLAS threads, on small layer sizes
 for whole runs and at the full 101,770-parameter shape for correction and
@@ -30,13 +31,11 @@ def scale_add(a: ParamVector, c: float, b: ParamVector) -> ParamVector:
     return a + c * b
 
 
-def weighted_sum(
-    vectors: dict[int, ParamVector], coefs: dict[int, float]
-) -> ParamVector:
-    """sum_i coefs[i] * vectors[i], as out = out + c_i * v_i from zeros in
-    ascending key order (a fixed order, so the bytes are reproducible)."""
-    ids = sorted(vectors)
-    out = np.zeros_like(vectors[ids[0]])
-    for i in ids:
-        out = out + coefs[i] * vectors[i]
+def weighted_sum(rows, coefs) -> ParamVector:
+    """sum_k coefs[k] * rows[k], as out += c_k * v_k from zeros in row order
+    (a fixed order, so the bytes are reproducible).  rows is an (N, D) array
+    or a sequence of N vectors; coefs holds N floats."""
+    out = np.zeros_like(rows[0])
+    for c, v in zip(coefs, rows, strict=True):
+        out += c * v
     return out

@@ -4,6 +4,7 @@ Tests compare the package's kernels against the slow, obvious form of the
 same arithmetic: ``dot`` accumulates strictly left to right, and
 ``loss_and_gradient`` and ``clip_gradient`` take one sample at a time where
 ``model.clipped_gradient_sum`` builds no per-sample gradient.
+``stack`` turns a dict of uploads into the round's (N, D) upload array.
 ``correct_round`` materialises ``correction.plan_round`` in plan order, and
 ``correct_round_on_vectors`` corrects the D-length vectors with fresh dots
 for every test.  ``aggregate`` is the plain weighted average, which every
@@ -166,7 +167,18 @@ def aggregate(
     total_w = math.fsum(weights.values())
     if abs(total_w - 1.0) > 1e-12:
         raise ValueError(f"aggregation weights sum to {total_w}, expected 1")
-    return weighted_sum(gradients, weights)
+    ids = sorted(gradients)
+    return weighted_sum([gradients[i] for i in ids], [weights[i] for i in ids])
+
+
+def stack(gradients: dict[int, ParamVector]) -> tuple[np.ndarray, list[int]]:
+    """A round's uploads as the package holds them: one (N, D) array whose
+    row p is the upload of ids[p], with the ids ascending."""
+    ids = sorted(gradients)
+    dim = gradients[ids[0]].shape[0]
+    if any(gradients[i].shape != (dim,) for i in ids):
+        raise ValueError("client gradients must all share one dimension")
+    return np.stack([gradients[i] for i in ids]), ids
 
 
 def correct_round(
@@ -181,7 +193,7 @@ def correct_round(
     input mapping is never mutated; untouched gradients appear in the output
     as the same objects.
     """
-    plan, report = plan_round(gradients, mode, num_references, rng)
+    plan, report = plan_round(*stack(gradients), mode, num_references, rng)
     corrected: dict[int, ParamVector] = {}
     for i, steps in plan.items():
         running = gradients[i]

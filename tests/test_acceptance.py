@@ -234,8 +234,7 @@ def _no_conflict_state(algorithm: str):
     shards = partition_iid(train, 2, seed=9)
     cfg = ExperimentConfig(
         sigma=0.0,
-        sampling_rate=1.0,
-        batch_size=0,  # full batches
+        batch_size=train.size,  # full batches
         n_clients=2,
         rounds=3,
         eta=0.05,

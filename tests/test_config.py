@@ -58,7 +58,11 @@ def test_unknown_key_lists_valid_ones(tmp_path):
 
 
 def test_removed_parallel_clients_key_is_unknown_with_its_line(tmp_path):
-    for key, raw in (("parallel_clients", "true"), ("eval_batch_size", "1024")):
+    for key, raw in (
+        ("parallel_clients", "true"),
+        ("eval_batch_size", "1024"),
+        ("sampling_rate", "0.5"),
+    ):
         with pytest.raises(ValueError) as exc:
             parse_config(write(tmp_path, f"rounds = 5\n{key} = {raw}\n"))
         msg = str(exc.value)
@@ -100,7 +104,7 @@ def test_cross_field_validation(tmp_path):
         parse_config(write(tmp_path, "n_clients = 2\nclients_per_round = 5\n"))
     with pytest.raises(ValueError, match="num_references"):
         parse_config(write(tmp_path, "n_clients = 2\nnum_references = 2\n"))
-    with pytest.raises(ValueError, match="sampling_rate"):
+    with pytest.raises(ValueError, match="batch_size"):
         parse_config(write(tmp_path, "batch_size = 0\n"))
     with pytest.raises(ValueError, match="label_split"):
         parse_config(
@@ -154,7 +158,6 @@ def test_resolved_is_serializable_view():
 FLOAT_KEYS = [
     "synthetic_spread",
     "eta",
-    "sampling_rate",
     "prox_mu",
     "sigma",
     "clip_threshold",
@@ -206,7 +209,6 @@ BAD_VALUES = {
     "local_steps": {"local_steps": "0"},
     "eta": {"eta": "0"},
     "batch_size": {"batch_size": "-1"},
-    "sampling_rate": {"batch_size": "0", "sampling_rate": "1.5"},
     "sampling_mode": {"sampling_mode": "uniform"},
     "algorithm": {"algorithm": "fedsgd"},
     "weighting": {"weighting": "quadratic"},

@@ -21,7 +21,7 @@ from dpfedsim.correction import (
     resolve_num_references,
     select_references,
 )
-from oracle import correct_round, dot, l2_norm, project_if_conflicting
+from oracle import correct_round, dot, l2_norm, project_if_conflicting, stack
 
 
 def test_projection_worked_example():
@@ -408,13 +408,13 @@ def test_all_aligned_uploads_come_back_as_the_same_objects(mode):
 
 
 def _exact_product_vectors(rng, n, dim):
-    """n vectors of k * 2**e, |k| < 2**20 and |e| <= 30: every elementwise
-    product is exact, so math.fsum of the products is the exact dot correctly
-    rounded, while the summation in ``gram`` does round."""
-    return [
+    """An (n, dim) array of k * 2**e, |k| < 2**20 and |e| <= 30: every
+    elementwise product is exact, so math.fsum of the products is the exact
+    dot correctly rounded, while the summation in ``gram`` does round."""
+    return np.stack([
         rng.integers(-(2**20), 2**20, dim) * 2.0 ** rng.integers(-30, 31, dim)
         for _ in range(n)
-    ]
+    ])
 
 
 _GRAM_DIMS = [1, GRAM_BLOCK - 1, GRAM_BLOCK, GRAM_BLOCK + 1, 3 * GRAM_BLOCK + 7]
@@ -443,7 +443,7 @@ def test_gram_follows_its_reduction_order_bitwise(n, dim):
     """Below GRAM_BLOCKED_MIN_N vectors each entry is one whole-vector einsum
     dot; from it on, the per-block einsum dots added to 0.0 in ascending
     block order, which with one block is the same bytes."""
-    vectors = list(_uploads(np.random.default_rng(dim), n, dim, 0.0).values())
+    vectors, _ = stack(_uploads(np.random.default_rng(dim), n, dim, 0.0))
     g = gram(vectors)
     for a, va in enumerate(vectors):
         for b, vb in enumerate(vectors):
@@ -462,22 +462,22 @@ def test_gram_follows_its_reduction_order_bitwise(n, dim):
 @pytest.mark.parametrize("dim", [7, GRAM_BLOCK, 2 * GRAM_BLOCK + 3])
 def test_gram_is_exactly_symmetric_and_reproducible(n, dim):
     rng = np.random.default_rng(dim)
-    vectors = list(_uploads(rng, n, dim, 0.3).values())
+    vectors, _ = stack(_uploads(rng, n, dim, 0.3))
     g = gram(vectors)
     np.testing.assert_array_equal(g, g.T)
     assert gram(vectors).tobytes() == g.tobytes()
-    # the same values at other addresses, one of them off 16-byte alignment
-    backing = np.empty(dim + 1)
-    shifted = backing[1:]
-    shifted[:] = vectors[0]
-    moved = [shifted] + [v.copy() for v in vectors[1:]]
+    # the same values at another address, off 16-byte alignment
+    backing = np.empty(n * dim + 1)
+    moved = backing[1:].reshape(n, dim)
+    moved[:] = vectors
+    assert moved.ctypes.data % 16 == 8
     assert gram(moved).tobytes() == g.tobytes()
 
 
 @pytest.mark.parametrize("mode", CORRECTION_MODES)
 def test_correct_round_materialises_plan_round_in_plan_order(mode):
     grads = _uploads(np.random.default_rng(12), 7, 30, 0.0)
-    plan, report = plan_round(grads, mode, 0, np.random.default_rng(5))
+    plan, report = plan_round(*stack(grads), mode, 0, np.random.default_rng(5))
     out, want_report = correct_round(grads, mode, 0, np.random.default_rng(5))
     assert report.cosines == want_report.cosines
     assert report.projections_applied == sum(len(s) for s in plan.values()) > 0
@@ -496,7 +496,7 @@ def test_fold_weights_is_w_transpose_m(mode):
     alpha_j g_j with alpha_j = w_j - sum_i w_i c_ij; the fold sums those
     terms in a fixed order, within gamma_2N of the exact sum."""
     grads = _uploads(np.random.default_rng(21), 6, 12, 0.0)
-    plan, _ = plan_round(grads, mode, 0, np.random.default_rng(2))
+    plan, _ = plan_round(*stack(grads), mode, 0, np.random.default_rng(2))
     assert any(plan.values())
     weights = {i: (i + 1) / 21 for i in grads}
     alpha = fold_weights(plan, weights)
@@ -563,15 +563,17 @@ import hashlib
 import numpy as np
 from dpfedsim.correction import fold_weights, plan_round
 from dpfedsim.linalg import weighted_sum
+from oracle import stack
 
 rng = np.random.default_rng(2024)
 base = rng.standard_normal(101_770)
 grads = {i: 1e-3 * base + rng.standard_normal(101_770) for i in range(32)}
+uploads, ids = stack(grads)
 weights = {i: (i + 1) / 528 for i in grads}
 for mode in ("reference", "pairwise"):
-    plan, report = plan_round(grads, mode, 0, np.random.default_rng(11))
+    plan, report = plan_round(uploads, ids, mode, 0, np.random.default_rng(11))
     alpha = fold_weights(plan, weights)
-    digest = hashlib.sha256(weighted_sum(grads, alpha).tobytes())
+    digest = hashlib.sha256(weighted_sum(uploads, [alpha[i] for i in ids]).tobytes())
     digest.update(repr(sorted(alpha.items())).encode())
     print(mode, report.projections_applied, digest.hexdigest())
 """

@@ -35,23 +35,23 @@ def _conflicting_client_gradients():
     cfg = ExperimentConfig(
         clip_threshold=1e9,
         sigma=0.0,
-        sampling_rate=1.0,
-        batch_size=0,
+        batch_size=train.size,  # at least each shard's size: full batches
         n_clients=2,
         eta=0.1,
         algorithm="gcfl",
     )
     grads = {}
     for shard in shards:
-        res = client_local_phase(
+        grads[shard.client_id] = np.zeros(spec.num_params)
+        client_local_phase(
             shard,
             w0,
             spec,
             cfg,
-            derive_rng(0, shard.client_id, 0),
-            derive_rng(0, shard.client_id, 1),
+            derive_rng(0, shard.client_id, 0, 0),
+            derive_rng(0, shard.client_id, 1, 0),
+            grads[shard.client_id],
         )
-        grads[shard.client_id] = res.gradient
     return grads
 
 

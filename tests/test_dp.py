@@ -51,38 +51,38 @@ def test_clip_rejects_bad_threshold():
 
 def test_poisson_sample_fixed_size():
     rng = np.random.default_rng(0)
-    idx = poisson_sample(100, 0.32, "fixed_size", rng)
+    idx = poisson_sample(100, 32, "fixed_size", rng)
     assert idx.shape == (32,)
     assert np.all(np.diff(idx) > 0)  # ascending, distinct
     assert idx.min() >= 0 and idx.max() < 100
-    # floor(0.05 * 10) = 0 still yields one sample
-    assert poisson_sample(10, 0.05, "fixed_size", rng).shape == (1,)
+    # the smallest batch is one sample
+    assert poisson_sample(10, 1, "fixed_size", rng).shape == (1,)
 
 
 def test_poisson_sample_rate_one_takes_everything():
     rng = np.random.default_rng(1)
     np.testing.assert_array_equal(
-        poisson_sample(7, 1.0, "poisson", rng), np.arange(7)
+        poisson_sample(7, 7, "poisson", rng), np.arange(7)
     )
     np.testing.assert_array_equal(
-        poisson_sample(7, 1.0, "fixed_size", rng), np.arange(7)
+        poisson_sample(7, 7, "fixed_size", rng), np.arange(7)
     )
 
 
 def test_poisson_sample_poisson_mode_statistics():
     rng = np.random.default_rng(2)
-    sizes = [poisson_sample(1000, 0.1, "poisson", rng).size for _ in range(200)]
+    sizes = [poisson_sample(1000, 100, "poisson", rng).size for _ in range(200)]
     assert abs(np.mean(sizes) - 100) < 10  # ~5 stderr
 
 
 def test_poisson_sample_validation():
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError, match="sampling_rate"):
-        poisson_sample(10, 0.0, "poisson", rng)
+    with pytest.raises(ValueError, match="batch_size"):
+        poisson_sample(10, 0, "poisson", rng)
     with pytest.raises(ValueError, match="sampling_mode"):
-        poisson_sample(10, 0.5, "bernoulli", rng)
+        poisson_sample(10, 5, "bernoulli", rng)
     with pytest.raises(ValueError, match="shard_size"):
-        poisson_sample(0, 0.5, "poisson", rng)
+        poisson_sample(0, 5, "poisson", rng)
 
 
 def test_noisy_batch_gradient_sigma_zero_is_plain_mean():
@@ -212,8 +212,8 @@ def test_dp_config_validation_messages():
         ExperimentConfig(clip_threshold=-1)
     with pytest.raises(ValueError, match="noise_multiplier must be >= 0"):
         ExperimentConfig(sigma=-0.1)
-    with pytest.raises(ValueError, match=r"sampling_rate must be in \(0, 1\]"):
-        ExperimentConfig(batch_size=0, sampling_rate=1.5)
+    with pytest.raises(ValueError, match="batch_size must be >= 1"):
+        ExperimentConfig(batch_size=0)
     with pytest.raises(ValueError, match=r"delta must be in \(0, 1\)"):
         ExperimentConfig(delta=0)
     with pytest.raises(ValueError, match="sampling_mode"):

@@ -23,7 +23,11 @@ from dpfedsim.federation import (
 )
 from dpfedsim.linalg import scale_add
 from dpfedsim.model import MlpSpec
-from oracle import aggregate, correct_round, per_sample_gradient
+from oracle import aggregate, correct_round, per_sample_gradient, stack
+
+# make_state's data set has 60 training examples, so a batch of 60 takes the
+# whole shard at every step, under both sampling modes
+FULL_BATCH = 60
 
 
 def make_state(
@@ -46,7 +50,6 @@ def make_state(
     spec = MlpSpec((6, 5, 3))
     cfg = ExperimentConfig(
         sigma=sigma,
-        sampling_rate=1.0,
         sampling_mode=sampling_mode,
         batch_size=batch_size,
         n_clients=n_clients,
@@ -64,28 +67,26 @@ def make_state(
 
 
 def test_local_phase_exact_batch_gradient_when_noise_free():
-    state = make_state(sigma=0.0, batch_size=0)  # rate 1.0: full batch
+    state = make_state(sigma=0.0, batch_size=FULL_BATCH)
     shard = state.shards[0]
-    cfg = replace(
-        state.cfg, clip_threshold=1e9, sigma=0.0, sampling_rate=1.0, batch_size=0
-    )
-    result = client_local_phase(
+    cfg = replace(state.cfg, clip_threshold=1e9, sigma=0.0, batch_size=FULL_BATCH)
+    upload = np.zeros_like(state.weights)
+    noisy_steps, _ = client_local_phase(
         shard,
         state.weights,
         state.model_spec,
         cfg,
         derive_rng(0, 0, 0, 0),
         derive_rng(0, 0, 0, 1),
+        upload,
     )
-    assert result.noisy_steps == 1
+    assert noisy_steps == 1
     total = np.zeros_like(state.weights)
     for i in shard.indices:
         total = total + per_sample_gradient(
             state.model_spec, state.weights, shard.dataset.X[i], shard.dataset.y[i]
         )
-    np.testing.assert_allclose(
-        result.gradient, total / shard.size, rtol=0, atol=1e-12
-    )
+    np.testing.assert_allclose(upload, total / shard.size, rtol=0, atol=1e-12)
 
 
 def test_local_phase_empty_shard_errors():
@@ -96,8 +97,9 @@ def test_local_phase_empty_shard_errors():
             state.weights,
             state.model_spec,
             state.cfg,
-            derive_rng(0),
-            derive_rng(1),
+            derive_rng(0, 0, 0, 0),
+            derive_rng(1, 0, 0, 0),
+            np.zeros_like(state.weights),
         )
 
 
@@ -128,7 +130,7 @@ def test_fedexp_identical_gradients_reduce_to_plain_step():
     grads = {0: g.copy(), 1: g.copy(), 2: g.copy()}
     w = np.zeros(3)
     agg = aggregate(grads, {i: 1 / 3 for i in range(3)})
-    stepped = server_step(w, agg, cfg, grads)
+    stepped = server_step(w, agg, cfg, stack(grads)[0])
     plain = server_step(w, agg, ExperimentConfig(algorithm="dp_fedavg", eta=0.1))
     np.testing.assert_array_equal(stepped, plain)
 
@@ -138,7 +140,7 @@ def test_fedexp_boosts_step_on_disagreement():
     grads = {0: np.array([1.0, 0.0]), 1: np.array([-1.0, 0.001])}
     agg = aggregate(grads, {0: 0.5, 1: 0.5})  # near-cancellation
     w = np.zeros(2)
-    stepped = server_step(w, agg, cfg, grads)
+    stepped = server_step(w, agg, cfg, stack(grads)[0])
     plain = w - 0.1 * agg
     # eta_g > eta because sum ||g_i||^2 >> 2n||mean||^2
     assert np.linalg.norm(stepped) > np.linalg.norm(plain)
@@ -160,19 +162,19 @@ def test_by_samples_weighting_uses_shard_sizes():
     # full noise-free batches, so each upload is a deterministic batch mean
     base = make_state(
         algorithm="dp_fedavg", weighting="by_samples", sigma=0.0, n_clients=3,
-        batch_size=0,
+        batch_size=FULL_BATCH,
     )
     train = base.shards[0].dataset
     parts = np.split(np.arange(train.size), [30, 48])  # sizes 30, 18, 12
     shards = [ClientShard(i, train, idx) for i, idx in enumerate(parts)]
     state = init_state(base.model_spec, base.cfg, base.seed, shards, base.test)
     w0 = state.weights.copy()
-    uploads = [
+    uploads = [np.zeros_like(w0) for _ in shards]
+    for shard, upload in zip(shards, uploads):
         client_local_phase(
-            shard, w0, state.model_spec, state.cfg, derive_rng(0), derive_rng(1)
-        ).gradient
-        for shard in shards
-    ]
+            shard, w0, state.model_spec, state.cfg,
+            derive_rng(0, 0, 0, 0), derive_rng(1, 0, 0, 0), upload,
+        )
     run_round(state, 0)
     by_size = sum(p.size / train.size * g for p, g in zip(parts, uploads))
     uniform = sum(uploads) / 3
@@ -205,14 +207,14 @@ def _local_batch_sizes(monkeypatch, shard_size, batch_size, mode, steps):
         spec,
         ExperimentConfig(
             sigma=0.5,
-            sampling_rate=0.01,
             sampling_mode=mode,
             batch_size=batch_size,
             local_steps=steps,
             eta=0.05,
         ),
-        derive_rng(3, 0),
-        derive_rng(3, 1),
+        derive_rng(3, 0, 0, 0),
+        derive_rng(3, 1, 0, 0),
+        np.zeros(spec.num_params),
     )
     return drawn, trained
 
@@ -226,7 +228,7 @@ def test_batch_size_is_exact_for_fixed_size_and_expected_for_poisson(monkeypatch
     assert trained == [49] * 6
     # poisson keeps each example with probability batch_size / shard size
     drawn, trained = _local_batch_sizes(monkeypatch, 49, 8, "poisson", steps=20)
-    rng = derive_rng(3, 0)
+    rng = derive_rng(3, 0, 0, 0)
     expected = [np.flatnonzero(rng.random(49) < 8 / 49) for _ in range(20)]
     assert len(drawn) == 20
     for got, want in zip(drawn, expected):
@@ -239,7 +241,7 @@ def test_batch_size_is_exact_for_fixed_size_and_expected_for_poisson(monkeypatch
 def test_non_finite_gradient_norm_stops_the_round_naming_client_and_round(bad_value):
     # NaN propagates to the upload; 1e200 is finite, but its squared gradient
     # norm overflows and would silently clip that sample to zero
-    state = make_state(batch_size=0)  # full batches: the bad row is always drawn
+    state = make_state(batch_size=FULL_BATCH)  # the bad row is always drawn
     bad = state.shards[1]
     bad.dataset.X[bad.indices[0]] = bad_value
     with pytest.raises(ValueError, match=r"round 0, client 1: non-finite"):
@@ -326,6 +328,26 @@ def test_partial_participation_selects_subset_deterministically():
         assert a == b
 
 
+def test_every_stream_a_run_derives_is_distinct(monkeypatch):
+    """SeedSequence pads a name with zeros, so a three-int name is the same
+    stream as the four-int name ending in 0.  Every stream of a run with
+    partial participation and correction must still have its own state."""
+    names = []
+    real = federation.derive_rng
+
+    def record(*name):
+        names.append(name)
+        return real(*name)
+
+    monkeypatch.setattr(federation, "derive_rng", record)
+    run_experiment(make_state(n_clients=5, clients_per_round=4, rounds=3))
+    assert len(names) == 3 * (1 + 2 * 4 + 1)  # select, batch + noise, correction
+    states = {
+        tuple(np.random.SeedSequence(name).generate_state(4)) for name in names
+    }
+    assert len(states) == len(names)
+
+
 def test_epsilon_budget_stops_early():
     state = make_state(sigma=0.5, rounds=50, epsilon_budget=20.0)
     result = run_experiment(state)
@@ -364,24 +386,25 @@ def test_federation_config_validation():
 
 
 def _capture_round_zero(monkeypatch, state):
-    """Run round 0 and return (start weights, client results, report, and a
-    copy of the correction rng as run_round handed it to plan_round)."""
-    results, handed = {}, []
+    """Run round 0 and return (start weights, each client's upload, report,
+    and a copy of the correction rng as run_round handed it to plan_round)."""
+    uploads, handed = {}, []
     real_local, real_plan = federation.client_local_phase, federation.plan_round
 
     def local(shard, *args, **kwargs):
-        results[shard.client_id] = real_local(shard, *args, **kwargs)
-        return results[shard.client_id]
+        out = real_local(shard, *args, **kwargs)
+        uploads[shard.client_id] = args[5].copy()
+        return out
 
-    def plan(gradients, mode, num_references, rng):
+    def plan(rows, ids, mode, num_references, rng):
         handed.append(copy.deepcopy(rng))
-        return real_plan(gradients, mode, num_references, rng)
+        return real_plan(rows, ids, mode, num_references, rng)
 
     monkeypatch.setattr(federation, "client_local_phase", local)
     monkeypatch.setattr(federation, "plan_round", plan)
     w0 = state.weights
     _, report = run_round(state, 0)
-    return w0, results, report, handed[0] if handed else None
+    return w0, uploads, report, handed[0] if handed else None
 
 
 U = 2.0**-53
@@ -415,10 +438,9 @@ def test_gcfl_round_matches_aggregating_the_corrected_uploads(
         base.model_spec, replace(base.cfg, correction_mode=mode), base.seed,
         shards, base.test,
     )
-    w0, results, report, rng = _capture_round_zero(monkeypatch, state)
-    uploads = {cid: r.gradient for cid, r in results.items()}
+    w0, uploads, report, rng = _capture_round_zero(monkeypatch, state)
     weights = federation._participant_weights(state, sorted(uploads))
-    plan, _ = plan_round(uploads, mode, 0, copy.deepcopy(rng))
+    plan, _ = plan_round(*stack(uploads), mode, 0, copy.deepcopy(rng))
     corrected, want_report = correct_round(uploads, mode, 0, rng)
     want = server_step(w0, aggregate(corrected, weights), state.cfg)
 
@@ -439,11 +461,10 @@ def test_gcfl_round_without_projections_is_the_plain_aggregate_bitwise(
 ):
     """With no projection, alpha == w and the update is bit-equal to
     aggregating the untouched uploads, as when correct_round ran."""
-    state = make_state(n_clients=4, sigma=0.0, batch_size=0)
+    state = make_state(n_clients=4, sigma=0.0, batch_size=FULL_BATCH)
     state.cfg = replace(state.cfg, correction_mode=mode)
-    w0, results, report, _ = _capture_round_zero(monkeypatch, state)
+    w0, uploads, report, _ = _capture_round_zero(monkeypatch, state)
     assert report.cosine_tests > 0 and report.projections_applied == 0
-    uploads = {cid: r.gradient for cid, r in results.items()}
     weights = {cid: 1.0 / len(uploads) for cid in uploads}
     want = server_step(w0, aggregate(uploads, weights), state.cfg)
     assert state.weights.tobytes() == want.tobytes()
@@ -460,26 +481,28 @@ def test_uncorrected_round_aggregates_the_raw_uploads_bitwise(
         algorithm=algorithm, n_clients=4, sigma=1.0,
         clients_per_round=clients_per_round,
     )
-    w0, results, report, rng = _capture_round_zero(monkeypatch, state)
+    w0, uploads, report, rng = _capture_round_zero(monkeypatch, state)
     assert report is None and rng is None
-    uploads = {cid: r.gradient for cid, r in results.items()}
     weights = {cid: 1.0 / len(uploads) for cid in uploads}
-    want = server_step(w0, aggregate(uploads, weights), state.cfg, uploads)
+    want = server_step(w0, aggregate(uploads, weights), state.cfg, stack(uploads)[0])
     assert state.weights.tobytes() == want.tobytes()
 
 
 def _record_round(monkeypatch, state, round_index):
-    """Run one round; return each client's start vector and the step vectors
+    """Run one round; return each client's start vector, the step vectors
     its local steps took (noisy batch gradient plus any scaffold shift, the
-    exact bytes client_local_phase stepped by), in step order."""
-    starts, steps, current = {}, {}, []
+    exact bytes client_local_phase stepped by) in step order, and a copy of
+    the upload it wrote."""
+    starts, steps, uploads, current = {}, {}, {}, []
     real_local = federation.client_local_phase
     real_noisy = federation.noisy_batch_gradient
 
     def local(shard, start_params, *args, **kwargs):
         current[:] = [shard.client_id, kwargs.get("scaffold_shift")]
         starts[shard.client_id], steps[shard.client_id] = start_params, []
-        return real_local(shard, start_params, *args, **kwargs)
+        out = real_local(shard, start_params, *args, **kwargs)
+        uploads[shard.client_id] = args[4].copy()
+        return out
 
     def noisy(*args):
         out = real_noisy(*args)
@@ -491,7 +514,7 @@ def _record_round(monkeypatch, state, round_index):
         patch.setattr(federation, "client_local_phase", local)
         patch.setattr(federation, "noisy_batch_gradient", noisy)
         run_round(state, round_index)
-    return starts, steps
+    return starts, steps, uploads
 
 
 def _sequential_model(start, steps, eta):
@@ -522,6 +545,26 @@ def _assert_some_client_skipped_one_step(steps, local_steps, sampling_mode):
         assert local_steps - 1 in {len(n) for n in steps.values()}
 
 
+@pytest.mark.parametrize("algorithm", ["dp_fedavg", "dp_scaffold"])
+@pytest.mark.parametrize("local_steps, sampling_mode, batch_size", LOCAL_PHASES)
+def test_upload_is_the_mean_of_the_step_vectors_bitwise(
+    monkeypatch, algorithm, local_steps, sampling_mode, batch_size
+):
+    """Each upload is (0.0 + n_1 + ... + n_K) / K: the step vectors (the
+    scaffold shift included) added in step order to a zero row, with no
+    divide at K = 1 and the zero row itself at K = 0."""
+    state = _state_after_round_zero(algorithm, local_steps, sampling_mode, batch_size)
+    _, steps, uploads = _record_round(monkeypatch, state, 1)
+    for cid, vectors in steps.items():
+        want = np.zeros_like(uploads[cid])
+        for n in vectors:
+            want = want + n
+        if len(vectors) > 1:
+            want = want / len(vectors)
+        assert uploads[cid].tobytes() == want.tobytes()
+    _assert_some_client_skipped_one_step(steps, local_steps, sampling_mode)
+
+
 @pytest.mark.parametrize("local_steps, sampling_mode, batch_size", LOCAL_PHASES)
 def test_isolated_model_is_the_sequential_local_model(
     monkeypatch, local_steps, sampling_mode, batch_size
@@ -539,7 +582,7 @@ def test_isolated_model_is_the_sequential_local_model(
     """
     state = _state_after_round_zero("isolated", local_steps, sampling_mode, batch_size)
     before = dict(state.client_models)
-    starts, steps = _record_round(monkeypatch, state, 1)
+    starts, steps, _ = _record_round(monkeypatch, state, 1)
     eta = state.cfg.eta
     for cid, start in starts.items():
         assert start is before[cid]
@@ -575,7 +618,7 @@ def test_scaffold_variate_is_option_two_of_the_local_model(
     c = state.scaffold.server_variate
     assert np.all(c != 0)  # round 0 moved it, so a sign slip in c shows
     old = dict(state.scaffold.client_variates)
-    starts, steps = _record_round(monkeypatch, state, 1)
+    starts, steps, _ = _record_round(monkeypatch, state, 1)
     eta = state.cfg.eta
     for cid, start in starts.items():
         new = state.scaffold.client_variates[cid]

@@ -4,7 +4,8 @@ Every public top-level function and class in ``src/dpfedsim`` has a caller
 in ``src/dpfedsim``: code that only tests call lives in ``tests/oracle.py``,
 not in the package.  Every dataclass field is read somewhere in the
 package.  Every config key is read by the layer it configures, and the
-README's config table names exactly the config keys.
+README's config table names exactly the config keys.  Every random stream
+is named by exactly four ints.
 """
 
 import ast
@@ -103,3 +104,20 @@ def test_readme_config_table_names_exactly_the_config_keys():
         if line.startswith("| `"):
             named.update(re.findall(r"`(\w+)`", line.split("|")[1]))
     assert named == CONFIG_KEYS
+
+
+def test_every_derive_rng_call_names_its_stream_with_four_ints():
+    """SeedSequence pads a name with zeros, so a name of three ints is the
+    stream of the four-int name ending in 0.  With four ints everywhere and
+    a purpose tag last, two kinds of stream cannot share a name."""
+    calls = [
+        node
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "derive_rng"
+    ]
+    assert len(calls) >= 4  # selection, batch, noise and correction streams
+    for call in calls:
+        assert len(call.args) == 4 and not call.keywords, ast.unparse(call)
+        assert not any(isinstance(a, ast.Starred) for a in call.args), ast.unparse(call)
