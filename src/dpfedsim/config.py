@@ -68,7 +68,6 @@ class ExperimentConfig:
     epsilon_budget: float = 0.0
     correction_mode: str = "reference"
     num_references: int = 0
-    order_seed: int = 0
     seeds: tuple[int, ...] = (1, 2, 3)
     record_timing: bool = True
 
@@ -165,8 +164,6 @@ class ExperimentConfig:
             )
         if self.num_references < 0:
             raise ValueError("num_references must be >= 0 (0 means auto)")
-        if self.order_seed < 0:
-            raise ValueError("order_seed must be >= 0")
         if not self.seeds:
             raise ValueError("seeds must list at least one seed")
         if any(s < 0 for s in self.seeds):

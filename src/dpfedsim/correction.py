@@ -20,8 +20,8 @@ client j.
 
 Every test runs in coefficient space (the Gram formulation of PCGrad, Yu et
 al. 2020, arXiv:2001.06782).  The Gram matrix G[a, b] = <g_a, g_b> of the
-original uploads is built once per round (``gram``; its block reduction
-order is stated there and is part of the output contract).  For the running
+original uploads is built once per round as U U^T (``gram``; why its bytes
+do not depend on the BLAS thread count is stated there).  For the running
 vector r of client i the scalars row[k] = <r, g_k> and q = ||r||^2 start as
 G[i] and G[i, i]; a test against j reads d = row[j], and a projection with
 coefficient c = d / G[j, j] updates them as row -= c * G[j] and
@@ -43,21 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ParamVector
-
 CORRECTION_MODES = ("reference", "pairwise")
-
-# Columns per Gram block.  At N = 32 one block of the uploads is
-# 32 * 4096 * 8 B = 1 MiB, which stays in a 2 MiB L2 while every pair reads
-# it.  It must not exceed einsum's 8192-element buffer, beyond which
-# np.einsum("d,bd->b") splits its sums in another order than "d,d->".
-GRAM_BLOCK = 4096
-# From this many uploads on the Gram is blocked.  With fewer, a block's rows
-# are reused too little to pay for the extra einsum calls: at
-# D = 101,770 on a 2-core Xeon with a 2 MiB L2, whole-vector dots take
-# 0.19 ms at N = 2 against 0.76 ms blocked, and the two meet between N = 12
-# and N = 14.
-GRAM_BLOCKED_MIN_N = 12
 
 # Client id -> its projections in the order applied: (j, c) means
 # r <- r - c * g_j, with g_j the original upload of client j.
@@ -107,35 +93,17 @@ def cosine_from_products(sq_a: float, sq_b: float, ab: float) -> float:
 
 
 def gram(uploads: np.ndarray) -> np.ndarray:
-    """G[a, b] = <u_a, u_b> over the rows of ``uploads``, an (N, D) array,
-    in a reduction order that fixes the output bytes.
+    """G = U U^T: G[a, b] = <u_a, u_b> over the rows of ``uploads``, an
+    (N, D) array.
 
-    Below GRAM_BLOCKED_MIN_N rows each entry is one np.einsum("d,d->", u_a,
-    u_b) over the whole rows.  From GRAM_BLOCKED_MIN_N on, the D columns are
-    cut into blocks of GRAM_BLOCK, taken in ascending order: a block is the
-    column view uploads[:, lo:lo + GRAM_BLOCK], row a's dots with rows
-    a..N-1 of it come from one np.einsum("d,bd->b"), each pair's block
-    partials are added to 0.0 in ascending block order, and the lower
-    triangle is copied from the upper.  With D <= GRAM_BLOCK both orders give
-    the same bytes.  Either way G is exactly symmetric, einsum runs numpy's
-    own loop rather than BLAS, so the bytes do not depend on the BLAS thread
-    count, and no upload data is copied.
+    numpy hands ``U @ U.T`` to BLAS syrk, which computes one triangle, and
+    mirrors it into the other, so G is exactly symmetric.  On the OpenBLAS
+    that numpy ships, each entry is reduced by one thread in one order over
+    D, so the bytes do not depend on the BLAS thread count; a subprocess
+    test in ``tests/test_correction.py`` checks this under one and two
+    threads.
     """
-    n, dim = uploads.shape
-    if n < GRAM_BLOCKED_MIN_N:
-        g = np.empty((n, n))
-        for a in range(n):
-            for b in range(a, n):
-                g[a, b] = g[b, a] = np.einsum("d,d->", uploads[a], uploads[b])
-        return g
-    g = np.zeros((n, n))
-    for lo in range(0, dim, GRAM_BLOCK):
-        rows = uploads[:, lo : lo + GRAM_BLOCK]
-        for a in range(n):
-            g[a, a:] += np.einsum("d,bd->b", rows[a], rows[a:])
-    for a in range(n):
-        g[a + 1 :, a] = g[a, a + 1 :]
-    return g
+    return uploads @ uploads.T
 
 
 def select_references(

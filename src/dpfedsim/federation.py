@@ -21,11 +21,10 @@ weights w into alpha = w^T M, and the update is sum_j alpha_j g_j, so no
 corrected vector is built.  That is the weighted sum of the corrected
 uploads up to rounding.  Every other round folds the empty plan, and
 ``fold_weights({}, w)`` is w itself: the plain weighted average.  Three
-fixed orders set the update's bytes, none of them BLAS: the Gram's
-(whole-vector dots below ``correction.GRAM_BLOCKED_MIN_N`` uploads,
-ascending blocks of ``correction.GRAM_BLOCK`` columns from it on; see
-``correction.gram``), the fold's (ascending i, then plan order) and the
-weighted sum's (ascending j).
+fixed orders set the update's bytes, none of them dependent on the BLAS
+thread count: the Gram's (one BLAS syrk; see ``correction.gram``), the
+fold's (ascending i, then plan order) and the weighted sum's (ascending j,
+elementwise axpys; see ``linalg``).
 
 Every function here reads its settings from the run's ``ExperimentConfig``
 by key name (``cfg.sigma``, ``cfg.eta``, ``cfg.correction_mode``); the
@@ -33,7 +32,7 @@ config validated them when it was built.  The run seed is not a config key
 (a config lists several) and travels as ``ExperimentState.seed``.  All
 randomness is drawn from named streams derived via SeedSequence from four
 ints with a purpose tag last: (seed, round, client_id, _P_BATCH or
-_P_NOISE), (seed, order_seed, round, _P_CORRECTION) and (seed, round, 0,
+_P_NOISE), (seed, 0, round, _P_CORRECTION) and (seed, round, 0,
 _P_SELECT).  So a client's draws do not depend on which other clients take
 part, and reruns are bit-identical.  Clients run one after another in
 ascending id order.
@@ -222,8 +221,8 @@ def server_step(
     if cfg.algorithm == "dp_fedexp":
         if uploads is None:
             raise ValueError("dp_fedexp needs the per-client uploads")
-        # N + 1 einsum dots, each one Gram entry's (correction.gram), not
-        # the whole Gram's N(N+1)/2; fsum is exact, so order is immaterial
+        # N + 1 einsum dots, not the whole Gram's N(N+1)/2; fsum is exact,
+        # so order is immaterial
         sum_sq = math.fsum(float(np.einsum("d,d->", g, g)) for g in uploads)
         sq_mean = float(np.einsum("d,d->", aggregated, aggregated))
         denom = 2.0 * len(uploads) * sq_mean + _FEDEXP_EPS
@@ -303,9 +302,9 @@ def run_round(
     else:
         plan = {}  # no projections: fold_weights returns the weights as given
         if cfg.algorithm == "gcfl" and len(participants) > 1:
-            corr_rng = derive_rng(
-                state.seed, cfg.order_seed, round_index, _P_CORRECTION
-            )
+            # position 1 held the removed order_seed key, always 0; keeping
+            # the 0 keeps every correction stream's bytes
+            corr_rng = derive_rng(state.seed, 0, round_index, _P_CORRECTION)
             plan, report = plan_round(
                 uploads, participants, cfg.correction_mode, cfg.num_references,
                 corr_rng,

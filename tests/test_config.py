@@ -62,6 +62,7 @@ def test_removed_parallel_clients_key_is_unknown_with_its_line(tmp_path):
         ("parallel_clients", "true"),
         ("eval_batch_size", "1024"),
         ("sampling_rate", "0.5"),
+        ("order_seed", "0"),
     ):
         with pytest.raises(ValueError) as exc:
             parse_config(write(tmp_path, f"rounds = 5\n{key} = {raw}\n"))
@@ -219,7 +220,6 @@ BAD_VALUES = {
     "epsilon_budget": {"epsilon_budget": "-1"},
     "correction_mode": {"correction_mode": "global"},
     "num_references": {"num_references": "-1"},
-    "order_seed": {"order_seed": "-1"},
     "seeds": {"seeds": "1,-2"},
     "record_timing": {"record_timing": "sometimes"},
 }

@@ -13,8 +13,6 @@ import oracle
 from dpfedsim.config import ExperimentConfig
 from dpfedsim.correction import (
     CORRECTION_MODES,
-    GRAM_BLOCK,
-    GRAM_BLOCKED_MIN_N,
     fold_weights,
     gram,
     plan_round,
@@ -417,16 +415,13 @@ def _exact_product_vectors(rng, n, dim):
     ])
 
 
-_GRAM_DIMS = [1, GRAM_BLOCK - 1, GRAM_BLOCK, GRAM_BLOCK + 1, 3 * GRAM_BLOCK + 7]
-
-
-@pytest.mark.parametrize("n", [5, GRAM_BLOCKED_MIN_N])
-@pytest.mark.parametrize("dim", _GRAM_DIMS)
+@pytest.mark.parametrize("n", [5, 12])
+@pytest.mark.parametrize("dim", [1, 4095, 4096, 4097, 12295])
 def test_gram_is_within_gamma_d_of_exact_dots(n, dim):
     """|G[a, b] - <v_a, v_b>| <= gamma_D ||v_a|| ||v_b||: a D-term dot summed
-    in any order (here block by block) meets Higham's bound; the fsum
-    reference itself rounds once, inside the slack between gamma_{D-1} (the
-    summation with exact products) and gamma_D."""
+    in any order meets Higham's bound; the fsum reference itself rounds
+    once, inside the slack between gamma_{D-1} (the summation with exact
+    products) and gamma_D."""
     vectors = _exact_product_vectors(np.random.default_rng(dim), n, dim)
     g = gram(vectors)
     gamma = _gamma(dim)
@@ -437,29 +432,8 @@ def test_gram_is_within_gamma_d_of_exact_dots(n, dim):
             assert abs(g[a, b] - exact) <= bound, (a, b, g[a, b], exact, bound)
 
 
-@pytest.mark.parametrize("n", [2, GRAM_BLOCKED_MIN_N - 1, GRAM_BLOCKED_MIN_N, 32])
-@pytest.mark.parametrize("dim", _GRAM_DIMS)
-def test_gram_follows_its_reduction_order_bitwise(n, dim):
-    """Below GRAM_BLOCKED_MIN_N vectors each entry is one whole-vector einsum
-    dot; from it on, the per-block einsum dots added to 0.0 in ascending
-    block order, which with one block is the same bytes."""
-    vectors, _ = stack(_uploads(np.random.default_rng(dim), n, dim, 0.0))
-    g = gram(vectors)
-    for a, va in enumerate(vectors):
-        for b, vb in enumerate(vectors):
-            whole = np.einsum("d,d->", va, vb)
-            blocked = 0.0
-            for lo in range(0, dim, GRAM_BLOCK):
-                hi = lo + GRAM_BLOCK
-                blocked += float(np.einsum("d,d->", va[lo:hi], vb[lo:hi]))
-            want = blocked if n >= GRAM_BLOCKED_MIN_N else whole
-            assert g[a, b] == want, (a, b)
-            if dim <= GRAM_BLOCK:
-                assert blocked == whole
-
-
-@pytest.mark.parametrize("n", [9, GRAM_BLOCKED_MIN_N + 1])
-@pytest.mark.parametrize("dim", [7, GRAM_BLOCK, 2 * GRAM_BLOCK + 3])
+@pytest.mark.parametrize("n", [9, 13])
+@pytest.mark.parametrize("dim", [7, 4096, 8195])
 def test_gram_is_exactly_symmetric_and_reproducible(n, dim):
     rng = np.random.default_rng(dim)
     vectors, _ = stack(_uploads(rng, n, dim, 0.3))
@@ -587,3 +561,38 @@ def test_folded_aggregate_is_byte_identical_across_blas_thread_counts():
     lines = outputs[0].split()
     assert lines[0] == "reference" and lines[3] == "pairwise"
     assert int(lines[1]) > 0 and int(lines[4]) > 0  # projections were exercised
+
+
+_GRAM_NS = (2, 11, 12, 13, 32, 64)
+_GRAM_DIMS = (1, 4095, 4096, 4097, 12295, 101_770)
+_GRAM_PROBE = f"""
+import hashlib
+import numpy as np
+from dpfedsim.correction import gram
+
+for n in {_GRAM_NS}:
+    for dim in {_GRAM_DIMS}:
+        u = np.random.default_rng([n, dim]).standard_normal((n, dim))
+        g = gram(u)
+        print(n, dim, hashlib.sha256(g.tobytes()).hexdigest(),
+              g.tobytes() == (u @ u.T).tobytes())
+"""
+
+
+@pytest.fixture(scope="module")
+def gram_sweep() -> list[dict[tuple[int, int], list[str]]]:
+    """(n, dim) -> [digest, is U @ U.T bitwise] under one and two BLAS threads."""
+    return [
+        {(int(n), int(dim)): rest for n, dim, *rest in map(str.split, out.splitlines())}
+        for out in _outputs_under_blas_threads(_GRAM_PROBE)
+    ]
+
+
+@pytest.mark.parametrize("n", _GRAM_NS)
+@pytest.mark.parametrize("dim", _GRAM_DIMS)
+def test_gram_follows_its_reduction_order_bitwise(gram_sweep, n, dim):
+    """gram is numpy's U @ U.T to the bit, that is one BLAS syrk, and its
+    bytes are the same under one and two BLAS threads."""
+    one_thread, two_threads = (sweep[n, dim] for sweep in gram_sweep)
+    assert one_thread == two_threads
+    assert one_thread[1] == "True"

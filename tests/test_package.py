@@ -1,11 +1,13 @@
 """Tooling guards on the package's own source.
 
-Every public top-level function and class in ``src/dpfedsim`` has a caller
-in ``src/dpfedsim``: code that only tests call lives in ``tests/oracle.py``,
-not in the package.  Every dataclass field is read somewhere in the
-package.  Every config key is read by the layer it configures, and the
-README's config table names exactly the config keys.  Every random stream
-is named by exactly four ints.
+Every public top-level function and class, and every module-level
+UPPER_CASE constant, in ``src/dpfedsim`` is used in ``src/dpfedsim``: code
+that only tests call lives in ``tests/oracle.py``, not in the package, and
+a constant no package code reads does not survive for tests alone.  Every
+dataclass field is read somewhere in the package.  Every config key is
+read by the layer it configures, and the README's config table names
+exactly the config keys.  Every random stream is named by exactly four
+ints.
 """
 
 import ast
@@ -20,6 +22,21 @@ PACKAGE = ROOT / "src" / "dpfedsim"
 CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
 
 
+def _module_constants(tree: ast.Module) -> list[str]:
+    """Names bound at module level that are UPPER_CASE, leading _ or not."""
+    targets = [
+        target
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+    ]
+    return [
+        t.id
+        for t in targets
+        if isinstance(t, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", t.id)
+    ]
+
+
 def test_every_public_function_and_class_is_used_in_the_package():
     trees = {path.name: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
     defined = {
@@ -29,10 +46,17 @@ def test_every_public_function_and_class_is_used_in_the_package():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and not node.name.startswith("_")
     }
+    constants = {
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name in _module_constants(tree)
+    }
+    assert len(constants) > 15  # the walk found the constants
+    defined |= constants
     used = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
