@@ -170,6 +170,7 @@ def write_summary_json(
         k: float(np.mean([per_seed[s][k] for s in per_seed])) for k in keys
     }
     payload = {
+        "blas_pinned": all(res.blas_pinned for res in results.values()),
         "config": cfg.resolved(),
         "seeds": list(results),
         "per_seed": per_seed,

@@ -2,7 +2,9 @@
 
 Each training step clips per-sample gradients to an L2 threshold C and sums
 them (``model.clipped_gradient_sum``), adds a single Gaussian draw
-N(0, (sigma*C)^2 I) to the sum, and divides by the realized batch size.
+N(0, (sigma*C)^2 I) to the sum, and divides by the realized batch size
+(``federation.client_local_phase``; the worker thread draws the noise
+ahead).
 Privacy is tracked in Renyi DP: one noisy step at order alpha costs
 alpha / (2 sigma^2); steps compose by adding costs; the (epsilon, delta)
 guarantee is obtained by converting the composed cost at each alpha on a
@@ -25,8 +27,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from .linalg import ParamVector
 
 DEFAULT_ALPHA_GRID: tuple[float, ...] = (1.5,) + tuple(float(a) for a in range(2, 65))
 
@@ -53,33 +53,6 @@ def poisson_sample(
         size = min(batch_size, shard_size)
         return np.sort(rng.choice(shard_size, size=size, replace=False))
     raise ValueError(f"sampling_mode must be one of {SAMPLING_MODES}, got {mode!r}")
-
-
-def noisy_batch_gradient(
-    clipped_sum: ParamVector,
-    batch_size: int,
-    clip_threshold: float,
-    noise_multiplier: float,
-    rng: np.random.Generator,
-) -> ParamVector:
-    """Noisy mean of a batch of clipped per-sample gradients, given their sum.
-
-    Add one N(0, (sigma*C)^2 I) draw to the sum and divide by the realized
-    batch size.  sigma == 0 skips the draw entirely so the no-noise path is
-    bit-deterministic.
-    """
-    if batch_size < 1:
-        raise ValueError("noisy_batch_gradient needs a nonempty batch")
-    if not clip_threshold > 0:
-        raise ValueError("clip_threshold must be > 0")
-    if noise_multiplier < 0:
-        raise ValueError("noise_multiplier must be >= 0")
-    total = clipped_sum
-    if noise_multiplier > 0:
-        total = total + rng.standard_normal(total.shape[0]) * (
-            noise_multiplier * clip_threshold
-        )
-    return total / batch_size
 
 
 def rdp_cost_per_step(noise_multiplier: float, alpha: float) -> float:

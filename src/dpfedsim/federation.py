@@ -34,15 +34,34 @@ randomness is drawn from named streams derived via SeedSequence from four
 ints with a purpose tag last: (seed, round, client_id, _P_BATCH or
 _P_NOISE), (seed, 0, round, _P_CORRECTION) and (seed, round, 0,
 _P_SELECT).  So a client's draws do not depend on which other clients take
-part, and reruns are bit-identical.  Clients run one after another in
-ascending id order.
+part, and reruns are bit-identical.
+
+The clients' kernels run one after another in ascending id order, on the
+calling thread.  A run also owns one worker thread, with BLAS pinned to
+one thread for the run (``linalg.one_blas_thread``).  The worker draws
+each participant's noise vectors ahead, in participant order and from the
+client's own stream (``_NoiseAhead``), and evaluates the upper half of the
+test set while the calling thread evaluates the lower half.  The calling
+thread does a task itself rather than wait for one the worker has not
+started.  Each task is a pure function of its inputs, a stream's draws
+are made one at a time in order, and under the pin a matrix product's
+bytes do not depend on which thread runs it, so the output bytes are the
+same with the worker, without it, and under any task timing.  Every task
+of a round is submitted after the round starts and has ended when the
+round returns.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import time
+from collections import deque
+from collections.abc import Callable, Iterator
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -51,8 +70,8 @@ from . import metrics as metrics_mod
 from . import model as model_mod
 from .correction import CorrectionReport, fold_weights, plan_round
 from .data import ClientShard, Dataset
-from .dp import epsilon_spent, noisy_batch_gradient, poisson_sample
-from .linalg import ParamVector, scale_add, weighted_sum
+from .dp import epsilon_spent, poisson_sample
+from .linalg import ParamVector, one_blas_thread, scale_add, weighted_sum
 from .model import MlpSpec
 
 if TYPE_CHECKING:  # config.py imports this module's mode tuples
@@ -72,6 +91,8 @@ WEIGHTINGS = ("uniform", "by_samples")
 _FEDEXP_EPS = 1e-3
 
 _EVAL_ROWS = 1024  # test rows per forward pass: keeps activations in cache
+
+_NOISE_AHEAD = 2  # noise vectors queued or being drawn beyond the one in use
 
 # purpose tags for seed-stream derivation
 _P_BATCH = 0
@@ -128,13 +149,110 @@ def derive_rng(*name: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(name)))
 
 
+def _new_worker() -> Executor:
+    """The one worker thread of a run (tests swap in other executors)."""
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="dpfedsim-worker")
+
+
+@contextmanager
+def _pinned_worker() -> Iterator[tuple[bool, Executor]]:
+    """(whether BLAS is pinned to one thread, a new worker) for the block;
+    on exit the worker's queued tasks are cancelled, its running task is
+    waited for, and the caller's BLAS thread count is restored."""
+    with one_blas_thread() as pinned:
+        worker = _new_worker()
+        try:
+            yield pinned, worker
+        finally:
+            worker.shutdown(wait=True, cancel_futures=True)
+
+
+def _draw_noise(rng: np.random.Generator, dim: int, scale: float) -> ParamVector:
+    z = rng.standard_normal(dim)
+    z *= scale
+    return z
+
+
+class _NoiseAhead:
+    """A round's noise vectors z * sigma C, drawn ahead on the worker.
+
+    Each participant, in the order given, gets local_steps vectors from its
+    own stream (seed, round, cid, _P_NOISE), in the order its steps use
+    them.  A step whose Poisson batch is empty uses none, and the client's
+    vectors left over are dropped (``skip``): a draw that is never used
+    changes no used byte.  At most _NOISE_AHEAD vectors are queued or being
+    drawn beyond the one in use.
+
+    Rather than wait for the worker, the calling thread makes a queued draw
+    itself (``_help``), but only one whose stream has no other draw queued
+    or running: a stream's draws stay one at a time and in order, so the
+    bytes do not depend on which thread makes them.
+    """
+
+    def __init__(
+        self, worker: Executor, state: ExperimentState, round_index: int,
+        participants: list[int],
+    ):
+        cfg = state.cfg
+        self._worker = worker
+        self._dim = state.weights.shape[0]
+        self._scale = cfg.sigma * cfg.clip_threshold
+        # the stream of each vector in turn; a client's is derived at its first
+        self._streams = (
+            stream
+            for cid in participants
+            for stream in repeat(
+                derive_rng(state.seed, round_index, cid, _P_NOISE), cfg.local_steps
+            )
+        )
+        self._ahead: deque[tuple[np.random.Generator, Future]] = deque()
+        self._refill()
+
+    def _refill(self) -> None:
+        while len(self._ahead) < _NOISE_AHEAD:
+            stream = next(self._streams, None)
+            if stream is None:
+                return
+            draw = self._worker.submit(_draw_noise, stream, self._dim, self._scale)
+            self._ahead.append((stream, draw))
+
+    def _help(self) -> None:
+        """Until the next vector is ready, make queued draws here."""
+        while not self._ahead[0][1].done():
+            for i, (stream, draw) in enumerate(self._ahead):
+                alone = sum(s is stream for s, _ in self._ahead) == 1
+                if alone and draw.cancel():  # a cancelled draw never runs
+                    here: Future = Future()
+                    here.set_result(_draw_noise(stream, self._dim, self._scale))
+                    self._ahead[i] = (stream, here)
+                    break
+            else:
+                return  # every draw left is running or shares its stream
+
+    def take(self) -> ParamVector:
+        """The current client's next vector."""
+        self._help()
+        vector = self._ahead.popleft()[1].result()
+        self._refill()
+        return vector
+
+    def skip(self, count: int) -> None:
+        """Drop the current client's next count vectors.  A queued draw is
+        cancelled; a started one is waited for, so none outlives the round."""
+        for _ in range(count):
+            draw = self._ahead.popleft()[1]
+            if not draw.cancel():
+                draw.result()
+            self._refill()
+
+
 def client_local_phase(
     shard: ClientShard,
     start_params: ParamVector,
     model_spec: MlpSpec,
     cfg: ExperimentConfig,
     batch_rng: np.random.Generator,
-    noise_rng: np.random.Generator,
+    noise: Callable[[], ParamVector] | None,
     upload: ParamVector,
     scaffold_shift: ParamVector | None = None,
 ) -> tuple[int, float]:
@@ -142,8 +260,11 @@ def client_local_phase(
     ``upload`` row, and return (noisy steps, mean batch loss).
 
     Per step: draw a minibatch, clip each per-sample gradient to C and sum in
-    one batched pass, add one Gaussian draw, divide by the realized batch
-    size, then step the local model.  dp_fedprox adds prox_mu * (w_local -
+    one batched pass, add the next noise vector z * sigma C from ``noise``
+    (None when sigma = 0: nothing is drawn), divide by the realized batch
+    size, then step the local model.  The step vector is built in the noise
+    vector, (noise + clipped sum) / B: the bytes of (clipped sum + noise) /
+    B, since IEEE addition commutes.  dp_fedprox adds prox_mu * (w_local -
     w_start) to each per-sample gradient before clipping; dp_scaffold adds
     the control-variate shift (server - client) after noising.  The upload
     is the mean of the noisy batch gradients over the steps that actually
@@ -173,11 +294,14 @@ def client_local_phase(
             cfg.clip_threshold,
             prox_shift,
         )
-        noisy = noisy_batch_gradient(
-            clipped_sum, idx.size, cfg.clip_threshold, cfg.sigma, noise_rng
-        )
+        if noise is None:
+            noisy = clipped_sum
+        else:
+            noisy = noise()
+            noisy += clipped_sum
+        noisy /= idx.size
         if scaffold_shift is not None:
-            noisy = noisy + scaffold_shift
+            noisy += scaffold_shift
         if not (np.isfinite(sq_norms).all() and np.isfinite(noisy).all()):
             raise ValueError(
                 f"client {shard.client_id}: non-finite per-sample gradient "
@@ -230,13 +354,32 @@ def server_step(
     return scale_add(w, -eta_g, aggregated)
 
 
-def _evaluate(
-    model_spec: MlpSpec, w: ParamVector, test: Dataset
-) -> tuple[float, float, float]:
-    preds = np.empty(test.size, dtype=np.int64)
-    for lo in range(0, test.size, _EVAL_ROWS):
+def _predict(
+    model_spec: MlpSpec, w: ParamVector, test: Dataset, preds: np.ndarray,
+    starts: range,
+) -> None:
+    """Write the predicted class of the _EVAL_ROWS-row chunks at ``starts``."""
+    for lo in starts:
         probs = model_mod.forward_batch(model_spec, w, test.X[lo : lo + _EVAL_ROWS])
         preds[lo : lo + probs.shape[0]] = np.argmax(probs, axis=1)
+
+
+def _evaluate(
+    model_spec: MlpSpec, w: ParamVector, test: Dataset, worker: Executor
+) -> tuple[float, float, float]:
+    """(accuracy, macro recall, macro F1) on the test set.  The worker
+    predicts the upper half of the chunks while this thread predicts the
+    lower half, and then the upper half too if the worker has not started
+    it; a chunk's bytes do not depend on the thread under the pin."""
+    preds = np.empty(test.size, dtype=np.int64)
+    starts = range(0, test.size, _EVAL_ROWS)
+    half = (len(starts) + 1) // 2
+    upper = worker.submit(_predict, model_spec, w, test, preds, starts[half:])
+    _predict(model_spec, w, test, preds, starts[:half])
+    if upper.cancel():
+        _predict(model_spec, w, test, preds, starts[half:])
+    else:
+        upper.result()
     cm = metrics_mod.accumulate(preds, test.y, model_spec.num_classes)
     return (
         metrics_mod.accuracy(cm),
@@ -256,12 +399,22 @@ def _select_participants(state: ExperimentState, round_index: int) -> list[int]:
 
 
 def run_round(
-    state: ExperimentState, round_index: int
+    state: ExperimentState, round_index: int, worker: Executor | None = None
 ) -> tuple[RoundMetrics, CorrectionReport | None]:
-    """Advance the experiment by one round, mutating state in place."""
+    """Advance the experiment by one round, mutating state in place.
+
+    Called without the run's worker, the round holds the BLAS pin and a
+    worker of its own.
+    """
+    if worker is None:
+        with _pinned_worker() as (_, worker):
+            return run_round(state, round_index, worker)
     t0 = time.perf_counter()
     cfg = state.cfg
     participants = _select_participants(state, round_index)
+    noise = (
+        _NoiseAhead(worker, state, round_index, participants) if cfg.sigma > 0 else None
+    )
 
     # row p is the upload of participants[p], ascending client id
     uploads = np.zeros((len(participants), state.weights.shape[0]))
@@ -283,12 +436,14 @@ def run_round(
                 state.model_spec,
                 cfg,
                 derive_rng(state.seed, round_index, cid, _P_BATCH),
-                derive_rng(state.seed, round_index, cid, _P_NOISE),
+                None if noise is None else noise.take,
                 uploads[p],
                 scaffold_shift=shift,
             )
         except ValueError as exc:
             raise ValueError(f"round {round_index}, {exc}") from exc
+        if noise is not None:
+            noise.skip(cfg.local_steps - int(steps[p]))
 
     # disjoint shards: the round costs the worst-case client's step count
     state.steps_taken += int(steps.max())
@@ -333,12 +488,12 @@ def run_round(
     train_loss = float(np.mean(ran)) if ran.size else math.nan
     if cfg.algorithm == "isolated":
         per_client = [
-            _evaluate(state.model_spec, state.client_models[cid], state.test)
+            _evaluate(state.model_spec, state.client_models[cid], state.test, worker)
             for cid in sorted(state.client_models)
         ]
         acc, rec, f1 = (float(np.mean([p[k] for p in per_client])) for k in range(3))
     else:
-        acc, rec, f1 = _evaluate(state.model_spec, state.weights, state.test)
+        acc, rec, f1 = _evaluate(state.model_spec, state.weights, state.test, worker)
 
     if cfg.sigma == 0:
         eps = math.inf  # no noise: nothing is private
@@ -365,6 +520,7 @@ class ExperimentResult:
     rounds: list[RoundMetrics]
     correction_summaries: list[dict]
     stopped_early: bool
+    blas_pinned: bool  # False: no controllable BLAS, bytes may follow its threads
 
 
 def init_state(
@@ -398,22 +554,32 @@ def init_state(
 
 
 def run_experiment(state: ExperimentState) -> ExperimentResult:
-    """Run all configured rounds (stopping early on the epsilon budget)."""
+    """Run all configured rounds (stopping early on the epsilon budget),
+    with BLAS pinned to one thread and one worker thread for the whole run;
+    both are released on return or error."""
     cfg = state.cfg
     max_steps = cfg.budget_steps()
     rounds: list[RoundMetrics] = []
     summaries: list[dict] = []
     stopped = False
-    for t in range(cfg.rounds):
-        if max_steps is not None:
-            if state.steps_taken + cfg.local_steps > max_steps:
-                stopped = True
-                break
-        rm, report = run_round(state, t)
-        rounds.append(rm)
-        summaries.append(report.summary() if report else {})
+    with _pinned_worker() as (pinned, worker):
+        if not pinned:
+            print(
+                "dpfedsim: no controllable BLAS found; output bytes may depend "
+                "on the BLAS thread count",
+                file=sys.stderr,
+            )
+        for t in range(cfg.rounds):
+            if max_steps is not None:
+                if state.steps_taken + cfg.local_steps > max_steps:
+                    stopped = True
+                    break
+            rm, report = run_round(state, t, worker)
+            rounds.append(rm)
+            summaries.append(report.summary() if report else {})
     return ExperimentResult(
         rounds=rounds,
         correction_summaries=summaries,
         stopped_early=stopped,
+        blas_pinned=pinned,
     )

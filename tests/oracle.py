@@ -4,6 +4,8 @@ Tests compare the package's kernels against the slow, obvious form of the
 same arithmetic: ``dot`` accumulates strictly left to right, and
 ``loss_and_gradient`` and ``clip_gradient`` take one sample at a time where
 ``model.clipped_gradient_sum`` builds no per-sample gradient.
+``noisy_batch_gradient`` draws a step's noise from its stream and forms the
+noisy mean in one call, where a client uses noise drawn ahead on the worker.
 ``stack`` turns a dict of uploads into the round's (N, D) upload array.
 ``correct_round`` materialises ``correction.plan_round`` in plan order, and
 ``correct_round_on_vectors`` corrects the D-length vectors with fresh dots
@@ -57,6 +59,34 @@ def l2_norm(a: ParamVector) -> float:
 def cosine(a: ParamVector, b: ParamVector) -> float:
     """Cosine similarity from three ordered dot products, 0.0 for a zero vector."""
     return cosine_from_products(dot(a, a), dot(b, b), dot(a, b))
+
+
+def noisy_batch_gradient(
+    clipped_sum: ParamVector,
+    batch_size: int,
+    clip_threshold: float,
+    noise_multiplier: float,
+    rng: np.random.Generator,
+) -> ParamVector:
+    """Noisy mean of a batch of clipped per-sample gradients, given their sum.
+
+    Add one N(0, (sigma*C)^2 I) draw to the sum and divide by the realized
+    batch size.  sigma == 0 skips the draw entirely so the no-noise path is
+    bit-deterministic.  A client step draws its noise ahead on the worker
+    and builds the same bytes in place (``federation.client_local_phase``).
+    """
+    if batch_size < 1:
+        raise ValueError("noisy_batch_gradient needs a nonempty batch")
+    if not clip_threshold > 0:
+        raise ValueError("clip_threshold must be > 0")
+    if noise_multiplier < 0:
+        raise ValueError("noise_multiplier must be >= 0")
+    total = clipped_sum
+    if noise_multiplier > 0:
+        total = total + rng.standard_normal(total.shape[0]) * (
+            noise_multiplier * clip_threshold
+        )
+    return total / batch_size
 
 
 def forward(spec: MlpSpec, w: ParamVector, features: np.ndarray) -> np.ndarray:

@@ -21,11 +21,7 @@ import pytest
 from dpfedsim.cli import main, run_seeds
 from dpfedsim.config import ExperimentConfig
 from dpfedsim.data import partition_iid, synthetic_blobs
-from dpfedsim.dp import (
-    epsilon_spent,
-    noisy_batch_gradient,
-    rdp_to_dp,
-)
+from dpfedsim.dp import epsilon_spent, rdp_to_dp
 from dpfedsim.federation import init_state, run_experiment
 from dpfedsim.metrics import accumulate, accuracy, macro_f1, macro_recall
 from dpfedsim.model import MlpSpec
@@ -35,6 +31,7 @@ from oracle import (
     dot,
     l2_norm,
     loss,
+    noisy_batch_gradient,
     per_sample_gradient,
     project_if_conflicting,
 )

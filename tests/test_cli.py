@@ -296,3 +296,47 @@ def test_run_is_byte_identical_across_blas_thread_counts(tmp_path):
                  (out / "summary.json").read_bytes())
             )
         assert outputs[0] == outputs[1], name
+
+
+def test_benchmark_shape_run_is_byte_identical_across_blas_thread_counts(tmp_path):
+    """At 784-128-10 OpenBLAS splits the forward and clipping products
+    differently by thread count; the run's one-thread pin makes the bytes
+    the same anyway.  The config is the n32_gcfl_pairwise benchmark
+    protocol (10k training rows, 32 clients, batch 32, pairwise correction)
+    cut to 2 rounds."""
+    from dpfedsim.linalg import _openblas
+
+    if _openblas() is None:
+        pytest.skip("no controllable BLAS: thread invariance is not claimed")
+    cfg = write_cfg(
+        tmp_path,
+        """
+        synthetic_classes = 10
+        synthetic_per_class = 1000
+        synthetic_dim = 784
+        layer_sizes = 784,128,10
+        batch_size = 32
+        n_clients = 32
+        algorithm = gcfl
+        correction_mode = pairwise
+        rounds = 2
+        seeds = 1
+        record_timing = false
+        """,
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        out = tmp_path / f"threads{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "dpfedsim.cli", "run", "--config", cfg,
+             "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+        outputs.append(
+            ((out / "metrics.csv").read_bytes(), (out / "summary.json").read_bytes())
+        )
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][1])["blas_pinned"] is True

@@ -49,7 +49,7 @@ def _conflicting_client_gradients():
             spec,
             cfg,
             derive_rng(0, shard.client_id, 0, 0),
-            derive_rng(0, shard.client_id, 1, 0),
+            None,
             grads[shard.client_id],
         )
     return grads

@@ -7,13 +7,12 @@ from dpfedsim.config import ExperimentConfig
 from dpfedsim.dp import (
     DEFAULT_ALPHA_GRID,
     epsilon_spent,
-    noisy_batch_gradient,
     poisson_sample,
     rdp_cost_per_step,
     rdp_to_dp,
     steps_for_budget,
 )
-from oracle import clip_gradient, l2_norm
+from oracle import clip_gradient, l2_norm, noisy_batch_gradient
 
 
 def test_clip_worked_example():

@@ -9,7 +9,7 @@ import dpfedsim.federation as federation
 from dpfedsim.config import ExperimentConfig
 from dpfedsim.correction import CORRECTION_MODES, plan_round
 from dpfedsim.data import ClientShard, partition_iid, synthetic_blobs
-from dpfedsim.dp import noisy_batch_gradient, poisson_sample
+from dpfedsim.dp import poisson_sample
 from dpfedsim.federation import (
     ALGORITHMS,
     WEIGHTINGS,
@@ -23,7 +23,13 @@ from dpfedsim.federation import (
 )
 from dpfedsim.linalg import scale_add
 from dpfedsim.model import MlpSpec
-from oracle import aggregate, correct_round, per_sample_gradient, stack
+from oracle import (
+    aggregate,
+    correct_round,
+    noisy_batch_gradient,
+    per_sample_gradient,
+    stack,
+)
 
 # make_state's data set has 60 training examples, so a batch of 60 takes the
 # whole shard at every step, under both sampling modes
@@ -77,7 +83,7 @@ def test_local_phase_exact_batch_gradient_when_noise_free():
         state.model_spec,
         cfg,
         derive_rng(0, 0, 0, 0),
-        derive_rng(0, 0, 0, 1),
+        None,
         upload,
     )
     assert noisy_steps == 1
@@ -98,7 +104,7 @@ def test_local_phase_empty_shard_errors():
             state.model_spec,
             state.cfg,
             derive_rng(0, 0, 0, 0),
-            derive_rng(1, 0, 0, 0),
+            None,
             np.zeros_like(state.weights),
         )
 
@@ -173,7 +179,7 @@ def test_by_samples_weighting_uses_shard_sizes():
     for shard, upload in zip(shards, uploads):
         client_local_phase(
             shard, w0, state.model_spec, state.cfg,
-            derive_rng(0, 0, 0, 0), derive_rng(1, 0, 0, 0), upload,
+            derive_rng(0, 0, 0, 0), None, upload,
         )
     run_round(state, 0)
     by_size = sum(p.size / train.size * g for p, g in zip(parts, uploads))
@@ -195,12 +201,15 @@ def _local_batch_sizes(monkeypatch, shard_size, batch_size, mode, steps):
         drawn.append(poisson_sample(*args))
         return drawn[-1]
 
-    def record_noisy(clipped_sum, batch_size, *args):
-        trained.append(batch_size)
-        return noisy_batch_gradient(clipped_sum, batch_size, *args)
+    real_kernel = federation.model_mod.clipped_gradient_sum
+
+    def record_kernel(spec, w, features, labels, *args):
+        trained.append(len(labels))
+        return real_kernel(spec, w, features, labels, *args)
 
     monkeypatch.setattr(federation, "poisson_sample", record_sample)
-    monkeypatch.setattr(federation, "noisy_batch_gradient", record_noisy)
+    monkeypatch.setattr(federation.model_mod, "clipped_gradient_sum", record_kernel)
+    noise_rng = derive_rng(3, 1, 0, 0)
     client_local_phase(
         shard,
         np.zeros(spec.num_params),
@@ -213,7 +222,7 @@ def _local_batch_sizes(monkeypatch, shard_size, batch_size, mode, steps):
             eta=0.05,
         ),
         derive_rng(3, 0, 0, 0),
-        derive_rng(3, 1, 0, 0),
+        lambda: noise_rng.standard_normal(spec.num_params),
         np.zeros(spec.num_params),
     )
     return drawn, trained
@@ -492,27 +501,30 @@ def _record_round(monkeypatch, state, round_index):
     """Run one round; return each client's start vector, the step vectors
     its local steps took (noisy batch gradient plus any scaffold shift, the
     exact bytes client_local_phase stepped by) in step order, and a copy of
-    the upload it wrote."""
-    starts, steps, uploads, current = {}, {}, {}, []
+    the upload it wrote.
+
+    client_local_phase builds each step vector in the noise vector it takes,
+    so the vectors it took hold the step vectors once it returns."""
+    starts, steps, uploads = {}, {}, {}
     real_local = federation.client_local_phase
-    real_noisy = federation.noisy_batch_gradient
 
-    def local(shard, start_params, *args, **kwargs):
-        current[:] = [shard.client_id, kwargs.get("scaffold_shift")]
-        starts[shard.client_id], steps[shard.client_id] = start_params, []
-        out = real_local(shard, start_params, *args, **kwargs)
-        uploads[shard.client_id] = args[4].copy()
-        return out
+    def local(shard, start_params, spec, cfg, batch_rng, noise, upload, **kwargs):
+        taken = []
 
-    def noisy(*args):
-        out = real_noisy(*args)
-        cid, shift = current
-        steps[cid].append(out if shift is None else out + shift)
+        def recorded():
+            taken.append(noise())
+            return taken[-1]
+
+        out = real_local(
+            shard, start_params, spec, cfg, batch_rng, recorded, upload, **kwargs
+        )
+        starts[shard.client_id] = start_params
+        steps[shard.client_id] = taken
+        uploads[shard.client_id] = upload.copy()
         return out
 
     with monkeypatch.context() as patch:
         patch.setattr(federation, "client_local_phase", local)
-        patch.setattr(federation, "noisy_batch_gradient", noisy)
         run_round(state, round_index)
     return starts, steps, uploads
 
@@ -563,6 +575,53 @@ def test_upload_is_the_mean_of_the_step_vectors_bitwise(
             want = want / len(vectors)
         assert uploads[cid].tobytes() == want.tobytes()
     _assert_some_client_skipped_one_step(steps, local_steps, sampling_mode)
+
+
+@pytest.mark.parametrize("algorithm", ["dp_fedavg", "dp_scaffold"])
+@pytest.mark.parametrize("local_steps, sampling_mode, batch_size", LOCAL_PHASES)
+def test_upload_from_noise_drawn_ahead_is_the_oracle_fed_from_the_same_stream(
+    monkeypatch, algorithm, local_steps, sampling_mode, batch_size
+):
+    """A client's upload, built from noise the worker drew ahead, is bitwise
+    the mean of the oracle's noisy_batch_gradient steps, each fed the step's
+    clipped sum and batch size and the client's own noise stream, plus the
+    scaffold shift: the same arithmetic in the same order."""
+    state = _state_after_round_zero(algorithm, local_steps, sampling_mode, batch_size)
+    sums, shifts, uploads, current = {}, {}, {}, []
+    real_local = federation.client_local_phase
+    real_kernel = federation.model_mod.clipped_gradient_sum
+
+    def local(shard, *args, **kwargs):
+        current[:] = [shard.client_id]
+        sums[shard.client_id] = []
+        shifts[shard.client_id] = kwargs.get("scaffold_shift")
+        out = real_local(shard, *args, **kwargs)
+        uploads[shard.client_id] = args[5].copy()
+        return out
+
+    def kernel(spec, w, features, labels, *args):
+        out = real_kernel(spec, w, features, labels, *args)
+        sums[current[0]].append((out[2].copy(), len(labels)))
+        return out
+
+    monkeypatch.setattr(federation, "client_local_phase", local)
+    monkeypatch.setattr(federation.model_mod, "clipped_gradient_sum", kernel)
+    run_round(state, 1)
+    cfg = state.cfg
+    for cid, steps in sums.items():
+        rng = derive_rng(state.seed, 1, cid, federation._P_NOISE)
+        want = np.zeros_like(uploads[cid])
+        for clipped_sum, batch in steps:
+            step = noisy_batch_gradient(
+                clipped_sum, batch, cfg.clip_threshold, cfg.sigma, rng
+            )
+            if shifts[cid] is not None:
+                step = step + shifts[cid]
+            want = want + step
+        if len(steps) > 1:
+            want = want / len(steps)
+        assert uploads[cid].tobytes() == want.tobytes()
+    _assert_some_client_skipped_one_step(sums, local_steps, sampling_mode)
 
 
 @pytest.mark.parametrize("local_steps, sampling_mode, batch_size", LOCAL_PHASES)
