@@ -3,8 +3,7 @@
 Each training step clips per-sample gradients to an L2 threshold C and sums
 them (``model.clipped_gradient_sum``), adds a single Gaussian draw
 N(0, (sigma*C)^2 I) to the sum, and divides by the realized batch size
-(``federation.client_local_phase``; the worker thread draws the noise
-ahead).
+(``federation.client_local_phase``, from the client's own noise stream).
 Privacy is tracked in Renyi DP: one noisy step at order alpha costs
 alpha / (2 sigma^2); steps compose by adding costs; the (epsilon, delta)
 guarantee is obtained by converting the composed cost at each alpha on a

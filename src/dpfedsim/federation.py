@@ -36,19 +36,18 @@ _P_NOISE), (seed, 0, round, _P_CORRECTION) and (seed, round, 0,
 _P_SELECT).  So a client's draws do not depend on which other clients take
 part, and reruns are bit-identical.
 
-The clients' kernels run one after another in ascending id order, on the
-calling thread.  A run also owns one worker thread, with BLAS pinned to
-one thread for the run (``linalg.one_blas_thread``).  The worker draws
-each participant's noise vectors ahead, in participant order and from the
-client's own stream (``_NoiseAhead``), and evaluates the upper half of the
-test set while the calling thread evaluates the lower half.  The calling
-thread does a task itself rather than wait for one the worker has not
-started.  Each task is a pure function of its inputs, a stream's draws
-are made one at a time in order, and under the pin a matrix product's
+A run owns one worker thread, with BLAS pinned to one thread for the run
+(``linalg.one_blas_thread``), and shares work with it one way
+(``_halves``): the worker takes the upper half of a round's participants,
+or of evaluation's test chunks, and the calling thread takes the lower
+half, and the upper half too if the worker has not started it.  A client
+draws from its own streams and writes only its own row of U; it reads
+only state that nothing writes during the client phase, and the server
+reads U once both halves have ended.  Under the pin a matrix product's
 bytes do not depend on which thread runs it, so the output bytes are the
-same with the worker, without it, and under any task timing.  Every task
-of a round is submitted after the round starts and has ended when the
-round returns.
+same with the worker, without it, and under any timing.  Every task of a
+round is submitted after the round starts and has ended when the round
+returns.
 """
 
 from __future__ import annotations
@@ -56,12 +55,10 @@ from __future__ import annotations
 import math
 import sys
 import time
-from collections import deque
 from collections.abc import Callable, Iterator
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -91,8 +88,6 @@ WEIGHTINGS = ("uniform", "by_samples")
 _FEDEXP_EPS = 1e-3
 
 _EVAL_ROWS = 1024  # test rows per forward pass: keeps activations in cache
-
-_NOISE_AHEAD = 2  # noise vectors queued or being drawn beyond the one in use
 
 # purpose tags for seed-stream derivation
 _P_BATCH = 0
@@ -167,83 +162,23 @@ def _pinned_worker() -> Iterator[tuple[bool, Executor]]:
             worker.shutdown(wait=True, cancel_futures=True)
 
 
-def _draw_noise(rng: np.random.Generator, dim: int, scale: float) -> ParamVector:
-    z = rng.standard_normal(dim)
-    z *= scale
-    return z
-
-
-class _NoiseAhead:
-    """A round's noise vectors z * sigma C, drawn ahead on the worker.
-
-    Each participant, in the order given, gets local_steps vectors from its
-    own stream (seed, round, cid, _P_NOISE), in the order its steps use
-    them.  A step whose Poisson batch is empty uses none, and the client's
-    vectors left over are dropped (``skip``): a draw that is never used
-    changes no used byte.  At most _NOISE_AHEAD vectors are queued or being
-    drawn beyond the one in use.
-
-    Rather than wait for the worker, the calling thread makes a queued draw
-    itself (``_help``), but only one whose stream has no other draw queued
-    or running: a stream's draws stay one at a time and in order, so the
-    bytes do not depend on which thread makes them.
-    """
-
-    def __init__(
-        self, worker: Executor, state: ExperimentState, round_index: int,
-        participants: list[int],
-    ):
-        cfg = state.cfg
-        self._worker = worker
-        self._dim = state.weights.shape[0]
-        self._scale = cfg.sigma * cfg.clip_threshold
-        # the stream of each vector in turn; a client's is derived at its first
-        self._streams = (
-            stream
-            for cid in participants
-            for stream in repeat(
-                derive_rng(state.seed, round_index, cid, _P_NOISE), cfg.local_steps
-            )
-        )
-        self._ahead: deque[tuple[np.random.Generator, Future]] = deque()
-        self._refill()
-
-    def _refill(self) -> None:
-        while len(self._ahead) < _NOISE_AHEAD:
-            stream = next(self._streams, None)
-            if stream is None:
-                return
-            draw = self._worker.submit(_draw_noise, stream, self._dim, self._scale)
-            self._ahead.append((stream, draw))
-
-    def _help(self) -> None:
-        """Until the next vector is ready, make queued draws here."""
-        while not self._ahead[0][1].done():
-            for i, (stream, draw) in enumerate(self._ahead):
-                alone = sum(s is stream for s, _ in self._ahead) == 1
-                if alone and draw.cancel():  # a cancelled draw never runs
-                    here: Future = Future()
-                    here.set_result(_draw_noise(stream, self._dim, self._scale))
-                    self._ahead[i] = (stream, here)
-                    break
-            else:
-                return  # every draw left is running or shares its stream
-
-    def take(self) -> ParamVector:
-        """The current client's next vector."""
-        self._help()
-        vector = self._ahead.popleft()[1].result()
-        self._refill()
-        return vector
-
-    def skip(self, count: int) -> None:
-        """Drop the current client's next count vectors.  A queued draw is
-        cancelled; a started one is waited for, so none outlives the round."""
-        for _ in range(count):
-            draw = self._ahead.popleft()[1]
-            if not draw.cancel():
-                draw.result()
-            self._refill()
+def _halves(worker: Executor, fn: Callable[[range], None], n: int) -> None:
+    """Run fn(range(h, n)) on the worker and fn(range(h)) here, h = ceil(n / 2);
+    this thread runs the upper half too if the worker has not started it.
+    Both halves have ended when this returns or raises, and if both fail
+    the lower half's error is raised."""
+    h = (n + 1) // 2
+    upper = worker.submit(fn, range(h, n))
+    try:
+        fn(range(h))
+    except BaseException:
+        if not upper.cancel():
+            upper.exception()  # wait: the upper half must not outlive the call
+        raise
+    if upper.cancel():
+        fn(range(h, n))
+    else:
+        upper.result()
 
 
 def client_local_phase(
@@ -252,7 +187,7 @@ def client_local_phase(
     model_spec: MlpSpec,
     cfg: ExperimentConfig,
     batch_rng: np.random.Generator,
-    noise: Callable[[], ParamVector] | None,
+    noise_rng: np.random.Generator | None,
     upload: ParamVector,
     scaffold_shift: ParamVector | None = None,
 ) -> tuple[int, float]:
@@ -260,13 +195,14 @@ def client_local_phase(
     ``upload`` row, and return (noisy steps, mean batch loss).
 
     Per step: draw a minibatch, clip each per-sample gradient to C and sum in
-    one batched pass, add the next noise vector z * sigma C from ``noise``
-    (None when sigma = 0: nothing is drawn), divide by the realized batch
-    size, then step the local model.  The step vector is built in the noise
-    vector, (noise + clipped sum) / B: the bytes of (clipped sum + noise) /
-    B, since IEEE addition commutes.  dp_fedprox adds prox_mu * (w_local -
-    w_start) to each per-sample gradient before clipping; dp_scaffold adds
-    the control-variate shift (server - client) after noising.  The upload
+    one batched pass, add a noise vector z * sigma C with z drawn from
+    ``noise_rng`` (at sigma = 0 nothing is drawn, and None may be passed),
+    divide by the realized batch size, then step the local model.  The step
+    vector is built in z, (z sigma C + clipped sum) / B: the bytes of
+    (clipped sum + noise) / B, since IEEE addition commutes.  dp_fedprox
+    adds prox_mu * (w_local - w_start) to each per-sample gradient before
+    clipping; dp_scaffold adds the control-variate shift (server - client)
+    after noising.  The upload
     is the mean of the noisy batch gradients over the steps that actually
     ran: each is added into the row, and the row is divided once when more
     than one step ran.  No local model is built after the last step.  A
@@ -294,10 +230,11 @@ def client_local_phase(
             cfg.clip_threshold,
             prox_shift,
         )
-        if noise is None:
+        if cfg.sigma == 0:
             noisy = clipped_sum
         else:
-            noisy = noise()
+            noisy = noise_rng.standard_normal(clipped_sum.shape[0])
+            noisy *= cfg.sigma * cfg.clip_threshold
             noisy += clipped_sum
         noisy /= idx.size
         if scaffold_shift is not None:
@@ -354,32 +291,21 @@ def server_step(
     return scale_add(w, -eta_g, aggregated)
 
 
-def _predict(
-    model_spec: MlpSpec, w: ParamVector, test: Dataset, preds: np.ndarray,
-    starts: range,
-) -> None:
-    """Write the predicted class of the _EVAL_ROWS-row chunks at ``starts``."""
-    for lo in starts:
-        probs = model_mod.forward_batch(model_spec, w, test.X[lo : lo + _EVAL_ROWS])
-        preds[lo : lo + probs.shape[0]] = np.argmax(probs, axis=1)
-
-
 def _evaluate(
     model_spec: MlpSpec, w: ParamVector, test: Dataset, worker: Executor
 ) -> tuple[float, float, float]:
-    """(accuracy, macro recall, macro F1) on the test set.  The worker
-    predicts the upper half of the chunks while this thread predicts the
-    lower half, and then the upper half too if the worker has not started
-    it; a chunk's bytes do not depend on the thread under the pin."""
+    """(accuracy, macro recall, macro F1) on the test set, predicted in
+    _EVAL_ROWS-row chunks split between the worker and this thread
+    (``_halves``); a chunk's bytes do not depend on the thread under the pin."""
     preds = np.empty(test.size, dtype=np.int64)
     starts = range(0, test.size, _EVAL_ROWS)
-    half = (len(starts) + 1) // 2
-    upper = worker.submit(_predict, model_spec, w, test, preds, starts[half:])
-    _predict(model_spec, w, test, preds, starts[:half])
-    if upper.cancel():
-        _predict(model_spec, w, test, preds, starts[half:])
-    else:
-        upper.result()
+
+    def predict(chunks: range) -> None:
+        for lo in starts[chunks.start : chunks.stop]:
+            probs = model_mod.forward_batch(model_spec, w, test.X[lo : lo + _EVAL_ROWS])
+            preds[lo : lo + probs.shape[0]] = np.argmax(probs, axis=1)
+
+    _halves(worker, predict, len(starts))
     cm = metrics_mod.accumulate(preds, test.y, model_spec.num_classes)
     return (
         metrics_mod.accuracy(cm),
@@ -412,38 +338,41 @@ def run_round(
     t0 = time.perf_counter()
     cfg = state.cfg
     participants = _select_participants(state, round_index)
-    noise = (
-        _NoiseAhead(worker, state, round_index, participants) if cfg.sigma > 0 else None
-    )
 
-    # row p is the upload of participants[p], ascending client id
+    # row p is the upload of participants[p], ascending client id; each
+    # client writes only its own row, steps[p] and losses[p]
     uploads = np.zeros((len(participants), state.weights.shape[0]))
     steps = np.empty(len(participants), dtype=np.int64)
     losses = np.empty(len(participants))
-    for p, cid in enumerate(participants):
-        start = (
-            state.client_models[cid]
-            if cfg.algorithm == "isolated"
-            else state.weights
-        )
-        shift = None
-        if cfg.algorithm == "dp_scaffold":
-            shift = state.scaffold.server_variate - state.scaffold.client_variates[cid]
-        try:
-            steps[p], losses[p] = client_local_phase(
-                state.shards[cid],
-                start,
-                state.model_spec,
-                cfg,
-                derive_rng(state.seed, round_index, cid, _P_BATCH),
-                None if noise is None else noise.take,
-                uploads[p],
-                scaffold_shift=shift,
+
+    def run_clients(part: range) -> None:
+        for p in part:
+            cid = participants[p]
+            start = (
+                state.client_models[cid]
+                if cfg.algorithm == "isolated"
+                else state.weights
             )
-        except ValueError as exc:
-            raise ValueError(f"round {round_index}, {exc}") from exc
-        if noise is not None:
-            noise.skip(cfg.local_steps - int(steps[p]))
+            shift = None
+            if cfg.algorithm == "dp_scaffold":
+                shift = (
+                    state.scaffold.server_variate - state.scaffold.client_variates[cid]
+                )
+            try:
+                steps[p], losses[p] = client_local_phase(
+                    state.shards[cid],
+                    start,
+                    state.model_spec,
+                    cfg,
+                    derive_rng(state.seed, round_index, cid, _P_BATCH),
+                    derive_rng(state.seed, round_index, cid, _P_NOISE),
+                    uploads[p],
+                    scaffold_shift=shift,
+                )
+            except ValueError as exc:
+                raise ValueError(f"round {round_index}, {exc}") from exc
+
+    _halves(worker, run_clients, len(participants))
 
     # disjoint shards: the round costs the worst-case client's step count
     state.steps_taken += int(steps.max())

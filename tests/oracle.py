@@ -4,8 +4,8 @@ Tests compare the package's kernels against the slow, obvious form of the
 same arithmetic: ``dot`` accumulates strictly left to right, and
 ``loss_and_gradient`` and ``clip_gradient`` take one sample at a time where
 ``model.clipped_gradient_sum`` builds no per-sample gradient.
-``noisy_batch_gradient`` draws a step's noise from its stream and forms the
-noisy mean in one call, where a client uses noise drawn ahead on the worker.
+``noisy_batch_gradient`` forms a step's noisy mean in one call, where a
+client builds the same bytes in the noise vector it draws.
 ``stack`` turns a dict of uploads into the round's (N, D) upload array.
 ``correct_round`` materialises ``correction.plan_round`` in plan order, and
 ``correct_round_on_vectors`` corrects the D-length vectors with fresh dots
@@ -72,8 +72,8 @@ def noisy_batch_gradient(
 
     Add one N(0, (sigma*C)^2 I) draw to the sum and divide by the realized
     batch size.  sigma == 0 skips the draw entirely so the no-noise path is
-    bit-deterministic.  A client step draws its noise ahead on the worker
-    and builds the same bytes in place (``federation.client_local_phase``).
+    bit-deterministic.  A client step builds the same bytes in place, in
+    the noise vector it draws (``federation.client_local_phase``).
     """
     if batch_size < 1:
         raise ValueError("noisy_batch_gradient needs a nonempty batch")

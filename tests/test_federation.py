@@ -1,5 +1,7 @@
 import copy
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -209,7 +211,6 @@ def _local_batch_sizes(monkeypatch, shard_size, batch_size, mode, steps):
 
     monkeypatch.setattr(federation, "poisson_sample", record_sample)
     monkeypatch.setattr(federation.model_mod, "clipped_gradient_sum", record_kernel)
-    noise_rng = derive_rng(3, 1, 0, 0)
     client_local_phase(
         shard,
         np.zeros(spec.num_params),
@@ -222,7 +223,7 @@ def _local_batch_sizes(monkeypatch, shard_size, batch_size, mode, steps):
             eta=0.05,
         ),
         derive_rng(3, 0, 0, 0),
-        lambda: noise_rng.standard_normal(spec.num_params),
+        derive_rng(3, 1, 0, 0),
         np.zeros(spec.num_params),
     )
     return drawn, trained
@@ -497,29 +498,56 @@ def test_uncorrected_round_aggregates_the_raw_uploads_bitwise(
     assert state.weights.tobytes() == want.tobytes()
 
 
+class _RecordingRng:
+    """Hands out the draws of ``rng`` and keeps each vector it drew."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.drawn = []
+
+    def standard_normal(self, size):
+        self.drawn.append(self._rng.standard_normal(size))
+        return self.drawn[-1]
+
+
+class StartedWorker(ThreadPoolExecutor):
+    """The worker thread, returning from submit only once the task has
+    started, so the calling thread never takes the worker's half over."""
+
+    def __init__(self):
+        super().__init__(max_workers=1, thread_name_prefix="dpfedsim-worker")
+
+    def submit(self, fn, *args):
+        started = threading.Event()
+
+        def task():
+            started.set()
+            return fn(*args)
+
+        future = super().submit(task)
+        assert started.wait(timeout=60)
+        return future
+
+
 def _record_round(monkeypatch, state, round_index):
     """Run one round; return each client's start vector, the step vectors
     its local steps took (noisy batch gradient plus any scaffold shift, the
     exact bytes client_local_phase stepped by) in step order, and a copy of
     the upload it wrote.
 
-    client_local_phase builds each step vector in the noise vector it takes,
-    so the vectors it took hold the step vectors once it returns."""
+    client_local_phase builds each step vector in the noise vector it draws,
+    so the vectors a client drew hold its step vectors once it returns.
+    Each client gets its own recording rng, whichever thread runs it."""
     starts, steps, uploads = {}, {}, {}
     real_local = federation.client_local_phase
 
-    def local(shard, start_params, spec, cfg, batch_rng, noise, upload, **kwargs):
-        taken = []
-
-        def recorded():
-            taken.append(noise())
-            return taken[-1]
-
+    def local(shard, start_params, spec, cfg, batch_rng, noise_rng, upload, **kwargs):
+        noise = _RecordingRng(noise_rng)
         out = real_local(
-            shard, start_params, spec, cfg, batch_rng, recorded, upload, **kwargs
+            shard, start_params, spec, cfg, batch_rng, noise, upload, **kwargs
         )
         starts[shard.client_id] = start_params
-        steps[shard.client_id] = taken
+        steps[shard.client_id] = noise.drawn
         uploads[shard.client_id] = upload.copy()
         return out
 
@@ -582,17 +610,20 @@ def test_upload_is_the_mean_of_the_step_vectors_bitwise(
 def test_upload_from_noise_drawn_ahead_is_the_oracle_fed_from_the_same_stream(
     monkeypatch, algorithm, local_steps, sampling_mode, batch_size
 ):
-    """A client's upload, built from noise the worker drew ahead, is bitwise
-    the mean of the oracle's noisy_batch_gradient steps, each fed the step's
-    clipped sum and batch size and the client's own noise stream, plus the
-    scaffold shift: the same arithmetic in the same order."""
+    """A client's upload, built in the noise vectors it drew on whichever
+    thread ran it, is bitwise the mean of the oracle's noisy_batch_gradient
+    steps, each fed the step's clipped sum and batch size and the client's
+    own noise stream, plus the scaffold shift: the same arithmetic in the
+    same order.  The worker always runs its half here, clients 2 and 3."""
     state = _state_after_round_zero(algorithm, local_steps, sampling_mode, batch_size)
-    sums, shifts, uploads, current = {}, {}, {}, []
+    sums, shifts, uploads, ran_on = {}, {}, {}, {}
+    current = threading.local()  # the client this thread is running
     real_local = federation.client_local_phase
     real_kernel = federation.model_mod.clipped_gradient_sum
 
     def local(shard, *args, **kwargs):
-        current[:] = [shard.client_id]
+        current.cid = shard.client_id
+        ran_on[shard.client_id] = threading.current_thread().name
         sums[shard.client_id] = []
         shifts[shard.client_id] = kwargs.get("scaffold_shift")
         out = real_local(shard, *args, **kwargs)
@@ -601,12 +632,15 @@ def test_upload_from_noise_drawn_ahead_is_the_oracle_fed_from_the_same_stream(
 
     def kernel(spec, w, features, labels, *args):
         out = real_kernel(spec, w, features, labels, *args)
-        sums[current[0]].append((out[2].copy(), len(labels)))
+        sums[current.cid].append((out[2].copy(), len(labels)))
         return out
 
     monkeypatch.setattr(federation, "client_local_phase", local)
     monkeypatch.setattr(federation.model_mod, "clipped_gradient_sum", kernel)
+    monkeypatch.setattr(federation, "_new_worker", StartedWorker)
     run_round(state, 1)
+    on_worker = {c for c, name in ran_on.items() if name.startswith("dpfedsim-worker")}
+    assert on_worker == {2, 3}
     cfg = state.cfg
     for cid, steps in sums.items():
         rng = derive_rng(state.seed, 1, cid, federation._P_NOISE)

@@ -1,10 +1,11 @@
 """The run's worker thread and its BLAS pin.
 
-A run draws each participant's noise ahead and evaluates the upper half of
-the test set on one worker thread, with BLAS pinned to one thread.  Where
-and when those tasks run must not change a byte of the output, a failure on
-either thread must stop the run, and a run must leave no thread behind and
-the caller's BLAS thread count as it found it.
+A run splits each round's participants, and evaluation's test chunks, in
+halves: the upper half goes to one worker thread and the calling thread
+runs the lower half, with BLAS pinned to one thread.  Which thread runs a
+half, and when, must not change a byte of the output; a failure on either
+thread must stop the run, naming the lowest failing client; and a run must
+leave no thread behind and the caller's BLAS thread count as it found it.
 """
 
 import json
@@ -22,9 +23,9 @@ import pytest
 
 import dpfedsim.federation as federation
 from dpfedsim.cli import main
-from dpfedsim.federation import ALGORITHMS, derive_rng, run_experiment
+from dpfedsim.federation import ALGORITHMS, run_experiment
 from dpfedsim.linalg import _openblas, one_blas_thread
-from test_federation import make_state
+from test_federation import StartedWorker, make_state
 
 WORKER_PREFIX = "dpfedsim-worker"
 
@@ -49,18 +50,14 @@ class InlineExecutor:
 
 
 class SleepyExecutor(ThreadPoolExecutor):
-    """The worker thread, sleeping a random 0 to max_pause seconds before
-    each task."""
+    """The worker thread, sleeping a random 0 to 2 ms before each task."""
 
-    def __init__(self, seed, max_pause=0.002):
+    def __init__(self, seed):
         super().__init__(max_workers=1, thread_name_prefix=WORKER_PREFIX)
         self._pauses = random.Random(seed)
-        self._max_pause = max_pause
-        self.submitted = 0
 
     def submit(self, fn, *args):
-        pause = self._pauses.uniform(0.0, self._max_pause)
-        self.submitted += 1
+        pause = self._pauses.uniform(0.0, 0.002)
 
         def task():
             time.sleep(pause)
@@ -74,7 +71,7 @@ def _worker_threads():
 
 
 # Poisson batches of 2 from 15-example shards: about one step in nine draws
-# an empty batch (asserted below), so the runs drop unused noise vectors
+# an empty batch (asserted below), so clients take different step counts
 SMALL = """
 synthetic_classes = 3
 synthetic_per_class = 20
@@ -101,8 +98,9 @@ def test_outputs_are_byte_identical_inline_on_the_worker_and_with_delays(
     """Criterion 10 for the worker: every task run inline, on the worker
     thread, and on the worker with random sleeps before each task and a
     10-microsecond interpreter switch interval gives the same metrics.csv
-    and summary.json bytes.  Evaluation takes 7-row chunks here, so the
-    12-row test set is split between the two threads."""
+    and summary.json bytes.  Each round's 4 clients are split 2 and 2, and
+    evaluation takes 7-row chunks here, so the 12-row test set is split
+    between the two threads too."""
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(text)
     monkeypatch.setattr(federation, "_EVAL_ROWS", 7)
@@ -115,6 +113,13 @@ def test_outputs_are_byte_identical_inline_on_the_worker_and_with_delays(
         return idx
 
     monkeypatch.setattr(federation, "poisson_sample", record)
+    real_local, ran_on = federation.client_local_phase, []
+
+    def local(*args, **kwargs):
+        ran_on.append(threading.current_thread().name)
+        return real_local(*args, **kwargs)
+
+    monkeypatch.setattr(federation, "client_local_phase", local)
     inline = []
 
     def inline_worker():
@@ -145,51 +150,8 @@ def test_outputs_are_byte_identical_inline_on_the_worker_and_with_delays(
     assert outputs["delayed"] == outputs["inline"]
     assert 0 in batch_sizes  # some step found its Poisson batch empty
     assert inline[0].submitted > 0  # the tasks went through the executor
+    assert any(name.startswith(WORKER_PREFIX) for name in ran_on)
     assert _worker_threads() == []
-
-
-@pytest.mark.parametrize("executor", ["inline", "delayed", "slow"])
-def test_noise_ahead_hands_each_client_its_own_stream_within_the_bound(
-    monkeypatch, executor
-):
-    """Client c's k-th vector is the k-th draw of its stream (seed, round, c,
-    noise) times sigma C, whatever the clients before it left unused and
-    whichever thread made the draw, and at most two vectors are queued or
-    being drawn beyond the one in use.  The slow worker sleeps up to 20 ms
-    before each task, so the calling thread makes some draws itself."""
-    state = make_state(n_clients=7, sigma=0.7, local_steps=3)
-    real_draw, drawn_on = federation._draw_noise, []
-
-    def draw(*args):
-        drawn_on.append(threading.current_thread() is threading.main_thread())
-        return real_draw(*args)
-
-    monkeypatch.setattr(federation, "_draw_noise", draw)
-    worker = {
-        "inline": InlineExecutor,  # a draw happens when it is submitted
-        "delayed": lambda: SleepyExecutor(seed=3),
-        "slow": lambda: SleepyExecutor(seed=3, max_pause=0.02),
-    }[executor]()
-    # (client, vectors taken, vectors skipped); each client's stream holds 3
-    plan = [(1, 3, 0), (3, 1, 2), (4, 0, 3), (5, 1, 2), (6, 1, 2)]
-    try:
-        noise = federation._NoiseAhead(worker, state, 4, [c for c, _, _ in plan])
-        scale = state.cfg.sigma * state.cfg.clip_threshold
-        dim = state.weights.shape[0]
-        for cid, take, skip in plan:
-            stream = derive_rng(state.seed, 4, cid, federation._P_NOISE)
-            for _ in range(take):
-                got = noise.take()
-                assert len(noise._ahead) <= 2
-                want = stream.standard_normal(dim) * scale
-                assert got.tobytes() == want.tobytes()
-            noise.skip(skip)
-            assert len(noise._ahead) <= 2
-    finally:
-        worker.shutdown(wait=True, cancel_futures=True)
-    assert worker.submitted == 15
-    if executor == "slow":
-        assert any(drawn_on)  # the calling thread made some draws itself
 
 
 def _pin_count():
@@ -238,12 +200,43 @@ def test_failing_run_leaves_no_worker_and_restores_the_blas_threads(two_blas_thr
 
 
 def test_worker_failure_reaches_the_run(two_blas_threads, monkeypatch):
-    def broken(*args):
-        raise RuntimeError("draw failed")
+    """Client 1 of 2 runs on the worker, and its kernel fails there."""
+    real_kernel = federation.model_mod.clipped_gradient_sum
 
-    monkeypatch.setattr(federation, "_draw_noise", broken)
+    def broken(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("draw failed")
+        return real_kernel(*args)
+
+    monkeypatch.setattr(federation.model_mod, "clipped_gradient_sum", broken)
+    monkeypatch.setattr(federation, "_new_worker", StartedWorker)
     with pytest.raises(RuntimeError, match="draw failed"):
         run_experiment(make_state(sigma=0.5))
+    assert two_blas_threads() == 2
+    assert _worker_threads() == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("executor", ["inline", "worker", "delayed"])
+@pytest.mark.parametrize("poisoned, named", [((1, 3), 1), ((3,), 3)])
+def test_the_lowest_failing_client_is_named_whichever_half_fails(
+    two_blas_threads, monkeypatch, executor, poisoned, named
+):
+    """Clients 0-1 of 4 run on the calling thread and 2-3 on the worker.
+    With both halves failing the lower half's error wins; a failure on the
+    worker's half alone reaches the run."""
+    factory = {
+        "inline": InlineExecutor,
+        "worker": federation._new_worker,
+        "delayed": lambda: SleepyExecutor(seed=13),
+    }[executor]
+    monkeypatch.setattr(federation, "_new_worker", factory)
+    state = make_state(n_clients=4, batch_size=60, sigma=0.5)  # whole shards
+    for cid in poisoned:
+        bad = state.shards[cid]
+        bad.dataset.X[bad.indices[0]] = np.nan
+    with pytest.raises(ValueError, match=rf"round 0, client {named}: non-finite"):
+        run_experiment(state)
     assert two_blas_threads() == 2
     assert _worker_threads() == []
 
