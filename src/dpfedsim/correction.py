@@ -27,12 +27,13 @@ G[i] and G[i, i]; a test against j reads d = row[j], and a projection with
 coefficient c = d / G[j, j] updates them as row -= c * G[j] and
 q = max(0, q - c * d).
 
-``plan_round`` is the decision step: from G alone it returns each client's
-ordered projections (j, c), so that corrected_i = g_i - sum c g_j, i.e. the
-coefficient matrix M with corrected_i = sum_j M_ij g_j.  A federated round
-needs only the weighted sum of the corrected uploads, sum_i w_i corrected_i
-= sum_j alpha_j g_j with alpha = w^T M (``fold_weights``), so no corrected
-vector is ever built here.  The tests' oracle (``tests/oracle.py``)
+``plan_round`` is the decision step: from G alone it returns, for row p of
+U, the ordered projections (q, c) with q a row of U, so that corrected_p =
+g_p - sum c g_q, i.e. the coefficient matrix M with corrected_p = sum_q
+M_pq g_q.  A federated round needs only the weighted sum of the corrected
+uploads, sum_p w_p corrected_p = sum_q alpha_q g_q with alpha = w^T M
+(``fold_weights``), so no corrected vector is ever built here.  Client ids
+label only the report.  The tests' oracle (``tests/oracle.py``)
 materialises a plan, one scale_add per projection in plan order.
 """
 
@@ -45,9 +46,9 @@ import numpy as np
 
 CORRECTION_MODES = ("reference", "pairwise")
 
-# Client id -> its projections in the order applied: (j, c) means
-# r <- r - c * g_j, with g_j the original upload of client j.
-CorrectionPlan = dict[int, list[tuple[int, float]]]
+# plan[p] is row p's projections in the order applied: (q, c) means
+# r <- r - c * g_q, with g_q the original upload in row q of U.
+CorrectionPlan = list[list[tuple[int, float]]]
 
 
 @dataclass
@@ -107,16 +108,14 @@ def gram(uploads: np.ndarray) -> np.ndarray:
 
 
 def select_references(
-    client_ids: list[int], num_references: int, rng: np.random.Generator
+    n: int, num_references: int, rng: np.random.Generator
 ) -> list[int]:
-    """Uniform draw of num_references distinct ids, returned ascending."""
-    if not 1 <= num_references < len(client_ids):
+    """Uniform draw of num_references distinct rows of n, returned ascending."""
+    if not 1 <= num_references < n:
         raise ValueError(
-            f"num_references must be in [1, {len(client_ids) - 1}], "
-            f"got {num_references}"
+            f"num_references must be in [1, {n - 1}], got {num_references}"
         )
-    picked = rng.choice(np.asarray(client_ids), size=num_references, replace=False)
-    return sorted(int(i) for i in picked)
+    return sorted(int(p) for p in rng.choice(n, size=num_references, replace=False))
 
 
 def resolve_num_references(num_references: int, n_clients: int) -> int:
@@ -133,69 +132,64 @@ def plan_round(
 ) -> tuple[CorrectionPlan, CorrectionReport]:
     """Decide one round of conflict correction from the Gram matrix alone.
 
-    Row p of the (N, D) array uploads is the upload of client ids[p], ids
-    ascending.  mode is one of CORRECTION_MODES; num_references (0 = auto)
-    is read only in reference mode.  Returns every client's ordered
-    projections and the report; the uploads are read only to build the Gram
-    matrix.
+    Row p of the (N, D) array uploads is the upload of client ids[p]; ids
+    label the report's cosines and references and nothing else.  mode is
+    one of CORRECTION_MODES; num_references (0 = auto) is read only in
+    reference mode.  Returns every row's ordered projections and the
+    report; the uploads are read only to build the Gram matrix.
     """
-    if len(ids) < 2:
+    n = len(ids)
+    if n < 2:
         raise ValueError("correction needs at least 2 client gradients")
 
     g = gram(uploads)
-    position = {cid: p for p, cid in enumerate(ids)}
     report = CorrectionReport()
-    plan: CorrectionPlan = {i: [] for i in ids}
+    plan: CorrectionPlan = [[] for _ in range(n)]
 
-    def plan_one(i: int, order: list[int]) -> None:
-        """Test upload i against upload j, j in order (positions in ids).
+    def plan_one(p: int, order: list[int]) -> None:
+        """Test row p's running vector against row q, q in order.
 
-        row[k] = <running, g_k> and q = ||running||^2 are scalars, so a test
-        costs O(1) and a projection O(N).
+        row[k] = <running, g_k> and sq = ||running||^2 are scalars, so a
+        test costs O(1) and a projection O(N).
         """
-        steps = plan[ids[i]]
-        row = g[i].copy()
-        q = float(g[i, i])
-        for j in order:
-            d = float(row[j])
-            sq_j = float(g[j, j])
-            cos = cosine_from_products(q, sq_j, d)
-            report.cosines[(ids[i], ids[j])] = cos
+        steps = plan[p]
+        row = g[p].copy()
+        sq = float(g[p, p])
+        for q in order:
+            d = float(row[q])
+            sq_q = float(g[q, q])
+            cos = cosine_from_products(sq, sq_q, d)
+            report.cosines[(ids[p], ids[q])] = cos
             report.cosine_tests += 1
             if cos < 0:
-                c = d / sq_j
-                steps.append((ids[j], c))
-                row -= c * g[j]
-                q = max(0.0, q - c * d)
+                c = d / sq_q
+                steps.append((q, c))
+                row -= c * g[q]
+                sq = max(0.0, sq - c * d)
         report.projections_applied += len(steps)
 
     if mode == "reference":
-        m = resolve_num_references(num_references, len(ids))
-        refs = select_references(ids, m, rng)
-        report.reference_ids = refs
-        ref_array = np.asarray(refs)
-        for i in ids:
-            if i not in refs:
-                order = [position[int(j)] for j in rng.permutation(ref_array)]
-                plan_one(position[i], order)
+        refs = select_references(n, resolve_num_references(num_references, n), rng)
+        report.reference_ids = [ids[p] for p in refs]
+        for p in range(n):
+            if p not in refs:
+                plan_one(p, rng.permutation(refs).tolist())
     else:  # pairwise
-        for p in range(len(ids)):
-            plan_one(p, [j for j in range(len(ids)) if j != p])
+        for p in range(n):
+            plan_one(p, [q for q in range(n) if q != p])
 
     return plan, report
 
 
-def fold_weights(
-    plan: CorrectionPlan, weights: dict[int, float]
-) -> dict[int, float]:
-    """alpha = w^T M, so that sum_j alpha_j g_j = sum_i w_i corrected_i.
+def fold_weights(plan: CorrectionPlan, weights: list[float]) -> list[float]:
+    """alpha = w^T M, so that sum_q alpha_q g_q = sum_p w_p corrected_p.
 
-    alpha_j = w_j - sum_i w_i c_ij, with the products subtracted in ascending
-    i and then plan order, in Python float arithmetic.  Without projections
-    alpha equals weights exactly.
+    alpha_q = w_q - sum_p w_p c_pq, with the products subtracted in
+    ascending row p and then plan order, in Python float arithmetic.
+    Without projections alpha equals weights exactly.
     """
-    alpha = dict(weights)
-    for i in sorted(plan):
-        for j, c in plan[i]:
-            alpha[j] -= weights[i] * c
+    alpha = list(weights)
+    for p, steps in enumerate(plan):
+        for q, c in steps:
+            alpha[q] -= weights[p] * c
     return alpha

@@ -13,18 +13,20 @@ end at start - K eta * upload, so isolated stores that as the client's
 model, and dp_scaffold's option-II update c_i <- c_i - c + (start - w_K) /
 (K eta) adds the upload itself.
 
-Every aggregate is one weighted sum over the rows of U in order
-(``linalg.weighted_sum``).  For gcfl the correction is folded into its
-weights: ``correction.plan_round`` decides the projections from the Gram
-matrix of U, ``correction.fold_weights`` turns the participant
-weights w into alpha = w^T M, and the update is sum_j alpha_j g_j, so no
-corrected vector is built.  That is the weighted sum of the corrected
-uploads up to rounding.  Every other round folds the empty plan, and
-``fold_weights({}, w)`` is w itself: the plain weighted average.  Three
-fixed orders set the update's bytes, none of them dependent on the BLAS
-thread count: the Gram's (one BLAS syrk; see ``correction.gram``), the
-fold's (ascending i, then plan order) and the weighted sum's (ascending j,
-elementwise axpys; see ``linalg``).
+The server step speaks rows: the participant weights w, the correction
+plan and the folded alpha are lists by row of U, and client ids appear
+only at the round's edges (shard lookup, per-client models and variates,
+the report's keys).  Every aggregate is one weighted sum over the rows of
+U in order (``linalg.weighted_sum``).  For gcfl ``correction.plan_round``
+decides each row's projections from the Gram matrix of U,
+``correction.fold_weights`` turns w into alpha = w^T M, and the update is
+sum_q alpha_q g_q: the weighted sum of the corrected uploads up to
+rounding, with no corrected vector built.  Every other round folds the
+empty plan, and ``fold_weights([], w)`` is w itself.  Three fixed orders
+set the update's bytes, none of them dependent on the BLAS thread count:
+the Gram's (one BLAS syrk; see ``correction.gram``), the fold's
+(ascending row p, then plan order) and the weighted sum's (ascending row
+q, elementwise axpys; see ``linalg``).
 
 Every function here reads its settings from the run's ``ExperimentConfig``
 by key name (``cfg.sigma``, ``cfg.eta``, ``cfg.correction_mode``); the
@@ -258,12 +260,13 @@ def client_local_phase(
 
 def _participant_weights(
     state: ExperimentState, participants: list[int]
-) -> dict[int, float]:
+) -> list[float]:
+    """Aggregation weight of each row of U, in row order."""
     if state.cfg.weighting == "uniform":
-        return {i: 1.0 / len(participants) for i in participants}
-    sizes = {i: state.shards[i].size for i in participants}
-    total = sum(sizes.values())
-    return {i: sizes[i] / total for i in participants}
+        return [1.0 / len(participants)] * len(participants)
+    sizes = [state.shards[cid].size for cid in participants]
+    total = sum(sizes)
+    return [size / total for size in sizes]
 
 
 def server_step(
@@ -315,26 +318,20 @@ def _evaluate(
 
 
 def _select_participants(state: ExperimentState, round_index: int) -> list[int]:
-    all_ids = [s.client_id for s in state.shards]
+    """The round's client ids, ascending (init_state makes id == shard index)."""
+    n = len(state.shards)
     k = state.cfg.clients_per_round
-    if k == 0 or k >= len(all_ids):
-        return all_ids
+    if k == 0 or k >= n:
+        return list(range(n))
     rng = derive_rng(state.seed, round_index, 0, _P_SELECT)
-    picked = rng.choice(np.asarray(all_ids), size=k, replace=False)
-    return sorted(int(i) for i in picked)
+    return sorted(int(i) for i in rng.choice(n, size=k, replace=False))
 
 
 def run_round(
-    state: ExperimentState, round_index: int, worker: Executor | None = None
+    state: ExperimentState, round_index: int, worker: Executor
 ) -> tuple[RoundMetrics, CorrectionReport | None]:
-    """Advance the experiment by one round, mutating state in place.
-
-    Called without the run's worker, the round holds the BLAS pin and a
-    worker of its own.
-    """
-    if worker is None:
-        with _pinned_worker() as (_, worker):
-            return run_round(state, round_index, worker)
+    """Advance the experiment by one round on the run's worker, mutating
+    state in place."""
     t0 = time.perf_counter()
     cfg = state.cfg
     participants = _select_participants(state, round_index)
@@ -384,7 +381,7 @@ def run_round(
                 state.client_models[cid], -cfg.eta * int(steps[p]), uploads[p]
             )
     else:
-        plan = {}  # no projections: fold_weights returns the weights as given
+        plan = []  # no projections: fold_weights returns the weights as given
         if cfg.algorithm == "gcfl" and len(participants) > 1:
             # position 1 held the removed order_seed key, always 0; keeping
             # the 0 keeps every correction stream's bytes
@@ -394,22 +391,22 @@ def run_round(
                 corr_rng,
             )
         alpha = fold_weights(plan, _participant_weights(state, participants))
-        aggregated = weighted_sum(uploads, [alpha[cid] for cid in participants])
+        aggregated = weighted_sum(uploads, alpha)
         state.weights = server_step(state.weights, aggregated, cfg, uploads)
 
         if cfg.algorithm == "dp_scaffold":
-            deltas = []
+            # the server variate moves by (1 / n) sum of the new - old of
+            # every participant that stepped, added in row order
+            scaffold = state.scaffold
+            move = np.zeros_like(scaffold.server_variate)
             for p, cid in enumerate(participants):
-                if steps[p] == 0:
-                    continue
-                old = state.scaffold.client_variates[cid]
-                new = old - state.scaffold.server_variate + uploads[p]
-                deltas.append(new - old)
-                state.scaffold.client_variates[cid] = new
-            if deltas:  # adds (k / n) * the mean of the k deltas
-                share = [1.0 / cfg.n_clients] * len(deltas)
-                step = weighted_sum(deltas, share)
-                state.scaffold.server_variate = state.scaffold.server_variate + step
+                if steps[p]:
+                    old = scaffold.client_variates[cid]
+                    new = old - scaffold.server_variate + uploads[p]
+                    move += (1.0 / cfg.n_clients) * (new - old)
+                    scaffold.client_variates[cid] = new
+            if steps.any():
+                scaffold.server_variate = scaffold.server_variate + move
     del uploads  # the round's P x D uploads are not held through evaluation
 
     # metrics

@@ -9,8 +9,12 @@ client builds the same bytes in the noise vector it draws.
 ``stack`` turns a dict of uploads into the round's (N, D) upload array.
 ``correct_round`` materialises ``correction.plan_round`` in plan order, and
 ``correct_round_on_vectors`` corrects the D-length vectors with fresh dots
-for every test.  ``aggregate`` is the plain weighted average, which every
-round takes as one weighted sum of folded weights.
+for every test; both key their output by client id, where a plan speaks
+rows (``plan_by_id`` relabels a plan).  ``aggregate`` is the plain
+weighted average, which every round takes as one weighted sum of folded
+weights.  ``run_one_round`` runs a single round outside
+``run_experiment``, holding the BLAS pin and a worker of its own as a run
+does.
 """
 
 from __future__ import annotations
@@ -19,7 +23,9 @@ import math
 
 import numpy as np
 
+from dpfedsim import federation
 from dpfedsim.correction import (
+    CorrectionPlan,
     CorrectionReport,
     cosine_from_products,
     plan_round,
@@ -211,6 +217,14 @@ def stack(gradients: dict[int, ParamVector]) -> tuple[np.ndarray, list[int]]:
     return np.stack([gradients[i] for i in ids]), ids
 
 
+def plan_by_id(
+    plan: CorrectionPlan, ids: list[int]
+) -> dict[int, list[tuple[int, float]]]:
+    """A row-indexed plan keyed by client id, row p being client ids[p]:
+    client i's projections (j, c) in the order applied."""
+    return {ids[p]: [(ids[q], c) for q, c in steps] for p, steps in enumerate(plan)}
+
+
 def correct_round(
     gradients: dict[int, ParamVector],
     mode: str,
@@ -223,9 +237,10 @@ def correct_round(
     input mapping is never mutated; untouched gradients appear in the output
     as the same objects.
     """
-    plan, report = plan_round(*stack(gradients), mode, num_references, rng)
+    uploads, ids = stack(gradients)
+    plan, report = plan_round(uploads, ids, mode, num_references, rng)
     corrected: dict[int, ParamVector] = {}
-    for i, steps in plan.items():
+    for i, steps in plan_by_id(plan, ids).items():
         running = gradients[i]
         for j, c in steps:
             running = scale_add(running, -c, gradients[j])
@@ -258,7 +273,7 @@ def correct_round_on_vectors(
 
     if mode == "reference":
         m = resolve_num_references(num_references, len(ids))
-        refs = select_references(ids, m, rng)
+        refs = [ids[p] for p in select_references(len(ids), m, rng)]
         report.reference_ids = refs
         ref_array = np.asarray(refs)
         for i in refs:
@@ -270,3 +285,12 @@ def correct_round_on_vectors(
         for i in ids:
             corrected[i] = correct_one(i, [j for j in ids if j != i])
     return corrected, report
+
+
+def run_one_round(
+    state: federation.ExperimentState, round_index: int
+) -> tuple[federation.RoundMetrics, CorrectionReport | None]:
+    """``federation.run_round`` with the BLAS pin and a worker of its own
+    (``federation._pinned_worker``), both released when the round ends."""
+    with federation._pinned_worker() as (_, worker):
+        return federation.run_round(state, round_index, worker)

@@ -8,8 +8,11 @@ from pathlib import Path
 import pytest
 
 import dpfedsim.cli
-from dpfedsim.cli import CSV_HEADER, main
+from dpfedsim.cli import CSV_HEADER, build_data, main
+from dpfedsim.config import parse_config
+from dpfedsim.data import shard_fingerprint
 from dpfedsim.dp import steps_for_budget
+from dpfedsim.federation import ALGORITHMS
 
 FAST_CFG = """
 synthetic_classes = 3
@@ -181,6 +184,33 @@ def test_compare_runs_algorithms_on_identical_shards(tmp_path):
     hash_gcfl = lines[1].split(",")[2]
     hash_avg = lines[2].split(",")[2]
     assert hash_gcfl == hash_avg
+
+
+def test_each_compare_row_is_the_final_row_of_a_separate_run(tmp_path):
+    """compare builds each seed's data once and runs every algorithm on it;
+    each row must be what a run of that algorithm alone ends with."""
+    cfg = write_cfg(tmp_path, FAST_CFG.replace("seeds = 2", "seeds = 1,2"))
+    algos = list(ALGORITHMS)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", cfg, "--out", str(out),
+                 "--algos", ",".join(algos)]) == 0
+    rows = [row.split(",") for row in (out / "comparison.csv").read_text().splitlines()]
+    want = []
+    for algo in algos:
+        run_out = tmp_path / algo
+        argv = ["run", "--config", cfg, "--out", str(run_out)]
+        assert main([*argv, "--override", f"algorithm={algo}"]) == 0
+        for seed in (1, 2):
+            shards = build_data(parse_config(cfg), seed)[1]
+            lines = (run_out / f"metrics_seed{seed}.csv").read_text().splitlines()
+            final = lines[-1].split(",")
+            projections = sum(int(line.split(",")[6]) for line in lines[1:])
+            want.append(
+                [algo, str(seed), shard_fingerprint(shards[0])[:16], *final[1:6],
+                 str(projections)]
+            )
+    assert rows[1:] == want
+    assert any(int(row[-1]) > 0 for row in want)  # gcfl projected
 
 
 def test_compare_rejects_a_bad_algorithm_before_training_any(

@@ -19,7 +19,14 @@ from dpfedsim.correction import (
     resolve_num_references,
     select_references,
 )
-from oracle import correct_round, dot, l2_norm, project_if_conflicting, stack
+from oracle import (
+    correct_round,
+    dot,
+    l2_norm,
+    plan_by_id,
+    project_if_conflicting,
+    stack,
+)
 
 
 def test_projection_worked_example():
@@ -74,14 +81,14 @@ def test_projection_orthogonality_and_norm_shrink():
 def test_select_references_bounds_and_determinism():
     ids = list(range(6))
     rng = np.random.default_rng(5)
-    refs = select_references(ids, 3, rng)
+    refs = select_references(len(ids), 3, rng)
     assert len(refs) == 3
     assert refs == sorted(refs)
     assert set(refs) <= set(ids)
     with pytest.raises(ValueError):
-        select_references(ids, 0, rng)
+        select_references(len(ids), 0, rng)
     with pytest.raises(ValueError):
-        select_references(ids, 6, rng)
+        select_references(len(ids), 6, rng)
 
 
 def test_select_references_uniform_frequency():
@@ -90,11 +97,30 @@ def test_select_references_uniform_frequency():
     hits = np.zeros(5)
     draws = 10_000
     for _ in range(draws):
-        for i in select_references(ids, 2, rng):
+        for i in select_references(len(ids), 2, rng):
             hits[i] += 1
     expected = draws * 2 / 5
     stderr = np.sqrt(draws * (2 / 5) * (3 / 5))
     assert np.all(np.abs(hits - expected) <= 4 * stderr)
+
+
+def test_row_draws_pick_and_order_the_ids_an_id_draw_would():
+    """select_references draws rows and reference mode permutes a row array;
+    mapped through the ids, they are the ids a draw over the id array picks,
+    in the same order, and the stream is left where that draw leaves it."""
+    for seed in range(200):
+        setup = np.random.default_rng([seed, 1])
+        n = int(setup.integers(2, 12))
+        ids = sorted(int(i) for i in setup.choice(40, size=n, replace=False))
+        m = int(setup.integers(1, n))
+        by_row, by_id = np.random.default_rng(seed), np.random.default_rng(seed)
+        rows = select_references(n, m, by_row)
+        picked = sorted(int(i) for i in by_id.choice(np.asarray(ids), m, replace=False))
+        assert [ids[p] for p in rows] == picked
+        row_order = by_row.permutation(np.asarray(rows))
+        id_order = by_id.permutation(np.asarray(picked))
+        assert [ids[p] for p in row_order] == id_order.tolist()
+        assert by_row.random() == by_id.random()
 
 
 def test_resolve_num_references_default_half():
@@ -451,7 +477,9 @@ def test_gram_is_exactly_symmetric_and_reproducible(n, dim):
 @pytest.mark.parametrize("mode", CORRECTION_MODES)
 def test_correct_round_materialises_plan_round_in_plan_order(mode):
     grads = _uploads(np.random.default_rng(12), 7, 30, 0.0)
-    plan, report = plan_round(*stack(grads), mode, 0, np.random.default_rng(5))
+    uploads, ids = stack(grads)
+    rows, report = plan_round(uploads, ids, mode, 0, np.random.default_rng(5))
+    plan = plan_by_id(rows, ids)
     out, want_report = correct_round(grads, mode, 0, np.random.default_rng(5))
     assert report.cosines == want_report.cosines
     assert report.projections_applied == sum(len(s) for s in plan.values()) > 0
@@ -470,10 +498,13 @@ def test_fold_weights_is_w_transpose_m(mode):
     alpha_j g_j with alpha_j = w_j - sum_i w_i c_ij; the fold sums those
     terms in a fixed order, within gamma_2N of the exact sum."""
     grads = _uploads(np.random.default_rng(21), 6, 12, 0.0)
-    plan, _ = plan_round(*stack(grads), mode, 0, np.random.default_rng(2))
+    uploads, ids = stack(grads)
+    rows, _ = plan_round(uploads, ids, mode, 0, np.random.default_rng(2))
+    plan = plan_by_id(rows, ids)
     assert any(plan.values())
     weights = {i: (i + 1) / 21 for i in grads}
-    alpha = fold_weights(plan, weights)
+    in_rows = [weights[i] for i in ids]
+    alpha = dict(zip(ids, fold_weights(rows, in_rows)))
     assert list(alpha) == list(weights)
     for j in grads:
         terms = [weights[j]] + [
@@ -481,7 +512,8 @@ def test_fold_weights_is_w_transpose_m(mode):
         ]
         bound = _gamma(2 * len(grads)) * math.fsum(abs(t) for t in terms)
         assert abs(alpha[j] - math.fsum(terms)) <= bound
-    assert fold_weights({i: [] for i in grads}, weights) == weights
+    assert fold_weights([[] for _ in ids], in_rows) == in_rows
+    assert fold_weights([], in_rows) == in_rows
 
 
 _BLAS_PROBE = """
@@ -543,12 +575,12 @@ rng = np.random.default_rng(2024)
 base = rng.standard_normal(101_770)
 grads = {i: 1e-3 * base + rng.standard_normal(101_770) for i in range(32)}
 uploads, ids = stack(grads)
-weights = {i: (i + 1) / 528 for i in grads}
+weights = [(i + 1) / 528 for i in ids]
 for mode in ("reference", "pairwise"):
     plan, report = plan_round(uploads, ids, mode, 0, np.random.default_rng(11))
     alpha = fold_weights(plan, weights)
-    digest = hashlib.sha256(weighted_sum(uploads, [alpha[i] for i in ids]).tobytes())
-    digest.update(repr(sorted(alpha.items())).encode())
+    digest = hashlib.sha256(weighted_sum(uploads, alpha).tobytes())
+    digest.update(repr(alpha).encode())
     print(mode, report.projections_applied, digest.hexdigest())
 """
 

@@ -20,16 +20,17 @@ from dpfedsim.federation import (
     derive_rng,
     init_state,
     run_experiment,
-    run_round,
     server_step,
 )
-from dpfedsim.linalg import scale_add
+from dpfedsim.linalg import scale_add, weighted_sum
 from dpfedsim.model import MlpSpec
 from oracle import (
     aggregate,
     correct_round,
     noisy_batch_gradient,
     per_sample_gradient,
+    plan_by_id,
+    run_one_round,
     stack,
 )
 
@@ -183,7 +184,7 @@ def test_by_samples_weighting_uses_shard_sizes():
             shard, w0, state.model_spec, state.cfg,
             derive_rng(0, 0, 0, 0), None, upload,
         )
-    run_round(state, 0)
+    run_one_round(state, 0)
     by_size = sum(p.size / train.size * g for p, g in zip(parts, uploads))
     uniform = sum(uploads) / 3
     eta = state.cfg.eta
@@ -255,7 +256,7 @@ def test_non_finite_gradient_norm_stops_the_round_naming_client_and_round(bad_va
     bad = state.shards[1]
     bad.dataset.X[bad.indices[0]] = bad_value
     with pytest.raises(ValueError, match=r"round 0, client 1: non-finite"):
-        run_round(state, 0)
+        run_one_round(state, 0)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -263,7 +264,7 @@ def test_non_finite_step_gradient_stops_the_round():
     # finite norms, but sigma * C overflows, so the step gradient is infinite
     state = make_state(sigma=1e308)
     with pytest.raises(ValueError, match=r"round 0, client 0: non-finite"):
-        run_round(state, 0)
+        run_one_round(state, 0)
 
 
 def test_scaffold_server_variate_is_mean_of_clients():
@@ -320,11 +321,11 @@ def test_isolated_keeps_global_weights_fixed_and_models_diverge():
 
 def test_gcfl_reports_correction_and_others_dont():
     g = make_state(algorithm="gcfl", sigma=1.5, rounds=2, seed=3)
-    _, report = run_round(g, 0)
+    _, report = run_one_round(g, 0)
     assert report is not None
     assert report.cosine_tests == 1  # N=2, M=1
     f = make_state(algorithm="dp_fedavg", sigma=1.5, rounds=2, seed=3)
-    _, report_f = run_round(f, 0)
+    _, report_f = run_one_round(f, 0)
     assert report_f is None
 
 
@@ -413,7 +414,7 @@ def _capture_round_zero(monkeypatch, state):
     monkeypatch.setattr(federation, "client_local_phase", local)
     monkeypatch.setattr(federation, "plan_round", plan)
     w0 = state.weights
-    _, report = run_round(state, 0)
+    _, report = run_one_round(state, 0)
     return w0, uploads, report, handed[0] if handed else None
 
 
@@ -449,8 +450,9 @@ def test_gcfl_round_matches_aggregating_the_corrected_uploads(
         shards, base.test,
     )
     w0, uploads, report, rng = _capture_round_zero(monkeypatch, state)
-    weights = federation._participant_weights(state, sorted(uploads))
-    plan, _ = plan_round(*stack(uploads), mode, 0, copy.deepcopy(rng))
+    rows, ids = stack(uploads)
+    weights = dict(zip(ids, federation._participant_weights(state, ids)))
+    plan = plan_by_id(plan_round(rows, ids, mode, 0, copy.deepcopy(rng))[0], ids)
     corrected, want_report = correct_round(uploads, mode, 0, rng)
     want = server_step(w0, aggregate(corrected, weights), state.cfg)
 
@@ -553,7 +555,7 @@ def _record_round(monkeypatch, state, round_index):
 
     with monkeypatch.context() as patch:
         patch.setattr(federation, "client_local_phase", local)
-        run_round(state, round_index)
+        run_one_round(state, round_index)
     return starts, steps, uploads
 
 
@@ -576,7 +578,7 @@ def _state_after_round_zero(algorithm, local_steps, sampling_mode, batch_size):
         local_steps=local_steps, sampling_mode=sampling_mode,
         batch_size=batch_size,
     )
-    run_round(state, 0)  # round 1 starts from diverged models and variates
+    run_one_round(state, 0)  # round 1 starts from diverged models and variates
     return state
 
 
@@ -638,7 +640,7 @@ def test_upload_from_noise_drawn_ahead_is_the_oracle_fed_from_the_same_stream(
     monkeypatch.setattr(federation, "client_local_phase", local)
     monkeypatch.setattr(federation.model_mod, "clipped_gradient_sum", kernel)
     monkeypatch.setattr(federation, "_new_worker", StartedWorker)
-    run_round(state, 1)
+    run_one_round(state, 1)
     on_worker = {c for c, name in ran_on.items() if name.startswith("dpfedsim-worker")}
     assert on_worker == {2, 3}
     cfg = state.cfg
@@ -732,6 +734,44 @@ def test_scaffold_variate_is_option_two_of_the_local_model(
     _assert_some_client_skipped_one_step(steps, local_steps, sampling_mode)
 
 
+def test_scaffold_server_variate_adds_the_stepped_deltas_over_n_bitwise(monkeypatch):
+    """With 4 of 5 clients in the round and the lowest of them drawing only
+    empty Poisson batches, the server variate moves to old + weighted_sum of
+    the other three participants' new - old, each weighted 1 / n_clients,
+    in ascending id: the same axpys from zeros in the same order."""
+    state = make_state(
+        algorithm="dp_scaffold", n_clients=5, clients_per_round=4, sigma=0.5,
+        seed=7, local_steps=3, sampling_mode="poisson", batch_size=2,
+    )
+    run_one_round(state, 0)  # variates nonzero from here on
+    empty = min(federation._select_participants(state, 1))
+    server = state.scaffold.server_variate
+    before = dict(state.scaffold.client_variates)
+    steps, current = {}, threading.local()
+    real_local, real_sample = federation.client_local_phase, federation.poisson_sample
+
+    def local(shard, *args, **kwargs):
+        current.cid = shard.client_id
+        out = real_local(shard, *args, **kwargs)
+        steps[shard.client_id] = out[0]
+        return out
+
+    def sample(*args):
+        idx = real_sample(*args)
+        return idx[:0] if current.cid == empty else idx
+
+    monkeypatch.setattr(federation, "client_local_phase", local)
+    monkeypatch.setattr(federation, "poisson_sample", sample)
+    run_one_round(state, 1)
+    stepped = [cid for cid in sorted(steps) if steps[cid]]
+    assert steps[empty] == 0 and len(stepped) == 3
+    after = state.scaffold.client_variates
+    deltas = [after[cid] - before[cid] for cid in stepped]
+    want = server + weighted_sum(deltas, [1.0 / state.cfg.n_clients] * len(deltas))
+    assert state.scaffold.server_variate.tobytes() == want.tobytes()
+    assert after[empty] is before[empty]
+
+
 @pytest.mark.parametrize("algorithm", ["isolated", "dp_scaffold"])
 def test_client_without_a_noisy_step_keeps_its_model_and_variate(
     monkeypatch, algorithm
@@ -743,7 +783,7 @@ def test_client_without_a_noisy_step_keeps_its_model_and_variate(
     monkeypatch.setattr(
         federation, "poisson_sample", lambda *args: np.array([], dtype=np.int64)
     )
-    run_round(state, 1)
+    run_one_round(state, 1)
     assert {cid: m.tobytes() for cid, m in state.client_models.items()} == models
     if state.scaffold:
         assert all(state.scaffold.client_variates[c] is v for c, v in variates.items())
