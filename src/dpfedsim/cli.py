@@ -5,6 +5,12 @@ run      executes the configured experiment for every seed in `seeds`,
 compare  runs several algorithms on each seed's data, built once per seed,
          and writes comparison.csv of final-round metrics.
 privacy  prints the epsilon schedule implied by the config without training.
+
+run and compare build a seed's synthetic data on two threads (build_data):
+the calling thread draws the train set's class blocks from its stream, in
+class order, and a worker thread finishes each drawn block into the
+feature matrix and builds the whole test set from its own stream.  The
+bytes are those of a one-thread build.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from . import data as data_mod
 from .config import ExperimentConfig, parse_config, parse_label_split
 from .dp import epsilon_spent
 from .federation import ExperimentResult, ExperimentState, init_state, run_experiment
+from .federation import worker_thread
 from .model import MlpSpec
 
 CSV_HEADER = [
@@ -51,7 +58,10 @@ def _derived_seed(*parts: int) -> int:
 def build_data(
     cfg: ExperimentConfig, seed: int
 ) -> tuple[data_mod.Dataset, list[data_mod.ClientShard], data_mod.Dataset]:
-    """(train set, client shards of it, test set) for one run seed."""
+    """(train set, client shards of it, test set) for one run seed.
+
+    The synthetic build's worker comes from ``federation.worker_thread``
+    and has stopped when this returns or raises."""
     if cfg.dataset == "idx":
         train = data_mod.load_idx(cfg.train_images, cfg.train_labels)
         test = data_mod.load_idx(cfg.test_images, cfg.test_labels)
@@ -61,20 +71,26 @@ def build_data(
             train = data_mod.Dataset(train.X, train.y, classes)
             test = data_mod.Dataset(test.X, test.y, classes)
     else:
-        train = data_mod.synthetic_blobs(
-            cfg.synthetic_classes,
-            cfg.synthetic_per_class,
-            cfg.synthetic_dim,
-            cfg.synthetic_spread,
-            _derived_seed(seed, _T_TRAIN),
-        )
-        test = data_mod.synthetic_blobs(
-            cfg.synthetic_classes,
-            max(1, cfg.synthetic_per_class // 5),
-            cfg.synthetic_dim,
-            cfg.synthetic_spread,
-            _derived_seed(seed, _T_TEST),
-        )
+        # the worker builds the test set whole, then finishes the train
+        # set's blocks as this thread draws them
+        with worker_thread() as worker:
+            test_build = worker.submit(
+                data_mod.synthetic_blobs,
+                cfg.synthetic_classes,
+                max(1, cfg.synthetic_per_class // 5),
+                cfg.synthetic_dim,
+                cfg.synthetic_spread,
+                _derived_seed(seed, _T_TEST),
+            )
+            train = data_mod.synthetic_blobs(
+                cfg.synthetic_classes,
+                cfg.synthetic_per_class,
+                cfg.synthetic_dim,
+                cfg.synthetic_spread,
+                _derived_seed(seed, _T_TRAIN),
+                worker,
+            )
+            test = test_build.result()
     if cfg.subsample_train:
         train = data_mod.subsample(
             train, cfg.subsample_train, _derived_seed(seed, _T_SUB_TRAIN)

@@ -1,9 +1,15 @@
-"""Datasets, client shards, IDX file loading, and deterministic partitioning."""
+"""Datasets, client shards, IDX file loading, and deterministic partitioning.
+
+Synthetic blobs can be built on two threads: the calling thread draws every
+class's noise block from the one seeded stream, in class order, and a
+worker finishes each block into the feature matrix (``synthetic_blobs``).
+"""
 
 from __future__ import annotations
 
 import hashlib
 import struct
+from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,14 +115,35 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
         raise ValueError(
             f"image/label count mismatch: {count} images vs {label_count} labels"
         )
-    pixels = np.frombuffer(raw, dtype=np.uint8).astype(np.float64) / 255.0
+    pixels = np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
+    pixels /= 255.0  # in place: no second full-size float64 array
     pixels = pixels.reshape(count, rows * cols)
     labels = np.frombuffer(label_raw, dtype=np.uint8).astype(np.int64)
     return Dataset(pixels, labels, num_classes=int(labels.max()) + 1)
 
 
+def _finish_block(
+    block: np.ndarray, noise: np.ndarray | None, spread: float, center: np.ndarray
+) -> None:
+    """Write one class's rows of X: clip((noise * spread + center + 1) / 2,
+    0, 1), or the center alone where no noise was drawn (spread == 0)."""
+    if noise is None:
+        block[...] = center
+    else:
+        np.multiply(noise, spread, out=block)
+        block += center
+    block += 1.0
+    block /= 2.0
+    np.clip(block, 0.0, 1.0, out=block)
+
+
 def synthetic_blobs(
-    num_classes: int, per_class: int, dim: int, spread: float, seed: int
+    num_classes: int,
+    per_class: int,
+    dim: int,
+    spread: float,
+    seed: int,
+    worker: futures.Executor | None = None,
 ) -> Dataset:
     """Gaussian blobs: one deterministic unit-norm center per class.
 
@@ -125,6 +152,13 @@ def synthetic_blobs(
     example of a class identical.  Centers come first from the seeded stream
     (QR-orthonormalized when dim >= num_classes), so the same seed always
     yields the same dataset.
+
+    The calling thread draws: the centers, then each class's (per_class,
+    dim) noise block in class order into an array of its own.  The worker,
+    if one is given, finishes each drawn block into its rows of X while this
+    thread draws the next; without one this thread finishes each block as
+    it is drawn.  The bytes are the same either way, and every finishing
+    task has ended when this returns or raises.
     """
     if num_classes < 2:
         raise ValueError("num_classes must be >= 2")
@@ -142,16 +176,19 @@ def synthetic_blobs(
     else:
         centers = raw.T / np.linalg.norm(raw.T, axis=1, keepdims=True)
     X = np.empty((num_classes * per_class, dim))
-    for c in range(num_classes):
-        block = X[c * per_class : (c + 1) * per_class]
-        if spread > 0:
-            np.multiply(rng.standard_normal((per_class, dim)), spread, out=block)
-            block += centers[c]
-        else:
-            block[...] = centers[c]
-        block += 1.0
-        block /= 2.0
-        np.clip(block, 0.0, 1.0, out=block)
+    finishing = []
+    try:
+        for c in range(num_classes):
+            noise = rng.standard_normal((per_class, dim)) if spread > 0 else None
+            args = (X[c * per_class : (c + 1) * per_class], noise, spread, centers[c])
+            if worker is None:
+                _finish_block(*args)
+            else:
+                finishing.append(worker.submit(_finish_block, *args))
+    finally:
+        futures.wait(finishing)
+    for task in finishing:
+        task.result()
     y = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
     return Dataset(X, y, num_classes=num_classes)
 

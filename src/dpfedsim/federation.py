@@ -152,16 +152,23 @@ def _new_worker() -> Executor:
 
 
 @contextmanager
+def worker_thread() -> Iterator[Executor]:
+    """A new worker for the block; on exit its queued tasks are cancelled
+    and its running task is waited for."""
+    worker = _new_worker()
+    try:
+        yield worker
+    finally:
+        worker.shutdown(wait=True, cancel_futures=True)
+
+
+@contextmanager
 def _pinned_worker() -> Iterator[tuple[bool, Executor]]:
     """(whether BLAS is pinned to one thread, a new worker) for the block;
-    on exit the worker's queued tasks are cancelled, its running task is
-    waited for, and the caller's BLAS thread count is restored."""
-    with one_blas_thread() as pinned:
-        worker = _new_worker()
-        try:
-            yield pinned, worker
-        finally:
-            worker.shutdown(wait=True, cancel_futures=True)
+    on exit the worker is shut down as ``worker_thread`` does and the
+    caller's BLAS thread count is restored."""
+    with one_blas_thread() as pinned, worker_thread() as worker:
+        yield pinned, worker
 
 
 def _halves(worker: Executor, fn: Callable[[range], None], n: int) -> None:

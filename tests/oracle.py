@@ -14,7 +14,9 @@ rows (``plan_by_id`` relabels a plan).  ``aggregate`` is the plain
 weighted average, which every round takes as one weighted sum of folded
 weights.  ``run_one_round`` runs a single round outside
 ``run_experiment``, holding the BLAS pin and a worker of its own as a run
-does.
+does.  ``synthetic_blobs`` builds a blob set on one thread, drawing and
+finishing each class in turn, where ``data.synthetic_blobs`` leaves the
+finishing to a worker.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from dpfedsim.correction import (
     resolve_num_references,
     select_references,
 )
+from dpfedsim.data import Dataset
 from dpfedsim.linalg import ParamVector, scale_add, weighted_sum
 from dpfedsim.model import _PROB_FLOOR, MlpSpec, _batch_labels, _softmax_rows
 from dpfedsim.model import forward_batch, unpack
@@ -294,3 +297,44 @@ def run_one_round(
     (``federation._pinned_worker``), both released when the round ends."""
     with federation._pinned_worker() as (_, worker):
         return federation.run_round(state, round_index, worker)
+
+
+def synthetic_blobs(
+    num_classes: int, per_class: int, dim: int, spread: float, seed: int
+) -> Dataset:
+    """Gaussian blobs: one deterministic unit-norm center per class.
+
+    Features are clip((center + noise + 1) / 2, 0, 1): the affine shift maps
+    the roughly [-1, 1] signal range onto [0, 1].  spread == 0 makes every
+    example of a class identical.  Centers come first from the seeded stream
+    (QR-orthonormalized when dim >= num_classes), so the same seed always
+    yields the same dataset.
+    """
+    if num_classes < 2:
+        raise ValueError("num_classes must be >= 2")
+    if per_class < 1:
+        raise ValueError("per_class must be >= 1")
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    if spread < 0:
+        raise ValueError("spread must be >= 0")
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((dim, num_classes))
+    if dim >= num_classes:
+        q, _ = np.linalg.qr(raw)
+        centers = q[:, :num_classes].T
+    else:
+        centers = raw.T / np.linalg.norm(raw.T, axis=1, keepdims=True)
+    X = np.empty((num_classes * per_class, dim))
+    for c in range(num_classes):
+        block = X[c * per_class : (c + 1) * per_class]
+        if spread > 0:
+            np.multiply(rng.standard_normal((per_class, dim)), spread, out=block)
+            block += centers[c]
+        else:
+            block[...] = centers[c]
+        block += 1.0
+        block /= 2.0
+        np.clip(block, 0.0, 1.0, out=block)
+    y = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
+    return Dataset(X, y, num_classes=num_classes)

@@ -45,6 +45,8 @@ def test_load_idx_roundtrip(tmp_path):
     assert ds.feature_dim == 6
     np.testing.assert_array_equal(ds.y, labels)
     np.testing.assert_allclose(ds.X[3], images[3].reshape(-1) / 255.0)
+    want = images.reshape(5, 6).astype(np.float64) / 255.0
+    assert ds.X.tobytes() == want.tobytes()  # scaling in place keeps the bytes
     assert ds.X[0].min() >= 0.0
     assert ds.X[0].max() <= 1.0
 

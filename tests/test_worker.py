@@ -6,6 +6,8 @@ runs the lower half, with BLAS pinned to one thread.  Which thread runs a
 half, and when, must not change a byte of the output; a failure on either
 thread must stop the run, naming the lowest failing client; and a run must
 leave no thread behind and the caller's BLAS thread count as it found it.
+The synthetic data build shares a worker too: the calling thread draws the
+train set, and the worker finishes its blocks and builds the test set.
 """
 
 import json
@@ -20,9 +22,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import dpfedsim.cli as cli
+import dpfedsim.data as data_mod
 import dpfedsim.federation as federation
-from dpfedsim.cli import main
+import oracle
+from dpfedsim.cli import build_data, main
+from dpfedsim.config import ExperimentConfig, parse_config
 from dpfedsim.federation import ALGORITHMS, run_experiment
 from dpfedsim.linalg import _openblas, one_blas_thread
 from test_federation import StartedWorker, make_state
@@ -284,3 +292,123 @@ def test_run_without_a_controllable_blas_says_so_and_records_it(
     assert "no controllable BLAS found" in capsys.readouterr().err
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
     assert summary["blas_pinned"] is False
+
+
+EXECUTORS = {
+    "inline": InlineExecutor,
+    "worker": federation._new_worker,
+    "delayed": lambda: SleepyExecutor(seed=13),
+}
+
+
+def _bytes(ds):
+    return ds.X.tobytes(), ds.y.tobytes(), ds.num_classes
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    num_classes=st.integers(2, 6),
+    per_class=st.integers(1, 9),
+    dim=st.integers(1, 9),
+    spread=st.sampled_from([0.0, 0.3, 1.7]),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(num_classes=5, per_class=4, dim=3, spread=0.3, seed=1)  # dim < classes
+@example(num_classes=3, per_class=6, dim=4, spread=0.0, seed=2)
+@example(num_classes=4, per_class=1, dim=5, spread=0.3, seed=3)
+@example(num_classes=3, per_class=7, dim=13, spread=0.25, seed=4)  # odd sizes
+def test_blobs_match_the_one_thread_oracle_under_every_executor(
+    num_classes, per_class, dim, spread, seed
+):
+    args = (num_classes, per_class, dim, spread, seed)
+    want = _bytes(oracle.synthetic_blobs(*args))
+    assert _bytes(data_mod.synthetic_blobs(*args)) == want  # no worker
+    interval = sys.getswitchinterval()
+    for mode, factory in EXECUTORS.items():
+        worker = factory()
+        if mode == "delayed":
+            sys.setswitchinterval(1e-5)
+        try:
+            got = data_mod.synthetic_blobs(*args, worker)
+        finally:
+            sys.setswitchinterval(interval)
+            worker.shutdown(wait=True)
+        assert _bytes(got) == want, mode
+
+
+BUILD_SHAPES = [  # classes, per class, dim, spread; the test set has per // 5
+    (5, 10, 3, 0.3),  # dim < classes
+    (3, 6, 4, 0.0),
+    (4, 1, 5, 0.3),  # one example per class in both sets
+    (3, 7, 13, 0.25),  # odd sizes
+    (10, 1000, 784, 0.25),  # the benchmark's 784-dim, 10k/2k shape
+]
+
+
+@pytest.mark.parametrize("mode", EXECUTORS)
+@pytest.mark.parametrize("shape", BUILD_SHAPES, ids=lambda s: "-".join(map(str, s)))
+def test_build_data_matches_the_oracle_and_the_worker_does_all_finishing(
+    monkeypatch, mode, shape
+):
+    """build_data's train and test sets equal the oracle's under each
+    executor, and every block is finished on the executor: inline that is
+    the calling thread, otherwise the worker, so the caller only draws."""
+    classes, per_class, dim, spread = shape
+    monkeypatch.setattr(federation, "_new_worker", EXECUTORS[mode])
+    real_finish, finished_on = data_mod._finish_block, set()
+
+    def finish(*args):
+        finished_on.add(threading.current_thread().name)
+        real_finish(*args)
+
+    monkeypatch.setattr(data_mod, "_finish_block", finish)
+    cfg = ExperimentConfig(
+        synthetic_classes=classes,
+        synthetic_per_class=per_class,
+        synthetic_dim=dim,
+        synthetic_spread=spread,
+    )
+    for seed in (1, 2):
+        train, _, test = build_data(cfg, seed)
+        sets = (
+            (train, per_class, cli._T_TRAIN),
+            (test, max(1, per_class // 5), cli._T_TEST),
+        )
+        for got, per, tag in sets:
+            want = oracle.synthetic_blobs(
+                classes, per, dim, spread, cli._derived_seed(seed, tag)
+            )
+            assert _bytes(got) == _bytes(want)
+    if mode == "inline":
+        assert finished_on == {threading.current_thread().name}
+    else:
+        assert len(finished_on) == 1
+        assert finished_on.pop().startswith(WORKER_PREFIX)
+    assert _worker_threads() == []
+
+
+@pytest.mark.parametrize("share, rows", [("train block", 20), ("test block", 4)])
+def test_a_failure_in_the_workers_share_of_the_build_stops_run(
+    tmp_path, monkeypatch, capsys, share, rows
+):
+    """SMALL's train set has 20-row class blocks, which the worker
+    finishes, and its test set 4-row ones, which the worker builds whole; a
+    raise in either surfaces from build_data, `run` exits 1 naming it, and
+    no worker is left."""
+    real_finish = data_mod._finish_block
+
+    def finish(block, *args):
+        if block.shape[0] == rows:
+            assert threading.current_thread().name.startswith(WORKER_PREFIX)
+            raise ValueError(f"cannot finish a {share}")
+        real_finish(block, *args)
+
+    monkeypatch.setattr(data_mod, "_finish_block", finish)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(SMALL)
+    with pytest.raises(ValueError, match=share):
+        build_data(parse_config(str(cfg)), 5)
+    assert _worker_threads() == []
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert f"error: cannot finish a {share}" in capsys.readouterr().err
+    assert _worker_threads() == []
