@@ -6,11 +6,13 @@ compare  runs several algorithms on each seed's data, built once per seed,
          and writes comparison.csv of final-round metrics.
 privacy  prints the epsilon schedule implied by the config without training.
 
-run and compare build a seed's synthetic data on two threads (build_data):
-the calling thread draws the train set's class blocks from its stream, in
-class order, and a worker thread finishes each drawn block into the
-feature matrix and builds the whole test set from its own stream.  The
-bytes are those of a one-thread build.
+run and compare each hold one worker thread and one BLAS pin
+(``federation.pinned_worker``) around all of their data builds and runs;
+run writes whether BLAS was pinned to summary.json.  A seed's synthetic data
+are built on both threads (build_data): the calling thread draws the train
+set's class blocks from its stream, in class order, and the worker finishes
+each drawn block into the feature matrix and builds the whole test set
+from its own stream.  The bytes are those of a one-thread build.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import json
 import math
 import os
 import sys
+from concurrent.futures import Executor, wait
 from dataclasses import replace
 
 import numpy as np
@@ -28,8 +31,8 @@ import numpy as np
 from . import data as data_mod
 from .config import ExperimentConfig, parse_config, parse_label_split
 from .dp import epsilon_spent
-from .federation import ExperimentResult, ExperimentState, init_state, run_experiment
-from .federation import worker_thread
+from .federation import ExperimentResult, ExperimentState, init_state, pinned_worker
+from .federation import run_experiment
 from .model import MlpSpec
 
 CSV_HEADER = [
@@ -56,12 +59,11 @@ def _derived_seed(*parts: int) -> int:
 
 
 def build_data(
-    cfg: ExperimentConfig, seed: int
+    cfg: ExperimentConfig, seed: int, worker: Executor
 ) -> tuple[data_mod.Dataset, list[data_mod.ClientShard], data_mod.Dataset]:
-    """(train set, client shards of it, test set) for one run seed.
-
-    The synthetic build's worker comes from ``federation.worker_thread``
-    and has stopped when this returns or raises."""
+    """(train set, client shards of it, test set) for one run seed, built on
+    the command's worker and this thread; no task of the build is left on
+    the worker when this returns or raises."""
     if cfg.dataset == "idx":
         train = data_mod.load_idx(cfg.train_images, cfg.train_labels)
         test = data_mod.load_idx(cfg.test_images, cfg.test_labels)
@@ -73,15 +75,15 @@ def build_data(
     else:
         # the worker builds the test set whole, then finishes the train
         # set's blocks as this thread draws them
-        with worker_thread() as worker:
-            test_build = worker.submit(
-                data_mod.synthetic_blobs,
-                cfg.synthetic_classes,
-                max(1, cfg.synthetic_per_class // 5),
-                cfg.synthetic_dim,
-                cfg.synthetic_spread,
-                _derived_seed(seed, _T_TEST),
-            )
+        test_build = worker.submit(
+            data_mod.synthetic_blobs,
+            cfg.synthetic_classes,
+            max(1, cfg.synthetic_per_class // 5),
+            cfg.synthetic_dim,
+            cfg.synthetic_spread,
+            _derived_seed(seed, _T_TEST),
+        )
+        try:
             train = data_mod.synthetic_blobs(
                 cfg.synthetic_classes,
                 cfg.synthetic_per_class,
@@ -90,7 +92,9 @@ def build_data(
                 _derived_seed(seed, _T_TRAIN),
                 worker,
             )
-            test = test_build.result()
+        finally:
+            wait([test_build])
+        test = test_build.result()
     if cfg.subsample_train:
         train = data_mod.subsample(
             train, cfg.subsample_train, _derived_seed(seed, _T_SUB_TRAIN)
@@ -125,8 +129,8 @@ def _model_spec(cfg: ExperimentConfig, train: data_mod.Dataset) -> MlpSpec:
     return MlpSpec(tuple(sizes))
 
 
-def build_state(cfg: ExperimentConfig, seed: int) -> ExperimentState:
-    train, shards, test = build_data(cfg, seed)
+def build_state(cfg: ExperimentConfig, seed: int, worker: Executor) -> ExperimentState:
+    train, shards, test = build_data(cfg, seed, worker)
     return init_state(_model_spec(cfg, train), cfg, seed, shards, test)
 
 
@@ -182,7 +186,10 @@ def _final_block(result: ExperimentResult) -> dict:
 
 
 def write_summary_json(
-    path: str, cfg: ExperimentConfig, results: dict[int, ExperimentResult]
+    path: str,
+    cfg: ExperimentConfig,
+    results: dict[int, ExperimentResult],
+    blas_pinned: bool,
 ) -> None:
     per_seed = {str(seed): _final_block(res) for seed, res in results.items()}
     keys = ("epsilon", "train_loss", "test_acc", "test_recall", "test_f1")
@@ -190,7 +197,7 @@ def write_summary_json(
         k: float(np.mean([per_seed[s][k] for s in per_seed])) for k in keys
     }
     payload = {
-        "blas_pinned": all(res.blas_pinned for res in results.values()),
+        "blas_pinned": blas_pinned,
         "config": cfg.resolved(),
         "seeds": list(results),
         "per_seed": per_seed,
@@ -201,18 +208,19 @@ def write_summary_json(
         f.write("\n")
 
 
-def run_seeds(cfg: ExperimentConfig) -> dict[int, ExperimentResult]:
+def run_seeds(cfg: ExperimentConfig, worker: Executor) -> dict[int, ExperimentResult]:
     results: dict[int, ExperimentResult] = {}
     for seed in cfg.seeds:
-        state = build_state(cfg, seed)
-        results[seed] = run_experiment(state)
+        state = build_state(cfg, seed, worker)
+        results[seed] = run_experiment(state, worker)
     return results
 
 
 def cmd_run(args) -> int:
     cfg = parse_config(args.config, args.override)
     os.makedirs(args.out, exist_ok=True)
-    results = run_seeds(cfg)
+    with pinned_worker() as (pinned, worker):
+        results = run_seeds(cfg, worker)
     first = cfg.seeds[0]
     write_metrics_csv(os.path.join(args.out, "metrics.csv"), results[first])
     if len(cfg.seeds) > 1:
@@ -220,7 +228,7 @@ def cmd_run(args) -> int:
             write_metrics_csv(
                 os.path.join(args.out, f"metrics_seed{seed}.csv"), res
             )
-    write_summary_json(os.path.join(args.out, "summary.json"), cfg, results)
+    write_summary_json(os.path.join(args.out, "summary.json"), cfg, results, pinned)
     last = results[first].rounds[-1]
     print(
         f"run complete: {len(results)} seed(s), "
@@ -235,32 +243,37 @@ def cmd_compare(args) -> int:
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     if not algos:
         raise ValueError("--algos must list at least one algorithm")
+    repeated = next((a for a in algos if algos.count(a) > 1), None)
+    if repeated is not None:
+        raise ValueError(f"--algos: {repeated} is listed twice")
     # building each config validates it, so a bad name fails before training
     configs = [replace(cfg, algorithm=a) for a in algos]
     os.makedirs(args.out, exist_ok=True)
     # the data are built once per seed and shared by every algorithm; the
     # rows are written algorithm-major
     rows: list[list[list]] = [[] for _ in algos]
-    for seed in cfg.seeds:
-        train, shards, test = build_data(cfg, seed)
-        spec = _model_spec(cfg, train)
-        shard_hash = data_mod.shard_fingerprint(shards[0])[:16]
-        for algo_rows, algo, acfg in zip(rows, algos, configs):
-            res = run_experiment(init_state(spec, acfg, seed, shards, test))
-            last = res.rounds[-1]
-            algo_rows.append(
-                [
-                    algo,
-                    seed,
-                    shard_hash,
-                    _fmt(last.epsilon_spent),
-                    _fmt(last.train_loss),
-                    _fmt(last.test_accuracy),
-                    _fmt(last.test_macro_recall),
-                    _fmt(last.test_macro_f1),
-                    sum(r.projections_applied for r in res.rounds),
-                ]
-            )
+    with pinned_worker() as (_, worker):
+        for seed in cfg.seeds:
+            train, shards, test = build_data(cfg, seed, worker)
+            spec = _model_spec(cfg, train)
+            shard_hash = data_mod.shard_fingerprint(shards[0])[:16]
+            for algo_rows, algo, acfg in zip(rows, algos, configs):
+                state = init_state(spec, acfg, seed, shards, test)
+                res = run_experiment(state, worker)
+                last = res.rounds[-1]
+                algo_rows.append(
+                    [
+                        algo,
+                        seed,
+                        shard_hash,
+                        _fmt(last.epsilon_spent),
+                        _fmt(last.train_loss),
+                        _fmt(last.test_accuracy),
+                        _fmt(last.test_macro_recall),
+                        _fmt(last.test_macro_f1),
+                        sum(r.projections_applied for r in res.rounds),
+                    ]
+                )
     path = os.path.join(args.out, "comparison.csv")
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")

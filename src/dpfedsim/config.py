@@ -168,6 +168,9 @@ class ExperimentConfig:
             raise ValueError("seeds must list at least one seed")
         if any(s < 0 for s in self.seeds):
             raise ValueError("seeds must be >= 0")
+        repeated = next((s for s in self.seeds if self.seeds.count(s) > 1), None)
+        if repeated is not None:
+            raise ValueError(f"seeds: {repeated} is listed twice")
         per_round = self.clients_per_round or self.n_clients
         if self.num_references >= per_round > 1:
             raise ValueError(
@@ -212,32 +215,15 @@ class ExperimentConfig:
 
 
 _PARSERS = {
-    str: lambda raw: raw,
-    int: lambda raw: int(raw),
-    float: lambda raw: float(raw),
-    bool: _parse_bool,
-    tuple: _parse_int_list,
+    "str": str,
+    "int": int,
+    "float": float,
+    "bool": _parse_bool,
+    "tuple[int, ...]": _parse_int_list,
 }
 
-
-def _field_registry() -> dict[str, type]:
-    reg: dict[str, type] = {}
-    for f in fields(ExperimentConfig):
-        origin = f.type
-        if origin.startswith("tuple"):
-            reg[f.name] = tuple
-        elif origin == "bool":
-            reg[f.name] = bool
-        elif origin == "int":
-            reg[f.name] = int
-        elif origin == "float":
-            reg[f.name] = float
-        else:
-            reg[f.name] = str
-    return reg
-
-
-_REGISTRY = _field_registry()
+# key -> parser of its values, by the field's annotation string
+_REGISTRY = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 
 def _parse_value(key: str, raw: str, where: str):
@@ -245,7 +231,7 @@ def _parse_value(key: str, raw: str, where: str):
         valid = ", ".join(sorted(_REGISTRY))
         raise ValueError(f"unknown config key {key!r} ({where}); valid keys: {valid}")
     try:
-        return _PARSERS[_REGISTRY[key]](raw)
+        return _REGISTRY[key](raw)
     except ValueError as exc:
         raise ValueError(
             f"invalid value for {key} ({where}): {raw!r} ({exc})"

@@ -2,7 +2,8 @@
 
 Synthetic blobs can be built on two threads: the calling thread draws every
 class's noise block from the one seeded stream, in class order, and a
-worker finishes each block into the feature matrix (``synthetic_blobs``).
+worker, the command's one (``federation.pinned_worker``), finishes each
+block into the feature matrix (``synthetic_blobs``).
 """
 
 from __future__ import annotations

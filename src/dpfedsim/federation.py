@@ -38,18 +38,18 @@ _P_NOISE), (seed, 0, round, _P_CORRECTION) and (seed, round, 0,
 _P_SELECT).  So a client's draws do not depend on which other clients take
 part, and reruns are bit-identical.
 
-A run owns one worker thread, with BLAS pinned to one thread for the run
-(``linalg.one_blas_thread``), and shares work with it one way
-(``_halves``): the worker takes the upper half of a round's participants,
-or of evaluation's test chunks, and the calling thread takes the lower
-half, and the upper half too if the worker has not started it.  A client
-draws from its own streams and writes only its own row of U; it reads
-only state that nothing writes during the client phase, and the server
-reads U once both halves have ended.  Under the pin a matrix product's
-bytes do not depend on which thread runs it, so the output bytes are the
-same with the worker, without it, and under any timing.  Every task of a
-round is submitted after the round starts and has ended when the round
-returns.
+A command owns one worker thread and one BLAS pin to one thread
+(``pinned_worker``), held from its first data build to its last run.  Each
+run shares work with that worker one way (``_halves``): the worker takes
+the upper half of a round's participants, or of evaluation's test chunks,
+and the calling thread takes the lower half, and the upper half too if
+the worker has not started it.  A client draws from its own streams and
+writes only its own row of U; it reads only state that nothing writes
+during the client phase, and the server reads U once both halves have
+ended.  Under the pin a matrix product's bytes do not depend on which
+thread runs it, so the output bytes are the same with the worker, without
+it, and under any timing.  Every task of a round is submitted after the
+round starts and has ended when the round returns.
 """
 
 from __future__ import annotations
@@ -147,28 +147,29 @@ def derive_rng(*name: int) -> np.random.Generator:
 
 
 def _new_worker() -> Executor:
-    """The one worker thread of a run (tests swap in other executors)."""
+    """The one worker thread of a command (tests swap in other executors)."""
     return ThreadPoolExecutor(max_workers=1, thread_name_prefix="dpfedsim-worker")
 
 
 @contextmanager
-def worker_thread() -> Iterator[Executor]:
-    """A new worker for the block; on exit its queued tasks are cancelled
-    and its running task is waited for."""
-    worker = _new_worker()
-    try:
-        yield worker
-    finally:
-        worker.shutdown(wait=True, cancel_futures=True)
+def pinned_worker() -> Iterator[tuple[bool, Executor]]:
+    """(whether BLAS is pinned to one thread, a new worker) for the block.
 
-
-@contextmanager
-def _pinned_worker() -> Iterator[tuple[bool, Executor]]:
-    """(whether BLAS is pinned to one thread, a new worker) for the block;
-    on exit the worker is shut down as ``worker_thread`` does and the
-    caller's BLAS thread count is restored."""
-    with one_blas_thread() as pinned, worker_thread() as worker:
-        yield pinned, worker
+    Without a controllable BLAS this says so on stderr, once.  On exit,
+    normal or not, the worker's queued tasks are cancelled, its running
+    task is waited for, and the caller's BLAS thread count is restored."""
+    with one_blas_thread() as pinned:
+        if not pinned:
+            print(
+                "dpfedsim: no controllable BLAS found; output bytes may depend "
+                "on the BLAS thread count",
+                file=sys.stderr,
+            )
+        worker = _new_worker()
+        try:
+            yield pinned, worker
+        finally:
+            worker.shutdown(wait=True, cancel_futures=True)
 
 
 def _halves(worker: Executor, fn: Callable[[range], None], n: int) -> None:
@@ -337,7 +338,7 @@ def _select_participants(state: ExperimentState, round_index: int) -> list[int]:
 def run_round(
     state: ExperimentState, round_index: int, worker: Executor
 ) -> tuple[RoundMetrics, CorrectionReport | None]:
-    """Advance the experiment by one round on the run's worker, mutating
+    """Advance the experiment by one round on the command's worker, mutating
     state in place."""
     t0 = time.perf_counter()
     cfg = state.cfg
@@ -453,7 +454,6 @@ class ExperimentResult:
     rounds: list[RoundMetrics]
     correction_summaries: list[dict]
     stopped_early: bool
-    blas_pinned: bool  # False: no controllable BLAS, bytes may follow its threads
 
 
 def init_state(
@@ -486,33 +486,24 @@ def init_state(
     return state
 
 
-def run_experiment(state: ExperimentState) -> ExperimentResult:
-    """Run all configured rounds (stopping early on the epsilon budget),
-    with BLAS pinned to one thread and one worker thread for the whole run;
-    both are released on return or error."""
+def run_experiment(state: ExperimentState, worker: Executor) -> ExperimentResult:
+    """Run all configured rounds on the command's worker, stopping early on
+    the epsilon budget."""
     cfg = state.cfg
     max_steps = cfg.budget_steps()
     rounds: list[RoundMetrics] = []
     summaries: list[dict] = []
     stopped = False
-    with _pinned_worker() as (pinned, worker):
-        if not pinned:
-            print(
-                "dpfedsim: no controllable BLAS found; output bytes may depend "
-                "on the BLAS thread count",
-                file=sys.stderr,
-            )
-        for t in range(cfg.rounds):
-            if max_steps is not None:
-                if state.steps_taken + cfg.local_steps > max_steps:
-                    stopped = True
-                    break
-            rm, report = run_round(state, t, worker)
-            rounds.append(rm)
-            summaries.append(report.summary() if report else {})
+    for t in range(cfg.rounds):
+        if max_steps is not None:
+            if state.steps_taken + cfg.local_steps > max_steps:
+                stopped = True
+                break
+        rm, report = run_round(state, t, worker)
+        rounds.append(rm)
+        summaries.append(report.summary() if report else {})
     return ExperimentResult(
         rounds=rounds,
         correction_summaries=summaries,
         stopped_early=stopped,
-        blas_pinned=pinned,
     )

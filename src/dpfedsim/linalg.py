@@ -10,13 +10,16 @@ depend on the thread count either; the dp_fedexp server step reads its
 norms as einsum dots.  The DP step's per-sample norms and clipped sums
 (``model.clipped_gradient_sum``) and the forward pass use numpy reductions
 and BLAS matrix products, which OpenBLAS splits differently by thread
-count at 784-128-10.  So a run holds ``one_blas_thread`` for its whole
-life: with BLAS on one thread, every product is reduced in one order,
-whichever Python thread calls it and whatever thread count the caller set.
+count at 784-128-10, as does the QR of the synthetic class centres at
+3000 features and 200 classes.  So a command holds ``one_blas_thread`` for
+its whole life, data build included (``federation.pinned_worker``): with
+BLAS on one thread, every product is reduced in one order, whichever
+Python thread calls it and whatever thread count the caller set.
 Subprocess tests in ``tests/test_cli.py`` and ``tests/test_correction.py``
 check that output bytes do not change between one and two BLAS threads,
-for whole runs on small layer sizes and at 784-128-10, and for the Gram,
-correction and the folded aggregate at the full 101,770-parameter shape.
+for whole runs on small layer sizes, at 784-128-10 and at 3000 features
+(data build included), and for the Gram, correction and the folded
+aggregate at the full 101,770-parameter shape.
 """
 
 from __future__ import annotations

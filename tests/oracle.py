@@ -12,11 +12,12 @@ client builds the same bytes in the noise vector it draws.
 for every test; both key their output by client id, where a plan speaks
 rows (``plan_by_id`` relabels a plan).  ``aggregate`` is the plain
 weighted average, which every round takes as one weighted sum of folded
-weights.  ``run_one_round`` runs a single round outside
-``run_experiment``, holding the BLAS pin and a worker of its own as a run
-does.  ``synthetic_blobs`` builds a blob set on one thread, drawing and
-finishing each class in turn, where ``data.synthetic_blobs`` leaves the
-finishing to a worker.
+weights.  ``run_one_round`` and ``run_all_rounds`` run a single round and
+a whole run outside a command, each holding the BLAS pin and a worker of
+its own (``federation.pinned_worker``) as a command does.
+``synthetic_blobs`` builds a blob set on one thread, drawing and finishing
+each class in turn, where ``data.synthetic_blobs`` leaves the finishing to
+a worker.
 """
 
 from __future__ import annotations
@@ -293,10 +294,17 @@ def correct_round_on_vectors(
 def run_one_round(
     state: federation.ExperimentState, round_index: int
 ) -> tuple[federation.RoundMetrics, CorrectionReport | None]:
-    """``federation.run_round`` with the BLAS pin and a worker of its own
-    (``federation._pinned_worker``), both released when the round ends."""
-    with federation._pinned_worker() as (_, worker):
+    """``federation.run_round`` with the BLAS pin and a worker of its own,
+    both released when the round ends."""
+    with federation.pinned_worker() as (_, worker):
         return federation.run_round(state, round_index, worker)
+
+
+def run_all_rounds(state: federation.ExperimentState) -> federation.ExperimentResult:
+    """``federation.run_experiment`` with the BLAS pin and a worker of its
+    own, both released when the run ends."""
+    with federation.pinned_worker() as (_, worker):
+        return federation.run_experiment(state, worker)
 
 
 def synthetic_blobs(

@@ -22,7 +22,7 @@ from dpfedsim.cli import main, run_seeds
 from dpfedsim.config import ExperimentConfig
 from dpfedsim.data import partition_iid, synthetic_blobs
 from dpfedsim.dp import epsilon_spent, rdp_to_dp
-from dpfedsim.federation import init_state, run_experiment
+from dpfedsim.federation import init_state, pinned_worker
 from dpfedsim.metrics import accumulate, accuracy, macro_f1, macro_recall
 from dpfedsim.model import MlpSpec
 from oracle import (
@@ -34,6 +34,7 @@ from oracle import (
     noisy_batch_gradient,
     per_sample_gradient,
     project_if_conflicting,
+    run_all_rounds,
 )
 
 
@@ -246,8 +247,8 @@ def test_criterion_07_gcfl_equals_fedavg_without_conflicts():
     start = time.perf_counter()
     s_gcfl = _no_conflict_state("gcfl")
     s_avg = _no_conflict_state("dp_fedavg")
-    r_gcfl = run_experiment(s_gcfl)
-    run_experiment(s_avg)
+    r_gcfl = run_all_rounds(s_gcfl)
+    run_all_rounds(s_avg)
     # the scenario really was conflict-free
     projections = sum(r.projections_applied for r in r_gcfl.rounds)
     assert projections == 0
@@ -329,13 +330,14 @@ def _mnist_directional_gap(partition: str) -> tuple[float, float]:
         record_timing=False,
     )
     finals = {}
-    for algo in ("gcfl", "dp_fedavg"):
-        cfg = ExperimentConfig(**base, algorithm=algo)
-        cfg.validate()
-        results = run_seeds(cfg)
-        finals[algo] = float(
-            np.mean([res.rounds[-1].test_accuracy for res in results.values()])
-        )
+    with pinned_worker() as (_, worker):
+        for algo in ("gcfl", "dp_fedavg"):
+            cfg = ExperimentConfig(**base, algorithm=algo)
+            cfg.validate()
+            results = run_seeds(cfg, worker)
+            finals[algo] = float(
+                np.mean([res.rounds[-1].test_accuracy for res in results.values()])
+            )
     return finals["gcfl"], finals["dp_fedavg"]
 
 

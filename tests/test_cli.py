@@ -12,7 +12,7 @@ from dpfedsim.cli import CSV_HEADER, build_data, main
 from dpfedsim.config import parse_config
 from dpfedsim.data import shard_fingerprint
 from dpfedsim.dp import steps_for_budget
-from dpfedsim.federation import ALGORITHMS
+from dpfedsim.federation import ALGORITHMS, pinned_worker
 
 FAST_CFG = """
 synthetic_classes = 3
@@ -201,7 +201,8 @@ def test_each_compare_row_is_the_final_row_of_a_separate_run(tmp_path):
         argv = ["run", "--config", cfg, "--out", str(run_out)]
         assert main([*argv, "--override", f"algorithm={algo}"]) == 0
         for seed in (1, 2):
-            shards = build_data(parse_config(cfg), seed)[1]
+            with pinned_worker() as (_, worker):
+                shards = build_data(parse_config(cfg), seed, worker)[1]
             lines = (run_out / f"metrics_seed{seed}.csv").read_text().splitlines()
             final = lines[-1].split(",")
             projections = sum(int(line.split(",")[6]) for line in lines[1:])
@@ -217,7 +218,7 @@ def test_compare_rejects_a_bad_algorithm_before_training_any(
     tmp_path, capsys, monkeypatch
 ):
     trained = []
-    monkeypatch.setattr(dpfedsim.cli, "run_experiment", trained.append)
+    monkeypatch.setattr(dpfedsim.cli, "run_experiment", lambda *a: trained.append(a))
     out = tmp_path / "cmp"
     argv = ["compare", "--config", write_cfg(tmp_path), "--out", str(out)]
     assert main([*argv, "--algos", "gcfl,dp_fedavg,fedsgd"]) == 1
@@ -225,6 +226,24 @@ def test_compare_rejects_a_bad_algorithm_before_training_any(
     assert len(err) == 1 and err[0].startswith("error: algorithm")
     assert "fedsgd" in err[0]
     assert trained == []
+    assert not out.exists()
+
+
+def test_run_rejects_a_repeated_seed_before_training(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, FAST_CFG.replace("seeds = 2", "seeds = 1,1"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: seeds: 1 is listed twice"]
+    assert not out.exists()
+
+
+def test_compare_rejects_a_repeated_algorithm_before_creating_out(tmp_path, capsys):
+    out = tmp_path / "cmp"
+    argv = ["compare", "--config", write_cfg(tmp_path), "--out", str(out)]
+    assert main([*argv, "--algos", "gcfl,dp_fedavg,gcfl"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: --algos: gcfl is listed twice"]
     assert not out.exists()
 
 
@@ -370,3 +389,44 @@ def test_benchmark_shape_run_is_byte_identical_across_blas_thread_counts(tmp_pat
         )
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0][1])["blas_pinned"] is True
+
+
+def test_data_build_is_byte_identical_across_blas_thread_counts(tmp_path):
+    """The command's pin covers its data builds: at 3000 features and 200
+    classes the QR of the synthetic class centres gives different bytes
+    under one and two OpenBLAS threads, which compare's shard_hash and
+    every trained number would show."""
+    from dpfedsim.linalg import _openblas
+
+    if _openblas() is None:
+        pytest.skip("no controllable BLAS: thread invariance is not claimed")
+    cfg = write_cfg(
+        tmp_path,
+        """
+        synthetic_classes = 200
+        synthetic_per_class = 2
+        synthetic_dim = 3000
+        layer_sizes = 3000,8,200
+        rounds = 1
+        seeds = 1
+        record_timing = false
+        """,
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        out = tmp_path / f"threads{threads}"
+        for argv in (["compare", "--algos", "gcfl"], ["run"]):
+            subprocess.run(
+                [sys.executable, "-m", "dpfedsim.cli", *argv, "--config", cfg,
+                 "--out", str(out)],
+                env=env, check=True, capture_output=True, timeout=120,
+            )
+        outputs.append(
+            [(out / name).read_bytes()
+             for name in ("comparison.csv", "metrics.csv", "summary.json")]
+        )
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][2])["blas_pinned"] is True

@@ -15,6 +15,7 @@ from dpfedsim.data import (
     subsample,
     synthetic_blobs,
 )
+from dpfedsim.federation import pinned_worker
 
 
 def write_idx_pair(tmp_path, images, labels, image_magic=2051, label_magic=2049,
@@ -248,5 +249,6 @@ def test_shard_fingerprints_are_pinned(case):
         **extra,
     )
     cfg.validate()
-    state = build_state(cfg, 7)
+    with pinned_worker() as (_, worker):
+        state = build_state(cfg, 7, worker)
     assert [shard_fingerprint(s) for s in state.shards] == expected

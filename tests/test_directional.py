@@ -21,7 +21,7 @@ from dpfedsim.cli import run_seeds
 from dpfedsim.config import ExperimentConfig
 from dpfedsim.data import partition_label_split, synthetic_blobs
 from dpfedsim.dp import epsilon_spent
-from dpfedsim.federation import client_local_phase, derive_rng
+from dpfedsim.federation import client_local_phase, derive_rng, pinned_worker
 from dpfedsim.model import MlpSpec, init_params
 from oracle import correct_round, cosine, dot
 
@@ -102,10 +102,11 @@ def _protocol_runs(partition):
         record_timing=False,
     )
     runs = {}
-    for algo in ("gcfl", "dp_fedavg"):
-        cfg = ExperimentConfig(**base, algorithm=algo)
-        cfg.validate()
-        runs[algo] = (cfg, run_seeds(cfg))
+    with pinned_worker() as (_, worker):
+        for algo in ("gcfl", "dp_fedavg"):
+            cfg = ExperimentConfig(**base, algorithm=algo)
+            cfg.validate()
+            runs[algo] = (cfg, run_seeds(cfg, worker))
     return runs
 
 

@@ -19,7 +19,6 @@ from dpfedsim.federation import (
     client_local_phase,
     derive_rng,
     init_state,
-    run_experiment,
     server_step,
 )
 from dpfedsim.linalg import scale_add, weighted_sum
@@ -30,6 +29,7 @@ from oracle import (
     noisy_batch_gradient,
     per_sample_gradient,
     plan_by_id,
+    run_all_rounds,
     run_one_round,
     stack,
 )
@@ -115,8 +115,8 @@ def test_local_phase_empty_shard_errors():
 def test_prox_mu_zero_is_bitwise_fedavg():
     s_avg = make_state(algorithm="dp_fedavg", sigma=0.4, rounds=4)
     s_prox = make_state(algorithm="dp_fedprox", sigma=0.4, rounds=4, prox_mu=0.0)
-    r_avg = run_experiment(s_avg)
-    r_prox = run_experiment(s_prox)
+    r_avg = run_all_rounds(s_avg)
+    r_prox = run_all_rounds(s_prox)
     np.testing.assert_array_equal(s_avg.weights, s_prox.weights)
     for a, b in zip(r_avg.rounds, r_prox.rounds):
         assert a.train_loss == b.train_loss
@@ -128,8 +128,8 @@ def test_prox_term_changes_trajectory_when_positive():
     s_prox = make_state(
         algorithm="dp_fedprox", sigma=0.0, rounds=3, local_steps=4, prox_mu=5.0
     )
-    run_experiment(s_avg)
-    run_experiment(s_prox)
+    run_all_rounds(s_avg)
+    run_all_rounds(s_prox)
     assert not np.array_equal(s_avg.weights, s_prox.weights)
 
 
@@ -269,7 +269,7 @@ def test_non_finite_step_gradient_stops_the_round():
 
 def test_scaffold_server_variate_is_mean_of_clients():
     state = make_state(algorithm="dp_scaffold", sigma=0.3, rounds=5, local_steps=3)
-    result = run_experiment(state)
+    result = run_all_rounds(state)
     assert len(result.rounds) == 5
     variates = [state.scaffold.client_variates[i] for i in range(state.cfg.n_clients)]
     mean = sum(variates) / len(variates)
@@ -286,8 +286,8 @@ def test_scaffold_initial_state_zeros():
 def test_run_experiment_deterministic_bitwise():
     a = make_state(sigma=0.7, rounds=4, seed=5)
     b = make_state(sigma=0.7, rounds=4, seed=5)
-    ra = run_experiment(a)
-    rb = run_experiment(b)
+    ra = run_all_rounds(a)
+    rb = run_all_rounds(b)
     np.testing.assert_array_equal(a.weights, b.weights)
     for x, y in zip(ra.rounds, rb.rounds):
         assert x == y
@@ -295,24 +295,24 @@ def test_run_experiment_deterministic_bitwise():
 
 def test_ledger_advances_by_local_steps_per_round():
     state = make_state(sigma=0.5, rounds=4, local_steps=3)
-    run_experiment(state)
+    run_all_rounds(state)
     assert state.steps_taken == 4 * 3
 
 
 def test_epsilon_monotone_and_inf_when_noise_free():
     noisy = make_state(sigma=0.5, rounds=4)
-    res = run_experiment(noisy)
+    res = run_all_rounds(noisy)
     eps = [r.epsilon_spent for r in res.rounds]
     assert all(b > a for a, b in zip(eps, eps[1:]))
     silent = make_state(sigma=0.0, rounds=2)
-    res0 = run_experiment(silent)
+    res0 = run_all_rounds(silent)
     assert all(math.isinf(r.epsilon_spent) for r in res0.rounds)
 
 
 def test_isolated_keeps_global_weights_fixed_and_models_diverge():
     state = make_state(algorithm="isolated", sigma=0.2, rounds=3)
     w0 = state.weights.copy()
-    result = run_experiment(state)
+    result = run_all_rounds(state)
     np.testing.assert_array_equal(state.weights, w0)
     models = list(state.client_models.values())
     assert not np.array_equal(models[0], models[1])
@@ -331,10 +331,10 @@ def test_gcfl_reports_correction_and_others_dont():
 
 def test_partial_participation_selects_subset_deterministically():
     state = make_state(n_clients=5, clients_per_round=2, sigma=0.4, rounds=6, seed=4)
-    result = run_experiment(state)
+    result = run_all_rounds(state)
     assert len(result.rounds) == 6
     state2 = make_state(n_clients=5, clients_per_round=2, sigma=0.4, rounds=6, seed=4)
-    result2 = run_experiment(state2)
+    result2 = run_all_rounds(state2)
     for a, b in zip(result.rounds, result2.rounds):
         assert a == b
 
@@ -351,7 +351,7 @@ def test_every_stream_a_run_derives_is_distinct(monkeypatch):
         return real(*name)
 
     monkeypatch.setattr(federation, "derive_rng", record)
-    run_experiment(make_state(n_clients=5, clients_per_round=4, rounds=3))
+    run_all_rounds(make_state(n_clients=5, clients_per_round=4, rounds=3))
     assert len(names) == 3 * (1 + 2 * 4 + 1)  # select, batch + noise, correction
     states = {
         tuple(np.random.SeedSequence(name).generate_state(4)) for name in names
@@ -361,13 +361,13 @@ def test_every_stream_a_run_derives_is_distinct(monkeypatch):
 
 def test_epsilon_budget_stops_early():
     state = make_state(sigma=0.5, rounds=50, epsilon_budget=20.0)
-    result = run_experiment(state)
+    result = run_all_rounds(state)
     assert result.stopped_early
     assert 0 < len(result.rounds) < 50
     assert result.rounds[-1].epsilon_spent <= 20.0
     # one more round would have crossed the budget
     state2 = make_state(sigma=0.5, rounds=len(result.rounds) + 1)
-    result2 = run_experiment(state2)
+    result2 = run_all_rounds(state2)
     assert result2.rounds[-1].epsilon_spent > 20.0
 
 

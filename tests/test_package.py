@@ -7,7 +7,7 @@ a constant no package code reads does not survive for tests alone.  Every
 dataclass field is read somewhere in the package.  Every config key is
 read by the layer it configures, and the README's config table names
 exactly the config keys.  Every random stream is named by exactly four
-ints.
+ints.  Only the commands hold the BLAS pin and the worker thread.
 """
 
 import ast
@@ -145,3 +145,39 @@ def test_every_derive_rng_call_names_its_stream_with_four_ints():
     for call in calls:
         assert len(call.args) == 4 and not call.keywords, ast.unparse(call)
         assert not any(isinstance(a, ast.Starred) for a in call.args), ast.unparse(call)
+
+
+def _called(node: ast.AST) -> str | None:
+    """The name a call calls, bare or as an attribute; None for a non-call."""
+    if not isinstance(node, ast.Call):
+        return None
+    return getattr(node.func, "id", getattr(node.func, "attr", None))
+
+
+# calls that start a thread pool or pin BLAS
+_WORKER_OR_PIN = {
+    "ThreadPoolExecutor", "ProcessPoolExecutor", "_new_worker", "worker_thread",
+    "one_blas_thread",
+}
+
+
+def test_only_the_commands_hold_the_pin_and_the_worker():
+    """A command holds one BLAS pin and one worker from its first data build
+    to its last run.  So only cli.py's run and compare enter a
+    ``pinned_worker`` block, and no module but federation.py builds an
+    executor or pins BLAS: no layer below a command takes a pin or a
+    worker of its own."""
+    enters, builds = set(), set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.With) and any(
+                    (_called(item.context_expr) or "").endswith("pinned_worker")
+                    for item in node.items
+                ):
+                    enters.add((path.name, getattr(top, "name", None)))
+                if _called(node) in _WORKER_OR_PIN:
+                    builds.add(path.name)
+    assert enters == {("cli.py", "cmd_run"), ("cli.py", "cmd_compare")}
+    assert builds == {"federation.py"}

@@ -1,13 +1,15 @@
-"""The run's worker thread and its BLAS pin.
+"""A command's worker thread and its BLAS pin.
 
+A command holds one worker thread and one BLAS pin to one thread
+(``federation.pinned_worker``) from its first data build to its last run.
 A run splits each round's participants, and evaluation's test chunks, in
-halves: the upper half goes to one worker thread and the calling thread
-runs the lower half, with BLAS pinned to one thread.  Which thread runs a
-half, and when, must not change a byte of the output; a failure on either
-thread must stop the run, naming the lowest failing client; and a run must
+halves: the upper half goes to the worker and the calling thread runs the
+lower half.  Which thread runs a half, and when, must not change a byte of
+the output; a failure on either thread must stop the run, naming the
+lowest failing client; and a command, or a ``pinned_worker`` block, must
 leave no thread behind and the caller's BLAS thread count as it found it.
-The synthetic data build shares a worker too: the calling thread draws the
-train set, and the worker finishes its blocks and builds the test set.
+The synthetic data build shares the worker too: the calling thread draws
+the train set, and the worker finishes its blocks and builds the test set.
 """
 
 import json
@@ -31,8 +33,9 @@ import dpfedsim.federation as federation
 import oracle
 from dpfedsim.cli import build_data, main
 from dpfedsim.config import ExperimentConfig, parse_config
-from dpfedsim.federation import ALGORITHMS, run_experiment
+from dpfedsim.federation import ALGORITHMS, pinned_worker, run_experiment
 from dpfedsim.linalg import _openblas, one_blas_thread
+from oracle import run_all_rounds
 from test_federation import StartedWorker, make_state
 
 WORKER_PREFIX = "dpfedsim-worker"
@@ -189,8 +192,9 @@ def test_normal_run_leaves_no_worker_and_restores_the_blas_threads(two_blas_thre
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(federation, "server_step", step)
-        result = run_experiment(make_state(rounds=2))
-    assert result.blas_pinned
+        with pinned_worker() as (pinned, worker):
+            run_experiment(make_state(rounds=2), worker)
+    assert pinned
     assert seen == [(1, 1), (1, 1)]  # one BLAS thread and one worker inside
     assert two_blas_threads() == 2
     assert _worker_threads() == []
@@ -202,7 +206,7 @@ def test_failing_run_leaves_no_worker_and_restores_the_blas_threads(two_blas_thr
     bad = state.shards[1]
     bad.dataset.X[bad.indices[0]] = np.nan
     with pytest.raises(ValueError, match=r"round 0, client 1: non-finite"):
-        run_experiment(state)
+        run_all_rounds(state)
     assert two_blas_threads() == 2
     assert _worker_threads() == []
 
@@ -219,7 +223,7 @@ def test_worker_failure_reaches_the_run(two_blas_threads, monkeypatch):
     monkeypatch.setattr(federation.model_mod, "clipped_gradient_sum", broken)
     monkeypatch.setattr(federation, "_new_worker", StartedWorker)
     with pytest.raises(RuntimeError, match="draw failed"):
-        run_experiment(make_state(sigma=0.5))
+        run_all_rounds(make_state(sigma=0.5))
     assert two_blas_threads() == 2
     assert _worker_threads() == []
 
@@ -244,7 +248,7 @@ def test_the_lowest_failing_client_is_named_whichever_half_fails(
         bad = state.shards[cid]
         bad.dataset.X[bad.indices[0]] = np.nan
     with pytest.raises(ValueError, match=rf"round 0, client {named}: non-finite"):
-        run_experiment(state)
+        run_all_rounds(state)
     assert two_blas_threads() == 2
     assert _worker_threads() == []
 
@@ -254,7 +258,7 @@ def test_pin_nests_and_restores_each_level(two_blas_threads):
         assert outer and two_blas_threads() == 1
         with one_blas_thread() as inner:
             assert inner and two_blas_threads() == 1
-            run_experiment(make_state(rounds=1))
+            run_all_rounds(make_state(rounds=1))
             assert two_blas_threads() == 1
         assert two_blas_threads() == 1
     assert two_blas_threads() == 2
@@ -280,6 +284,48 @@ def test_diverging_run_exits_1_naming_the_client_without_hanging(tmp_path):
     assert re.search(r"round \d+, client \d+: non-finite", proc.stderr)
 
 
+def test_a_command_holds_one_worker_and_one_pin_from_data_build_to_last_run(
+    two_blas_threads, tmp_path, monkeypatch
+):
+    """compare over 2 seeds and 3 algorithms makes one worker and enters the
+    pin once; each seed's data build and every round run inside both."""
+    made, pins, seen = [], [], []
+    real_new, real_pin = federation._new_worker, federation.one_blas_thread
+    real_blobs, real_step = data_mod.synthetic_blobs, federation.server_step
+
+    def new_worker():
+        made.append(real_new())
+        return made[-1]
+
+    def pin():
+        pins.append(1)
+        return real_pin()
+
+    def watch(real):
+        def call(*args):
+            seen.append((real.__name__, two_blas_threads(), len(_worker_threads())))
+            return real(*args)
+
+        return call
+
+    monkeypatch.setattr(federation, "_new_worker", new_worker)
+    monkeypatch.setattr(federation, "one_blas_thread", pin)
+    monkeypatch.setattr(data_mod, "synthetic_blobs", watch(real_blobs))
+    monkeypatch.setattr(federation, "server_step", watch(real_step))
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(SMALL.replace("seeds = 5", "seeds = 5,6"))
+    argv = ["compare", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    assert main([*argv, "--algos", "gcfl,dp_fedavg,dp_scaffold"]) == 0
+    assert (len(made), len(pins)) == (1, 1)
+    # per seed: the train build here, the test build on the worker, then 3
+    # algorithms of 3 rounds
+    assert len(seen) == 2 * (2 + 3 * 3)
+    assert {(one, workers) for _, one, workers in seen} == {(1, 1)}
+    assert {name for name, _, _ in seen} == {"synthetic_blobs", "server_step"}
+    assert two_blas_threads() == 2
+    assert _worker_threads() == []
+
+
 def test_run_without_a_controllable_blas_says_so_and_records_it(
     tmp_path, monkeypatch, capsys
 ):
@@ -287,9 +333,12 @@ def test_run_without_a_controllable_blas_says_so_and_records_it(
     with one_blas_thread() as pinned:
         assert not pinned
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text(SMALL)
+    cfg.write_text(SMALL.replace("seeds = 5", "seeds = 5,6"))
+    argv = ["compare", "--config", str(cfg), "--out", str(tmp_path / "c")]
+    assert main([*argv, "--algos", "gcfl,dp_fedavg,dp_scaffold"]) == 0
+    assert capsys.readouterr().err.count("no controllable BLAS found") == 1
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-    assert "no controllable BLAS found" in capsys.readouterr().err
+    assert capsys.readouterr().err.count("no controllable BLAS found") == 1
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
     assert summary["blas_pinned"] is False
 
@@ -369,7 +418,8 @@ def test_build_data_matches_the_oracle_and_the_worker_does_all_finishing(
         synthetic_spread=spread,
     )
     for seed in (1, 2):
-        train, _, test = build_data(cfg, seed)
+        with pinned_worker() as (_, worker):
+            train, _, test = build_data(cfg, seed, worker)
         sets = (
             (train, per_class, cli._T_TRAIN),
             (test, max(1, per_class // 5), cli._T_TEST),
@@ -406,8 +456,8 @@ def test_a_failure_in_the_workers_share_of_the_build_stops_run(
     monkeypatch.setattr(data_mod, "_finish_block", finish)
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(SMALL)
-    with pytest.raises(ValueError, match=share):
-        build_data(parse_config(str(cfg)), 5)
+    with pytest.raises(ValueError, match=share), pinned_worker() as (_, worker):
+        build_data(parse_config(str(cfg)), 5, worker)
     assert _worker_threads() == []
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert f"error: cannot finish a {share}" in capsys.readouterr().err
