@@ -239,8 +239,11 @@ def _parse_value(key: str, raw: str, where: str):
 
 
 def parse_config(path: str, overrides: list[str] | None = None) -> ExperimentConfig:
-    """Read a key=value file, apply overrides, and build the validated config."""
+    """Read a key=value file, apply overrides, and build the validated config.
+
+    A key may appear once in the file; an override replaces its value."""
     values: dict[str, object] = {}
+    set_on: dict[str, int] = {}  # the file line each key was read from
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             stripped = line.split("#", 1)[0].strip()
@@ -251,6 +254,12 @@ def parse_config(path: str, overrides: list[str] | None = None) -> ExperimentCon
                     f"{path}:{lineno}: expected 'key = value', got {line.rstrip()!r}"
                 )
             key, raw = (part.strip() for part in stripped.split("=", 1))
+            if key in set_on:
+                raise ValueError(
+                    f"{path}:{lineno}: {key} is set again; line {set_on[key]} "
+                    "set it first"
+                )
+            set_on[key] = lineno
             values[key] = _parse_value(key, raw, f"{path}:{lineno}")
     for item in overrides or []:
         if "=" not in item:

@@ -1,9 +1,10 @@
 """Datasets, client shards, IDX file loading, and deterministic partitioning.
 
 Synthetic blobs can be built on two threads: the calling thread draws every
-class's noise block from the one seeded stream, in class order, and a
-worker, the command's one (``federation.pinned_worker``), finishes each
-block into the feature matrix (``synthetic_blobs``).
+class's noise block from the one seeded stream, in class order, straight
+into its rows of the feature matrix, and a worker, the command's one
+(``federation.pinned_worker``), finishes those rows in place
+(``synthetic_blobs``).
 """
 
 from __future__ import annotations
@@ -123,15 +124,14 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
     return Dataset(pixels, labels, num_classes=int(labels.max()) + 1)
 
 
-def _finish_block(
-    block: np.ndarray, noise: np.ndarray | None, spread: float, center: np.ndarray
-) -> None:
-    """Write one class's rows of X: clip((noise * spread + center + 1) / 2,
-    0, 1), or the center alone where no noise was drawn (spread == 0)."""
-    if noise is None:
+def _finish_block(block: np.ndarray, spread: float, center: np.ndarray) -> None:
+    """Finish one class's rows of X in place: clip((block * spread + center
+    + 1) / 2, 0, 1) over the noise drawn into them, or the center alone
+    where none was drawn (spread == 0)."""
+    if spread == 0:
         block[...] = center
     else:
-        np.multiply(noise, spread, out=block)
+        block *= spread
         block += center
     block += 1.0
     block /= 2.0
@@ -155,9 +155,10 @@ def synthetic_blobs(
     yields the same dataset.
 
     The calling thread draws: the centers, then each class's (per_class,
-    dim) noise block in class order into an array of its own.  The worker,
-    if one is given, finishes each drawn block into its rows of X while this
-    thread draws the next; without one this thread finishes each block as
+    dim) noise block in class order, straight into that class's rows of X,
+    so no block is held apart from X.  The worker, if one is given,
+    finishes each drawn block in place while this thread draws the next
+    one into the next rows; without one this thread finishes each block as
     it is drawn.  The bytes are the same either way, and every finishing
     task has ended when this returns or raises.
     """
@@ -180,8 +181,10 @@ def synthetic_blobs(
     finishing = []
     try:
         for c in range(num_classes):
-            noise = rng.standard_normal((per_class, dim)) if spread > 0 else None
-            args = (X[c * per_class : (c + 1) * per_class], noise, spread, centers[c])
+            block = X[c * per_class : (c + 1) * per_class]
+            if spread > 0:
+                rng.standard_normal(out=block)
+            args = (block, spread, centers[c])
             if worker is None:
                 _finish_block(*args)
             else:

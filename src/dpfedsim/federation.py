@@ -6,12 +6,15 @@ mean of its noisy batch gradients.  The server optionally corrects conflicts
 between uploads (algorithm "gcfl"), aggregates them, and takes a global step.
 
 The round's uploads are the rows of one (P, D) array U, one row per
-participant in ascending client id; each client writes its upload into its
-row, and U is dropped before evaluation.  The upload is the only per-client
-vector the server reads.  A client's K local steps w <- w - eta * noisy_k
-end at start - K eta * upload, so isolated stores that as the client's
-model, and dp_scaffold's option-II update c_i <- c_i - c + (start - w_K) /
-(K eta) adds the upload itself.
+participant in ascending client id; each client overwrites its row with
+its upload, and U is dropped before evaluation.  The upload is the only
+per-client vector the server reads.  Each half of a round (see below)
+makes one ``StepBuffers`` and lends it to its clients in turn: a client's
+steps write their noise, clipped sum, prox shift and local model into it,
+so no step allocates a D-length vector.  A client's K local steps
+w <- w - eta * noisy_k end at start - K eta * upload, so isolated stores
+that as the client's model, and dp_scaffold's option-II update
+c_i <- c_i - c + (start - w_K) / (K eta) adds the upload itself.
 
 The server step speaks rows: the participant weights w, the correction
 plan and the folded alpha are lists by row of U, and client ids appear
@@ -70,7 +73,7 @@ from . import model as model_mod
 from .correction import CorrectionReport, fold_weights, plan_round
 from .data import ClientShard, Dataset
 from .dp import epsilon_spent, poisson_sample
-from .linalg import ParamVector, one_blas_thread, scale_add, weighted_sum
+from .linalg import ParamVector, add_scaled, one_blas_thread, scale_add, weighted_sum
 from .model import MlpSpec
 
 if TYPE_CHECKING:  # config.py imports this module's mode tuples
@@ -191,6 +194,30 @@ def _halves(worker: Executor, fn: Callable[[range], None], n: int) -> None:
         upper.result()
 
 
+@dataclass(frozen=True)
+class StepBuffers:
+    """The D-length vectors a client's local steps are written into.
+
+    One half of a round makes one and lends it to each of its clients in
+    turn.  Every step overwrites each buffer before it reads it, so nothing
+    one client leaves in them reaches the next client's bytes."""
+
+    noise: ParamVector  # the noise draw, then the step vector built in it
+    clipped: ParamVector  # the kernel's clipped sum
+    local: ParamVector | None  # the local model, when local_steps > 1
+    prox: ParamVector | None  # prox_mu * (w_local - start), under dp_fedprox
+
+    @classmethod
+    def for_config(cls, cfg: ExperimentConfig, dim: int) -> "StepBuffers":
+        is_prox = cfg.algorithm == "dp_fedprox" and cfg.prox_mu != 0
+        return cls(
+            noise=np.empty(dim),
+            clipped=np.empty(dim),
+            local=np.empty(dim) if cfg.local_steps > 1 else None,
+            prox=np.empty(dim) if is_prox else None,
+        )
+
+
 def client_local_phase(
     shard: ClientShard,
     start_params: ParamVector,
@@ -200,9 +227,10 @@ def client_local_phase(
     noise_rng: np.random.Generator | None,
     upload: ParamVector,
     scaffold_shift: ParamVector | None = None,
+    buffers: StepBuffers | None = None,
 ) -> tuple[int, float]:
-    """Run one client's local steps, write its upload into the zeroed
-    ``upload`` row, and return (noisy steps, mean batch loss).
+    """Run one client's local steps, write its upload into the ``upload``
+    row (whatever it held), and return (noisy steps, mean batch loss).
 
     Per step: draw a minibatch, clip each per-sample gradient to C and sum in
     one batched pass, add a noise vector z * sigma C with z drawn from
@@ -214,14 +242,21 @@ def client_local_phase(
     clipping; dp_scaffold adds the control-variate shift (server - client)
     after noising.  The upload
     is the mean of the noisy batch gradients over the steps that actually
-    ran: each is added into the row, and the row is divided once when more
-    than one step ran.  No local model is built after the last step.  A
-    non-finite per-sample gradient norm or step gradient raises ValueError
-    naming the client.
+    ran: each is added into the zeroed row, and the row is divided once
+    when more than one step ran.  No local model is built after the last
+    step.  A non-finite per-sample gradient norm or step gradient raises
+    ValueError naming the client.
+
+    Every D-length vector of a step is written into ``buffers`` (new ones
+    when none are given), so a step allocates no D-length vector.
     """
     if shard.size == 0:
         raise ValueError(f"client {shard.client_id} holds an empty shard")
-    w_local = start_params  # never written in place: each step builds a new vector
+    if buffers is None:
+        buffers = StepBuffers.for_config(cfg, start_params.shape[0])
+    upload[...] = 0.0
+    # start_params is never written: the first local step fills buffers.local
+    w_local = start_params
     steps = 0
     loss_total = 0.0
     is_prox = cfg.algorithm == "dp_fedprox" and cfg.prox_mu != 0
@@ -231,21 +266,26 @@ def client_local_phase(
         if idx.size == 0:
             continue  # empty poisson draw: no step, no privacy cost
         rows = shard.indices[idx]
-        prox_shift = cfg.prox_mu * (w_local - start_params) if is_prox else None
-        losses, sq_norms, clipped_sum = model_mod.clipped_gradient_sum(
+        prox_shift = None
+        if is_prox:
+            prox_shift = np.subtract(w_local, start_params, out=buffers.prox)
+            prox_shift *= cfg.prox_mu
+        losses, sq_norms, _ = model_mod.clipped_gradient_sum(
             model_spec,
             w_local,
             shard.dataset.X[rows],
             shard.dataset.y[rows],
             cfg.clip_threshold,
             prox_shift,
+            out=buffers.clipped,
         )
         if cfg.sigma == 0:
-            noisy = clipped_sum
+            noisy = buffers.clipped
         else:
-            noisy = noise_rng.standard_normal(clipped_sum.shape[0])
+            noisy = buffers.noise
+            noise_rng.standard_normal(out=noisy)
             noisy *= cfg.sigma * cfg.clip_threshold
-            noisy += clipped_sum
+            noisy += buffers.clipped
         noisy /= idx.size
         if scaffold_shift is not None:
             noisy += scaffold_shift
@@ -255,7 +295,10 @@ def client_local_phase(
                 f"norm or upload at local step {steps + 1}"
             )
         if k + 1 < cfg.local_steps:
-            w_local = scale_add(w_local, -cfg.eta, noisy)
+            if w_local is start_params:
+                w_local = buffers.local
+                w_local[...] = start_params
+            add_scaled(w_local, -cfg.eta, noisy)  # w_local - eta * noisy
         upload += noisy
         steps += 1
         loss_total += float(np.sum(losses)) / idx.size
@@ -345,12 +388,13 @@ def run_round(
     participants = _select_participants(state, round_index)
 
     # row p is the upload of participants[p], ascending client id; each
-    # client writes only its own row, steps[p] and losses[p]
-    uploads = np.zeros((len(participants), state.weights.shape[0]))
+    # client overwrites only its own row, steps[p] and losses[p]
+    uploads = np.empty((len(participants), state.weights.shape[0]))
     steps = np.empty(len(participants), dtype=np.int64)
     losses = np.empty(len(participants))
 
     def run_clients(part: range) -> None:
+        buffers = StepBuffers.for_config(cfg, state.weights.shape[0])
         for p in part:
             cid = participants[p]
             start = (
@@ -373,6 +417,7 @@ def run_round(
                     derive_rng(state.seed, round_index, cid, _P_NOISE),
                     uploads[p],
                     scaffold_shift=shift,
+                    buffers=buffers,
                 )
             except ValueError as exc:
                 raise ValueError(f"round {round_index}, {exc}") from exc

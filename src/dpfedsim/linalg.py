@@ -44,17 +44,34 @@ def scale_add(a: ParamVector, c: float, b: ParamVector) -> ParamVector:
     return a + c * b
 
 
+_BLOCK = 8192  # entries per block of add_scaled's temporary (64 KiB)
+
+
+def add_scaled(out: ParamVector, c: float, v: ParamVector) -> None:
+    """out += c * v in place, block by block through one 64 KiB temporary:
+    each entry is out_i + (c * v_i), the bytes of ``out += c * v`` without
+    its full-length temporary."""
+    if out.shape != v.shape:
+        raise ValueError(f"vector shape mismatch: {out.shape} vs {v.shape}")
+    n = out.shape[0]
+    tmp = np.empty(min(_BLOCK, n))
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        out[lo:hi] += np.multiply(c, v[lo:hi], out=tmp[: hi - lo])
+
+
 def weighted_sum(rows, coefs) -> ParamVector:
     """sum_k coefs[k] * rows[k], as out += c_k * v_k from zeros in row order
     (a fixed order, so the bytes are reproducible).  rows is an (N, D) array
-    or a sequence of N vectors; coefs holds N floats.
+    or a sequence of N vectors; coefs holds N floats.  Each axpy goes
+    through ``add_scaled``, so the sum is the only D-length vector made.
 
     Keep it an axpy loop: the GEMV ``coefs @ rows`` gave different bytes
     under one and two OpenBLAS threads at D = 101,770 (for 11, 13, 32 and
     64 rows), while elementwise axpys do not depend on the thread count."""
     out = np.zeros_like(rows[0])
     for c, v in zip(coefs, rows, strict=True):
-        out += c * v
+        add_scaled(out, c, v)
     return out
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ParamVector
+from .linalg import ParamVector, add_scaled
 
 _PROB_FLOOR = 1e-15  # clamp applied to predicted probabilities before log
 
@@ -82,15 +82,20 @@ def init_params(spec: MlpSpec, seed: int) -> ParamVector:
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row-wise softmax of the logits, computed in their array."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 def _forward(
     spec: MlpSpec, w: ParamVector, features: np.ndarray
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """(inputs of every layer, the features first; class probabilities)."""
+    """(inputs of every layer, the features first; class probabilities).
+
+    Each layer's output is built in the array of its product: x @ W, then
+    + b and the relu (or the softmax) in place."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
@@ -101,9 +106,13 @@ def _forward(
     layers = unpack(spec, w)
     inputs = [x]
     for weight, bias in layers[:-1]:
-        inputs.append(np.maximum(inputs[-1] @ weight + bias, 0.0))
+        h = inputs[-1] @ weight
+        h += bias
+        inputs.append(np.maximum(h, 0.0, out=h))
     weight, bias = layers[-1]
-    return inputs, _softmax_rows(inputs[-1] @ weight + bias)
+    logits = inputs[-1] @ weight
+    logits += bias
+    return inputs, _softmax_rows(logits)
 
 
 def forward_batch(spec: MlpSpec, w: ParamVector, features: np.ndarray) -> np.ndarray:
@@ -133,8 +142,11 @@ def clipped_gradient_sum(
     labels,
     clip_threshold: float,
     shift: ParamVector | None = None,
+    out: ParamVector | None = None,
 ) -> tuple[np.ndarray, np.ndarray, ParamVector]:
     """(losses, sq_norms, clipped_sum) of one batch, from one forward/backward.
+    clipped_sum is written into ``out`` when one is given, and no other
+    D-length vector is allocated.
 
     Sample n's gradient is g_n = grad_n + v, its loss gradient plus an
     optional shift v.  sq_norms[n] is ||g_n||^2 and clipped_sum is
@@ -150,6 +162,10 @@ def clipped_gradient_sum(
     (sum_n s_n) v to the sum.
     """
     labs = _batch_labels(spec, labels)
+    if out is None:
+        out = np.empty(spec.num_params)
+    elif out.shape != (spec.num_params,):
+        raise ValueError(f"out has shape {out.shape}, spec wants ({spec.num_params},)")
     inputs, probs = _forward(spec, w, features)
     if probs.shape[0] != labs.size:
         raise ValueError("features and labels disagree on batch size")
@@ -172,14 +188,15 @@ def clipped_gradient_sum(
             _row_dots(a @ v_weight + v_bias, d)
             for (v_weight, v_bias), a, d in zip(unpack(spec, shift), inputs, deltas)
         )
-        sq_norms = np.maximum(sq_norms + 2.0 * cross + np.sum(shift * shift), 0.0)
+        # out holds v * v until the layer sums below overwrite it
+        shift_sq = np.sum(np.multiply(shift, shift, out=out))
+        sq_norms = np.maximum(sq_norms + 2.0 * cross + shift_sq, 0.0)
 
     scale = clip_threshold / np.maximum(np.sqrt(sq_norms), clip_threshold)
-    clipped_sum = np.empty(spec.num_params)
-    for (g_weight, g_bias), a, d in zip(unpack(spec, clipped_sum), inputs, deltas):
+    for (g_weight, g_bias), a, d in zip(unpack(spec, out), inputs, deltas):
         scaled = d * scale[:, None]
         np.matmul(a.T, scaled, out=g_weight)
         scaled.sum(axis=0, out=g_bias)
     if shift is not None:
-        clipped_sum += np.sum(scale) * shift
-    return losses, sq_norms, clipped_sum
+        add_scaled(out, np.sum(scale), shift)
+    return losses, sq_norms, out

@@ -88,6 +88,16 @@ def test_overrides_win_over_file(tmp_path):
     assert cfg.sigma == 0.5
 
 
+def test_a_key_repeated_in_the_file_names_both_lines(tmp_path):
+    path = write(tmp_path, "rounds = 5\n# fine\nsigma = 1.0\nrounds = 7\n")
+    with pytest.raises(ValueError) as err:
+        parse_config(path)
+    assert str(err.value) == f"{path}:4: rounds is set again; line 1 set it first"
+    # an override still replaces the value of the one line that sets a key
+    once = write(tmp_path, "rounds = 5\n")
+    assert parse_config(once, ["rounds=9"]).rounds == 9
+
+
 def test_override_unknown_key_rejected(tmp_path):
     with pytest.raises(ValueError, match="unknown config key"):
         parse_config(write(tmp_path, ""), ["bogus=1"])

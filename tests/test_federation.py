@@ -1,8 +1,9 @@
 import copy
 import math
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,13 +17,14 @@ from dpfedsim.federation import (
     ALGORITHMS,
     WEIGHTINGS,
     ScaffoldState,
+    StepBuffers,
     client_local_phase,
     derive_rng,
     init_state,
     server_step,
 )
 from dpfedsim.linalg import scale_add, weighted_sum
-from dpfedsim.model import MlpSpec
+from dpfedsim.model import MlpSpec, init_params
 from oracle import (
     aggregate,
     correct_round,
@@ -206,9 +208,9 @@ def _local_batch_sizes(monkeypatch, shard_size, batch_size, mode, steps):
 
     real_kernel = federation.model_mod.clipped_gradient_sum
 
-    def record_kernel(spec, w, features, labels, *args):
+    def record_kernel(spec, w, features, labels, *args, **kwargs):
         trained.append(len(labels))
-        return real_kernel(spec, w, features, labels, *args)
+        return real_kernel(spec, w, features, labels, *args, **kwargs)
 
     monkeypatch.setattr(federation, "poisson_sample", record_sample)
     monkeypatch.setattr(federation.model_mod, "clipped_gradient_sum", record_kernel)
@@ -501,15 +503,25 @@ def test_uncorrected_round_aggregates_the_raw_uploads_bitwise(
 
 
 class _RecordingRng:
-    """Hands out the draws of ``rng`` and keeps each vector it drew."""
+    """Hands out the draws of ``rng`` into the caller's ``out`` and keeps a
+    copy of each vector it drew as that vector stands at the next draw, or
+    at ``finish()``: by then client_local_phase has built its step vector
+    in it."""
 
     def __init__(self, rng):
         self._rng = rng
+        self._last = None
         self.drawn = []
 
-    def standard_normal(self, size):
-        self.drawn.append(self._rng.standard_normal(size))
-        return self.drawn[-1]
+    def finish(self):
+        if self._last is not None:
+            self.drawn.append(self._last.copy())
+        self._last = None
+
+    def standard_normal(self, size=None, out=None):
+        self.finish()
+        self._last = self._rng.standard_normal(size, out=out)
+        return self._last
 
 
 class StartedWorker(ThreadPoolExecutor):
@@ -537,9 +549,10 @@ def _record_round(monkeypatch, state, round_index):
     exact bytes client_local_phase stepped by) in step order, and a copy of
     the upload it wrote.
 
-    client_local_phase builds each step vector in the noise vector it draws,
-    so the vectors a client drew hold its step vectors once it returns.
-    Each client gets its own recording rng, whichever thread runs it."""
+    client_local_phase builds each step vector in the noise buffer it draws
+    into, so the buffer holds the step vector by the next draw and when the
+    client returns.  Each client gets its own recording rng, whichever
+    thread runs it."""
     starts, steps, uploads = {}, {}, {}
     real_local = federation.client_local_phase
 
@@ -548,6 +561,7 @@ def _record_round(monkeypatch, state, round_index):
         out = real_local(
             shard, start_params, spec, cfg, batch_rng, noise, upload, **kwargs
         )
+        noise.finish()
         starts[shard.client_id] = start_params
         steps[shard.client_id] = noise.drawn
         uploads[shard.client_id] = upload.copy()
@@ -632,8 +646,8 @@ def test_upload_from_noise_drawn_ahead_is_the_oracle_fed_from_the_same_stream(
         uploads[shard.client_id] = args[5].copy()
         return out
 
-    def kernel(spec, w, features, labels, *args):
-        out = real_kernel(spec, w, features, labels, *args)
+    def kernel(spec, w, features, labels, *args, **kwargs):
+        out = real_kernel(spec, w, features, labels, *args, **kwargs)
         sums[current.cid].append((out[2].copy(), len(labels)))
         return out
 
@@ -658,6 +672,89 @@ def test_upload_from_noise_drawn_ahead_is_the_oracle_fed_from_the_same_stream(
             want = want / len(steps)
         assert uploads[cid].tobytes() == want.tobytes()
     _assert_some_client_skipped_one_step(sums, local_steps, sampling_mode)
+
+
+@pytest.mark.parametrize("algorithm", ["dp_fedprox", "dp_scaffold"])
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+@pytest.mark.parametrize(
+    "local_steps, sampling_mode, batch_size", [LOCAL_PHASES[0], LOCAL_PHASES[2]]
+)
+def test_a_reused_workspace_carries_nothing_into_the_next_client(
+    algorithm, sigma, local_steps, sampling_mode, batch_size
+):
+    """A half of a round lends one StepBuffers to each of its clients in
+    turn.  Whether the buffers and the upload row start as NaN (client 0)
+    or hold the previous client's leftovers (clients 1-3), each client's
+    upload has the bytes it has with fresh buffers and a zero row."""
+    state = make_state(
+        algorithm=algorithm, n_clients=4, sigma=sigma, seed=7,
+        local_steps=local_steps, sampling_mode=sampling_mode,
+        batch_size=batch_size,
+    )
+    run_one_round(state, 0)  # round 1 starts from diverged models and variates
+    dim = state.weights.shape[0]
+
+    def upload_of(cid, buffers, row):
+        shift = None
+        if algorithm == "dp_scaffold":
+            scaffold = state.scaffold
+            shift = scaffold.server_variate - scaffold.client_variates[cid]
+        steps, _ = client_local_phase(
+            state.shards[cid], state.weights, state.model_spec, state.cfg,
+            derive_rng(state.seed, 1, cid, federation._P_BATCH),
+            derive_rng(state.seed, 1, cid, federation._P_NOISE),
+            row, scaffold_shift=shift, buffers=buffers,
+        )
+        return steps, row.tobytes()
+
+    buffers, row = StepBuffers.for_config(state.cfg, dim), np.empty(dim)
+    assert (buffers.prox is not None) == (algorithm == "dp_fedprox")
+    assert (buffers.local is not None) == (local_steps > 1)
+    for buf in [row] + [getattr(buffers, f.name) for f in fields(buffers)]:
+        if buf is not None:
+            buf.fill(np.nan)
+    counts = []
+    for cid in range(4):
+        steps, fresh = upload_of(cid, None, np.zeros(dim))
+        assert upload_of(cid, buffers, row) == (steps, fresh)
+        counts.append(steps)
+    if sampling_mode == "poisson":
+        assert 0 < min(counts) < local_steps  # some client skipped a step
+
+
+@pytest.mark.parametrize("algorithm", ["dp_fedavg", "dp_fedprox", "dp_scaffold"])
+def test_a_client_step_given_its_workspace_allocates_no_parameter_vector(algorithm):
+    """At the benchmark's 784-128-10 shape (D = 101,770), a client's two
+    local steps, given its StepBuffers, upload row and scaffold shift,
+    allocate less than one D-length vector at their traced peak: the noise,
+    the clipped sum, the prox shift and the local model are all written
+    into the workspace."""
+    spec = MlpSpec((784, 128, 10))
+    dim = spec.num_params
+    train = synthetic_blobs(10, 20, 784, 0.25, seed=4)
+    shard = ClientShard(0, train, np.arange(train.size))
+    cfg = ExperimentConfig(
+        algorithm=algorithm, sigma=0.8, batch_size=32, local_steps=2, eta=0.05,
+        prox_mu=0.01,
+    )
+    w = init_params(spec, 4)
+    buffers, row = StepBuffers.for_config(cfg, dim), np.empty(dim)
+    shift = np.full(dim, 1e-3) if algorithm == "dp_scaffold" else None
+
+    def steps():
+        return client_local_phase(
+            shard, w, spec, cfg, derive_rng(4, 0, 0, 0), derive_rng(4, 0, 0, 1),
+            row, scaffold_shift=shift, buffers=buffers,
+        )
+
+    steps()  # first calls may fill numpy's caches
+    tracemalloc.start()
+    try:
+        assert steps()[0] == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dim * 8, peak
 
 
 @pytest.mark.parametrize("local_steps, sampling_mode, batch_size", LOCAL_PHASES)

@@ -19,6 +19,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
@@ -215,10 +216,10 @@ def test_worker_failure_reaches_the_run(two_blas_threads, monkeypatch):
     """Client 1 of 2 runs on the worker, and its kernel fails there."""
     real_kernel = federation.model_mod.clipped_gradient_sum
 
-    def broken(*args):
+    def broken(*args, **kwargs):
         if threading.current_thread() is not threading.main_thread():
             raise RuntimeError("draw failed")
-        return real_kernel(*args)
+        return real_kernel(*args, **kwargs)
 
     monkeypatch.setattr(federation.model_mod, "clipped_gradient_sum", broken)
     monkeypatch.setattr(federation, "_new_worker", StartedWorker)
@@ -383,6 +384,28 @@ def test_blobs_match_the_one_thread_oracle_under_every_executor(
             sys.setswitchinterval(interval)
             worker.shutdown(wait=True)
         assert _bytes(got) == want, mode
+
+
+@pytest.mark.parametrize("mode", [None, *EXECUTORS])
+def test_the_blob_build_allocates_nothing_beside_x(mode):
+    """The benchmark's 10 x 1000 x 784 train set (62.7 MB) is drawn straight
+    into X and finished in place, inline or under each executor: the
+    build's traced peak is X plus at most 1 MiB, with no class block held
+    apart from X."""
+    worker = None if mode is None else EXECUTORS[mode]()
+    interval = sys.getswitchinterval()
+    if mode == "delayed":
+        sys.setswitchinterval(1e-5)
+    tracemalloc.start()
+    try:
+        train = data_mod.synthetic_blobs(10, 1000, 784, 0.25, 3, worker)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        sys.setswitchinterval(interval)
+        if worker is not None:
+            worker.shutdown(wait=True)
+    assert peak <= train.X.nbytes + 2**20, peak - train.X.nbytes
 
 
 BUILD_SHAPES = [  # classes, per class, dim, spread; the test set has per // 5
