@@ -8,13 +8,15 @@ between uploads (algorithm "gcfl"), aggregates them, and takes a global step.
 The round's uploads are the rows of one (P, D) array U, one row per
 participant in ascending client id; each client overwrites its row with
 its upload, and U is dropped before evaluation.  The upload is the only
-per-client vector the server reads.  Each half of a round (see below)
-makes one ``StepBuffers`` and lends it to its clients in turn: a client's
-steps write their noise, clipped sum, prox shift and local model into it,
+per-client vector the server reads.  A client builds its first step in
+its row.  Each half of a round (see below) makes one ``StepBuffers`` and
+lends it to its clients in turn: a client's steps write their clipped
+sum, later noise draws, prox and scaffold shifts and local model into it,
 so no step allocates a D-length vector.  A client's K local steps
 w <- w - eta * noisy_k end at start - K eta * upload, so isolated stores
 that as the client's model, and dp_scaffold's option-II update
-c_i <- c_i - c + (start - w_K) / (K eta) adds the upload itself.
+c_i <- c_i - c + (start - w_K) / (K eta) adds the upload itself.  The
+server step writes the new weights into the aggregate.
 
 The server step speaks rows: the participant weights w, the correction
 plan and the folded alpha are lists by row of U, and client ids appear
@@ -196,24 +198,27 @@ def _halves(worker: Executor, fn: Callable[[range], None], n: int) -> None:
 
 @dataclass(frozen=True)
 class StepBuffers:
-    """The D-length vectors a client's local steps are written into.
+    """The D-length vectors a client's local steps are written into besides
+    its upload row, where its first step is built: at local_steps = 1 the
+    clipped sum alone, or with the prox shift under dp_fedprox.
 
     One half of a round makes one and lends it to each of its clients in
     turn.  Every step overwrites each buffer before it reads it, so nothing
     one client leaves in them reaches the next client's bytes."""
 
-    noise: ParamVector  # the noise draw, then the step vector built in it
-    clipped: ParamVector  # the kernel's clipped sum
+    clipped: ParamVector  # the kernel's clipped sum, then the scaffold shift
+    noise: ParamVector | None  # later steps' noise draws, when local_steps > 1
     local: ParamVector | None  # the local model, when local_steps > 1
     prox: ParamVector | None  # prox_mu * (w_local - start), under dp_fedprox
 
     @classmethod
     def for_config(cls, cfg: ExperimentConfig, dim: int) -> "StepBuffers":
         is_prox = cfg.algorithm == "dp_fedprox" and cfg.prox_mu != 0
+        several = cfg.local_steps > 1
         return cls(
-            noise=np.empty(dim),
             clipped=np.empty(dim),
-            local=np.empty(dim) if cfg.local_steps > 1 else None,
+            noise=np.empty(dim) if several else None,
+            local=np.empty(dim) if several else None,
             prox=np.empty(dim) if is_prox else None,
         )
 
@@ -226,7 +231,7 @@ def client_local_phase(
     batch_rng: np.random.Generator,
     noise_rng: np.random.Generator | None,
     upload: ParamVector,
-    scaffold_shift: ParamVector | None = None,
+    scaffold_variates: tuple[ParamVector, ParamVector] | None = None,
     buffers: StepBuffers | None = None,
 ) -> tuple[int, float]:
     """Run one client's local steps, write its upload into the ``upload``
@@ -236,25 +241,28 @@ def client_local_phase(
     one batched pass, add a noise vector z * sigma C with z drawn from
     ``noise_rng`` (at sigma = 0 nothing is drawn, and None may be passed),
     divide by the realized batch size, then step the local model.  The step
-    vector is built in z, (z sigma C + clipped sum) / B: the bytes of
-    (clipped sum + noise) / B, since IEEE addition commutes.  dp_fedprox
-    adds prox_mu * (w_local - w_start) to each per-sample gradient before
-    clipping; dp_scaffold adds the control-variate shift (server - client)
-    after noising.  The upload
-    is the mean of the noisy batch gradients over the steps that actually
-    ran: each is added into the zeroed row, and the row is divided once
-    when more than one step ran.  No local model is built after the last
-    step.  A non-finite per-sample gradient norm or step gradient raises
-    ValueError naming the client.
+    vector is built where z is drawn, (z sigma C + clipped sum) / B: the
+    bytes of (clipped sum + noise) / B, since IEEE addition commutes; at
+    sigma = 0 the clipped sum is copied there instead.  dp_fedprox adds
+    prox_mu * (w_local - w_start) to each per-sample gradient before
+    clipping; dp_scaffold adds the control-variate shift server - client,
+    from ``scaffold_variates`` = (server, client), after noising.  No local
+    model is built after the last step.  A non-finite per-sample gradient
+    norm or step gradient raises ValueError naming the client.
 
-    Every D-length vector of a step is written into ``buffers`` (new ones
-    when none are given), so a step allocates no D-length vector.
+    The upload is the mean of the noisy batch gradients over the steps that
+    actually ran.  The first of them is built in the upload row itself, so
+    the row is written once; each later one is built in ``buffers.noise``
+    and added into the row, which is divided once when more than one step
+    ran.  A client with no step uploads zeros.  Every other D-length vector
+    of a step is written into ``buffers`` (new ones when none are given),
+    the scaffold shift into the clipped sum's buffer once the step has read
+    it, so a step allocates no D-length vector.
     """
     if shard.size == 0:
         raise ValueError(f"client {shard.client_id} holds an empty shard")
     if buffers is None:
         buffers = StepBuffers.for_config(cfg, start_params.shape[0])
-    upload[...] = 0.0
     # start_params is never written: the first local step fills buffers.local
     w_local = start_params
     steps = 0
@@ -279,16 +287,17 @@ def client_local_phase(
             prox_shift,
             out=buffers.clipped,
         )
+        noisy = buffers.noise if steps else upload
         if cfg.sigma == 0:
-            noisy = buffers.clipped
+            np.copyto(noisy, buffers.clipped)
         else:
-            noisy = buffers.noise
             noise_rng.standard_normal(out=noisy)
             noisy *= cfg.sigma * cfg.clip_threshold
             noisy += buffers.clipped
         noisy /= idx.size
-        if scaffold_shift is not None:
-            noisy += scaffold_shift
+        if scaffold_variates is not None:
+            # the step has read the clipped sum: its buffer takes the shift
+            noisy += np.subtract(*scaffold_variates, out=buffers.clipped)
         if not (np.isfinite(sq_norms).all() and np.isfinite(noisy).all()):
             raise ValueError(
                 f"client {shard.client_id}: non-finite per-sample gradient "
@@ -299,11 +308,14 @@ def client_local_phase(
                 w_local = buffers.local
                 w_local[...] = start_params
             add_scaled(w_local, -cfg.eta, noisy)  # w_local - eta * noisy
-        upload += noisy
+        if steps:
+            upload += noisy
         steps += 1
         loss_total += float(np.sum(losses)) / idx.size
 
-    if steps > 1:
+    if steps == 0:
+        upload.fill(0.0)
+    elif steps > 1:
         upload /= steps
     mean_loss = loss_total / steps if steps else math.nan
     return steps, mean_loss
@@ -325,8 +337,11 @@ def server_step(
     aggregated: ParamVector,
     cfg: ExperimentConfig,
     uploads: np.ndarray | None = None,
+    out: ParamVector | None = None,
 ) -> ParamVector:
-    """Global update w - eta_g * aggregate.
+    """Global update w - eta_g * aggregate: a new vector, inputs left
+    untouched, or written into ``out`` when one is given (the aggregate
+    itself may be passed; w may not).
 
     dp_fedexp scales the step: eta_g = eta * max(1, sum_i ||g_i||^2 /
     (2 n ||g_bar||^2 + 1e-3)) with g_i the rows of uploads and g_bar the
@@ -342,7 +357,11 @@ def server_step(
         sq_mean = float(np.einsum("d,d->", aggregated, aggregated))
         denom = 2.0 * len(uploads) * sq_mean + _FEDEXP_EPS
         eta_g = cfg.eta * max(1.0, sum_sq / denom)
-    return scale_add(w, -eta_g, aggregated)
+    if out is None:
+        return scale_add(w, -eta_g, aggregated)
+    np.multiply(aggregated, -eta_g, out=out)
+    out += w  # w + (-eta_g * aggregate), the bytes of scale_add
+    return out
 
 
 def _evaluate(
@@ -402,11 +421,10 @@ def run_round(
                 if cfg.algorithm == "isolated"
                 else state.weights
             )
-            shift = None
+            variates = None
             if cfg.algorithm == "dp_scaffold":
-                shift = (
-                    state.scaffold.server_variate - state.scaffold.client_variates[cid]
-                )
+                scaffold = state.scaffold
+                variates = (scaffold.server_variate, scaffold.client_variates[cid])
             try:
                 steps[p], losses[p] = client_local_phase(
                     state.shards[cid],
@@ -416,7 +434,7 @@ def run_round(
                     derive_rng(state.seed, round_index, cid, _P_BATCH),
                     derive_rng(state.seed, round_index, cid, _P_NOISE),
                     uploads[p],
-                    scaffold_shift=shift,
+                    scaffold_variates=variates,
                     buffers=buffers,
                 )
             except ValueError as exc:
@@ -445,21 +463,29 @@ def run_round(
             )
         alpha = fold_weights(plan, _participant_weights(state, participants))
         aggregated = weighted_sum(uploads, alpha)
-        state.weights = server_step(state.weights, aggregated, cfg, uploads)
+        # the new weights are written into the aggregate, the round's one
+        # server-side D-vector
+        state.weights = server_step(
+            state.weights, aggregated, cfg, uploads, out=aggregated
+        )
 
         if cfg.algorithm == "dp_scaffold":
             # the server variate moves by (1 / n) sum of the new - old of
-            # every participant that stepped, added in row order
+            # every participant that stepped, added in row order; row p is
+            # read for the last time here, so it takes new - old
             scaffold = state.scaffold
             move = np.zeros_like(scaffold.server_variate)
             for p, cid in enumerate(participants):
                 if steps[p]:
                     old = scaffold.client_variates[cid]
-                    new = old - scaffold.server_variate + uploads[p]
-                    move += (1.0 / cfg.n_clients) * (new - old)
+                    new = old - scaffold.server_variate
+                    new += uploads[p]
+                    delta = np.subtract(new, old, out=uploads[p])
+                    add_scaled(move, 1.0 / cfg.n_clients, delta)
                     scaffold.client_variates[cid] = new
             if steps.any():
-                scaffold.server_variate = scaffold.server_variate + move
+                move += scaffold.server_variate
+                scaffold.server_variate = move
     del uploads  # the round's P x D uploads are not held through evaluation
 
     # metrics

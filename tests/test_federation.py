@@ -2,7 +2,7 @@ import copy
 import math
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import fields, replace
 
 import numpy as np
@@ -641,7 +641,8 @@ def test_upload_from_noise_drawn_ahead_is_the_oracle_fed_from_the_same_stream(
         current.cid = shard.client_id
         ran_on[shard.client_id] = threading.current_thread().name
         sums[shard.client_id] = []
-        shifts[shard.client_id] = kwargs.get("scaffold_shift")
+        variates = kwargs.get("scaffold_variates")
+        shifts[shard.client_id] = None if variates is None else np.subtract(*variates)
         out = real_local(shard, *args, **kwargs)
         uploads[shard.client_id] = args[5].copy()
         return out
@@ -683,9 +684,11 @@ def test_a_reused_workspace_carries_nothing_into_the_next_client(
     algorithm, sigma, local_steps, sampling_mode, batch_size
 ):
     """A half of a round lends one StepBuffers to each of its clients in
-    turn.  Whether the buffers and the upload row start as NaN (client 0)
-    or hold the previous client's leftovers (clients 1-3), each client's
-    upload has the bytes it has with fresh buffers and a zero row."""
+    turn, and a client writes its row of U without zeroing it first.
+    Whether the buffers and the upload row start as NaN (client 0) or hold
+    the previous client's leftovers (clients 1-3), each client's upload has
+    the bytes it has with fresh buffers and a zero row.  Only several local
+    steps need a noise buffer: the first step is built in the row."""
     state = make_state(
         algorithm=algorithm, n_clients=4, sigma=sigma, seed=7,
         local_steps=local_steps, sampling_mode=sampling_mode,
@@ -695,21 +698,22 @@ def test_a_reused_workspace_carries_nothing_into_the_next_client(
     dim = state.weights.shape[0]
 
     def upload_of(cid, buffers, row):
-        shift = None
+        variates = None
         if algorithm == "dp_scaffold":
             scaffold = state.scaffold
-            shift = scaffold.server_variate - scaffold.client_variates[cid]
+            variates = (scaffold.server_variate, scaffold.client_variates[cid])
         steps, _ = client_local_phase(
             state.shards[cid], state.weights, state.model_spec, state.cfg,
             derive_rng(state.seed, 1, cid, federation._P_BATCH),
             derive_rng(state.seed, 1, cid, federation._P_NOISE),
-            row, scaffold_shift=shift, buffers=buffers,
+            row, scaffold_variates=variates, buffers=buffers,
         )
         return steps, row.tobytes()
 
     buffers, row = StepBuffers.for_config(state.cfg, dim), np.empty(dim)
     assert (buffers.prox is not None) == (algorithm == "dp_fedprox")
     assert (buffers.local is not None) == (local_steps > 1)
+    assert (buffers.noise is not None) == (local_steps > 1)
     for buf in [row] + [getattr(buffers, f.name) for f in fields(buffers)]:
         if buf is not None:
             buf.fill(np.nan)
@@ -722,13 +726,120 @@ def test_a_reused_workspace_carries_nothing_into_the_next_client(
         assert 0 < min(counts) < local_steps  # some client skipped a step
 
 
+@pytest.mark.parametrize("algorithm", ["dp_fedavg", "dp_scaffold"])
+@pytest.mark.parametrize("local_steps", [1, 3])
+def test_a_client_without_a_step_uploads_exact_zeros(
+    monkeypatch, algorithm, local_steps
+):
+    """A client whose every Poisson draw is empty takes 0 steps, has no
+    loss, and fills a NaN row with +0.0 in every coordinate."""
+    state = make_state(
+        algorithm=algorithm, n_clients=2, local_steps=local_steps,
+        sampling_mode="poisson",
+    )
+    monkeypatch.setattr(
+        federation, "poisson_sample", lambda *args: np.array([], dtype=np.int64)
+    )
+    dim = state.weights.shape[0]
+    row = np.full(dim, np.nan)
+    variates = None
+    if algorithm == "dp_scaffold":
+        variates = (np.ones(dim), np.zeros(dim))  # a shift that would show
+    steps, loss = client_local_phase(
+        state.shards[0], state.weights, state.model_spec, state.cfg,
+        derive_rng(1, 0, 0, 0), derive_rng(1, 0, 0, 1), row,
+        scaffold_variates=variates,
+    )
+    assert steps == 0 and math.isnan(loss)
+    assert row.tobytes() == np.zeros(dim).tobytes()
+
+
+def _benchmark_shape_state(algorithm, n_clients):
+    """A state at the benchmark's 784-128-10 shape (D = 101,770), with 50
+    training examples per client and a small test set."""
+    spec = MlpSpec((784, 128, 10))
+    train = synthetic_blobs(10, 5 * n_clients, 784, 0.25, seed=4)
+    test = synthetic_blobs(10, 2, 784, 0.25, seed=5)
+    cfg = ExperimentConfig(
+        algorithm=algorithm, sigma=0.8, batch_size=32, eta=0.05,
+        n_clients=n_clients, record_timing=False,
+    )
+    return init_state(spec, cfg, 4, partition_iid(train, n_clients, seed=6), test)
+
+
+@pytest.mark.parametrize("algorithm", ["gcfl", "dp_fedavg", "dp_fedexp"])
+def test_the_server_step_is_written_into_the_aggregate(monkeypatch, algorithm):
+    """From the start of run_round's weighted sum to the end of its server
+    step, the traced peak stays under one and a half D-vectors: the
+    aggregate, which then takes the new weights, and add_scaled's 64 KiB
+    temporary.  A server step that makes -eta_g * aggregate, or a result
+    beside the aggregate, holds two."""
+    state = _benchmark_shape_state(algorithm, 2)
+    dim = state.weights.shape[0]
+    starts, peaks = [], []
+    real_sum, real_step = federation.weighted_sum, federation.server_step
+
+    def summed(*args):
+        tracemalloc.reset_peak()
+        starts.append(tracemalloc.get_traced_memory()[0])
+        return real_sum(*args)
+
+    def step(*args, **kwargs):
+        out = real_step(*args, **kwargs)
+        peaks.append(tracemalloc.get_traced_memory()[1] - starts[-1])
+        return out
+
+    monkeypatch.setattr(federation, "weighted_sum", summed)
+    monkeypatch.setattr(federation, "server_step", step)
+    tracemalloc.start()
+    try:
+        run_one_round(state, 0)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 1
+    assert peaks[0] < 1.5 * dim * 8, peaks[0] / (dim * 8)
+
+
+class _IdleWorker:
+    """A worker that never starts a task: the calling thread takes both
+    halves of a round, one after the other."""
+
+    def submit(self, fn, *args):
+        return Future()
+
+
+def test_a_scaffold_round_holds_under_one_vector_more_than_fedavg():
+    """At D = 101,770 and N = 8, a dp_scaffold round's traced peak is less
+    than one D-vector above the same dp_fedavg round's: each client's shift
+    is built in its half's workspace, and the variate update writes each
+    new - old into the upload row it has read for the last time.  The two
+    halves of the client phase run one after the other, so the peaks do
+    not hang on how they overlap.  Tracing starts before the state is
+    built, so the variates a round replaces count as freed."""
+    peaks = {}
+    for algorithm in ("dp_fedavg", "dp_scaffold"):
+        tracemalloc.start()
+        try:
+            state = _benchmark_shape_state(algorithm, 8)
+            federation.run_round(state, 0, _IdleWorker())  # fills caches
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            federation.run_round(state, 1, _IdleWorker())
+            peaks[algorithm] = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+    dim = state.weights.shape[0]
+    extra = peaks["dp_scaffold"] - peaks["dp_fedavg"]
+    assert extra < dim * 8, extra / (dim * 8)
+
+
 @pytest.mark.parametrize("algorithm", ["dp_fedavg", "dp_fedprox", "dp_scaffold"])
 def test_a_client_step_given_its_workspace_allocates_no_parameter_vector(algorithm):
     """At the benchmark's 784-128-10 shape (D = 101,770), a client's two
-    local steps, given its StepBuffers, upload row and scaffold shift,
+    local steps, given its StepBuffers, upload row and scaffold variates,
     allocate less than one D-length vector at their traced peak: the noise,
-    the clipped sum, the prox shift and the local model are all written
-    into the workspace."""
+    the clipped sum, the prox shift, the scaffold shift and the local model
+    are all written into the workspace."""
     spec = MlpSpec((784, 128, 10))
     dim = spec.num_params
     train = synthetic_blobs(10, 20, 784, 0.25, seed=4)
@@ -739,12 +850,14 @@ def test_a_client_step_given_its_workspace_allocates_no_parameter_vector(algorit
     )
     w = init_params(spec, 4)
     buffers, row = StepBuffers.for_config(cfg, dim), np.empty(dim)
-    shift = np.full(dim, 1e-3) if algorithm == "dp_scaffold" else None
+    variates = None
+    if algorithm == "dp_scaffold":
+        variates = (np.full(dim, 1e-3), np.zeros(dim))  # a shift of 1e-3
 
     def steps():
         return client_local_phase(
             shard, w, spec, cfg, derive_rng(4, 0, 0, 0), derive_rng(4, 0, 0, 1),
-            row, scaffold_shift=shift, buffers=buffers,
+            row, scaffold_variates=variates, buffers=buffers,
         )
 
     steps()  # first calls may fill numpy's caches

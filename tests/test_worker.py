@@ -187,9 +187,9 @@ def test_normal_run_leaves_no_worker_and_restores_the_blas_threads(two_blas_thre
     seen = []
     real = federation.server_step
 
-    def step(*args):
+    def step(*args, **kwargs):
         seen.append((two_blas_threads(), len(_worker_threads())))
-        return real(*args)
+        return real(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(federation, "server_step", step)
@@ -303,9 +303,9 @@ def test_a_command_holds_one_worker_and_one_pin_from_data_build_to_last_run(
         return real_pin()
 
     def watch(real):
-        def call(*args):
+        def call(*args, **kwargs):
             seen.append((real.__name__, two_blas_threads(), len(_worker_threads())))
-            return real(*args)
+            return real(*args, **kwargs)
 
         return call
 
