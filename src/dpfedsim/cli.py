@@ -31,7 +31,7 @@ import numpy as np
 from . import data as data_mod
 from .config import ExperimentConfig, parse_config, parse_label_split
 from .dp import epsilon_spent
-from .federation import ExperimentResult, ExperimentState, init_state, pinned_worker
+from .federation import ExperimentState, RoundMetrics, init_state, pinned_worker
 from .federation import run_experiment
 from .model import MlpSpec
 
@@ -45,6 +45,9 @@ CSV_HEADER = [
     "projections",
     "wall_ms",
 ]
+
+# the final-round metrics of summary.json's mean_final and comparison.csv
+FINAL_KEYS = ("epsilon", "train_loss", "test_acc", "test_recall", "test_f1")
 
 # tags for deriving data-pipeline seeds from the run seed
 _T_TRAIN = 100
@@ -138,11 +141,11 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
-def write_metrics_csv(path: str, result: ExperimentResult) -> None:
+def write_metrics_csv(path: str, rounds: list[RoundMetrics]) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for rm in result.rounds:
+        for rm in rounds:
             writer.writerow(
                 [
                     rm.round_index,
@@ -168,33 +171,32 @@ def _jsonable(value):
     return value
 
 
-def _final_block(result: ExperimentResult) -> dict:
-    last = result.rounds[-1]
+def _final_block(cfg: ExperimentConfig, rounds: list[RoundMetrics]) -> dict:
+    """A run's outcome from its round records; it stopped early on the
+    epsilon budget when it has fewer than cfg.rounds of them."""
+    last = rounds[-1]
     return {
-        "rounds_completed": len(result.rounds),
-        "stopped_early": result.stopped_early,
+        "rounds_completed": len(rounds),
+        "stopped_early": len(rounds) < cfg.rounds,
         "epsilon": last.epsilon_spent,
         "train_loss": last.train_loss,
         "test_acc": last.test_accuracy,
         "test_recall": last.test_macro_recall,
         "test_f1": last.test_macro_f1,
-        "projections_total": sum(r.projections_applied for r in result.rounds),
-        "correction_last_round": result.correction_summaries[-1]
-        if result.correction_summaries
-        else {},
+        "projections_total": sum(r.projections_applied for r in rounds),
+        "correction_last_round": last.correction,
     }
 
 
 def write_summary_json(
     path: str,
     cfg: ExperimentConfig,
-    results: dict[int, ExperimentResult],
+    results: dict[int, list[RoundMetrics]],
     blas_pinned: bool,
 ) -> None:
-    per_seed = {str(seed): _final_block(res) for seed, res in results.items()}
-    keys = ("epsilon", "train_loss", "test_acc", "test_recall", "test_f1")
+    per_seed = {str(seed): _final_block(cfg, res) for seed, res in results.items()}
     mean_final = {
-        k: float(np.mean([per_seed[s][k] for s in per_seed])) for k in keys
+        k: float(np.mean([per_seed[s][k] for s in per_seed])) for k in FINAL_KEYS
     }
     payload = {
         "blas_pinned": blas_pinned,
@@ -208,8 +210,10 @@ def write_summary_json(
         f.write("\n")
 
 
-def run_seeds(cfg: ExperimentConfig, worker: Executor) -> dict[int, ExperimentResult]:
-    results: dict[int, ExperimentResult] = {}
+def run_seeds(
+    cfg: ExperimentConfig, worker: Executor
+) -> dict[int, list[RoundMetrics]]:
+    results: dict[int, list[RoundMetrics]] = {}
     for seed in cfg.seeds:
         state = build_state(cfg, seed, worker)
         results[seed] = run_experiment(state, worker)
@@ -224,12 +228,12 @@ def cmd_run(args) -> int:
     first = cfg.seeds[0]
     write_metrics_csv(os.path.join(args.out, "metrics.csv"), results[first])
     if len(cfg.seeds) > 1:
-        for seed, res in results.items():
+        for seed, rounds in results.items():
             write_metrics_csv(
-                os.path.join(args.out, f"metrics_seed{seed}.csv"), res
+                os.path.join(args.out, f"metrics_seed{seed}.csv"), rounds
             )
     write_summary_json(os.path.join(args.out, "summary.json"), cfg, results, pinned)
-    last = results[first].rounds[-1]
+    last = results[first][-1]
     print(
         f"run complete: {len(results)} seed(s), "
         f"final test_acc (seed {first}) {last.test_accuracy:.4f}, "
@@ -259,37 +263,16 @@ def cmd_compare(args) -> int:
             shard_hash = data_mod.shard_fingerprint(shards[0])[:16]
             for algo_rows, algo, acfg in zip(rows, algos, configs):
                 state = init_state(spec, acfg, seed, shards, test)
-                res = run_experiment(state, worker)
-                last = res.rounds[-1]
+                final = _final_block(acfg, run_experiment(state, worker))
                 algo_rows.append(
-                    [
-                        algo,
-                        seed,
-                        shard_hash,
-                        _fmt(last.epsilon_spent),
-                        _fmt(last.train_loss),
-                        _fmt(last.test_accuracy),
-                        _fmt(last.test_macro_recall),
-                        _fmt(last.test_macro_f1),
-                        sum(r.projections_applied for r in res.rounds),
-                    ]
+                    [algo, seed, shard_hash]
+                    + [_fmt(final[k]) for k in FINAL_KEYS]
+                    + [final["projections_total"]]
                 )
     path = os.path.join(args.out, "comparison.csv")
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(
-            [
-                "algorithm",
-                "seed",
-                "shard_hash",
-                "epsilon",
-                "train_loss",
-                "test_acc",
-                "test_recall",
-                "test_f1",
-                "projections",
-            ]
-        )
+        writer.writerow(["algorithm", "seed", "shard_hash", *FINAL_KEYS, "projections"])
         for algo_rows in rows:
             writer.writerows(algo_rows)
     print(f"compared {len(algos)} algorithm(s) over {len(cfg.seeds)} seed(s): {path}")
@@ -355,7 +338,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader has gone: point stdout at devnull so the exit
+        # flush cannot fail again, and leave stderr quiet (the "Note on
+        # SIGPIPE" in Python's signal docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -10,6 +10,8 @@ into its rows of the feature matrix, and a worker, the command's one
 from __future__ import annotations
 
 import hashlib
+import math
+import os
 import struct
 from concurrent import futures
 from dataclasses import dataclass
@@ -85,13 +87,29 @@ def _read_exact(f, n: int, path: str, what: str) -> bytes:
     return buf
 
 
+def _read_payload(f, sizes: tuple[int, ...], path: str, what: str) -> bytes:
+    """The prod(sizes) bytes after the header, checked against the header's
+    sizes and the file's length before anything is read."""
+    if min(sizes) < 0:
+        raise ValueError(f"{path}: negative size in the {what} header: {sizes}")
+    n = math.prod(sizes)
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if n > left:
+        raise ValueError(
+            f"{path}: truncated file while reading {what}: the header gives "
+            f"{n} bytes, the file holds {left}"
+        )
+    return _read_exact(f, n, path, what)
+
+
 def load_idx(images_path: str, labels_path: str) -> Dataset:
     """Read an IDX image/label file pair (the MNIST container format).
 
     Both files are big-endian: images carry magic 2051 then count/rows/cols
     and count*rows*cols unsigned bytes; labels carry magic 2049 then count
     and count unsigned bytes.  Pixels are scaled to [0, 1] by /255 and each
-    image is flattened row-major.
+    image is flattened row-major.  A negative size in a header, or one
+    larger than the file, raises ValueError naming the file before any read.
     """
     with open(images_path, "rb") as f:
         magic, count, rows, cols = struct.unpack(
@@ -102,7 +120,7 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
                 f"{images_path}: bad magic {magic}, expected {_IDX_IMAGES_MAGIC} "
                 "for an IDX image file"
             )
-        raw = _read_exact(f, count * rows * cols, images_path, "image data")
+        raw = _read_payload(f, (count, rows, cols), images_path, "image data")
     with open(labels_path, "rb") as f:
         magic, label_count = struct.unpack(
             ">ll", _read_exact(f, 8, labels_path, "label header")
@@ -112,7 +130,7 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
                 f"{labels_path}: bad magic {magic}, expected {_IDX_LABELS_MAGIC} "
                 "for an IDX label file"
             )
-        label_raw = _read_exact(f, label_count, labels_path, "label data")
+        label_raw = _read_payload(f, (label_count,), labels_path, "label data")
     if count != label_count:
         raise ValueError(
             f"image/label count mismatch: {count} images vs {label_count} labels"

@@ -72,10 +72,10 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from . import model as model_mod
-from .correction import CorrectionReport, fold_weights, plan_round
+from .correction import fold_weights, plan_round
 from .data import ClientShard, Dataset
 from .dp import epsilon_spent, poisson_sample
-from .linalg import ParamVector, add_scaled, one_blas_thread, scale_add, weighted_sum
+from .linalg import ParamVector, add_scaled, one_blas_thread, weighted_sum
 from .model import MlpSpec
 
 if TYPE_CHECKING:  # config.py imports this module's mode tuples
@@ -105,6 +105,8 @@ _P_SELECT = 3
 
 @dataclass
 class RoundMetrics:
+    """One round's outcome; a run is the list of its rounds' records."""
+
     round_index: int
     epsilon_spent: float
     train_loss: float
@@ -113,6 +115,7 @@ class RoundMetrics:
     test_macro_f1: float
     projections_applied: int
     wall_millis: int
+    correction: dict  # the CorrectionReport's summary(); {} when none ran
 
 
 @dataclass
@@ -243,9 +246,10 @@ def client_local_phase(
     divide by the realized batch size, then step the local model.  The step
     vector is built where z is drawn, (z sigma C + clipped sum) / B: the
     bytes of (clipped sum + noise) / B, since IEEE addition commutes; at
-    sigma = 0 the clipped sum is copied there instead.  dp_fedprox adds
-    prox_mu * (w_local - w_start) to each per-sample gradient before
-    clipping; dp_scaffold adds the control-variate shift server - client,
+    sigma = 0 the clipped sum is copied there instead.  When ``buffers``
+    has a prox buffer (dp_fedprox with prox_mu != 0), prox_mu * (w_local -
+    w_start) is added to each per-sample gradient before clipping;
+    dp_scaffold adds the control-variate shift server - client,
     from ``scaffold_variates`` = (server, client), after noising.  No local
     model is built after the last step.  A non-finite per-sample gradient
     norm or step gradient raises ValueError naming the client.
@@ -267,7 +271,6 @@ def client_local_phase(
     w_local = start_params
     steps = 0
     loss_total = 0.0
-    is_prox = cfg.algorithm == "dp_fedprox" and cfg.prox_mu != 0
 
     for k in range(cfg.local_steps):
         idx = poisson_sample(shard.size, cfg.batch_size, cfg.sampling_mode, batch_rng)
@@ -275,7 +278,7 @@ def client_local_phase(
             continue  # empty poisson draw: no step, no privacy cost
         rows = shard.indices[idx]
         prox_shift = None
-        if is_prox:
+        if buffers.prox is not None:
             prox_shift = np.subtract(w_local, start_params, out=buffers.prox)
             prox_shift *= cfg.prox_mu
         losses, sq_norms, _ = model_mod.clipped_gradient_sum(
@@ -336,12 +339,10 @@ def server_step(
     w: ParamVector,
     aggregated: ParamVector,
     cfg: ExperimentConfig,
-    uploads: np.ndarray | None = None,
-    out: ParamVector | None = None,
+    uploads: np.ndarray,
 ) -> ParamVector:
-    """Global update w - eta_g * aggregate: a new vector, inputs left
-    untouched, or written into ``out`` when one is given (the aggregate
-    itself may be passed; w may not).
+    """Global update w - eta_g * aggregate, written into the aggregate and
+    returned; w is left untouched and must not be the aggregate.
 
     dp_fedexp scales the step: eta_g = eta * max(1, sum_i ||g_i||^2 /
     (2 n ||g_bar||^2 + 1e-3)) with g_i the rows of uploads and g_bar the
@@ -349,19 +350,15 @@ def server_step(
     """
     eta_g = cfg.eta
     if cfg.algorithm == "dp_fedexp":
-        if uploads is None:
-            raise ValueError("dp_fedexp needs the per-client uploads")
         # N + 1 einsum dots, not the whole Gram's N(N+1)/2; fsum is exact,
         # so order is immaterial
         sum_sq = math.fsum(float(np.einsum("d,d->", g, g)) for g in uploads)
         sq_mean = float(np.einsum("d,d->", aggregated, aggregated))
         denom = 2.0 * len(uploads) * sq_mean + _FEDEXP_EPS
         eta_g = cfg.eta * max(1.0, sum_sq / denom)
-    if out is None:
-        return scale_add(w, -eta_g, aggregated)
-    np.multiply(aggregated, -eta_g, out=out)
-    out += w  # w + (-eta_g * aggregate), the bytes of scale_add
-    return out
+    aggregated *= -eta_g
+    aggregated += w  # w + (-eta_g * aggregate)
+    return aggregated
 
 
 def _evaluate(
@@ -399,9 +396,9 @@ def _select_participants(state: ExperimentState, round_index: int) -> list[int]:
 
 def run_round(
     state: ExperimentState, round_index: int, worker: Executor
-) -> tuple[RoundMetrics, CorrectionReport | None]:
+) -> RoundMetrics:
     """Advance the experiment by one round on the command's worker, mutating
-    state in place."""
+    state in place, and return the round's record."""
     t0 = time.perf_counter()
     cfg = state.cfg
     participants = _select_participants(state, round_index)
@@ -445,12 +442,12 @@ def run_round(
     # disjoint shards: the round costs the worst-case client's step count
     state.steps_taken += int(steps.max())
 
-    report: CorrectionReport | None = None
+    report = None
     if cfg.algorithm == "isolated":
         for p, cid in enumerate(participants):  # 0 steps: a zero upload, no move
-            state.client_models[cid] = scale_add(
-                state.client_models[cid], -cfg.eta * int(steps[p]), uploads[p]
-            )
+            # a new vector: the old model may be a caller's start array
+            model = state.client_models[cid]
+            state.client_models[cid] = model + (-cfg.eta * int(steps[p])) * uploads[p]
     else:
         plan = []  # no projections: fold_weights returns the weights as given
         if cfg.algorithm == "gcfl" and len(participants) > 1:
@@ -465,9 +462,7 @@ def run_round(
         aggregated = weighted_sum(uploads, alpha)
         # the new weights are written into the aggregate, the round's one
         # server-side D-vector
-        state.weights = server_step(
-            state.weights, aggregated, cfg, uploads, out=aggregated
-        )
+        state.weights = server_step(state.weights, aggregated, cfg, uploads)
 
         if cfg.algorithm == "dp_scaffold":
             # the server variate moves by (1 / n) sum of the new - old of
@@ -507,7 +502,7 @@ def run_round(
     wall = (
         int(round((time.perf_counter() - t0) * 1000.0)) if cfg.record_timing else 0
     )
-    rm = RoundMetrics(
+    return RoundMetrics(
         round_index=round_index,
         epsilon_spent=eps,
         train_loss=train_loss,
@@ -516,15 +511,8 @@ def run_round(
         test_macro_f1=f1,
         projections_applied=report.projections_applied if report else 0,
         wall_millis=wall,
+        correction=report.summary() if report else {},
     )
-    return rm, report
-
-
-@dataclass
-class ExperimentResult:
-    rounds: list[RoundMetrics]
-    correction_summaries: list[dict]
-    stopped_early: bool
 
 
 def init_state(
@@ -557,24 +545,15 @@ def init_state(
     return state
 
 
-def run_experiment(state: ExperimentState, worker: Executor) -> ExperimentResult:
-    """Run all configured rounds on the command's worker, stopping early on
-    the epsilon budget."""
+def run_experiment(state: ExperimentState, worker: Executor) -> list[RoundMetrics]:
+    """Run the configured rounds on the command's worker and return their
+    records; the run stops early, with fewer than cfg.rounds records, before
+    a round that could cross the epsilon budget."""
     cfg = state.cfg
     max_steps = cfg.budget_steps()
     rounds: list[RoundMetrics] = []
-    summaries: list[dict] = []
-    stopped = False
     for t in range(cfg.rounds):
-        if max_steps is not None:
-            if state.steps_taken + cfg.local_steps > max_steps:
-                stopped = True
-                break
-        rm, report = run_round(state, t, worker)
-        rounds.append(rm)
-        summaries.append(report.summary() if report else {})
-    return ExperimentResult(
-        rounds=rounds,
-        correction_summaries=summaries,
-        stopped_early=stopped,
-    )
+        if max_steps is not None and state.steps_taken + cfg.local_steps > max_steps:
+            break
+        rounds.append(run_round(state, t, worker))
+    return rounds

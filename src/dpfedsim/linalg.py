@@ -37,13 +37,6 @@ import numpy as np
 ParamVector = np.ndarray
 
 
-def scale_add(a: ParamVector, c: float, b: ParamVector) -> ParamVector:
-    """Return a + c*b as a new vector; inputs are left untouched."""
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"vector length mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return a + c * b
-
-
 _BLOCK = 8192  # entries per block of add_scaled's temporary (64 KiB)
 
 

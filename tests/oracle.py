@@ -1,9 +1,10 @@
 """Reference implementations the package replaced, and helpers only tests call.
 
 Tests compare the package's kernels against the slow, obvious form of the
-same arithmetic: ``dot`` accumulates strictly left to right, and
-``loss_and_gradient`` and ``clip_gradient`` take one sample at a time where
-``model.clipped_gradient_sum`` builds no per-sample gradient.
+same arithmetic: ``scale_add`` builds a + c b as a new vector, where the
+server step writes into the aggregate; ``dot`` accumulates strictly left
+to right; ``loss_and_gradient`` and ``clip_gradient`` take one sample at a
+time where ``model.clipped_gradient_sum`` builds no per-sample gradient.
 ``noisy_batch_gradient`` forms a step's noisy mean in one call, where a
 client builds the same bytes in the noise vector it draws.
 ``stack`` turns a dict of uploads into the round's (N, D) upload array.
@@ -36,7 +37,7 @@ from dpfedsim.correction import (
     select_references,
 )
 from dpfedsim.data import Dataset
-from dpfedsim.linalg import ParamVector, scale_add, weighted_sum
+from dpfedsim.linalg import ParamVector, weighted_sum
 from dpfedsim.model import _PROB_FLOOR, MlpSpec, _batch_labels, _softmax_rows
 from dpfedsim.model import forward_batch, unpack
 
@@ -47,6 +48,13 @@ def as_vector(values) -> ParamVector:
     if v.ndim != 1:
         raise ValueError(f"expected a flat vector, got array of shape {v.shape}")
     return v
+
+
+def scale_add(a: ParamVector, c: float, b: ParamVector) -> ParamVector:
+    """Return a + c*b as a new vector; inputs are left untouched."""
+    if a.shape[0] != b.shape[0]:
+        raise ValueError(f"vector length mismatch: {a.shape[0]} vs {b.shape[0]}")
+    return a + c * b
 
 
 def dot(a: ParamVector, b: ParamVector) -> float:
@@ -293,14 +301,14 @@ def correct_round_on_vectors(
 
 def run_one_round(
     state: federation.ExperimentState, round_index: int
-) -> tuple[federation.RoundMetrics, CorrectionReport | None]:
+) -> federation.RoundMetrics:
     """``federation.run_round`` with the BLAS pin and a worker of its own,
     both released when the round ends."""
     with federation.pinned_worker() as (_, worker):
         return federation.run_round(state, round_index, worker)
 
 
-def run_all_rounds(state: federation.ExperimentState) -> federation.ExperimentResult:
+def run_all_rounds(state: federation.ExperimentState) -> list[federation.RoundMetrics]:
     """``federation.run_experiment`` with the BLAS pin and a worker of its
     own, both released when the run ends."""
     with federation.pinned_worker() as (_, worker):

@@ -250,7 +250,7 @@ def test_criterion_07_gcfl_equals_fedavg_without_conflicts():
     r_gcfl = run_all_rounds(s_gcfl)
     run_all_rounds(s_avg)
     # the scenario really was conflict-free
-    projections = sum(r.projections_applied for r in r_gcfl.rounds)
+    projections = sum(r.projections_applied for r in r_gcfl)
     assert projections == 0
     assert s_gcfl.weights.tobytes() == s_avg.weights.tobytes()
     elapsed = time.perf_counter() - start
@@ -336,7 +336,7 @@ def _mnist_directional_gap(partition: str) -> tuple[float, float]:
             cfg.validate()
             results = run_seeds(cfg, worker)
             finals[algo] = float(
-                np.mean([res.rounds[-1].test_accuracy for res in results.values()])
+                np.mean([res[-1].test_accuracy for res in results.values()])
             )
     return finals["gcfl"], finals["dp_fedavg"]
 

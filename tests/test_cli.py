@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,7 +12,7 @@ import dpfedsim.cli
 from dpfedsim.cli import CSV_HEADER, build_data, main
 from dpfedsim.config import parse_config
 from dpfedsim.data import shard_fingerprint
-from dpfedsim.dp import steps_for_budget
+from dpfedsim.dp import epsilon_spent, steps_for_budget
 from dpfedsim.federation import ALGORITHMS, pinned_worker
 
 FAST_CFG = """
@@ -86,6 +87,32 @@ def test_override_changes_behavior(tmp_path):
     )
     assert code == 0
     assert len((out / "metrics.csv").read_text().splitlines()) == 2
+
+
+def test_summary_stops_early_only_when_the_budget_cuts_a_round(tmp_path):
+    """At one local step a round, a budget of exactly the epsilon spent after
+    the last round runs every round; the next float below it runs one round
+    fewer, and summary.json says so."""
+    cfg = write_cfg(tmp_path)
+    c = parse_config(cfg)
+    assert c.local_steps == 1
+    spent = epsilon_spent(c.rounds, c.sigma, c.delta)[0]
+    cases = [
+        ([], c.rounds, False),
+        (["--override", f"epsilon_budget={spent!r}"], c.rounds, False),
+        (
+            ["--override", f"epsilon_budget={math.nextafter(spent, 0)!r}"],
+            c.rounds - 1,
+            True,
+        ),
+    ]
+    for k, (override, rounds, stopped) in enumerate(cases):
+        out = tmp_path / f"out{k}"
+        assert main(["run", "--config", cfg, *override, "--out", str(out)]) == 0
+        final = json.loads((out / "summary.json").read_text())["per_seed"]["2"]
+        assert final["rounds_completed"] == rounds, override
+        assert final["stopped_early"] is stopped, override
+        assert len((out / "metrics.csv").read_text().splitlines()) == 1 + rounds
 
 
 def test_bad_config_returns_nonzero_and_stderr(tmp_path, capsys):
@@ -256,6 +283,30 @@ def test_privacy_prints_schedule(tmp_path, capsys):
     # epsilon column strictly increases
     eps = [float(line.split()[2]) for line in out.splitlines()[2:5]]
     assert eps[0] < eps[1] < eps[2]
+
+
+def test_a_closed_stdout_ends_privacy_with_exit_1_and_nothing_on_stderr(tmp_path):
+    """The reader takes one line and closes the pipe while privacy still has
+    well over a pipe buffer of schedule to write."""
+    cfg = write_cfg(tmp_path)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dpfedsim.cli", "privacy", "--config", cfg,
+         "--override", "rounds=5000"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.readline().startswith(b"sigma=")
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
 
 
 def test_privacy_sigma_zero_message(tmp_path, capsys):

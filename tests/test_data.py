@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -68,6 +69,30 @@ def test_load_idx_truncated(tmp_path):
     img, lab = write_idx_pair(tmp_path, np.zeros((2, 2, 2)), [0, 1], truncate_images=3)
     with pytest.raises(ValueError, match="truncated"):
         load_idx(img, lab)
+
+
+@pytest.mark.parametrize(
+    "image_sizes, label_count, bad",
+    [
+        ((60000, 2**31 - 1, 2**31 - 1), 60000, "images"),  # read would overflow
+        ((2, 2, 2), 2**31 - 1, "labels"),  # more label bytes than the file
+        ((-1, 2, 2), 2, "images"),
+        ((2, -2, -2), 2, "images"),  # the product is positive
+        ((2, 2, 2), -1, "labels"),
+    ],
+)
+def test_load_idx_rejects_header_sizes_the_file_cannot_hold(
+    tmp_path, image_sizes, label_count, bad
+):
+    """Hand-built headers over 8 image bytes and 2 label bytes: a negative
+    size, or a payload larger than the file, is a ValueError naming the
+    file, raised before anything is read."""
+    img, lab = tmp_path / "images.idx", tmp_path / "labels.idx"
+    img.write_bytes(struct.pack(">llll", 2051, *image_sizes) + bytes(8))
+    lab.write_bytes(struct.pack(">ll", 2049, label_count) + bytes(2))
+    path = {"images": img, "labels": lab}[bad]
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_idx(str(img), str(lab))
 
 
 def test_load_idx_count_mismatch(tmp_path):

@@ -115,7 +115,7 @@ def test_same_protocol_pipeline_health(partition):
     runs = _protocol_runs(partition)
     for algo, (cfg, results) in runs.items():
         for seed, res in results.items():
-            for t, rm in enumerate(res.rounds):
+            for t, rm in enumerate(res):
                 assert 0.0 <= rm.test_accuracy <= 1.0
                 assert 0.0 <= rm.test_macro_f1 <= 1.0
                 assert math.isfinite(rm.train_loss)
@@ -125,11 +125,11 @@ def test_same_protocol_pipeline_health(partition):
                 )[0]
                 assert rm.epsilon_spent == pytest.approx(offline, abs=1e-12)
     gcfl_proj = sum(
-        sum(r.projections_applied for r in res.rounds)
+        sum(r.projections_applied for r in res)
         for res in runs["gcfl"][1].values()
     )
     avg_proj = sum(
-        sum(r.projections_applied for r in res.rounds)
+        sum(r.projections_applied for r in res)
         for res in runs["dp_fedavg"][1].values()
     )
     assert avg_proj == 0
@@ -138,12 +138,12 @@ def test_same_protocol_pipeline_health(partition):
         assert gcfl_proj > 0
     gcfl_acc = float(
         np.mean(
-            [res.rounds[-1].test_accuracy for res in runs["gcfl"][1].values()]
+            [res[-1].test_accuracy for res in runs["gcfl"][1].values()]
         )
     )
     avg_acc = float(
         np.mean(
-            [res.rounds[-1].test_accuracy for res in runs["dp_fedavg"][1].values()]
+            [res[-1].test_accuracy for res in runs["dp_fedavg"][1].values()]
         )
     )
     print(

@@ -23,7 +23,7 @@ from dpfedsim.federation import (
     init_state,
     server_step,
 )
-from dpfedsim.linalg import scale_add, weighted_sum
+from dpfedsim.linalg import weighted_sum
 from dpfedsim.model import MlpSpec, init_params
 from oracle import (
     aggregate,
@@ -33,6 +33,7 @@ from oracle import (
     plan_by_id,
     run_all_rounds,
     run_one_round,
+    scale_add,
     stack,
 )
 
@@ -120,7 +121,7 @@ def test_prox_mu_zero_is_bitwise_fedavg():
     r_avg = run_all_rounds(s_avg)
     r_prox = run_all_rounds(s_prox)
     np.testing.assert_array_equal(s_avg.weights, s_prox.weights)
-    for a, b in zip(r_avg.rounds, r_prox.rounds):
+    for a, b in zip(r_avg, r_prox):
         assert a.train_loss == b.train_loss
         assert a.test_accuracy == b.test_accuracy
 
@@ -141,8 +142,9 @@ def test_fedexp_identical_gradients_reduce_to_plain_step():
     grads = {0: g.copy(), 1: g.copy(), 2: g.copy()}
     w = np.zeros(3)
     agg = aggregate(grads, {i: 1 / 3 for i in range(3)})
-    stepped = server_step(w, agg, cfg, stack(grads)[0])
-    plain = server_step(w, agg, ExperimentConfig(algorithm="dp_fedavg", eta=0.1))
+    stepped = server_step(w, agg.copy(), cfg, stack(grads)[0])
+    fedavg = ExperimentConfig(algorithm="dp_fedavg", eta=0.1)
+    plain = server_step(w, agg.copy(), fedavg, stack(grads)[0])
     np.testing.assert_array_equal(stepped, plain)
 
 
@@ -151,7 +153,7 @@ def test_fedexp_boosts_step_on_disagreement():
     grads = {0: np.array([1.0, 0.0]), 1: np.array([-1.0, 0.001])}
     agg = aggregate(grads, {0: 0.5, 1: 0.5})  # near-cancellation
     w = np.zeros(2)
-    stepped = server_step(w, agg, cfg, stack(grads)[0])
+    stepped = server_step(w, agg.copy(), cfg, stack(grads)[0])
     plain = w - 0.1 * agg
     # eta_g > eta because sum ||g_i||^2 >> 2n||mean||^2
     assert np.linalg.norm(stepped) > np.linalg.norm(plain)
@@ -272,7 +274,7 @@ def test_non_finite_step_gradient_stops_the_round():
 def test_scaffold_server_variate_is_mean_of_clients():
     state = make_state(algorithm="dp_scaffold", sigma=0.3, rounds=5, local_steps=3)
     result = run_all_rounds(state)
-    assert len(result.rounds) == 5
+    assert len(result) == 5
     variates = [state.scaffold.client_variates[i] for i in range(state.cfg.n_clients)]
     mean = sum(variates) / len(variates)
     np.testing.assert_allclose(state.scaffold.server_variate, mean, rtol=0, atol=1e-12)
@@ -291,7 +293,7 @@ def test_run_experiment_deterministic_bitwise():
     ra = run_all_rounds(a)
     rb = run_all_rounds(b)
     np.testing.assert_array_equal(a.weights, b.weights)
-    for x, y in zip(ra.rounds, rb.rounds):
+    for x, y in zip(ra, rb):
         assert x == y
 
 
@@ -304,11 +306,11 @@ def test_ledger_advances_by_local_steps_per_round():
 def test_epsilon_monotone_and_inf_when_noise_free():
     noisy = make_state(sigma=0.5, rounds=4)
     res = run_all_rounds(noisy)
-    eps = [r.epsilon_spent for r in res.rounds]
+    eps = [r.epsilon_spent for r in res]
     assert all(b > a for a, b in zip(eps, eps[1:]))
     silent = make_state(sigma=0.0, rounds=2)
     res0 = run_all_rounds(silent)
-    assert all(math.isinf(r.epsilon_spent) for r in res0.rounds)
+    assert all(math.isinf(r.epsilon_spent) for r in res0)
 
 
 def test_isolated_keeps_global_weights_fixed_and_models_diverge():
@@ -318,26 +320,26 @@ def test_isolated_keeps_global_weights_fixed_and_models_diverge():
     np.testing.assert_array_equal(state.weights, w0)
     models = list(state.client_models.values())
     assert not np.array_equal(models[0], models[1])
-    assert all(r.projections_applied == 0 for r in result.rounds)
+    assert all(r.projections_applied == 0 for r in result)
 
 
 def test_gcfl_reports_correction_and_others_dont():
     g = make_state(algorithm="gcfl", sigma=1.5, rounds=2, seed=3)
-    _, report = run_one_round(g, 0)
-    assert report is not None
-    assert report.cosine_tests == 1  # N=2, M=1
+    report = run_one_round(g, 0).correction
+    assert report != {}
+    assert report["cosine_evaluations"] == 1  # N=2, M=1
     f = make_state(algorithm="dp_fedavg", sigma=1.5, rounds=2, seed=3)
-    _, report_f = run_one_round(f, 0)
-    assert report_f is None
+    report_f = run_one_round(f, 0).correction
+    assert report_f == {}
 
 
 def test_partial_participation_selects_subset_deterministically():
     state = make_state(n_clients=5, clients_per_round=2, sigma=0.4, rounds=6, seed=4)
     result = run_all_rounds(state)
-    assert len(result.rounds) == 6
+    assert len(result) == 6
     state2 = make_state(n_clients=5, clients_per_round=2, sigma=0.4, rounds=6, seed=4)
     result2 = run_all_rounds(state2)
-    for a, b in zip(result.rounds, result2.rounds):
+    for a, b in zip(result, result2):
         assert a == b
 
 
@@ -364,13 +366,12 @@ def test_every_stream_a_run_derives_is_distinct(monkeypatch):
 def test_epsilon_budget_stops_early():
     state = make_state(sigma=0.5, rounds=50, epsilon_budget=20.0)
     result = run_all_rounds(state)
-    assert result.stopped_early
-    assert 0 < len(result.rounds) < 50
-    assert result.rounds[-1].epsilon_spent <= 20.0
+    assert 0 < len(result) < 50
+    assert result[-1].epsilon_spent <= 20.0
     # one more round would have crossed the budget
-    state2 = make_state(sigma=0.5, rounds=len(result.rounds) + 1)
+    state2 = make_state(sigma=0.5, rounds=len(result) + 1)
     result2 = run_all_rounds(state2)
-    assert result2.rounds[-1].epsilon_spent > 20.0
+    assert result2[-1].epsilon_spent > 20.0
 
 
 def test_init_state_validates_shard_count():
@@ -399,9 +400,11 @@ def test_federation_config_validation():
 
 
 def _capture_round_zero(monkeypatch, state):
-    """Run round 0 and return (start weights, each client's upload, report,
-    and a copy of the correction rng as run_round handed it to plan_round)."""
-    uploads, handed = {}, []
+    """Run round 0 and return (start weights, each client's upload, the
+    report plan_round returned, and a copy of the correction rng as
+    run_round handed it to plan_round); None for both when it was not called.
+    The round's record carries that report's summary, or {} without one."""
+    uploads, handed, reports = {}, [], []
     real_local, real_plan = federation.client_local_phase, federation.plan_round
 
     def local(shard, *args, **kwargs):
@@ -411,13 +414,19 @@ def _capture_round_zero(monkeypatch, state):
 
     def plan(rows, ids, mode, num_references, rng):
         handed.append(copy.deepcopy(rng))
-        return real_plan(rows, ids, mode, num_references, rng)
+        out = real_plan(rows, ids, mode, num_references, rng)
+        reports.append(out[1])
+        return out
 
     monkeypatch.setattr(federation, "client_local_phase", local)
     monkeypatch.setattr(federation, "plan_round", plan)
     w0 = state.weights
-    _, report = run_one_round(state, 0)
-    return w0, uploads, report, handed[0] if handed else None
+    record = run_one_round(state, 0)
+    if not handed:
+        assert record.correction == {}
+        return w0, uploads, None, None
+    assert record.correction == reports[0].summary()
+    return w0, uploads, reports[0], handed[0]
 
 
 U = 2.0**-53
@@ -456,7 +465,7 @@ def test_gcfl_round_matches_aggregating_the_corrected_uploads(
     weights = dict(zip(ids, federation._participant_weights(state, ids)))
     plan = plan_by_id(plan_round(rows, ids, mode, 0, copy.deepcopy(rng))[0], ids)
     corrected, want_report = correct_round(uploads, mode, 0, rng)
-    want = server_step(w0, aggregate(corrected, weights), state.cfg)
+    want = server_step(w0, aggregate(corrected, weights), state.cfg, rows)
 
     assert report.cosines == want_report.cosines
     assert report.projections_applied == want_report.projections_applied > 0
@@ -480,7 +489,7 @@ def test_gcfl_round_without_projections_is_the_plain_aggregate_bitwise(
     w0, uploads, report, _ = _capture_round_zero(monkeypatch, state)
     assert report.cosine_tests > 0 and report.projections_applied == 0
     weights = {cid: 1.0 / len(uploads) for cid in uploads}
-    want = server_step(w0, aggregate(uploads, weights), state.cfg)
+    want = server_step(w0, aggregate(uploads, weights), state.cfg, stack(uploads)[0])
     assert state.weights.tobytes() == want.tobytes()
 
 

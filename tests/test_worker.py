@@ -13,6 +13,7 @@ the train set, and the worker finishes its blocks and builds the test set.
 """
 
 import json
+import os
 import random
 import re
 import subprocess
@@ -278,7 +279,7 @@ def test_diverging_run_exits_1_naming_the_client_without_hanging(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "dpfedsim.cli", "run", "--config", str(cfg),
          "--out", str(tmp_path / "o")],
-        env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "2"},
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="2"),
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 1
