@@ -9,10 +9,10 @@ privacy  prints the epsilon schedule implied by the config without training.
 run and compare each hold one worker thread and one BLAS pin
 (``federation.pinned_worker``) around all of their data builds and runs;
 run writes whether BLAS was pinned to summary.json.  A seed's synthetic data
-are built on both threads (build_data): the calling thread draws the train
-set's class blocks from its stream, in class order, and the worker finishes
-each drawn block into the feature matrix and builds the whole test set
-from its own stream.  The bytes are those of a one-thread build.
+are built on both threads (build_data): the calling thread draws the class
+centers, then the train set's blocks in class order, from the train stream;
+the worker finishes each drawn block and builds the whole test set around
+those centers from its own stream.  The bytes are those of a one-thread build.
 """
 
 from __future__ import annotations
@@ -76,8 +76,10 @@ def build_data(
             train = data_mod.Dataset(train.X, train.y, classes)
             test = data_mod.Dataset(test.X, test.y, classes)
     else:
-        # the worker builds the test set whole, then finishes the train
-        # set's blocks as this thread draws them
+        # the worker builds the test set whole around the train stream's
+        # centers, then finishes the train set's blocks as this thread draws
+        rng = np.random.default_rng(_derived_seed(seed, _T_TRAIN))
+        centers = data_mod.class_centers(cfg.synthetic_classes, cfg.synthetic_dim, rng)
         test_build = worker.submit(
             data_mod.synthetic_blobs,
             cfg.synthetic_classes,
@@ -85,6 +87,7 @@ def build_data(
             cfg.synthetic_dim,
             cfg.synthetic_spread,
             _derived_seed(seed, _T_TEST),
+            centers,
         )
         try:
             train = data_mod.synthetic_blobs(
@@ -92,7 +95,8 @@ def build_data(
                 cfg.synthetic_per_class,
                 cfg.synthetic_dim,
                 cfg.synthetic_spread,
-                _derived_seed(seed, _T_TRAIN),
+                rng,
+                centers,
                 worker,
             )
         finally:
@@ -285,7 +289,8 @@ def cmd_privacy(args) -> int:
         print("sigma is 0: no noise is added, so there is no DP guarantee "
               "(epsilon is unbounded)")
         return 0
-    print(f"sigma={cfg.sigma} delta={cfg.delta} local_steps={cfg.local_steps}")
+    print(f"sigma={cfg.sigma} delta={cfg.delta} local_steps={cfg.local_steps} "
+          "neighbours=add/remove one training example")
     print(f"{'round':>6} {'steps':>6} {'epsilon':>12} {'alpha':>6}")
     for t in range(1, cfg.rounds + 1):
         eps, alpha = epsilon_spent(t * cfg.local_steps, cfg.sigma, cfg.delta)

@@ -92,6 +92,8 @@ def _read_payload(f, sizes: tuple[int, ...], path: str, what: str) -> bytes:
     sizes and the file's length before anything is read."""
     if min(sizes) < 0:
         raise ValueError(f"{path}: negative size in the {what} header: {sizes}")
+    if sizes[0] == 0:
+        raise ValueError(f"{path}: the {what} header gives a count of 0")
     n = math.prod(sizes)
     left = os.fstat(f.fileno()).st_size - f.tell()
     if n > left:
@@ -108,8 +110,9 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
     Both files are big-endian: images carry magic 2051 then count/rows/cols
     and count*rows*cols unsigned bytes; labels carry magic 2049 then count
     and count unsigned bytes.  Pixels are scaled to [0, 1] by /255 and each
-    image is flattened row-major.  A negative size in a header, or one
-    larger than the file, raises ValueError naming the file before any read.
+    image is flattened row-major.  A count of 0 or a negative size in a
+    header, or one larger than the file, raises ValueError naming the file
+    before any read.
     """
     with open(images_path, "rb") as f:
         magic, count, rows, cols = struct.unpack(
@@ -156,21 +159,32 @@ def _finish_block(block: np.ndarray, spread: float, center: np.ndarray) -> None:
     np.clip(block, 0.0, 1.0, out=block)
 
 
+def class_centers(num_classes: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Unit-norm class centers from rng: QR-orthonormal if dim >= num_classes."""
+    raw = rng.standard_normal((dim, num_classes))
+    if dim >= num_classes:
+        q, _ = np.linalg.qr(raw)
+        return q[:, :num_classes].T
+    return raw.T / np.linalg.norm(raw.T, axis=1, keepdims=True)
+
+
 def synthetic_blobs(
     num_classes: int,
     per_class: int,
     dim: int,
     spread: float,
-    seed: int,
+    seed: int | np.random.Generator,
+    centers: np.ndarray | None = None,
     worker: futures.Executor | None = None,
 ) -> Dataset:
     """Gaussian blobs: one deterministic unit-norm center per class.
 
     Features are clip((center + noise + 1) / 2, 0, 1): the affine shift maps
     the roughly [-1, 1] signal range onto [0, 1].  spread == 0 makes every
-    example of a class identical.  Centers come first from the seeded stream
-    (QR-orthonormalized when dim >= num_classes), so the same seed always
-    yields the same dataset.
+    example of a class identical.  The centers come first from the seeded
+    stream (``class_centers``), or are given, and then the stream (a seed,
+    or a generator drawn from where it stands) draws noise only, so the
+    same seed and centers always yield the same dataset.
 
     The calling thread draws: the centers, then each class's (per_class,
     dim) noise block in class order, straight into that class's rows of X,
@@ -189,12 +203,8 @@ def synthetic_blobs(
     if spread < 0:
         raise ValueError("spread must be >= 0")
     rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((dim, num_classes))
-    if dim >= num_classes:
-        q, _ = np.linalg.qr(raw)
-        centers = q[:, :num_classes].T
-    else:
-        centers = raw.T / np.linalg.norm(raw.T, axis=1, keepdims=True)
+    if centers is None:
+        centers = class_centers(num_classes, dim, rng)
     X = np.empty((num_classes * per_class, dim))
     finishing = []
     try:

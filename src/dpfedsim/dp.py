@@ -1,24 +1,25 @@
 """Differential privacy primitives: batch sampling, Gaussian noise, RDP accounting.
 
-Each training step clips per-sample gradients to an L2 threshold C and sums
-them (``model.clipped_gradient_sum``), adds a single Gaussian draw
-N(0, (sigma*C)^2 I) to the sum, and divides by the realized batch size
-(``federation.client_local_phase``, from the client's own noise stream).
-Privacy is tracked in Renyi DP: one noisy step at order alpha costs
-alpha / (2 sigma^2); steps compose by adding costs; the (epsilon, delta)
-guarantee is obtained by converting the composed cost at each alpha on a
-fixed grid and taking the minimum,
+Neighbouring datasets differ by adding or removing one training example.
+Each step clips per-sample gradients to an L2 threshold C and sums them
+(``model.clipped_gradient_sum``), adds one Gaussian draw N(0, (sigma*C)^2 I)
+and divides by the configured batch_size, a public constant, whatever the
+batch drawn, an empty Poisson draw included (``federation.client_local_phase``).
+One example moves the sum by at most C: each step is the Gaussian mechanism
+at sensitivity C.  Privacy is tracked in Renyi DP: one step at order alpha
+costs alpha / (2 sigma^2); steps compose by adding costs; the (epsilon,
+delta) guarantee is the converted cost minimized over a fixed alpha grid,
 
     epsilon = R(alpha) + log((alpha-1)/alpha) - (log(delta) + log(alpha)) / (alpha-1).
 
-No subsampling amplification is applied, so the reported epsilon is an upper
-bound regardless of the sampling mode.  The accountant is a pure function of
-the noisy-step count, sigma and delta; the caller keeps the count.  A round
-advances it by the maximum noisy-step count over that round's clients:
-shards are disjoint, so per-round cost composes in parallel across clients
-and sequentially across a single client's steps.  The mechanism's settings
-are validated once, where the config is built; the functions here check only
-what their own arithmetic needs.
+No subsampling amplification is applied.  The accountant is a pure function
+of the noisy-step count, sigma and delta.  Shards are disjoint, so cost
+composes in parallel across clients and sequentially across a client's
+local_steps K: a round charges K steps.  Known limit: under fixed_size with
+batch_size below the shard size, adding an example is coupled to replacing
+a batch member (sensitivity 2C), yet a step is charged at C.  Settings are
+validated where the config is built; the functions here check only what
+their own arithmetic needs.
 """
 
 from __future__ import annotations

@@ -139,7 +139,6 @@ class ExperimentState:
     shards: list[ClientShard]
     test: Dataset
     weights: ParamVector
-    steps_taken: int = 0  # noisy steps charged to the accountant so far
     client_models: dict[int, ParamVector] = field(default_factory=dict)
     scaffold: ScaffoldState | None = None
 
@@ -236,32 +235,34 @@ def client_local_phase(
     upload: ParamVector,
     scaffold_variates: tuple[ParamVector, ParamVector] | None = None,
     buffers: StepBuffers | None = None,
-) -> tuple[int, float]:
+) -> float:
     """Run one client's local steps, write its upload into the ``upload``
-    row (whatever it held), and return (noisy steps, mean batch loss).
+    row (whatever it held), and return the mean of the steps' objectives,
+    each the summed sample losses of its batch over B, the batch_size.
 
     Per step: draw a minibatch, clip each per-sample gradient to C and sum in
     one batched pass, add a noise vector z * sigma C with z drawn from
     ``noise_rng`` (at sigma = 0 nothing is drawn, and None may be passed),
-    divide by the realized batch size, then step the local model.  The step
-    vector is built where z is drawn, (z sigma C + clipped sum) / B: the
-    bytes of (clipped sum + noise) / B, since IEEE addition commutes; at
-    sigma = 0 the clipped sum is copied there instead.  When ``buffers``
-    has a prox buffer (dp_fedprox with prox_mu != 0), prox_mu * (w_local -
-    w_start) is added to each per-sample gradient before clipping;
-    dp_scaffold adds the control-variate shift server - client,
-    from ``scaffold_variates`` = (server, client), after noising.  No local
-    model is built after the last step.  A non-finite per-sample gradient
-    norm or step gradient raises ValueError naming the client.
+    divide by B, the configured public constant, then step the local model.
+    Every step releases its vector, one with an empty Poisson draw too (its
+    clipped sum is zero).  The step vector is built where z is drawn,
+    (z sigma C + clipped sum) / B: the bytes of (clipped sum + noise) / B,
+    since IEEE addition commutes; at sigma = 0 the clipped sum is copied
+    there instead.  When ``buffers`` has a prox buffer (dp_fedprox with
+    prox_mu != 0), prox_mu * (w_local - w_start) is added to each
+    per-sample gradient before clipping; dp_scaffold adds the
+    control-variate shift server - client, from ``scaffold_variates`` =
+    (server, client), after noising.  No local model is built after the
+    last step.  A non-finite per-sample gradient norm or step gradient
+    raises ValueError naming the client.
 
-    The upload is the mean of the noisy batch gradients over the steps that
-    actually ran.  The first of them is built in the upload row itself, so
-    the row is written once; each later one is built in ``buffers.noise``
-    and added into the row, which is divided once when more than one step
-    ran.  A client with no step uploads zeros.  Every other D-length vector
-    of a step is written into ``buffers`` (new ones when none are given),
-    the scaffold shift into the clipped sum's buffer once the step has read
-    it, so a step allocates no D-length vector.
+    The upload is the mean of the K step vectors.  The first is built in
+    the upload row itself, so the row is written once; each later one is
+    built in ``buffers.noise`` and added into the row, which is divided by
+    K when K > 1.  Every other D-length vector of a step is written into
+    ``buffers`` (new ones when none are given), the scaffold shift into the
+    clipped sum's buffer once the step has read it, so a step allocates no
+    D-length vector.
     """
     if shard.size == 0:
         raise ValueError(f"client {shard.client_id} holds an empty shard")
@@ -269,13 +270,10 @@ def client_local_phase(
         buffers = StepBuffers.for_config(cfg, start_params.shape[0])
     # start_params is never written: the first local step fills buffers.local
     w_local = start_params
-    steps = 0
     loss_total = 0.0
 
     for k in range(cfg.local_steps):
         idx = poisson_sample(shard.size, cfg.batch_size, cfg.sampling_mode, batch_rng)
-        if idx.size == 0:
-            continue  # empty poisson draw: no step, no privacy cost
         rows = shard.indices[idx]
         prox_shift = None
         if buffers.prox is not None:
@@ -290,38 +288,34 @@ def client_local_phase(
             prox_shift,
             out=buffers.clipped,
         )
-        noisy = buffers.noise if steps else upload
+        noisy = buffers.noise if k else upload
         if cfg.sigma == 0:
             np.copyto(noisy, buffers.clipped)
         else:
             noise_rng.standard_normal(out=noisy)
             noisy *= cfg.sigma * cfg.clip_threshold
             noisy += buffers.clipped
-        noisy /= idx.size
+        noisy /= cfg.batch_size
         if scaffold_variates is not None:
             # the step has read the clipped sum: its buffer takes the shift
             noisy += np.subtract(*scaffold_variates, out=buffers.clipped)
         if not (np.isfinite(sq_norms).all() and np.isfinite(noisy).all()):
             raise ValueError(
                 f"client {shard.client_id}: non-finite per-sample gradient "
-                f"norm or upload at local step {steps + 1}"
+                f"norm or upload at local step {k + 1}"
             )
         if k + 1 < cfg.local_steps:
             if w_local is start_params:
                 w_local = buffers.local
                 w_local[...] = start_params
             add_scaled(w_local, -cfg.eta, noisy)  # w_local - eta * noisy
-        if steps:
+        if k:
             upload += noisy
-        steps += 1
-        loss_total += float(np.sum(losses)) / idx.size
+        loss_total += float(np.sum(losses)) / cfg.batch_size
 
-    if steps == 0:
-        upload.fill(0.0)
-    elif steps > 1:
-        upload /= steps
-    mean_loss = loss_total / steps if steps else math.nan
-    return steps, mean_loss
+    if cfg.local_steps > 1:
+        upload /= cfg.local_steps
+    return loss_total / cfg.local_steps
 
 
 def _participant_weights(
@@ -404,9 +398,8 @@ def run_round(
     participants = _select_participants(state, round_index)
 
     # row p is the upload of participants[p], ascending client id; each
-    # client overwrites only its own row, steps[p] and losses[p]
+    # client overwrites only its own row and losses[p]
     uploads = np.empty((len(participants), state.weights.shape[0]))
-    steps = np.empty(len(participants), dtype=np.int64)
     losses = np.empty(len(participants))
 
     def run_clients(part: range) -> None:
@@ -423,7 +416,7 @@ def run_round(
                 scaffold = state.scaffold
                 variates = (scaffold.server_variate, scaffold.client_variates[cid])
             try:
-                steps[p], losses[p] = client_local_phase(
+                losses[p] = client_local_phase(
                     state.shards[cid],
                     start,
                     state.model_spec,
@@ -439,15 +432,12 @@ def run_round(
 
     _halves(worker, run_clients, len(participants))
 
-    # disjoint shards: the round costs the worst-case client's step count
-    state.steps_taken += int(steps.max())
-
     report = None
     if cfg.algorithm == "isolated":
-        for p, cid in enumerate(participants):  # 0 steps: a zero upload, no move
+        scale = -cfg.eta * cfg.local_steps  # the K steps' move per unit upload
+        for p, cid in enumerate(participants):
             # a new vector: the old model may be a caller's start array
-            model = state.client_models[cid]
-            state.client_models[cid] = model + (-cfg.eta * int(steps[p])) * uploads[p]
+            state.client_models[cid] = state.client_models[cid] + scale * uploads[p]
     else:
         plan = []  # no projections: fold_weights returns the weights as given
         if cfg.algorithm == "gcfl" and len(participants) > 1:
@@ -465,27 +455,24 @@ def run_round(
         state.weights = server_step(state.weights, aggregated, cfg, uploads)
 
         if cfg.algorithm == "dp_scaffold":
-            # the server variate moves by (1 / n) sum of the new - old of
-            # every participant that stepped, added in row order; row p is
-            # read for the last time here, so it takes new - old
+            # the server variate moves by (1 / n) sum of every participant's
+            # new - old, added in row order; row p is read for the last
+            # time here, so it takes new - old
             scaffold = state.scaffold
             move = np.zeros_like(scaffold.server_variate)
             for p, cid in enumerate(participants):
-                if steps[p]:
-                    old = scaffold.client_variates[cid]
-                    new = old - scaffold.server_variate
-                    new += uploads[p]
-                    delta = np.subtract(new, old, out=uploads[p])
-                    add_scaled(move, 1.0 / cfg.n_clients, delta)
-                    scaffold.client_variates[cid] = new
-            if steps.any():
-                move += scaffold.server_variate
-                scaffold.server_variate = move
+                old = scaffold.client_variates[cid]
+                new = old - scaffold.server_variate
+                new += uploads[p]
+                delta = np.subtract(new, old, out=uploads[p])
+                add_scaled(move, 1.0 / cfg.n_clients, delta)
+                scaffold.client_variates[cid] = new
+            move += scaffold.server_variate
+            scaffold.server_variate = move
     del uploads  # the round's P x D uploads are not held through evaluation
 
     # metrics
-    ran = losses[steps > 0]
-    train_loss = float(np.mean(ran)) if ran.size else math.nan
+    train_loss = float(np.mean(losses))
     if cfg.algorithm == "isolated":
         per_client = [
             _evaluate(state.model_spec, state.client_models[cid], state.test, worker)
@@ -498,7 +485,9 @@ def run_round(
     if cfg.sigma == 0:
         eps = math.inf  # no noise: nothing is private
     else:
-        eps = epsilon_spent(state.steps_taken, cfg.sigma, cfg.delta)[0]
+        # a round releases K steps on each participant's disjoint shard
+        steps = (round_index + 1) * cfg.local_steps
+        eps = epsilon_spent(steps, cfg.sigma, cfg.delta)[0]
     wall = (
         int(round((time.perf_counter() - t0) * 1000.0)) if cfg.record_timing else 0
     )
@@ -549,11 +538,6 @@ def run_experiment(state: ExperimentState, worker: Executor) -> list[RoundMetric
     """Run the configured rounds on the command's worker and return their
     records; the run stops early, with fewer than cfg.rounds records, before
     a round that could cross the epsilon budget."""
-    cfg = state.cfg
-    max_steps = cfg.budget_steps()
-    rounds: list[RoundMetrics] = []
-    for t in range(cfg.rounds):
-        if max_steps is not None and state.steps_taken + cfg.local_steps > max_steps:
-            break
-        rounds.append(run_round(state, t, worker))
-    return rounds
+    cfg, max_steps = state.cfg, state.cfg.budget_steps()
+    n_rounds = cfg.rounds if max_steps is None else max_steps // cfg.local_steps
+    return [run_round(state, t, worker) for t in range(min(n_rounds, cfg.rounds))]

@@ -121,11 +121,9 @@ def forward_batch(spec: MlpSpec, w: ParamVector, features: np.ndarray) -> np.nda
 
 
 def _batch_labels(spec: MlpSpec, labels) -> np.ndarray:
-    """Labels as a flat int64 array; rejects an empty batch or a bad class."""
+    """Labels as a flat int64 array; rejects a bad class."""
     labs = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if labs.size == 0:
-        raise ValueError("loss over an empty batch is undefined")
-    if labs.min() < 0 or labs.max() >= spec.num_classes:
+    if np.any((labs < 0) | (labs >= spec.num_classes)):
         raise ValueError(f"label out of range [0, {spec.num_classes})")
     return labs
 
@@ -146,7 +144,7 @@ def clipped_gradient_sum(
 ) -> tuple[np.ndarray, np.ndarray, ParamVector]:
     """(losses, sq_norms, clipped_sum) of one batch, from one forward/backward.
     clipped_sum is written into ``out`` when one is given, and no other
-    D-length vector is allocated.
+    D-length vector is allocated.  An empty batch gives a zero sum.
 
     Sample n's gradient is g_n = grad_n + v, its loss gradient plus an
     optional shift v.  sq_norms[n] is ||g_n||^2 and clipped_sum is

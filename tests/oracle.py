@@ -86,15 +86,17 @@ def noisy_batch_gradient(
     noise_multiplier: float,
     rng: np.random.Generator,
 ) -> ParamVector:
-    """Noisy mean of a batch of clipped per-sample gradients, given their sum.
+    """Noisy step vector of a batch of clipped per-sample gradients, given
+    their sum (zeros for an empty batch).
 
-    Add one N(0, (sigma*C)^2 I) draw to the sum and divide by the realized
-    batch size.  sigma == 0 skips the draw entirely so the no-noise path is
-    bit-deterministic.  A client step builds the same bytes in place, in
-    the noise vector it draws (``federation.client_local_phase``).
+    Add one N(0, (sigma*C)^2 I) draw to the sum and divide by batch_size,
+    the configured public divisor, whatever the batch held.  sigma == 0
+    skips the draw entirely so the no-noise path is bit-deterministic.  A
+    client step builds the same bytes in place, in the noise vector it
+    draws (``federation.client_local_phase``).
     """
     if batch_size < 1:
-        raise ValueError("noisy_batch_gradient needs a nonempty batch")
+        raise ValueError("batch_size must be >= 1")
     if not clip_threshold > 0:
         raise ValueError("clip_threshold must be > 0")
     if noise_multiplier < 0:
@@ -120,6 +122,8 @@ def predict(spec: MlpSpec, w: ParamVector, features: np.ndarray) -> int:
 def loss(spec: MlpSpec, w: ParamVector, features: np.ndarray, labels) -> float:
     """Mean cross-entropy -log p[label] over a nonempty batch."""
     labs = _batch_labels(spec, labels)
+    if labs.size == 0:
+        raise ValueError("loss over an empty batch is undefined")
     probs = forward_batch(spec, w, features)
     if probs.shape[0] != labs.size:
         raise ValueError("features and labels disagree on batch size")
@@ -316,15 +320,22 @@ def run_all_rounds(state: federation.ExperimentState) -> list[federation.RoundMe
 
 
 def synthetic_blobs(
-    num_classes: int, per_class: int, dim: int, spread: float, seed: int
+    num_classes: int,
+    per_class: int,
+    dim: int,
+    spread: float,
+    seed: int,
+    centers_seed: int | None = None,
 ) -> Dataset:
     """Gaussian blobs: one deterministic unit-norm center per class.
 
     Features are clip((center + noise + 1) / 2, 0, 1): the affine shift maps
     the roughly [-1, 1] signal range onto [0, 1].  spread == 0 makes every
-    example of a class identical.  Centers come first from the seeded stream
-    (QR-orthonormalized when dim >= num_classes), so the same seed always
-    yields the same dataset.
+    example of a class identical.  Centers come first from the stream of
+    centers_seed (QR-orthonormalized when dim >= num_classes), and the
+    noise from seed's stream, after the centers when the two are one
+    stream (centers_seed None): a test set built with the train seed as
+    centers_seed shares the train set's centers.
     """
     if num_classes < 2:
         raise ValueError("num_classes must be >= 2")
@@ -335,7 +346,8 @@ def synthetic_blobs(
     if spread < 0:
         raise ValueError("spread must be >= 0")
     rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((dim, num_classes))
+    centers_rng = rng if centers_seed is None else np.random.default_rng(centers_seed)
+    raw = centers_rng.standard_normal((dim, num_classes))
     if dim >= num_classes:
         q, _ = np.linalg.qr(raw)
         centers = q[:, :num_classes].T

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from dpfedsim.cli import build_state
+from dpfedsim.cli import build_data, build_state
 from dpfedsim.config import ExperimentConfig
 from dpfedsim.data import (
     ClientShard,
@@ -101,6 +101,35 @@ def test_load_idx_count_mismatch(tmp_path):
     )
     with pytest.raises(ValueError, match="mismatch"):
         load_idx(img, lab)
+
+
+@pytest.mark.parametrize("images, labels", [((0, 2, 2), 0), ((2, 2, 2), 0)])
+def test_load_idx_rejects_a_count_of_zero_naming_the_file(tmp_path, images, labels):
+    img, lab = write_idx_pair(tmp_path, np.zeros(images), np.zeros(labels))
+    path = img if images[0] == 0 else lab
+    with pytest.raises(ValueError, match=re.escape(path) + ": .* count of 0"):
+        load_idx(img, lab)
+
+
+@pytest.mark.parametrize(
+    "classes, per_class, dim",
+    [
+        (10, 100, 32),  # the default config: QR centers
+        (10, 1000, 784),  # the benchmark protocol: QR centers
+        (10, 100, 8),  # dim < classes: normalised-row centers
+    ],
+)
+def test_the_test_set_is_the_train_sets_task(classes, per_class, dim):
+    """A nearest-train-centroid classifier scores >= 0.9 on the synthetic
+    test set: test class c lies around train class c's center."""
+    cfg = ExperimentConfig(
+        synthetic_classes=classes, synthetic_per_class=per_class, synthetic_dim=dim
+    )
+    with pinned_worker() as (_, worker):
+        train, _, test = build_data(cfg, 1, worker)
+    means = np.stack([train.X[train.y == c].mean(axis=0) for c in range(classes)])
+    dists = ((test.X[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+    assert np.mean(dists.argmin(axis=1) == test.y) >= 0.9
 
 
 def test_blobs_shape_balance_and_range():

@@ -91,9 +91,13 @@ def test_noisy_batch_gradient_sigma_zero_is_plain_mean():
     np.testing.assert_array_equal(out, np.array([2.0, 2.0]) / 3)
 
 
-def test_noisy_batch_gradient_empty_batch_errors():
-    with pytest.raises(ValueError, match="nonempty"):
+def test_noisy_batch_gradient_takes_a_positive_divisor_and_zero_samples():
+    with pytest.raises(ValueError, match="batch_size"):
         noisy_batch_gradient(np.zeros(2), 0, 1.5, 0.8, np.random.default_rng(0))
+    # an empty batch: its zero sum plus the noise, over the configured divisor
+    out = noisy_batch_gradient(np.zeros(3), 4, 1.5, 0.8, np.random.default_rng(0))
+    z = np.random.default_rng(0).standard_normal(3)
+    np.testing.assert_array_equal(out, z * (0.8 * 1.5) / 4)
 
 
 def test_noisy_batch_gradient_noise_scale():

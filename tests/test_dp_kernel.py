@@ -174,9 +174,23 @@ def test_kernel_rejects_bad_labels_and_shapes():
     X = np.zeros((2, 3))
     with pytest.raises(ValueError, match="range"):
         clipped_gradient_sum(spec, w, X, [0, 2], 1.0)
-    with pytest.raises(ValueError, match="empty"):
-        clipped_gradient_sum(spec, w, X[:0], [], 1.0)
     with pytest.raises(ValueError, match="batch size"):
         clipped_gradient_sum(spec, w, X, [0], 1.0)
     with pytest.raises(ValueError, match="feature dimension"):
         clipped_gradient_sum(spec, w, np.zeros((2, 4)), [0, 1], 1.0)
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+def test_kernel_on_an_empty_batch_returns_a_zero_sum(shifted):
+    """An empty Poisson draw still steps: over 0 samples the kernel returns
+    empty losses and norms and writes a zero clipped sum, shift or not."""
+    spec = MlpSpec((3, 4, 2))
+    w = np.random.default_rng(0).standard_normal(spec.num_params)
+    shift = np.ones(spec.num_params) if shifted else None
+    out = np.full(spec.num_params, np.nan)
+    losses, sq_norms, clipped = clipped_gradient_sum(
+        spec, w, np.zeros((0, 3)), [], 1.0, shift, out=out
+    )
+    assert losses.shape == sq_norms.shape == (0,)
+    assert clipped is out
+    assert clipped.tobytes() == np.zeros(spec.num_params).tobytes()

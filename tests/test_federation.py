@@ -12,7 +12,7 @@ import dpfedsim.federation as federation
 from dpfedsim.config import ExperimentConfig
 from dpfedsim.correction import CORRECTION_MODES, plan_round
 from dpfedsim.data import ClientShard, partition_iid, synthetic_blobs
-from dpfedsim.dp import poisson_sample
+from dpfedsim.dp import epsilon_spent, poisson_sample
 from dpfedsim.federation import (
     ALGORITHMS,
     WEIGHTINGS,
@@ -83,7 +83,7 @@ def test_local_phase_exact_batch_gradient_when_noise_free():
     shard = state.shards[0]
     cfg = replace(state.cfg, clip_threshold=1e9, sigma=0.0, batch_size=FULL_BATCH)
     upload = np.zeros_like(state.weights)
-    noisy_steps, _ = client_local_phase(
+    client_local_phase(
         shard,
         state.weights,
         state.model_spec,
@@ -92,13 +92,15 @@ def test_local_phase_exact_batch_gradient_when_noise_free():
         None,
         upload,
     )
-    assert noisy_steps == 1
     total = np.zeros_like(state.weights)
     for i in shard.indices:
         total = total + per_sample_gradient(
             state.model_spec, state.weights, shard.dataset.X[i], shard.dataset.y[i]
         )
-    np.testing.assert_allclose(upload, total / shard.size, rtol=0, atol=1e-12)
+    # the whole shard of 30 is the batch, and the divisor is the configured
+    # batch_size of 60, a public constant, not the shard size
+    assert shard.size < cfg.batch_size
+    np.testing.assert_allclose(upload, total / cfg.batch_size, rtol=0, atol=1e-12)
 
 
 def test_local_phase_empty_shard_errors():
@@ -248,7 +250,10 @@ def test_batch_size_is_exact_for_fixed_size_and_expected_for_poisson(monkeypatch
     assert len(drawn) == 20
     for got, want in zip(drawn, expected):
         np.testing.assert_array_equal(got, want)
-    assert trained == [e.size for e in expected if e.size]
+    assert trained == [e.size for e in expected]
+    # an empty draw runs the kernel on 0 samples: every step releases
+    drawn, trained = _local_batch_sizes(monkeypatch, 49, 1, "poisson", steps=6)
+    assert 0 in trained and trained == [d.size for d in drawn]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -299,8 +304,10 @@ def test_run_experiment_deterministic_bitwise():
 
 def test_ledger_advances_by_local_steps_per_round():
     state = make_state(sigma=0.5, rounds=4, local_steps=3)
-    run_all_rounds(state)
-    assert state.steps_taken == 4 * 3
+    res = run_all_rounds(state)
+    cfg = state.cfg
+    want = [epsilon_spent((t + 1) * 3, cfg.sigma, cfg.delta)[0] for t in range(4)]
+    assert [r.epsilon_spent for r in res] == want
 
 
 def test_epsilon_monotone_and_inf_when_noise_free():
@@ -605,9 +612,26 @@ def _state_after_round_zero(algorithm, local_steps, sampling_mode, batch_size):
     return state
 
 
-def _assert_some_client_skipped_one_step(steps, local_steps, sampling_mode):
-    if sampling_mode == "poisson":
-        assert local_steps - 1 in {len(n) for n in steps.values()}
+def _empty_draws(state, round_index, cids):
+    """How many of these clients' batch draws in the round are empty,
+    redrawn from their batch streams."""
+    cfg = state.cfg
+    empty = 0
+    for cid in cids:
+        rng = derive_rng(state.seed, round_index, cid, federation._P_BATCH)
+        size = state.shards[cid].size
+        for _ in range(cfg.local_steps):
+            idx = poisson_sample(size, cfg.batch_size, cfg.sampling_mode, rng)
+            empty += idx.size == 0
+    return empty
+
+
+def _assert_every_step_released(steps, state, round_index):
+    """Every client took all local_steps steps, and under poisson some
+    client's draw was empty, so that step's release is among them."""
+    assert {len(n) for n in steps.values()} == {state.cfg.local_steps}
+    if state.cfg.sampling_mode == "poisson":
+        assert _empty_draws(state, round_index, steps) > 0
 
 
 @pytest.mark.parametrize("algorithm", ["dp_fedavg", "dp_scaffold"])
@@ -617,7 +641,7 @@ def test_upload_is_the_mean_of_the_step_vectors_bitwise(
 ):
     """Each upload is (0.0 + n_1 + ... + n_K) / K: the step vectors (the
     scaffold shift included) added in step order to a zero row, with no
-    divide at K = 1 and the zero row itself at K = 0."""
+    divide at K = 1."""
     state = _state_after_round_zero(algorithm, local_steps, sampling_mode, batch_size)
     _, steps, uploads = _record_round(monkeypatch, state, 1)
     for cid, vectors in steps.items():
@@ -627,7 +651,7 @@ def test_upload_is_the_mean_of_the_step_vectors_bitwise(
         if len(vectors) > 1:
             want = want / len(vectors)
         assert uploads[cid].tobytes() == want.tobytes()
-    _assert_some_client_skipped_one_step(steps, local_steps, sampling_mode)
+    _assert_every_step_released(steps, state, 1)
 
 
 @pytest.mark.parametrize("algorithm", ["dp_fedavg", "dp_scaffold"])
@@ -637,9 +661,10 @@ def test_upload_from_noise_drawn_ahead_is_the_oracle_fed_from_the_same_stream(
 ):
     """A client's upload, built in the noise vectors it drew on whichever
     thread ran it, is bitwise the mean of the oracle's noisy_batch_gradient
-    steps, each fed the step's clipped sum and batch size and the client's
-    own noise stream, plus the scaffold shift: the same arithmetic in the
-    same order.  The worker always runs its half here, clients 2 and 3."""
+    steps, each fed the step's clipped sum (zeros for an empty draw), the
+    configured batch_size and the client's own noise stream, plus the
+    scaffold shift: the same arithmetic in the same order.  The worker
+    always runs its half here, clients 2 and 3."""
     state = _state_after_round_zero(algorithm, local_steps, sampling_mode, batch_size)
     sums, shifts, uploads, ran_on = {}, {}, {}, {}
     current = threading.local()  # the client this thread is running
@@ -658,7 +683,7 @@ def test_upload_from_noise_drawn_ahead_is_the_oracle_fed_from_the_same_stream(
 
     def kernel(spec, w, features, labels, *args, **kwargs):
         out = real_kernel(spec, w, features, labels, *args, **kwargs)
-        sums[current.cid].append((out[2].copy(), len(labels)))
+        sums[current.cid].append(out[2].copy())
         return out
 
     monkeypatch.setattr(federation, "client_local_phase", local)
@@ -671,9 +696,9 @@ def test_upload_from_noise_drawn_ahead_is_the_oracle_fed_from_the_same_stream(
     for cid, steps in sums.items():
         rng = derive_rng(state.seed, 1, cid, federation._P_NOISE)
         want = np.zeros_like(uploads[cid])
-        for clipped_sum, batch in steps:
+        for clipped_sum in steps:
             step = noisy_batch_gradient(
-                clipped_sum, batch, cfg.clip_threshold, cfg.sigma, rng
+                clipped_sum, cfg.batch_size, cfg.clip_threshold, cfg.sigma, rng
             )
             if shifts[cid] is not None:
                 step = step + shifts[cid]
@@ -681,7 +706,7 @@ def test_upload_from_noise_drawn_ahead_is_the_oracle_fed_from_the_same_stream(
         if len(steps) > 1:
             want = want / len(steps)
         assert uploads[cid].tobytes() == want.tobytes()
-    _assert_some_client_skipped_one_step(sums, local_steps, sampling_mode)
+    _assert_every_step_released(sums, state, 1)
 
 
 @pytest.mark.parametrize("algorithm", ["dp_fedprox", "dp_scaffold"])
@@ -711,13 +736,13 @@ def test_a_reused_workspace_carries_nothing_into_the_next_client(
         if algorithm == "dp_scaffold":
             scaffold = state.scaffold
             variates = (scaffold.server_variate, scaffold.client_variates[cid])
-        steps, _ = client_local_phase(
+        loss = client_local_phase(
             state.shards[cid], state.weights, state.model_spec, state.cfg,
             derive_rng(state.seed, 1, cid, federation._P_BATCH),
             derive_rng(state.seed, 1, cid, federation._P_NOISE),
             row, scaffold_variates=variates, buffers=buffers,
         )
-        return steps, row.tobytes()
+        return loss, row.tobytes()
 
     buffers, row = StepBuffers.for_config(state.cfg, dim), np.empty(dim)
     assert (buffers.prox is not None) == (algorithm == "dp_fedprox")
@@ -726,41 +751,55 @@ def test_a_reused_workspace_carries_nothing_into_the_next_client(
     for buf in [row] + [getattr(buffers, f.name) for f in fields(buffers)]:
         if buf is not None:
             buf.fill(np.nan)
-    counts = []
     for cid in range(4):
-        steps, fresh = upload_of(cid, None, np.zeros(dim))
-        assert upload_of(cid, buffers, row) == (steps, fresh)
-        counts.append(steps)
+        fresh = upload_of(cid, None, np.zeros(dim))
+        assert upload_of(cid, buffers, row) == fresh
     if sampling_mode == "poisson":
-        assert 0 < min(counts) < local_steps  # some client skipped a step
+        assert _empty_draws(state, 1, range(4)) > 0  # an empty draw released
+
+
+def _no_draw(*args):
+    return np.array([], dtype=np.int64)
 
 
 @pytest.mark.parametrize("algorithm", ["dp_fedavg", "dp_scaffold"])
 @pytest.mark.parametrize("local_steps", [1, 3])
-def test_a_client_without_a_step_uploads_exact_zeros(
+def test_a_client_with_only_empty_draws_releases_noise_over_the_batch_size(
     monkeypatch, algorithm, local_steps
 ):
-    """A client whose every Poisson draw is empty takes 0 steps, has no
-    loss, and fills a NaN row with +0.0 in every coordinate."""
+    """A client whose every Poisson draw is empty still releases each of
+    its K steps: it overwrites a NaN row with the mean over K of the
+    oracle's noisy_batch_gradient of a zero sum over the configured
+    batch_size, fed its own noise stream, plus the scaffold shift, bitwise,
+    and its mean step objective is 0."""
     state = make_state(
         algorithm=algorithm, n_clients=2, local_steps=local_steps,
         sampling_mode="poisson",
     )
-    monkeypatch.setattr(
-        federation, "poisson_sample", lambda *args: np.array([], dtype=np.int64)
-    )
+    monkeypatch.setattr(federation, "poisson_sample", _no_draw)
     dim = state.weights.shape[0]
     row = np.full(dim, np.nan)
     variates = None
     if algorithm == "dp_scaffold":
         variates = (np.ones(dim), np.zeros(dim))  # a shift that would show
-    steps, loss = client_local_phase(
+    loss = client_local_phase(
         state.shards[0], state.weights, state.model_spec, state.cfg,
         derive_rng(1, 0, 0, 0), derive_rng(1, 0, 0, 1), row,
         scaffold_variates=variates,
     )
-    assert steps == 0 and math.isnan(loss)
-    assert row.tobytes() == np.zeros(dim).tobytes()
+    cfg, rng = state.cfg, derive_rng(1, 0, 0, 1)
+    want = np.zeros(dim)
+    for _ in range(local_steps):
+        step = noisy_batch_gradient(
+            np.zeros(dim), cfg.batch_size, cfg.clip_threshold, cfg.sigma, rng
+        )
+        if variates is not None:
+            step = step + np.subtract(*variates)
+        want = want + step
+    if local_steps > 1:
+        want = want / local_steps
+    assert loss == 0.0
+    assert row.tobytes() == want.tobytes()
 
 
 def _benchmark_shape_state(algorithm, n_clients):
@@ -863,16 +902,16 @@ def test_a_client_step_given_its_workspace_allocates_no_parameter_vector(algorit
     if algorithm == "dp_scaffold":
         variates = (np.full(dim, 1e-3), np.zeros(dim))  # a shift of 1e-3
 
-    def steps():
-        return client_local_phase(
+    def two_steps():
+        client_local_phase(
             shard, w, spec, cfg, derive_rng(4, 0, 0, 0), derive_rng(4, 0, 0, 1),
             row, scaffold_variates=variates, buffers=buffers,
         )
 
-    steps()  # first calls may fill numpy's caches
+    two_steps()  # first calls may fill numpy's caches
     tracemalloc.start()
     try:
-        assert steps()[0] == 2
+        two_steps()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -886,7 +925,7 @@ def test_isolated_model_is_the_sequential_local_model(
     """isolated stores start - (K eta) * upload, where the upload is the
     mean of the K step vectors; the client's own steps reach w_K.
 
-    With K <= 1 both sides compute start + (-eta) * n_1 (or start + -0.0),
+    With K = 1 both sides compute start + (-eta) * n_1 (or start + -0.0),
     so they are bitwise equal.  Otherwise, per coordinate with
     S = |start| + eta sum_k |n_k| and u = 2^-53: the sequential w_K is
     K + 1 roundings of a sum of K + 1 terms, within gamma_{K+1} S of the
@@ -903,12 +942,12 @@ def test_isolated_model_is_the_sequential_local_model(
         got = state.client_models[cid]
         want = _sequential_model(start, steps[cid], eta)
         k = len(steps[cid])
-        if k <= 1:
+        if k == 1:
             assert got.tobytes() == want.tobytes()
             continue
         size = np.abs(start) + eta * sum(np.abs(n) for n in steps[cid])
         assert np.all(np.abs(got - want) <= 2 * _gamma(k + 3) * size)
-    _assert_some_client_skipped_one_step(steps, local_steps, sampling_mode)
+    _assert_every_step_released(steps, state, 1)
 
 
 @pytest.mark.parametrize("local_steps, sampling_mode, batch_size", LOCAL_PHASES)
@@ -937,9 +976,6 @@ def test_scaffold_variate_is_option_two_of_the_local_model(
     for cid, start in starts.items():
         new = state.scaffold.client_variates[cid]
         k = len(steps[cid])
-        if k == 0:
-            assert new is old[cid]
-            continue
         w_k = _sequential_model(start, steps[cid], eta)
         want = old[cid] - c + (start - w_k) / (k * eta)
         a = sum(np.abs(n) for n in steps[cid])
@@ -950,14 +986,18 @@ def test_scaffold_variate_is_option_two_of_the_local_model(
             + U / (1 - U) * (np.abs(new) + np.abs(want))
         )
         assert np.all(np.abs(new - want) <= tol)
-    _assert_some_client_skipped_one_step(steps, local_steps, sampling_mode)
+    _assert_every_step_released(steps, state, 1)
 
 
-def test_scaffold_server_variate_adds_the_stepped_deltas_over_n_bitwise(monkeypatch):
+def test_scaffold_server_variate_adds_every_participants_delta_over_n_bitwise(
+    monkeypatch,
+):
     """With 4 of 5 clients in the round and the lowest of them drawing only
     empty Poisson batches, the server variate moves to old + weighted_sum of
-    the other three participants' new - old, each weighted 1 / n_clients,
-    in ascending id: the same axpys from zeros in the same order."""
+    all four participants' new - old, each weighted 1 / n_clients, in
+    ascending id: the same axpys from zeros in the same order.  The client
+    with only empty draws releases noise, and its variate moves to
+    old - c + upload like every other."""
     state = make_state(
         algorithm="dp_scaffold", n_clients=5, clients_per_round=4, sigma=0.5,
         seed=7, local_steps=3, sampling_mode="poisson", batch_size=2,
@@ -966,13 +1006,13 @@ def test_scaffold_server_variate_adds_the_stepped_deltas_over_n_bitwise(monkeypa
     empty = min(federation._select_participants(state, 1))
     server = state.scaffold.server_variate
     before = dict(state.scaffold.client_variates)
-    steps, current = {}, threading.local()
+    uploads, current = {}, threading.local()
     real_local, real_sample = federation.client_local_phase, federation.poisson_sample
 
     def local(shard, *args, **kwargs):
         current.cid = shard.client_id
         out = real_local(shard, *args, **kwargs)
-        steps[shard.client_id] = out[0]
+        uploads[shard.client_id] = args[5].copy()
         return out
 
     def sample(*args):
@@ -982,28 +1022,51 @@ def test_scaffold_server_variate_adds_the_stepped_deltas_over_n_bitwise(monkeypa
     monkeypatch.setattr(federation, "client_local_phase", local)
     monkeypatch.setattr(federation, "poisson_sample", sample)
     run_one_round(state, 1)
-    stepped = [cid for cid in sorted(steps) if steps[cid]]
-    assert steps[empty] == 0 and len(stepped) == 3
+    participants = sorted(uploads)
+    assert len(participants) == 4 and empty in participants
     after = state.scaffold.client_variates
-    deltas = [after[cid] - before[cid] for cid in stepped]
+    deltas = [after[cid] - before[cid] for cid in participants]
     want = server + weighted_sum(deltas, [1.0 / state.cfg.n_clients] * len(deltas))
     assert state.scaffold.server_variate.tobytes() == want.tobytes()
-    assert after[empty] is before[empty]
+    assert np.all(uploads[empty] != 0)
+    moved = before[empty] - server
+    moved += uploads[empty]
+    assert after[empty].tobytes() == moved.tobytes()
 
 
 @pytest.mark.parametrize("algorithm", ["isolated", "dp_scaffold"])
-def test_client_without_a_noisy_step_keeps_its_model_and_variate(
+def test_a_client_with_only_empty_draws_moves_its_model_and_variate_by_its_upload(
     monkeypatch, algorithm
 ):
+    """With every Poisson draw of round 1 empty, each participant still
+    releases its K steps: isolated moves each model to start - (K eta) *
+    upload, dp_scaffold each variate to old - c + upload, bitwise, and the
+    round reports epsilon after 2K steps."""
     state = _state_after_round_zero(algorithm, 3, "poisson", 2)
-    models = {cid: m.tobytes() for cid, m in state.client_models.items()}
+    models = dict(state.client_models)
     variates = dict(state.scaffold.client_variates) if state.scaffold else {}
     server = state.scaffold.server_variate if state.scaffold else None
-    monkeypatch.setattr(
-        federation, "poisson_sample", lambda *args: np.array([], dtype=np.int64)
-    )
-    run_one_round(state, 1)
-    assert {cid: m.tobytes() for cid, m in state.client_models.items()} == models
-    if state.scaffold:
-        assert all(state.scaffold.client_variates[c] is v for c, v in variates.items())
-        assert state.scaffold.server_variate is server
+    uploads = {}
+    real_local = federation.client_local_phase
+
+    def local(shard, *args, **kwargs):
+        out = real_local(shard, *args, **kwargs)
+        uploads[shard.client_id] = args[5].copy()
+        return out
+
+    monkeypatch.setattr(federation, "poisson_sample", _no_draw)
+    monkeypatch.setattr(federation, "client_local_phase", local)
+    record = run_one_round(state, 1)
+    cfg = state.cfg
+    steps = 2 * cfg.local_steps
+    assert record.epsilon_spent == epsilon_spent(steps, cfg.sigma, cfg.delta)[0]
+    assert sorted(uploads) == list(range(cfg.n_clients))
+    for cid, upload in uploads.items():
+        assert np.all(upload != 0)
+        if algorithm == "isolated":
+            want = models[cid] + (-cfg.eta * cfg.local_steps) * upload
+            assert state.client_models[cid].tobytes() == want.tobytes()
+        else:
+            want = variates[cid] - server
+            want += upload
+            assert state.scaffold.client_variates[cid].tobytes() == want.tobytes()

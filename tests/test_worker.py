@@ -380,7 +380,7 @@ def test_blobs_match_the_one_thread_oracle_under_every_executor(
         if mode == "delayed":
             sys.setswitchinterval(1e-5)
         try:
-            got = data_mod.synthetic_blobs(*args, worker)
+            got = data_mod.synthetic_blobs(*args, worker=worker)
         finally:
             sys.setswitchinterval(interval)
             worker.shutdown(wait=True)
@@ -399,7 +399,7 @@ def test_the_blob_build_allocates_nothing_beside_x(mode):
         sys.setswitchinterval(1e-5)
     tracemalloc.start()
     try:
-        train = data_mod.synthetic_blobs(10, 1000, 784, 0.25, 3, worker)
+        train = data_mod.synthetic_blobs(10, 1000, 784, 0.25, 3, worker=worker)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -423,9 +423,10 @@ BUILD_SHAPES = [  # classes, per class, dim, spread; the test set has per // 5
 def test_build_data_matches_the_oracle_and_the_worker_does_all_finishing(
     monkeypatch, mode, shape
 ):
-    """build_data's train and test sets equal the oracle's under each
-    executor, and every block is finished on the executor: inline that is
-    the calling thread, otherwise the worker, so the caller only draws."""
+    """build_data's train and test sets, the test set around the train
+    set's class centers, equal the oracle's under each executor, and every
+    block is finished on the executor: inline that is the calling thread,
+    otherwise the worker, so the caller only draws."""
     classes, per_class, dim, spread = shape
     monkeypatch.setattr(federation, "_new_worker", EXECUTORS[mode])
     real_finish, finished_on = data_mod._finish_block, set()
@@ -444,13 +445,17 @@ def test_build_data_matches_the_oracle_and_the_worker_does_all_finishing(
     for seed in (1, 2):
         with pinned_worker() as (_, worker):
             train, _, test = build_data(cfg, seed, worker)
+        train_seed = cli._derived_seed(seed, cli._T_TRAIN)
         sets = (
-            (train, per_class, cli._T_TRAIN),
-            (test, max(1, per_class // 5), cli._T_TEST),
+            (train, per_class, train_seed, None),
+            # the test set shares the train set's centers, its noise from
+            # its own stream
+            (test, max(1, per_class // 5), cli._derived_seed(seed, cli._T_TEST),
+             train_seed),
         )
-        for got, per, tag in sets:
+        for got, per, noise_seed, centers_seed in sets:
             want = oracle.synthetic_blobs(
-                classes, per, dim, spread, cli._derived_seed(seed, tag)
+                classes, per, dim, spread, noise_seed, centers_seed
             )
             assert _bytes(got) == _bytes(want)
     if mode == "inline":
