@@ -9,11 +9,9 @@ The round's uploads are the rows of one (P, D) array U, one row per
 participant in ascending client id; each client overwrites its row with
 its upload, and U is dropped before evaluation.  The upload is the only
 per-client vector the server reads.  A client builds its first step in
-its row.  Each half of a round (see below) makes one ``StepBuffers`` and
-lends it to its clients in turn: a client's steps write their clipped
-sum, later noise draws, prox and scaffold shifts and local model into it,
-so no step allocates a D-length vector.  A client's K local steps
-w <- w - eta * noisy_k end at start - K eta * upload, so isolated stores
+its row and its other D-length vectors in a workspace it allocates once
+(``client_local_phase``), so no step allocates one.  A client's K local
+steps w <- w - eta * noisy_k end at start - K eta * upload, so isolated stores
 that as the client's model, and dp_scaffold's option-II update
 c_i <- c_i - c + (start - w_K) / (K eta) adds the upload itself.  The
 server step writes the new weights into the aggregate.
@@ -198,33 +196,6 @@ def _halves(worker: Executor, fn: Callable[[range], None], n: int) -> None:
         upper.result()
 
 
-@dataclass(frozen=True)
-class StepBuffers:
-    """The D-length vectors a client's local steps are written into besides
-    its upload row, where its first step is built: at local_steps = 1 the
-    clipped sum alone, or with the prox shift under dp_fedprox.
-
-    One half of a round makes one and lends it to each of its clients in
-    turn.  Every step overwrites each buffer before it reads it, so nothing
-    one client leaves in them reaches the next client's bytes."""
-
-    clipped: ParamVector  # the kernel's clipped sum, then the scaffold shift
-    noise: ParamVector | None  # later steps' noise draws, when local_steps > 1
-    local: ParamVector | None  # the local model, when local_steps > 1
-    prox: ParamVector | None  # prox_mu * (w_local - start), under dp_fedprox
-
-    @classmethod
-    def for_config(cls, cfg: ExperimentConfig, dim: int) -> "StepBuffers":
-        is_prox = cfg.algorithm == "dp_fedprox" and cfg.prox_mu != 0
-        several = cfg.local_steps > 1
-        return cls(
-            clipped=np.empty(dim),
-            noise=np.empty(dim) if several else None,
-            local=np.empty(dim) if several else None,
-            prox=np.empty(dim) if is_prox else None,
-        )
-
-
 def client_local_phase(
     shard: ClientShard,
     start_params: ParamVector,
@@ -234,7 +205,6 @@ def client_local_phase(
     noise_rng: np.random.Generator | None,
     upload: ParamVector,
     scaffold_variates: tuple[ParamVector, ParamVector] | None = None,
-    buffers: StepBuffers | None = None,
 ) -> float:
     """Run one client's local steps, write its upload into the ``upload``
     row (whatever it held), and return the mean of the steps' objectives,
@@ -248,66 +218,70 @@ def client_local_phase(
     clipped sum is zero).  The step vector is built where z is drawn,
     (z sigma C + clipped sum) / B: the bytes of (clipped sum + noise) / B,
     since IEEE addition commutes; at sigma = 0 the clipped sum is copied
-    there instead.  When ``buffers`` has a prox buffer (dp_fedprox with
-    prox_mu != 0), prox_mu * (w_local - w_start) is added to each
-    per-sample gradient before clipping; dp_scaffold adds the
-    control-variate shift server - client, from ``scaffold_variates`` =
-    (server, client), after noising.  No local model is built after the
-    last step.  A non-finite per-sample gradient norm or step gradient
-    raises ValueError naming the client.
+    there instead.  Under dp_fedprox with prox_mu != 0,
+    prox_mu * (w_local - w_start) is added to each per-sample gradient
+    before clipping; dp_scaffold adds the control-variate shift
+    server - client, from ``scaffold_variates`` = (server, client), after
+    noising.  No local model is built after the last step.  A non-finite
+    per-sample gradient norm or step gradient raises ValueError naming the
+    client.
 
     The upload is the mean of the K step vectors.  The first is built in
     the upload row itself, so the row is written once; each later one is
-    built in ``buffers.noise`` and added into the row, which is divided by
-    K when K > 1.  Every other D-length vector of a step is written into
-    ``buffers`` (new ones when none are given), the scaffold shift into the
-    clipped sum's buffer once the step has read it, so a step allocates no
+    built in a vector of its own and added into the row, which is divided
+    by K when K > 1.  The client allocates its workspace once, before its
+    first step: the clipped sum, and when K > 1 the later-step vector and
+    the local model, and under dp_fedprox the prox shift.  Every step
+    overwrites what it reads of it, the scaffold shift going into the
+    clipped sum's vector once the step has read it, so a step allocates no
     D-length vector.
     """
     if shard.size == 0:
         raise ValueError(f"client {shard.client_id} holds an empty shard")
-    if buffers is None:
-        buffers = StepBuffers.for_config(cfg, start_params.shape[0])
-    # start_params is never written: the first local step fills buffers.local
-    w_local = start_params
+    dim = start_params.shape[0]
+    clipped = np.empty(dim)  # the kernel's clipped sum, then the scaffold shift
+    prox = None
+    if cfg.algorithm == "dp_fedprox" and cfg.prox_mu != 0:
+        prox = np.empty(dim)  # prox_mu * (w_local - start_params)
+    if cfg.local_steps > 1:
+        later = np.empty(dim)  # steps 2..K, each added into the upload
+        w_local = start_params.copy()  # start_params is never written
+    else:
+        later, w_local = None, start_params
     loss_total = 0.0
 
     for k in range(cfg.local_steps):
         idx = poisson_sample(shard.size, cfg.batch_size, cfg.sampling_mode, batch_rng)
         rows = shard.indices[idx]
-        prox_shift = None
-        if buffers.prox is not None:
-            prox_shift = np.subtract(w_local, start_params, out=buffers.prox)
-            prox_shift *= cfg.prox_mu
+        if prox is not None:
+            np.subtract(w_local, start_params, out=prox)
+            prox *= cfg.prox_mu
         losses, sq_norms, _ = model_mod.clipped_gradient_sum(
             model_spec,
             w_local,
             shard.dataset.X[rows],
             shard.dataset.y[rows],
             cfg.clip_threshold,
-            prox_shift,
-            out=buffers.clipped,
+            prox,
+            out=clipped,
         )
-        noisy = buffers.noise if k else upload
+        noisy = later if k else upload
         if cfg.sigma == 0:
-            np.copyto(noisy, buffers.clipped)
+            np.copyto(noisy, clipped)
         else:
             noise_rng.standard_normal(out=noisy)
             noisy *= cfg.sigma * cfg.clip_threshold
-            noisy += buffers.clipped
+            noisy += clipped
         noisy /= cfg.batch_size
         if scaffold_variates is not None:
-            # the step has read the clipped sum: its buffer takes the shift
-            noisy += np.subtract(*scaffold_variates, out=buffers.clipped)
+            # the step has read the clipped sum: its vector takes the shift
+            noisy += np.subtract(*scaffold_variates, out=clipped)
         if not (np.isfinite(sq_norms).all() and np.isfinite(noisy).all()):
             raise ValueError(
                 f"client {shard.client_id}: non-finite per-sample gradient "
                 f"norm or upload at local step {k + 1}"
             )
         if k + 1 < cfg.local_steps:
-            if w_local is start_params:
-                w_local = buffers.local
-                w_local[...] = start_params
             add_scaled(w_local, -cfg.eta, noisy)  # w_local - eta * noisy
         if k:
             upload += noisy
@@ -403,7 +377,6 @@ def run_round(
     losses = np.empty(len(participants))
 
     def run_clients(part: range) -> None:
-        buffers = StepBuffers.for_config(cfg, state.weights.shape[0])
         for p in part:
             cid = participants[p]
             start = (
@@ -425,7 +398,6 @@ def run_round(
                     derive_rng(state.seed, round_index, cid, _P_NOISE),
                     uploads[p],
                     scaffold_variates=variates,
-                    buffers=buffers,
                 )
             except ValueError as exc:
                 raise ValueError(f"round {round_index}, {exc}") from exc

@@ -28,7 +28,7 @@ import pytest
 from dpfedsim.config import ExperimentConfig
 from dpfedsim.data import ClientShard, Dataset, synthetic_blobs
 from dpfedsim.dp import epsilon_spent
-from dpfedsim.federation import StepBuffers, client_local_phase, derive_rng
+from dpfedsim.federation import client_local_phase, derive_rng
 from dpfedsim.model import MlpSpec, init_params
 
 SIGMA, CLIP, DELTA = 0.8, 1.5, 1e-5
@@ -117,14 +117,11 @@ def _upload_sq_norms(shard, cfg, spec, seed) -> np.ndarray:
     """TRIALS one-step uploads' squared norms, each a fresh batch and noise
     draw from the side's own streams."""
     w = init_params(spec, 0)
-    buffers = StepBuffers.for_config(cfg, spec.num_params)
     row = np.empty(spec.num_params)
     batch_rng, noise_rng = derive_rng(seed, 0, 0, 0), derive_rng(seed, 0, 0, 1)
     out = np.empty(TRIALS)
     for t in range(TRIALS):
-        client_local_phase(
-            shard, w, spec, cfg, batch_rng, noise_rng, row, buffers=buffers
-        )
+        client_local_phase(shard, w, spec, cfg, batch_rng, noise_rng, row)
         out[t] = np.einsum("d,d->", row, row)
     return out
 

@@ -3,7 +3,7 @@ import math
 import threading
 import tracemalloc
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +17,6 @@ from dpfedsim.federation import (
     ALGORITHMS,
     WEIGHTINGS,
     ScaffoldState,
-    StepBuffers,
     client_local_phase,
     derive_rng,
     init_state,
@@ -714,15 +713,13 @@ def test_upload_from_noise_drawn_ahead_is_the_oracle_fed_from_the_same_stream(
 @pytest.mark.parametrize(
     "local_steps, sampling_mode, batch_size", [LOCAL_PHASES[0], LOCAL_PHASES[2]]
 )
-def test_a_reused_workspace_carries_nothing_into_the_next_client(
+def test_a_reused_upload_row_carries_nothing_into_the_next_client(
     algorithm, sigma, local_steps, sampling_mode, batch_size
 ):
-    """A half of a round lends one StepBuffers to each of its clients in
-    turn, and a client writes its row of U without zeroing it first.
-    Whether the buffers and the upload row start as NaN (client 0) or hold
-    the previous client's leftovers (clients 1-3), each client's upload has
-    the bytes it has with fresh buffers and a zero row.  Only several local
-    steps need a noise buffer: the first step is built in the row."""
+    """A client writes its row of U without zeroing it first.  Whether the
+    row starts as NaN (client 0) or holds the previous client's upload
+    (clients 1-3), each client's upload has the bytes it has in a zero
+    row."""
     state = make_state(
         algorithm=algorithm, n_clients=4, sigma=sigma, seed=7,
         local_steps=local_steps, sampling_mode=sampling_mode,
@@ -731,7 +728,7 @@ def test_a_reused_workspace_carries_nothing_into_the_next_client(
     run_one_round(state, 0)  # round 1 starts from diverged models and variates
     dim = state.weights.shape[0]
 
-    def upload_of(cid, buffers, row):
+    def upload_of(cid, row):
         variates = None
         if algorithm == "dp_scaffold":
             scaffold = state.scaffold
@@ -740,20 +737,14 @@ def test_a_reused_workspace_carries_nothing_into_the_next_client(
             state.shards[cid], state.weights, state.model_spec, state.cfg,
             derive_rng(state.seed, 1, cid, federation._P_BATCH),
             derive_rng(state.seed, 1, cid, federation._P_NOISE),
-            row, scaffold_variates=variates, buffers=buffers,
+            row, scaffold_variates=variates,
         )
         return loss, row.tobytes()
 
-    buffers, row = StepBuffers.for_config(state.cfg, dim), np.empty(dim)
-    assert (buffers.prox is not None) == (algorithm == "dp_fedprox")
-    assert (buffers.local is not None) == (local_steps > 1)
-    assert (buffers.noise is not None) == (local_steps > 1)
-    for buf in [row] + [getattr(buffers, f.name) for f in fields(buffers)]:
-        if buf is not None:
-            buf.fill(np.nan)
+    row = np.full(dim, np.nan)
     for cid in range(4):
-        fresh = upload_of(cid, None, np.zeros(dim))
-        assert upload_of(cid, buffers, row) == fresh
+        fresh = upload_of(cid, np.zeros(dim))
+        assert upload_of(cid, row) == fresh
     if sampling_mode == "poisson":
         assert _empty_draws(state, 1, range(4)) > 0  # an empty draw released
 
@@ -859,11 +850,11 @@ class _IdleWorker:
 def test_a_scaffold_round_holds_under_one_vector_more_than_fedavg():
     """At D = 101,770 and N = 8, a dp_scaffold round's traced peak is less
     than one D-vector above the same dp_fedavg round's: each client's shift
-    is built in its half's workspace, and the variate update writes each
-    new - old into the upload row it has read for the last time.  The two
-    halves of the client phase run one after the other, so the peaks do
-    not hang on how they overlap.  Tracing starts before the state is
-    built, so the variates a round replaces count as freed."""
+    is built in its workspace's clipped-sum vector, and the variate update
+    writes each new - old into the upload row it has read for the last
+    time.  The two halves of the client phase run one after the other, so
+    the peaks do not hang on how they overlap.  Tracing starts before the
+    state is built, so the variates a round replaces count as freed."""
     peaks = {}
     for algorithm in ("dp_fedavg", "dp_scaffold"):
         tracemalloc.start()
@@ -881,41 +872,45 @@ def test_a_scaffold_round_holds_under_one_vector_more_than_fedavg():
     assert extra < dim * 8, extra / (dim * 8)
 
 
+@pytest.mark.parametrize("local_steps", [1, 2])
 @pytest.mark.parametrize("algorithm", ["dp_fedavg", "dp_fedprox", "dp_scaffold"])
-def test_a_client_step_given_its_workspace_allocates_no_parameter_vector(algorithm):
-    """At the benchmark's 784-128-10 shape (D = 101,770), a client's two
-    local steps, given its StepBuffers, upload row and scaffold variates,
-    allocate less than one D-length vector at their traced peak: the noise,
-    the clipped sum, the prox shift, the scaffold shift and the local model
-    are all written into the workspace."""
+def test_a_client_allocates_its_workspace_and_no_step_vector(algorithm, local_steps):
+    """At the benchmark's 784-128-10 shape (D = 101,770), a client's local
+    phase, given its upload row and scaffold variates, holds w D-length
+    vectors and less than one more at its traced peak.  The workspace is
+    w = 1 + 2 [K > 1] + [prox] vectors: the clipped sum, which then takes
+    the scaffold shift; the later-step vector and the local model when
+    K > 1; the prox shift under dp_fedprox.  The first step is built in
+    the upload row, and no step allocates a D-length vector of its own."""
     spec = MlpSpec((784, 128, 10))
     dim = spec.num_params
     train = synthetic_blobs(10, 20, 784, 0.25, seed=4)
     shard = ClientShard(0, train, np.arange(train.size))
     cfg = ExperimentConfig(
-        algorithm=algorithm, sigma=0.8, batch_size=32, local_steps=2, eta=0.05,
-        prox_mu=0.01,
+        algorithm=algorithm, sigma=0.8, batch_size=32, local_steps=local_steps,
+        eta=0.05, prox_mu=0.01,
     )
     w = init_params(spec, 4)
-    buffers, row = StepBuffers.for_config(cfg, dim), np.empty(dim)
+    row = np.empty(dim)
     variates = None
     if algorithm == "dp_scaffold":
         variates = (np.full(dim, 1e-3), np.zeros(dim))  # a shift of 1e-3
 
-    def two_steps():
+    def local_phase():
         client_local_phase(
             shard, w, spec, cfg, derive_rng(4, 0, 0, 0), derive_rng(4, 0, 0, 1),
-            row, scaffold_variates=variates, buffers=buffers,
+            row, scaffold_variates=variates,
         )
 
-    two_steps()  # first calls may fill numpy's caches
+    local_phase()  # first calls may fill numpy's caches
     tracemalloc.start()
     try:
-        two_steps()
+        local_phase()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < dim * 8, peak
+    workspace = 1 + 2 * (local_steps > 1) + (algorithm == "dp_fedprox")
+    assert workspace * dim * 8 <= peak < (workspace + 1) * dim * 8, peak / (dim * 8)
 
 
 @pytest.mark.parametrize("local_steps, sampling_mode, batch_size", LOCAL_PHASES)
