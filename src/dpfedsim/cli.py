@@ -30,7 +30,7 @@ import numpy as np
 
 from . import data as data_mod
 from .config import ExperimentConfig, parse_config, parse_label_split
-from .dp import epsilon_spent
+from .dp import SENSITIVITY, epsilon_spent
 from .federation import ExperimentState, RoundMetrics, init_state, pinned_worker
 from .federation import run_experiment
 from .model import MlpSpec
@@ -289,11 +289,13 @@ def cmd_privacy(args) -> int:
         print("sigma is 0: no noise is added, so there is no DP guarantee "
               "(epsilon is unbounded)")
         return 0
+    s = SENSITIVITY[cfg.sampling_mode]
     print(f"sigma={cfg.sigma} delta={cfg.delta} local_steps={cfg.local_steps} "
-          "neighbours=add/remove one training example")
+          "neighbours=add/remove one training example "
+          f"sensitivity={'' if s == 1 else s}C")
     print(f"{'round':>6} {'steps':>6} {'epsilon':>12} {'alpha':>6}")
     for t in range(1, cfg.rounds + 1):
-        eps, alpha = epsilon_spent(t * cfg.local_steps, cfg.sigma, cfg.delta)
+        eps, alpha = epsilon_spent(t * cfg.local_steps, cfg.charged_sigma(), cfg.delta)
         print(f"{t:>6} {t * cfg.local_steps:>6} {eps:>12.6f} {alpha:>6g}")
     steps = cfg.budget_steps()
     if steps is not None:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .correction import CORRECTION_MODES
-from .dp import SAMPLING_MODES, steps_for_budget
+from .dp import SAMPLING_MODES, SENSITIVITY, steps_for_budget
 from .federation import ALGORITHMS, WEIGHTINGS
 from .model import MlpSpec
 
@@ -197,11 +197,17 @@ class ExperimentConfig:
                 f"steps, fewer than one round's local_steps = {self.local_steps}"
             )
 
+    def charged_sigma(self) -> float:
+        """The noise multiplier the accountant charges a step at: sigma / s,
+        for noise sigma C at sensitivity s C, s set by the sampling mode
+        (``dp.SENSITIVITY``).  Dividing by 1 or 2 is exact."""
+        return self.sigma / SENSITIVITY[self.sampling_mode]
+
     def budget_steps(self) -> int | None:
         """The noisy steps epsilon_budget allows, or None for no budget (0 or inf)."""
         if not 0 < self.epsilon_budget < math.inf:
             return None
-        return steps_for_budget(self.sigma, self.delta, self.epsilon_budget)
+        return steps_for_budget(self.charged_sigma(), self.delta, self.epsilon_budget)
 
     def resolved(self) -> dict:
         """Plain-serializable view of every key's final value."""

@@ -5,21 +5,30 @@ Each step clips per-sample gradients to an L2 threshold C and sums them
 (``model.clipped_gradient_sum``), adds one Gaussian draw N(0, (sigma*C)^2 I)
 and divides by the configured batch_size, a public constant, whatever the
 batch drawn, an empty Poisson draw included (``federation.client_local_phase``).
-One example moves the sum by at most C: each step is the Gaussian mechanism
-at sensitivity C.  Privacy is tracked in Renyi DP: one step at order alpha
-costs alpha / (2 sigma^2); steps compose by adding costs; the (epsilon,
-delta) guarantee is the converted cost minimized over a fixed alpha grid,
+Each step is the Gaussian mechanism at sensitivity s C, with s set by the
+sampling mode alone (``SENSITIVITY``).  Under poisson one example moves the
+clipped sum by at most C: s = 1.  Under fixed_size adding an example can
+swap it for a batch member, which moves the sum by up to 2C: s = 2 (Balle,
+Barthe & Gaboardi 2018, arXiv:1807.01647).  A fixed_size batch that takes
+the whole shard gets no exemption: whether it does depends on the private
+shard size.  A step at sensitivity s C and noise sigma C is charged as one
+at sensitivity C and noise sigma / s (``ExperimentConfig.charged_sigma``).
+Privacy is tracked in Renyi DP: one step at order alpha costs
+alpha / (2 sigma^2) at that charged sigma; steps compose by adding costs;
+the (epsilon, delta) guarantee is the converted cost minimized over a fixed
+alpha grid,
 
     epsilon = R(alpha) + log((alpha-1)/alpha) - (log(delta) + log(alpha)) / (alpha-1).
 
 No subsampling amplification is applied.  The accountant is a pure function
-of the noisy-step count, sigma and delta.  Shards are disjoint, so cost
-composes in parallel across clients and sequentially across a client's
-local_steps K: a round charges K steps.  Known limit: under fixed_size with
-batch_size below the shard size, adding an example is coupled to replacing
-a batch member (sensitivity 2C), yet a step is charged at C.  Settings are
-validated where the config is built; the functions here check only what
-their own arithmetic needs.
+of the noisy-step count, the charged sigma and delta.  Shards are disjoint,
+so cost composes in parallel across clients and sequentially across a
+client's local_steps K: a round charges K steps.  Known limit: poisson
+keeps each example with probability min(1, batch_size / shard size), a rate
+set by the private shard size, so adding an example changes every other
+example's inclusion probability too; the charge at C assumes a fixed rate.
+Settings are validated where the config is built; the functions here check
+only what their own arithmetic needs.
 """
 
 from __future__ import annotations
@@ -30,7 +39,10 @@ import numpy as np
 
 DEFAULT_ALPHA_GRID: tuple[float, ...] = (1.5,) + tuple(float(a) for a in range(2, 65))
 
-SAMPLING_MODES = ("fixed_size", "poisson")
+# a step's sensitivity in units of the clip threshold C, by sampling mode
+SENSITIVITY = {"fixed_size": 2, "poisson": 1}
+
+SAMPLING_MODES = tuple(SENSITIVITY)
 
 
 def poisson_sample(

@@ -459,7 +459,7 @@ def run_round(
     else:
         # a round releases K steps on each participant's disjoint shard
         steps = (round_index + 1) * cfg.local_steps
-        eps = epsilon_spent(steps, cfg.sigma, cfg.delta)[0]
+        eps = epsilon_spent(steps, cfg.charged_sigma(), cfg.delta)[0]
     wall = (
         int(round((time.perf_counter() - t0) * 1000.0)) if cfg.record_timing else 0
     )

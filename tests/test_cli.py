@@ -96,7 +96,7 @@ def test_summary_stops_early_only_when_the_budget_cuts_a_round(tmp_path):
     cfg = write_cfg(tmp_path)
     c = parse_config(cfg)
     assert c.local_steps == 1
-    spent = epsilon_spent(c.rounds, c.sigma, c.delta)[0]
+    spent = epsilon_spent(c.rounds, c.charged_sigma(), c.delta)[0]
     cases = [
         ([], c.rounds, False),
         (["--override", f"epsilon_budget={spent!r}"], c.rounds, False),
@@ -184,10 +184,37 @@ def test_privacy_prints_the_step_count_of_a_finite_budget(tmp_path, capsys):
     cfg = write_cfg(tmp_path, FAST_CFG + "epsilon_budget = 20\n")
     assert main(["privacy", "--config", cfg]) == 0
     last = capsys.readouterr().out.splitlines()[-1]
-    steps = steps_for_budget(0.8, 1e-5, 20.0)
+    steps = steps_for_budget(0.8 / 2, 1e-5, 20.0)  # fixed_size: sensitivity 2C
     assert last == (
         f"budget epsilon=20.0: at most {steps} noisy steps ({steps} full rounds)"
     )
+
+
+@pytest.mark.parametrize(
+    "sampling_mode, sensitivity, first",
+    [("fixed_size", "2C", "14.176691"), ("poisson", "C", "6.158978")],
+)
+def test_run_reports_the_privacy_schedule_of_its_sampling_mode(
+    tmp_path, capsys, sampling_mode, sensitivity, first
+):
+    """run's epsilon column is privacy's schedule, string for string, and
+    privacy's header names the sensitivity a step is charged at: 2C under
+    fixed_size, C under poisson.  One step at sigma = 0.8, delta = 1e-5
+    costs 14.176691 at 2C and 6.158978 at C."""
+    cfg = write_cfg(tmp_path, FAST_CFG + f"sampling_mode = {sampling_mode}\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    rows = (out / "metrics.csv").read_text().splitlines()[1:]
+    capsys.readouterr()
+    assert main(["privacy", "--config", cfg]) == 0
+    header, _, *table = capsys.readouterr().out.splitlines()
+    assert header == (
+        "sigma=0.8 delta=1e-05 local_steps=1 neighbours=add/remove one "
+        f"training example sensitivity={sensitivity}"
+    )
+    schedule = [line.split()[2] for line in table]
+    assert [row.split(",")[1] for row in rows] == schedule
+    assert len(schedule) == 3 and schedule[0] == first
 
 
 def test_compare_runs_algorithms_on_identical_shards(tmp_path):
@@ -337,8 +364,8 @@ def test_golden_two_round_run(tmp_path):
     got = (out / "metrics.csv").read_text()
     expected = (
         "round,epsilon,train_loss,test_acc,test_recall,test_f1,projections,wall_ms\n"
-        "0,10.801691,1.102590,0.333333,0.333333,0.166667,1,0\n"
-        "1,16.801691,1.136910,0.333333,0.333333,0.166667,0,0\n"
+        "0,26.126631,1.102590,0.333333,0.333333,0.166667,1,0\n"
+        "1,42.126631,1.136910,0.333333,0.333333,0.166667,0,0\n"
     )
     assert got == expected
 

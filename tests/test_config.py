@@ -144,8 +144,9 @@ def test_budget_is_set_only_between_zero_and_inf():
         assert ExperimentConfig(sigma=0, epsilon_budget=budget).sigma == 0
     with pytest.raises(ValueError, match=r"^epsilon_budget: .*sigma == 0 has infinite"):
         ExperimentConfig(sigma=0, epsilon_budget=5.0)
+    # 2**40 + 1 fixed_size steps at sigma = 0.8 spend about 5.154e12
     with pytest.raises(ValueError, match=r"^epsilon_budget: .* more than 2\*\*40"):
-        ExperimentConfig(epsilon_budget=1.76e12)
+        ExperimentConfig(epsilon_budget=7.04e12)
 
 
 def test_parse_label_split():

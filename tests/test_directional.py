@@ -20,7 +20,7 @@ import pytest
 from dpfedsim.cli import run_seeds
 from dpfedsim.config import ExperimentConfig
 from dpfedsim.data import partition_label_split, synthetic_blobs
-from dpfedsim.dp import epsilon_spent
+from dpfedsim.dp import SENSITIVITY, epsilon_spent
 from dpfedsim.federation import client_local_phase, derive_rng, pinned_worker
 from dpfedsim.model import MlpSpec, init_params
 from oracle import correct_round, cosine, dot
@@ -121,7 +121,9 @@ def test_same_protocol_pipeline_health(partition):
                 assert math.isfinite(rm.train_loss)
                 # emitted epsilon must equal an offline accountant recomputation
                 offline = epsilon_spent(
-                    (t + 1) * cfg.local_steps, cfg.sigma, cfg.delta
+                    (t + 1) * cfg.local_steps,
+                    cfg.sigma / SENSITIVITY[cfg.sampling_mode],
+                    cfg.delta,
                 )[0]
                 assert rm.epsilon_spent == pytest.approx(offline, abs=1e-12)
     gcfl_proj = sum(

@@ -12,7 +12,8 @@ arXiv:2006.07709):
     eps_lb = log((TPR_lo - delta) / FPR_hi).
 
 A step that is the Gaussian mechanism the accountant charges keeps eps_lb
-at or below its one-step epsilon.  A step divided by the size of the batch
+at or below its one-step epsilon, charged at the sensitivity of its
+sampling mode (2C under fixed_size, C under poisson).  A step divided by the size of the batch
 it drew does not: its noise norm, sigma C sqrt(D) / |B|, gives |B| away,
 and adding the canary changes |B| under a full batch and sometimes under
 Poisson sampling.  At 3,000 scored trials per side the largest bound the
@@ -153,7 +154,7 @@ def test_one_step_audit_stays_under_the_accountants_charge(
     without = _upload_sq_norms(ClientShard(0, data, np.arange(8)), cfg, spec, 1)
     with_canary = _upload_sq_norms(ClientShard(0, data, np.arange(9)), cfg, spec, 2)
     eps_lb = audit(without, with_canary)
-    charged = epsilon_spent(1, SIGMA, DELTA)[0]
+    charged = epsilon_spent(1, cfg.charged_sigma(), DELTA)[0]  # at s C
     assert eps_lb <= charged, (eps_lb, charged)
 
 

@@ -305,7 +305,8 @@ def test_ledger_advances_by_local_steps_per_round():
     state = make_state(sigma=0.5, rounds=4, local_steps=3)
     res = run_all_rounds(state)
     cfg = state.cfg
-    want = [epsilon_spent((t + 1) * 3, cfg.sigma, cfg.delta)[0] for t in range(4)]
+    charged = cfg.sigma / 2  # fixed_size: sensitivity 2C
+    want = [epsilon_spent((t + 1) * 3, charged, cfg.delta)[0] for t in range(4)]
     assert [r.epsilon_spent for r in res] == want
 
 
@@ -370,14 +371,14 @@ def test_every_stream_a_run_derives_is_distinct(monkeypatch):
 
 
 def test_epsilon_budget_stops_early():
-    state = make_state(sigma=0.5, rounds=50, epsilon_budget=20.0)
+    state = make_state(sigma=0.5, rounds=50, epsilon_budget=60.0)
     result = run_all_rounds(state)
     assert 0 < len(result) < 50
-    assert result[-1].epsilon_spent <= 20.0
+    assert result[-1].epsilon_spent <= 60.0
     # one more round would have crossed the budget
     state2 = make_state(sigma=0.5, rounds=len(result) + 1)
     result2 = run_all_rounds(state2)
-    assert result2[-1].epsilon_spent > 20.0
+    assert result2[-1].epsilon_spent > 60.0
 
 
 def test_init_state_validates_shard_count():
