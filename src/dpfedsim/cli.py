@@ -294,8 +294,9 @@ def cmd_privacy(args) -> int:
           "neighbours=add/remove one training example "
           f"sensitivity={'' if s == 1 else s}C")
     print(f"{'round':>6} {'steps':>6} {'epsilon':>12} {'alpha':>6}")
+    charged = cfg.charged_sigma()
     for t in range(1, cfg.rounds + 1):
-        eps, alpha = epsilon_spent(t * cfg.local_steps, cfg.charged_sigma(), cfg.delta)
+        eps, alpha = epsilon_spent(t * cfg.local_steps, charged, cfg.delta)
         print(f"{t:>6} {t * cfg.local_steps:>6} {eps:>12.6f} {alpha:>6g}")
     steps = cfg.budget_steps()
     if steps is not None:

@@ -13,10 +13,10 @@ arXiv:2006.07709):
 
 A step that is the Gaussian mechanism the accountant charges keeps eps_lb
 at or below its one-step epsilon, charged at the sensitivity of its
-sampling mode (2C under fixed_size, C under poisson).  A step divided by the size of the batch
-it drew does not: its noise norm, sigma C sqrt(D) / |B|, gives |B| away,
-and adding the canary changes |B| under a full batch and sometimes under
-Poisson sampling.  At 3,000 scored trials per side the largest bound the
+sampling mode (2C under fixed_size, C under poisson).  A step divided by
+the size of the batch it drew does not: its noise norm,
+sigma C sqrt(D) / |B|, gives |B| away, and adding the canary changes |B|
+under a full batch and sometimes under Poisson sampling.  At 3,000 scored trials per side the largest bound the
 audit can show is 6.70, with every trial told apart.
 """
 
