@@ -10,7 +10,9 @@ participant in ascending client id; each client overwrites its row with
 its upload, and U is dropped before evaluation.  The upload is the only
 per-client vector the server reads.  A client builds its first step in
 its row and its other D-length vectors in a workspace it allocates once
-(``client_local_phase``), so no step allocates one.  A client's K local
+(``client_local_phase``), so no step allocates one; under dp_fedprox a
+step's prox shift is built in the step's own vector, which the kernel
+reads it from before the step is built there.  A client's K local
 steps w <- w - eta * noisy_k end at start - K eta * upload, so isolated stores
 that as the client's model, and dp_scaffold's option-II update
 c_i <- c_i - c + (start - w_K) / (K eta) adds the upload itself.  The
@@ -231,18 +233,17 @@ def client_local_phase(
     built in a vector of its own and added into the row, which is divided
     by K when K > 1.  The client allocates its workspace once, before its
     first step: the clipped sum, and when K > 1 the later-step vector and
-    the local model, and under dp_fedprox the prox shift.  Every step
-    overwrites what it reads of it, the scaffold shift going into the
-    clipped sum's vector once the step has read it, so a step allocates no
-    D-length vector.
+    the local model.  Every step overwrites what it reads of it, so a step
+    allocates no D-length vector: the dp_fedprox shift is built in the
+    step's own vector, which the kernel reads before the noise is drawn
+    there (never in the clipped sum's, the kernel's scratch), and the
+    scaffold shift in the clipped sum's vector once the step has read it.
     """
     if shard.size == 0:
         raise ValueError(f"client {shard.client_id} holds an empty shard")
     dim = start_params.shape[0]
     clipped = np.empty(dim)  # the kernel's clipped sum, then the scaffold shift
-    prox = None
-    if cfg.algorithm == "dp_fedprox" and cfg.prox_mu != 0:
-        prox = np.empty(dim)  # prox_mu * (w_local - start_params)
+    prox = cfg.algorithm == "dp_fedprox" and cfg.prox_mu != 0
     if cfg.local_steps > 1:
         later = np.empty(dim)  # steps 2..K, each added into the upload
         w_local = start_params.copy()  # start_params is never written
@@ -253,19 +254,21 @@ def client_local_phase(
     for k in range(cfg.local_steps):
         idx = poisson_sample(shard.size, cfg.batch_size, cfg.sampling_mode, batch_rng)
         rows = shard.indices[idx]
-        if prox is not None:
-            np.subtract(w_local, start_params, out=prox)
-            prox *= cfg.prox_mu
+        noisy = later if k else upload
+        shift = None
+        if prox:
+            # read by the kernel before the step is built here
+            shift = np.subtract(w_local, start_params, out=noisy)
+            shift *= cfg.prox_mu
         losses, sq_norms, _ = model_mod.clipped_gradient_sum(
             model_spec,
             w_local,
             shard.dataset.X[rows],
             shard.dataset.y[rows],
             cfg.clip_threshold,
-            prox,
+            shift,
             out=clipped,
         )
-        noisy = later if k else upload
         if cfg.sigma == 0:
             np.copyto(noisy, clipped)
         else:

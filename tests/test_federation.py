@@ -519,25 +519,18 @@ def test_uncorrected_round_aggregates_the_raw_uploads_bitwise(
 
 
 class _RecordingRng:
-    """Hands out the draws of ``rng`` into the caller's ``out`` and keeps a
-    copy of each vector it drew as that vector stands at the next draw, or
-    at ``finish()``: by then client_local_phase has built its step vector
-    in it."""
+    """Hands out the draws of ``rng`` into the caller's ``out`` and keeps
+    ``last``, the vector it drew into last: client_local_phase builds its
+    last step vector there, and it holds that vector when the client
+    returns."""
 
     def __init__(self, rng):
         self._rng = rng
-        self._last = None
-        self.drawn = []
-
-    def finish(self):
-        if self._last is not None:
-            self.drawn.append(self._last.copy())
-        self._last = None
+        self.last = None
 
     def standard_normal(self, size=None, out=None):
-        self.finish()
-        self._last = self._rng.standard_normal(size, out=out)
-        return self._last
+        self.last = self._rng.standard_normal(size, out=out)
+        return self.last
 
 
 class StartedWorker(ThreadPoolExecutor):
@@ -565,26 +558,40 @@ def _record_round(monkeypatch, state, round_index):
     exact bytes client_local_phase stepped by) in step order, and a copy of
     the upload it wrote.
 
-    client_local_phase builds each step vector in the noise buffer it draws
-    into, so the buffer holds the step vector by the next draw and when the
-    client returns.  Each client gets its own recording rng, whichever
-    thread runs it."""
+    Every step but the last moves the local model by
+    add_scaled(w_local, -eta, step vector), so a spy copies each of those
+    vectors there; the last is copied from the buffer of the client's last
+    noise draw, which holds it when the client returns.  A step vector's
+    buffer may take the next step's prox shift before the next draw, so
+    the draws themselves do not mark when a vector is complete.  Each
+    client gets its own recording rng and step list, whichever thread runs
+    it."""
     starts, steps, uploads = {}, {}, {}
-    real_local = federation.client_local_phase
+    current = threading.local()  # the step list of the client this thread runs
+    real_local, real_add = federation.client_local_phase, federation.add_scaled
 
     def local(shard, start_params, spec, cfg, batch_rng, noise_rng, upload, **kwargs):
         noise = _RecordingRng(noise_rng)
-        out = real_local(
-            shard, start_params, spec, cfg, batch_rng, noise, upload, **kwargs
-        )
-        noise.finish()
+        current.steps = steps[shard.client_id] = []
+        try:
+            out = real_local(
+                shard, start_params, spec, cfg, batch_rng, noise, upload, **kwargs
+            )
+        finally:
+            current.steps = None
+        steps[shard.client_id].append(noise.last.copy())
         starts[shard.client_id] = start_params
-        steps[shard.client_id] = noise.drawn
         uploads[shard.client_id] = upload.copy()
         return out
 
+    def add(w, coef, vector):
+        if getattr(current, "steps", None) is not None:  # not the server's
+            current.steps.append(vector.copy())
+        return real_add(w, coef, vector)
+
     with monkeypatch.context() as patch:
         patch.setattr(federation, "client_local_phase", local)
+        patch.setattr(federation, "add_scaled", add)
         run_one_round(state, round_index)
     return starts, steps, uploads
 
@@ -634,14 +641,16 @@ def _assert_every_step_released(steps, state, round_index):
         assert _empty_draws(state, round_index, steps) > 0
 
 
-@pytest.mark.parametrize("algorithm", ["dp_fedavg", "dp_scaffold"])
+@pytest.mark.parametrize("algorithm", ["dp_fedavg", "dp_fedprox", "dp_scaffold"])
 @pytest.mark.parametrize("local_steps, sampling_mode, batch_size", LOCAL_PHASES)
 def test_upload_is_the_mean_of_the_step_vectors_bitwise(
     monkeypatch, algorithm, local_steps, sampling_mode, batch_size
 ):
     """Each upload is (0.0 + n_1 + ... + n_K) / K: the step vectors (the
     scaffold shift included) added in step order to a zero row, with no
-    divide at K = 1."""
+    divide at K = 1.  Under dp_fedprox each later step's prox shift is
+    built in the vector that held the step before it, after that step was
+    added into the row."""
     state = _state_after_round_zero(algorithm, local_steps, sampling_mode, batch_size)
     _, steps, uploads = _record_round(monkeypatch, state, 1)
     for cid, vectors in steps.items():
@@ -654,7 +663,7 @@ def test_upload_is_the_mean_of_the_step_vectors_bitwise(
     _assert_every_step_released(steps, state, 1)
 
 
-@pytest.mark.parametrize("algorithm", ["dp_fedavg", "dp_scaffold"])
+@pytest.mark.parametrize("algorithm", ["dp_fedavg", "dp_fedprox", "dp_scaffold"])
 @pytest.mark.parametrize("local_steps, sampling_mode, batch_size", LOCAL_PHASES)
 def test_upload_from_noise_drawn_ahead_is_the_oracle_fed_from_the_same_stream(
     monkeypatch, algorithm, local_steps, sampling_mode, batch_size
@@ -663,10 +672,14 @@ def test_upload_from_noise_drawn_ahead_is_the_oracle_fed_from_the_same_stream(
     thread ran it, is bitwise the mean of the oracle's noisy_batch_gradient
     steps, each fed the step's clipped sum (zeros for an empty draw), the
     configured batch_size and the client's own noise stream, plus the
-    scaffold shift: the same arithmetic in the same order.  The worker
+    scaffold shift: the same arithmetic in the same order.  The kernel is
+    given a shift under dp_fedprox only, and it is bitwise
+    (w - start) * prox_mu for the step's local model w, in a vector apart
+    from the kernel's out, which the kernel uses as scratch.  The worker
     always runs its half here, clients 2 and 3."""
     state = _state_after_round_zero(algorithm, local_steps, sampling_mode, batch_size)
-    sums, shifts, uploads, ran_on = {}, {}, {}, {}
+    cfg = state.cfg
+    sums, starts, shifts, uploads, ran_on = {}, {}, {}, {}, {}
     current = threading.local()  # the client this thread is running
     real_local = federation.client_local_phase
     real_kernel = federation.model_mod.clipped_gradient_sum
@@ -675,16 +688,22 @@ def test_upload_from_noise_drawn_ahead_is_the_oracle_fed_from_the_same_stream(
         current.cid = shard.client_id
         ran_on[shard.client_id] = threading.current_thread().name
         sums[shard.client_id] = []
+        starts[shard.client_id] = args[0]
         variates = kwargs.get("scaffold_variates")
         shifts[shard.client_id] = None if variates is None else np.subtract(*variates)
         out = real_local(shard, *args, **kwargs)
         uploads[shard.client_id] = args[5].copy()
         return out
 
-    def kernel(spec, w, features, labels, *args, **kwargs):
-        out = real_kernel(spec, w, features, labels, *args, **kwargs)
-        sums[current.cid].append(out[2].copy())
-        return out
+    def kernel(spec, w, features, labels, clip_threshold, shift, out):
+        assert (shift is not None) == (algorithm == "dp_fedprox")
+        if shift is not None:
+            want = (w - starts[current.cid]) * cfg.prox_mu
+            assert shift.tobytes() == want.tobytes()
+            assert not np.shares_memory(shift, out)
+        result = real_kernel(spec, w, features, labels, clip_threshold, shift, out=out)
+        sums[current.cid].append(result[2].copy())
+        return result
 
     monkeypatch.setattr(federation, "client_local_phase", local)
     monkeypatch.setattr(federation.model_mod, "clipped_gradient_sum", kernel)
@@ -692,7 +711,6 @@ def test_upload_from_noise_drawn_ahead_is_the_oracle_fed_from_the_same_stream(
     run_one_round(state, 1)
     on_worker = {c for c, name in ran_on.items() if name.startswith("dpfedsim-worker")}
     assert on_worker == {2, 3}
-    cfg = state.cfg
     for cid, steps in sums.items():
         rng = derive_rng(state.seed, 1, cid, federation._P_NOISE)
         want = np.zeros_like(uploads[cid])
@@ -879,10 +897,11 @@ def test_a_client_allocates_its_workspace_and_no_step_vector(algorithm, local_st
     """At the benchmark's 784-128-10 shape (D = 101,770), a client's local
     phase, given its upload row and scaffold variates, holds w D-length
     vectors and less than one more at its traced peak.  The workspace is
-    w = 1 + 2 [K > 1] + [prox] vectors: the clipped sum, which then takes
-    the scaffold shift; the later-step vector and the local model when
-    K > 1; the prox shift under dp_fedprox.  The first step is built in
-    the upload row, and no step allocates a D-length vector of its own."""
+    w = 1 + 2 [K > 1] vectors for every algorithm: the clipped sum, which
+    then takes the scaffold shift; the later-step vector and the local
+    model when K > 1.  The first step is built in the upload row, each
+    step's prox shift in the step's own vector, and no step allocates a
+    D-length vector of its own."""
     spec = MlpSpec((784, 128, 10))
     dim = spec.num_params
     train = synthetic_blobs(10, 20, 784, 0.25, seed=4)
@@ -910,7 +929,7 @@ def test_a_client_allocates_its_workspace_and_no_step_vector(algorithm, local_st
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    workspace = 1 + 2 * (local_steps > 1) + (algorithm == "dp_fedprox")
+    workspace = 1 + 2 * (local_steps > 1)
     assert workspace * dim * 8 <= peak < (workspace + 1) * dim * 8, peak / (dim * 8)
 
 
