@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="key=value config file")
     p_run.add_argument(
         "--override", action="append", default=[], metavar="KEY=VALUE",
-        help="override a config key (repeatable; wins over the file)",
+        help="override a config key (repeatable, once per key; wins over the file)",
     )
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.set_defaults(func=cmd_run)

@@ -2,7 +2,8 @@
 
 Config files are plain text: one ``key = value`` per line, ``#`` starts a
 comment (full-line or trailing), blank lines ignored.  ``--override key=value``
-on the command line wins over the file.  Unknown keys are an error that lists
+on the command line wins over the file.  A key set twice in the file, or
+twice among the overrides, is an error.  Unknown keys are an error that lists
 the valid ones.  An empty file runs the full default experiment.
 
 ``ExperimentConfig`` is the one config record: every layer reads its keys by
@@ -247,7 +248,8 @@ def _parse_value(key: str, raw: str, where: str):
 def parse_config(path: str, overrides: list[str] | None = None) -> ExperimentConfig:
     """Read a key=value file, apply overrides, and build the validated config.
 
-    A key may appear once in the file; an override replaces its value."""
+    A key may appear once in the file and once among the overrides; an
+    override replaces the file's value."""
     values: dict[str, object] = {}
     set_on: dict[str, int] = {}  # the file line each key was read from
     with open(path, "r", encoding="utf-8") as f:
@@ -267,10 +269,14 @@ def parse_config(path: str, overrides: list[str] | None = None) -> ExperimentCon
                 )
             set_on[key] = lineno
             values[key] = _parse_value(key, raw, f"{path}:{lineno}")
+    overridden: set[str] = set()
     for item in overrides or []:
         if "=" not in item:
             raise ValueError(f"override must look like key=value, got {item!r}")
         key, raw = (part.strip() for part in item.split("=", 1))
+        if key in overridden:
+            raise ValueError(f"--override: {key} is set twice")
+        overridden.add(key)
         values[key] = _parse_value(key, raw, "--override")
     return ExperimentConfig(**values)
 

@@ -292,6 +292,15 @@ def test_run_rejects_a_repeated_seed_before_training(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_rejects_a_repeated_override_before_creating_out(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["run", "--config", write_cfg(tmp_path), "--out", str(out)]
+    assert main([*argv, "--override", "rounds=1", "--override", "rounds=2"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: --override: rounds is set twice"]
+    assert not out.exists()
+
+
 def test_compare_rejects_a_repeated_algorithm_before_creating_out(tmp_path, capsys):
     out = tmp_path / "cmp"
     argv = ["compare", "--config", write_cfg(tmp_path), "--out", str(out)]

@@ -98,6 +98,16 @@ def test_a_key_repeated_in_the_file_names_both_lines(tmp_path):
     assert parse_config(once, ["rounds=9"]).rounds == 9
 
 
+def test_a_key_repeated_among_the_overrides_is_an_error(tmp_path):
+    path = write(tmp_path, "rounds = 5\n")
+    with pytest.raises(ValueError) as err:
+        parse_config(path, ["rounds=1", "sigma=0.5", "rounds = 2"])
+    assert str(err.value) == "--override: rounds is set twice"
+    # the same value twice is still a repeat
+    with pytest.raises(ValueError, match="rounds is set twice"):
+        parse_config(path, ["rounds=1", "rounds=1"])
+
+
 def test_override_unknown_key_rejected(tmp_path):
     with pytest.raises(ValueError, match="unknown config key"):
         parse_config(write(tmp_path, ""), ["bogus=1"])
