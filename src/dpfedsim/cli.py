@@ -10,9 +10,10 @@ run and compare each hold one worker thread and one BLAS pin
 (``federation.pinned_worker``) around all of their data builds and runs;
 run writes whether BLAS was pinned to summary.json.  A seed's synthetic data
 are built on both threads (build_data): the calling thread draws the class
-centers, then the train set's blocks in class order, from the train stream;
-the worker finishes each drawn block and builds the whole test set around
-those centers from its own stream.  The bytes are those of a one-thread build.
+centers, then builds the whole train set from the train stream; the worker
+builds the whole test set around those centers from its own stream, and its
+float64 features, at the same time.  The bytes are those of a one-thread
+build.
 """
 
 from __future__ import annotations
@@ -61,12 +62,26 @@ def _derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(parts).generate_state(1)[0])
 
 
+def _test_side(
+    cfg: ExperimentConfig, seed: int, test: data_mod.Dataset
+) -> tuple[data_mod.Dataset, np.ndarray]:
+    """(the test set, subsampled when configured, its float64 features)."""
+    if cfg.subsample_test:
+        test = data_mod.subsample(
+            test, cfg.subsample_test, _derived_seed(seed, _T_SUB_TEST)
+        )
+    return test, data_mod.features(test.X)
+
+
 def build_data(
     cfg: ExperimentConfig, seed: int, worker: Executor
-) -> tuple[data_mod.Dataset, list[data_mod.ClientShard], data_mod.Dataset]:
-    """(train set, client shards of it, test set) for one run seed, built on
-    the command's worker and this thread; no task of the build is left on
-    the worker when this returns or raises."""
+) -> tuple[
+    data_mod.Dataset, list[data_mod.ClientShard], data_mod.Dataset, np.ndarray
+]:
+    """(train set, client shards of it, test set, the test set's float64
+    features) for one run seed, built on the command's worker and this
+    thread; no task of the build is left on the worker when this returns
+    or raises."""
     if cfg.dataset == "idx":
         train = data_mod.load_idx(cfg.train_images, cfg.train_labels)
         test = data_mod.load_idx(cfg.test_images, cfg.test_labels)
@@ -75,20 +90,25 @@ def build_data(
             classes = max(train.num_classes, test.num_classes)
             train = data_mod.Dataset(train.X, train.y, classes)
             test = data_mod.Dataset(test.X, test.y, classes)
+        test, test_X = _test_side(cfg, seed, test)
     else:
-        # the worker builds the test set whole around the train stream's
-        # centers, then finishes the train set's blocks as this thread draws
+        # the worker builds the test set and its features around the train
+        # stream's centers while this thread builds the train set
         rng = np.random.default_rng(_derived_seed(seed, _T_TRAIN))
         centers = data_mod.class_centers(cfg.synthetic_classes, cfg.synthetic_dim, rng)
-        test_build = worker.submit(
-            data_mod.synthetic_blobs,
-            cfg.synthetic_classes,
-            max(1, cfg.synthetic_per_class // 5),
-            cfg.synthetic_dim,
-            cfg.synthetic_spread,
-            _derived_seed(seed, _T_TEST),
-            centers,
-        )
+
+        def build_test() -> tuple[data_mod.Dataset, np.ndarray]:
+            test = data_mod.synthetic_blobs(
+                cfg.synthetic_classes,
+                max(1, cfg.synthetic_per_class // 5),
+                cfg.synthetic_dim,
+                cfg.synthetic_spread,
+                _derived_seed(seed, _T_TEST),
+                centers,
+            )
+            return _test_side(cfg, seed, test)
+
+        test_build = worker.submit(build_test)
         try:
             train = data_mod.synthetic_blobs(
                 cfg.synthetic_classes,
@@ -97,18 +117,13 @@ def build_data(
                 cfg.synthetic_spread,
                 rng,
                 centers,
-                worker,
             )
         finally:
             wait([test_build])
-        test = test_build.result()
+        test, test_X = test_build.result()
     if cfg.subsample_train:
         train = data_mod.subsample(
             train, cfg.subsample_train, _derived_seed(seed, _T_SUB_TRAIN)
-        )
-    if cfg.subsample_test:
-        test = data_mod.subsample(
-            test, cfg.subsample_test, _derived_seed(seed, _T_SUB_TEST)
         )
     if cfg.partition == "iid":
         shards = data_mod.partition_iid(
@@ -118,7 +133,7 @@ def build_data(
         shards = data_mod.partition_label_split(
             train, parse_label_split(cfg.label_split)
         )
-    return train, shards, test
+    return train, shards, test, test_X
 
 
 def _model_spec(cfg: ExperimentConfig, train: data_mod.Dataset) -> MlpSpec:
@@ -137,8 +152,8 @@ def _model_spec(cfg: ExperimentConfig, train: data_mod.Dataset) -> MlpSpec:
 
 
 def build_state(cfg: ExperimentConfig, seed: int, worker: Executor) -> ExperimentState:
-    train, shards, test = build_data(cfg, seed, worker)
-    return init_state(_model_spec(cfg, train), cfg, seed, shards, test)
+    train, shards, test, test_X = build_data(cfg, seed, worker)
+    return init_state(_model_spec(cfg, train), cfg, seed, shards, test, test_X)
 
 
 def _fmt(x: float) -> str:
@@ -262,11 +277,11 @@ def cmd_compare(args) -> int:
     rows: list[list[list]] = [[] for _ in algos]
     with pinned_worker() as (_, worker):
         for seed in cfg.seeds:
-            train, shards, test = build_data(cfg, seed, worker)
+            train, shards, test, test_X = build_data(cfg, seed, worker)
             spec = _model_spec(cfg, train)
             shard_hash = data_mod.shard_fingerprint(shards[0])[:16]
             for algo_rows, algo, acfg in zip(rows, algos, configs):
-                state = init_state(spec, acfg, seed, shards, test)
+                state = init_state(spec, acfg, seed, shards, test, test_X)
                 final = _final_block(acfg, run_experiment(state, worker))
                 algo_rows.append(
                     [algo, seed, shard_hash]

@@ -1,10 +1,11 @@
 """Datasets, client shards, IDX file loading, and deterministic partitioning.
 
-Synthetic blobs can be built on two threads: the calling thread draws every
-class's noise block from the one seeded stream, in class order, straight
-into its rows of the feature matrix, and a worker, the command's one
-(``federation.pinned_worker``), finishes those rows in place
-(``synthetic_blobs``).
+A dataset stores its features as uint8 pixel levels 0-255, the form IDX
+images arrive in; ``features`` turns levels into the float64 values in
+[0, 1] that training, evaluation and fingerprints read, level / 255.
+Synthetic blobs are drawn in row chunks through one small float64
+temporary and stored as levels (``synthetic_blobs``), so no float64 copy
+of a feature matrix is ever built whole.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import hashlib
 import math
 import os
 import struct
-from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,14 +21,25 @@ import numpy as np
 _IDX_IMAGES_MAGIC = 2051
 _IDX_LABELS_MAGIC = 2049
 _FINGERPRINT_ROWS = 1024
+# bytes of the float64 temporary a blob build draws its rows through
+_BLOB_CHUNK_BYTES = 128 * 1024
+
+
+def features(levels: np.ndarray) -> np.ndarray:
+    """float64 features of uint8 levels: a new array of level / 255, in [0, 1]."""
+    out = levels.astype(np.float64)
+    out /= 255.0
+    return out
 
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Labeled observations stored column-wise.
 
-    X is an (n, d) C-contiguous float64 matrix of features in [0, 1]; y holds
-    the n int64 class ids.
+    X is an (n, d) C-contiguous uint8 matrix of pixel levels 0-255, whose
+    features are level / 255 (``features``); y holds the n int64 class ids.
+    An X of any other dtype is rejected, not cast: a cast would truncate
+    float features such as 0.6 to level 0.
     """
 
     X: np.ndarray
@@ -36,7 +47,10 @@ class Dataset:
     num_classes: int
 
     def __post_init__(self):
-        X = np.ascontiguousarray(self.X, dtype=np.float64)
+        X = np.asarray(self.X)
+        if X.dtype != np.uint8:
+            raise ValueError(f"features must be uint8 levels 0-255, got dtype {X.dtype}")
+        X = np.ascontiguousarray(X)
         y = np.asarray(self.y, dtype=np.int64)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
@@ -109,8 +123,8 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
 
     Both files are big-endian: images carry magic 2051 then count/rows/cols
     and count*rows*cols unsigned bytes; labels carry magic 2049 then count
-    and count unsigned bytes.  Pixels are scaled to [0, 1] by /255 and each
-    image is flattened row-major.  A count of 0 or a negative size in a
+    and count unsigned bytes.  The pixels are kept as their levels, each
+    image flattened row-major.  A count of 0 or a negative size in a
     header, or one larger than the file, raises ValueError naming the file
     before any read.
     """
@@ -138,25 +152,9 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
         raise ValueError(
             f"image/label count mismatch: {count} images vs {label_count} labels"
         )
-    pixels = np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
-    pixels /= 255.0  # in place: no second full-size float64 array
-    pixels = pixels.reshape(count, rows * cols)
+    pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
     labels = np.frombuffer(label_raw, dtype=np.uint8).astype(np.int64)
     return Dataset(pixels, labels, num_classes=int(labels.max()) + 1)
-
-
-def _finish_block(block: np.ndarray, spread: float, center: np.ndarray) -> None:
-    """Finish one class's rows of X in place: clip((block * spread + center
-    + 1) / 2, 0, 1) over the noise drawn into them, or the center alone
-    where none was drawn (spread == 0)."""
-    if spread == 0:
-        block[...] = center
-    else:
-        block *= spread
-        block += center
-    block += 1.0
-    block /= 2.0
-    np.clip(block, 0.0, 1.0, out=block)
 
 
 def class_centers(num_classes: int, dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -175,24 +173,21 @@ def synthetic_blobs(
     spread: float,
     seed: int | np.random.Generator,
     centers: np.ndarray | None = None,
-    worker: futures.Executor | None = None,
 ) -> Dataset:
     """Gaussian blobs: one deterministic unit-norm center per class.
 
-    Features are clip((center + noise + 1) / 2, 0, 1): the affine shift maps
-    the roughly [-1, 1] signal range onto [0, 1].  spread == 0 makes every
-    example of a class identical.  The centers come first from the seeded
-    stream (``class_centers``), or are given, and then the stream (a seed,
-    or a generator drawn from where it stands) draws noise only, so the
-    same seed and centers always yield the same dataset.
+    Each feature's level is rint(clip(127.5 spread z + 127.5 (center + 1),
+    0, 255)) for a standard normal z: the affine map takes the roughly
+    [-1, 1] signal range onto the levels, whose features lie in [0, 1].
+    spread == 0 makes every example of a class identical.  The centers come
+    first from the seeded stream (``class_centers``), or are given, and then
+    the stream (a seed, or a generator drawn from where it stands) draws
+    noise only, so the same seed and centers always yield the same dataset.
 
-    The calling thread draws: the centers, then each class's (per_class,
-    dim) noise block in class order, straight into that class's rows of X,
-    so no block is held apart from X.  The worker, if one is given,
-    finishes each drawn block in place while this thread draws the next
-    one into the next rows; without one this thread finishes each block as
-    it is drawn.  The bytes are the same either way, and every finishing
-    task has ended when this returns or raises.
+    Each class's rows are drawn in class order, a chunk of rows at a time,
+    into one float64 temporary of at most 128 KiB (one row, when a row is
+    larger), which is finished and rounded straight into the chunk's rows
+    of X; no array of X's size is built beside X.
     """
     if num_classes < 2:
         raise ValueError("num_classes must be >= 2")
@@ -205,22 +200,22 @@ def synthetic_blobs(
     rng = np.random.default_rng(seed)
     if centers is None:
         centers = class_centers(num_classes, dim, rng)
-    X = np.empty((num_classes * per_class, dim))
-    finishing = []
-    try:
-        for c in range(num_classes):
-            block = X[c * per_class : (c + 1) * per_class]
+    X = np.empty((num_classes * per_class, dim), dtype=np.uint8)
+    chunk = min(per_class, max(1, _BLOB_CHUNK_BYTES // (8 * dim)))
+    temp = np.empty((chunk, dim))
+    for c in range(num_classes):
+        offset = 127.5 * (centers[c] + 1.0)
+        for lo in range(c * per_class, (c + 1) * per_class, chunk):
+            rows = X[lo : min(lo + chunk, (c + 1) * per_class)]
+            t = temp[: rows.shape[0]]
             if spread > 0:
-                rng.standard_normal(out=block)
-            args = (block, spread, centers[c])
-            if worker is None:
-                _finish_block(*args)
+                rng.standard_normal(out=t)
+                t *= 127.5 * spread
+                t += offset
             else:
-                finishing.append(worker.submit(_finish_block, *args))
-    finally:
-        futures.wait(finishing)
-    for task in finishing:
-        task.result()
+                t[...] = offset
+            np.clip(t, 0.0, 255.0, out=t)
+            np.rint(t, out=rows, casting="unsafe")
     y = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
     return Dataset(X, y, num_classes=num_classes)
 
@@ -309,8 +304,8 @@ def shard_fingerprint(shard: ClientShard) -> str:
     """sha256 over the shard's labels and raw feature bytes, for run comparison.
 
     Hashes the client id, then per example in shard order its label as a
-    4-byte big-endian int followed by its float64 features, in chunks of
-    rows so that a large shard is never copied whole.
+    4-byte big-endian int followed by its float64 features (``features``),
+    in chunks of rows so that a large shard is never copied whole.
     """
     h = hashlib.sha256()
     h.update(str(shard.client_id).encode())
@@ -320,6 +315,6 @@ def shard_fingerprint(shard: ClientShard) -> str:
         idx = shard.indices[lo : lo + _FINGERPRINT_ROWS]
         records = np.empty(idx.size, dtype=row)
         records["label"] = data.y[idx]
-        records["features"] = data.X[idx]
+        records["features"] = features(data.X[idx])
         h.update(records.tobytes())
     return h.hexdigest()

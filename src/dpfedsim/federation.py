@@ -16,7 +16,10 @@ reads it from before the step is built there.  A client's K local
 steps w <- w - eta * noisy_k end at start - K eta * upload, so isolated stores
 that as the client's model, and dp_scaffold's option-II update
 c_i <- c_i - c + (start - w_K) / (K eta) adds the upload itself.  The
-server step writes the new weights into the aggregate.
+server step writes the new weights into the aggregate.  A client step
+turns its batch's uint8 levels into float64 features (``data.features``);
+evaluation reads the test set's float64 features, built once before round
+0 and held as ``ExperimentState.test_X``.
 
 The server step speaks rows: the participant weights w, the correction
 plan and the folded alpha are lists by row of U, and client ids appear
@@ -73,7 +76,7 @@ import numpy as np
 from . import metrics as metrics_mod
 from . import model as model_mod
 from .correction import fold_weights, plan_round
-from .data import ClientShard, Dataset
+from .data import ClientShard, Dataset, features
 from .dp import epsilon_spent, poisson_sample
 from .linalg import ParamVector, add_scaled, one_blas_thread, weighted_sum
 from .model import MlpSpec
@@ -138,6 +141,7 @@ class ExperimentState:
     seed: int
     shards: list[ClientShard]
     test: Dataset
+    test_X: np.ndarray  # features(test.X), built once before round 0
     weights: ParamVector
     client_models: dict[int, ParamVector] = field(default_factory=dict)
     scaffold: ScaffoldState | None = None
@@ -212,8 +216,9 @@ def client_local_phase(
     row (whatever it held), and return the mean of the steps' objectives,
     each the summed sample losses of its batch over B, the batch_size.
 
-    Per step: draw a minibatch, clip each per-sample gradient to C and sum in
-    one batched pass, add a noise vector z * sigma C with z drawn from
+    Per step: draw a minibatch, gather its rows' float64 features
+    (``data.features``), clip each per-sample gradient to C and sum in one
+    batched pass, add a noise vector z * sigma C with z drawn from
     ``noise_rng`` (at sigma = 0 nothing is drawn, and None may be passed),
     divide by B, the configured public constant, then step the local model.
     Every step releases its vector, one with an empty Poisson draw too (its
@@ -263,7 +268,7 @@ def client_local_phase(
         losses, sq_norms, _ = model_mod.clipped_gradient_sum(
             model_spec,
             w_local,
-            shard.dataset.X[rows],
+            features(shard.dataset.X[rows]),
             shard.dataset.y[rows],
             cfg.clip_threshold,
             shift,
@@ -333,21 +338,23 @@ def server_step(
 
 
 def _evaluate(
-    model_spec: MlpSpec, w: ParamVector, test: Dataset, worker: Executor
+    state: ExperimentState, w: ParamVector, worker: Executor
 ) -> tuple[float, float, float]:
-    """(accuracy, macro recall, macro F1) on the test set, predicted in
-    _EVAL_ROWS-row chunks split between the worker and this thread
-    (``_halves``); a chunk's bytes do not depend on the thread under the pin."""
-    preds = np.empty(test.size, dtype=np.int64)
-    starts = range(0, test.size, _EVAL_ROWS)
+    """(accuracy, macro recall, macro F1) of w on the test set, predicted
+    from its float64 features in _EVAL_ROWS-row chunks split between the
+    worker and this thread (``_halves``); a chunk's bytes do not depend on
+    the thread under the pin."""
+    spec, test_X = state.model_spec, state.test_X
+    preds = np.empty(test_X.shape[0], dtype=np.int64)
+    starts = range(0, test_X.shape[0], _EVAL_ROWS)
 
     def predict(chunks: range) -> None:
         for lo in starts[chunks.start : chunks.stop]:
-            probs = model_mod.forward_batch(model_spec, w, test.X[lo : lo + _EVAL_ROWS])
+            probs = model_mod.forward_batch(spec, w, test_X[lo : lo + _EVAL_ROWS])
             preds[lo : lo + probs.shape[0]] = np.argmax(probs, axis=1)
 
     _halves(worker, predict, len(starts))
-    cm = metrics_mod.accumulate(preds, test.y, model_spec.num_classes)
+    cm = metrics_mod.accumulate(preds, state.test.y, spec.num_classes)
     return (
         metrics_mod.accuracy(cm),
         metrics_mod.macro_recall(cm),
@@ -450,12 +457,12 @@ def run_round(
     train_loss = float(np.mean(losses))
     if cfg.algorithm == "isolated":
         per_client = [
-            _evaluate(state.model_spec, state.client_models[cid], state.test, worker)
+            _evaluate(state, state.client_models[cid], worker)
             for cid in sorted(state.client_models)
         ]
         acc, rec, f1 = (float(np.mean([p[k] for p in per_client])) for k in range(3))
     else:
-        acc, rec, f1 = _evaluate(state.model_spec, state.weights, state.test, worker)
+        acc, rec, f1 = _evaluate(state, state.weights, worker)
 
     if cfg.sigma == 0:
         eps = math.inf  # no noise: nothing is private
@@ -485,8 +492,11 @@ def init_state(
     seed: int,
     shards: list[ClientShard],
     test: Dataset,
+    test_X: np.ndarray | None = None,
 ) -> ExperimentState:
-    """The state before round 0 of the run with this seed."""
+    """The state before round 0 of the run with this seed; test_X is the
+    test set's float64 features, built here (``features(test.X)``) when
+    not given."""
     if len(shards) != cfg.n_clients:
         raise ValueError(f"got {len(shards)} shards for n_clients={cfg.n_clients}")
     for idx, shard in enumerate(shards):
@@ -499,6 +509,7 @@ def init_state(
         seed=seed,
         shards=shards,
         test=test,
+        test_X=features(test.X) if test_X is None else test_X,
         weights=w,
     )
     ids = [s.client_id for s in shards]

@@ -16,9 +16,9 @@ weighted average, which every round takes as one weighted sum of folded
 weights.  ``run_one_round`` and ``run_all_rounds`` run a single round and
 a whole run outside a command, each holding the BLAS pin and a worker of
 its own (``federation.pinned_worker``) as a command does.
-``synthetic_blobs`` builds a blob set on one thread, drawing and finishing
-each class in turn, where ``data.synthetic_blobs`` leaves the finishing to
-a worker.
+``synthetic_blobs`` draws and finishes each class's whole block at once,
+where ``data.synthetic_blobs`` goes through a small temporary a chunk of
+rows at a time.
 """
 
 from __future__ import annotations
@@ -329,9 +329,10 @@ def synthetic_blobs(
 ) -> Dataset:
     """Gaussian blobs: one deterministic unit-norm center per class.
 
-    Features are clip((center + noise + 1) / 2, 0, 1): the affine shift maps
-    the roughly [-1, 1] signal range onto [0, 1].  spread == 0 makes every
-    example of a class identical.  Centers come first from the stream of
+    Levels are rint(clip(127.5 spread z + 127.5 (center + 1), 0, 255)) for
+    standard normals z: the affine map takes the roughly [-1, 1] signal
+    range onto the uint8 levels 0-255.  spread == 0 makes every example of
+    a class identical.  Centers come first from the stream of
     centers_seed (QR-orthonormalized when dim >= num_classes), and the
     noise from seed's stream, after the centers when the two are one
     stream (centers_seed None): a test set built with the train seed as
@@ -353,16 +354,14 @@ def synthetic_blobs(
         centers = q[:, :num_classes].T
     else:
         centers = raw.T / np.linalg.norm(raw.T, axis=1, keepdims=True)
-    X = np.empty((num_classes * per_class, dim))
+    blocks = []
     for c in range(num_classes):
-        block = X[c * per_class : (c + 1) * per_class]
         if spread > 0:
-            np.multiply(rng.standard_normal((per_class, dim)), spread, out=block)
-            block += centers[c]
+            block = rng.standard_normal((per_class, dim)) * (127.5 * spread)
         else:
-            block[...] = centers[c]
-        block += 1.0
-        block /= 2.0
-        np.clip(block, 0.0, 1.0, out=block)
+            block = np.zeros((per_class, dim))
+        block += 127.5 * (centers[c] + 1.0)
+        blocks.append(np.rint(np.clip(block, 0.0, 255.0)).astype(np.uint8))
+    X = np.concatenate(blocks)
     y = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
     return Dataset(X, y, num_classes=num_classes)

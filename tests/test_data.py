@@ -9,6 +9,7 @@ from dpfedsim.config import ExperimentConfig
 from dpfedsim.data import (
     ClientShard,
     Dataset,
+    features,
     load_idx,
     partition_iid,
     partition_label_split,
@@ -46,11 +47,11 @@ def test_load_idx_roundtrip(tmp_path):
     assert ds.num_classes == 3
     assert ds.feature_dim == 6
     np.testing.assert_array_equal(ds.y, labels)
-    np.testing.assert_allclose(ds.X[3], images[3].reshape(-1) / 255.0)
+    assert ds.X.dtype == np.uint8
+    np.testing.assert_array_equal(ds.X, images.reshape(5, 6))
+    np.testing.assert_allclose(features(ds.X[3]), images[3].reshape(-1) / 255.0)
     want = images.reshape(5, 6).astype(np.float64) / 255.0
-    assert ds.X.tobytes() == want.tobytes()  # scaling in place keeps the bytes
-    assert ds.X[0].min() >= 0.0
-    assert ds.X[0].max() <= 1.0
+    assert features(ds.X).tobytes() == want.tobytes()
 
 
 def test_load_idx_bad_image_magic(tmp_path):
@@ -126,9 +127,10 @@ def test_the_test_set_is_the_train_sets_task(classes, per_class, dim):
         synthetic_classes=classes, synthetic_per_class=per_class, synthetic_dim=dim
     )
     with pinned_worker() as (_, worker):
-        train, _, test = build_data(cfg, 1, worker)
-    means = np.stack([train.X[train.y == c].mean(axis=0) for c in range(classes)])
-    dists = ((test.X[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+        train, _, test, test_X = build_data(cfg, 1, worker)
+    train_X = features(train.X)
+    means = np.stack([train_X[train.y == c].mean(axis=0) for c in range(classes)])
+    dists = ((test_X[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
     assert np.mean(dists.argmin(axis=1) == test.y) >= 0.9
 
 
@@ -138,7 +140,8 @@ def test_blobs_shape_balance_and_range():
     assert ds.num_classes == 4
     counts = np.bincount(ds.y)
     np.testing.assert_array_equal(counts, [25, 25, 25, 25])
-    feats = ds.X
+    assert ds.X.dtype == np.uint8
+    feats = features(ds.X)
     assert feats.min() >= 0.0 and feats.max() <= 1.0
 
 
@@ -171,8 +174,9 @@ def test_blobs_validation():
 
 
 def _tiny_dataset(n, num_classes=2):
+    """n <= 256 examples, each with its own level."""
     return Dataset(
-        np.arange(n, dtype=np.float64)[:, None] / n,
+        np.arange(n, dtype=np.uint8)[:, None],
         np.arange(n) % num_classes,
         num_classes,
     )
@@ -188,10 +192,8 @@ def test_partition_iid_sizes_101_over_2():
 def test_partition_iid_is_a_permutation():
     ds = _tiny_dataset(30)
     shards = partition_iid(ds, 4, seed=3)
-    seen = sorted(
-        float(ds.X[i, 0]) for s in shards for i in s.indices
-    )
-    assert seen == sorted(float(x[0]) for x in ds.X)
+    seen = sorted(int(ds.X[i, 0]) for s in shards for i in s.indices)
+    assert seen == sorted(int(x[0]) for x in ds.X)
 
 
 def test_partition_iid_deterministic():
@@ -203,14 +205,14 @@ def test_partition_iid_deterministic():
 
 
 def test_partition_label_split_basic():
-    ds = Dataset(np.zeros((8, 1)), [0, 1, 2, 3, 0, 2, 1, 3], 4)
+    ds = Dataset(np.zeros((8, 1), np.uint8), [0, 1, 2, 3, 0, 2, 1, 3], 4)
     shards = partition_label_split(ds, [{0, 1}, {2, 3}])
     assert list(ds.y[shards[0].indices]) == [0, 1, 0, 1]
     assert list(ds.y[shards[1].indices]) == [2, 3, 2, 3]
 
 
 def test_partition_label_split_rejects_overlap_and_gaps():
-    ds = Dataset(np.zeros((3, 1)), [0, 1, 2], 3)
+    ds = Dataset(np.zeros((3, 1), np.uint8), [0, 1, 2], 3)
     with pytest.raises(ValueError, match="overlap"):
         partition_label_split(ds, [{0, 1}, {1, 2}])
     with pytest.raises(ValueError, match="cover"):
@@ -220,7 +222,7 @@ def test_partition_label_split_rejects_overlap_and_gaps():
 
 
 def test_subsample_balanced_exact():
-    ds = Dataset(np.zeros((5000, 1)), np.arange(5000) % 10, 10)
+    ds = Dataset(np.zeros((5000, 1), np.uint8), np.arange(5000) % 10, 10)
     sub = subsample(ds, 1000, seed=4)
     counts = np.bincount(sub.y, minlength=10)
     np.testing.assert_array_equal(counts, [100] * 10)
@@ -234,7 +236,7 @@ def test_subsample_full_size_is_identity_multiset():
 
 def test_subsample_keeps_proportions_with_remainder():
     # 30 of class 0, 10 of class 1 -> n=9 should give 7/2 (floor 6.75 -> 6, 2.25 -> 2, +1 to larger remainder)
-    ds = Dataset(np.zeros((40, 1)), [0] * 30 + [1] * 10, 2)
+    ds = Dataset(np.zeros((40, 1), np.uint8), [0] * 30 + [1] * 10, 2)
     sub = subsample(ds, 9, seed=0)
     counts = np.bincount(sub.y, minlength=2)
     assert counts.sum() == 9
@@ -251,42 +253,55 @@ def test_subsample_bounds():
 
 def test_dataset_validation():
     with pytest.raises(ValueError, match="at least one"):
-        Dataset(np.zeros((0, 1)), [], 2)
+        Dataset(np.zeros((0, 1), np.uint8), [], 2)
     with pytest.raises(ValueError, match="range"):
-        Dataset(np.zeros((1, 1)), [5], 2)
+        Dataset(np.zeros((1, 1), np.uint8), [5], 2)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, np.int8, bool])
+def test_dataset_rejects_features_that_are_not_uint8_levels(dtype):
+    """A cast would truncate a float feature of 0.6 to level 0: X of any
+    dtype but uint8 is a ValueError naming the dtype."""
+    X = np.full((2, 3), 0.6).astype(dtype)
+    with pytest.raises(ValueError, match=f"uint8 .*dtype {np.dtype(dtype)}"):
+        Dataset(X, [0, 1], 2)
 
 
 def test_shard_fingerprint_sensitive_to_content():
-    a = ClientShard(0, Dataset([[0.5]], [1], 2), [0])
-    b = ClientShard(0, Dataset([[0.5]], [1], 2), [0])
-    c = ClientShard(0, Dataset([[0.6]], [1], 2), [0])
+    def one_example(level):
+        return Dataset(np.array([[level]], np.uint8), [1], 2)
+
+    a = ClientShard(0, one_example(128), [0])
+    b = ClientShard(0, one_example(128), [0])
+    c = ClientShard(0, one_example(153), [0])
     assert shard_fingerprint(a) == shard_fingerprint(b)
     assert shard_fingerprint(a) != shard_fingerprint(c)
 
 
-# Digests recorded with the per-example implementation that preceded the
-# columnar one; equal digests mean `compare` output agrees across versions.
+# Digests of synthetic shards stored as uint8 levels, checked when recorded
+# against a per-example hash of the oracle's blobs; equal digests mean
+# `compare` output agrees across versions.
 PINNED_FINGERPRINTS = {
     "iid_n3": (
         dict(n_clients=3),
         [
-            "08a99bdcf17f7cc59ad6c7ab9934b222082bbea6ce1b2261cbda1429add400f8",
-            "dabb8da5dfcd7fc7119fab2b062dc0176e38b54b63a7c5cb89e5a6b99b1ef793",
-            "77e286ca80603f7a3a3bafe8465ca054b658cc65a6e02051ca53a2e90226b633",
+            "585f46b5310a87e5db9ce11e42eaa116f968a22877455b5c8fda8ddc3e6974a8",
+            "b2182ba9934eb637501c83719f5780f5b818915596d633f68f23a83b2b910110",
+            "f50edeac59b8e121df01eee0fe12c6607fddcc6bbbaf3b9677598f75204c5390",
         ],
     ),
     "label_split": (
         dict(n_clients=2, partition="label_split", label_split="0,2;1,3"),
         [
-            "350098d3dcf229e409caf082a0ae29f7f9475c84b8eed2a2f5a2c965e9ebdf01",
-            "6fbab7130c6b9573407560982f8385eace032e2beee5d5ffd34dc78da0a29445",
+            "4ad06217bd7b8dfb8b875b6cbe8043d200b5433721150addbb8aec4f969f72a8",
+            "8f4ad05fed15ae02577c92bab6e3e1aec39504a774b52538f49a8aae5e98c45c",
         ],
     ),
     "subsample_train": (
         dict(n_clients=2, subsample_train=30),
         [
-            "9573921fcfe435751a87c02726842dbe4b7ac6943f8b56bb646b29808a3e666b",
-            "a2ff428c9cb04d52b17462e045f794cec0c38f67ab083619c0ecb5882de9356d",
+            "930aa510c80164772d6adf10438a463dd9d521cb4d5c9b1867003233416329cc",
+            "dfca775a59d5ba3d8c442e25cf000b7492db8f87444ee3323ea052e519a03307",
         ],
     ),
 }

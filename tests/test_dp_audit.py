@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from dpfedsim.config import ExperimentConfig
-from dpfedsim.data import ClientShard, Dataset, synthetic_blobs
+from dpfedsim.data import ClientShard, Dataset, features, synthetic_blobs
 from dpfedsim.dp import epsilon_spent
 from dpfedsim.federation import client_local_phase, derive_rng
 from dpfedsim.model import MlpSpec, init_params
@@ -139,7 +139,9 @@ def test_one_step_audit_stays_under_the_accountants_charge(
 ):
     spec = MlpSpec((16, 512, 4))
     blobs = synthetic_blobs(4, 2, 16, 0.25, seed=3)  # 8 examples
-    X = np.vstack([blobs.X, np.ones(16)])  # the canary: every feature at 1
+    # the canary: every level at 255, so every feature at 1.0
+    X = np.vstack([blobs.X, np.full(16, 255, np.uint8)])
+    assert features(X[8]).tobytes() == np.ones(16).tobytes()
     y = np.append(blobs.y, 0)
     data = Dataset(X, y, 4)
     cfg = ExperimentConfig(

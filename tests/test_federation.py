@@ -4,6 +4,7 @@ import threading
 import tracemalloc
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 import dpfedsim.federation as federation
 from dpfedsim.config import ExperimentConfig
 from dpfedsim.correction import CORRECTION_MODES, plan_round
-from dpfedsim.data import ClientShard, partition_iid, synthetic_blobs
+from dpfedsim.data import ClientShard, features, partition_iid, synthetic_blobs
 from dpfedsim.dp import epsilon_spent, poisson_sample
 from dpfedsim.federation import (
     ALGORITHMS,
@@ -77,6 +78,18 @@ def make_state(
     return init_state(spec, cfg, seed, shards, test)
 
 
+def poison_first_example(state, cid, bad_value):
+    """Give client cid a stand-in dataset whose X holds float64 levels, its
+    shard's first example at bad_value * 255, so the float features its
+    kernel receives (level / 255) hold bad_value there; a uint8 Dataset
+    cannot hold NaN or 1e200."""
+    shard = state.shards[cid]
+    X = shard.dataset.X.astype(np.float64)
+    X[shard.indices[0]] = bad_value * 255.0
+    stand_in = SimpleNamespace(X=X, y=shard.dataset.y)
+    state.shards[cid] = ClientShard(cid, stand_in, shard.indices)
+
+
 def test_local_phase_exact_batch_gradient_when_noise_free():
     state = make_state(sigma=0.0, batch_size=FULL_BATCH)
     shard = state.shards[0]
@@ -94,7 +107,10 @@ def test_local_phase_exact_batch_gradient_when_noise_free():
     total = np.zeros_like(state.weights)
     for i in shard.indices:
         total = total + per_sample_gradient(
-            state.model_spec, state.weights, shard.dataset.X[i], shard.dataset.y[i]
+            state.model_spec,
+            state.weights,
+            features(shard.dataset.X[i]),
+            shard.dataset.y[i],
         )
     # the whole shard of 30 is the batch, and the divisor is the configured
     # batch_size of 60, a public constant, not the shard size
@@ -261,8 +277,7 @@ def test_non_finite_gradient_norm_stops_the_round_naming_client_and_round(bad_va
     # NaN propagates to the upload; 1e200 is finite, but its squared gradient
     # norm overflows and would silently clip that sample to zero
     state = make_state(batch_size=FULL_BATCH)  # the bad row is always drawn
-    bad = state.shards[1]
-    bad.dataset.X[bad.indices[0]] = bad_value
+    poison_first_example(state, 1, bad_value)
     with pytest.raises(ValueError, match=r"round 0, client 1: non-finite"):
         run_one_round(state, 0)
 

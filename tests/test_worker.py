@@ -8,8 +8,8 @@ lower half.  Which thread runs a half, and when, must not change a byte of
 the output; a failure on either thread must stop the run, naming the
 lowest failing client; and a command, or a ``pinned_worker`` block, must
 leave no thread behind and the caller's BLAS thread count as it found it.
-The synthetic data build shares the worker too: the calling thread draws
-the train set, and the worker finishes its blocks and builds the test set.
+The synthetic data build shares the worker too: the calling thread builds
+the train set, and the worker the test set and its float64 features.
 """
 
 import json
@@ -38,7 +38,7 @@ from dpfedsim.config import ExperimentConfig, parse_config
 from dpfedsim.federation import ALGORITHMS, pinned_worker, run_experiment
 from dpfedsim.linalg import _openblas, one_blas_thread
 from oracle import run_all_rounds
-from test_federation import StartedWorker, make_state
+from test_federation import StartedWorker, make_state, poison_first_example
 
 WORKER_PREFIX = "dpfedsim-worker"
 
@@ -205,8 +205,7 @@ def test_normal_run_leaves_no_worker_and_restores_the_blas_threads(two_blas_thre
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_failing_run_leaves_no_worker_and_restores_the_blas_threads(two_blas_threads):
     state = make_state(batch_size=60, sigma=0.5)  # every step takes row 0
-    bad = state.shards[1]
-    bad.dataset.X[bad.indices[0]] = np.nan
+    poison_first_example(state, 1, np.nan)
     with pytest.raises(ValueError, match=r"round 0, client 1: non-finite"):
         run_all_rounds(state)
     assert two_blas_threads() == 2
@@ -247,8 +246,7 @@ def test_the_lowest_failing_client_is_named_whichever_half_fails(
     monkeypatch.setattr(federation, "_new_worker", factory)
     state = make_state(n_clients=4, batch_size=60, sigma=0.5)  # whole shards
     for cid in poisoned:
-        bad = state.shards[cid]
-        bad.dataset.X[bad.indices[0]] = np.nan
+        poison_first_example(state, cid, np.nan)
     with pytest.raises(ValueError, match=rf"round 0, client {named}: non-finite"):
         run_all_rounds(state)
     assert two_blas_threads() == 2
@@ -368,44 +366,36 @@ def _bytes(ds):
 @example(num_classes=3, per_class=6, dim=4, spread=0.0, seed=2)
 @example(num_classes=4, per_class=1, dim=5, spread=0.3, seed=3)
 @example(num_classes=3, per_class=7, dim=13, spread=0.25, seed=4)  # odd sizes
-def test_blobs_match_the_one_thread_oracle_under_every_executor(
-    num_classes, per_class, dim, spread, seed
-):
+# 3-row chunks, the last one short, and a row larger than the temporary
+@example(num_classes=3, per_class=7, dim=5000, spread=0.3, seed=5)
+@example(num_classes=2, per_class=3, dim=20000, spread=0.3, seed=6)
+def test_blobs_match_the_one_thread_oracle(num_classes, per_class, dim, spread, seed):
+    """The blobs drawn and finished a chunk of rows at a time equal the
+    oracle's, which draws and finishes each class's block whole."""
     args = (num_classes, per_class, dim, spread, seed)
-    want = _bytes(oracle.synthetic_blobs(*args))
-    assert _bytes(data_mod.synthetic_blobs(*args)) == want  # no worker
-    interval = sys.getswitchinterval()
-    for mode, factory in EXECUTORS.items():
-        worker = factory()
-        if mode == "delayed":
-            sys.setswitchinterval(1e-5)
-        try:
-            got = data_mod.synthetic_blobs(*args, worker=worker)
-        finally:
-            sys.setswitchinterval(interval)
-            worker.shutdown(wait=True)
-        assert _bytes(got) == want, mode
+    assert _bytes(data_mod.synthetic_blobs(*args)) == _bytes(oracle.synthetic_blobs(*args))
 
 
-@pytest.mark.parametrize("mode", [None, *EXECUTORS])
-def test_the_blob_build_allocates_nothing_beside_x(mode):
-    """The benchmark's 10 x 1000 x 784 train set (62.7 MB) is drawn straight
-    into X and finished in place, inline or under each executor: the
-    build's traced peak is X plus at most 1 MiB, with no class block held
-    apart from X."""
-    worker = None if mode is None else EXECUTORS[mode]()
-    interval = sys.getswitchinterval()
-    if mode == "delayed":
-        sys.setswitchinterval(1e-5)
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (10, 1000, 784, 0.25),  # the benchmark's train set
+        (10, 200, 784, 0.25),  # the benchmark's test set
+        (10, 1000, 784, 0.0),  # nothing drawn
+    ],
+    ids=lambda s: "-".join(map(str, s)),
+)
+def test_the_blob_build_allocates_nothing_beside_x(shape):
+    """The benchmark's 10 x 1000 x 784 train set (7.8 MB of levels), and its
+    test set, are drawn and finished through one float64 temporary of at
+    most 128 KiB: the build's traced peak is X plus at most 1 MiB, with no
+    class block held apart from X."""
     tracemalloc.start()
     try:
-        train = data_mod.synthetic_blobs(10, 1000, 784, 0.25, 3, worker=worker)
+        train = data_mod.synthetic_blobs(*shape, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        sys.setswitchinterval(interval)
-        if worker is not None:
-            worker.shutdown(wait=True)
     assert peak <= train.X.nbytes + 2**20, peak - train.X.nbytes
 
 
@@ -420,22 +410,30 @@ BUILD_SHAPES = [  # classes, per class, dim, spread; the test set has per // 5
 
 @pytest.mark.parametrize("mode", EXECUTORS)
 @pytest.mark.parametrize("shape", BUILD_SHAPES, ids=lambda s: "-".join(map(str, s)))
-def test_build_data_matches_the_oracle_and_the_worker_does_all_finishing(
+def test_build_data_matches_the_oracle_with_the_train_set_here_and_the_test_set_on_the_worker(
     monkeypatch, mode, shape
 ):
     """build_data's train and test sets, the test set around the train
-    set's class centers, equal the oracle's under each executor, and every
-    block is finished on the executor: inline that is the calling thread,
-    otherwise the worker, so the caller only draws."""
+    set's class centers, equal the oracle's under each executor, and so do
+    the test set's float64 features.  The train set is built on the calling
+    thread, and the test set and its features on the executor: inline that
+    is the calling thread too, otherwise the worker."""
     classes, per_class, dim, spread = shape
     monkeypatch.setattr(federation, "_new_worker", EXECUTORS[mode])
-    real_finish, finished_on = data_mod._finish_block, set()
+    real_blobs, real_features, built_on = data_mod.synthetic_blobs, data_mod.features, []
 
-    def finish(*args):
-        finished_on.add(threading.current_thread().name)
-        real_finish(*args)
+    def blobs(*args):
+        # the train set goes on drawing from the stream that drew the centers
+        role = "train" if isinstance(args[4], np.random.Generator) else "test"
+        built_on.append((role, threading.current_thread().name))
+        return real_blobs(*args)
 
-    monkeypatch.setattr(data_mod, "_finish_block", finish)
+    def features(levels):
+        built_on.append(("features", threading.current_thread().name))
+        return real_features(levels)
+
+    monkeypatch.setattr(data_mod, "synthetic_blobs", blobs)
+    monkeypatch.setattr(data_mod, "features", features)
     cfg = ExperimentConfig(
         synthetic_classes=classes,
         synthetic_per_class=per_class,
@@ -444,7 +442,7 @@ def test_build_data_matches_the_oracle_and_the_worker_does_all_finishing(
     )
     for seed in (1, 2):
         with pinned_worker() as (_, worker):
-            train, _, test = build_data(cfg, seed, worker)
+            train, _, test, test_X = build_data(cfg, seed, worker)
         train_seed = cli._derived_seed(seed, cli._T_TRAIN)
         sets = (
             (train, per_class, train_seed, None),
@@ -458,36 +456,39 @@ def test_build_data_matches_the_oracle_and_the_worker_does_all_finishing(
                 classes, per, dim, spread, noise_seed, centers_seed
             )
             assert _bytes(got) == _bytes(want)
+        assert test_X.tobytes() == (want.X / 255.0).tobytes()
+    here = threading.current_thread().name
+    roles = {role: {on for r, on in built_on if r == role} for role, _ in built_on}
+    assert sorted(role for role, _ in built_on) == sorted(["features", "test", "train"] * 2)
+    assert roles["train"] == {here}
     if mode == "inline":
-        assert finished_on == {threading.current_thread().name}
+        assert roles["test"] == roles["features"] == {here}
     else:
-        assert len(finished_on) == 1
-        assert finished_on.pop().startswith(WORKER_PREFIX)
+        (test_on,) = roles["test"] | roles["features"]
+        assert test_on.startswith(WORKER_PREFIX)
     assert _worker_threads() == []
 
 
-@pytest.mark.parametrize("share, rows", [("train block", 20), ("test block", 4)])
+@pytest.mark.parametrize("share", ["synthetic_blobs", "features"])
 def test_a_failure_in_the_workers_share_of_the_build_stops_run(
-    tmp_path, monkeypatch, capsys, share, rows
+    tmp_path, monkeypatch, capsys, share
 ):
-    """SMALL's train set has 20-row class blocks, which the worker
-    finishes, and its test set 4-row ones, which the worker builds whole; a
-    raise in either surfaces from build_data, `run` exits 1 naming it, and
-    no worker is left."""
-    real_finish = data_mod._finish_block
+    """The worker builds SMALL's test set (synthetic_blobs) and its float64
+    features (features); a raise in either on the worker surfaces from
+    build_data, `run` exits 1 naming it, and no worker is left."""
+    real = getattr(data_mod, share)
 
-    def finish(block, *args):
-        if block.shape[0] == rows:
-            assert threading.current_thread().name.startswith(WORKER_PREFIX)
-            raise ValueError(f"cannot finish a {share}")
-        real_finish(block, *args)
+    def fail_on_the_worker(*args):
+        if threading.current_thread().name.startswith(WORKER_PREFIX):
+            raise ValueError(f"{share} failed on the worker")
+        return real(*args)
 
-    monkeypatch.setattr(data_mod, "_finish_block", finish)
+    monkeypatch.setattr(data_mod, share, fail_on_the_worker)
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(SMALL)
     with pytest.raises(ValueError, match=share), pinned_worker() as (_, worker):
         build_data(parse_config(str(cfg)), 5, worker)
     assert _worker_threads() == []
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
-    assert f"error: cannot finish a {share}" in capsys.readouterr().err
+    assert f"error: {share} failed on the worker" in capsys.readouterr().err
     assert _worker_threads() == []
