@@ -62,7 +62,7 @@ def _derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(parts).generate_state(1)[0])
 
 
-def _test_side(
+def _finish_test_set(
     cfg: ExperimentConfig, seed: int, test: data_mod.Dataset
 ) -> tuple[data_mod.Dataset, np.ndarray]:
     """(the test set, subsampled when configured, its float64 features)."""
@@ -90,7 +90,7 @@ def build_data(
             classes = max(train.num_classes, test.num_classes)
             train = data_mod.Dataset(train.X, train.y, classes)
             test = data_mod.Dataset(test.X, test.y, classes)
-        test, test_X = _test_side(cfg, seed, test)
+        test, test_X = _finish_test_set(cfg, seed, test)
     else:
         # the worker builds the test set and its features around the train
         # stream's centers while this thread builds the train set
@@ -106,7 +106,7 @@ def build_data(
                 _derived_seed(seed, _T_TEST),
                 centers,
             )
-            return _test_side(cfg, seed, test)
+            return _finish_test_set(cfg, seed, test)
 
         test_build = worker.submit(build_test)
         try:

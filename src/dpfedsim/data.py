@@ -4,8 +4,8 @@ A dataset stores its features as uint8 pixel levels 0-255, the form IDX
 images arrive in; ``features`` turns levels into the float64 values in
 [0, 1] that training, evaluation and fingerprints read, level / 255.
 Synthetic blobs are drawn in row chunks through one small float64
-temporary and stored as levels (``synthetic_blobs``), so no float64 copy
-of a feature matrix is ever built whole.
+temporary and stored as levels (``synthetic_blobs``), so their build holds
+no float64 matrix of the set's size.
 """
 
 from __future__ import annotations
@@ -49,7 +49,9 @@ class Dataset:
     def __post_init__(self):
         X = np.asarray(self.X)
         if X.dtype != np.uint8:
-            raise ValueError(f"features must be uint8 levels 0-255, got dtype {X.dtype}")
+            raise ValueError(
+                f"features must be uint8 levels 0-255, got dtype {X.dtype}"
+            )
         X = np.ascontiguousarray(X)
         y = np.asarray(self.y, dtype=np.int64)
         object.__setattr__(self, "X", X)

@@ -373,7 +373,8 @@ def test_blobs_match_the_one_thread_oracle(num_classes, per_class, dim, spread, 
     """The blobs drawn and finished a chunk of rows at a time equal the
     oracle's, which draws and finishes each class's block whole."""
     args = (num_classes, per_class, dim, spread, seed)
-    assert _bytes(data_mod.synthetic_blobs(*args)) == _bytes(oracle.synthetic_blobs(*args))
+    want = _bytes(oracle.synthetic_blobs(*args))
+    assert _bytes(data_mod.synthetic_blobs(*args)) == want
 
 
 @pytest.mark.parametrize(
@@ -410,7 +411,7 @@ BUILD_SHAPES = [  # classes, per class, dim, spread; the test set has per // 5
 
 @pytest.mark.parametrize("mode", EXECUTORS)
 @pytest.mark.parametrize("shape", BUILD_SHAPES, ids=lambda s: "-".join(map(str, s)))
-def test_build_data_matches_the_oracle_with_the_train_set_here_and_the_test_set_on_the_worker(
+def test_build_data_matches_the_oracle_and_builds_the_test_set_on_the_worker(
     monkeypatch, mode, shape
 ):
     """build_data's train and test sets, the test set around the train
@@ -420,7 +421,8 @@ def test_build_data_matches_the_oracle_with_the_train_set_here_and_the_test_set_
     is the calling thread too, otherwise the worker."""
     classes, per_class, dim, spread = shape
     monkeypatch.setattr(federation, "_new_worker", EXECUTORS[mode])
-    real_blobs, real_features, built_on = data_mod.synthetic_blobs, data_mod.features, []
+    real_blobs, real_features = data_mod.synthetic_blobs, data_mod.features
+    built_on = []
 
     def blobs(*args):
         # the train set goes on drawing from the stream that drew the centers
@@ -456,10 +458,11 @@ def test_build_data_matches_the_oracle_with_the_train_set_here_and_the_test_set_
                 classes, per, dim, spread, noise_seed, centers_seed
             )
             assert _bytes(got) == _bytes(want)
-        assert test_X.tobytes() == (want.X / 255.0).tobytes()
+        assert test_X.tobytes() == (want.X / 255.0).tobytes()  # want: the test set
     here = threading.current_thread().name
     roles = {role: {on for r, on in built_on if r == role} for role, _ in built_on}
-    assert sorted(role for role, _ in built_on) == sorted(["features", "test", "train"] * 2)
+    called = sorted(role for role, _ in built_on)
+    assert called == ["features", "features", "test", "test", "train", "train"]
     assert roles["train"] == {here}
     if mode == "inline":
         assert roles["test"] == roles["features"] == {here}
