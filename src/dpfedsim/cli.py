@@ -13,7 +13,7 @@ are built on both threads (build_data): the calling thread draws the class
 centers, then builds the whole train set from the train stream; the worker
 builds the whole test set around those centers from its own stream, and its
 float64 features, at the same time.  The bytes are those of a one-thread
-build.
+build.  A run keeps of the test set only its float64 features and labels.
 """
 
 from __future__ import annotations
@@ -64,40 +64,37 @@ def _derived_seed(*parts: int) -> int:
 
 def _finish_test_set(
     cfg: ExperimentConfig, seed: int, test: data_mod.Dataset
-) -> tuple[data_mod.Dataset, np.ndarray]:
-    """(the test set, subsampled when configured, its float64 features)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(float64 features, labels) of the test set, subsampled when
+    configured: all a run keeps of it."""
     if cfg.subsample_test:
         test = data_mod.subsample(
             test, cfg.subsample_test, _derived_seed(seed, _T_SUB_TEST)
         )
-    return test, data_mod.features(test.X)
+    return data_mod.features(test.X), test.y
 
 
 def build_data(
     cfg: ExperimentConfig, seed: int, worker: Executor
-) -> tuple[
-    data_mod.Dataset, list[data_mod.ClientShard], data_mod.Dataset, np.ndarray
-]:
-    """(train set, client shards of it, test set, the test set's float64
-    features) for one run seed, built on the command's worker and this
+) -> tuple[data_mod.Dataset, list[data_mod.ClientShard], np.ndarray, np.ndarray]:
+    """(train set, client shards of it, the test set's float64 features,
+    its labels) for one run seed, built on the command's worker and this
     thread; no task of the build is left on the worker when this returns
     or raises."""
     if cfg.dataset == "idx":
         train = data_mod.load_idx(cfg.train_images, cfg.train_labels)
         test = data_mod.load_idx(cfg.test_images, cfg.test_labels)
-        if train.num_classes != test.num_classes:
-            # a small test split can simply miss the largest label
-            classes = max(train.num_classes, test.num_classes)
-            train = data_mod.Dataset(train.X, train.y, classes)
-            test = data_mod.Dataset(test.X, test.y, classes)
-        test, test_X = _finish_test_set(cfg, seed, test)
+        if train.num_classes < test.num_classes:
+            # a small train split can simply miss the largest label
+            train = data_mod.Dataset(train.X, train.y, test.num_classes)
+        test_X, test_y = _finish_test_set(cfg, seed, test)
     else:
         # the worker builds the test set and its features around the train
         # stream's centers while this thread builds the train set
         rng = np.random.default_rng(_derived_seed(seed, _T_TRAIN))
         centers = data_mod.class_centers(cfg.synthetic_classes, cfg.synthetic_dim, rng)
 
-        def build_test() -> tuple[data_mod.Dataset, np.ndarray]:
+        def build_test() -> tuple[np.ndarray, np.ndarray]:
             test = data_mod.synthetic_blobs(
                 cfg.synthetic_classes,
                 max(1, cfg.synthetic_per_class // 5),
@@ -120,7 +117,7 @@ def build_data(
             )
         finally:
             wait([test_build])
-        test, test_X = test_build.result()
+        test_X, test_y = test_build.result()
     if cfg.subsample_train:
         train = data_mod.subsample(
             train, cfg.subsample_train, _derived_seed(seed, _T_SUB_TRAIN)
@@ -133,7 +130,7 @@ def build_data(
         shards = data_mod.partition_label_split(
             train, parse_label_split(cfg.label_split)
         )
-    return train, shards, test, test_X
+    return train, shards, test_X, test_y
 
 
 def _model_spec(cfg: ExperimentConfig, train: data_mod.Dataset) -> MlpSpec:
@@ -152,8 +149,8 @@ def _model_spec(cfg: ExperimentConfig, train: data_mod.Dataset) -> MlpSpec:
 
 
 def build_state(cfg: ExperimentConfig, seed: int, worker: Executor) -> ExperimentState:
-    train, shards, test, test_X = build_data(cfg, seed, worker)
-    return init_state(_model_spec(cfg, train), cfg, seed, shards, test, test_X)
+    train, shards, test_X, test_y = build_data(cfg, seed, worker)
+    return init_state(_model_spec(cfg, train), cfg, seed, shards, test_X, test_y)
 
 
 def _fmt(x: float) -> str:
@@ -277,11 +274,11 @@ def cmd_compare(args) -> int:
     rows: list[list[list]] = [[] for _ in algos]
     with pinned_worker() as (_, worker):
         for seed in cfg.seeds:
-            train, shards, test, test_X = build_data(cfg, seed, worker)
+            train, shards, test_X, test_y = build_data(cfg, seed, worker)
             spec = _model_spec(cfg, train)
             shard_hash = data_mod.shard_fingerprint(shards[0])[:16]
             for algo_rows, algo, acfg in zip(rows, algos, configs):
-                state = init_state(spec, acfg, seed, shards, test, test_X)
+                state = init_state(spec, acfg, seed, shards, test_X, test_y)
                 final = _final_block(acfg, run_experiment(state, worker))
                 algo_rows.append(
                     [algo, seed, shard_hash]
@@ -330,31 +327,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="train and write metrics.csv/summary.json")
-    p_run.add_argument("--config", required=True, help="key=value config file")
-    p_run.add_argument(
+    # every subcommand reads its config through these; run and compare write
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True, help="key=value config file")
+    config.add_argument(
         "--override", action="append", default=[], metavar="KEY=VALUE",
         help="override a config key (repeatable, once per key; wins over the file)",
     )
-    p_run.add_argument("--out", required=True, help="output directory")
-    p_run.set_defaults(func=cmd_run)
+    writes = argparse.ArgumentParser(add_help=False, parents=[config])
+    writes.add_argument("--out", required=True, help="output directory")
 
+    sub.add_parser(
+        "run", parents=[writes], help="train and write metrics.csv/summary.json"
+    ).set_defaults(func=cmd_run)
     p_cmp = sub.add_parser(
-        "compare", help="run several algorithms on identical shards"
+        "compare", parents=[writes], help="run several algorithms on identical shards"
     )
-    p_cmp.add_argument("--config", required=True)
-    p_cmp.add_argument("--override", action="append", default=[], metavar="KEY=VALUE")
-    p_cmp.add_argument("--out", required=True)
     p_cmp.add_argument(
         "--algos", required=True,
         help="comma list, e.g. gcfl,dp_fedavg,dp_scaffold",
     )
     p_cmp.set_defaults(func=cmd_compare)
-
-    p_priv = sub.add_parser("privacy", help="print the epsilon schedule")
-    p_priv.add_argument("--config", required=True)
-    p_priv.add_argument("--override", action="append", default=[], metavar="KEY=VALUE")
-    p_priv.set_defaults(func=cmd_privacy)
+    sub.add_parser(
+        "privacy", parents=[config], help="print the epsilon schedule"
+    ).set_defaults(func=cmd_privacy)
     return parser
 
 

@@ -18,8 +18,8 @@ that as the client's model, and dp_scaffold's option-II update
 c_i <- c_i - c + (start - w_K) / (K eta) adds the upload itself.  The
 server step writes the new weights into the aggregate.  A client step
 turns its batch's uint8 levels into float64 features (``data.features``);
-evaluation reads the test set's float64 features, built once before round
-0 and held as ``ExperimentState.test_X``.
+evaluation reads the test set's float64 features and labels, given before
+round 0 and held as ``ExperimentState.test_X`` and ``test_y``.
 
 The server step speaks rows: the participant weights w, the correction
 plan and the folded alpha are lists by row of U, and client ids appear
@@ -76,7 +76,7 @@ import numpy as np
 from . import metrics as metrics_mod
 from . import model as model_mod
 from .correction import fold_weights, plan_round
-from .data import ClientShard, Dataset, features
+from .data import ClientShard, features
 from .dp import epsilon_spent, poisson_sample
 from .linalg import ParamVector, add_scaled, one_blas_thread, weighted_sum
 from .model import MlpSpec
@@ -140,8 +140,8 @@ class ExperimentState:
     cfg: ExperimentConfig
     seed: int
     shards: list[ClientShard]
-    test: Dataset
-    test_X: np.ndarray  # features(test.X), built once before round 0
+    test_X: np.ndarray  # the test set's float64 features
+    test_y: np.ndarray  # and its labels
     weights: ParamVector
     client_models: dict[int, ParamVector] = field(default_factory=dict)
     scaffold: ScaffoldState | None = None
@@ -354,7 +354,7 @@ def _evaluate(
             preds[lo : lo + probs.shape[0]] = np.argmax(probs, axis=1)
 
     _halves(worker, predict, len(starts))
-    cm = metrics_mod.accumulate(preds, state.test.y, spec.num_classes)
+    cm = metrics_mod.accumulate(preds, state.test_y, spec.num_classes)
     return (
         metrics_mod.accuracy(cm),
         metrics_mod.macro_recall(cm),
@@ -438,17 +438,16 @@ def run_round(
 
         if cfg.algorithm == "dp_scaffold":
             # the server variate moves by (1 / n) sum of every participant's
-            # new - old, added in row order; row p is read for the last
+            # new - old, summed in row order; row p is read for the last
             # time here, so it takes new - old
             scaffold = state.scaffold
-            move = np.zeros_like(scaffold.server_variate)
             for p, cid in enumerate(participants):
                 old = scaffold.client_variates[cid]
                 new = old - scaffold.server_variate
                 new += uploads[p]
-                delta = np.subtract(new, old, out=uploads[p])
-                add_scaled(move, 1.0 / cfg.n_clients, delta)
+                np.subtract(new, old, out=uploads[p])
                 scaffold.client_variates[cid] = new
+            move = weighted_sum(uploads, [1.0 / cfg.n_clients] * len(participants))
             move += scaffold.server_variate
             scaffold.server_variate = move
     del uploads  # the round's P x D uploads are not held through evaluation
@@ -491,12 +490,12 @@ def init_state(
     cfg: ExperimentConfig,
     seed: int,
     shards: list[ClientShard],
-    test: Dataset,
-    test_X: np.ndarray | None = None,
+    test_X: np.ndarray,
+    test_y: np.ndarray,
 ) -> ExperimentState:
-    """The state before round 0 of the run with this seed; test_X is the
-    test set's float64 features, built here (``features(test.X)``) when
-    not given."""
+    """The state before round 0 of the run with this seed, evaluated on
+    the test set's float64 features test_X and labels test_y; the state
+    holds both arrays as given."""
     if len(shards) != cfg.n_clients:
         raise ValueError(f"got {len(shards)} shards for n_clients={cfg.n_clients}")
     for idx, shard in enumerate(shards):
@@ -508,8 +507,8 @@ def init_state(
         cfg=cfg,
         seed=seed,
         shards=shards,
-        test=test,
-        test_X=features(test.X) if test_X is None else test_X,
+        test_X=test_X,
+        test_y=test_y,
         weights=w,
     )
     ids = [s.client_id for s in shards]

@@ -18,12 +18,15 @@ a whole run outside a command, each holding the BLAS pin and a worker of
 its own (``federation.pinned_worker``) as a command does.
 ``synthetic_blobs`` draws and finishes each class's whole block at once,
 where ``data.synthetic_blobs`` goes through a small temporary a chunk of
-rows at a time.
+rows at a time.  ``child_env`` is the environment of a subprocess that
+imports this checkout's package.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -40,6 +43,20 @@ from dpfedsim.data import Dataset
 from dpfedsim.linalg import ParamVector, weighted_sum
 from dpfedsim.model import _PROB_FLOOR, MlpSpec, _batch_labels, _softmax_rows
 from dpfedsim.model import forward_batch, unpack
+
+_TESTS = Path(__file__).resolve().parent
+
+
+def child_env(*, tests: bool = False, **variables: str) -> dict[str, str]:
+    """os.environ with variables set (thread counts, say) and this
+    checkout's src put first on PYTHONPATH, then the tests directory when
+    asked, so a child process imports this package (and this oracle)."""
+    env = dict(os.environ, **variables)
+    paths = (str(_TESTS.parent / "src"), str(_TESTS) if tests else None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (*paths, env.get("PYTHONPATH")) if p
+    )
+    return env
 
 
 def as_vector(values) -> ParamVector:

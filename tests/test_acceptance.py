@@ -20,7 +20,7 @@ import pytest
 
 from dpfedsim.cli import main, run_seeds
 from dpfedsim.config import ExperimentConfig
-from dpfedsim.data import partition_iid, synthetic_blobs
+from dpfedsim.data import features, partition_iid, synthetic_blobs
 from dpfedsim.dp import epsilon_spent, rdp_to_dp
 from dpfedsim.federation import init_state, pinned_worker
 from dpfedsim.metrics import accumulate, accuracy, macro_f1, macro_recall
@@ -239,7 +239,7 @@ def _no_conflict_state(algorithm: str):
         algorithm=algorithm,
         record_timing=False,
     )
-    return init_state(MlpSpec((6, 5, 3)), cfg, 4, shards, test)
+    return init_state(MlpSpec((6, 5, 3)), cfg, 4, shards, features(test.X), test.y)
 
 
 def test_criterion_07_gcfl_equals_fedavg_without_conflicts():

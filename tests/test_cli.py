@@ -1,10 +1,8 @@
 import json
 import math
-import os
 import re
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -14,6 +12,7 @@ from dpfedsim.config import parse_config
 from dpfedsim.data import shard_fingerprint
 from dpfedsim.dp import epsilon_spent, steps_for_budget
 from dpfedsim.federation import ALGORITHMS, pinned_worker
+from oracle import child_env
 
 FAST_CFG = """
 synthetic_classes = 3
@@ -301,6 +300,39 @@ def test_run_rejects_a_repeated_override_before_creating_out(tmp_path, capsys):
     assert not out.exists()
 
 
+SHARED_HELP = [
+    "--config CONFIG key=value config file",
+    "--override KEY=VALUE override a config key (repeatable, once per key; "
+    "wins over the file)",
+]
+OUT_HELP = "--out OUT output directory"
+
+
+@pytest.mark.parametrize(
+    "command, lines",
+    [
+        ("run", [*SHARED_HELP, OUT_HELP]),
+        ("compare", [*SHARED_HELP, OUT_HELP,
+                     "--algos ALGOS comma list, e.g. gcfl,dp_fedavg,dp_scaffold"]),
+        ("privacy", SHARED_HELP),
+    ],
+    ids=["run", "compare", "privacy"],
+)
+def test_each_subcommands_help_explains_every_option(capsys, command, lines):
+    """Every option of every subcommand has its help text: the options the
+    subcommands share read the same everywhere."""
+    with pytest.raises(SystemExit) as done:
+        main([command, "--help"])
+    assert done.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # unwrap argparse's lines
+    for line in lines:
+        assert line in text
+    options = re.findall(r"(?<![\w-])--[a-z]+", text)
+    assert sorted(set(options)) == sorted(
+        {"--help", *(line.split()[0] for line in lines)}
+    )
+
+
 def test_compare_rejects_a_repeated_algorithm_before_creating_out(tmp_path, capsys):
     out = tmp_path / "cmp"
     argv = ["compare", "--config", write_cfg(tmp_path), "--out", str(out)]
@@ -325,13 +357,11 @@ def test_a_closed_stdout_ends_privacy_with_exit_1_and_nothing_on_stderr(tmp_path
     """The reader takes one line and closes the pipe while privacy still has
     well over a pipe buffer of schedule to write."""
     cfg = write_cfg(tmp_path)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.Popen(
         [sys.executable, "-m", "dpfedsim.cli", "privacy", "--config", cfg,
          "--override", "rounds=5000"],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=child_env(OPENBLAS_NUM_THREADS="2"),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
     try:
         assert proc.stdout.readline().startswith(b"sigma=")
@@ -409,18 +439,12 @@ def test_run_is_byte_identical_across_blas_thread_counts(tmp_path):
     pairwise = base.replace("n_clients = 3", "n_clients = 6") + """
         correction_mode = pairwise
         """
-    src = str(Path(__file__).resolve().parent.parent / "src")
     configs = (("base", base), ("prox", prox), ("pairwise", pairwise))
     for name, text in configs:
         cfg = write_cfg(tmp_path, text, name=f"{name}.cfg")
         outputs = []
         for threads in ("1", "2"):
-            env = dict(
-                os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads
-            )
-            env["PYTHONPATH"] = os.pathsep.join(
-                p for p in (src, env.get("PYTHONPATH")) if p
-            )
+            env = child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
             out = tmp_path / f"{name}_threads{threads}"
             subprocess.run(
                 [sys.executable, "-m", "dpfedsim.cli", "run", "--config", cfg,
@@ -460,11 +484,9 @@ def test_benchmark_shape_run_is_byte_identical_across_blas_thread_counts(tmp_pat
         record_timing = false
         """,
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
     outputs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        env = child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         out = tmp_path / f"threads{threads}"
         subprocess.run(
             [sys.executable, "-m", "dpfedsim.cli", "run", "--config", cfg,
@@ -499,11 +521,9 @@ def test_data_build_is_byte_identical_across_blas_thread_counts(tmp_path):
         record_timing = false
         """,
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
     outputs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        env = child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         out = tmp_path / f"threads{threads}"
         for argv in (["compare", "--algos", "gcfl"], ["run"]):
             subprocess.run(

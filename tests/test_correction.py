@@ -1,8 +1,6 @@
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +18,7 @@ from dpfedsim.correction import (
     select_references,
 )
 from oracle import (
+    child_env,
     correct_round,
     dot,
     l2_norm,
@@ -538,13 +537,10 @@ for mode in ("reference", "pairwise"):
 def _outputs_under_blas_threads(probe: str) -> list[str]:
     """Standard output of ``python -c probe`` under one and two BLAS threads;
     the probe can import the package and the tests' oracle."""
-    tests = Path(__file__).resolve().parent
-    src = str(tests.parent / "src")
     outputs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, str(tests), env.get("PYTHONPATH")) if p
+        env = child_env(
+            tests=True, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads
         )
         done = subprocess.run(
             [sys.executable, "-c", probe],

@@ -1,9 +1,11 @@
 import re
 import struct
+import weakref
 
 import numpy as np
 import pytest
 
+import dpfedsim.data as data_mod
 from dpfedsim.cli import build_data, build_state
 from dpfedsim.config import ExperimentConfig
 from dpfedsim.data import (
@@ -127,11 +129,35 @@ def test_the_test_set_is_the_train_sets_task(classes, per_class, dim):
         synthetic_classes=classes, synthetic_per_class=per_class, synthetic_dim=dim
     )
     with pinned_worker() as (_, worker):
-        train, _, test, test_X = build_data(cfg, 1, worker)
+        train, _, test_X, test_y = build_data(cfg, 1, worker)
     train_X = features(train.X)
     means = np.stack([train_X[train.y == c].mean(axis=0) for c in range(classes)])
     dists = ((test_X[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
-    assert np.mean(dists.argmin(axis=1) == test.y) >= 0.9
+    assert np.mean(dists.argmin(axis=1) == test_y) >= 0.9
+
+
+@pytest.mark.parametrize("subsample_test", [0, 150])
+def test_a_run_keeps_the_test_set_only_as_features_and_labels(
+    monkeypatch, subsample_test
+):
+    """Once build_state returns, the uint8 level matrix the synthetic test
+    set's features were built from is unreachable: the run holds the float64
+    features and the labels, and nothing else of the test set."""
+    real_features = data_mod.features
+    converted = []
+
+    def features(levels):
+        converted.append(weakref.ref(levels))
+        return real_features(levels)
+
+    monkeypatch.setattr(data_mod, "features", features)
+    cfg = ExperimentConfig(subsample_test=subsample_test)
+    with pinned_worker() as (_, worker):
+        state = build_state(cfg, 1, worker)
+    (levels,) = converted  # the build converts the test set alone
+    assert levels() is None
+    assert state.test_X.shape == (subsample_test or 200, cfg.synthetic_dim)
+    assert state.test_y.shape == (state.test_X.shape[0],)
 
 
 def test_blobs_shape_balance_and_range():

@@ -75,7 +75,7 @@ def make_state(
         record_timing=False,
         epsilon_budget=epsilon_budget,
     )
-    return init_state(spec, cfg, seed, shards, test)
+    return init_state(spec, cfg, seed, shards, features(test.X), test.y)
 
 
 def poison_first_example(state, cid, bad_value):
@@ -197,7 +197,9 @@ def test_by_samples_weighting_uses_shard_sizes():
     train = base.shards[0].dataset
     parts = np.split(np.arange(train.size), [30, 48])  # sizes 30, 18, 12
     shards = [ClientShard(i, train, idx) for i, idx in enumerate(parts)]
-    state = init_state(base.model_spec, base.cfg, base.seed, shards, base.test)
+    state = init_state(
+        base.model_spec, base.cfg, base.seed, shards, base.test_X, base.test_y
+    )
     w0 = state.weights.copy()
     uploads = [np.zeros_like(w0) for _ in shards]
     for shard, upload in zip(shards, uploads):
@@ -404,7 +406,8 @@ def test_init_state_validates_shard_count():
             state.cfg,
             state.seed,
             state.shards[:1],
-            state.test,
+            state.test_X,
+            state.test_y,
         )
 
 
@@ -480,7 +483,7 @@ def test_gcfl_round_matches_aggregating_the_corrected_uploads(
     shards = [ClientShard(i, train, idx) for i, idx in enumerate(parts)]
     state = init_state(
         base.model_spec, replace(base.cfg, correction_mode=mode), base.seed,
-        shards, base.test,
+        shards, base.test_X, base.test_y,
     )
     w0, uploads, report, rng = _capture_round_zero(monkeypatch, state)
     rows, ids = stack(uploads)
@@ -837,7 +840,8 @@ def _benchmark_shape_state(algorithm, n_clients):
         algorithm=algorithm, sigma=0.8, batch_size=32, eta=0.05,
         n_clients=n_clients, record_timing=False,
     )
-    return init_state(spec, cfg, 4, partition_iid(train, n_clients, seed=6), test)
+    shards = partition_iid(train, n_clients, seed=6)
+    return init_state(spec, cfg, 4, shards, features(test.X), test.y)
 
 
 @pytest.mark.parametrize("algorithm", ["gcfl", "dp_fedavg", "dp_fedexp"])

@@ -13,7 +13,6 @@ the train set, and the worker the test set and its float64 features.
 """
 
 import json
-import os
 import random
 import re
 import subprocess
@@ -22,7 +21,6 @@ import threading
 import time
 import tracemalloc
 from concurrent.futures import Future, ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,7 +35,7 @@ from dpfedsim.cli import build_data, main
 from dpfedsim.config import ExperimentConfig, parse_config
 from dpfedsim.federation import ALGORITHMS, pinned_worker, run_experiment
 from dpfedsim.linalg import _openblas, one_blas_thread
-from oracle import run_all_rounds
+from oracle import child_env, run_all_rounds
 from test_federation import StartedWorker, make_state, poison_first_example
 
 WORKER_PREFIX = "dpfedsim-worker"
@@ -273,11 +271,10 @@ def test_diverging_run_exits_1_naming_the_client_without_hanging(tmp_path):
     """The worker thread must not keep the process alive after an error."""
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(SMALL.replace("eta = 0.05", "eta = 1e300"))
-    src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run(
         [sys.executable, "-m", "dpfedsim.cli", "run", "--config", str(cfg),
          "--out", str(tmp_path / "o")],
-        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="2"),
+        env=child_env(OPENBLAS_NUM_THREADS="2"),
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 1
@@ -390,7 +387,9 @@ def test_the_blob_build_allocates_nothing_beside_x(shape):
     """The benchmark's 10 x 1000 x 784 train set (7.8 MB of levels), and its
     test set, are drawn and finished through one float64 temporary of at
     most 128 KiB: the build's traced peak is X plus at most 1 MiB, with no
-    class block held apart from X."""
+    class block held apart from X.  A throwaway draw imports numpy.random
+    first, so the trace charges only the build, not the module's import."""
+    np.random.default_rng(0).standard_normal()
     tracemalloc.start()
     try:
         train = data_mod.synthetic_blobs(*shape, 3)
@@ -414,9 +413,10 @@ BUILD_SHAPES = [  # classes, per class, dim, spread; the test set has per // 5
 def test_build_data_matches_the_oracle_and_builds_the_test_set_on_the_worker(
     monkeypatch, mode, shape
 ):
-    """build_data's train and test sets, the test set around the train
-    set's class centers, equal the oracle's under each executor, and so do
-    the test set's float64 features.  The train set is built on the calling
+    """build_data's train set, and the test set's float64 features and
+    labels, the test set around the train set's class centers, equal the
+    oracle's under each executor: the features are the oracle's levels /
+    255, one-to-one on 0-255.  The train set is built on the calling
     thread, and the test set and its features on the executor: inline that
     is the calling thread too, otherwise the worker."""
     classes, per_class, dim, spread = shape
@@ -444,21 +444,20 @@ def test_build_data_matches_the_oracle_and_builds_the_test_set_on_the_worker(
     )
     for seed in (1, 2):
         with pinned_worker() as (_, worker):
-            train, _, test, test_X = build_data(cfg, seed, worker)
+            train, _, test_X, test_y = build_data(cfg, seed, worker)
         train_seed = cli._derived_seed(seed, cli._T_TRAIN)
-        sets = (
-            (train, per_class, train_seed, None),
-            # the test set shares the train set's centers, its noise from
-            # its own stream
-            (test, max(1, per_class // 5), cli._derived_seed(seed, cli._T_TEST),
-             train_seed),
+        want = oracle.synthetic_blobs(
+            classes, per_class, dim, spread, train_seed, None
         )
-        for got, per, noise_seed, centers_seed in sets:
-            want = oracle.synthetic_blobs(
-                classes, per, dim, spread, noise_seed, centers_seed
-            )
-            assert _bytes(got) == _bytes(want)
-        assert test_X.tobytes() == (want.X / 255.0).tobytes()  # want: the test set
+        assert _bytes(train) == _bytes(want)
+        # the test set shares the train set's centers, its noise from its
+        # own stream
+        want = oracle.synthetic_blobs(
+            classes, max(1, per_class // 5), dim, spread,
+            cli._derived_seed(seed, cli._T_TEST), train_seed,
+        )
+        assert test_X.tobytes() == (want.X / 255.0).tobytes()
+        assert test_y.tobytes() == want.y.tobytes()
     here = threading.current_thread().name
     roles = {role: {on for r, on in built_on if r == role} for role, _ in built_on}
     called = sorted(role for role, _ in built_on)
