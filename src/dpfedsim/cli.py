@@ -14,6 +14,8 @@ centers, then builds the whole train set from the train stream; the worker
 builds the whole test set around those centers from its own stream, and its
 float64 features, at the same time.  The bytes are those of a one-thread
 build.  A run keeps of the test set only its float64 features and labels.
+A data stream is ``derive_rng``'s (seed, 0, 0, tag), tag TRAIN (the centers,
+then the train set), TEST, SUB_TRAIN, SUB_TEST or PARTITION.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ import numpy as np
 from . import data as data_mod
 from .config import ExperimentConfig, parse_config, parse_label_split
 from .dp import SENSITIVITY, epsilon_spent
-from .federation import ExperimentState, RoundMetrics, init_state, pinned_worker
-from .federation import run_experiment
+from .federation import ExperimentState, RoundMetrics, Stream, derive_rng
+from .federation import init_state, pinned_worker, run_experiment
 from .model import MlpSpec
 
 CSV_HEADER = [
@@ -50,18 +52,6 @@ CSV_HEADER = [
 # the final-round metrics of summary.json's mean_final and comparison.csv
 FINAL_KEYS = ("epsilon", "train_loss", "test_acc", "test_recall", "test_f1")
 
-# tags for deriving data-pipeline seeds from the run seed
-_T_TRAIN = 100
-_T_TEST = 101
-_T_SUB_TRAIN = 102
-_T_SUB_TEST = 103
-_T_PARTITION = 104
-
-
-def _derived_seed(*parts: int) -> int:
-    return int(np.random.SeedSequence(parts).generate_state(1)[0])
-
-
 def _finish_test_set(
     cfg: ExperimentConfig, seed: int, test: data_mod.Dataset
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -69,7 +59,7 @@ def _finish_test_set(
     configured: all a run keeps of it."""
     if cfg.subsample_test:
         test = data_mod.subsample(
-            test, cfg.subsample_test, _derived_seed(seed, _T_SUB_TEST)
+            test, cfg.subsample_test, derive_rng(seed, 0, 0, Stream.SUB_TEST)
         )
     return data_mod.features(test.X), test.y
 
@@ -91,7 +81,7 @@ def build_data(
     else:
         # the worker builds the test set and its features around the train
         # stream's centers while this thread builds the train set
-        rng = np.random.default_rng(_derived_seed(seed, _T_TRAIN))
+        rng = derive_rng(seed, 0, 0, Stream.TRAIN)
         centers = data_mod.class_centers(cfg.synthetic_classes, cfg.synthetic_dim, rng)
 
         def build_test() -> tuple[np.ndarray, np.ndarray]:
@@ -100,7 +90,7 @@ def build_data(
                 max(1, cfg.synthetic_per_class // 5),
                 cfg.synthetic_dim,
                 cfg.synthetic_spread,
-                _derived_seed(seed, _T_TEST),
+                derive_rng(seed, 0, 0, Stream.TEST),
                 centers,
             )
             return _finish_test_set(cfg, seed, test)
@@ -120,11 +110,11 @@ def build_data(
         test_X, test_y = test_build.result()
     if cfg.subsample_train:
         train = data_mod.subsample(
-            train, cfg.subsample_train, _derived_seed(seed, _T_SUB_TRAIN)
+            train, cfg.subsample_train, derive_rng(seed, 0, 0, Stream.SUB_TRAIN)
         )
     if cfg.partition == "iid":
         shards = data_mod.partition_iid(
-            train, cfg.n_clients, _derived_seed(seed, _T_PARTITION)
+            train, cfg.n_clients, derive_rng(seed, 0, 0, Stream.PARTITION)
         )
     else:
         shards = data_mod.partition_label_split(

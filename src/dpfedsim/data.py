@@ -5,7 +5,8 @@ images arrive in; ``features`` turns levels into the float64 values in
 [0, 1] that training, evaluation and fingerprints read, level / 255.
 Synthetic blobs are drawn in row chunks through one small float64
 temporary and stored as levels (``synthetic_blobs``), so their build holds
-no float64 matrix of the set's size.
+no float64 matrix of the set's size.  A function that draws is given its
+Generator and seeds none: ``federation.derive_rng`` names every stream.
 """
 
 from __future__ import annotations
@@ -173,7 +174,7 @@ def synthetic_blobs(
     per_class: int,
     dim: int,
     spread: float,
-    seed: int | np.random.Generator,
+    rng: np.random.Generator,
     centers: np.ndarray | None = None,
 ) -> Dataset:
     """Gaussian blobs: one deterministic unit-norm center per class.
@@ -182,9 +183,9 @@ def synthetic_blobs(
     0, 255)) for a standard normal z: the affine map takes the roughly
     [-1, 1] signal range onto the levels, whose features lie in [0, 1].
     spread == 0 makes every example of a class identical.  The centers come
-    first from the seeded stream (``class_centers``), or are given, and then
-    the stream (a seed, or a generator drawn from where it stands) draws
-    noise only, so the same seed and centers always yield the same dataset.
+    first from rng (``class_centers``), or are given, and then rng, drawn
+    from where it stands, draws noise only, so the same stream and centers
+    always yield the same dataset.
 
     Each class's rows are drawn in class order, a chunk of rows at a time,
     into one float64 temporary of at most 128 KiB (one row, when a row is
@@ -199,7 +200,6 @@ def synthetic_blobs(
         raise ValueError("dim must be >= 1")
     if spread < 0:
         raise ValueError("spread must be >= 0")
-    rng = np.random.default_rng(seed)
     if centers is None:
         centers = class_centers(num_classes, dim, rng)
     X = np.empty((num_classes * per_class, dim), dtype=np.uint8)
@@ -222,8 +222,10 @@ def synthetic_blobs(
     return Dataset(X, y, num_classes=num_classes)
 
 
-def partition_iid(dataset: Dataset, n_clients: int, seed: int) -> list[ClientShard]:
-    """Shuffle once with the seed, then split into near-equal contiguous chunks.
+def partition_iid(
+    dataset: Dataset, n_clients: int, rng: np.random.Generator
+) -> list[ClientShard]:
+    """Shuffle once from rng, then split into near-equal contiguous chunks.
 
     Chunk sizes differ by at most one, larger chunks first (101 examples over
     2 clients -> 51 and 50).
@@ -232,7 +234,6 @@ def partition_iid(dataset: Dataset, n_clients: int, seed: int) -> list[ClientSha
         raise ValueError(
             f"n_clients must be in [1, {dataset.size}], got {n_clients}"
         )
-    rng = np.random.default_rng(seed)
     order = rng.permutation(dataset.size)
     chunks = np.array_split(order, n_clients)
     return [ClientShard(i, dataset, chunk) for i, chunk in enumerate(chunks)]
@@ -267,8 +268,8 @@ def partition_label_split(
     return shards
 
 
-def subsample(dataset: Dataset, n: int, seed: int) -> Dataset:
-    """Stratified subsample of size n preserving class proportions.
+def subsample(dataset: Dataset, n: int, rng: np.random.Generator) -> Dataset:
+    """Stratified subsample of size n, drawn from rng, preserving class proportions.
 
     Per-class targets are floor(n * count_c / total); leftover slots go to
     classes by largest fractional remainder (ties to the smaller label).
@@ -288,7 +289,6 @@ def subsample(dataset: Dataset, n: int, seed: int) -> Dataset:
         )
         for c in order[:leftover]:
             targets[c] += 1
-    rng = np.random.default_rng(seed)
     chosen = []
     for c in range(dataset.num_classes):
         pool = np.flatnonzero(labels == c)

@@ -39,12 +39,12 @@ q, elementwise axpys; see ``linalg``).
 Every function here reads its settings from the run's ``ExperimentConfig``
 by key name (``cfg.sigma``, ``cfg.eta``, ``cfg.correction_mode``); the
 config validated them when it was built.  The run seed is not a config key
-(a config lists several) and travels as ``ExperimentState.seed``.  All
-randomness is drawn from named streams derived via SeedSequence from four
-ints with a purpose tag last: (seed, round, client_id, _P_BATCH or
-_P_NOISE), (seed, 0, round, _P_CORRECTION) and (seed, round, 0,
-_P_SELECT).  So a client's draws do not depend on which other clients take
-part, and reruns are bit-identical.
+(a config lists several) and travels as ``ExperimentState.seed``.  Every
+draw of a run, its data and initial model too, comes from a stream that
+``derive_rng`` names by four ints, a ``Stream`` tag last: (seed, round,
+client_id, BATCH or NOISE), (seed, round, 0, CORRECTION or SELECT) and
+(seed, 0, 0, INIT or a data tag).  So no two streams share a name, a client's
+draws do not depend on who else takes part, and reruns are bit-identical.
 
 A command owns one worker thread and one BLAS pin to one thread
 (``pinned_worker``), held from its first data build to its last run.  Each
@@ -62,6 +62,7 @@ round starts and has ended when the round returns.
 
 from __future__ import annotations
 
+import enum
 import math
 import sys
 import time
@@ -98,12 +99,6 @@ WEIGHTINGS = ("uniform", "by_samples")
 _FEDEXP_EPS = 1e-3
 
 _EVAL_ROWS = 1024  # test rows per forward pass: keeps activations in cache
-
-# purpose tags for seed-stream derivation
-_P_BATCH = 0
-_P_NOISE = 1
-_P_CORRECTION = 2
-_P_SELECT = 3
 
 
 @dataclass
@@ -147,14 +142,33 @@ class ExperimentState:
     scaffold: ScaffoldState | None = None
 
 
-def derive_rng(*name: int) -> np.random.Generator:
-    """Independent PCG64 stream named by four nonnegative ints, a purpose tag last.
+@enum.unique
+class Stream(enum.IntEnum):
+    """The purpose tag of a stream, the last int of its ``derive_rng`` name."""
 
-    SeedSequence pads a short name with zeros, so (seed, round, 3) would be
-    the stream (seed, round, 3, 0).  Every name therefore has exactly four
-    ints, and each kind of stream has its own tag.
+    BATCH = 0
+    NOISE = 1
+    CORRECTION = 2
+    SELECT = 3
+    INIT = 4
+    TRAIN = 5
+    TEST = 6
+    SUB_TRAIN = 7
+    SUB_TEST = 8
+    PARTITION = 9
+
+
+def derive_rng(
+    seed: int, round_index: int, client_id: int, purpose: Stream
+) -> np.random.Generator:
+    """The PCG64 stream named (seed, round_index, client_id, purpose): the
+    one place a stream is made from the run seed.
+
+    SeedSequence pads a short name with zeros, so ``default_rng(seed)`` would
+    be (seed, 0, 0, 0), client 0's round-0 batch stream.  So every name has
+    four ints and a tag; a stream outside a round names round 0, client 0.
     """
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(name)))
+    return np.random.default_rng((seed, round_index, client_id, purpose))
 
 
 def _new_worker() -> Executor:
@@ -208,7 +222,7 @@ def client_local_phase(
     model_spec: MlpSpec,
     cfg: ExperimentConfig,
     batch_rng: np.random.Generator,
-    noise_rng: np.random.Generator | None,
+    noise_rng: np.random.Generator,
     upload: ParamVector,
     scaffold_variates: tuple[ParamVector, ParamVector] | None = None,
 ) -> float:
@@ -219,7 +233,7 @@ def client_local_phase(
     Per step: draw a minibatch, gather its rows' float64 features
     (``data.features``), clip each per-sample gradient to C and sum in one
     batched pass, add a noise vector z * sigma C with z drawn from
-    ``noise_rng`` (at sigma = 0 nothing is drawn, and None may be passed),
+    ``noise_rng`` (at sigma = 0 nothing is drawn),
     divide by B, the configured public constant, then step the local model.
     Every step releases its vector, one with an empty Poisson draw too (its
     clipped sum is zero).  The step vector is built where z is drawn,
@@ -368,7 +382,7 @@ def _select_participants(state: ExperimentState, round_index: int) -> list[int]:
     k = state.cfg.clients_per_round
     if k == 0 or k >= n:
         return list(range(n))
-    rng = derive_rng(state.seed, round_index, 0, _P_SELECT)
+    rng = derive_rng(state.seed, round_index, 0, Stream.SELECT)
     return sorted(int(i) for i in rng.choice(n, size=k, replace=False))
 
 
@@ -404,8 +418,8 @@ def run_round(
                     start,
                     state.model_spec,
                     cfg,
-                    derive_rng(state.seed, round_index, cid, _P_BATCH),
-                    derive_rng(state.seed, round_index, cid, _P_NOISE),
+                    derive_rng(state.seed, round_index, cid, Stream.BATCH),
+                    derive_rng(state.seed, round_index, cid, Stream.NOISE),
                     uploads[p],
                     scaffold_variates=variates,
                 )
@@ -423,12 +437,9 @@ def run_round(
     else:
         plan = []  # no projections: fold_weights returns the weights as given
         if cfg.algorithm == "gcfl" and len(participants) > 1:
-            # position 1 held the removed order_seed key, always 0; keeping
-            # the 0 keeps every correction stream's bytes
-            corr_rng = derive_rng(state.seed, 0, round_index, _P_CORRECTION)
             plan, report = plan_round(
                 uploads, participants, cfg.correction_mode, cfg.num_references,
-                corr_rng,
+                derive_rng(state.seed, round_index, 0, Stream.CORRECTION),
             )
         alpha = fold_weights(plan, _participant_weights(state, participants))
         aggregated = weighted_sum(uploads, alpha)
@@ -501,7 +512,7 @@ def init_state(
     for idx, shard in enumerate(shards):
         if shard.client_id != idx:
             raise ValueError("shards must be ordered so client_id matches index")
-    w = model_mod.init_params(model_spec, seed)
+    w = model_mod.init_params(model_spec, derive_rng(seed, 0, 0, Stream.INIT))
     state = ExperimentState(
         model_spec=model_spec,
         cfg=cfg,

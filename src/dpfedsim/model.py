@@ -69,9 +69,8 @@ def unpack(spec: MlpSpec, w: ParamVector) -> list[tuple[np.ndarray, np.ndarray]]
     return layers
 
 
-def init_params(spec: MlpSpec, seed: int) -> ParamVector:
-    """Glorot-uniform weights (limit sqrt(6/(fan_in+fan_out))), zero biases."""
-    rng = np.random.default_rng(seed)
+def init_params(spec: MlpSpec, rng: np.random.Generator) -> ParamVector:
+    """Glorot-uniform weights (limit sqrt(6/(fan_in+fan_out))) from rng, zero biases."""
     w = np.zeros(spec.num_params, dtype=np.float64)
     for weight, bias in unpack(spec, w):
         n_in, n_out = weight.shape

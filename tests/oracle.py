@@ -341,19 +341,19 @@ def synthetic_blobs(
     per_class: int,
     dim: int,
     spread: float,
-    seed: int,
-    centers_seed: int | None = None,
+    rng: np.random.Generator,
+    centers_rng: np.random.Generator | None = None,
 ) -> Dataset:
     """Gaussian blobs: one deterministic unit-norm center per class.
 
     Levels are rint(clip(127.5 spread z + 127.5 (center + 1), 0, 255)) for
     standard normals z: the affine map takes the roughly [-1, 1] signal
     range onto the uint8 levels 0-255.  spread == 0 makes every example of
-    a class identical.  Centers come first from the stream of
-    centers_seed (QR-orthonormalized when dim >= num_classes), and the
-    noise from seed's stream, after the centers when the two are one
-    stream (centers_seed None): a test set built with the train seed as
-    centers_seed shares the train set's centers.
+    a class identical.  Centers come first from centers_rng
+    (QR-orthonormalized when dim >= num_classes), and the noise from rng,
+    after the centers when the two are one stream (centers_rng None): a
+    test set built with a fresh train stream as centers_rng shares the
+    train set's centers.
     """
     if num_classes < 2:
         raise ValueError("num_classes must be >= 2")
@@ -363,8 +363,7 @@ def synthetic_blobs(
         raise ValueError("dim must be >= 1")
     if spread < 0:
         raise ValueError("spread must be >= 0")
-    rng = np.random.default_rng(seed)
-    centers_rng = rng if centers_seed is None else np.random.default_rng(centers_seed)
+    centers_rng = rng if centers_rng is None else centers_rng
     raw = centers_rng.standard_normal((dim, num_classes))
     if dim >= num_classes:
         q, _ = np.linalg.qr(raw)

@@ -227,9 +227,10 @@ def test_criterion_06_cosine_evaluation_count():
 
 def _no_conflict_state(algorithm: str):
     """Near-identical IID shards, full batches, sigma=0: clients can't conflict."""
-    train = synthetic_blobs(num_classes=3, per_class=30, dim=6, spread=0.02, seed=7)
-    test = synthetic_blobs(num_classes=3, per_class=6, dim=6, spread=0.02, seed=8)
-    shards = partition_iid(train, 2, seed=9)
+    rng = np.random.default_rng
+    train = synthetic_blobs(num_classes=3, per_class=30, dim=6, spread=0.02, rng=rng(7))
+    test = synthetic_blobs(num_classes=3, per_class=6, dim=6, spread=0.02, rng=rng(8))
+    shards = partition_iid(train, 2, rng(9))
     cfg = ExperimentConfig(
         sigma=0.0,
         batch_size=train.size,  # full batches

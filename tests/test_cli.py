@@ -403,8 +403,8 @@ def test_golden_two_round_run(tmp_path):
     got = (out / "metrics.csv").read_text()
     expected = (
         "round,epsilon,train_loss,test_acc,test_recall,test_f1,projections,wall_ms\n"
-        "0,26.126631,1.102315,0.333333,0.333333,0.166667,1,0\n"
-        "1,42.126631,1.136991,0.333333,0.333333,0.166667,0,0\n"
+        "0,26.126631,1.111985,0.333333,0.333333,0.166667,0,0\n"
+        "1,42.126631,1.106323,0.333333,0.333333,0.190476,0,0\n"
     )
     assert got == expected
 

@@ -161,7 +161,9 @@ def test_a_run_keeps_the_test_set_only_as_features_and_labels(
 
 
 def test_blobs_shape_balance_and_range():
-    ds = synthetic_blobs(num_classes=4, per_class=25, dim=12, spread=0.3, seed=5)
+    ds = synthetic_blobs(
+        num_classes=4, per_class=25, dim=12, spread=0.3, rng=np.random.default_rng(5)
+    )
     assert ds.size == 100
     assert ds.num_classes == 4
     counts = np.bincount(ds.y)
@@ -172,16 +174,16 @@ def test_blobs_shape_balance_and_range():
 
 
 def test_blobs_deterministic_in_seed():
-    a = synthetic_blobs(3, 10, 8, 0.2, seed=9)
-    b = synthetic_blobs(3, 10, 8, 0.2, seed=9)
-    c = synthetic_blobs(3, 10, 8, 0.2, seed=10)
+    a = synthetic_blobs(3, 10, 8, 0.2, np.random.default_rng(9))
+    b = synthetic_blobs(3, 10, 8, 0.2, np.random.default_rng(9))
+    c = synthetic_blobs(3, 10, 8, 0.2, np.random.default_rng(10))
     for ea, eb in zip(a.X, b.X):
         np.testing.assert_array_equal(ea, eb)
     assert any(not np.array_equal(ea, ec) for ea, ec in zip(a.X, c.X))
 
 
 def test_blobs_zero_spread_collapses_classes():
-    ds = synthetic_blobs(3, 5, 6, spread=0.0, seed=1)
+    ds = synthetic_blobs(3, 5, 6, spread=0.0, rng=np.random.default_rng(1))
     by_class = {}
     for features, label in zip(ds.X, ds.y):
         by_class.setdefault(label, []).append(features)
@@ -192,11 +194,11 @@ def test_blobs_zero_spread_collapses_classes():
 
 def test_blobs_validation():
     with pytest.raises(ValueError):
-        synthetic_blobs(1, 5, 4, 0.1, 0)
+        synthetic_blobs(1, 5, 4, 0.1, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        synthetic_blobs(3, 0, 4, 0.1, 0)
+        synthetic_blobs(3, 0, 4, 0.1, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        synthetic_blobs(3, 5, 4, -0.1, 0)
+        synthetic_blobs(3, 5, 4, -0.1, np.random.default_rng(0))
 
 
 def _tiny_dataset(n, num_classes=2):
@@ -209,7 +211,7 @@ def _tiny_dataset(n, num_classes=2):
 
 
 def test_partition_iid_sizes_101_over_2():
-    shards = partition_iid(_tiny_dataset(101), 2, seed=0)
+    shards = partition_iid(_tiny_dataset(101), 2, np.random.default_rng(0))
     assert sorted(s.size for s in shards) == [50, 51]
     assert shards[0].size == 51  # larger chunk first
     assert [s.client_id for s in shards] == [0, 1]
@@ -217,15 +219,15 @@ def test_partition_iid_sizes_101_over_2():
 
 def test_partition_iid_is_a_permutation():
     ds = _tiny_dataset(30)
-    shards = partition_iid(ds, 4, seed=3)
+    shards = partition_iid(ds, 4, np.random.default_rng(3))
     seen = sorted(int(ds.X[i, 0]) for s in shards for i in s.indices)
     assert seen == sorted(int(x[0]) for x in ds.X)
 
 
 def test_partition_iid_deterministic():
     ds = _tiny_dataset(50)
-    a = partition_iid(ds, 3, seed=7)
-    b = partition_iid(ds, 3, seed=7)
+    a = partition_iid(ds, 3, np.random.default_rng(7))
+    b = partition_iid(ds, 3, np.random.default_rng(7))
     for sa, sb in zip(a, b):
         assert list(ds.y[sa.indices]) == list(ds.y[sb.indices])
 
@@ -249,21 +251,21 @@ def test_partition_label_split_rejects_overlap_and_gaps():
 
 def test_subsample_balanced_exact():
     ds = Dataset(np.zeros((5000, 1), np.uint8), np.arange(5000) % 10, 10)
-    sub = subsample(ds, 1000, seed=4)
+    sub = subsample(ds, 1000, np.random.default_rng(4))
     counts = np.bincount(sub.y, minlength=10)
     np.testing.assert_array_equal(counts, [100] * 10)
 
 
 def test_subsample_full_size_is_identity_multiset():
     ds = _tiny_dataset(40, num_classes=4)
-    sub = subsample(ds, 40, seed=0)
+    sub = subsample(ds, 40, np.random.default_rng(0))
     assert sorted(sub.y) == sorted(ds.y)
 
 
 def test_subsample_keeps_proportions_with_remainder():
     # 30 of class 0, 10 of class 1 -> n=9 should give 7/2 (floor 6.75 -> 6, 2.25 -> 2, +1 to larger remainder)
     ds = Dataset(np.zeros((40, 1), np.uint8), [0] * 30 + [1] * 10, 2)
-    sub = subsample(ds, 9, seed=0)
+    sub = subsample(ds, 9, np.random.default_rng(0))
     counts = np.bincount(sub.y, minlength=2)
     assert counts.sum() == 9
     assert counts[0] == 7 and counts[1] == 2
@@ -272,9 +274,9 @@ def test_subsample_keeps_proportions_with_remainder():
 def test_subsample_bounds():
     ds = _tiny_dataset(10)
     with pytest.raises(ValueError):
-        subsample(ds, 0, seed=0)
+        subsample(ds, 0, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        subsample(ds, 11, seed=0)
+        subsample(ds, 11, np.random.default_rng(0))
 
 
 def test_dataset_validation():
@@ -311,23 +313,23 @@ PINNED_FINGERPRINTS = {
     "iid_n3": (
         dict(n_clients=3),
         [
-            "585f46b5310a87e5db9ce11e42eaa116f968a22877455b5c8fda8ddc3e6974a8",
-            "b2182ba9934eb637501c83719f5780f5b818915596d633f68f23a83b2b910110",
-            "f50edeac59b8e121df01eee0fe12c6607fddcc6bbbaf3b9677598f75204c5390",
+            "feb8b9d9255a001d1bc5ce0835321f25a5ca20daa89537da396cb4c610cc6454",
+            "d3680bfbb3bd669b8eefde84f28859ab4caa86e6b76f2bd789b67f91c4636ccf",
+            "f277910f66807dc9ee180fce2224c68141bc3ec7b5b0f57af61126ccbe4c4f34",
         ],
     ),
     "label_split": (
         dict(n_clients=2, partition="label_split", label_split="0,2;1,3"),
         [
-            "4ad06217bd7b8dfb8b875b6cbe8043d200b5433721150addbb8aec4f969f72a8",
-            "8f4ad05fed15ae02577c92bab6e3e1aec39504a774b52538f49a8aae5e98c45c",
+            "c2b8e35d9a8430a847a68e04b7f662d3f818d7d44cf6631e9e4b8338fb4509db",
+            "a6c3427e00d9c0f212f005693dd5b4fd09525845fbc154b0aa29e12d2fbc8c97",
         ],
     ),
     "subsample_train": (
         dict(n_clients=2, subsample_train=30),
         [
-            "930aa510c80164772d6adf10438a463dd9d521cb4d5c9b1867003233416329cc",
-            "dfca775a59d5ba3d8c442e25cf000b7492db8f87444ee3323ea052e519a03307",
+            "98bc7c4b3f5c35821423a47796dc93d3f7d868ed07d606f42a811fc6e168e2c6",
+            "01f4655335e3b40168d9e5a31ff3c7061a8ab6ae81b86b6443db87075aae4f69",
         ],
     ),
 }

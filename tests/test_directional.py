@@ -21,17 +21,20 @@ from dpfedsim.cli import run_seeds
 from dpfedsim.config import ExperimentConfig
 from dpfedsim.data import partition_label_split, synthetic_blobs
 from dpfedsim.dp import SENSITIVITY, epsilon_spent
-from dpfedsim.federation import client_local_phase, derive_rng, pinned_worker
+from dpfedsim.federation import Stream, client_local_phase, derive_rng
+from dpfedsim.federation import pinned_worker
 from dpfedsim.model import MlpSpec, init_params
 from oracle import correct_round, cosine, dot
 
 
 def _conflicting_client_gradients():
     """Noise-free gradients of two label-disjoint clients at a shared init."""
-    train = synthetic_blobs(num_classes=4, per_class=40, dim=8, spread=0.1, seed=3)
+    train = synthetic_blobs(
+        num_classes=4, per_class=40, dim=8, spread=0.1, rng=np.random.default_rng(3)
+    )
     shards = partition_label_split(train, [{0, 1}, {2, 3}])
     spec = MlpSpec((8, 10, 4))
-    w0 = init_params(spec, seed=12)
+    w0 = init_params(spec, np.random.default_rng(12))
     cfg = ExperimentConfig(
         clip_threshold=1e9,
         sigma=0.0,
@@ -48,8 +51,8 @@ def _conflicting_client_gradients():
             w0,
             spec,
             cfg,
-            derive_rng(0, shard.client_id, 0, 0),
-            None,
+            derive_rng(0, shard.client_id, 0, Stream.BATCH),
+            derive_rng(0, shard.client_id, 0, Stream.NOISE),
             grads[shard.client_id],
         )
     return grads

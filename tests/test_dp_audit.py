@@ -29,7 +29,7 @@ import pytest
 from dpfedsim.config import ExperimentConfig
 from dpfedsim.data import ClientShard, Dataset, features, synthetic_blobs
 from dpfedsim.dp import epsilon_spent
-from dpfedsim.federation import client_local_phase, derive_rng
+from dpfedsim.federation import Stream, client_local_phase, derive_rng
 from dpfedsim.model import MlpSpec, init_params
 
 SIGMA, CLIP, DELTA = 0.8, 1.5, 1e-5
@@ -117,9 +117,10 @@ def audit(without: np.ndarray, with_canary: np.ndarray) -> float:
 def _upload_sq_norms(shard, cfg, spec, seed) -> np.ndarray:
     """TRIALS one-step uploads' squared norms, each a fresh batch and noise
     draw from the side's own streams."""
-    w = init_params(spec, 0)
+    w = init_params(spec, np.random.default_rng(0))
     row = np.empty(spec.num_params)
-    batch_rng, noise_rng = derive_rng(seed, 0, 0, 0), derive_rng(seed, 0, 0, 1)
+    batch_rng = derive_rng(seed, 0, 0, Stream.BATCH)
+    noise_rng = derive_rng(seed, 0, 0, Stream.NOISE)
     out = np.empty(TRIALS)
     for t in range(TRIALS):
         client_local_phase(shard, w, spec, cfg, batch_rng, noise_rng, row)
@@ -138,7 +139,7 @@ def test_one_step_audit_stays_under_the_accountants_charge(
     sampling_mode, batch_size
 ):
     spec = MlpSpec((16, 512, 4))
-    blobs = synthetic_blobs(4, 2, 16, 0.25, seed=3)  # 8 examples
+    blobs = synthetic_blobs(4, 2, 16, 0.25, np.random.default_rng(3))  # 8 examples
     # the canary: every level at 255, so every feature at 1.0
     X = np.vstack([blobs.X, np.full(16, 255, np.uint8)])
     assert features(X[8]).tobytes() == np.ones(16).tobytes()

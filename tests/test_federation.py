@@ -9,15 +9,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import dpfedsim.cli as cli
 import dpfedsim.federation as federation
 from dpfedsim.config import ExperimentConfig
 from dpfedsim.correction import CORRECTION_MODES, plan_round
-from dpfedsim.data import ClientShard, features, partition_iid, synthetic_blobs
+from dpfedsim.data import ClientShard, Dataset, features, partition_iid
+from dpfedsim.data import synthetic_blobs
 from dpfedsim.dp import epsilon_spent, poisson_sample
 from dpfedsim.federation import (
     ALGORITHMS,
     WEIGHTINGS,
     ScaffoldState,
+    Stream,
     client_local_phase,
     derive_rng,
     init_state,
@@ -56,9 +59,12 @@ def make_state(
     sampling_mode="fixed_size",
     epsilon_budget=0.0,
 ):
-    ds = synthetic_blobs(num_classes=3, per_class=20, dim=6, spread=0.2, seed=seed)
-    test = synthetic_blobs(num_classes=3, per_class=5, dim=6, spread=0.2, seed=seed + 1)
-    shards = partition_iid(ds, n_clients, seed=seed + 2)
+    rng = np.random.default_rng
+    ds = synthetic_blobs(num_classes=3, per_class=20, dim=6, spread=0.2, rng=rng(seed))
+    test = synthetic_blobs(
+        num_classes=3, per_class=5, dim=6, spread=0.2, rng=rng(seed + 1)
+    )
+    shards = partition_iid(ds, n_clients, rng(seed + 2))
     spec = MlpSpec((6, 5, 3))
     cfg = ExperimentConfig(
         sigma=sigma,
@@ -100,8 +106,8 @@ def test_local_phase_exact_batch_gradient_when_noise_free():
         state.weights,
         state.model_spec,
         cfg,
-        derive_rng(0, 0, 0, 0),
-        None,
+        derive_rng(0, 0, 0, Stream.BATCH),
+        derive_rng(0, 0, 0, Stream.NOISE),
         upload,
     )
     total = np.zeros_like(state.weights)
@@ -126,8 +132,8 @@ def test_local_phase_empty_shard_errors():
             state.weights,
             state.model_spec,
             state.cfg,
-            derive_rng(0, 0, 0, 0),
-            None,
+            derive_rng(0, 0, 0, Stream.BATCH),
+            derive_rng(0, 0, 0, Stream.NOISE),
             np.zeros_like(state.weights),
         )
 
@@ -205,7 +211,8 @@ def test_by_samples_weighting_uses_shard_sizes():
     for shard, upload in zip(shards, uploads):
         client_local_phase(
             shard, w0, state.model_spec, state.cfg,
-            derive_rng(0, 0, 0, 0), None, upload,
+            derive_rng(0, 0, 0, Stream.BATCH), derive_rng(0, 0, 0, Stream.NOISE),
+            upload,
         )
     run_one_round(state, 0)
     by_size = sum(p.size / train.size * g for p, g in zip(parts, uploads))
@@ -218,7 +225,7 @@ def test_by_samples_weighting_uses_shard_sizes():
 def _local_batch_sizes(monkeypatch, shard_size, batch_size, mode, steps):
     """Run client_local_phase on a shard of shard_size examples and return
     the index arrays it drew and the number of samples each step trained on."""
-    train = synthetic_blobs(7, 7, 6, 0.2, seed=2)
+    train = synthetic_blobs(7, 7, 6, 0.2, np.random.default_rng(2))
     shard = ClientShard(0, train, np.arange(shard_size))
     spec = MlpSpec((6, 5, 7))
     drawn, trained = [], []
@@ -246,8 +253,8 @@ def _local_batch_sizes(monkeypatch, shard_size, batch_size, mode, steps):
             local_steps=steps,
             eta=0.05,
         ),
-        derive_rng(3, 0, 0, 0),
-        derive_rng(3, 1, 0, 0),
+        derive_rng(3, 0, 0, Stream.BATCH),
+        derive_rng(3, 0, 0, Stream.NOISE),
         np.zeros(spec.num_params),
     )
     return drawn, trained
@@ -262,7 +269,7 @@ def test_batch_size_is_exact_for_fixed_size_and_expected_for_poisson(monkeypatch
     assert trained == [49] * 6
     # poisson keeps each example with probability batch_size / shard size
     drawn, trained = _local_batch_sizes(monkeypatch, 49, 8, "poisson", steps=20)
-    rng = derive_rng(3, 0, 0, 0)
+    rng = derive_rng(3, 0, 0, Stream.BATCH)
     expected = [np.flatnonzero(rng.random(49) < 8 / 49) for _ in range(20)]
     assert len(drawn) == 20
     for got, want in zip(drawn, expected):
@@ -370,7 +377,9 @@ def test_partial_participation_selects_subset_deterministically():
 def test_every_stream_a_run_derives_is_distinct(monkeypatch):
     """SeedSequence pads a name with zeros, so a three-int name is the same
     stream as the four-int name ending in 0.  Every stream of a run with
-    partial participation and correction must still have its own state."""
+    both subsamples, partial participation and correction, from its data
+    build on, must still have its own state, and the run draws from a
+    stream of every purpose."""
     names = []
     real = federation.derive_rng
 
@@ -379,12 +388,64 @@ def test_every_stream_a_run_derives_is_distinct(monkeypatch):
         return real(*name)
 
     monkeypatch.setattr(federation, "derive_rng", record)
-    run_all_rounds(make_state(n_clients=5, clients_per_round=4, rounds=3))
-    assert len(names) == 3 * (1 + 2 * 4 + 1)  # select, batch + noise, correction
+    monkeypatch.setattr(cli, "derive_rng", record)
+    cfg = ExperimentConfig(
+        synthetic_classes=3,
+        synthetic_per_class=20,
+        synthetic_dim=6,
+        layer_sizes=(6, 5, 3),
+        subsample_train=45,
+        subsample_test=9,
+        n_clients=5,
+        clients_per_round=4,
+        rounds=3,
+        record_timing=False,
+    )
+    with federation.pinned_worker() as (_, worker):
+        state = cli.build_state(cfg, 1, worker)
+    run_all_rounds(state)
+    # init and five data streams, then select, batch + noise, correction
+    assert len(names) == 6 + 3 * (1 + 2 * 4 + 1)
+    assert {name[3] for name in names} == set(Stream)
     states = {
         tuple(np.random.SeedSequence(name).generate_state(4)) for name in names
     }
     assert len(states) == len(names)
+
+
+def test_the_initial_weights_do_not_name_client_0s_first_batch(monkeypatch):
+    """default_rng(seed) is the stream (seed, 0, 0, 0), client 0's round-0
+    batch stream, because SeedSequence pads a name with zeros.  Were the
+    initial weights drawn from it, the public initial model would name the
+    private rows of client 0's first Poisson batch: row r < n is drawn when
+    u_r = (W0[r] + limit) / (2 limit) < B / n, W0 the first layer's weights
+    read flat.  On the benchmark shape they must not."""
+    n, batch = 312, 32
+    spec = MlpSpec((784, 128, 10))
+    train = Dataset(np.zeros((n, 784), np.uint8), np.arange(n) % 10, 10)
+    cfg = ExperimentConfig(
+        algorithm="dp_fedavg", n_clients=1, sampling_mode="poisson",
+        batch_size=batch, rounds=1, record_timing=False,
+    )
+    drawn = []
+
+    def record(*args):
+        drawn.append(poisson_sample(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(federation, "poisson_sample", record)
+    state = init_state(
+        spec, cfg, 1, [ClientShard(0, train, np.arange(n))],
+        features(train.X[:10]), train.y[:10],
+    )
+    limit = math.sqrt(6.0 / (784 + 128))
+    u = (state.weights[:n] + limit) / (2 * limit)
+    run_one_round(state, 0)
+    (first,) = drawn
+    named = np.flatnonzero(u < batch / n)
+    assert first.size > 0 and named.size > 0
+    # independent draws share about B * B / n = 3.3 rows
+    assert np.intersect1d(first, named).size < first.size // 2
 
 
 def test_epsilon_budget_stops_early():
@@ -643,7 +704,7 @@ def _empty_draws(state, round_index, cids):
     cfg = state.cfg
     empty = 0
     for cid in cids:
-        rng = derive_rng(state.seed, round_index, cid, federation._P_BATCH)
+        rng = derive_rng(state.seed, round_index, cid, Stream.BATCH)
         size = state.shards[cid].size
         for _ in range(cfg.local_steps):
             idx = poisson_sample(size, cfg.batch_size, cfg.sampling_mode, rng)
@@ -730,7 +791,7 @@ def test_upload_from_noise_drawn_ahead_is_the_oracle_fed_from_the_same_stream(
     on_worker = {c for c, name in ran_on.items() if name.startswith("dpfedsim-worker")}
     assert on_worker == {2, 3}
     for cid, steps in sums.items():
-        rng = derive_rng(state.seed, 1, cid, federation._P_NOISE)
+        rng = derive_rng(state.seed, 1, cid, Stream.NOISE)
         want = np.zeros_like(uploads[cid])
         for clipped_sum in steps:
             step = noisy_batch_gradient(
@@ -772,8 +833,8 @@ def test_a_reused_upload_row_carries_nothing_into_the_next_client(
             variates = (scaffold.server_variate, scaffold.client_variates[cid])
         loss = client_local_phase(
             state.shards[cid], state.weights, state.model_spec, state.cfg,
-            derive_rng(state.seed, 1, cid, federation._P_BATCH),
-            derive_rng(state.seed, 1, cid, federation._P_NOISE),
+            derive_rng(state.seed, 1, cid, Stream.BATCH),
+            derive_rng(state.seed, 1, cid, Stream.NOISE),
             row, scaffold_variates=variates,
         )
         return loss, row.tobytes()
@@ -812,10 +873,10 @@ def test_a_client_with_only_empty_draws_releases_noise_over_the_batch_size(
         variates = (np.ones(dim), np.zeros(dim))  # a shift that would show
     loss = client_local_phase(
         state.shards[0], state.weights, state.model_spec, state.cfg,
-        derive_rng(1, 0, 0, 0), derive_rng(1, 0, 0, 1), row,
+        derive_rng(1, 0, 0, Stream.BATCH), derive_rng(1, 0, 0, Stream.NOISE), row,
         scaffold_variates=variates,
     )
-    cfg, rng = state.cfg, derive_rng(1, 0, 0, 1)
+    cfg, rng = state.cfg, derive_rng(1, 0, 0, Stream.NOISE)
     want = np.zeros(dim)
     for _ in range(local_steps):
         step = noisy_batch_gradient(
@@ -834,13 +895,13 @@ def _benchmark_shape_state(algorithm, n_clients):
     """A state at the benchmark's 784-128-10 shape (D = 101,770), with 50
     training examples per client and a small test set."""
     spec = MlpSpec((784, 128, 10))
-    train = synthetic_blobs(10, 5 * n_clients, 784, 0.25, seed=4)
-    test = synthetic_blobs(10, 2, 784, 0.25, seed=5)
+    train = synthetic_blobs(10, 5 * n_clients, 784, 0.25, np.random.default_rng(4))
+    test = synthetic_blobs(10, 2, 784, 0.25, np.random.default_rng(5))
     cfg = ExperimentConfig(
         algorithm=algorithm, sigma=0.8, batch_size=32, eta=0.05,
         n_clients=n_clients, record_timing=False,
     )
-    shards = partition_iid(train, n_clients, seed=6)
+    shards = partition_iid(train, n_clients, np.random.default_rng(6))
     return init_state(spec, cfg, 4, shards, features(test.X), test.y)
 
 
@@ -923,13 +984,13 @@ def test_a_client_allocates_its_workspace_and_no_step_vector(algorithm, local_st
     D-length vector of its own."""
     spec = MlpSpec((784, 128, 10))
     dim = spec.num_params
-    train = synthetic_blobs(10, 20, 784, 0.25, seed=4)
+    train = synthetic_blobs(10, 20, 784, 0.25, np.random.default_rng(4))
     shard = ClientShard(0, train, np.arange(train.size))
     cfg = ExperimentConfig(
         algorithm=algorithm, sigma=0.8, batch_size=32, local_steps=local_steps,
         eta=0.05, prox_mu=0.01,
     )
-    w = init_params(spec, 4)
+    w = init_params(spec, np.random.default_rng(4))
     row = np.empty(dim)
     variates = None
     if algorithm == "dp_scaffold":
@@ -937,7 +998,8 @@ def test_a_client_allocates_its_workspace_and_no_step_vector(algorithm, local_st
 
     def local_phase():
         client_local_phase(
-            shard, w, spec, cfg, derive_rng(4, 0, 0, 0), derive_rng(4, 0, 0, 1),
+            shard, w, spec, cfg,
+            derive_rng(4, 0, 0, Stream.BATCH), derive_rng(4, 0, 0, Stream.NOISE),
             row, scaffold_variates=variates,
         )
 

@@ -2,8 +2,10 @@
 shard's fingerprint and a two-round run's metrics.csv are pinned.
 
 Pixels arrive as uint8 levels, and the program trains, evaluates and
-fingerprints on float64(level) / 255.  The digests and the CSV below were
-recorded when the features were stored as float64; equal values mean that
+fingerprints on float64(level) / 255.  ALL_LEVELS_DIGEST was recorded when
+the features were stored as float64.  The shard digest and the CSV were
+recorded when every stream came to be named by ``derive_rng``, which moved
+the subsample, the partition and the initial model; equal values mean that
 an IDX run's output bytes have not moved since.
 """
 
@@ -18,11 +20,11 @@ from dpfedsim.federation import pinned_worker
 from test_data import write_idx_pair
 
 ALL_LEVELS_DIGEST = "e93b2709f3872bcfde6df97f8de7c98f6ebae111184885368c9858bff2accb44"
-SHARD_DIGEST = "d54efe5aa9aa4f9732df6bae647596bc5b81362929ccffbe7d9aa1d9e9b8cb8c"
+SHARD_DIGEST = "9cd4e81414b50a16e429d8c6234f0f223dd8151b2dff1cee801eced196d2dfa0"
 GOLDEN_CSV = (
     "round,epsilon,train_loss,test_acc,test_recall,test_f1,projections,wall_ms\n"
-    "0,26.126631,1.314017,0.266667,0.250000,0.105263,0,0\n"
-    "1,42.126631,1.324520,0.366667,0.352679,0.265909,0,0\n"
+    "0,26.126631,1.419934,0.400000,0.388393,0.339268,0,0\n"
+    "1,42.126631,1.311002,0.533333,0.522321,0.515332,1,0\n"
 )
 
 

@@ -52,7 +52,7 @@ def test_unpack_layout_row_major_weights_then_bias():
 
 def test_init_params_glorot_bounds_and_zero_bias():
     spec = MlpSpec((30, 20, 10))
-    w = init_params(spec, seed=3)
+    w = init_params(spec, np.random.default_rng(3))
     layers = unpack(spec, w)
     for weight, bias in layers:
         n_in, n_out = weight.shape
@@ -60,14 +60,14 @@ def test_init_params_glorot_bounds_and_zero_bias():
         assert np.all(np.abs(weight) <= limit)
         assert np.all(bias == 0.0)
     # same seed, same bits; different seed, different params
-    np.testing.assert_array_equal(w, init_params(spec, seed=3))
-    assert not np.array_equal(w, init_params(spec, seed=4))
+    np.testing.assert_array_equal(w, init_params(spec, np.random.default_rng(3)))
+    assert not np.array_equal(w, init_params(spec, np.random.default_rng(4)))
 
 
 def test_forward_rows_sum_to_one():
     rng = np.random.default_rng(0)
     for _ in range(100):
-        w = init_params(SMALL, rng.integers(1 << 31))
+        w = init_params(SMALL, np.random.default_rng(rng.integers(1 << 31)))
         x = rng.random(6)
         probs = forward(SMALL, w, x)
         assert probs.shape == (3,)
@@ -86,7 +86,7 @@ def test_forward_handles_extreme_logits():
 
 def test_forward_invariant_to_final_bias_shift():
     rng = np.random.default_rng(5)
-    w = init_params(SMALL, 11)
+    w = init_params(SMALL, np.random.default_rng(11))
     x = rng.random(6)
     base = forward(SMALL, w, x)
     w2 = w.copy()
@@ -98,7 +98,7 @@ def test_forward_invariant_to_final_bias_shift():
 
 def test_batch_loss_is_mean_of_singles():
     rng = np.random.default_rng(2)
-    w = init_params(SMALL, 8)
+    w = init_params(SMALL, np.random.default_rng(8))
     xs = rng.random((7, 6))
     ys = rng.integers(0, 3, size=7)
     batch = loss(SMALL, w, xs, ys)
@@ -107,7 +107,7 @@ def test_batch_loss_is_mean_of_singles():
 
 
 def test_loss_rejects_empty_batch_and_bad_labels():
-    w = init_params(SMALL, 1)
+    w = init_params(SMALL, np.random.default_rng(1))
     with pytest.raises(ValueError, match="empty"):
         loss(SMALL, w, np.zeros((0, 6)), [])
     with pytest.raises(ValueError, match="range"):
@@ -118,7 +118,7 @@ def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(42)
     worst = 0.0
     for trial in range(20):
-        w = init_params(SMALL, 1000 + trial)
+        w = init_params(SMALL, np.random.default_rng(1000 + trial))
         w += rng.standard_normal(w.shape) * 0.1  # nonzero biases too
         x = rng.random(6)
         label = int(rng.integers(0, 3))
@@ -130,7 +130,7 @@ def test_gradient_matches_finite_differences():
 
 
 def test_loss_and_gradient_consistent_with_loss():
-    w = init_params(SMALL, 77)
+    w = init_params(SMALL, np.random.default_rng(77))
     x = np.linspace(0, 1, 6)
     value, grad = loss_and_gradient(SMALL, w, x, 2)
     assert value == pytest.approx(loss(SMALL, w, x[None, :], [2]), abs=1e-12)
@@ -139,7 +139,7 @@ def test_loss_and_gradient_consistent_with_loss():
 
 
 def test_gradient_rejects_bad_shapes():
-    w = init_params(SMALL, 1)
+    w = init_params(SMALL, np.random.default_rng(1))
     with pytest.raises(ValueError):
         per_sample_gradient(SMALL, w, np.zeros(5), 0)
     with pytest.raises(ValueError):
@@ -159,7 +159,7 @@ def test_forward_batch_matches_single():
     # batched and single-row matmuls may dispatch to different BLAS kernels,
     # so agreement is to tolerance, not bitwise
     rng = np.random.default_rng(9)
-    w = init_params(SMALL, 21)
+    w = init_params(SMALL, np.random.default_rng(21))
     xs = rng.random((5, 6))
     batch = forward_batch(SMALL, w, xs)
     for i in range(5):
@@ -171,7 +171,8 @@ def test_forward_batch_matches_single():
 def test_deeper_network_gradient_also_matches():
     spec = MlpSpec((5, 7, 6, 4))
     rng = np.random.default_rng(31)
-    w = init_params(spec, 13) + rng.standard_normal(spec.num_params) * 0.05
+    w = init_params(spec, np.random.default_rng(13))
+    w += rng.standard_normal(spec.num_params) * 0.05
     x = rng.random(5)
     analytic = per_sample_gradient(spec, w, x, 1)
     numeric = finite_difference_gradient(spec, w, x, 1)

@@ -6,8 +6,9 @@ that only tests call lives in ``tests/oracle.py``, not in the package, and
 a constant no package code reads does not survive for tests alone.  Every
 dataclass field is read somewhere in the package.  Every config key is
 read by the layer it configures, and the README's config table names
-exactly the config keys.  Every random stream is named by exactly four
-ints.  Only the commands hold the BLAS pin and the worker thread.
+exactly the config keys.  Every random stream is made by derive_rng and
+named by four ints, a tag of the one tag table last.  Only the commands
+hold the BLAS pin and the worker thread.
 """
 
 import ast
@@ -17,6 +18,7 @@ from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 from dpfedsim.config import ExperimentConfig
+from dpfedsim.federation import Stream
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "dpfedsim"
@@ -150,28 +152,61 @@ def test_readme_config_table_names_exactly_the_config_keys():
     assert named == CONFIG_KEYS
 
 
-def test_every_derive_rng_call_names_its_stream_with_four_ints():
-    """SeedSequence pads a name with zeros, so a name of three ints is the
-    stream of the four-int name ending in 0.  With four ints everywhere and
-    a purpose tag last, two kinds of stream cannot share a name."""
-    calls = [
-        node
-        for path in PACKAGE.glob("*.py")
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "derive_rng"
-    ]
-    assert len(calls) >= 4  # selection, batch, noise and correction streams
-    for call in calls:
-        assert len(call.args) == 4 and not call.keywords, ast.unparse(call)
-        assert not any(isinstance(a, ast.Starred) for a in call.args), ast.unparse(call)
-
-
 def _called(node: ast.AST) -> str | None:
     """The name a call calls, bare or as an attribute; None for a non-call."""
     if not isinstance(node, ast.Call):
         return None
     return getattr(node.func, "id", getattr(node.func, "attr", None))
+
+
+def test_every_derive_rng_call_names_its_stream_with_four_ints():
+    """SeedSequence pads a name with zeros, so a name of three ints is the
+    stream of the four-int name ending in 0.  With four ints everywhere, the
+    last a member of the one tag table ``Stream``, whose values are
+    distinct, two kinds of stream cannot share a name.  Every tag of the
+    table names a stream the package draws."""
+    calls = [
+        node
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if _called(node) == "derive_rng"
+    ]
+    tags = set()
+    for call in calls:
+        assert len(call.args) == 4 and not call.keywords, ast.unparse(call)
+        assert not any(isinstance(a, ast.Starred) for a in call.args), ast.unparse(call)
+        tag = call.args[3]
+        assert (
+            isinstance(tag, ast.Attribute)
+            and isinstance(tag.value, ast.Name)
+            and tag.value.id == "Stream"
+            and tag.attr in Stream.__members__
+        ), ast.unparse(call)
+        tags.add(tag.attr)
+    assert tags == set(Stream.__members__)
+    values = [int(member) for member in Stream.__members__.values()]
+    assert len(set(values)) == len(values)
+
+
+# calls that make a random stream
+_STREAM_MAKERS = {"default_rng", "SeedSequence", "PCG64", "Generator"}
+
+
+def test_only_derive_rng_makes_a_stream():
+    """A stream seeded anywhere else could share its name with one that
+    derive_rng names: default_rng(seed) is (seed, 0, 0, 0), client 0's
+    round-0 batch stream.  So every other function takes its Generator."""
+    makers = []
+    for path in PACKAGE.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, ast.FunctionDef) and top.name == "derive_rng":
+                continue
+            makers += [
+                f"{path.name}: {ast.unparse(node)}"
+                for node in ast.walk(top)
+                if _called(node) in _STREAM_MAKERS
+            ]
+    assert makers == []
 
 
 # calls that start a thread pool or pin BLAS

@@ -33,7 +33,8 @@ import dpfedsim.federation as federation
 import oracle
 from dpfedsim.cli import build_data, main
 from dpfedsim.config import ExperimentConfig, parse_config
-from dpfedsim.federation import ALGORITHMS, pinned_worker, run_experiment
+from dpfedsim.federation import ALGORITHMS, Stream, derive_rng, pinned_worker
+from dpfedsim.federation import run_experiment
 from dpfedsim.linalg import _openblas, one_blas_thread
 from oracle import child_env, run_all_rounds
 from test_federation import StartedWorker, make_state, poison_first_example
@@ -369,9 +370,9 @@ def _bytes(ds):
 def test_blobs_match_the_one_thread_oracle(num_classes, per_class, dim, spread, seed):
     """The blobs drawn and finished a chunk of rows at a time equal the
     oracle's, which draws and finishes each class's block whole."""
-    args = (num_classes, per_class, dim, spread, seed)
-    want = _bytes(oracle.synthetic_blobs(*args))
-    assert _bytes(data_mod.synthetic_blobs(*args)) == want
+    args = (num_classes, per_class, dim, spread)
+    want = _bytes(oracle.synthetic_blobs(*args, np.random.default_rng(seed)))
+    assert _bytes(data_mod.synthetic_blobs(*args, np.random.default_rng(seed))) == want
 
 
 @pytest.mark.parametrize(
@@ -390,9 +391,10 @@ def test_the_blob_build_allocates_nothing_beside_x(shape):
     class block held apart from X.  A throwaway draw imports numpy.random
     first, so the trace charges only the build, not the module's import."""
     np.random.default_rng(0).standard_normal()
+    rng = np.random.default_rng(3)
     tracemalloc.start()
     try:
-        train = data_mod.synthetic_blobs(*shape, 3)
+        train = data_mod.synthetic_blobs(*shape, rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -422,11 +424,16 @@ def test_build_data_matches_the_oracle_and_builds_the_test_set_on_the_worker(
     classes, per_class, dim, spread = shape
     monkeypatch.setattr(federation, "_new_worker", EXECUTORS[mode])
     real_blobs, real_features = data_mod.synthetic_blobs, data_mod.features
-    built_on = []
+    built_on, purposes = [], {}
+
+    def derive(*name):
+        rng = derive_rng(*name)
+        purposes[id(rng)] = name[3]
+        return rng
 
     def blobs(*args):
         # the train set goes on drawing from the stream that drew the centers
-        role = "train" if isinstance(args[4], np.random.Generator) else "test"
+        role = {Stream.TRAIN: "train", Stream.TEST: "test"}[purposes[id(args[4])]]
         built_on.append((role, threading.current_thread().name))
         return real_blobs(*args)
 
@@ -434,6 +441,7 @@ def test_build_data_matches_the_oracle_and_builds_the_test_set_on_the_worker(
         built_on.append(("features", threading.current_thread().name))
         return real_features(levels)
 
+    monkeypatch.setattr(cli, "derive_rng", derive)
     monkeypatch.setattr(data_mod, "synthetic_blobs", blobs)
     monkeypatch.setattr(data_mod, "features", features)
     cfg = ExperimentConfig(
@@ -445,16 +453,15 @@ def test_build_data_matches_the_oracle_and_builds_the_test_set_on_the_worker(
     for seed in (1, 2):
         with pinned_worker() as (_, worker):
             train, _, test_X, test_y = build_data(cfg, seed, worker)
-        train_seed = cli._derived_seed(seed, cli._T_TRAIN)
         want = oracle.synthetic_blobs(
-            classes, per_class, dim, spread, train_seed, None
+            classes, per_class, dim, spread, derive_rng(seed, 0, 0, Stream.TRAIN)
         )
         assert _bytes(train) == _bytes(want)
         # the test set shares the train set's centers, its noise from its
         # own stream
         want = oracle.synthetic_blobs(
             classes, max(1, per_class // 5), dim, spread,
-            cli._derived_seed(seed, cli._T_TEST), train_seed,
+            derive_rng(seed, 0, 0, Stream.TEST), derive_rng(seed, 0, 0, Stream.TRAIN),
         )
         assert test_X.tobytes() == (want.X / 255.0).tobytes()
         assert test_y.tobytes() == want.y.tobytes()
