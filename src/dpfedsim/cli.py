@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import math
 import os
@@ -59,7 +60,8 @@ def _finish_test_set(
     configured: all a run keeps of it."""
     if cfg.subsample_test:
         test = data_mod.subsample(
-            test, cfg.subsample_test, derive_rng(seed, 0, 0, Stream.SUB_TEST)
+            test, cfg.subsample_test, derive_rng(seed, 0, 0, Stream.SUB_TEST),
+            "subsample_test",
         )
     return data_mod.features(test.X), test.y
 
@@ -110,7 +112,8 @@ def build_data(
         test_X, test_y = test_build.result()
     if cfg.subsample_train:
         train = data_mod.subsample(
-            train, cfg.subsample_train, derive_rng(seed, 0, 0, Stream.SUB_TRAIN)
+            train, cfg.subsample_train, derive_rng(seed, 0, 0, Stream.SUB_TRAIN),
+            "subsample_train",
         )
     if cfg.partition == "iid":
         shards = data_mod.partition_iid(
@@ -363,5 +366,14 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def script() -> None:
+    """``dpfedsim`` and ``python -m dpfedsim.cli``: main, whose files are all
+    closed when it returns, then an exit whose final collections skip the
+    frozen heap (numpy's and the stdlib's cyclic module objects)."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    script()

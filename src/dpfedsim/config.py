@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 from .correction import CORRECTION_MODES
 from .dp import SAMPLING_MODES, SENSITIVITY, steps_for_budget
-from .federation import ALGORITHMS, WEIGHTINGS
+from .federation import ALGORITHMS
 from .model import MlpSpec
 
 
@@ -61,7 +61,6 @@ class ExperimentConfig:
     batch_size: int = 32
     sampling_mode: str = "fixed_size"
     algorithm: str = "gcfl"
-    weighting: str = "uniform"
     prox_mu: float = 0.01
     sigma: float = 0.8
     clip_threshold: float = 1.5
@@ -143,10 +142,6 @@ class ExperimentConfig:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(
                 f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}"
-            )
-        if self.weighting not in WEIGHTINGS:
-            raise ValueError(
-                f"weighting must be one of {WEIGHTINGS}, got {self.weighting!r}"
             )
         if self.prox_mu < 0:
             raise ValueError("prox_mu must be >= 0")

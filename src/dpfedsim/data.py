@@ -268,15 +268,20 @@ def partition_label_split(
     return shards
 
 
-def subsample(dataset: Dataset, n: int, rng: np.random.Generator) -> Dataset:
+def subsample(
+    dataset: Dataset, n: int, rng: np.random.Generator, name: str = "n"
+) -> Dataset:
     """Stratified subsample of size n, drawn from rng, preserving class proportions.
 
     Per-class targets are floor(n * count_c / total); leftover slots go to
     classes by largest fractional remainder (ties to the smaller label).
-    Selected examples keep their original dataset order.
+    Selected examples keep their original dataset order.  An n outside
+    [1, dataset.size] is an error that calls n by ``name``.
     """
     if not 1 <= n <= dataset.size:
-        raise ValueError(f"n must be in [1, {dataset.size}], got {n}")
+        raise ValueError(
+            f"{name} must be in [1, {dataset.size}], the set's size, got {n}"
+        )
     labels = dataset.y
     counts = np.bincount(labels, minlength=dataset.num_classes)
     exact = n * counts / dataset.size

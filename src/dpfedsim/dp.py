@@ -27,9 +27,8 @@ client's local_steps K: a round charges K steps.  Known limit: poisson
 keeps each example with probability min(1, batch_size / shard size), a rate
 set by the private shard size, so adding an example changes every other
 example's inclusion probability too; the charge at C assumes a fixed rate.
-Likewise weighting = by_samples weights upload p by n_p / sum n of private
-shard sizes, so one more example moves every participant's weight, which
-the per-client charge does not cover (read from the code, not audited).
+It is the one known limit of this kind: the server weighs every upload
+1 / P, from public counts only.
 Settings are validated where the config is built; the functions here check
 only what their own arithmetic needs.
 """

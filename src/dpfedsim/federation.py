@@ -34,7 +34,8 @@ empty plan, and ``fold_weights([], w)`` is w itself.  Three fixed orders
 set the update's bytes, none of them dependent on the BLAS thread count:
 the Gram's (one BLAS syrk; see ``correction.gram``), the fold's
 (ascending row p, then plan order) and the weighted sum's (ascending row
-q, elementwise axpys; see ``linalg``).
+q, elementwise axpys; see ``linalg``).  Each of a round's P participants
+weighs w_p = 1 / P: a public count, never the private shard sizes.
 
 Every function here reads its settings from the run's ``ExperimentConfig``
 by key name (``cfg.sigma``, ``cfg.eta``, ``cfg.correction_mode``); the
@@ -93,8 +94,6 @@ ALGORITHMS = (
     "dp_fedexp",
     "isolated",
 )
-
-WEIGHTINGS = ("uniform", "by_samples")
 
 _FEDEXP_EPS = 1e-3
 
@@ -314,17 +313,6 @@ def client_local_phase(
     return loss_total / cfg.local_steps
 
 
-def _participant_weights(
-    state: ExperimentState, participants: list[int]
-) -> list[float]:
-    """Aggregation weight of each row of U, in row order."""
-    if state.cfg.weighting == "uniform":
-        return [1.0 / len(participants)] * len(participants)
-    sizes = [state.shards[cid].size for cid in participants]
-    total = sum(sizes)
-    return [size / total for size in sizes]
-
-
 def server_step(
     w: ParamVector,
     aggregated: ParamVector,
@@ -441,7 +429,7 @@ def run_round(
                 uploads, participants, cfg.correction_mode, cfg.num_references,
                 derive_rng(state.seed, round_index, 0, Stream.CORRECTION),
             )
-        alpha = fold_weights(plan, _participant_weights(state, participants))
+        alpha = fold_weights(plan, [1.0 / len(participants)] * len(participants))
         aggregated = weighted_sum(uploads, alpha)
         # the new weights are written into the aggregate, the round's one
         # server-side D-vector

@@ -1,8 +1,10 @@
+import gc
 import json
 import math
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,7 @@ from dpfedsim.data import shard_fingerprint
 from dpfedsim.dp import epsilon_spent, steps_for_budget
 from dpfedsim.federation import ALGORITHMS, pinned_worker
 from oracle import child_env
+from test_idx_bytes import _idx_pairs
 
 FAST_CFG = """
 synthetic_classes = 3
@@ -119,6 +122,31 @@ def test_bad_config_returns_nonzero_and_stderr(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     captured = capsys.readouterr()
     assert "noise_multiplier must be >= 0" in captured.err
+
+
+# FAST_CFG's synthetic sets hold 60 and 12 examples; the IDX pair 120 and 40
+@pytest.mark.parametrize(
+    "dataset, key, n, size",
+    [
+        ("synthetic", "subsample_train", 61, 60),
+        ("synthetic", "subsample_test", 5000, 12),
+        ("idx", "subsample_train", 50000, 120),
+        ("idx", "subsample_test", 41, 40),
+    ],
+)
+def test_a_subsample_above_its_set_names_the_key_and_the_size(
+    tmp_path, capsys, dataset, key, n, size
+):
+    text = FAST_CFG
+    if dataset == "idx":
+        text = text.replace("layer_sizes = 6,5,3", "layer_sizes = 64,5,4")
+        text += "dataset = idx\n" + _idx_pairs(tmp_path)
+    argv = ["run", "--config", write_cfg(tmp_path, text), "--override",
+            f"{key}={n}", "--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {key} must be in [1, {size}], the set's size, got {n}\n"
+    )
 
 
 def test_missing_config_file_returns_nonzero(tmp_path, capsys):
@@ -379,6 +407,38 @@ def test_privacy_sigma_zero_message(tmp_path, capsys):
     cfg = write_cfg(tmp_path, FAST_CFG + "sigma = 0\n")
     assert main(["privacy", "--config", cfg]) == 0
     assert "no DP guarantee" in capsys.readouterr().out
+
+
+def test_the_module_run_writes_the_bytes_of_an_in_process_main(tmp_path):
+    """``python -m dpfedsim.cli`` exits through ``script``, whose exit skips
+    the frozen heap's collection, after main has written every file."""
+    cfg = write_cfg(tmp_path)
+    inline, child = tmp_path / "inline", tmp_path / "child"
+    assert main(["run", "--config", cfg, "--out", str(inline)]) == 0
+    assert gc.get_freeze_count() == 0  # main itself freezes nothing
+    subprocess.run(
+        [sys.executable, "-m", "dpfedsim.cli", "run", "--config", cfg,
+         "--out", str(child)],
+        env=child_env(), check=True, capture_output=True, timeout=120,
+    )
+    for name in ("metrics.csv", "summary.json"):
+        assert (child / name).read_bytes() == (inline / name).read_bytes()
+
+
+def test_the_console_script_freezes_the_heap_and_exits_with_mains_code(
+    tmp_path, monkeypatch
+):
+    pyproject = (Path(__file__).parent.parent / "pyproject.toml").read_text()
+    assert '\ndpfedsim = "dpfedsim.cli:script"\n' in pyproject
+    cfg = write_cfg(tmp_path, "sigma = -2\n")
+    monkeypatch.setattr(sys, "argv", ["dpfedsim", "privacy", "--config", cfg])
+    try:
+        with pytest.raises(SystemExit) as exc:
+            dpfedsim.cli.script()
+        assert exc.value.code == 1
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
 
 
 def test_golden_two_round_run(tmp_path):

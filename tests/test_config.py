@@ -63,12 +63,19 @@ def test_removed_parallel_clients_key_is_unknown_with_its_line(tmp_path):
         ("eval_batch_size", "1024"),
         ("sampling_rate", "0.5"),
         ("order_seed", "0"),
+        ("weighting", "uniform"),
     ):
         with pytest.raises(ValueError) as exc:
             parse_config(write(tmp_path, f"rounds = 5\n{key} = {raw}\n"))
         msg = str(exc.value)
         assert f"unknown config key '{key}'" in msg
         assert "exp.cfg:2" in msg
+        with pytest.raises(ValueError) as exc:
+            parse_config(write(tmp_path, ""), [f"{key}={raw}"])
+        msg = str(exc.value)
+        assert f"unknown config key '{key}' (--override)" in msg
+        valid = msg.split("valid keys: ", 1)[1].split(", ")
+        assert valid == sorted(f.name for f in fields(ExperimentConfig))
 
 
 def test_parse_error_reports_line_number(tmp_path):
@@ -233,7 +240,6 @@ BAD_VALUES = {
     "batch_size": {"batch_size": "-1"},
     "sampling_mode": {"sampling_mode": "uniform"},
     "algorithm": {"algorithm": "fedsgd"},
-    "weighting": {"weighting": "quadratic"},
     "prox_mu": {"prox_mu": "-1"},
     "sigma": {"sigma": "-1"},
     "clip_threshold": {"clip_threshold": "0"},

@@ -12,13 +12,12 @@ import pytest
 import dpfedsim.cli as cli
 import dpfedsim.federation as federation
 from dpfedsim.config import ExperimentConfig
-from dpfedsim.correction import CORRECTION_MODES, plan_round
+from dpfedsim.correction import CORRECTION_MODES, fold_weights, plan_round
 from dpfedsim.data import ClientShard, Dataset, features, partition_iid
 from dpfedsim.data import synthetic_blobs
 from dpfedsim.dp import epsilon_spent, poisson_sample
 from dpfedsim.federation import (
     ALGORITHMS,
-    WEIGHTINGS,
     ScaffoldState,
     Stream,
     client_local_phase,
@@ -55,7 +54,6 @@ def make_state(
     batch_size=8,
     prox_mu=0.01,
     clients_per_round=0,
-    weighting="uniform",
     sampling_mode="fixed_size",
     epsilon_budget=0.0,
 ):
@@ -76,7 +74,6 @@ def make_state(
         local_steps=local_steps,
         eta=0.05,
         algorithm=algorithm,
-        weighting=weighting,
         prox_mu=prox_mu,
         record_timing=False,
         epsilon_budget=epsilon_budget,
@@ -194,32 +191,26 @@ def test_aggregate_weighted_sum_and_validation():
         aggregate(grads, {0: 0.6, 1: 0.6})
 
 
-def test_by_samples_weighting_uses_shard_sizes():
+def test_unequal_shards_weigh_one_over_p(monkeypatch):
+    """Shards of 30, 18 and 12 examples: each upload weighs 1 / 3, not its
+    private shard size's share, byte for byte."""
     # full noise-free batches, so each upload is a deterministic batch mean
     base = make_state(
-        algorithm="dp_fedavg", weighting="by_samples", sigma=0.0, n_clients=3,
-        batch_size=FULL_BATCH,
+        algorithm="dp_fedavg", sigma=0.0, n_clients=3, batch_size=FULL_BATCH
     )
     train = base.shards[0].dataset
-    parts = np.split(np.arange(train.size), [30, 48])  # sizes 30, 18, 12
+    parts = np.split(np.arange(train.size), [30, 48])
     shards = [ClientShard(i, train, idx) for i, idx in enumerate(parts)]
     state = init_state(
         base.model_spec, base.cfg, base.seed, shards, base.test_X, base.test_y
     )
-    w0 = state.weights.copy()
-    uploads = [np.zeros_like(w0) for _ in shards]
-    for shard, upload in zip(shards, uploads):
-        client_local_phase(
-            shard, w0, state.model_spec, state.cfg,
-            derive_rng(0, 0, 0, Stream.BATCH), derive_rng(0, 0, 0, Stream.NOISE),
-            upload,
-        )
-    run_one_round(state, 0)
-    by_size = sum(p.size / train.size * g for p, g in zip(parts, uploads))
-    uniform = sum(uploads) / 3
-    eta = state.cfg.eta
-    np.testing.assert_allclose(state.weights, w0 - eta * by_size, rtol=0, atol=1e-12)
-    assert np.abs(state.weights - (w0 - eta * uniform)).max() > 1e-6
+    w0, uploads, _, _ = _capture_round_zero(monkeypatch, state)
+    rows, _ = stack(uploads)
+    want = server_step(w0, weighted_sum(rows, [1.0 / 3] * 3), state.cfg, rows)
+    assert state.weights.tobytes() == want.tobytes()
+    by_size = [p.size / train.size for p in parts]
+    sized = server_step(w0, weighted_sum(rows, by_size), state.cfg, rows)
+    assert np.abs(state.weights - sized).max() > 1e-6
 
 
 def _local_batch_sizes(monkeypatch, shard_size, batch_size, mode, steps):
@@ -481,8 +472,6 @@ def test_federation_config_validation():
         ExperimentConfig(eta=0.0)
     with pytest.raises(ValueError, match="prox_mu"):
         ExperimentConfig(prox_mu=-1.0)
-    with pytest.raises(ValueError, match="weighting"):
-        ExperimentConfig(weighting="quadratic")
 
 
 def _capture_round_zero(monkeypatch, state):
@@ -522,13 +511,18 @@ def _gamma(k):
     return k * U / (1.0 - k * U)
 
 
-@pytest.mark.parametrize("weighting", WEIGHTINGS)
+# each row's share of the weight: the round's own 1 / P, and the unequal
+# shard sizes' shares, which fold_weights takes as readily
+@pytest.mark.parametrize(
+    "shares", [(1,) * 6, (5, 10, 7, 8, 15, 15)], ids=["one_over_p", "unequal"]
+)
 @pytest.mark.parametrize("mode", CORRECTION_MODES)
 def test_gcfl_round_matches_aggregating_the_corrected_uploads(
-    monkeypatch, mode, weighting
+    monkeypatch, mode, shares
 ):
-    """run_round folds the projections into the weights: its new weights are
-    server_step(aggregate(correct_round(uploads))) up to rounding.
+    """Folding the projections into the row weights w gives
+    server_step(aggregate(correct_round(uploads), w)) up to rounding; at
+    w = 1 / P the folded update is run_round's new weights byte for byte.
 
     Both sides compute w0 - eta sum_i w_i (g_i - sum_j c_ij g_j) with the
     same c_ij.  Per coordinate, with A = sum_i w_i (|g_i| + sum_j |c_ij|
@@ -538,7 +532,7 @@ def test_gcfl_round_matches_aggregating_the_corrected_uploads(
     gap by eta and rounds each side once more:
     tol = 4 gamma_{2N+2} eta A + 3 u |w|.
     """
-    base = make_state(n_clients=6, sigma=2.0, weighting=weighting, seed=3)
+    base = make_state(n_clients=6, sigma=2.0, seed=3)
     train = base.shards[0].dataset
     parts = np.split(np.arange(train.size), [5, 15, 22, 30, 45])  # unequal
     shards = [ClientShard(i, train, idx) for i, idx in enumerate(parts)]
@@ -548,8 +542,14 @@ def test_gcfl_round_matches_aggregating_the_corrected_uploads(
     )
     w0, uploads, report, rng = _capture_round_zero(monkeypatch, state)
     rows, ids = stack(uploads)
-    weights = dict(zip(ids, federation._participant_weights(state, ids)))
-    plan = plan_by_id(plan_round(rows, ids, mode, 0, copy.deepcopy(rng))[0], ids)
+    in_rows = [share / sum(shares) for share in shares]
+    weights = dict(zip(ids, in_rows))
+    plan_rows = plan_round(rows, ids, mode, 0, copy.deepcopy(rng))[0]
+    plan = plan_by_id(plan_rows, ids)
+    folded = weighted_sum(rows, fold_weights(plan_rows, in_rows))
+    got = server_step(w0, folded, state.cfg, rows)
+    if len(set(shares)) == 1:
+        assert got.tobytes() == state.weights.tobytes()
     corrected, want_report = correct_round(uploads, mode, 0, rng)
     want = server_step(w0, aggregate(corrected, weights), state.cfg, rows)
 
@@ -561,7 +561,7 @@ def test_gcfl_round_matches_aggregating_the_corrected_uploads(
     )
     eta = state.cfg.eta
     tol = 4 * _gamma(2 * len(uploads) + 2) * eta * magnitude + 3 * U * np.abs(want)
-    assert np.all(np.abs(state.weights - want) <= tol)
+    assert np.all(np.abs(got - want) <= tol)
 
 
 @pytest.mark.parametrize("mode", CORRECTION_MODES)
