@@ -12,8 +12,10 @@ run writes whether BLAS was pinned to summary.json.  A seed's synthetic data
 are built on both threads (build_data): the calling thread draws the class
 centers, then builds the whole train set from the train stream; the worker
 builds the whole test set around those centers from its own stream, and its
-float64 features, at the same time.  The bytes are those of a one-thread
-build.  A run keeps of the test set only its float64 features and labels.
+float32 features, at the same time.  The bytes are those of a one-thread
+build.  A run keeps of the test set only its float32 features, which
+evaluation alone reads, and its labels; the train set's features are
+float64, as is every step of training.
 A data stream is ``derive_rng``'s (seed, 0, 0, tag), tag TRAIN (the centers,
 then the train set), TEST, SUB_TRAIN, SUB_TEST or PARTITION.
 """
@@ -56,20 +58,21 @@ FINAL_KEYS = ("epsilon", "train_loss", "test_acc", "test_recall", "test_f1")
 def _finish_test_set(
     cfg: ExperimentConfig, seed: int, test: data_mod.Dataset
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(float64 features, labels) of the test set, subsampled when
-    configured: all a run keeps of it."""
+    """(float32 features, labels) of the test set, subsampled when
+    configured: all a run keeps of it.  Evaluation runs in the features'
+    dtype, so half width halves the matrix and its products."""
     if cfg.subsample_test:
         test = data_mod.subsample(
             test, cfg.subsample_test, derive_rng(seed, 0, 0, Stream.SUB_TEST),
             "subsample_test",
         )
-    return data_mod.features(test.X), test.y
+    return data_mod.features(test.X, np.float32), test.y
 
 
 def build_data(
     cfg: ExperimentConfig, seed: int, worker: Executor
 ) -> tuple[data_mod.Dataset, list[data_mod.ClientShard], np.ndarray, np.ndarray]:
-    """(train set, client shards of it, the test set's float64 features,
+    """(train set, client shards of it, the test set's float32 features,
     its labels) for one run seed, built on the command's worker and this
     thread; no task of the build is left on the worker when this returns
     or raises."""

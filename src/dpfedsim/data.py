@@ -1,8 +1,9 @@
 """Datasets, client shards, IDX file loading, and deterministic partitioning.
 
 A dataset stores its features as uint8 pixel levels 0-255, the form IDX
-images arrive in; ``features`` turns levels into the float64 values in
-[0, 1] that training, evaluation and fingerprints read, level / 255.
+images arrive in; ``features`` turns levels into the values in [0, 1]
+that training, evaluation and fingerprints read, level / 255: float64 for
+training and fingerprints, float32 for the test set that evaluation reads.
 Synthetic blobs are drawn in row chunks through one small float64
 temporary and stored as levels (``synthetic_blobs``), so their build holds
 no float64 matrix of the set's size.  A function that draws is given its
@@ -26,9 +27,10 @@ _FINGERPRINT_ROWS = 1024
 _BLOB_CHUNK_BYTES = 128 * 1024
 
 
-def features(levels: np.ndarray) -> np.ndarray:
-    """float64 features of uint8 levels: a new array of level / 255, in [0, 1]."""
-    out = levels.astype(np.float64)
+def features(levels: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """Features of uint8 levels: a new array of level / 255, in [0, 1],
+    computed in dtype (float64, or float32 for the test set)."""
+    out = levels.astype(dtype)
     out /= 255.0
     return out
 
@@ -274,9 +276,13 @@ def subsample(
     """Stratified subsample of size n, drawn from rng, preserving class proportions.
 
     Per-class targets are floor(n * count_c / total); leftover slots go to
-    classes by largest fractional remainder (ties to the smaller label).
-    Selected examples keep their original dataset order.  An n outside
-    [1, dataset.size] is an error that calls n by ``name``.
+    classes by largest remainder n * count_c mod total (ties to the smaller
+    label).  No target exceeds its class's count: the floor is at most
+    count_c, and only a class with a nonzero remainder, whose floor is
+    below count_c, takes a leftover slot, since the leftover is the sum of
+    the remainders over total.  Selected examples keep their original
+    dataset order.  An n outside [1, dataset.size] is an error that calls
+    n by ``name``.
     """
     if not 1 <= n <= dataset.size:
         raise ValueError(
@@ -284,23 +290,13 @@ def subsample(
         )
     labels = dataset.y
     counts = np.bincount(labels, minlength=dataset.num_classes)
-    exact = n * counts / dataset.size
-    targets = np.floor(exact).astype(np.int64)
+    # in integers: a float remainder would order tied classes by rounding
+    targets, remainders = np.divmod(n * counts, dataset.size)
     leftover = n - int(targets.sum())
-    if leftover:
-        remainders = exact - targets
-        order = sorted(
-            range(dataset.num_classes), key=lambda c: (-remainders[c], c)
-        )
-        for c in order[:leftover]:
-            targets[c] += 1
+    targets[np.argsort(-remainders, kind="stable")[:leftover]] += 1
     chosen = []
     for c in range(dataset.num_classes):
         pool = np.flatnonzero(labels == c)
-        if targets[c] > pool.size:
-            raise ValueError(
-                f"class {c} has only {pool.size} examples, need {targets[c]}"
-            )
         if targets[c]:
             chosen.append(rng.choice(pool, size=int(targets[c]), replace=False))
     rows = np.sort(np.concatenate(chosen))

@@ -18,8 +18,12 @@ that as the client's model, and dp_scaffold's option-II update
 c_i <- c_i - c + (start - w_K) / (K eta) adds the upload itself.  The
 server step writes the new weights into the aggregate.  A client step
 turns its batch's uint8 levels into float64 features (``data.features``);
-evaluation reads the test set's float64 features and labels, given before
-round 0 and held as ``ExperimentState.test_X`` and ``test_y``.
+the whole DP step runs in float64, and so do the uploads, the Gram, the
+aggregate, the server step and every model the state holds.  Evaluation
+alone runs at half width: it reads the test set's float32 features and
+labels, given before round 0 and held as ``ExperimentState.test_X`` and
+``test_y``, and predicts the argmax of float32 logits
+(``model.predict``).
 
 The server step speaks rows: the participant weights w, the correction
 plan and the folded alpha are lists by row of U, and client ids appear
@@ -134,7 +138,7 @@ class ExperimentState:
     cfg: ExperimentConfig
     seed: int
     shards: list[ClientShard]
-    test_X: np.ndarray  # the test set's float64 features
+    test_X: np.ndarray  # the test set's features, float32 in a run
     test_y: np.ndarray  # and its labels
     weights: ParamVector
     client_models: dict[int, ParamVector] = field(default_factory=dict)
@@ -240,11 +244,13 @@ def client_local_phase(
     since IEEE addition commutes; at sigma = 0 the clipped sum is copied
     there instead.  Under dp_fedprox with prox_mu != 0,
     prox_mu * (w_local - w_start) is added to each per-sample gradient
-    before clipping; dp_scaffold adds the control-variate shift
-    server - client, from ``scaffold_variates`` = (server, client), after
-    noising.  No local model is built after the last step.  A non-finite
-    per-sample gradient norm or step gradient raises ValueError naming the
-    client.
+    before clipping from the second step on; at the first, w_local is
+    w_start and the shift is exactly zero, so the kernel runs without one:
+    a zero shift adds nothing to the norms or the sum.  dp_scaffold adds
+    the control-variate shift server - client, from ``scaffold_variates``
+    = (server, client), after noising.  No local model is built after the
+    last step.  A non-finite per-sample gradient norm or step gradient
+    raises ValueError naming the client.
 
     The upload is the mean of the K step vectors.  The first is built in
     the upload row itself, so the row is written once; each later one is
@@ -274,8 +280,9 @@ def client_local_phase(
         rows = shard.indices[idx]
         noisy = later if k else upload
         shift = None
-        if prox:
-            # read by the kernel before the step is built here
+        if prox and k:
+            # read by the kernel before the step is built here; at k = 0
+            # w_local is the start, so the shift is zero and is left out
             shift = np.subtract(w_local, start_params, out=noisy)
             shift *= cfg.prox_mu
         losses, sq_norms, _ = model_mod.clipped_gradient_sum(
@@ -343,17 +350,19 @@ def _evaluate(
     state: ExperimentState, w: ParamVector, worker: Executor
 ) -> tuple[float, float, float]:
     """(accuracy, macro recall, macro F1) of w on the test set, predicted
-    from its float64 features in _EVAL_ROWS-row chunks split between the
-    worker and this thread (``_halves``); a chunk's bytes do not depend on
-    the thread under the pin."""
+    in the dtype of its features (float32 in a run: w is cast once per
+    call) in _EVAL_ROWS-row chunks split between the worker and this
+    thread (``_halves``); a chunk's bytes do not depend on the thread
+    under the pin."""
     spec, test_X = state.model_spec, state.test_X
+    w_eval = w.astype(test_X.dtype)
     preds = np.empty(test_X.shape[0], dtype=np.int64)
     starts = range(0, test_X.shape[0], _EVAL_ROWS)
 
     def predict(chunks: range) -> None:
         for lo in starts[chunks.start : chunks.stop]:
-            probs = model_mod.forward_batch(spec, w, test_X[lo : lo + _EVAL_ROWS])
-            preds[lo : lo + probs.shape[0]] = np.argmax(probs, axis=1)
+            chunk = test_X[lo : lo + _EVAL_ROWS]
+            preds[lo : lo + chunk.shape[0]] = model_mod.predict(spec, w_eval, chunk)
 
     _halves(worker, predict, len(starts))
     cm = metrics_mod.accumulate(preds, state.test_y, spec.num_classes)
@@ -493,8 +502,8 @@ def init_state(
     test_y: np.ndarray,
 ) -> ExperimentState:
     """The state before round 0 of the run with this seed, evaluated on
-    the test set's float64 features test_X and labels test_y; the state
-    holds both arrays as given."""
+    the test set's features test_X, in their dtype, and labels test_y; the
+    state holds both arrays as given."""
     if len(shards) != cfg.n_clients:
         raise ValueError(f"got {len(shards)} shards for n_clients={cfg.n_clients}")
     for idx, shard in enumerate(shards):

@@ -6,7 +6,10 @@ the weight matrix W_l of shape (n_l, n_{l+1}) in row-major order, followed by
 the bias b_l of length n_{l+1}.  A forward pass computes
 h_{l+1} = relu(h_l @ W_l + b_l) for hidden layers and softmax on the last.
 ``clipped_gradient_sum`` runs the DP step's forward/backward for a whole
-minibatch and returns per-sample gradient norms and the clipped gradient sum.
+minibatch in float64 and returns per-sample gradient norms and the clipped
+gradient sum.  ``predict``, evaluation's forward pass, runs in its
+features' dtype (float32 for a run's test set) and reads the argmax of the
+last layer's logits, which the softmax would not move.
 """
 
 from __future__ import annotations
@@ -114,9 +117,24 @@ def _forward(
     return inputs, _softmax_rows(logits)
 
 
-def forward_batch(spec: MlpSpec, w: ParamVector, features: np.ndarray) -> np.ndarray:
-    """Class probabilities for a (n, input_dim) batch; rows sum to 1."""
-    return _forward(spec, w, features)[1]
+def predict(spec: MlpSpec, w: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The class of each row of the (n, input_dim) matrix X: the argmax of
+    the last layer's logits (no softmax), the lowest class on a tie.
+
+    The forward pass runs in X's float dtype, and w is cast to it when its
+    own differs; a caller that predicts many chunks casts w once itself."""
+    if X.ndim != 2 or X.shape[1] != spec.layer_sizes[0]:
+        raise ValueError(f"features {X.shape} must be (n, {spec.layer_sizes[0]})")
+    layers = unpack(spec, w.astype(X.dtype, copy=False))
+    h = X
+    for weight, bias in layers[:-1]:
+        h = h @ weight
+        h += bias
+        np.maximum(h, 0.0, out=h)
+    weight, bias = layers[-1]
+    logits = h @ weight
+    logits += bias
+    return np.argmax(logits, axis=1)
 
 
 def _batch_labels(spec: MlpSpec, labels) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Reference implementations the package replaced, and helpers only tests call.
 
 Tests compare the package's kernels against the slow, obvious form of the
-same arithmetic: ``scale_add`` builds a + c b as a new vector, where the
+same arithmetic: ``logits_batch`` and ``forward_batch`` are the float64
+forward pass, which ``model.predict`` runs in its features' dtype (float32
+on a run's test set); ``scale_add`` builds a + c b as a new vector, where the
 server step writes into the aggregate; ``dot`` accumulates strictly left
 to right; ``loss_and_gradient`` and ``clip_gradient`` take one sample at a
 time where ``model.clipped_gradient_sum`` builds no per-sample gradient.
@@ -42,7 +44,7 @@ from dpfedsim.correction import (
 from dpfedsim.data import Dataset
 from dpfedsim.linalg import ParamVector, weighted_sum
 from dpfedsim.model import _PROB_FLOOR, MlpSpec, _batch_labels, _softmax_rows
-from dpfedsim.model import forward_batch, unpack
+from dpfedsim.model import unpack
 
 _TESTS = Path(__file__).resolve().parent
 
@@ -124,6 +126,22 @@ def noisy_batch_gradient(
             noise_multiplier * clip_threshold
         )
     return total / batch_size
+
+
+def logits_batch(spec: MlpSpec, w: ParamVector, features: np.ndarray) -> np.ndarray:
+    """The last layer's float64 logits for a (n, input_dim) batch, or for
+    one 1-D feature vector as a batch of one."""
+    h = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    layers = unpack(spec, w)
+    for weight, bias in layers[:-1]:
+        h = np.maximum(h @ weight + bias, 0.0)
+    weight, bias = layers[-1]
+    return h @ weight + bias
+
+
+def forward_batch(spec: MlpSpec, w: ParamVector, features: np.ndarray) -> np.ndarray:
+    """Class probabilities for a (n, input_dim) batch in float64; rows sum to 1."""
+    return _softmax_rows(logits_batch(spec, w, features))
 
 
 def forward(spec: MlpSpec, w: ParamVector, features: np.ndarray) -> np.ndarray:

@@ -240,7 +240,9 @@ def _no_conflict_state(algorithm: str):
         algorithm=algorithm,
         record_timing=False,
     )
-    return init_state(MlpSpec((6, 5, 3)), cfg, 4, shards, features(test.X), test.y)
+    return init_state(
+        MlpSpec((6, 5, 3)), cfg, 4, shards, features(test.X, np.float32), test.y
+    )
 
 
 def test_criterion_07_gcfl_equals_fedavg_without_conflicts():

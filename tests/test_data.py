@@ -4,6 +4,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dpfedsim.data as data_mod
 from dpfedsim.cli import build_data, build_state
@@ -141,14 +143,14 @@ def test_a_run_keeps_the_test_set_only_as_features_and_labels(
     monkeypatch, subsample_test
 ):
     """Once build_state returns, the uint8 level matrix the synthetic test
-    set's features were built from is unreachable: the run holds the float64
+    set's features were built from is unreachable: the run holds the float32
     features and the labels, and nothing else of the test set."""
     real_features = data_mod.features
     converted = []
 
-    def features(levels):
+    def features(levels, dtype=np.float64):
         converted.append(weakref.ref(levels))
-        return real_features(levels)
+        return real_features(levels, dtype)
 
     monkeypatch.setattr(data_mod, "features", features)
     cfg = ExperimentConfig(subsample_test=subsample_test)
@@ -157,6 +159,7 @@ def test_a_run_keeps_the_test_set_only_as_features_and_labels(
     (levels,) = converted  # the build converts the test set alone
     assert levels() is None
     assert state.test_X.shape == (subsample_test or 200, cfg.synthetic_dim)
+    assert state.test_X.dtype == np.float32
     assert state.test_y.shape == (state.test_X.shape[0],)
 
 
@@ -269,6 +272,50 @@ def test_subsample_keeps_proportions_with_remainder():
     counts = np.bincount(sub.y, minlength=2)
     assert counts.sum() == 9
     assert counts[0] == 7 and counts[1] == 2
+
+
+def documented_targets(labels, num_classes, n):
+    """subsample's per-class counts by its docstring, in exact integers:
+    floor(n count_c / total) each, then one more for the leftover classes
+    of largest remainder n count_c mod total, ties to the smaller label."""
+    counts = [labels.count(c) for c in range(num_classes)]
+    total = len(labels)
+    targets = [n * count // total for count in counts]
+    by_remainder = sorted(
+        range(num_classes), key=lambda c: (-(n * counts[c] % total), c)
+    )
+    for c in by_remainder[: n - sum(targets)]:
+        targets[c] += 1
+    return targets
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 6).flatmap(
+        lambda k: st.tuples(
+            st.just(k), st.lists(st.integers(0, k - 1), min_size=1, max_size=40)
+        )
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_subsample_takes_n_rows_with_the_documented_class_counts(mix, seed):
+    """For every n in [1, size]: n rows, each class's count its floor plus
+    remainder target, which never exceeds the class's count, and the rows
+    in dataset order."""
+    num_classes, labels = mix
+    ds = Dataset(
+        np.arange(len(labels), dtype=np.uint8)[:, None], labels, num_classes
+    )
+    for n in range(1, ds.size + 1):
+        sub = subsample(ds, n, np.random.default_rng(seed))
+        assert sub.size == n
+        want = documented_targets(labels, num_classes, n)
+        counts = np.bincount(sub.y, minlength=num_classes).tolist()
+        assert counts == want, n
+        # each row is a distinct row of ds, in ds's order, its label kept
+        rows = sub.X[:, 0].astype(np.int64)
+        assert np.all(np.diff(rows) > 0)
+        assert sub.y.tolist() == [labels[r] for r in rows]
 
 
 def test_subsample_bounds():

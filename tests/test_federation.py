@@ -78,7 +78,7 @@ def make_state(
         record_timing=False,
         epsilon_budget=epsilon_budget,
     )
-    return init_state(spec, cfg, seed, shards, features(test.X), test.y)
+    return init_state(spec, cfg, seed, shards, features(test.X, np.float32), test.y)
 
 
 def poison_first_example(state, cid, bad_value):
@@ -427,7 +427,7 @@ def test_the_initial_weights_do_not_name_client_0s_first_batch(monkeypatch):
     monkeypatch.setattr(federation, "poisson_sample", record)
     state = init_state(
         spec, cfg, 1, [ClientShard(0, train, np.arange(n))],
-        features(train.X[:10]), train.y[:10],
+        features(train.X[:10], np.float32), train.y[:10],
     )
     limit = math.sqrt(6.0 / (784 + 128))
     u = (state.weights[:n] + limit) / (2 * limit)
@@ -752,10 +752,11 @@ def test_upload_from_noise_drawn_ahead_is_the_oracle_fed_from_the_same_stream(
     steps, each fed the step's clipped sum (zeros for an empty draw), the
     configured batch_size and the client's own noise stream, plus the
     scaffold shift: the same arithmetic in the same order.  The kernel is
-    given a shift under dp_fedprox only, and it is bitwise
-    (w - start) * prox_mu for the step's local model w, in a vector apart
-    from the kernel's out, which the kernel uses as scratch.  The worker
-    always runs its half here, clients 2 and 3."""
+    given a shift under dp_fedprox only, from the second step on, and it
+    is bitwise (w - start) * prox_mu for the step's local model w, in a
+    vector apart from the kernel's out, which the kernel uses as scratch;
+    at the first step w is bitwise the start, so the shift left out is
+    zero.  The worker always runs its half here, clients 2 and 3."""
     state = _state_after_round_zero(algorithm, local_steps, sampling_mode, batch_size)
     cfg = state.cfg
     sums, starts, shifts, uploads, ran_on = {}, {}, {}, {}, {}
@@ -775,7 +776,10 @@ def test_upload_from_noise_drawn_ahead_is_the_oracle_fed_from_the_same_stream(
         return out
 
     def kernel(spec, w, features, labels, clip_threshold, shift, out):
-        assert (shift is not None) == (algorithm == "dp_fedprox")
+        later_step = bool(sums[current.cid])
+        assert (shift is not None) == (algorithm == "dp_fedprox" and later_step)
+        if not later_step:
+            assert w.tobytes() == starts[current.cid].tobytes()
         if shift is not None:
             want = (w - starts[current.cid]) * cfg.prox_mu
             assert shift.tobytes() == want.tobytes()
@@ -902,7 +906,7 @@ def _benchmark_shape_state(algorithm, n_clients):
         n_clients=n_clients, record_timing=False,
     )
     shards = partition_iid(train, n_clients, np.random.default_rng(6))
-    return init_state(spec, cfg, 4, shards, features(test.X), test.y)
+    return init_state(spec, cfg, 4, shards, features(test.X, np.float32), test.y)
 
 
 @pytest.mark.parametrize("algorithm", ["gcfl", "dp_fedavg", "dp_fedexp"])
@@ -1166,3 +1170,39 @@ def test_a_client_with_only_empty_draws_moves_its_model_and_variate_by_its_uploa
             want = variates[cid] - server
             want += upload
             assert state.scaffold.client_variates[cid].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_a_round_keeps_the_dp_step_and_all_it_feeds_in_float64(monkeypatch, algorithm):
+    """Evaluation alone runs at half width.  In a round that evaluates on
+    float32 test features, as a run does, the kernel reads float64 features
+    and float64 weights, and the uploads, the global weights, the client
+    models and the scaffold variates all stay float64."""
+    state = make_state(algorithm=algorithm, n_clients=3, local_steps=2)
+    assert state.test_X.dtype == np.float32
+    read, uploads = [], []
+    real_kernel = federation.model_mod.clipped_gradient_sum
+    real_local = federation.client_local_phase
+
+    def kernel(spec, w, features, *args, **kwargs):
+        read.append((w.dtype, features.dtype))
+        return real_kernel(spec, w, features, *args, **kwargs)
+
+    def local(*args, **kwargs):
+        loss = real_local(*args, **kwargs)
+        uploads.append(args[6].dtype)
+        return loss
+
+    monkeypatch.setattr(federation.model_mod, "clipped_gradient_sum", kernel)
+    monkeypatch.setattr(federation, "client_local_phase", local)
+    run_one_round(state, 0)
+    f64 = np.dtype(np.float64)
+    assert read and set(read) == {(f64, f64)}
+    assert uploads == [f64] * 3
+    assert state.weights.dtype == f64
+    models = list(state.client_models.values())
+    if state.scaffold is not None:
+        models += [state.scaffold.server_variate]
+        models += list(state.scaffold.client_variates.values())
+    assert len(models) == {"isolated": 3, "dp_scaffold": 4}.get(algorithm, 0)
+    assert {m.dtype for m in models} <= {f64}

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dpfedsim.model import MlpSpec, forward_batch, init_params, unpack
-from oracle import forward, loss, loss_and_gradient, per_sample_gradient, predict
+from dpfedsim import model
+from dpfedsim.data import features
+from dpfedsim.model import MlpSpec, init_params, unpack
+from oracle import forward, forward_batch, logits_batch, loss, loss_and_gradient
+from oracle import per_sample_gradient, predict
 
 SMALL = MlpSpec((6, 5, 3))
 
@@ -177,3 +182,106 @@ def test_deeper_network_gradient_also_matches():
     analytic = per_sample_gradient(spec, w, x, 1)
     numeric = finite_difference_gradient(spec, w, x, 1)
     assert np.max(np.abs(analytic - numeric) / (np.abs(numeric) + 1e-4)) <= 1e-4
+
+
+# unit roundoffs: a rounded result is x (1 + d) with |d| <= u
+U32 = 2.0**-24
+U64 = 2.0**-53
+
+
+def _gamma(n, u):
+    """gamma_n = n u / (1 - n u): the relative bound on n rounding factors."""
+    return n * u / (1 - n * u)
+
+
+def prediction_margins(spec, w, X):
+    """Per row, a logit gap above which predict on float32 X, with w cast
+    to float32, must give the float64 oracle's label.
+
+    Take the exact forward pass from X and w, with layer inputs h and
+    outputs z.  A computed layer forms fl(fl(h^ W^) + b^) from its computed
+    input h^ and, in float32, from copies W^ and b^ of W and b within
+    relative u of them.  A product term of its length-n inner products
+    carries at most n + 2 rounding factors (the weight's cast, n for the
+    sum in any order, the bias add) and the bias term at most 2, so
+        |z^ - z| <= |h^ - h| |W| + gamma_{n+2} (|h^| |W| + |b|),
+    and relu, 1-Lipschitz, passes the bound to the next layer.  With e64
+    and e32 the bounds on |h^ - h| of the float64 oracle and of float32,
+    and a = |h^| of the oracle, |h^| <= a for the oracle and
+    |h^| <= a + e64 + e32 for float32.  The input starts at e64 = 0 and
+    e32 = u |X|.  The logits' bounds E64 (u = 2^-53) and E32 (u = 2^-24)
+    then give the margin: a row whose float64 top-two gap exceeds
+    2 max_j (E32 + E64)_j has one argmax in both.  The factor 1 + 2^-20
+    covers this bound's own float64 rounding.  So the margin is set by
+    u = 2^-24 and the layer sizes, through gamma_{n+2}, given the row's
+    features and the weights."""
+    h = np.asarray(X, dtype=np.float64)
+    e32, e64 = U32 * np.abs(h), np.zeros_like(h)
+    for weight, bias in unpack(spec, w):
+        n = weight.shape[0]
+        g32, g64 = _gamma(n + 2, U32), _gamma(n + 2, U64)
+        a, abs_w, abs_b = np.abs(h), np.abs(weight), np.abs(bias)
+        e32, e64 = (
+            (e32 + g32 * (a + e32 + e64)) @ abs_w + g32 * abs_b,
+            (e64 + g64 * a) @ abs_w + g64 * abs_b,
+        )
+        h = np.maximum(h @ weight + bias, 0.0)  # past the last layer: unused
+    return 2.0 * np.max(e32 + e64, axis=1) * (1 + 2.0**-20)
+
+
+def check_predict_against_oracle(spec, w, X64):
+    """predict on float32 X64 gives the oracle's label on every row whose
+    float64 top-two logit gap exceeds its margin, and on float64 X64 the
+    oracle's label on every row; returns the share of rows checked."""
+    X32 = X64.astype(np.float32)
+    logits = logits_batch(spec, w, X64)
+    want = np.argmax(logits, axis=1)
+    top_two = np.sort(logits, axis=1)[:, -2:]
+    checked = top_two[:, 1] - top_two[:, 0] > prediction_margins(spec, w, X64)
+    got = model.predict(spec, w.astype(np.float32), X32)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got[checked], want[checked])
+    np.testing.assert_array_equal(model.predict(spec, w, X64), want)
+    return float(np.mean(checked))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(1, 12), min_size=1, max_size=3),
+    st.integers(2, 6),
+    st.integers(1, 40),
+    st.floats(0.01, 4.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_predict_in_float32_gives_the_oracles_label_beyond_the_margin(
+    hidden, classes, rows, scale, seed
+):
+    """Small specs, signed features and weights of any scale, nonzero
+    biases."""
+    spec = MlpSpec((*hidden, classes))
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(spec.num_params) * scale
+    X = rng.standard_normal((rows, spec.layer_sizes[0]))
+    check_predict_against_oracle(spec, w, X)
+
+
+def test_predict_on_the_benchmark_shape_checks_most_rows():
+    """784-128-10 on float32 level / 255 features of random levels, from
+    Glorot weights moved by noise: the margin leaves most rows checked."""
+    spec = MlpSpec((784, 128, 10))
+    rng = np.random.default_rng(30)
+    w = init_params(spec, rng)
+    w += rng.standard_normal(spec.num_params) * 0.02
+    levels = rng.integers(0, 256, size=(600, 784), dtype=np.uint8)
+    X64 = features(levels)
+    # the float32 features a run builds are the float64 ones rounded once
+    assert features(levels, np.float32).tobytes() == X64.astype(np.float32).tobytes()
+    assert check_predict_against_oracle(spec, w, X64) >= 0.9
+
+
+def test_predict_rejects_features_of_the_wrong_shape():
+    w = init_params(SMALL, np.random.default_rng(1))
+    with pytest.raises(ValueError, match="features"):
+        model.predict(SMALL, w, np.zeros(6))
+    with pytest.raises(ValueError, match="features"):
+        model.predict(SMALL, w, np.zeros((2, 5)))

@@ -8,7 +8,8 @@ dataclass field is read somewhere in the package.  Every config key is
 read by the layer it configures, and the README's config table names
 exactly the config keys.  Every random stream is made by derive_rng and
 named by four ints, a tag of the one tag table last.  Only the commands
-hold the BLAS pin and the worker thread.
+hold the BLAS pin and the worker thread.  float32 is named only where the
+test set's features are built, the one input that sets evaluation's width.
 """
 
 import ast
@@ -16,6 +17,8 @@ import importlib
 import re
 from dataclasses import fields, is_dataclass
 from pathlib import Path
+
+import numpy as np
 
 from dpfedsim.config import ExperimentConfig
 from dpfedsim.federation import Stream
@@ -236,3 +239,32 @@ def test_only_the_commands_hold_the_pin_and_the_worker():
                     builds.add(path.name)
     assert enters == {("cli.py", "cmd_run"), ("cli.py", "cmd_compare")}
     assert builds == {"federation.py"}
+
+
+# numpy's names and dtype strings for float32
+_FLOAT32 = {"float32", "single", "f4", "<f4", "=f4"}
+assert all(np.dtype(name) == np.float32 for name in _FLOAT32)
+
+
+def _names_float32(node: ast.AST) -> bool:
+    """A float32 name, bare or as an attribute, or a float32 dtype string."""
+    return (
+        (isinstance(node, ast.Name) and node.id in _FLOAT32)
+        or (isinstance(node, ast.Attribute) and node.attr in _FLOAT32)
+        or (isinstance(node, ast.Constant) and node.value in _FLOAT32)
+    )
+
+
+def test_float32_is_named_only_where_the_test_features_are_built():
+    """The DP step, the uploads, the aggregate, the server step and the
+    accountant run in float64; evaluation alone runs at half width, in the
+    dtype of the test features that ``cli._finish_test_set`` builds.  So no
+    other function of the package names float32: a float32 anywhere else
+    would narrow a step whose bytes the DP guarantee and the output pins
+    rest on."""
+    named = set()
+    for path in PACKAGE.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            if any(_names_float32(node) for node in ast.walk(top)):
+                named.add((path.name, getattr(top, "name", ast.unparse(top))))
+    assert named == {("cli.py", "_finish_test_set")}

@@ -9,7 +9,7 @@ the output; a failure on either thread must stop the run, naming the
 lowest failing client; and a command, or a ``pinned_worker`` block, must
 leave no thread behind and the caller's BLAS thread count as it found it.
 The synthetic data build shares the worker too: the calling thread builds
-the train set, and the worker the test set and its float64 features.
+the train set, and the worker the test set and its float32 features.
 """
 
 import json
@@ -415,10 +415,10 @@ BUILD_SHAPES = [  # classes, per class, dim, spread; the test set has per // 5
 def test_build_data_matches_the_oracle_and_builds_the_test_set_on_the_worker(
     monkeypatch, mode, shape
 ):
-    """build_data's train set, and the test set's float64 features and
+    """build_data's train set, and the test set's float32 features and
     labels, the test set around the train set's class centers, equal the
     oracle's under each executor: the features are the oracle's levels /
-    255, one-to-one on 0-255.  The train set is built on the calling
+    255 in float32, one-to-one on 0-255.  The train set is built on the calling
     thread, and the test set and its features on the executor: inline that
     is the calling thread too, otherwise the worker."""
     classes, per_class, dim, spread = shape
@@ -437,9 +437,9 @@ def test_build_data_matches_the_oracle_and_builds_the_test_set_on_the_worker(
         built_on.append((role, threading.current_thread().name))
         return real_blobs(*args)
 
-    def features(levels):
+    def features(levels, dtype=np.float64):
         built_on.append(("features", threading.current_thread().name))
-        return real_features(levels)
+        return real_features(levels, dtype)
 
     monkeypatch.setattr(cli, "derive_rng", derive)
     monkeypatch.setattr(data_mod, "synthetic_blobs", blobs)
@@ -463,7 +463,8 @@ def test_build_data_matches_the_oracle_and_builds_the_test_set_on_the_worker(
             classes, max(1, per_class // 5), dim, spread,
             derive_rng(seed, 0, 0, Stream.TEST), derive_rng(seed, 0, 0, Stream.TRAIN),
         )
-        assert test_X.tobytes() == (want.X / 255.0).tobytes()
+        assert test_X.dtype == np.float32
+        assert test_X.tobytes() == (want.X.astype(np.float32) / 255.0).tobytes()
         assert test_y.tobytes() == want.y.tobytes()
     here = threading.current_thread().name
     roles = {role: {on for r, on in built_on if r == role} for role, _ in built_on}
@@ -482,7 +483,7 @@ def test_build_data_matches_the_oracle_and_builds_the_test_set_on_the_worker(
 def test_a_failure_in_the_workers_share_of_the_build_stops_run(
     tmp_path, monkeypatch, capsys, share
 ):
-    """The worker builds SMALL's test set (synthetic_blobs) and its float64
+    """The worker builds SMALL's test set (synthetic_blobs) and its float32
     features (features); a raise in either on the worker surfaces from
     build_data, `run` exits 1 naming it, and no worker is left."""
     real = getattr(data_mod, share)
