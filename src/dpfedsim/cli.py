@@ -6,6 +6,10 @@ compare  runs several algorithms on each seed's data, built once per seed,
          and writes comparison.csv of final-round metrics.
 privacy  prints the epsilon schedule implied by the config without training.
 
+run and compare reach their runs through one driver (run_seeds): per seed,
+build_data builds the data and the model once, and each of the command's
+configs (one for run, one per algorithm for compare) runs on them.  Both
+write their CSV files through one writer (write_metrics_csv).
 run and compare each hold one worker thread and one BLAS pin
 (``federation.pinned_worker``) around all of their data builds and runs;
 run writes whether BLAS was pinned to summary.json.  A seed's synthetic data
@@ -25,10 +29,12 @@ from __future__ import annotations
 import argparse
 import csv
 import gc
+import itertools
 import json
 import math
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from concurrent.futures import Executor, wait
 from dataclasses import replace
 
@@ -37,23 +43,18 @@ import numpy as np
 from . import data as data_mod
 from .config import ExperimentConfig, parse_config, parse_label_split
 from .dp import SENSITIVITY, epsilon_spent
-from .federation import ExperimentState, RoundMetrics, Stream, derive_rng
-from .federation import init_state, pinned_worker, run_experiment
+from .federation import RoundMetrics, Stream, derive_rng, init_state
+from .federation import pinned_worker, run_experiment, weights_sha256
 from .model import MlpSpec
-
-CSV_HEADER = [
-    "round",
-    "epsilon",
-    "train_loss",
-    "test_acc",
-    "test_recall",
-    "test_f1",
-    "projections",
-    "wall_ms",
-]
 
 # the final-round metrics of summary.json's mean_final and comparison.csv
 FINAL_KEYS = ("epsilon", "train_loss", "test_acc", "test_recall", "test_f1")
+
+CSV_HEADER = ["round", *FINAL_KEYS, "projections", "wall_ms"]
+
+# a run's round records and the weights_sha256 of its final models
+Run = tuple[list[RoundMetrics], str]
+
 
 def _finish_test_set(
     cfg: ExperimentConfig, seed: int, test: data_mod.Dataset
@@ -71,11 +72,12 @@ def _finish_test_set(
 
 def build_data(
     cfg: ExperimentConfig, seed: int, worker: Executor
-) -> tuple[data_mod.Dataset, list[data_mod.ClientShard], np.ndarray, np.ndarray]:
-    """(train set, client shards of it, the test set's float32 features,
-    its labels) for one run seed, built on the command's worker and this
-    thread; no task of the build is left on the worker when this returns
-    or raises."""
+) -> tuple[MlpSpec, list[data_mod.ClientShard], np.ndarray, np.ndarray]:
+    """(the model, the client shards of the train set, the test set's float32
+    features, its labels) for one run seed, built on the command's worker and
+    this thread; no task of the build is left on the worker when this returns
+    or raises.  The model is layer_sizes, or (features, 128, classes) of the
+    train set when unset."""
     if cfg.dataset == "idx":
         train = data_mod.load_idx(cfg.train_images, cfg.train_labels)
         test = data_mod.load_idx(cfg.test_images, cfg.test_labels)
@@ -126,11 +128,6 @@ def build_data(
         shards = data_mod.partition_label_split(
             train, parse_label_split(cfg.label_split)
         )
-    return train, shards, test_X, test_y
-
-
-def _model_spec(cfg: ExperimentConfig, train: data_mod.Dataset) -> MlpSpec:
-    """The MLP of layer_sizes, or (features, 128, classes) of train when unset."""
     feature_dim, num_classes = train.feature_dim, train.num_classes
     sizes = cfg.layer_sizes or (feature_dim, 128, num_classes)
     if sizes[0] != feature_dim:
@@ -141,35 +138,45 @@ def _model_spec(cfg: ExperimentConfig, train: data_mod.Dataset) -> MlpSpec:
         raise ValueError(
             f"layer_sizes ends at {sizes[-1]} but the data has {num_classes} classes"
         )
-    return MlpSpec(tuple(sizes))
+    return MlpSpec(tuple(sizes)), shards, test_X, test_y
 
 
-def build_state(cfg: ExperimentConfig, seed: int, worker: Executor) -> ExperimentState:
-    train, shards, test_X, test_y = build_data(cfg, seed, worker)
-    return init_state(_model_spec(cfg, train), cfg, seed, shards, test_X, test_y)
+def run_seeds(
+    configs: list[ExperimentConfig], worker: Executor
+) -> Iterator[tuple[int, list[data_mod.ClientShard], list[Run]]]:
+    """Per seed of configs[0], in order: the seed, its client shards and each
+    config's run on them, in the order of configs.  The configs differ only
+    in how they train, so a seed's data are built once, from configs[0]."""
+    for seed in configs[0].seeds:
+        spec, shards, test_X, test_y = build_data(configs[0], seed, worker)
+        runs = []
+        for cfg in configs:
+            state = init_state(spec, cfg, seed, shards, test_X, test_y)
+            runs.append((run_experiment(state, worker), weights_sha256(state)))
+        yield seed, shards, runs
 
 
 def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
-def write_metrics_csv(path: str, rounds: list[RoundMetrics]) -> None:
+def _finals(rm: RoundMetrics) -> list[float]:
+    """rm's values of FINAL_KEYS, in that order."""
+    return [
+        rm.epsilon_spent,
+        rm.train_loss,
+        rm.test_accuracy,
+        rm.test_macro_recall,
+        rm.test_macro_f1,
+    ]
+
+
+def write_metrics_csv(path: str, header: list[str], rows: Iterable[list]) -> None:
+    """The one writer of a command's CSV files: header, then rows."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for rm in rounds:
-            writer.writerow(
-                [
-                    rm.round_index,
-                    _fmt(rm.epsilon_spent),
-                    _fmt(rm.train_loss),
-                    _fmt(rm.test_accuracy),
-                    _fmt(rm.test_macro_recall),
-                    _fmt(rm.test_macro_f1),
-                    rm.projections_applied,
-                    rm.wall_millis,
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _jsonable(value):
@@ -183,27 +190,24 @@ def _jsonable(value):
     return value
 
 
-def _final_block(cfg: ExperimentConfig, rounds: list[RoundMetrics]) -> dict:
-    """A run's outcome from its round records; it stopped early on the
-    epsilon budget when it has fewer than cfg.rounds of them."""
-    last = rounds[-1]
+def _final_block(cfg: ExperimentConfig, run: Run) -> dict:
+    """A run's outcome from its round records and weights_sha256; it stopped
+    early on the epsilon budget when it has fewer than cfg.rounds rounds."""
+    rounds, sha = run
     return {
         "rounds_completed": len(rounds),
         "stopped_early": len(rounds) < cfg.rounds,
-        "epsilon": last.epsilon_spent,
-        "train_loss": last.train_loss,
-        "test_acc": last.test_accuracy,
-        "test_recall": last.test_macro_recall,
-        "test_f1": last.test_macro_f1,
+        **dict(zip(FINAL_KEYS, _finals(rounds[-1]))),
         "projections_total": sum(r.projections_applied for r in rounds),
-        "correction_last_round": last.correction,
+        "correction_last_round": rounds[-1].correction,
+        "weights_sha256": sha,
     }
 
 
 def write_summary_json(
     path: str,
     cfg: ExperimentConfig,
-    results: dict[int, list[RoundMetrics]],
+    results: dict[int, Run],
     blas_pinned: bool,
 ) -> None:
     per_seed = {str(seed): _final_block(cfg, res) for seed, res in results.items()}
@@ -222,30 +226,24 @@ def write_summary_json(
         f.write("\n")
 
 
-def run_seeds(
-    cfg: ExperimentConfig, worker: Executor
-) -> dict[int, list[RoundMetrics]]:
-    results: dict[int, list[RoundMetrics]] = {}
-    for seed in cfg.seeds:
-        state = build_state(cfg, seed, worker)
-        results[seed] = run_experiment(state, worker)
-    return results
-
-
 def cmd_run(args) -> int:
     cfg = parse_config(args.config, args.override)
     os.makedirs(args.out, exist_ok=True)
     with pinned_worker() as (pinned, worker):
-        results = run_seeds(cfg, worker)
+        results = {seed: run for seed, _, (run,) in run_seeds([cfg], worker)}
     first = cfg.seeds[0]
-    write_metrics_csv(os.path.join(args.out, "metrics.csv"), results[first])
+    files = {"metrics.csv": first}
     if len(cfg.seeds) > 1:
-        for seed, rounds in results.items():
-            write_metrics_csv(
-                os.path.join(args.out, f"metrics_seed{seed}.csv"), rounds
-            )
+        files.update({f"metrics_seed{seed}.csv": seed for seed in results})
+    for name, seed in files.items():
+        rows = (
+            [rm.round_index, *map(_fmt, _finals(rm))]
+            + [rm.projections_applied, rm.wall_millis]
+            for rm in results[seed][0]
+        )
+        write_metrics_csv(os.path.join(args.out, name), CSV_HEADER, rows)
     write_summary_json(os.path.join(args.out, "summary.json"), cfg, results, pinned)
-    last = results[first][-1]
+    last = results[first][0][-1]
     print(
         f"run complete: {len(results)} seed(s), "
         f"final test_acc (seed {first}) {last.test_accuracy:.4f}, "
@@ -265,28 +263,21 @@ def cmd_compare(args) -> int:
     # building each config validates it, so a bad name fails before training
     configs = [replace(cfg, algorithm=a) for a in algos]
     os.makedirs(args.out, exist_ok=True)
-    # the data are built once per seed and shared by every algorithm; the
-    # rows are written algorithm-major
+    # the rows are written algorithm-major
     rows: list[list[list]] = [[] for _ in algos]
     with pinned_worker() as (_, worker):
-        for seed in cfg.seeds:
-            train, shards, test_X, test_y = build_data(cfg, seed, worker)
-            spec = _model_spec(cfg, train)
+        for seed, shards, runs in run_seeds(configs, worker):
             shard_hash = data_mod.shard_fingerprint(shards[0])[:16]
-            for algo_rows, algo, acfg in zip(rows, algos, configs):
-                state = init_state(spec, acfg, seed, shards, test_X, test_y)
-                final = _final_block(acfg, run_experiment(state, worker))
+            for algo_rows, acfg, run in zip(rows, configs, runs):
+                final = _final_block(acfg, run)
                 algo_rows.append(
-                    [algo, seed, shard_hash]
+                    [acfg.algorithm, seed, shard_hash]
                     + [_fmt(final[k]) for k in FINAL_KEYS]
                     + [final["projections_total"]]
                 )
     path = os.path.join(args.out, "comparison.csv")
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["algorithm", "seed", "shard_hash", *FINAL_KEYS, "projections"])
-        for algo_rows in rows:
-            writer.writerows(algo_rows)
+    header = ["algorithm", "seed", "shard_hash", *FINAL_KEYS, "projections"]
+    write_metrics_csv(path, header, itertools.chain(*rows))
     print(f"compared {len(algos)} algorithm(s) over {len(cfg.seeds)} seed(s): {path}")
     return 0
 

@@ -68,6 +68,7 @@ round starts and has ended when the round returns.
 from __future__ import annotations
 
 import enum
+import hashlib
 import math
 import sys
 import time
@@ -373,6 +374,24 @@ def _evaluate(
     )
 
 
+def _evaluated_models(state: ExperimentState) -> list[ParamVector]:
+    """The models a round evaluates: under isolated every client's, in
+    ascending id, else the global weights."""
+    if state.cfg.algorithm == "isolated":
+        return [state.client_models[cid] for cid in sorted(state.client_models)]
+    return [state.weights]
+
+
+def weights_sha256(state: ExperimentState) -> str:
+    """SHA-256 over the float64 bytes of the models the last evaluation
+    read (``_evaluated_models``), in order: a fingerprint of every weight
+    byte, where the test metrics see only the predictions."""
+    digest = hashlib.sha256()
+    for w in _evaluated_models(state):
+        digest.update(w)
+    return digest.hexdigest()
+
+
 def _select_participants(state: ExperimentState, round_index: int) -> list[int]:
     """The round's client ids, ascending (init_state makes id == shard index)."""
     n = len(state.shards)
@@ -462,14 +481,8 @@ def run_round(
 
     # metrics
     train_loss = float(np.mean(losses))
-    if cfg.algorithm == "isolated":
-        per_client = [
-            _evaluate(state, state.client_models[cid], worker)
-            for cid in sorted(state.client_models)
-        ]
-        acc, rec, f1 = (float(np.mean([p[k] for p in per_client])) for k in range(3))
-    else:
-        acc, rec, f1 = _evaluate(state, state.weights, worker)
+    scores = [_evaluate(state, w, worker) for w in _evaluated_models(state)]
+    acc, rec, f1 = (float(np.mean([s[k] for s in scores])) for k in range(3))
 
     if cfg.sigma == 0:
         eps = math.inf  # no noise: nothing is private

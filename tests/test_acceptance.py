@@ -337,7 +337,7 @@ def _mnist_directional_gap(partition: str) -> tuple[float, float]:
         for algo in ("gcfl", "dp_fedavg"):
             cfg = ExperimentConfig(**base, algorithm=algo)
             cfg.validate()
-            results = run_seeds(cfg, worker)
+            results = {seed: run[0] for seed, _, (run,) in run_seeds([cfg], worker)}
             finals[algo] = float(
                 np.mean([res[-1].test_accuracy for res in results.values()])
             )

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 import re
@@ -6,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dpfedsim.cli
@@ -65,6 +67,51 @@ def test_run_is_byte_identical_across_invocations(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(out2)]) == 0
     assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+
+
+@pytest.mark.parametrize("algorithm", ["gcfl", "isolated"])
+def test_weights_sha256_sees_one_ulp_of_the_final_weights(
+    tmp_path, monkeypatch, algorithm
+):
+    """Each seed's weights_sha256 is SHA-256 over the float64 bytes of the
+    models the last evaluation read: the global weights, or under isolated
+    every client's model in ascending id.  One ulp added to one coordinate
+    of the last of them, after the last evaluation, leaves every metrics
+    CSV unchanged and changes every seed's weights_sha256, and nothing else
+    in summary.json."""
+    text = FAST_CFG.replace("seeds = 2", "seeds = 2,3")
+    cfg = write_cfg(tmp_path, text + f"algorithm = {algorithm}\n")
+    real = dpfedsim.cli.run_experiment
+    csvs, summaries, shas = {}, {}, {}
+    for nudge in (False, True):
+        hashed = {}
+
+        def run_experiment(state, worker):
+            rounds = real(state, worker)
+            if algorithm == "isolated":
+                models = [state.client_models[c] for c in sorted(state.client_models)]
+            else:
+                models = [state.weights]
+            if nudge:
+                models[-1][-1] = np.nextafter(models[-1][-1], np.inf)
+            hashed[state.seed] = hashlib.sha256(
+                b"".join(m.astype(np.float64).tobytes() for m in models)
+            ).hexdigest()
+            return rounds
+
+        monkeypatch.setattr(dpfedsim.cli, "run_experiment", run_experiment)
+        out = tmp_path / f"nudge{nudge}"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        per_seed = summary["per_seed"].items()
+        shas[nudge] = {int(s): block.pop("weights_sha256") for s, block in per_seed}
+        assert shas[nudge] == hashed
+        summaries[nudge] = summary
+        csvs[nudge] = {p.name: p.read_bytes() for p in out.glob("*.csv")}
+    assert len(csvs[False]) == 3  # metrics.csv and one file per seed
+    assert csvs[True] == csvs[False]
+    assert summaries[True] == summaries[False]
+    assert all(shas[True][seed] != shas[False][seed] for seed in (2, 3))
 
 
 def test_run_multi_seed_writes_per_seed_files(tmp_path):

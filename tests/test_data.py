@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dpfedsim.data as data_mod
-from dpfedsim.cli import build_data, build_state
+from dpfedsim.cli import build_data
 from dpfedsim.config import ExperimentConfig
 from dpfedsim.data import (
     ClientShard,
@@ -131,7 +131,8 @@ def test_the_test_set_is_the_train_sets_task(classes, per_class, dim):
         synthetic_classes=classes, synthetic_per_class=per_class, synthetic_dim=dim
     )
     with pinned_worker() as (_, worker):
-        train, _, test_X, test_y = build_data(cfg, 1, worker)
+        _, shards, test_X, test_y = build_data(cfg, 1, worker)
+    train = shards[0].dataset  # every shard indexes the whole train set
     train_X = features(train.X)
     means = np.stack([train_X[train.y == c].mean(axis=0) for c in range(classes)])
     dists = ((test_X[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
@@ -142,7 +143,7 @@ def test_the_test_set_is_the_train_sets_task(classes, per_class, dim):
 def test_a_run_keeps_the_test_set_only_as_features_and_labels(
     monkeypatch, subsample_test
 ):
-    """Once build_state returns, the uint8 level matrix the synthetic test
+    """Once build_data returns, the uint8 level matrix the synthetic test
     set's features were built from is unreachable: the run holds the float32
     features and the labels, and nothing else of the test set."""
     real_features = data_mod.features
@@ -155,12 +156,12 @@ def test_a_run_keeps_the_test_set_only_as_features_and_labels(
     monkeypatch.setattr(data_mod, "features", features)
     cfg = ExperimentConfig(subsample_test=subsample_test)
     with pinned_worker() as (_, worker):
-        state = build_state(cfg, 1, worker)
+        _, _, test_X, test_y = build_data(cfg, 1, worker)
     (levels,) = converted  # the build converts the test set alone
     assert levels() is None
-    assert state.test_X.shape == (subsample_test or 200, cfg.synthetic_dim)
-    assert state.test_X.dtype == np.float32
-    assert state.test_y.shape == (state.test_X.shape[0],)
+    assert test_X.shape == (subsample_test or 200, cfg.synthetic_dim)
+    assert test_X.dtype == np.float32
+    assert test_y.shape == (test_X.shape[0],)
 
 
 def test_blobs_shape_balance_and_range():
@@ -394,5 +395,5 @@ def test_shard_fingerprints_are_pinned(case):
     )
     cfg.validate()
     with pinned_worker() as (_, worker):
-        state = build_state(cfg, 7, worker)
-    assert [shard_fingerprint(s) for s in state.shards] == expected
+        shards = build_data(cfg, 7, worker)[1]
+    assert [shard_fingerprint(s) for s in shards] == expected

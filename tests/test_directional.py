@@ -109,7 +109,8 @@ def _protocol_runs(partition):
         for algo in ("gcfl", "dp_fedavg"):
             cfg = ExperimentConfig(**base, algorithm=algo)
             cfg.validate()
-            runs[algo] = (cfg, run_seeds(cfg, worker))
+            results = {seed: run[0] for seed, _, (run,) in run_seeds([cfg], worker)}
+            runs[algo] = (cfg, results)
     return runs
 
 

@@ -391,10 +391,10 @@ def test_every_stream_a_run_derives_is_distinct(monkeypatch):
         clients_per_round=4,
         rounds=3,
         record_timing=False,
+        seeds=(1,),
     )
     with federation.pinned_worker() as (_, worker):
-        state = cli.build_state(cfg, 1, worker)
-    run_all_rounds(state)
+        list(cli.run_seeds([cfg], worker))
     # init and five data streams, then select, batch + noise, correction
     assert len(names) == 6 + 3 * (1 + 2 * 4 + 1)
     assert {name[3] for name in names} == set(Stream)

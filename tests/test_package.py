@@ -8,7 +8,8 @@ dataclass field is read somewhere in the package.  Every config key is
 read by the layer it configures, and the README's config table names
 exactly the config keys.  Every random stream is made by derive_rng and
 named by four ints, a tag of the one tag table last.  Only the commands
-hold the BLAS pin and the worker thread.  float32 is named only where the
+hold the BLAS pin and the worker thread, and both reach a run through one
+driver.  float32 is named only where the
 test set's features are built, the one input that sets evaluation's width.
 """
 
@@ -239,6 +240,27 @@ def test_only_the_commands_hold_the_pin_and_the_worker():
                     builds.add(path.name)
     assert enters == {("cli.py", "cmd_run"), ("cli.py", "cmd_compare")}
     assert builds == {"federation.py"}
+
+
+def test_run_and_compare_reach_a_run_through_one_driver():
+    """A comparison row and a run's final row agree because one code path
+    makes both: ``build_data`` and ``init_state`` are each called from one
+    place in the package, the driver ``cli.run_seeds``, which both commands
+    call.  A second path from a config to a run would show up here."""
+    calls = []
+    for path in PACKAGE.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            calls += [
+                (_called(node), path.name, getattr(top, "name", None))
+                for node in ast.walk(top)
+                if _called(node) in {"build_data", "init_state", "run_seeds"}
+            ]
+    assert sorted(calls) == [
+        ("build_data", "cli.py", "run_seeds"),
+        ("init_state", "cli.py", "run_seeds"),
+        ("run_seeds", "cli.py", "cmd_compare"),
+        ("run_seeds", "cli.py", "cmd_run"),
+    ]
 
 
 # numpy's names and dtype strings for float32
