@@ -7,8 +7,8 @@ compare  runs several algorithms on each seed's data, built once per seed,
 privacy  prints the epsilon schedule implied by the config without training.
 
 run and compare reach their runs through one driver (run_seeds): per seed,
-build_data builds the data and the model once, and each of the command's
-configs (one for run, one per algorithm for compare) runs on them.  Both
+build_data builds the data and the model spec once, and each of the
+command's configs (one for run, one per algorithm for compare) runs on them.  Both
 write their CSV files through one writer (write_metrics_csv).
 run and compare each hold one worker thread and one BLAS pin
 (``federation.pinned_worker``) around all of their data builds and runs;
