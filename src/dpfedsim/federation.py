@@ -366,11 +366,8 @@ def _evaluate(
             preds[lo : lo + chunk.shape[0]] = model_mod.predict(spec, w_eval, chunk)
 
     _halves(worker, predict, len(starts))
-    cm = metrics_mod.accumulate(preds, state.test_y, spec.num_classes)
-    return (
-        metrics_mod.accuracy(cm),
-        metrics_mod.macro_recall(cm),
-        metrics_mod.macro_f1(cm),
+    return metrics_mod.scores(
+        metrics_mod.accumulate(preds, state.test_y, spec.num_classes)
     )
 
 

@@ -1,4 +1,5 @@
-"""Confusion-matrix classification metrics (accuracy, macro recall, macro F1)."""
+"""A confusion matrix of predictions and its scores: accuracy, macro recall
+and macro F1, from one call."""
 
 from __future__ import annotations
 
@@ -27,48 +28,25 @@ def accumulate(predictions, labels, num_classes: int) -> np.ndarray:
     return cm
 
 
-def _check_matrix(cm: np.ndarray) -> np.ndarray:
+def scores(cm: np.ndarray) -> tuple[float, float, float]:
+    """(accuracy, macro recall, macro F1) of a confusion matrix.
+
+    Both macro means run over the classes present in the truth.  Per-class
+    F1 is the harmonic mean of precision and recall, taken as 0 when both
+    are 0, and a class never predicted has precision 0.
+    """
     cm = np.asarray(cm)
     if cm.ndim != 2 or cm.shape[0] != cm.shape[1]:
         raise ValueError(f"confusion matrix must be square, got shape {cm.shape}")
     if cm.sum() < 1:
         raise ValueError("confusion matrix is empty (no observations)")
-    return cm
-
-
-def accuracy(cm: np.ndarray) -> float:
-    cm = _check_matrix(cm)
-    return float(np.trace(cm) / cm.sum())
-
-
-def _per_class(cm: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(recall, precision, f1) per class; classes with zero denominator get 0."""
     diag = np.diag(cm).astype(np.float64)
     row = cm.sum(axis=1).astype(np.float64)
     col = cm.sum(axis=0).astype(np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        recall = np.where(row > 0, diag / np.where(row > 0, row, 1), 0.0)
-        precision = np.where(col > 0, diag / np.where(col > 0, col, 1), 0.0)
-        pr = precision + recall
-        f1 = np.where(pr > 0, 2 * precision * recall / np.where(pr > 0, pr, 1), 0.0)
-    return recall, precision, f1
-
-
-def macro_recall(cm: np.ndarray) -> float:
-    """Mean per-class recall over classes that actually occur in the truth."""
-    cm = _check_matrix(cm)
-    present = cm.sum(axis=1) > 0
-    recall, _, _ = _per_class(cm)
-    return float(recall[present].mean())
-
-
-def macro_f1(cm: np.ndarray) -> float:
-    """Mean per-class F1 over classes present in the truth.
-
-    Per-class F1 is the harmonic mean of precision and recall, taken as 0
-    when both are 0.
-    """
-    cm = _check_matrix(cm)
-    present = cm.sum(axis=1) > 0
-    _, _, f1 = _per_class(cm)
-    return float(f1[present].mean())
+    present = row > 0
+    recall = diag[present] / row[present]
+    # a class never predicted has no true positive either: 0 / 1
+    precision = diag[present] / np.maximum(col[present], 1.0)
+    pr = precision + recall
+    f1 = 2 * precision * recall / np.where(pr > 0, pr, 1.0)
+    return float(np.trace(cm) / cm.sum()), float(recall.mean()), float(f1.mean())

@@ -3,13 +3,13 @@
 Parameters live in a single 1-D float64 vector so the rest of the package can
 treat a model as a point in R^D.  Layout, per layer l (sizes n_l -> n_{l+1}):
 the weight matrix W_l of shape (n_l, n_{l+1}) in row-major order, followed by
-the bias b_l of length n_{l+1}.  A forward pass computes
-h_{l+1} = relu(h_l @ W_l + b_l) for hidden layers and softmax on the last.
-``clipped_gradient_sum`` runs the DP step's forward/backward for a whole
-minibatch in float64 and returns per-sample gradient norms and the clipped
-gradient sum.  ``predict``, evaluation's forward pass, runs in its
-features' dtype (float32 for a run's test set) and reads the argmax of the
-last layer's logits, which the softmax would not move.
+the bias b_l of length n_{l+1}.  One forward pass, in its features' dtype,
+computes h_{l+1} = relu(h_l @ W_l + b_l) for hidden layers and the logits
+h_L @ W_L + b_L on the last.  ``clipped_gradient_sum`` runs it in float64
+for a whole minibatch, softmaxes the logits and returns per-sample gradient
+norms and the clipped gradient sum.  ``predict`` runs it in its features'
+dtype (float32 for a run's test set) and reads the argmax of the logits,
+which the softmax would not move.
 """
 
 from __future__ import annotations
@@ -91,22 +91,19 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return logits
 
 
-def _forward(
-    spec: MlpSpec, w: ParamVector, features: np.ndarray
+def _layers(
+    spec: MlpSpec, w: ParamVector, X: np.ndarray
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """(inputs of every layer, the features first; class probabilities).
-
-    Each layer's output is built in the array of its product: x @ W, then
-    + b and the relu (or the softmax) in place."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.shape[1] != spec.layer_sizes[0]:
+    """(inputs of every layer, X first; the last layer's logits) of the
+    (n, input_dim) matrix X, computed in X's float dtype: w is cast to it
+    once, unless it already has it.  Each layer's output is built in the
+    array of its product: x @ W, then + b and the relu in place."""
+    if X.ndim != 2 or X.shape[1] != spec.layer_sizes[0]:
         raise ValueError(
-            f"feature dimension {x.shape[1]} != input layer {spec.layer_sizes[0]}"
+            f"features {X.shape} must be (n, feature dimension {spec.layer_sizes[0]})"
         )
-    layers = unpack(spec, w)
-    inputs = [x]
+    layers = unpack(spec, w.astype(X.dtype, copy=False))
+    inputs = [X]
     for weight, bias in layers[:-1]:
         h = inputs[-1] @ weight
         h += bias
@@ -114,27 +111,15 @@ def _forward(
     weight, bias = layers[-1]
     logits = inputs[-1] @ weight
     logits += bias
-    return inputs, _softmax_rows(logits)
+    return inputs, logits
 
 
 def predict(spec: MlpSpec, w: np.ndarray, X: np.ndarray) -> np.ndarray:
     """The class of each row of the (n, input_dim) matrix X: the argmax of
-    the last layer's logits (no softmax), the lowest class on a tie.
-
-    The forward pass runs in X's float dtype, and w is cast to it when its
-    own differs; a caller that predicts many chunks casts w once itself."""
-    if X.ndim != 2 or X.shape[1] != spec.layer_sizes[0]:
-        raise ValueError(f"features {X.shape} must be (n, {spec.layer_sizes[0]})")
-    layers = unpack(spec, w.astype(X.dtype, copy=False))
-    h = X
-    for weight, bias in layers[:-1]:
-        h = h @ weight
-        h += bias
-        np.maximum(h, 0.0, out=h)
-    weight, bias = layers[-1]
-    logits = h @ weight
-    logits += bias
-    return np.argmax(logits, axis=1)
+    the last layer's logits (no softmax), the lowest class on a tie, from a
+    forward pass in X's float dtype.  A caller that predicts many chunks
+    casts w to that dtype once itself."""
+    return np.argmax(_layers(spec, w, X)[1], axis=1)
 
 
 def _batch_labels(spec: MlpSpec, labels) -> np.ndarray:
@@ -181,7 +166,8 @@ def clipped_gradient_sum(
         out = np.empty(spec.num_params)
     elif out.shape != (spec.num_params,):
         raise ValueError(f"out has shape {out.shape}, spec wants ({spec.num_params},)")
-    inputs, probs = _forward(spec, w, features)
+    inputs, logits = _layers(spec, w, np.asarray(features, dtype=np.float64))
+    probs = _softmax_rows(logits)
     if probs.shape[0] != labs.size:
         raise ValueError("features and labels disagree on batch size")
     rows = np.arange(labs.size)

@@ -2,11 +2,13 @@
 
 Tests compare the package's kernels against the slow, obvious form of the
 same arithmetic: ``logits_batch`` and ``forward_batch`` are the float64
-forward pass, which ``model.predict`` runs in its features' dtype (float32
-on a run's test set); ``scale_add`` builds a + c b as a new vector, where the
-server step writes into the aggregate; ``dot`` accumulates strictly left
-to right; ``loss_and_gradient`` and ``clip_gradient`` take one sample at a
-time where ``model.clipped_gradient_sum`` builds no per-sample gradient.
+forward pass, which the package runs once per call of ``model.predict``,
+in its features' dtype (float32 on a run's test set), and of
+``model.clipped_gradient_sum``, in float64; ``scale_add`` builds a + c b
+as a new vector, where the server step writes into the aggregate;
+``dot`` accumulates strictly left to right; ``loss_and_gradient`` and
+``clip_gradient`` take one sample at a time where
+``model.clipped_gradient_sum`` builds no per-sample gradient.
 ``noisy_batch_gradient`` forms a step's noisy mean in one call, where a
 client builds the same bytes in the noise vector it draws.
 ``stack`` turns a dict of uploads into the round's (N, D) upload array.

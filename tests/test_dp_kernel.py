@@ -27,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpfedsim import model
 from dpfedsim.model import MlpSpec, clipped_gradient_sum
 from oracle import clip_gradient, dot, l2_norm, loss_and_gradient
 
@@ -194,3 +195,36 @@ def test_kernel_on_an_empty_batch_returns_a_zero_sum(shifted):
     assert losses.shape == sq_norms.shape == (0,)
     assert clipped is out
     assert clipped.tobytes() == np.zeros(spec.num_params).tobytes()
+
+
+def test_kernel_runs_a_float32_batch_in_float64():
+    """The DP step stays float64 whatever the features' dtype: a float32
+    batch gives the bytes of its float64 cast."""
+    spec = MlpSpec((5, 7, 3))
+    rng = np.random.default_rng(12)
+    w = rng.standard_normal(spec.num_params)
+    X32 = rng.standard_normal((9, 5)).astype(np.float32)
+    y = rng.integers(0, 3, 9)
+    got = clipped_gradient_sum(spec, w, X32, y, 0.5)
+    want = clipped_gradient_sum(spec, w, X32.astype(np.float64), y, 0.5)
+    for g, e in zip(got, want):
+        assert g.dtype == np.float64
+        assert g.tobytes() == e.tobytes()
+
+
+def test_predict_and_the_kernel_share_one_forward_pass(monkeypatch):
+    """Evaluation and the DP step each run the one layer loop once."""
+    spec = MlpSpec((3, 4, 2))
+    w = np.random.default_rng(0).standard_normal(spec.num_params)
+    calls = []
+    forward = model._layers
+
+    def counted(*args):
+        calls.append(args[2].dtype)
+        return forward(*args)
+
+    monkeypatch.setattr(model, "_layers", counted)
+    model.predict(spec, w.astype(np.float32), np.zeros((2, 3), np.float32))
+    assert calls == [np.float32]
+    clipped_gradient_sum(spec, w, np.zeros((2, 3)), [0, 1], 1.0)
+    assert calls == [np.float32, np.float64]

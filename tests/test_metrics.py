@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dpfedsim.metrics import accumulate, accuracy, macro_f1, macro_recall
+from dpfedsim.metrics import accumulate, scores
 
 
 def brute_force(preds, labels, num_classes):
@@ -29,22 +29,22 @@ def test_hand_worked_example():
     # true labels: 0,0,1 — predictions: 0,1,1
     cm = accumulate([0, 1, 1], [0, 0, 1], 2)
     np.testing.assert_array_equal(cm, [[1, 1], [0, 1]])
-    assert accuracy(cm) == pytest.approx(2 / 3)
-    assert macro_recall(cm) == pytest.approx(0.75)
-    assert macro_f1(cm) == pytest.approx(2 / 3)
+    accuracy, macro_recall, macro_f1 = scores(cm)
+    assert accuracy == pytest.approx(2 / 3)
+    assert macro_recall == pytest.approx(0.75)
+    assert macro_f1 == pytest.approx(2 / 3)
 
 
 def test_perfect_predictions():
     cm = accumulate([0, 1, 2], [0, 1, 2], 3)
-    assert accuracy(cm) == 1.0
-    assert macro_recall(cm) == 1.0
-    assert macro_f1(cm) == 1.0
+    assert scores(cm) == (1.0, 1.0, 1.0)
 
 
 def test_single_class_truth_ignores_absent_classes():
     cm = accumulate([0, 0, 1], [0, 0, 0], 3)
-    assert accuracy(cm) == pytest.approx(2 / 3)
-    assert macro_recall(cm) == pytest.approx(2 / 3)  # only class 0 present
+    accuracy, macro_recall, _ = scores(cm)
+    assert accuracy == pytest.approx(2 / 3)
+    assert macro_recall == pytest.approx(2 / 3)  # only class 0 present
 
 
 def test_matches_brute_force_on_random_scenarios():
@@ -56,9 +56,10 @@ def test_matches_brute_force_on_random_scenarios():
         preds = rng.integers(0, k, size=n)
         cm = accumulate(preds, labels, k)
         acc, rec, f1 = brute_force(preds, labels, k)
-        assert abs(accuracy(cm) - acc) <= 1e-12
-        assert abs(macro_recall(cm) - rec) <= 1e-12
-        assert abs(macro_f1(cm) - f1) <= 1e-12
+        accuracy, macro_recall, macro_f1 = scores(cm)
+        assert abs(accuracy - acc) <= 1e-12
+        assert abs(macro_recall - rec) <= 1e-12
+        assert abs(macro_f1 - f1) <= 1e-12
 
 
 def test_accumulate_validation():
@@ -72,11 +73,10 @@ def test_accumulate_validation():
 
 def test_empty_matrix_rejected():
     empty = np.zeros((3, 3), dtype=np.int64)
-    for fn in (accuracy, macro_recall, macro_f1):
-        with pytest.raises(ValueError, match="empty"):
-            fn(empty)
+    with pytest.raises(ValueError, match="empty"):
+        scores(empty)
 
 
 def test_non_square_rejected():
     with pytest.raises(ValueError, match="square"):
-        accuracy(np.zeros((2, 3)))
+        scores(np.zeros((2, 3)))
