@@ -11,6 +11,8 @@ named by four ints, a tag of the one tag table last.  Only the commands
 hold the BLAS pin and the worker thread, and both reach a run through one
 driver.  float32 is named only where the
 test set's features are built, the one input that sets evaluation's width.
+Every mutant of the mutation sweep (``tests/mutants.py``) edits text that
+occurs once in ``src/``.
 """
 
 import ast
@@ -23,6 +25,7 @@ import numpy as np
 
 from dpfedsim.config import ExperimentConfig
 from dpfedsim.federation import Stream
+from mutants import MUTANTS, SURVIVORS
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "dpfedsim"
@@ -290,3 +293,15 @@ def test_float32_is_named_only_where_the_test_features_are_built():
             if any(_names_float32(node) for node in ast.walk(top)):
                 named.add((path.name, getattr(top, "name", ast.unparse(top))))
     assert named == {("cli.py", "_finish_test_set")}
+
+
+def test_every_mutants_old_text_occurs_once_in_src():
+    """The mutation sweep's list stays applicable: a refactor that moves a
+    mutant's text updates ``tests/mutants.py``."""
+    sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert len({m.id for m in MUTANTS}) == len(MUTANTS) == 15
+    for mutant in MUTANTS:
+        assert sources[mutant.file].count(mutant.old) == 1, mutant.id
+        assert sum(text.count(mutant.old) for text in sources.values()) == 1
+        assert mutant.new != mutant.old
+    assert set(SURVIVORS) <= {m.id for m in MUTANTS}
