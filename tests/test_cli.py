@@ -428,6 +428,29 @@ def test_privacy_prints_schedule(tmp_path, capsys):
     assert eps[0] < eps[1] < eps[2]
 
 
+def test_the_readme_quick_start_prints_and_writes_what_the_readme_shows(
+    tmp_path, capsys
+):
+    """The README's demo.cfg, run in-process, prints its run-complete line,
+    writes its example metrics.csv row and gives its privacy schedule."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    demo = re.search(r"cat > demo.cfg <<'EOF'\n(.*?\n)EOF\n", readme, re.S)
+    cfg = write_cfg(tmp_path, demo.group(1), "demo.cfg")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    printed = re.search(r"\n# (run complete: .*)\n", readme).group(1)
+    assert capsys.readouterr().out.splitlines() == [printed]
+    rows = readme.split("`metrics.csv` — one row per round", 1)[1]
+    rows = rows.split("```\n", 2)[1].splitlines()
+    assert (out / "metrics.csv").read_text().splitlines()[:2] == rows
+    assert main(["privacy", "--config", cfg]) == 0
+    schedule = readme.split("* `dpfedsim privacy --config CFG`", 1)[1]
+    schedule = schedule.split("```\n", 2)[1].splitlines()
+    shown = [line.removeprefix("  ") for line in schedule[:-1]]
+    assert capsys.readouterr().out.splitlines()[: len(shown)] == shown
+    assert len(shown) == 4
+
+
 def test_a_closed_stdout_ends_privacy_with_exit_1_and_nothing_on_stderr(tmp_path):
     """The reader takes one line and closes the pipe while privacy still has
     well over a pipe buffer of schedule to write."""
