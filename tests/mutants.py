@@ -190,13 +190,13 @@ def apply(tree: Path, mutant: Mutant) -> None:
     path.write_text(text.replace(mutant.old, mutant.new))
 
 
-def failed_tests(tree: Path, select: list[str]) -> list[str]:
+def failed_tests(tree: Path, args: list[str]) -> list[str]:
     """Node ids of the tests that fail or error in tree's tier-1, run with
-    ``select`` appended to the pytest arguments."""
+    ``args`` appended to the pytest arguments."""
     report = tree / "report.xml"
     subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors", f"--junitxml={report}", *select],
+         "--continue-on-collection-errors", f"--junitxml={report}", *args],
         cwd=tree, env=dict(os.environ, PYTHONPATH=str(tree / "src")),
         capture_output=True,
     )
@@ -209,6 +209,7 @@ def failed_tests(tree: Path, select: list[str]) -> list[str]:
 
 
 def sweep(mutants: list[Mutant]) -> list[dict]:
+    """Check the unmutated tree, then one record per mutant, in order."""
     without_pins = [arg for t in (*PINS, LIST_CHECK) for arg in ("--deselect", t)]
     results = []
     for mutant in [None, *mutants]:
