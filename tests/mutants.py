@@ -7,7 +7,7 @@ must update this list.
 
 Run the sweep from the repository root (it is not part of tier-1):
 
-    python tests/mutants.py [--only ID ...] [--out mutants.json]
+    python tests/mutants.py
 
 It copies the repository's files (``git ls-files``, untracked files that
 are not ignored included) into a temporary directory, applies one mutant
@@ -16,13 +16,13 @@ bytes regenerates the pins, so a pin alone guards no promise: a mutant
 that survives that run and is killed only by the pins is reported as
 weak.  One that nothing kills is a survivor, expected when ``SURVIVORS``
 names the open item that will kill it.  The unmutated tree runs first and
-must pass.  ``mutants.json`` records, per mutant, the outcome, the tests
-that killed it and the wall seconds.
+must pass.  ``mutants.json``, at the repository root, records, per
+mutant, the outcome, the tests that killed it and the wall seconds.  To
+run one mutant, call ``sweep([mutant])`` from Python.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import shutil
@@ -192,16 +192,23 @@ def apply(tree: Path, mutant: Mutant) -> None:
 
 def failed_tests(tree: Path, args: list[str]) -> list[str]:
     """Node ids of the tests that fail or error in tree's tier-1, run with
-    ``args`` appended to the pytest arguments."""
+    ``args`` appended to the pytest arguments.  Raises when pytest stops
+    for any other reason (exit code not 0 or 1) or reports no test."""
     report = tree / "report.xml"
-    subprocess.run(
+    proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "--continue-on-collection-errors", f"--junitxml={report}", *args],
         cwd=tree, env=dict(os.environ, PYTHONPATH=str(tree / "src")),
-        capture_output=True,
+        capture_output=True, text=True,
     )
+    cases = list(ET.parse(report).iter("testcase")) if report.is_file() else []
+    if proc.returncode not in (0, 1) or not cases:
+        raise RuntimeError(
+            f"pytest exited {proc.returncode} with {len(cases)} tests reported:\n"
+            f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}"
+        )
     failed = []
-    for case in ET.parse(report).iter("testcase"):
+    for case in cases:
         if case.find("failure") is not None or case.find("error") is not None:
             module = case.get("classname", "").replace(".", "/")
             failed.append(f"{module}.py::{case.get('name')}")
@@ -245,18 +252,10 @@ def sweep(mutants: list[Mutant]) -> list[dict]:
     return results
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--only", nargs="+", metavar="ID", help="run these mutants")
-    parser.add_argument("--out", default="mutants.json", help="the JSON report")
-    args = parser.parse_args(argv)
-    chosen = [m for m in MUTANTS if not args.only or m.id in args.only]
-    unknown = set(args.only or ()) - {m.id for m in MUTANTS}
-    if unknown:
-        parser.error(f"unknown mutant ids: {sorted(unknown)}")
+def main() -> int:
     t0 = time.perf_counter()
-    results = sweep(chosen)
-    Path(args.out).write_text(json.dumps(
+    results = sweep(list(MUTANTS))
+    (ROOT / "mutants.json").write_text(json.dumps(
         {"wall_s": round(time.perf_counter() - t0, 1), "mutants": results}, indent=2
     ) + "\n")
     bad = [r["id"] for r in results if r["outcome"] in ("weak", "survived")]
