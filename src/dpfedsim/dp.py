@@ -95,22 +95,15 @@ def rdp_to_dp(rdp: float, alpha: float, delta: float) -> float:
     )
 
 
-def epsilon_spent(
-    steps: int,
-    sigma: float,
-    delta: float,
-    alpha_grid: tuple[float, ...] = DEFAULT_ALPHA_GRID,
-) -> tuple[float, float]:
+def epsilon_spent(steps: int, sigma: float, delta: float) -> tuple[float, float]:
     """(epsilon, best_alpha) after `steps` noisy steps at noise multiplier sigma.
 
-    Minimizes the converted bound over the alpha grid; ties go to the
-    smaller alpha.
+    Minimizes the converted bound over ``DEFAULT_ALPHA_GRID``, which is
+    ascending; ties go to the smaller alpha.
     """
-    if not alpha_grid:
-        raise ValueError("alpha_grid must be nonempty")
     best_eps = math.inf
     best_alpha = None
-    for alpha in sorted(alpha_grid):
+    for alpha in DEFAULT_ALPHA_GRID:
         rdp = steps * rdp_cost_per_step(sigma, alpha)
         eps = rdp_to_dp(rdp, alpha, delta)
         if eps < best_eps:

@@ -15,10 +15,10 @@ count at 784-128-10, as does the QR of the synthetic class centres at
 its whole life, data build included (``federation.pinned_worker``): with
 BLAS on one thread, every product is reduced in one order, whichever
 Python thread calls it and whatever thread count the caller set.
-Subprocess tests in ``tests/test_cli.py`` and ``tests/test_correction.py``
-check that output bytes do not change between one and two BLAS threads,
-for whole runs on small layer sizes, at 784-128-10 and at 3000 features
-(data build included), and for the Gram, correction and the folded
+Subprocess tests check that output bytes do not change between one and
+two BLAS threads: ``tests/test_determinism.py`` for whole runs at
+784-128-10, where a missing pin changes the bytes, and
+``tests/test_correction.py`` for the Gram, correction and the folded
 aggregate at the full 101,770-parameter shape.
 """
 

@@ -163,6 +163,13 @@ MUTANTS = (
         "if cos < 0:",
         "if cos > 0:",
     ),
+    Mutant(
+        "blas_pin_off",
+        "output bytes do not depend on the BLAS thread count",
+        "linalg.py",
+        "    set_(1)",
+        "    set_(saved)",
+    ),
 )
 
 # mutant id -> the open ROADMAP item that will kill it

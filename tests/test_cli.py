@@ -60,15 +60,6 @@ def test_run_writes_metrics_and_summary(tmp_path, capsys):
     assert "run complete" in captured.out
 
 
-def test_run_is_byte_identical_across_invocations(tmp_path):
-    cfg = write_cfg(tmp_path)
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["run", "--config", cfg, "--out", str(out1)]) == 0
-    assert main(["run", "--config", cfg, "--out", str(out2)]) == 0
-    assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
-    assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
-
-
 @pytest.mark.parametrize("algorithm", ["gcfl", "isolated"])
 def test_weights_sha256_sees_one_ulp_of_the_final_weights(
     tmp_path, monkeypatch, algorithm
@@ -479,22 +470,6 @@ def test_privacy_sigma_zero_message(tmp_path, capsys):
     assert "no DP guarantee" in capsys.readouterr().out
 
 
-def test_the_module_run_writes_the_bytes_of_an_in_process_main(tmp_path):
-    """``python -m dpfedsim.cli`` exits through ``script``, whose exit skips
-    the frozen heap's collection, after main has written every file."""
-    cfg = write_cfg(tmp_path)
-    inline, child = tmp_path / "inline", tmp_path / "child"
-    assert main(["run", "--config", cfg, "--out", str(inline)]) == 0
-    assert gc.get_freeze_count() == 0  # main itself freezes nothing
-    subprocess.run(
-        [sys.executable, "-m", "dpfedsim.cli", "run", "--config", cfg,
-         "--out", str(child)],
-        env=child_env(), check=True, capture_output=True, timeout=120,
-    )
-    for name in ("metrics.csv", "summary.json"):
-        assert (child / name).read_bytes() == (inline / name).read_bytes()
-
-
 def test_the_console_script_freezes_the_heap_and_exits_with_mains_code(
     tmp_path, monkeypatch
 ):
@@ -537,133 +512,3 @@ def test_golden_two_round_run(tmp_path):
         "1,42.126631,1.106323,0.333333,0.333333,0.190476,0,0\n"
     )
     assert got == expected
-
-
-def test_run_is_byte_identical_across_blas_thread_counts(tmp_path):
-    """metrics.csv and summary.json do not depend on the BLAS thread count.
-
-    The layers are sized so that the evaluation matrix products are large
-    enough for OpenBLAS to split them over threads.  The second config runs
-    the prox shift through two local steps on Poisson batches of about 64, so
-    the clipping kernel's per-layer products A^T (s * Delta) are split too.
-    The third runs pairwise correction over six clients (30 cosine tests a
-    round), so summary.json's cosine statistics come from the Gram path.
-    """
-    base = """
-        synthetic_classes = 5
-        synthetic_per_class = 200
-        synthetic_dim = 128
-        layer_sizes = 128,96,5
-        n_clients = 3
-        rounds = 2
-        eta = 0.05
-        batch_size = 16
-        seeds = 4
-        record_timing = false
-        """
-    prox = base.replace("batch_size = 16", "batch_size = 64") + """
-        algorithm = dp_fedprox
-        sampling_mode = poisson
-        local_steps = 2
-        """
-    pairwise = base.replace("n_clients = 3", "n_clients = 6") + """
-        correction_mode = pairwise
-        """
-    configs = (("base", base), ("prox", prox), ("pairwise", pairwise))
-    for name, text in configs:
-        cfg = write_cfg(tmp_path, text, name=f"{name}.cfg")
-        outputs = []
-        for threads in ("1", "2"):
-            env = child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-            out = tmp_path / f"{name}_threads{threads}"
-            subprocess.run(
-                [sys.executable, "-m", "dpfedsim.cli", "run", "--config", cfg,
-                 "--out", str(out)],
-                env=env, check=True, capture_output=True, timeout=120,
-            )
-            outputs.append(
-                ((out / "metrics.csv").read_bytes(),
-                 (out / "summary.json").read_bytes())
-            )
-        assert outputs[0] == outputs[1], name
-
-
-def test_benchmark_shape_run_is_byte_identical_across_blas_thread_counts(tmp_path):
-    """At 784-128-10 OpenBLAS splits the forward and clipping products
-    differently by thread count; the run's one-thread pin makes the bytes
-    the same anyway.  The config is the n32_gcfl_pairwise benchmark
-    protocol (10k training rows, 32 clients, batch 32, pairwise correction)
-    cut to 2 rounds."""
-    from dpfedsim.linalg import _openblas
-
-    if _openblas() is None:
-        pytest.skip("no controllable BLAS: thread invariance is not claimed")
-    cfg = write_cfg(
-        tmp_path,
-        """
-        synthetic_classes = 10
-        synthetic_per_class = 1000
-        synthetic_dim = 784
-        layer_sizes = 784,128,10
-        batch_size = 32
-        n_clients = 32
-        algorithm = gcfl
-        correction_mode = pairwise
-        rounds = 2
-        seeds = 1
-        record_timing = false
-        """,
-    )
-    outputs = []
-    for threads in ("1", "2"):
-        env = child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        out = tmp_path / f"threads{threads}"
-        subprocess.run(
-            [sys.executable, "-m", "dpfedsim.cli", "run", "--config", cfg,
-             "--out", str(out)],
-            env=env, check=True, capture_output=True, timeout=300,
-        )
-        outputs.append(
-            ((out / "metrics.csv").read_bytes(), (out / "summary.json").read_bytes())
-        )
-    assert outputs[0] == outputs[1]
-    assert json.loads(outputs[0][1])["blas_pinned"] is True
-
-
-def test_data_build_is_byte_identical_across_blas_thread_counts(tmp_path):
-    """The command's pin covers its data builds: at 3000 features and 200
-    classes the QR of the synthetic class centres gives different bytes
-    under one and two OpenBLAS threads, which compare's shard_hash and
-    every trained number would show."""
-    from dpfedsim.linalg import _openblas
-
-    if _openblas() is None:
-        pytest.skip("no controllable BLAS: thread invariance is not claimed")
-    cfg = write_cfg(
-        tmp_path,
-        """
-        synthetic_classes = 200
-        synthetic_per_class = 2
-        synthetic_dim = 3000
-        layer_sizes = 3000,8,200
-        rounds = 1
-        seeds = 1
-        record_timing = false
-        """,
-    )
-    outputs = []
-    for threads in ("1", "2"):
-        env = child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        out = tmp_path / f"threads{threads}"
-        for argv in (["compare", "--algos", "gcfl"], ["run"]):
-            subprocess.run(
-                [sys.executable, "-m", "dpfedsim.cli", *argv, "--config", cfg,
-                 "--out", str(out)],
-                env=env, check=True, capture_output=True, timeout=120,
-            )
-        outputs.append(
-            [(out / name).read_bytes()
-             for name in ("comparison.csv", "metrics.csv", "summary.json")]
-        )
-    assert outputs[0] == outputs[1]
-    assert json.loads(outputs[0][2])["blas_pinned"] is True

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import dpfedsim.dp as dp
 from dpfedsim.config import ExperimentConfig
 from dpfedsim.dp import (
     DEFAULT_ALPHA_GRID,
@@ -165,9 +166,10 @@ def test_epsilon_decreases_when_sigma_doubles():
         assert hi < lo
 
 
-def test_epsilon_tie_goes_to_smaller_alpha():
+def test_epsilon_tie_goes_to_smaller_alpha(monkeypatch):
     delta = 1e-5
-    eps, alpha = epsilon_spent(5, 0.8, delta, alpha_grid=(2.0, 2.0, 3.0))
+    monkeypatch.setattr(dp, "DEFAULT_ALPHA_GRID", (2.0, 2.0, 3.0))
+    eps, alpha = epsilon_spent(5, 0.8, delta)
     assert alpha in (2.0, 3.0)
     two = rdp_to_dp(5 * rdp_cost_per_step(0.8, 2.0), 2.0, delta)
     three = rdp_to_dp(5 * rdp_cost_per_step(0.8, 3.0), 3.0, delta)

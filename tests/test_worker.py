@@ -4,10 +4,12 @@ A command holds one worker thread and one BLAS pin to one thread
 (``federation.pinned_worker``) from its first data build to its last run.
 A run splits each round's participants, and evaluation's test chunks, in
 halves: the upper half goes to the worker and the calling thread runs the
-lower half.  Which thread runs a half, and when, must not change a byte of
-the output; a failure on either thread must stop the run, naming the
-lowest failing client; and a command, or a ``pinned_worker`` block, must
+lower half.  A failure on either thread must stop the run, naming the
+lowest failing client, and a command, or a ``pinned_worker`` block, must
 leave no thread behind and the caller's BLAS thread count as it found it.
+That which thread runs a half, and when, changes no byte of the output is
+checked with the rest of the determinism promise in
+``tests/test_determinism.py``.
 The synthetic data build shares the worker too: the calling thread builds
 the train set, and the worker the test set and its float32 features.
 """
@@ -33,7 +35,7 @@ import dpfedsim.federation as federation
 import oracle
 from dpfedsim.cli import build_data, main
 from dpfedsim.config import ExperimentConfig, parse_config
-from dpfedsim.federation import ALGORITHMS, Stream, derive_rng, pinned_worker
+from dpfedsim.federation import Stream, derive_rng, pinned_worker
 from dpfedsim.federation import run_experiment
 from dpfedsim.linalg import _openblas, one_blas_thread
 from oracle import child_env, run_all_rounds
@@ -83,7 +85,8 @@ def _worker_threads():
 
 
 # Poisson batches of 2 from 15-example shards: about one step in nine draws
-# an empty batch (asserted below), so clients take different step counts
+# an empty batch (asserted in test_determinism.py), so clients take
+# different step counts
 SMALL = """
 synthetic_classes = 3
 synthetic_per_class = 20
@@ -98,72 +101,6 @@ batch_size = 2
 seeds = 5
 record_timing = false
 """
-CONFIGS = [(a, SMALL + f"algorithm = {a}\n") for a in ALGORITHMS] + [
-    ("sigma_0", SMALL + "sigma = 0\n")
-]
-
-
-@pytest.mark.parametrize("name, text", CONFIGS, ids=[c[0] for c in CONFIGS])
-def test_outputs_are_byte_identical_inline_on_the_worker_and_with_delays(
-    tmp_path, monkeypatch, name, text
-):
-    """Criterion 10 for the worker: every task run inline, on the worker
-    thread, and on the worker with random sleeps before each task and a
-    10-microsecond interpreter switch interval gives the same metrics.csv
-    and summary.json bytes.  Each round's 4 clients are split 2 and 2, and
-    evaluation takes 7-row chunks here, so the 12-row test set is split
-    between the two threads too."""
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text(text)
-    monkeypatch.setattr(federation, "_EVAL_ROWS", 7)
-    real_sample = federation.poisson_sample
-    batch_sizes = []
-
-    def record(*args):
-        idx = real_sample(*args)
-        batch_sizes.append(idx.size)
-        return idx
-
-    monkeypatch.setattr(federation, "poisson_sample", record)
-    real_local, ran_on = federation.client_local_phase, []
-
-    def local(*args, **kwargs):
-        ran_on.append(threading.current_thread().name)
-        return real_local(*args, **kwargs)
-
-    monkeypatch.setattr(federation, "client_local_phase", local)
-    inline = []
-
-    def inline_worker():
-        inline.append(InlineExecutor())
-        return inline[-1]
-
-    factories = {
-        "inline": inline_worker,
-        "worker": federation._new_worker,
-        "delayed": lambda: SleepyExecutor(seed=13),
-    }
-    outputs = {}
-    for mode, factory in factories.items():
-        monkeypatch.setattr(federation, "_new_worker", factory)
-        out = tmp_path / mode
-        interval = sys.getswitchinterval()
-        if mode == "delayed":
-            sys.setswitchinterval(1e-5)
-        try:
-            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-        finally:
-            sys.setswitchinterval(interval)
-        outputs[mode] = (
-            (out / "metrics.csv").read_bytes(),
-            (out / "summary.json").read_bytes(),
-        )
-    assert outputs["worker"] == outputs["inline"]
-    assert outputs["delayed"] == outputs["inline"]
-    assert 0 in batch_sizes  # some step found its Poisson batch empty
-    assert inline[0].submitted > 0  # the tasks went through the executor
-    assert any(name.startswith(WORKER_PREFIX) for name in ran_on)
-    assert _worker_threads() == []
 
 
 def _pin_count():
