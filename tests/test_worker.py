@@ -7,9 +7,8 @@ halves: the upper half goes to the worker and the calling thread runs the
 lower half.  A failure on either thread must stop the run, naming the
 lowest failing client, and a command, or a ``pinned_worker`` block, must
 leave no thread behind and the caller's BLAS thread count as it found it.
-That which thread runs a half, and when, changes no byte of the output is
-checked with the rest of the determinism promise in
-``tests/test_determinism.py``.
+``tests/test_determinism.py`` checks, with the rest of the determinism
+promise, that which thread runs a half, and when, changes no output byte.
 The synthetic data build shares the worker too: the calling thread builds
 the train set, and the worker the test set and its float32 features.
 """
