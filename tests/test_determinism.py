@@ -1,11 +1,13 @@
 """The determinism promise: the same config and seed give the same bytes.
 
 One test compares every file in each output directory, by name and by
-bytes, across the ways a run can be carried out:
-- entry: ``compare`` then ``run``, twice through ``main`` in this process
-  and once as ``python -m dpfedsim.cli`` in a child;
+bytes, across the ways a command can be carried out:
+- entry: ``compare`` then ``run``, twice through ``main`` in this process,
+  and once through ``main`` and once as ``python -m dpfedsim.cli`` in a
+  child;
 - executor: every task run inline, on the worker thread, and on the worker
-  with random delays;
+  with random delays, for ``run`` and for a ``compare`` that holds one
+  worker over six algorithms;
 - blas: a child under one and under two OpenBLAS threads.
 
 Each blas case is at the benchmark's 784-128-10 shape, where OpenBLAS
@@ -42,21 +44,25 @@ rounds = 2
 seeds = 1
 record_timing = false
 """
+RUN = (["run"],)
+COMPARE = (["compare", "--algos", ",".join(ALGORITHMS)],)
+ENTRY_CFG = FAST_CFG.replace("seeds = 2", "seeds = 2,3")
 CASES = [
-    pytest.param("entry", FAST_CFG.replace("seeds = 2", "seeds = 2,3"),
-                 id="entry-compare_and_run"),
-    *[pytest.param("executor", SMALL + f"algorithm = {a}\n", id=f"executor-{a}")
-      for a in ALGORITHMS],
-    pytest.param("executor", SMALL + "sigma = 0\n", id="executor-sigma_0"),
+    pytest.param("in_process", COMPARE + RUN, ENTRY_CFG, id="entry-in_process"),
+    pytest.param("python_m", COMPARE + RUN, ENTRY_CFG, id="entry-python_m"),
+    *[pytest.param("executor", RUN, SMALL + f"algorithm = {a}\n",
+                   id=f"executor-{a}") for a in ALGORITHMS],
+    pytest.param("executor", RUN, SMALL + "sigma = 0\n", id="executor-sigma_0"),
+    pytest.param("executor", COMPARE, SMALL, id="executor-compare"),
     # the n32_gcfl_pairwise benchmark protocol cut to 2 rounds
-    pytest.param("blas", BENCH_SHAPE + """
+    pytest.param("blas", RUN, BENCH_SHAPE + """
 n_clients = 32
 algorithm = gcfl
 correction_mode = pairwise
 """, id="blas-n32_gcfl_pairwise"),
     # the prox shift through two local steps on Poisson batches, so the
     # clipping kernel's per-layer products carry it
-    pytest.param("blas", BENCH_SHAPE + """
+    pytest.param("blas", RUN, BENCH_SHAPE + """
 n_clients = 4
 algorithm = dp_fedprox
 sampling_mode = poisson
@@ -65,30 +71,41 @@ local_steps = 2
 ]
 
 
-def _child(argv, cfg, out, **variables):
-    subprocess.run(
-        [sys.executable, "-m", "dpfedsim.cli", *argv, "--config", cfg,
-         "--out", str(out)],
-        env=child_env(**variables), check=True, capture_output=True, timeout=300,
-    )
-
-
-def _entry(tmp_path, monkeypatch, cfg):
-    """compare over every algorithm, then run, into one directory: twice
-    in-process, then in a child that exits through ``script``, whose exit
-    skips the frozen heap's collection, after main has written every file."""
-    commands = (["compare", "--algos", ",".join(ALGORITHMS)], ["run"])
-    outs = [tmp_path / way for way in ("main1", "main2", "child")]
-    for out in outs[:2]:
-        for argv in commands:
-            assert main([*argv, "--config", cfg, "--out", str(out)]) == 0
-    assert gc.get_freeze_count() == 0  # main itself freezes nothing
+def _main(commands, cfg, out):
     for argv in commands:
-        _child(argv, cfg, outs[2])
+        assert main([*argv, "--config", cfg, "--out", str(out)]) == 0
+
+
+def _child(commands, cfg, out, **variables):
+    for argv in commands:
+        subprocess.run(
+            [sys.executable, "-m", "dpfedsim.cli", *argv, "--config", cfg,
+             "--out", str(out)],
+            env=child_env(**variables), check=True, capture_output=True,
+            timeout=300,
+        )
+
+
+def _in_process(tmp_path, monkeypatch, cfg, commands):
+    """The commands twice through ``main``, each time into a new directory."""
+    outs = [tmp_path / "main1", tmp_path / "main2"]
+    for out in outs:
+        _main(commands, cfg, out)
     return outs
 
 
-def _executor(tmp_path, monkeypatch, cfg):
+def _python_m(tmp_path, monkeypatch, cfg, commands):
+    """The commands through ``main``, then in a child that exits through
+    ``script``, whose exit skips the frozen heap's collection, after main
+    has written every file."""
+    outs = [tmp_path / "main", tmp_path / "child"]
+    _main(commands, cfg, outs[0])
+    assert gc.get_freeze_count() == 0  # main itself freezes nothing
+    _child(commands, cfg, outs[1])
+    return outs
+
+
+def _executor(tmp_path, monkeypatch, cfg, commands):
     """Every task run inline, on the worker thread, and on the worker with
     random sleeps before each task and a 10-microsecond interpreter switch
     interval.  Each round's 4 clients are split 2 and 2, and evaluation
@@ -124,7 +141,7 @@ def _executor(tmp_path, monkeypatch, cfg):
         if mode == "delayed":
             sys.setswitchinterval(1e-5)
         try:
-            assert main(["run", "--config", cfg, "--out", str(tmp_path / mode)]) == 0
+            _main(commands, cfg, tmp_path / mode)
         finally:
             sys.setswitchinterval(interval)
     assert 0 in batch_sizes  # some step found its Poisson batch empty
@@ -134,26 +151,29 @@ def _executor(tmp_path, monkeypatch, cfg):
     return [tmp_path / mode for mode in factories]
 
 
-def _blas(tmp_path, monkeypatch, cfg):
+def _blas(tmp_path, monkeypatch, cfg, commands):
     if _openblas() is None:
         pytest.skip("no controllable BLAS: thread invariance is not claimed")
     outs = []
     for threads in ("1", "2"):
         outs.append(tmp_path / f"threads{threads}")
-        _child(["run"], cfg, outs[-1],
+        _child(commands, cfg, outs[-1],
                OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
     summary = json.loads((outs[0] / "summary.json").read_text())
     assert summary["blas_pinned"] is True
     return outs
 
 
-WAYS = {"entry": _entry, "executor": _executor, "blas": _blas}
+WAYS = {"in_process": _in_process, "python_m": _python_m, "executor": _executor,
+        "blas": _blas}
 
 
-@pytest.mark.parametrize("way, text", CASES)
-def test_every_output_file_is_byte_identical(tmp_path, monkeypatch, way, text):
+@pytest.mark.parametrize("way, commands, text", CASES)
+def test_every_output_file_is_byte_identical(
+    tmp_path, monkeypatch, way, commands, text
+):
     cfg = write_cfg(tmp_path, text)
-    outs = WAYS[way](tmp_path, monkeypatch, cfg)
+    outs = WAYS[way](tmp_path, monkeypatch, cfg, commands)
     files = [{p.name: p.read_bytes() for p in out.iterdir()} for out in outs]
     assert files[0]  # the command wrote something
     for other in files[1:]:
