@@ -3,7 +3,8 @@
 run      executes the configured experiment for every seed in `seeds`,
          writing metrics.csv (per-round rows) and summary.json into --out.
 compare  runs several algorithms on each seed's data, built once per seed,
-         and writes comparison.csv of final-round metrics.
+         and writes comparison.csv of final-round metrics and weight
+         fingerprints.
 privacy  prints the epsilon schedule implied by the config without training.
 
 run and compare reach their runs through one driver (run_seeds): per seed,
@@ -42,7 +43,7 @@ import numpy as np
 
 from . import data as data_mod
 from .config import ExperimentConfig, parse_config, parse_label_split
-from .dp import SENSITIVITY, epsilon_spent
+from .dp import SENSITIVITY
 from .federation import RoundMetrics, Stream, derive_rng, init_state
 from .federation import pinned_worker, run_experiment, weights_sha256
 from .model import MlpSpec
@@ -72,12 +73,12 @@ def _finish_test_set(
 
 def build_data(
     cfg: ExperimentConfig, seed: int, worker: Executor
-) -> tuple[MlpSpec, list[data_mod.ClientShard], np.ndarray, np.ndarray]:
-    """(the model, the client shards of the train set, the test set's float32
-    features, its labels) for one run seed, built on the command's worker and
-    this thread; no task of the build is left on the worker when this returns
-    or raises.  The model is layer_sizes, or (features, 128, classes) of the
-    train set when unset."""
+) -> tuple[MlpSpec, data_mod.Dataset, list[np.ndarray], np.ndarray, np.ndarray]:
+    """(the model, the train set, each client's rows of it, the test set's
+    float32 features, its labels) for one run seed, built on the command's
+    worker and this thread; no task of the build is left on the worker when
+    this returns or raises.  The model is layer_sizes, or (features, 128,
+    classes) of the train set when unset."""
     if cfg.dataset == "idx":
         train = data_mod.load_idx(cfg.train_images, cfg.train_labels)
         test = data_mod.load_idx(cfg.test_images, cfg.test_labels)
@@ -138,22 +139,23 @@ def build_data(
         raise ValueError(
             f"layer_sizes ends at {sizes[-1]} but the data has {num_classes} classes"
         )
-    return MlpSpec(tuple(sizes)), shards, test_X, test_y
+    return MlpSpec(tuple(sizes)), train, shards, test_X, test_y
 
 
 def run_seeds(
     configs: list[ExperimentConfig], worker: Executor
-) -> Iterator[tuple[int, list[data_mod.ClientShard], list[Run]]]:
-    """Per seed of configs[0], in order: the seed, its client shards and each
-    config's run on them, in the order of configs.  The configs differ only
-    in how they train, so a seed's data are built once, from configs[0]."""
+) -> Iterator[tuple[int, data_mod.Dataset, list[np.ndarray], list[Run]]]:
+    """Per seed of configs[0], in order: the seed, its train set, each
+    client's rows of it and each config's run on them, in the order of
+    configs.  The configs differ only in how they train, so a seed's data
+    are built once, from configs[0]."""
     for seed in configs[0].seeds:
-        spec, shards, test_X, test_y = build_data(configs[0], seed, worker)
+        spec, train, shards, test_X, test_y = build_data(configs[0], seed, worker)
         runs = []
         for cfg in configs:
-            state = init_state(spec, cfg, seed, shards, test_X, test_y)
+            state = init_state(spec, cfg, seed, train, shards, test_X, test_y)
             runs.append((run_experiment(state, worker), weights_sha256(state)))
-        yield seed, shards, runs
+        yield seed, train, shards, runs
 
 
 def _fmt(x: float) -> str:
@@ -230,7 +232,7 @@ def cmd_run(args) -> int:
     cfg = parse_config(args.config, args.override)
     os.makedirs(args.out, exist_ok=True)
     with pinned_worker() as (pinned, worker):
-        results = {seed: run for seed, _, (run,) in run_seeds([cfg], worker)}
+        results = {seed: run for seed, _, _, (run,) in run_seeds([cfg], worker)}
     first = cfg.seeds[0]
     files = {"metrics.csv": first}
     if len(cfg.seeds) > 1:
@@ -266,17 +268,18 @@ def cmd_compare(args) -> int:
     # the rows are written algorithm-major
     rows: list[list[list]] = [[] for _ in algos]
     with pinned_worker() as (_, worker):
-        for seed, shards, runs in run_seeds(configs, worker):
-            shard_hash = data_mod.shard_fingerprint(shards[0])[:16]
+        for seed, train, shards, runs in run_seeds(configs, worker):
+            shard_hash = data_mod.shard_fingerprint(0, train, shards[0])[:16]
             for algo_rows, acfg, run in zip(rows, configs, runs):
                 final = _final_block(acfg, run)
                 algo_rows.append(
                     [acfg.algorithm, seed, shard_hash]
                     + [_fmt(final[k]) for k in FINAL_KEYS]
-                    + [final["projections_total"]]
+                    + [final["projections_total"], final["weights_sha256"]]
                 )
     path = os.path.join(args.out, "comparison.csv")
-    header = ["algorithm", "seed", "shard_hash", *FINAL_KEYS, "projections"]
+    header = ["algorithm", "seed", "shard_hash", *FINAL_KEYS]
+    header += ["projections", "weights_sha256"]
     write_metrics_csv(path, header, itertools.chain(*rows))
     print(f"compared {len(algos)} algorithm(s) over {len(cfg.seeds)} seed(s): {path}")
     return 0
@@ -293,15 +296,14 @@ def cmd_privacy(args) -> int:
           "neighbours=add/remove one training example "
           f"sensitivity={'' if s == 1 else s}C")
     print(f"{'round':>6} {'steps':>6} {'epsilon':>12} {'alpha':>6}")
-    charged = cfg.charged_sigma()
     for t in range(1, cfg.rounds + 1):
-        eps, alpha = epsilon_spent(t * cfg.local_steps, charged, cfg.delta)
+        eps, alpha = cfg.epsilon_after(t)
         print(f"{t:>6} {t * cfg.local_steps:>6} {eps:>12.6f} {alpha:>6g}")
     steps = cfg.budget_steps()
     if steps is not None:
         print(
             f"budget epsilon={cfg.epsilon_budget}: at most {steps} noisy steps "
-            f"({steps // cfg.local_steps} full rounds)"
+            f"({cfg.budget_rounds()} full rounds)"
         )
     return 0
 

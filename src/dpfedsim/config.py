@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .correction import CORRECTION_MODES
-from .dp import SAMPLING_MODES, SENSITIVITY, steps_for_budget
+from .dp import SAMPLING_MODES, SENSITIVITY, epsilon_spent, steps_for_budget
 from .federation import ALGORITHMS
 from .model import MlpSpec
 
@@ -204,6 +204,25 @@ class ExperimentConfig:
         if not 0 < self.epsilon_budget < math.inf:
             return None
         return steps_for_budget(self.charged_sigma(), self.delta, self.epsilon_budget)
+
+    def budget_rounds(self) -> int | None:
+        """The full rounds epsilon_budget allows, or None for no budget."""
+        allowed = self.budget_steps()
+        return None if allowed is None else allowed // self.local_steps
+
+    def rounds_run(self) -> int:
+        """The rounds a run takes: rounds, cut to the budget's full rounds."""
+        allowed = self.budget_rounds()
+        return self.rounds if allowed is None else min(self.rounds, allowed)
+
+    def epsilon_after(self, rounds: int) -> tuple[float, float | None]:
+        """(epsilon, its Renyi order) after the given rounds, each of which
+        releases local_steps steps on each participant's disjoint shard;
+        (inf, None) at sigma = 0: no noise, nothing is private."""
+        if self.sigma == 0:
+            return math.inf, None
+        steps = rounds * self.local_steps
+        return epsilon_spent(steps, self.charged_sigma(), self.delta)
 
     def resolved(self) -> dict:
         """Plain-serializable view of every key's final value."""

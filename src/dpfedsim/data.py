@@ -1,4 +1,5 @@
-"""Datasets, client shards, IDX file loading, and deterministic partitioning.
+"""Datasets, IDX file loading, and deterministic partitioning into client
+shards, each an int64 array of row indices into the one train set.
 
 A dataset stores its features as uint8 pixel levels 0-255, the form IDX
 images arrive in; ``features`` turns levels into the values in [0, 1]
@@ -80,23 +81,6 @@ class Dataset:
     @property
     def feature_dim(self) -> int:
         return int(self.X.shape[1])
-
-
-@dataclass(frozen=True, eq=False)
-class ClientShard:
-    """The slice of training data one simulated client holds: row indices
-    into the shared training set, not copies of the rows."""
-
-    client_id: int
-    dataset: Dataset
-    indices: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", np.asarray(self.indices, dtype=np.int64))
-
-    @property
-    def size(self) -> int:
-        return int(self.indices.shape[0])
 
 
 def _read_exact(f, n: int, path: str, what: str) -> bytes:
@@ -226,8 +210,9 @@ def synthetic_blobs(
 
 def partition_iid(
     dataset: Dataset, n_clients: int, rng: np.random.Generator
-) -> list[ClientShard]:
-    """Shuffle once from rng, then split into near-equal contiguous chunks.
+) -> list[np.ndarray]:
+    """Shuffle the row indices once from rng, then split them into
+    near-equal contiguous chunks, one per client.
 
     Chunk sizes differ by at most one, larger chunks first (101 examples over
     2 clients -> 51 and 50).
@@ -236,17 +221,15 @@ def partition_iid(
         raise ValueError(
             f"n_clients must be in [1, {dataset.size}], got {n_clients}"
         )
-    order = rng.permutation(dataset.size)
-    chunks = np.array_split(order, n_clients)
-    return [ClientShard(i, dataset, chunk) for i, chunk in enumerate(chunks)]
+    return np.array_split(rng.permutation(dataset.size), n_clients)
 
 
 def partition_label_split(
     dataset: Dataset, label_groups: list[set[int]]
-) -> list[ClientShard]:
-    """Assign each client the examples whose label falls in its group.
+) -> list[np.ndarray]:
+    """Assign each client the rows whose label falls in its group.
 
-    Groups must be disjoint and cover [0, num_classes) exactly; example order
+    Groups must be disjoint and cover [0, num_classes) exactly; row order
     within a shard follows the dataset.
     """
     seen: set[int] = set()
@@ -263,10 +246,10 @@ def partition_label_split(
         raise ValueError(f"label groups do not cover classes {sorted(missing)}")
     shards = []
     for i, group in enumerate(label_groups):
-        members = np.flatnonzero(np.isin(dataset.y, sorted(group)))
-        if not members.size:
+        rows = np.flatnonzero(np.isin(dataset.y, sorted(group)))
+        if not rows.size:
             raise ValueError(f"label group {i} selects no examples")
-        shards.append(ClientShard(i, dataset, members))
+        shards.append(rows)
     return shards
 
 
@@ -303,21 +286,21 @@ def subsample(
     return Dataset(dataset.X[rows], dataset.y[rows], dataset.num_classes)
 
 
-def shard_fingerprint(shard: ClientShard) -> str:
-    """sha256 over the shard's labels and raw feature bytes, for run comparison.
+def shard_fingerprint(client_id: int, dataset: Dataset, rows: np.ndarray) -> str:
+    """sha256 over client_id's shard, the given rows of dataset, for runs to compare.
 
-    Hashes the client id, then per example in shard order its label as a
+    Hashes the client id, then per row in shard order its label as a
     4-byte big-endian int followed by its float64 features (``features``),
     in chunks of rows so that a large shard is never copied whole.
     """
     h = hashlib.sha256()
-    h.update(str(shard.client_id).encode())
-    data = shard.dataset
-    row = np.dtype([("label", ">i4"), ("features", np.float64, (data.feature_dim,))])
-    for lo in range(0, shard.size, _FINGERPRINT_ROWS):
-        idx = shard.indices[lo : lo + _FINGERPRINT_ROWS]
-        records = np.empty(idx.size, dtype=row)
-        records["label"] = data.y[idx]
-        records["features"] = features(data.X[idx])
+    h.update(str(client_id).encode())
+    dim = dataset.feature_dim
+    record = np.dtype([("label", ">i4"), ("features", np.float64, (dim,))])
+    for lo in range(0, rows.size, _FINGERPRINT_ROWS):
+        idx = rows[lo : lo + _FINGERPRINT_ROWS]
+        records = np.empty(idx.size, dtype=record)
+        records["label"] = dataset.y[idx]
+        records["features"] = features(dataset.X[idx])
         h.update(records.tobytes())
     return h.hexdigest()

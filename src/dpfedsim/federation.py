@@ -25,11 +25,13 @@ labels, given before round 0 and held as ``ExperimentState.test_X`` and
 ``test_y``, and predicts the argmax of float32 logits
 (``model.predict``).
 
-The server step speaks rows: the participant weights w, the correction
-plan and the folded alpha are lists by row of U, and client ids appear
-only at the round's edges (shard lookup, per-client models and variates,
-the report's keys).  Every aggregate is one weighted sum over the rows of
-U in order (``linalg.weighted_sum``).  For gcfl ``correction.plan_round``
+A client id indexes the run's lists of shards (row-index arrays into the
+one train set), per-client models and variates.  The server step speaks
+rows: the participant weights w, the correction plan and the folded
+alpha are lists by row of U, and client ids appear only at the round's
+edges (shard lookup, per-client models and variates, the report's keys).
+Every aggregate is one weighted sum over the rows of U in order
+(``linalg.weighted_sum``).  For gcfl ``correction.plan_round``
 decides each row's projections from the Gram matrix of U,
 ``correction.fold_weights`` turns w into alpha = w^T M, and the update is
 sum_q alpha_q g_q: the weighted sum of the corrected uploads up to
@@ -83,8 +85,8 @@ import numpy as np
 from . import metrics as metrics_mod
 from . import model as model_mod
 from .correction import fold_weights, plan_round
-from .data import ClientShard, features
-from .dp import epsilon_spent, poisson_sample
+from .data import Dataset, features
+from .dp import poisson_sample
 from .linalg import ParamVector, add_scaled, one_blas_thread, weighted_sum
 from .model import MlpSpec
 
@@ -123,14 +125,7 @@ class RoundMetrics:
 @dataclass
 class ScaffoldState:
     server_variate: ParamVector
-    client_variates: dict[int, ParamVector]
-
-    @classmethod
-    def zeros(cls, dim: int, client_ids: list[int]) -> "ScaffoldState":
-        return cls(
-            server_variate=np.zeros(dim),
-            client_variates={i: np.zeros(dim) for i in client_ids},
-        )
+    client_variates: list[ParamVector]  # by client id
 
 
 @dataclass
@@ -138,11 +133,12 @@ class ExperimentState:
     model_spec: MlpSpec
     cfg: ExperimentConfig
     seed: int
-    shards: list[ClientShard]
+    train: Dataset
+    shards: list[np.ndarray]  # by client id: its rows of train
     test_X: np.ndarray  # the test set's features, float32 in a run
     test_y: np.ndarray  # and its labels
     weights: ParamVector
-    client_models: dict[int, ParamVector] = field(default_factory=dict)
+    client_models: list[ParamVector] = field(default_factory=list)  # by client id
     scaffold: ScaffoldState | None = None
 
 
@@ -221,7 +217,8 @@ def _halves(worker: Executor, fn: Callable[[range], None], n: int) -> None:
 
 
 def client_local_phase(
-    shard: ClientShard,
+    train: Dataset,
+    rows: np.ndarray,
     start_params: ParamVector,
     model_spec: MlpSpec,
     cfg: ExperimentConfig,
@@ -230,11 +227,12 @@ def client_local_phase(
     upload: ParamVector,
     scaffold_variates: tuple[ParamVector, ParamVector] | None = None,
 ) -> float:
-    """Run one client's local steps, write its upload into the ``upload``
-    row (whatever it held), and return the mean of the steps' objectives,
-    each the summed sample losses of its batch over B, the batch_size.
+    """Run one client's local steps on its shard, the given rows of train,
+    write its upload into the ``upload`` row (whatever it held), and return
+    the mean of the steps' objectives, each the summed sample losses of its
+    batch over B, the batch_size.
 
-    Per step: draw a minibatch, gather its rows' float64 features
+    Per step: draw a minibatch of the rows, gather its float64 features
     (``data.features``), clip each per-sample gradient to C and sum in one
     batched pass, add a noise vector z * sigma C with z drawn from
     ``noise_rng`` (at sigma = 0 nothing is drawn),
@@ -250,8 +248,8 @@ def client_local_phase(
     a zero shift adds nothing to the norms or the sum.  dp_scaffold adds
     the control-variate shift server - client, from ``scaffold_variates``
     = (server, client), after noising.  No local model is built after the
-    last step.  A non-finite per-sample gradient norm or step gradient
-    raises ValueError naming the client.
+    last step.  An empty shard, or a non-finite per-sample gradient norm or
+    step gradient, raises ValueError (``run_round`` names the client).
 
     The upload is the mean of the K step vectors.  The first is built in
     the upload row itself, so the row is written once; each later one is
@@ -264,8 +262,8 @@ def client_local_phase(
     there (never in the clipped sum's, the kernel's scratch), and the
     scaffold shift in the clipped sum's vector once the step has read it.
     """
-    if shard.size == 0:
-        raise ValueError(f"client {shard.client_id} holds an empty shard")
+    if rows.size == 0:
+        raise ValueError("empty shard")
     dim = start_params.shape[0]
     clipped = np.empty(dim)  # the kernel's clipped sum, then the scaffold shift
     prox = cfg.algorithm == "dp_fedprox" and cfg.prox_mu != 0
@@ -277,8 +275,8 @@ def client_local_phase(
     loss_total = 0.0
 
     for k in range(cfg.local_steps):
-        idx = poisson_sample(shard.size, cfg.batch_size, cfg.sampling_mode, batch_rng)
-        rows = shard.indices[idx]
+        idx = poisson_sample(rows.size, cfg.batch_size, cfg.sampling_mode, batch_rng)
+        batch = rows[idx]
         noisy = later if k else upload
         shift = None
         if prox and k:
@@ -289,8 +287,8 @@ def client_local_phase(
         losses, sq_norms, _ = model_mod.clipped_gradient_sum(
             model_spec,
             w_local,
-            features(shard.dataset.X[rows]),
-            shard.dataset.y[rows],
+            features(train.X[batch]),
+            train.y[batch],
             cfg.clip_threshold,
             shift,
             out=clipped,
@@ -307,8 +305,7 @@ def client_local_phase(
             noisy += np.subtract(*scaffold_variates, out=clipped)
         if not (np.isfinite(sq_norms).all() and np.isfinite(noisy).all()):
             raise ValueError(
-                f"client {shard.client_id}: non-finite per-sample gradient "
-                f"norm or upload at local step {k + 1}"
+                f"non-finite per-sample gradient norm or upload at local step {k + 1}"
             )
         if k + 1 < cfg.local_steps:
             add_scaled(w_local, -cfg.eta, noisy)  # w_local - eta * noisy
@@ -348,15 +345,19 @@ def server_step(
 
 
 def _evaluate(
-    state: ExperimentState, w: ParamVector, worker: Executor
+    state: ExperimentState, w: ParamVector, round_index: int, worker: Executor
 ) -> tuple[float, float, float]:
     """(accuracy, macro recall, macro F1) of w on the test set, predicted
     in the dtype of its features (float32 in a run: w is cast once per
     call) in _EVAL_ROWS-row chunks split between the worker and this
     thread (``_halves``); a chunk's bytes do not depend on the thread
-    under the pin."""
+    under the pin.  A w not finite once cast (a float64 beyond float32's
+    range is not) raises ValueError naming the round."""
     spec, test_X = state.model_spec, state.test_X
-    w_eval = w.astype(test_X.dtype)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        w_eval = w.astype(test_X.dtype)
+    if not np.isfinite(w_eval).all():
+        raise ValueError(f"round {round_index}: weights not finite in {test_X.dtype}")
     preds = np.empty(test_X.shape[0], dtype=np.int64)
     starts = range(0, test_X.shape[0], _EVAL_ROWS)
 
@@ -374,9 +375,7 @@ def _evaluate(
 def _evaluated_models(state: ExperimentState) -> list[ParamVector]:
     """The models a round evaluates: under isolated every client's, in
     ascending id, else the global weights."""
-    if state.cfg.algorithm == "isolated":
-        return [state.client_models[cid] for cid in sorted(state.client_models)]
-    return [state.weights]
+    return state.client_models if state.cfg.algorithm == "isolated" else [state.weights]
 
 
 def weights_sha256(state: ExperimentState) -> str:
@@ -390,7 +389,7 @@ def weights_sha256(state: ExperimentState) -> str:
 
 
 def _select_participants(state: ExperimentState, round_index: int) -> list[int]:
-    """The round's client ids, ascending (init_state makes id == shard index)."""
+    """The round's client ids, ascending."""
     n = len(state.shards)
     k = state.cfg.clients_per_round
     if k == 0 or k >= n:
@@ -427,6 +426,7 @@ def run_round(
                 variates = (scaffold.server_variate, scaffold.client_variates[cid])
             try:
                 losses[p] = client_local_phase(
+                    state.train,
                     state.shards[cid],
                     start,
                     state.model_spec,
@@ -437,7 +437,7 @@ def run_round(
                     scaffold_variates=variates,
                 )
             except ValueError as exc:
-                raise ValueError(f"round {round_index}, {exc}") from exc
+                raise ValueError(f"round {round_index}, client {cid}: {exc}") from exc
 
     _halves(worker, run_clients, len(participants))
 
@@ -478,15 +478,11 @@ def run_round(
 
     # metrics
     train_loss = float(np.mean(losses))
-    scores = [_evaluate(state, w, worker) for w in _evaluated_models(state)]
+    models = _evaluated_models(state)
+    scores = [_evaluate(state, w, round_index, worker) for w in models]
     acc, rec, f1 = (float(np.mean([s[k] for s in scores])) for k in range(3))
 
-    if cfg.sigma == 0:
-        eps = math.inf  # no noise: nothing is private
-    else:
-        # a round releases K steps on each participant's disjoint shard
-        steps = (round_index + 1) * cfg.local_steps
-        eps = epsilon_spent(steps, cfg.charged_sigma(), cfg.delta)[0]
+    eps = cfg.epsilon_after(round_index + 1)[0]
     wall = (
         int(round((time.perf_counter() - t0) * 1000.0)) if cfg.record_timing else 0
     )
@@ -507,33 +503,33 @@ def init_state(
     model_spec: MlpSpec,
     cfg: ExperimentConfig,
     seed: int,
-    shards: list[ClientShard],
+    train: Dataset,
+    shards: list[np.ndarray],
     test_X: np.ndarray,
     test_y: np.ndarray,
 ) -> ExperimentState:
-    """The state before round 0 of the run with this seed, evaluated on
-    the test set's features test_X, in their dtype, and labels test_y; the
-    state holds both arrays as given."""
+    """The state before round 0 of the run with this seed, whose client i
+    holds the rows shards[i] of train, evaluated on the test set's features
+    test_X, in their dtype, and labels test_y; the state holds the arrays
+    as given."""
     if len(shards) != cfg.n_clients:
         raise ValueError(f"got {len(shards)} shards for n_clients={cfg.n_clients}")
-    for idx, shard in enumerate(shards):
-        if shard.client_id != idx:
-            raise ValueError("shards must be ordered so client_id matches index")
     w = model_mod.init_params(model_spec, derive_rng(seed, 0, 0, Stream.INIT))
     state = ExperimentState(
         model_spec=model_spec,
         cfg=cfg,
         seed=seed,
+        train=train,
         shards=shards,
         test_X=test_X,
         test_y=test_y,
         weights=w,
     )
-    ids = [s.client_id for s in shards]
     if cfg.algorithm == "isolated":
-        state.client_models = {i: w.copy() for i in ids}
+        state.client_models = [w.copy() for _ in shards]
     if cfg.algorithm == "dp_scaffold":
-        state.scaffold = ScaffoldState.zeros(w.shape[0], ids)
+        dim = w.shape[0]
+        state.scaffold = ScaffoldState(np.zeros(dim), [np.zeros(dim) for _ in shards])
     return state
 
 
@@ -541,6 +537,4 @@ def run_experiment(state: ExperimentState, worker: Executor) -> list[RoundMetric
     """Run the configured rounds on the command's worker and return their
     records; the run stops early, with fewer than cfg.rounds records, before
     a round that could cross the epsilon budget."""
-    cfg, max_steps = state.cfg, state.cfg.budget_steps()
-    n_rounds = cfg.rounds if max_steps is None else max_steps // cfg.local_steps
-    return [run_round(state, t, worker) for t in range(min(n_rounds, cfg.rounds))]
+    return [run_round(state, t, worker) for t in range(state.cfg.rounds_run())]

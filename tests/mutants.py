@@ -95,23 +95,23 @@ MUTANTS = (
     Mutant(
         "accountant_ignores_k",
         "a round charges its K local steps",
-        "federation.py",
-        "steps = (round_index + 1) * cfg.local_steps",
-        "steps = round_index + 1",
+        "config.py",
+        "steps = rounds * self.local_steps",
+        "steps = rounds",
     ),
     Mutant(
         "epsilon_one_round_late",
         "round t reports epsilon after t + 1 rounds",
         "federation.py",
-        "steps = (round_index + 1) * cfg.local_steps",
-        "steps = round_index * cfg.local_steps",
+        "cfg.epsilon_after(round_index + 1)",
+        "cfg.epsilon_after(round_index)",
     ),
     Mutant(
         "budget_one_round_over",
         "a run stops before the round that would exceed the budget",
-        "federation.py",
-        "else max_steps // cfg.local_steps",
-        "else max_steps // cfg.local_steps + 1",
+        "config.py",
+        "allowed // self.local_steps",
+        "allowed // self.local_steps + 1",
     ),
     Mutant(
         "upload_weights_from_shard_sizes",

@@ -241,7 +241,7 @@ def _no_conflict_state(algorithm: str):
         record_timing=False,
     )
     return init_state(
-        MlpSpec((6, 5, 3)), cfg, 4, shards, features(test.X, np.float32), test.y
+        MlpSpec((6, 5, 3)), cfg, 4, train, shards, features(test.X, np.float32), test.y
     )
 
 
@@ -337,7 +337,7 @@ def _mnist_directional_gap(partition: str) -> tuple[float, float]:
         for algo in ("gcfl", "dp_fedavg"):
             cfg = ExperimentConfig(**base, algorithm=algo)
             cfg.validate()
-            results = {seed: run[0] for seed, _, (run,) in run_seeds([cfg], worker)}
+            results = {seed: run[0] for seed, _, _, (run,) in run_seeds([cfg], worker)}
             finals[algo] = float(
                 np.mean([res[-1].test_accuracy for res in results.values()])
             )

@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -80,7 +81,7 @@ def test_weights_sha256_sees_one_ulp_of_the_final_weights(
         def run_experiment(state, worker):
             rounds = real(state, worker)
             if algorithm == "isolated":
-                models = [state.client_models[c] for c in sorted(state.client_models)]
+                models = list(state.client_models)
             else:
                 models = [state.weights]
             if nudge:
@@ -196,11 +197,31 @@ def test_missing_config_file_returns_nonzero(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverging_run_returns_nonzero(tmp_path, capsys):
-    # eta = 1e300 overflows the weights in round 0, so round 1 sees NaN
-    # gradients; the run must stop instead of writing NaN losses
+    # eta = 1e300 takes the weights beyond float32's range in round 0, so
+    # round 1 would see NaN gradients; the run must stop at round 0's
+    # evaluation instead of writing NaN losses
     cfg = write_cfg(tmp_path, FAST_CFG.replace("eta = 0.05", "eta = 1e300"))
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert "round 1, client 0: non-finite" in capsys.readouterr().err
+    assert "round 0: weights not finite in float32" in capsys.readouterr().err
+
+
+def test_a_model_beyond_float32_stops_the_run_with_one_error_line(tmp_path, capsys):
+    """At sigma = 0 and eta = 1e300, round 0 leaves float64 weights that are
+    finite but overflow the float32 evaluation casts them to.  The run
+    exits 1 with one error line naming the round: no numpy warning escapes,
+    and no score of NaN logits is written."""
+    cfg = write_cfg(
+        tmp_path,
+        "synthetic_dim = 6\nsynthetic_classes = 3\nsynthetic_per_class = 10\n"
+        "n_clients = 3\neta = 1e300\nsigma = 0\nrounds = 1\n",
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: round 0: weights not finite in float32"]
+    assert not (tmp_path / "o" / "metrics.csv").exists()
 
 
 def test_budget_that_fits_no_round_is_one_error_line(tmp_path, capsys):
@@ -256,30 +277,51 @@ def test_privacy_prints_the_step_count_of_a_finite_budget(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "sampling_mode, sensitivity, first",
-    [("fixed_size", "2C", "14.176691"), ("poisson", "C", "6.158978")],
+    "sampling_mode, sensitivity, local_steps, budget, rounds_run, first",
+    [
+        ("fixed_size", "2C", 1, 0, 3, "14.176691"),
+        ("poisson", "C", 1, 0, 3, "6.158978"),
+        ("fixed_size", "2C", 3, 0, 3, "28.876631"),
+        ("poisson", "C", 3, 20, 2, "11.832941"),
+    ],
+    ids=[
+        "fixed_size-2C-14.176691",
+        "poisson-C-6.158978",
+        "fixed_size-2C-k3-28.876631",
+        "poisson-C-k3-budget20-11.832941",
+    ],
 )
 def test_run_reports_the_privacy_schedule_of_its_sampling_mode(
-    tmp_path, capsys, sampling_mode, sensitivity, first
+    tmp_path, capsys, sampling_mode, sensitivity, local_steps, budget, rounds_run,
+    first,
 ):
     """run's epsilon column is privacy's schedule, string for string, and
     privacy's header names the sensitivity a step is charged at: 2C under
-    fixed_size, C under poisson.  One step at sigma = 0.8, delta = 1e-5
-    costs 14.176691 at 2C and 6.158978 at C."""
-    cfg = write_cfg(tmp_path, FAST_CFG + f"sampling_mode = {sampling_mode}\n")
+    fixed_size, C under poisson.  One round of K steps at sigma = 0.8,
+    delta = 1e-5 costs 14.176691 at 2C and 6.158978 at C for K = 1, and
+    28.876631 at 2C and 11.832941 at C for K = 3.  A budget of 20 at C
+    allows 6 steps, two rounds of 3, so the run stops after two of its
+    three rounds and reports the first two rows of the schedule."""
+    cfg = write_cfg(
+        tmp_path,
+        FAST_CFG + f"sampling_mode = {sampling_mode}\nlocal_steps = {local_steps}\n"
+        f"epsilon_budget = {budget}\n",
+    )
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     rows = (out / "metrics.csv").read_text().splitlines()[1:]
+    final = json.loads((out / "summary.json").read_text())["per_seed"]["2"]
+    assert final["rounds_completed"] == len(rows) == rounds_run
     capsys.readouterr()
     assert main(["privacy", "--config", cfg]) == 0
     header, _, *table = capsys.readouterr().out.splitlines()
     assert header == (
-        "sigma=0.8 delta=1e-05 local_steps=1 neighbours=add/remove one "
-        f"training example sensitivity={sensitivity}"
+        f"sigma=0.8 delta=1e-05 local_steps={local_steps} neighbours=add/remove "
+        f"one training example sensitivity={sensitivity}"
     )
-    schedule = [line.split()[2] for line in table]
-    assert [row.split(",")[1] for row in rows] == schedule
+    schedule = [line.split()[2] for line in table if not line.startswith("budget")]
     assert len(schedule) == 3 and schedule[0] == first
+    assert [row.split(",")[1] for row in rows] == schedule[:rounds_run]
 
 
 def test_compare_runs_algorithms_on_identical_shards(tmp_path):
@@ -321,16 +363,19 @@ def test_each_compare_row_is_the_final_row_of_a_separate_run(tmp_path):
         assert main([*argv, "--override", f"algorithm={algo}"]) == 0
         for seed in (1, 2):
             with pinned_worker() as (_, worker):
-                shards = build_data(parse_config(cfg), seed, worker)[1]
+                _, train, shards, _, _ = build_data(parse_config(cfg), seed, worker)
             lines = (run_out / f"metrics_seed{seed}.csv").read_text().splitlines()
             final = lines[-1].split(",")
             projections = sum(int(line.split(",")[6]) for line in lines[1:])
+            summary = json.loads((run_out / "summary.json").read_text())
             want.append(
-                [algo, str(seed), shard_fingerprint(shards[0])[:16], *final[1:6],
-                 str(projections)]
+                [algo, str(seed), shard_fingerprint(0, train, shards[0])[:16],
+                 *final[1:6], str(projections),
+                 summary["per_seed"][str(seed)]["weights_sha256"]]
             )
+    assert rows[0][-1] == "weights_sha256"
     assert rows[1:] == want
-    assert any(int(row[-1]) > 0 for row in want)  # gcfl projected
+    assert any(int(row[-2]) > 0 for row in want)  # gcfl projected
 
 
 def test_compare_rejects_a_bad_algorithm_before_training_any(

@@ -11,7 +11,6 @@ import dpfedsim.data as data_mod
 from dpfedsim.cli import build_data
 from dpfedsim.config import ExperimentConfig
 from dpfedsim.data import (
-    ClientShard,
     Dataset,
     features,
     load_idx,
@@ -131,8 +130,7 @@ def test_the_test_set_is_the_train_sets_task(classes, per_class, dim):
         synthetic_classes=classes, synthetic_per_class=per_class, synthetic_dim=dim
     )
     with pinned_worker() as (_, worker):
-        _, shards, test_X, test_y = build_data(cfg, 1, worker)
-    train = shards[0].dataset  # every shard indexes the whole train set
+        _, train, _, test_X, test_y = build_data(cfg, 1, worker)
     train_X = features(train.X)
     means = np.stack([train_X[train.y == c].mean(axis=0) for c in range(classes)])
     dists = ((test_X[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
@@ -156,7 +154,7 @@ def test_a_run_keeps_the_test_set_only_as_features_and_labels(
     monkeypatch.setattr(data_mod, "features", features)
     cfg = ExperimentConfig(subsample_test=subsample_test)
     with pinned_worker() as (_, worker):
-        _, _, test_X, test_y = build_data(cfg, 1, worker)
+        _, _, _, test_X, test_y = build_data(cfg, 1, worker)
     (levels,) = converted  # the build converts the test set alone
     assert levels() is None
     assert test_X.shape == (subsample_test or 200, cfg.synthetic_dim)
@@ -218,13 +216,13 @@ def test_partition_iid_sizes_101_over_2():
     shards = partition_iid(_tiny_dataset(101), 2, np.random.default_rng(0))
     assert sorted(s.size for s in shards) == [50, 51]
     assert shards[0].size == 51  # larger chunk first
-    assert [s.client_id for s in shards] == [0, 1]
+    assert [s.dtype for s in shards] == [np.int64, np.int64]  # row indices
 
 
 def test_partition_iid_is_a_permutation():
     ds = _tiny_dataset(30)
     shards = partition_iid(ds, 4, np.random.default_rng(3))
-    seen = sorted(int(ds.X[i, 0]) for s in shards for i in s.indices)
+    seen = sorted(int(ds.X[i, 0]) for s in shards for i in s)
     assert seen == sorted(int(x[0]) for x in ds.X)
 
 
@@ -233,14 +231,14 @@ def test_partition_iid_deterministic():
     a = partition_iid(ds, 3, np.random.default_rng(7))
     b = partition_iid(ds, 3, np.random.default_rng(7))
     for sa, sb in zip(a, b):
-        assert list(ds.y[sa.indices]) == list(ds.y[sb.indices])
+        assert list(ds.y[sa]) == list(ds.y[sb])
 
 
 def test_partition_label_split_basic():
     ds = Dataset(np.zeros((8, 1), np.uint8), [0, 1, 2, 3, 0, 2, 1, 3], 4)
     shards = partition_label_split(ds, [{0, 1}, {2, 3}])
-    assert list(ds.y[shards[0].indices]) == [0, 1, 0, 1]
-    assert list(ds.y[shards[1].indices]) == [2, 3, 2, 3]
+    assert list(ds.y[shards[0]]) == [0, 1, 0, 1]
+    assert list(ds.y[shards[1]]) == [2, 3, 2, 3]
 
 
 def test_partition_label_split_rejects_overlap_and_gaps():
@@ -347,11 +345,10 @@ def test_shard_fingerprint_sensitive_to_content():
     def one_example(level):
         return Dataset(np.array([[level]], np.uint8), [1], 2)
 
-    a = ClientShard(0, one_example(128), [0])
-    b = ClientShard(0, one_example(128), [0])
-    c = ClientShard(0, one_example(153), [0])
-    assert shard_fingerprint(a) == shard_fingerprint(b)
-    assert shard_fingerprint(a) != shard_fingerprint(c)
+    rows = np.arange(1)
+    a = shard_fingerprint(0, one_example(128), rows)
+    assert a == shard_fingerprint(0, one_example(128), rows)
+    assert a != shard_fingerprint(0, one_example(153), rows)
 
 
 # Digests of synthetic shards stored as uint8 levels, checked when recorded
@@ -395,5 +392,5 @@ def test_shard_fingerprints_are_pinned(case):
     )
     cfg.validate()
     with pinned_worker() as (_, worker):
-        shards = build_data(cfg, 7, worker)[1]
-    assert [shard_fingerprint(s) for s in shards] == expected
+        _, train, shards, _, _ = build_data(cfg, 7, worker)
+    assert [shard_fingerprint(i, train, s) for i, s in enumerate(shards)] == expected

@@ -44,16 +44,17 @@ def _conflicting_client_gradients():
         algorithm="gcfl",
     )
     grads = {}
-    for shard in shards:
-        grads[shard.client_id] = np.zeros(spec.num_params)
+    for cid, rows in enumerate(shards):
+        grads[cid] = np.zeros(spec.num_params)
         client_local_phase(
-            shard,
+            train,
+            rows,
             w0,
             spec,
             cfg,
-            derive_rng(0, shard.client_id, 0, Stream.BATCH),
-            derive_rng(0, shard.client_id, 0, Stream.NOISE),
-            grads[shard.client_id],
+            derive_rng(0, cid, 0, Stream.BATCH),
+            derive_rng(0, cid, 0, Stream.NOISE),
+            grads[cid],
         )
     return grads
 
@@ -109,7 +110,7 @@ def _protocol_runs(partition):
         for algo in ("gcfl", "dp_fedavg"):
             cfg = ExperimentConfig(**base, algorithm=algo)
             cfg.validate()
-            results = {seed: run[0] for seed, _, (run,) in run_seeds([cfg], worker)}
+            results = {seed: run[0] for seed, _, _, (run,) in run_seeds([cfg], worker)}
             runs[algo] = (cfg, results)
     return runs
 

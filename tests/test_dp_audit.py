@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from dpfedsim.config import ExperimentConfig
-from dpfedsim.data import ClientShard, Dataset, features, synthetic_blobs
+from dpfedsim.data import Dataset, features, synthetic_blobs
 from dpfedsim.dp import epsilon_spent
 from dpfedsim.federation import Stream, client_local_phase, derive_rng
 from dpfedsim.model import MlpSpec, init_params
@@ -114,16 +114,16 @@ def audit(without: np.ndarray, with_canary: np.ndarray) -> float:
     return epsilon_lower_bound(tp, fp, n)
 
 
-def _upload_sq_norms(shard, cfg, spec, seed) -> np.ndarray:
-    """TRIALS one-step uploads' squared norms, each a fresh batch and noise
-    draw from the side's own streams."""
+def _upload_sq_norms(data, n, cfg, spec, seed) -> np.ndarray:
+    """TRIALS one-step uploads' squared norms on the first n rows of data,
+    each a fresh batch and noise draw from the side's own streams."""
     w = init_params(spec, np.random.default_rng(0))
     row = np.empty(spec.num_params)
     batch_rng = derive_rng(seed, 0, 0, Stream.BATCH)
     noise_rng = derive_rng(seed, 0, 0, Stream.NOISE)
     out = np.empty(TRIALS)
     for t in range(TRIALS):
-        client_local_phase(shard, w, spec, cfg, batch_rng, noise_rng, row)
+        client_local_phase(data, np.arange(n), w, spec, cfg, batch_rng, noise_rng, row)
         out[t] = np.einsum("d,d->", row, row)
     return out
 
@@ -154,8 +154,8 @@ def test_one_step_audit_stays_under_the_accountants_charge(
         batch_size=batch_size,
         local_steps=1,
     )
-    without = _upload_sq_norms(ClientShard(0, data, np.arange(8)), cfg, spec, 1)
-    with_canary = _upload_sq_norms(ClientShard(0, data, np.arange(9)), cfg, spec, 2)
+    without = _upload_sq_norms(data, 8, cfg, spec, 1)
+    with_canary = _upload_sq_norms(data, 9, cfg, spec, 2)
     eps_lb = audit(without, with_canary)
     charged = epsilon_spent(1, cfg.charged_sigma(), DELTA)[0]  # at s C
     assert eps_lb <= charged, (eps_lb, charged)

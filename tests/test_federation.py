@@ -13,12 +13,11 @@ import dpfedsim.cli as cli
 import dpfedsim.federation as federation
 from dpfedsim.config import ExperimentConfig
 from dpfedsim.correction import CORRECTION_MODES, fold_weights, plan_round
-from dpfedsim.data import ClientShard, Dataset, features, partition_iid
+from dpfedsim.data import Dataset, features, partition_iid
 from dpfedsim.data import synthetic_blobs
 from dpfedsim.dp import epsilon_spent, poisson_sample
 from dpfedsim.federation import (
     ALGORITHMS,
-    ScaffoldState,
     Stream,
     client_local_phase,
     derive_rng,
@@ -78,27 +77,34 @@ def make_state(
         record_timing=False,
         epsilon_budget=epsilon_budget,
     )
-    return init_state(spec, cfg, seed, shards, features(test.X, np.float32), test.y)
+    return init_state(
+        spec, cfg, seed, ds, shards, features(test.X, np.float32), test.y
+    )
+
+
+def client_of(state, rows):
+    """The id of the client whose shard is rows: its position in state.shards."""
+    return next(cid for cid, shard in enumerate(state.shards) if shard is rows)
 
 
 def poison_first_example(state, cid, bad_value):
-    """Give client cid a stand-in dataset whose X holds float64 levels, its
-    shard's first example at bad_value * 255, so the float features its
-    kernel receives (level / 255) hold bad_value there; a uint8 Dataset
-    cannot hold NaN or 1e200."""
-    shard = state.shards[cid]
-    X = shard.dataset.X.astype(np.float64)
-    X[shard.indices[0]] = bad_value * 255.0
-    stand_in = SimpleNamespace(X=X, y=shard.dataset.y)
-    state.shards[cid] = ClientShard(cid, stand_in, shard.indices)
+    """Swap the train set for a stand-in whose X holds float64 levels, client
+    cid's first row at bad_value * 255, so the float features its kernel
+    receives (level / 255) hold bad_value there; a uint8 Dataset cannot
+    hold NaN or 1e200.  The shards are disjoint, so only client cid reads
+    that row."""
+    X = state.train.X.astype(np.float64)
+    X[state.shards[cid][0]] = bad_value * 255.0
+    state.train = SimpleNamespace(X=X, y=state.train.y)
 
 
 def test_local_phase_exact_batch_gradient_when_noise_free():
     state = make_state(sigma=0.0, batch_size=FULL_BATCH)
-    shard = state.shards[0]
+    train, shard = state.train, state.shards[0]
     cfg = replace(state.cfg, clip_threshold=1e9, sigma=0.0, batch_size=FULL_BATCH)
     upload = np.zeros_like(state.weights)
     client_local_phase(
+        train,
         shard,
         state.weights,
         state.model_spec,
@@ -108,12 +114,12 @@ def test_local_phase_exact_batch_gradient_when_noise_free():
         upload,
     )
     total = np.zeros_like(state.weights)
-    for i in shard.indices:
+    for i in shard:
         total = total + per_sample_gradient(
             state.model_spec,
             state.weights,
-            features(shard.dataset.X[i]),
-            shard.dataset.y[i],
+            features(train.X[i]),
+            train.y[i],
         )
     # the whole shard of 30 is the batch, and the divisor is the configured
     # batch_size of 60, a public constant, not the shard size
@@ -125,7 +131,8 @@ def test_local_phase_empty_shard_errors():
     state = make_state()
     with pytest.raises(ValueError, match="empty shard"):
         client_local_phase(
-            ClientShard(0, state.shards[0].dataset, []),
+            state.train,
+            np.arange(0),
             state.weights,
             state.model_spec,
             state.cfg,
@@ -198,11 +205,10 @@ def test_unequal_shards_weigh_one_over_p(monkeypatch):
     base = make_state(
         algorithm="dp_fedavg", sigma=0.0, n_clients=3, batch_size=FULL_BATCH
     )
-    train = base.shards[0].dataset
+    train = base.train
     parts = np.split(np.arange(train.size), [30, 48])
-    shards = [ClientShard(i, train, idx) for i, idx in enumerate(parts)]
     state = init_state(
-        base.model_spec, base.cfg, base.seed, shards, base.test_X, base.test_y
+        base.model_spec, base.cfg, base.seed, train, parts, base.test_X, base.test_y
     )
     w0, uploads, _, _ = _capture_round_zero(monkeypatch, state)
     rows, _ = stack(uploads)
@@ -217,7 +223,6 @@ def _local_batch_sizes(monkeypatch, shard_size, batch_size, mode, steps):
     """Run client_local_phase on a shard of shard_size examples and return
     the index arrays it drew and the number of samples each step trained on."""
     train = synthetic_blobs(7, 7, 6, 0.2, np.random.default_rng(2))
-    shard = ClientShard(0, train, np.arange(shard_size))
     spec = MlpSpec((6, 5, 7))
     drawn, trained = [], []
 
@@ -234,7 +239,8 @@ def _local_batch_sizes(monkeypatch, shard_size, batch_size, mode, steps):
     monkeypatch.setattr(federation, "poisson_sample", record_sample)
     monkeypatch.setattr(federation.model_mod, "clipped_gradient_sum", record_kernel)
     client_local_phase(
-        shard,
+        train,
+        np.arange(shard_size),
         np.zeros(spec.num_params),
         spec,
         ExperimentConfig(
@@ -294,16 +300,19 @@ def test_scaffold_server_variate_is_mean_of_clients():
     state = make_state(algorithm="dp_scaffold", sigma=0.3, rounds=5, local_steps=3)
     result = run_all_rounds(state)
     assert len(result) == 5
-    variates = [state.scaffold.client_variates[i] for i in range(state.cfg.n_clients)]
+    variates = state.scaffold.client_variates
     mean = sum(variates) / len(variates)
     np.testing.assert_allclose(state.scaffold.server_variate, mean, rtol=0, atol=1e-12)
     assert any(np.linalg.norm(v) > 0 for v in variates)
 
 
 def test_scaffold_initial_state_zeros():
-    st = ScaffoldState.zeros(4, [0, 1])
-    np.testing.assert_array_equal(st.server_variate, np.zeros(4))
-    assert set(st.client_variates) == {0, 1}
+    st = make_state(algorithm="dp_scaffold", n_clients=3).scaffold
+    dim = st.server_variate.shape[0]
+    np.testing.assert_array_equal(st.server_variate, np.zeros(dim))
+    assert len(st.client_variates) == 3
+    assert all(np.array_equal(v, np.zeros(dim)) for v in st.client_variates)
+    assert len({id(v) for v in st.client_variates}) == 3  # one vector each
 
 
 def test_run_experiment_deterministic_bitwise():
@@ -340,7 +349,7 @@ def test_isolated_keeps_global_weights_fixed_and_models_diverge():
     w0 = state.weights.copy()
     result = run_all_rounds(state)
     np.testing.assert_array_equal(state.weights, w0)
-    models = list(state.client_models.values())
+    models = state.client_models
     assert not np.array_equal(models[0], models[1])
     assert all(r.projections_applied == 0 for r in result)
 
@@ -426,7 +435,7 @@ def test_the_initial_weights_do_not_name_client_0s_first_batch(monkeypatch):
 
     monkeypatch.setattr(federation, "poisson_sample", record)
     state = init_state(
-        spec, cfg, 1, [ClientShard(0, train, np.arange(n))],
+        spec, cfg, 1, train, [np.arange(n)],
         features(train.X[:10], np.float32), train.y[:10],
     )
     limit = math.sqrt(6.0 / (784 + 128))
@@ -457,6 +466,7 @@ def test_init_state_validates_shard_count():
             state.model_spec,
             state.cfg,
             state.seed,
+            state.train,
             state.shards[:1],
             state.test_X,
             state.test_y,
@@ -482,9 +492,9 @@ def _capture_round_zero(monkeypatch, state):
     uploads, handed, reports = {}, [], []
     real_local, real_plan = federation.client_local_phase, federation.plan_round
 
-    def local(shard, *args, **kwargs):
-        out = real_local(shard, *args, **kwargs)
-        uploads[shard.client_id] = args[5].copy()
+    def local(train, rows, *args, **kwargs):
+        out = real_local(train, rows, *args, **kwargs)
+        uploads[client_of(state, rows)] = args[5].copy()
         return out
 
     def plan(rows, ids, mode, num_references, rng):
@@ -533,12 +543,10 @@ def test_gcfl_round_matches_aggregating_the_corrected_uploads(
     tol = 4 gamma_{2N+2} eta A + 3 u |w|.
     """
     base = make_state(n_clients=6, sigma=2.0, seed=3)
-    train = base.shards[0].dataset
-    parts = np.split(np.arange(train.size), [5, 15, 22, 30, 45])  # unequal
-    shards = [ClientShard(i, train, idx) for i, idx in enumerate(parts)]
+    parts = np.split(np.arange(base.train.size), [5, 15, 22, 30, 45])  # unequal
     state = init_state(
         base.model_spec, replace(base.cfg, correction_mode=mode), base.seed,
-        shards, base.test_X, base.test_y,
+        base.train, parts, base.test_X, base.test_y,
     )
     w0, uploads, report, rng = _capture_round_zero(monkeypatch, state)
     rows, ids = stack(uploads)
@@ -649,18 +657,22 @@ def _record_round(monkeypatch, state, round_index):
     current = threading.local()  # the step list of the client this thread runs
     real_local, real_add = federation.client_local_phase, federation.add_scaled
 
-    def local(shard, start_params, spec, cfg, batch_rng, noise_rng, upload, **kwargs):
+    def local(
+        train, rows, start_params, spec, cfg, batch_rng, noise_rng, upload, **kwargs
+    ):
+        cid = client_of(state, rows)
         noise = _RecordingRng(noise_rng)
-        current.steps = steps[shard.client_id] = []
+        current.steps = steps[cid] = []
         try:
             out = real_local(
-                shard, start_params, spec, cfg, batch_rng, noise, upload, **kwargs
+                train, rows, start_params, spec, cfg, batch_rng, noise, upload,
+                **kwargs,
             )
         finally:
             current.steps = None
-        steps[shard.client_id].append(noise.last.copy())
-        starts[shard.client_id] = start_params
-        uploads[shard.client_id] = upload.copy()
+        steps[cid].append(noise.last.copy())
+        starts[cid] = start_params
+        uploads[cid] = upload.copy()
         return out
 
     def add(w, coef, vector):
@@ -764,15 +776,15 @@ def test_upload_from_noise_drawn_ahead_is_the_oracle_fed_from_the_same_stream(
     real_local = federation.client_local_phase
     real_kernel = federation.model_mod.clipped_gradient_sum
 
-    def local(shard, *args, **kwargs):
-        current.cid = shard.client_id
-        ran_on[shard.client_id] = threading.current_thread().name
-        sums[shard.client_id] = []
-        starts[shard.client_id] = args[0]
+    def local(train, rows, *args, **kwargs):
+        current.cid = cid = client_of(state, rows)
+        ran_on[cid] = threading.current_thread().name
+        sums[cid] = []
+        starts[cid] = args[0]
         variates = kwargs.get("scaffold_variates")
-        shifts[shard.client_id] = None if variates is None else np.subtract(*variates)
-        out = real_local(shard, *args, **kwargs)
-        uploads[shard.client_id] = args[5].copy()
+        shifts[cid] = None if variates is None else np.subtract(*variates)
+        out = real_local(train, rows, *args, **kwargs)
+        uploads[cid] = args[5].copy()
         return out
 
     def kernel(spec, w, features, labels, clip_threshold, shift, out):
@@ -836,7 +848,7 @@ def test_a_reused_upload_row_carries_nothing_into_the_next_client(
             scaffold = state.scaffold
             variates = (scaffold.server_variate, scaffold.client_variates[cid])
         loss = client_local_phase(
-            state.shards[cid], state.weights, state.model_spec, state.cfg,
+            state.train, state.shards[cid], state.weights, state.model_spec, state.cfg,
             derive_rng(state.seed, 1, cid, Stream.BATCH),
             derive_rng(state.seed, 1, cid, Stream.NOISE),
             row, scaffold_variates=variates,
@@ -876,7 +888,7 @@ def test_a_client_with_only_empty_draws_releases_noise_over_the_batch_size(
     if algorithm == "dp_scaffold":
         variates = (np.ones(dim), np.zeros(dim))  # a shift that would show
     loss = client_local_phase(
-        state.shards[0], state.weights, state.model_spec, state.cfg,
+        state.train, state.shards[0], state.weights, state.model_spec, state.cfg,
         derive_rng(1, 0, 0, Stream.BATCH), derive_rng(1, 0, 0, Stream.NOISE), row,
         scaffold_variates=variates,
     )
@@ -906,7 +918,9 @@ def _benchmark_shape_state(algorithm, n_clients):
         n_clients=n_clients, record_timing=False,
     )
     shards = partition_iid(train, n_clients, np.random.default_rng(6))
-    return init_state(spec, cfg, 4, shards, features(test.X, np.float32), test.y)
+    return init_state(
+        spec, cfg, 4, train, shards, features(test.X, np.float32), test.y
+    )
 
 
 @pytest.mark.parametrize("algorithm", ["gcfl", "dp_fedavg", "dp_fedexp"])
@@ -989,7 +1003,6 @@ def test_a_client_allocates_its_workspace_and_no_step_vector(algorithm, local_st
     spec = MlpSpec((784, 128, 10))
     dim = spec.num_params
     train = synthetic_blobs(10, 20, 784, 0.25, np.random.default_rng(4))
-    shard = ClientShard(0, train, np.arange(train.size))
     cfg = ExperimentConfig(
         algorithm=algorithm, sigma=0.8, batch_size=32, local_steps=local_steps,
         eta=0.05, prox_mu=0.01,
@@ -1002,7 +1015,7 @@ def test_a_client_allocates_its_workspace_and_no_step_vector(algorithm, local_st
 
     def local_phase():
         client_local_phase(
-            shard, w, spec, cfg,
+            train, np.arange(train.size), w, spec, cfg,
             derive_rng(4, 0, 0, Stream.BATCH), derive_rng(4, 0, 0, Stream.NOISE),
             row, scaffold_variates=variates,
         )
@@ -1034,7 +1047,7 @@ def test_isolated_model_is_the_sequential_local_model(
     upload and one addition: gamma_{K+3} S.  tol = 2 gamma_{K+3} S.
     """
     state = _state_after_round_zero("isolated", local_steps, sampling_mode, batch_size)
-    before = dict(state.client_models)
+    before = list(state.client_models)
     starts, steps, _ = _record_round(monkeypatch, state, 1)
     eta = state.cfg.eta
     for cid, start in starts.items():
@@ -1070,7 +1083,7 @@ def test_scaffold_variate_is_option_two_of_the_local_model(
     state = _state_after_round_zero("dp_scaffold", local_steps, sampling_mode, batch_size)
     c = state.scaffold.server_variate
     assert np.all(c != 0)  # round 0 moved it, so a sign slip in c shows
-    old = dict(state.scaffold.client_variates)
+    old = list(state.scaffold.client_variates)
     starts, steps, _ = _record_round(monkeypatch, state, 1)
     eta = state.cfg.eta
     for cid, start in starts.items():
@@ -1105,14 +1118,14 @@ def test_scaffold_server_variate_adds_every_participants_delta_over_n_bitwise(
     run_one_round(state, 0)  # variates nonzero from here on
     empty = min(federation._select_participants(state, 1))
     server = state.scaffold.server_variate
-    before = dict(state.scaffold.client_variates)
+    before = list(state.scaffold.client_variates)
     uploads, current = {}, threading.local()
     real_local, real_sample = federation.client_local_phase, federation.poisson_sample
 
-    def local(shard, *args, **kwargs):
-        current.cid = shard.client_id
-        out = real_local(shard, *args, **kwargs)
-        uploads[shard.client_id] = args[5].copy()
+    def local(train, rows, *args, **kwargs):
+        current.cid = cid = client_of(state, rows)
+        out = real_local(train, rows, *args, **kwargs)
+        uploads[cid] = args[5].copy()
         return out
 
     def sample(*args):
@@ -1143,15 +1156,15 @@ def test_a_client_with_only_empty_draws_moves_its_model_and_variate_by_its_uploa
     upload, dp_scaffold each variate to old - c + upload, bitwise, and the
     round reports epsilon after 2K steps."""
     state = _state_after_round_zero(algorithm, 3, "poisson", 2)
-    models = dict(state.client_models)
-    variates = dict(state.scaffold.client_variates) if state.scaffold else {}
+    models = list(state.client_models)
+    variates = list(state.scaffold.client_variates) if state.scaffold else []
     server = state.scaffold.server_variate if state.scaffold else None
     uploads = {}
     real_local = federation.client_local_phase
 
-    def local(shard, *args, **kwargs):
-        out = real_local(shard, *args, **kwargs)
-        uploads[shard.client_id] = args[5].copy()
+    def local(train, rows, *args, **kwargs):
+        out = real_local(train, rows, *args, **kwargs)
+        uploads[client_of(state, rows)] = args[5].copy()
         return out
 
     monkeypatch.setattr(federation, "poisson_sample", _no_draw)
@@ -1190,7 +1203,7 @@ def test_a_round_keeps_the_dp_step_and_all_it_feeds_in_float64(monkeypatch, algo
 
     def local(*args, **kwargs):
         loss = real_local(*args, **kwargs)
-        uploads.append(args[6].dtype)
+        uploads.append(args[7].dtype)
         return loss
 
     monkeypatch.setattr(federation.model_mod, "clipped_gradient_sum", kernel)
@@ -1200,9 +1213,9 @@ def test_a_round_keeps_the_dp_step_and_all_it_feeds_in_float64(monkeypatch, algo
     assert read and set(read) == {(f64, f64)}
     assert uploads == [f64] * 3
     assert state.weights.dtype == f64
-    models = list(state.client_models.values())
+    models = list(state.client_models)
     if state.scaffold is not None:
         models += [state.scaffold.server_variate]
-        models += list(state.scaffold.client_variates.values())
+        models += state.scaffold.client_variates
     assert len(models) == {"isolated": 3, "dp_scaffold": 4}.get(algorithm, 0)
     assert {m.dtype for m in models} <= {f64}

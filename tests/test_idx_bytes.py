@@ -15,7 +15,7 @@ import numpy as np
 
 from dpfedsim.cli import build_data, main
 from dpfedsim.config import parse_config
-from dpfedsim.data import ClientShard, load_idx, shard_fingerprint
+from dpfedsim.data import load_idx, shard_fingerprint
 from dpfedsim.federation import pinned_worker
 from test_data import write_idx_pair
 
@@ -47,12 +47,12 @@ def _idx_pairs(tmp_path):
 def test_every_level_reaches_the_fingerprint_as_level_over_255(tmp_path):
     levels = np.arange(256).reshape(4, 8, 8)
     img, lab = write_idx_pair(tmp_path, levels, [0, 1, 2, 3])
-    shard = ClientShard(0, load_idx(img, lab), np.arange(4))
     want = hashlib.sha256(b"0")
     for label, row in zip(range(4), levels.reshape(4, 64)):
         want.update(label.to_bytes(4, "big"))
         want.update((row.astype(np.float64) / 255.0).tobytes())
-    assert shard_fingerprint(shard) == want.hexdigest() == ALL_LEVELS_DIGEST
+    got = shard_fingerprint(0, load_idx(img, lab), np.arange(4))
+    assert got == want.hexdigest() == ALL_LEVELS_DIGEST
 
 
 def test_idx_shard_fingerprint_and_run_bytes_are_pinned(tmp_path):
@@ -71,8 +71,8 @@ def test_idx_shard_fingerprint_and_run_bytes_are_pinned(tmp_path):
         "record_timing = false\n"
     )
     with pinned_worker() as (_, worker):
-        shards = build_data(parse_config(str(cfg)), 3, worker)[1]
-    assert shard_fingerprint(shards[0]) == SHARD_DIGEST
+        _, train, shards, _, _ = build_data(parse_config(str(cfg)), 3, worker)
+    assert shard_fingerprint(0, train, shards[0]) == SHARD_DIGEST
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     assert (out / "metrics.csv").read_text() == GOLDEN_CSV

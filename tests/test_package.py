@@ -9,10 +9,10 @@ read by the layer it configures, and the README's config table names
 exactly the config keys.  Every random stream is made by derive_rng and
 named by four ints, a tag of the one tag table last.  Only the commands
 hold the BLAS pin and the worker thread, and both reach a run through one
-driver.  float32 is named only where the
-test set's features are built, the one input that sets evaluation's width.
-Every mutant of the mutation sweep (``tests/mutants.py``) edits text that
-occurs once in ``src/``.
+driver.  float32 is named only where the test set's features are built,
+the one input that sets evaluation's width.  Only the config calls the
+privacy accountant.  Every mutant of the mutation sweep
+(``tests/mutants.py``) edits text that occurs once in ``src/``.
 """
 
 import ast
@@ -264,6 +264,25 @@ def test_run_and_compare_reach_a_run_through_one_driver():
         ("run_seeds", "cli.py", "cmd_compare"),
         ("run_seeds", "cli.py", "cmd_run"),
     ]
+
+
+def test_only_the_config_calls_the_accountant():
+    """The epsilon schedule has one owner: ``ExperimentConfig`` computes a
+    run's epsilon after t rounds and the rounds its budget allows, and the
+    round loop and ``privacy`` read them there.  So outside dp.py, which
+    defines them, only config.py calls ``epsilon_spent`` or
+    ``steps_for_budget``: a second caller could charge a round other steps
+    than the schedule ``privacy`` prints."""
+    calls = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "dp.py":
+            continue
+        calls |= {
+            (path.name, _called(node))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if _called(node) in {"epsilon_spent", "steps_for_budget"}
+        }
+    assert calls == {("config.py", "epsilon_spent"), ("config.py", "steps_for_budget")}
 
 
 # numpy's names and dtype strings for float32

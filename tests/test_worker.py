@@ -388,8 +388,7 @@ def test_build_data_matches_the_oracle_and_builds_the_test_set_on_the_worker(
     )
     for seed in (1, 2):
         with pinned_worker() as (_, worker):
-            _, shards, test_X, test_y = build_data(cfg, seed, worker)
-        train = shards[0].dataset  # every shard indexes the whole train set
+            _, train, _, test_X, test_y = build_data(cfg, seed, worker)
         want = oracle.synthetic_blobs(
             classes, per_class, dim, spread, derive_rng(seed, 0, 0, Stream.TRAIN)
         )
