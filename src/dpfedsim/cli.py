@@ -121,13 +121,13 @@ def build_data(
             train, cfg.subsample_train, derive_rng(seed, 0, 0, Stream.SUB_TRAIN),
             "subsample_train",
         )
-    if cfg.partition == "iid":
-        shards = data_mod.partition_iid(
-            train, cfg.n_clients, derive_rng(seed, 0, 0, Stream.PARTITION)
-        )
-    else:
+    if cfg.label_split:
         shards = data_mod.partition_label_split(
             train, parse_label_split(cfg.label_split)
+        )
+    else:
+        shards = data_mod.partition_iid(
+            train, cfg.n_clients, derive_rng(seed, 0, 0, Stream.PARTITION)
         )
     feature_dim, num_classes = train.feature_dim, train.num_classes
     sizes = cfg.layer_sizes or (feature_dim, 128, num_classes)

@@ -50,8 +50,7 @@ class ExperimentConfig:
     synthetic_spread: float = 0.25
     subsample_train: int = 0
     subsample_test: int = 0
-    partition: str = "iid"
-    label_split: str = "0-4;5-9"
+    label_split: str = ""
     layer_sizes: tuple[int, ...] = ()
     n_clients: int = 2
     clients_per_round: int = 0
@@ -90,16 +89,13 @@ class ExperimentConfig:
                 raise ValueError(f"epsilon_budget must be finite or inf, got {value!r}")
         if self.dataset not in ("synthetic", "idx"):
             raise ValueError(f"dataset must be synthetic or idx, got {self.dataset!r}")
-        if self.dataset == "idx":
-            missing = [
-                name
-                for name in ("train_images", "train_labels", "test_images", "test_labels")
-                if not getattr(self, name)
-            ]
-            if missing:
-                raise ValueError(
-                    f"dataset=idx requires paths for: {', '.join(missing)}"
-                )
+        paths = ("train_images", "train_labels", "test_images", "test_labels")
+        unset = [name for name in paths if not getattr(self, name)]
+        if self.dataset == "idx" and unset:
+            raise ValueError(f"dataset=idx requires paths for: {', '.join(unset)}")
+        if self.dataset == "synthetic" and len(unset) < len(paths):
+            name = next(name for name in paths if name not in unset)
+            raise ValueError(f"{name} is set, but dataset=synthetic reads no IDX file")
         if self.synthetic_classes < 2:
             raise ValueError("synthetic_classes must be >= 2")
         if self.synthetic_per_class < 1:
@@ -111,10 +107,6 @@ class ExperimentConfig:
         for name in ("subsample_train", "subsample_test"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0 (0 keeps everything)")
-        if self.partition not in ("iid", "label_split"):
-            raise ValueError(
-                f"partition must be iid or label_split, got {self.partition!r}"
-            )
         if self.layer_sizes:
             try:
                 MlpSpec(self.layer_sizes)
@@ -173,7 +165,7 @@ class ExperimentConfig:
                 f"num_references = {self.num_references} must be < {per_round}, the "
                 "clients in a round (clients_per_round, or n_clients if it is 0)"
             )
-        if self.partition == "label_split":
+        if self.label_split:  # empty: an iid split
             try:
                 groups = parse_label_split(self.label_split)
             except ValueError as exc:

@@ -90,21 +90,33 @@ def _read_exact(f, n: int, path: str, what: str) -> bytes:
     return buf
 
 
-def _read_payload(f, sizes: tuple[int, ...], path: str, what: str) -> bytes:
-    """The prod(sizes) bytes after the header, checked against the header's
-    sizes and the file's length before anything is read."""
-    if min(sizes) < 0:
-        raise ValueError(f"{path}: negative size in the {what} header: {sizes}")
-    if sizes[0] == 0:
-        raise ValueError(f"{path}: the {what} header gives a count of 0")
-    n = math.prod(sizes)
-    left = os.fstat(f.fileno()).st_size - f.tell()
-    if n > left:
-        raise ValueError(
-            f"{path}: truncated file while reading {what}: the header gives "
-            f"{n} bytes, the file holds {left}"
+def _read_idx(path: str, magic: int, dims: int, kind: str) -> tuple[list[int], bytes]:
+    """(the dims sizes after the magic in its header, the prod(sizes) bytes
+    after the header) of the IDX file at path, its magic and sizes checked
+    before the payload is read; kind, image or label, names it in errors."""
+    with open(path, "rb") as f:
+        found, *sizes = struct.unpack(
+            f">{dims + 1}l", _read_exact(f, 4 * (dims + 1), path, f"{kind} header")
         )
-    return _read_exact(f, n, path, what)
+        if found != magic:
+            raise ValueError(
+                f"{path}: bad magic {found}, expected {magic} for an IDX {kind} file"
+            )
+        what = f"{kind} data"
+        if min(sizes) < 0:
+            raise ValueError(
+                f"{path}: negative size in the {what} header: {tuple(sizes)}"
+            )
+        if sizes[0] == 0:
+            raise ValueError(f"{path}: the {what} header gives a count of 0")
+        n = math.prod(sizes)
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if n > left:
+            raise ValueError(
+                f"{path}: truncated file while reading {what}: the header gives "
+                f"{n} bytes, the file holds {left}"
+            )
+        return sizes, _read_exact(f, n, path, what)
 
 
 def load_idx(images_path: str, labels_path: str) -> Dataset:
@@ -117,26 +129,8 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
     header, or one larger than the file, raises ValueError naming the file
     before any read.
     """
-    with open(images_path, "rb") as f:
-        magic, count, rows, cols = struct.unpack(
-            ">llll", _read_exact(f, 16, images_path, "image header")
-        )
-        if magic != _IDX_IMAGES_MAGIC:
-            raise ValueError(
-                f"{images_path}: bad magic {magic}, expected {_IDX_IMAGES_MAGIC} "
-                "for an IDX image file"
-            )
-        raw = _read_payload(f, (count, rows, cols), images_path, "image data")
-    with open(labels_path, "rb") as f:
-        magic, label_count = struct.unpack(
-            ">ll", _read_exact(f, 8, labels_path, "label header")
-        )
-        if magic != _IDX_LABELS_MAGIC:
-            raise ValueError(
-                f"{labels_path}: bad magic {magic}, expected {_IDX_LABELS_MAGIC} "
-                "for an IDX label file"
-            )
-        label_raw = _read_payload(f, (label_count,), labels_path, "label data")
+    (count, rows, cols), raw = _read_idx(images_path, _IDX_IMAGES_MAGIC, 3, "image")
+    (label_count,), label_raw = _read_idx(labels_path, _IDX_LABELS_MAGIC, 1, "label")
     if count != label_count:
         raise ValueError(
             f"image/label count mismatch: {count} images vs {label_count} labels"

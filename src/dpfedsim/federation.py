@@ -352,7 +352,8 @@ def _evaluate(
     call) in _EVAL_ROWS-row chunks split between the worker and this
     thread (``_halves``); a chunk's bytes do not depend on the thread
     under the pin.  A w not finite once cast (a float64 beyond float32's
-    range is not) raises ValueError naming the round."""
+    range is not), or logits it overflows, raise ValueError naming the
+    round."""
     spec, test_X = state.model_spec, state.test_X
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         w_eval = w.astype(test_X.dtype)
@@ -366,7 +367,10 @@ def _evaluate(
             chunk = test_X[lo : lo + _EVAL_ROWS]
             preds[lo : lo + chunk.shape[0]] = model_mod.predict(spec, w_eval, chunk)
 
-    _halves(worker, predict, len(starts))
+    try:
+        _halves(worker, predict, len(starts))
+    except ValueError as exc:  # from model.predict: logits not finite
+        raise ValueError(f"round {round_index}: {exc}") from None
     return metrics_mod.scores(
         metrics_mod.accumulate(preds, state.test_y, spec.num_classes)
     )

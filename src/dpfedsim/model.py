@@ -118,8 +118,13 @@ def predict(spec: MlpSpec, w: np.ndarray, X: np.ndarray) -> np.ndarray:
     """The class of each row of the (n, input_dim) matrix X: the argmax of
     the last layer's logits (no softmax), the lowest class on a tie, from a
     forward pass in X's float dtype.  A caller that predicts many chunks
-    casts w to that dtype once itself."""
-    return np.argmax(_layers(spec, w, X)[1], axis=1)
+    casts w to that dtype once itself.  Logits that overflow the dtype raise
+    ValueError, with no numpy warning on the calling thread."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        logits = _layers(spec, w, X)[1]
+    if not np.isfinite(logits).all():
+        raise ValueError(f"logits not finite in {X.dtype}")
+    return np.argmax(logits, axis=1)
 
 
 def _batch_labels(spec: MlpSpec, labels) -> np.ndarray:

@@ -319,8 +319,7 @@ def _mnist_directional_gap(partition: str) -> tuple[float, float]:
         test_labels=paths[3],
         subsample_train=10_000,
         subsample_test=2_000,
-        partition=partition,
-        label_split="0-4;5-9",
+        label_split="0-4;5-9" if partition == "label_split" else "",
         layer_sizes=(784, 128, 10),
         n_clients=2,
         rounds=30,

@@ -205,22 +205,31 @@ def test_diverging_run_returns_nonzero(tmp_path, capsys):
     assert "round 0: weights not finite in float32" in capsys.readouterr().err
 
 
-def test_a_model_beyond_float32_stops_the_run_with_one_error_line(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "eta, error",
+    [("1e300", "weights not finite in float32"), ("1e30", "logits not finite in float32")],
+    ids=["1e300", "1e30"],
+)
+def test_a_model_beyond_float32_stops_the_run_with_one_error_line(
+    tmp_path, capsys, eta, error
+):
     """At sigma = 0 and eta = 1e300, round 0 leaves float64 weights that are
-    finite but overflow the float32 evaluation casts them to.  The run
-    exits 1 with one error line naming the round: no numpy warning escapes,
-    and no score of NaN logits is written."""
+    finite but overflow the float32 evaluation casts them to; at eta = 1e30
+    the cast weights are finite but overflow the float32 logits.  Either
+    run exits 1 with one error line naming the round: no numpy warning
+    escapes, from this thread or the worker, and no score of NaN logits is
+    written."""
     cfg = write_cfg(
         tmp_path,
         "synthetic_dim = 6\nsynthetic_classes = 3\nsynthetic_per_class = 10\n"
-        "n_clients = 3\neta = 1e300\nsigma = 0\nrounds = 1\n",
+        f"n_clients = 3\neta = {eta}\nsigma = 0\nrounds = 1\n",
     )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err.splitlines()
-    assert err == ["error: round 0: weights not finite in float32"]
+    assert err == [f"error: round 0: {error}"]
     assert not (tmp_path / "o" / "metrics.csv").exists()
 
 

@@ -64,6 +64,7 @@ def test_removed_parallel_clients_key_is_unknown_with_its_line(tmp_path):
         ("sampling_rate", "0.5"),
         ("order_seed", "0"),
         ("weighting", "uniform"),
+        ("partition", "label_split"),
     ):
         with pytest.raises(ValueError) as exc:
             parse_config(write(tmp_path, f"rounds = 5\n{key} = {raw}\n"))
@@ -136,7 +137,7 @@ def test_cross_field_validation(tmp_path):
         parse_config(write(tmp_path, "batch_size = 0\n"))
     with pytest.raises(ValueError, match="label_split"):
         parse_config(
-            write(tmp_path, "partition = label_split\nn_clients = 3\n")
+            write(tmp_path, "label_split = 0-4;5-9\nn_clients = 3\n")
         )
     with pytest.raises(ValueError, match="dataset=idx requires"):
         parse_config(write(tmp_path, "dataset = idx\n"))
@@ -212,7 +213,8 @@ def test_non_finite_float_is_a_parse_error_naming_the_key(tmp_path, key, raw):
     assert str(exc.value).startswith(f"{key} must be finite")
 
 
-# key -> overrides that make that key's value (or its pairing) invalid
+# case -> overrides that make the value (or pairing) of the case's key, the
+# part before any "-", invalid
 BAD_VALUES = {
     "dataset": {"dataset": "mnist"},
     "train_images": {"dataset": "idx", "train_labels": "a", "test_images": "b",
@@ -223,14 +225,16 @@ BAD_VALUES = {
                     "test_labels": "c"},
     "test_labels": {"dataset": "idx", "train_images": "a", "train_labels": "b",
                     "test_images": "c"},
+    # an IDX path the synthetic dataset would ignore
+    "train_images-synthetic": {"dataset": "synthetic", "train_images": "a"},
+    "test_labels-synthetic": {"test_labels": "a"},
     "synthetic_classes": {"synthetic_classes": "1"},
     "synthetic_per_class": {"synthetic_per_class": "0"},
     "synthetic_dim": {"synthetic_dim": "0"},
     "synthetic_spread": {"synthetic_spread": "-0.5"},
     "subsample_train": {"subsample_train": "-1"},
     "subsample_test": {"subsample_test": "-1"},
-    "partition": {"partition": "dirichlet"},
-    "label_split": {"partition": "label_split", "label_split": "0-4;;5-9"},
+    "label_split": {"label_split": "0-4;;5-9"},
     "layer_sizes": {"layer_sizes": "6,0,3"},
     "n_clients": {"n_clients": "0"},
     "clients_per_round": {"clients_per_round": "3"},
@@ -253,15 +257,16 @@ BAD_VALUES = {
 
 
 def test_bad_value_cases_cover_every_key():
-    assert set(BAD_VALUES) == {f.name for f in fields(ExperimentConfig)}
+    keys = {case.split("-")[0] for case in BAD_VALUES}
+    assert keys == {f.name for f in fields(ExperimentConfig)}
 
 
-@pytest.mark.parametrize("key", list(BAD_VALUES))
-def test_every_value_error_names_its_key(tmp_path, key):
-    overrides = [f"{k}={v}" for k, v in BAD_VALUES[key].items()]
+@pytest.mark.parametrize("case", list(BAD_VALUES))
+def test_every_value_error_names_its_key(tmp_path, case):
+    overrides = [f"{k}={v}" for k, v in BAD_VALUES[case].items()]
     with pytest.raises(ValueError) as exc:
         parse_config(write(tmp_path, ""), overrides)
-    assert key in str(exc.value)
+    assert case.split("-")[0] in str(exc.value)
 
 
 def test_config_is_frozen_and_replace_validates():

@@ -364,7 +364,7 @@ PINNED_FINGERPRINTS = {
         ],
     ),
     "label_split": (
-        dict(n_clients=2, partition="label_split", label_split="0,2;1,3"),
+        dict(n_clients=2, label_split="0,2;1,3"),
         [
             "c2b8e35d9a8430a847a68e04b7f662d3f818d7d44cf6631e9e4b8338fb4509db",
             "a6c3427e00d9c0f212f005693dd5b4fd09525845fbc154b0aa29e12d2fbc8c97",

@@ -93,8 +93,7 @@ def _protocol_runs(partition):
         synthetic_spread=0.15,
         layer_sizes=(8, 10, 4),
         n_clients=2,
-        partition=partition,
-        label_split="0-1;2-3",
+        label_split="0-1;2-3" if partition == "label_split" else "",
         rounds=10,
         local_steps=2,
         eta=0.1,

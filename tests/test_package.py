@@ -6,13 +6,14 @@ that only tests call lives in ``tests/oracle.py``, not in the package, and
 a constant no package code reads does not survive for tests alone.  Every
 dataclass field is read somewhere in the package.  Every config key is
 read by the layer it configures, and the README's config table names
-exactly the config keys.  Every random stream is made by derive_rng and
-named by four ints, a tag of the one tag table last.  Only the commands
-hold the BLAS pin and the worker thread, and both reach a run through one
-driver.  float32 is named only where the test set's features are built,
-the one input that sets evaluation's width.  Only the config calls the
-privacy accountant.  Every mutant of the mutation sweep
-(``tests/mutants.py``) edits text that occurs once in ``src/``.
+exactly the config keys, each with its default.  Every random stream is
+made by derive_rng and named by four ints, a tag of the one tag table
+last.  Only the commands hold the BLAS pin and the worker thread, and both
+reach a run through one driver.  float32 is named only where the test
+set's features are built, the one input that sets evaluation's width.
+Only the config calls the privacy accountant.  Every mutant of the
+mutation sweep (``tests/mutants.py``) edits text that occurs once in
+``src/``.
 """
 
 import ast
@@ -149,14 +150,45 @@ def test_every_config_key_is_read_outside_config_py():
     assert sorted(CONFIG_KEYS - read) == []
 
 
-def test_readme_config_table_names_exactly_the_config_keys():
+def _readme_config_rows() -> list[tuple[list[str], list[str]]]:
+    """(keys, default cells) of each row of the README's config table; a
+    cell joined to the next by " / " is its own cell, backticks dropped."""
     readme = (ROOT / "README.md").read_text()
     table = readme.split("## Config file format", 1)[1].split("\n## ", 1)[0]
-    named = set()
+    rows = []
     for line in table.splitlines():
         if line.startswith("| `"):
-            named.update(re.findall(r"`(\w+)`", line.split("|")[1]))
-    assert named == CONFIG_KEYS
+            keys, defaults = line.split("|")[1:3]
+            rows.append((
+                re.findall(r"`(\w+)`", keys),
+                [cell.strip().strip("`") for cell in defaults.split(" / ")],
+            ))
+    return rows
+
+
+def test_readme_config_table_names_exactly_the_config_keys():
+    named = [key for keys, _ in _readme_config_rows() for key in keys]
+    assert sorted(named) == sorted(CONFIG_KEYS)
+
+
+def _readme_default(key: str, value) -> str:
+    """A resolved default as the table writes it: auto for the empty
+    layer_sizes, "" for another empty string, a bool in lower case."""
+    if value == "":
+        return "auto" if key == "layer_sizes" else '""'
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+def test_readme_config_table_gives_every_keys_default():
+    """A row's default cells match its keys by position; one cell serves
+    every key of its row."""
+    defaults = ExperimentConfig().resolved()
+    for keys, cells in _readme_config_rows():
+        if len(cells) == 1:
+            cells = cells * len(keys)
+        assert len(cells) == len(keys), keys
+        for key, cell in zip(keys, cells):
+            assert cell == _readme_default(key, defaults[key]), key
 
 
 def _called(node: ast.AST) -> str | None:
