@@ -27,14 +27,9 @@ G[i] and G[i, i]; a test against j reads d = row[j], and a projection with
 coefficient c = d / G[j, j] updates them as row -= c * G[j] and
 q = max(0, q - c * d).
 
-``plan_round`` is the decision step: from G alone it returns, for row p of
-U, the ordered projections (q, c) with q a row of U, so that corrected_p =
-g_p - sum c g_q, i.e. the coefficient matrix M with corrected_p = sum_q
-M_pq g_q.  A federated round needs only the weighted sum of the corrected
-uploads, sum_p w_p corrected_p = sum_q alpha_q g_q with alpha = w^T M
-(``fold_weights``), so no corrected vector is ever built here.  Client ids
-label only the report.  The tests' oracle (``tests/oracle.py``)
-materialises a plan, one scale_add per projection in plan order.
+``plan_round`` decides every projection from G alone and folds each into
+the aggregate's weights as it is decided, so a round needs no corrected
+vector: sum_q alpha_q g_q is the weighted sum of the corrected uploads.
 """
 
 from __future__ import annotations
@@ -46,10 +41,6 @@ import numpy as np
 
 CORRECTION_MODES = ("reference", "pairwise")
 
-# plan[p] is row p's projections in the order applied: (q, c) means
-# r <- r - c * g_q, with g_q the original upload in row q of U.
-CorrectionPlan = list[list[tuple[int, float]]]
-
 
 @dataclass
 class CorrectionReport:
@@ -57,15 +48,16 @@ class CorrectionReport:
 
     reference_ids: list[int] = field(default_factory=list)
     cosines: dict[tuple[int, int], float] = field(default_factory=dict)
-    projections_applied: int = 0
-    cosine_tests: int = 0
+    # (p, q, c) in the order decided: row p's running vector took
+    # r <- r - c * g_q, with g_q the original upload in row q of U
+    projections: list[tuple[int, int, float]] = field(default_factory=list)
 
     def summary(self) -> dict:
         values = list(self.cosines.values())
         return {
             "references": list(self.reference_ids),
-            "cosine_evaluations": self.cosine_tests,
-            "projections_applied": self.projections_applied,
+            "cosine_evaluations": len(values),
+            "projections_applied": len(self.projections),
             "negative_cosines": sum(1 for v in values if v < 0),
             "cosine_min": min(values) if values else None,
             "cosine_mean": float(np.mean(values)) if values else None,
@@ -126,17 +118,23 @@ def resolve_num_references(num_references: int, n_clients: int) -> int:
 def plan_round(
     uploads: np.ndarray,
     ids: list[int],
+    weights: list[float],
     mode: str,
     num_references: int,
     rng: np.random.Generator,
-) -> tuple[CorrectionPlan, CorrectionReport]:
+) -> tuple[list[float], CorrectionReport]:
     """Decide one round of conflict correction from the Gram matrix alone.
 
-    Row p of the (N, D) array uploads is the upload of client ids[p]; ids
-    label the report's cosines and references and nothing else.  mode is
-    one of CORRECTION_MODES; num_references (0 = auto) is read only in
-    reference mode.  Returns every row's ordered projections and the
-    report; the uploads are read only to build the Gram matrix.
+    Row p of the (N, D) array uploads is the upload of client ids[p], of
+    weight weights[p]; ids label the report's cosines and references and
+    nothing else.  mode is one of CORRECTION_MODES; num_references (0 =
+    auto) is read only in reference mode.  Returns alpha, with sum_q
+    alpha_q g_q = sum_p w_p corrected_p, and the report; the uploads are
+    read only to build the Gram matrix.
+
+    Each projection (p, q, c) does alpha_q -= w_p * c when it is decided,
+    in ascending row p and then test order, in Python float arithmetic;
+    without projections alpha equals weights exactly.
     """
     n = len(ids)
     if n < 2:
@@ -144,7 +142,7 @@ def plan_round(
 
     g = gram(uploads)
     report = CorrectionReport()
-    plan: CorrectionPlan = [[] for _ in range(n)]
+    alpha = list(weights)
 
     def plan_one(p: int, order: list[int]) -> None:
         """Test row p's running vector against row q, q in order.
@@ -152,7 +150,6 @@ def plan_round(
         row[k] = <running, g_k> and sq = ||running||^2 are scalars, so a
         test costs O(1) and a projection O(N).
         """
-        steps = plan[p]
         row = g[p].copy()
         sq = float(g[p, p])
         for q in order:
@@ -160,13 +157,12 @@ def plan_round(
             sq_q = float(g[q, q])
             cos = cosine_from_products(sq, sq_q, d)
             report.cosines[(ids[p], ids[q])] = cos
-            report.cosine_tests += 1
             if cos < 0:
                 c = d / sq_q
-                steps.append((q, c))
+                report.projections.append((p, q, c))
+                alpha[q] -= weights[p] * c
                 row -= c * g[q]
                 sq = max(0.0, sq - c * d)
-        report.projections_applied += len(steps)
 
     if mode == "reference":
         refs = select_references(n, resolve_num_references(num_references, n), rng)
@@ -178,18 +174,4 @@ def plan_round(
         for p in range(n):
             plan_one(p, [q for q in range(n) if q != p])
 
-    return plan, report
-
-
-def fold_weights(plan: CorrectionPlan, weights: list[float]) -> list[float]:
-    """alpha = w^T M, so that sum_q alpha_q g_q = sum_p w_p corrected_p.
-
-    alpha_q = w_q - sum_p w_p c_pq, with the products subtracted in
-    ascending row p and then plan order, in Python float arithmetic.
-    Without projections alpha equals weights exactly.
-    """
-    alpha = list(weights)
-    for p, steps in enumerate(plan):
-        for q, c in steps:
-            alpha[q] -= weights[p] * c
-    return alpha
+    return alpha, report

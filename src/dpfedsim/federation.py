@@ -27,21 +27,18 @@ labels, given before round 0 and held as ``ExperimentState.test_X`` and
 
 A client id indexes the run's lists of shards (row-index arrays into the
 one train set), per-client models and variates.  The server step speaks
-rows: the participant weights w, the correction plan and the folded
-alpha are lists by row of U, and client ids appear only at the round's
-edges (shard lookup, per-client models and variates, the report's keys).
-Every aggregate is one weighted sum over the rows of U in order
-(``linalg.weighted_sum``).  For gcfl ``correction.plan_round``
-decides each row's projections from the Gram matrix of U,
-``correction.fold_weights`` turns w into alpha = w^T M, and the update is
-sum_q alpha_q g_q: the weighted sum of the corrected uploads up to
-rounding, with no corrected vector built.  Every other round folds the
-empty plan, and ``fold_weights([], w)`` is w itself.  Three fixed orders
-set the update's bytes, none of them dependent on the BLAS thread count:
-the Gram's (one BLAS syrk; see ``correction.gram``), the fold's
-(ascending row p, then plan order) and the weighted sum's (ascending row
-q, elementwise axpys; see ``linalg``).  Each of a round's P participants
-weighs w_p = 1 / P: a public count, never the private shard sizes.
+rows: the participant weights w and the aggregate's weights alpha are
+lists by row of U, and client ids appear only at the round's edges (shard
+lookup, per-client models and variates, the report's keys).  Every
+aggregate is one weighted sum sum_q alpha_q g_q over the rows of U in
+order (``linalg.weighted_sum``), with alpha = w except under gcfl, where
+``correction.plan_round`` folds each projection it decides from the Gram
+matrix of U into alpha.  Three fixed orders set the update's bytes, none
+of them dependent on the BLAS thread count: the Gram's (one BLAS syrk;
+see ``correction.gram``), the fold's (ascending row p, then test order)
+and the weighted sum's (ascending row q, elementwise axpys; see
+``linalg``).  Each of a round's P participants weighs w_p = 1 / P: a
+public count, never the private shard sizes.
 
 Every function here reads its settings from the run's ``ExperimentConfig``
 by key name (``cfg.sigma``, ``cfg.eta``, ``cfg.correction_mode``); the
@@ -84,7 +81,7 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from . import model as model_mod
-from .correction import fold_weights, plan_round
+from .correction import plan_round
 from .data import Dataset, features
 from .dp import poisson_sample
 from .linalg import ParamVector, add_scaled, one_blas_thread, weighted_sum
@@ -452,13 +449,13 @@ def run_round(
             # a new vector: the old model may be a caller's start array
             state.client_models[cid] = state.client_models[cid] + scale * uploads[p]
     else:
-        plan = []  # no projections: fold_weights returns the weights as given
+        alpha = [1.0 / len(participants)] * len(participants)
         if cfg.algorithm == "gcfl" and len(participants) > 1:
-            plan, report = plan_round(
-                uploads, participants, cfg.correction_mode, cfg.num_references,
+            alpha, report = plan_round(
+                uploads, participants, alpha, cfg.correction_mode,
+                cfg.num_references,
                 derive_rng(state.seed, round_index, 0, Stream.CORRECTION),
             )
-        alpha = fold_weights(plan, [1.0 / len(participants)] * len(participants))
         aggregated = weighted_sum(uploads, alpha)
         # the new weights are written into the aggregate, the round's one
         # server-side D-vector
@@ -497,7 +494,7 @@ def run_round(
         test_accuracy=acc,
         test_macro_recall=rec,
         test_macro_f1=f1,
-        projections_applied=report.projections_applied if report else 0,
+        projections_applied=len(report.projections) if report else 0,
         wall_millis=wall,
         correction=report.summary() if report else {},
     )

@@ -7,22 +7,35 @@ must update this list.
 
 Run the sweep from the repository root (it is not part of tier-1):
 
-    python tests/mutants.py
+    python tests/mutants.py          # each mutant's recorded killer first
+    python tests/mutants.py --full   # every mutant against all of tier-1
 
 It copies the repository's files (``git ls-files``, untracked files that
 are not ignored included) into a temporary directory, applies one mutant
-there and runs tier-1 with the byte pins deselected.  A PR that moves
+there and runs tests in that copy.  The unmutated tree runs first, all of
+tier-1, and must pass.
+
+Each mutant names its killer: the first test, in tier-1's order, that
+killed it in a full run and is not a byte pin.  By default the sweep runs
+that test alone, and the mutant is killed when it fails.  When it passes,
+the killer is stale: the sweep falls back to the full run and reports it.
+The full run is tier-1 with the byte pins deselected.  A PR that moves
 bytes regenerates the pins, so a pin alone guards no promise: a mutant
 that survives that run and is killed only by the pins is reported as
 weak.  One that nothing kills is a survivor, expected when ``SURVIVORS``
-names the open item that will kill it.  The unmutated tree runs first and
-must pass.  ``mutants.json``, at the repository root, records, per
-mutant, the outcome, the tests that killed it and the wall seconds.  To
-run one mutant, call ``sweep([mutant])`` from Python.
+names the open item that will kill it.  ``--full`` runs the full run for
+every mutant, and so names each one's first killer afresh.
+``tests/test_package.py`` checks that every killer is a tier-1 test that
+pytest collects.
+
+``mutants.json``, at the repository root, records, per mutant, the
+outcome, the tests that killed it, whether its killer was stale and the
+wall seconds.  To run one mutant, call ``sweep([mutant])`` from Python.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import shutil
@@ -54,6 +67,7 @@ class Mutant(NamedTuple):
     file: str  # relative to src/dpfedsim
     old: str
     new: str
+    killer: str  # node id of the first test that killed it, not a byte pin
 
 
 MUTANTS = (
@@ -63,6 +77,7 @@ MUTANTS = (
         "federation.py",
         "noisy *= cfg.sigma * cfg.clip_threshold",
         "noisy *= 0.5 * cfg.sigma * cfg.clip_threshold",
+        "tests/test_federation.py::test_non_finite_step_gradient_stops_the_round",
     ),
     Mutant(
         "fixed_size_sensitivity_1",
@@ -70,6 +85,7 @@ MUTANTS = (
         "dp.py",
         'SENSITIVITY = {"fixed_size": 2, "poisson": 1}',
         'SENSITIVITY = {"fixed_size": 1, "poisson": 1}',
+        "tests/test_cli.py::test_privacy_prints_the_step_count_of_a_finite_budget",
     ),
     Mutant(
         "divide_by_drawn_batch",
@@ -77,6 +93,8 @@ MUTANTS = (
         "federation.py",
         "noisy /= cfg.batch_size",
         "noisy /= max(1, idx.size)",
+        "tests/test_federation.py::"
+        "test_local_phase_exact_batch_gradient_when_noise_free",
     ),
     Mutant(
         "noise_stream_every_round",
@@ -84,6 +102,7 @@ MUTANTS = (
         "federation.py",
         "derive_rng(state.seed, round_index, cid, Stream.NOISE)",
         "derive_rng(state.seed, 0, cid, Stream.NOISE)",
+        "tests/test_federation.py::test_every_stream_a_run_derives_is_distinct",
     ),
     Mutant(
         "noise_stream_shared_by_clients",
@@ -91,6 +110,7 @@ MUTANTS = (
         "federation.py",
         "derive_rng(state.seed, round_index, cid, Stream.NOISE)",
         "derive_rng(state.seed, round_index, 0, Stream.NOISE)",
+        "tests/test_cli.py::test_each_compare_row_is_the_final_row_of_a_separate_run",
     ),
     Mutant(
         "accountant_ignores_k",
@@ -98,6 +118,8 @@ MUTANTS = (
         "config.py",
         "steps = rounds * self.local_steps",
         "steps = rounds",
+        "tests/test_cli.py::"
+        "test_run_reports_the_privacy_schedule_of_its_sampling_mode[fixed_size-2C-k3-28.876631]",
     ),
     Mutant(
         "epsilon_one_round_late",
@@ -105,6 +127,8 @@ MUTANTS = (
         "federation.py",
         "cfg.epsilon_after(round_index + 1)",
         "cfg.epsilon_after(round_index)",
+        "tests/test_cli.py::"
+        "test_run_reports_the_privacy_schedule_of_its_sampling_mode[fixed_size-2C-14.176691]",
     ),
     Mutant(
         "budget_one_round_over",
@@ -112,14 +136,16 @@ MUTANTS = (
         "config.py",
         "allowed // self.local_steps",
         "allowed // self.local_steps + 1",
+        "tests/test_cli.py::test_summary_stops_early_only_when_the_budget_cuts_a_round",
     ),
     Mutant(
         "upload_weights_from_shard_sizes",
         "aggregation weighs uploads by public counts only",
         "federation.py",
-        "alpha = fold_weights(plan, [1.0 / len(participants)] * len(participants))",
-        "alpha = fold_weights(plan, [state.shards[c].size / sum("
-        "state.shards[q].size for q in participants) for c in participants])",
+        "alpha = [1.0 / len(participants)] * len(participants)",
+        "alpha = [state.shards[c].size / sum("
+        "state.shards[q].size for q in participants) for c in participants]",
+        "tests/test_federation.py::test_unequal_shards_weigh_one_over_p",
     ),
     Mutant(
         "poisson_rate_doubled",
@@ -127,6 +153,8 @@ MUTANTS = (
         "dp.py",
         "< min(1.0, batch_size / shard_size)",
         "< min(1.0, 2 * batch_size / shard_size)",
+        "tests/test_determinism.py::"
+        "test_every_output_file_is_byte_identical[executor-gcfl]",
     ),
     Mutant(
         "clip_at_2c",
@@ -134,6 +162,7 @@ MUTANTS = (
         "model.py",
         "scale = clip_threshold / np.maximum(np.sqrt(sq_norms), clip_threshold)",
         "scale = 2 * clip_threshold / np.maximum(np.sqrt(sq_norms), 2 * clip_threshold)",
+        "tests/test_dp_kernel.py::test_kernel_matches_oracle",
     ),
     Mutant(
         "norm_without_bias_term",
@@ -141,6 +170,7 @@ MUTANTS = (
         "model.py",
         "(_row_dots(a, a) + 1.0) * _row_dots(d, d)",
         "_row_dots(a, a) * _row_dots(d, d)",
+        "tests/test_dp_kernel.py::test_kernel_matches_oracle",
     ),
     Mutant(
         "norm_without_prox_cross_term",
@@ -148,6 +178,7 @@ MUTANTS = (
         "model.py",
         "np.maximum(sq_norms + 2.0 * cross + shift_sq, 0.0)",
         "np.maximum(sq_norms + shift_sq, 0.0)",
+        "tests/test_dp_kernel.py::test_kernel_matches_oracle",
     ),
     Mutant(
         "prox_shift_added_unclipped",
@@ -155,6 +186,7 @@ MUTANTS = (
         "model.py",
         "add_scaled(out, np.sum(scale), shift)",
         "add_scaled(out, float(labs.size), shift)",
+        "tests/test_dp_kernel.py::test_kernel_matches_oracle",
     ),
     Mutant(
         "conflict_sign_flipped",
@@ -162,6 +194,8 @@ MUTANTS = (
         "correction.py",
         "if cos < 0:",
         "if cos > 0:",
+        "tests/test_acceptance.py::"
+        "test_criterion_07_gcfl_equals_fedavg_without_conflicts",
     ),
     Mutant(
         "blas_pin_off",
@@ -169,6 +203,8 @@ MUTANTS = (
         "linalg.py",
         "    set_(1)",
         "    set_(saved)",
+        "tests/test_determinism.py::"
+        "test_every_output_file_is_byte_identical[blas-n32_gcfl_pairwise]",
     ),
 )
 
@@ -222,8 +258,10 @@ def failed_tests(tree: Path, args: list[str]) -> list[str]:
     return failed
 
 
-def sweep(mutants: list[Mutant]) -> list[dict]:
-    """Check the unmutated tree, then one record per mutant, in order."""
+def sweep(mutants: list[Mutant], full: bool = False) -> list[dict]:
+    """Check the unmutated tree, then one record per mutant, in order: its
+    recorded killer alone first, unless full, and the full run when that
+    test passes."""
     without_pins = [arg for t in (*PINS, LIST_CHECK) for arg in ("--deselect", t)]
     results = []
     for mutant in [None, *mutants]:
@@ -233,7 +271,10 @@ def sweep(mutants: list[Mutant]) -> list[dict]:
             copy_tree(tree)
             if mutant:
                 apply(tree, mutant)
-            killers = failed_tests(tree, without_pins)
+            killers = failed_tests(tree, [mutant.killer]) if mutant and not full else []
+            if not killers:
+                killers = failed_tests(tree, without_pins)
+            stale = mutant is not None and mutant.killer not in killers
             pin_killers = [] if killers else failed_tests(tree, list(PINS))
         seconds = round(time.perf_counter() - t0, 1)
         if mutant is None:
@@ -251,23 +292,32 @@ def sweep(mutants: list[Mutant]) -> list[dict]:
             **mutant._asdict(),
             "outcome": outcome,
             "killed_by": killers or pin_killers,
+            "killer_stale": stale,
             "open_item": SURVIVORS.get(mutant.id),
             "seconds": seconds,
         })
-        print(f"{mutant.id}: {outcome}, {len(killers or pin_killers)} tests, "
-              f"{seconds} s", flush=True)
+        print(f"{mutant.id}: {outcome}, {len(killers or pin_killers)} tests"
+              f"{', stale killer' if stale else ''}, {seconds} s", flush=True)
     return results
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Run the mutation sweep.")
+    parser.add_argument(
+        "--full", action="store_true",
+        help="run all of tier-1 against every mutant, not its killer first",
+    )
+    args = parser.parse_args(argv)
     t0 = time.perf_counter()
-    results = sweep(list(MUTANTS))
+    results = sweep(list(MUTANTS), full=args.full)
     (ROOT / "mutants.json").write_text(json.dumps(
         {"wall_s": round(time.perf_counter() - t0, 1), "mutants": results}, indent=2
     ) + "\n")
+    killed = sum(r["outcome"] == "killed" for r in results)
     bad = [r["id"] for r in results if r["outcome"] in ("weak", "survived")]
-    print(f"{len(results) - len(bad)} of {len(results)} killed or expected; "
-          f"weak or surviving: {bad}")
+    stale = [r["id"] for r in results if r["killer_stale"]]
+    print(f"{killed} of {len(results)} killed by a test that is not a byte pin; "
+          f"weak or surviving: {bad}; stale killers: {stale}")
     return 1 if bad else 0
 
 

@@ -12,12 +12,15 @@ as a new vector, where the server step writes into the aggregate;
 ``noisy_batch_gradient`` forms a step's noisy mean in one call, where a
 client builds the same bytes in the noise vector it draws.
 ``stack`` turns a dict of uploads into the round's (N, D) upload array.
-``correct_round`` materialises ``correction.plan_round`` in plan order, and
-``correct_round_on_vectors`` corrects the D-length vectors with fresh dots
-for every test; both key their output by client id, where a plan speaks
-rows (``plan_by_id`` relabels a plan).  ``aggregate`` is the plain
-weighted average, which every round takes as one weighted sum of folded
-weights.  ``run_one_round`` and ``run_all_rounds`` run a single round and
+``correct_round`` materialises the projections of ``correction.plan_round``
+in the order decided, and ``correct_round_on_vectors`` corrects the
+D-length vectors with fresh dots for every test; both key their output by
+client id, where a report's projections speak rows (``plan_by_id``
+relabels them).  ``fold_weights`` folds a report's projections into the
+row weights one at a time, as ``plan_round`` does while it decides them.
+``aggregate`` is the plain weighted average, which every round takes as
+one weighted sum of folded weights.  ``gamma`` is Higham's rounding
+bound.  ``run_one_round`` and ``run_all_rounds`` run a single round and
 a whole run outside a command, each holding the BLAS pin and a worker of
 its own (``federation.pinned_worker``) as a command does.
 ``synthetic_blobs`` draws and finishes each class's whole block at once,
@@ -36,7 +39,6 @@ import numpy as np
 
 from dpfedsim import federation
 from dpfedsim.correction import (
-    CorrectionPlan,
     CorrectionReport,
     cosine_from_products,
     plan_round,
@@ -49,6 +51,17 @@ from dpfedsim.model import _PROB_FLOOR, MlpSpec, _batch_labels, _softmax_rows
 from dpfedsim.model import unpack
 
 _TESTS = Path(__file__).resolve().parent
+
+U = 2.0**-53  # the unit roundoff of float64
+
+
+def gamma(n: int, u: float = U) -> float:
+    """Higham's gamma_n = n u / (1 - n u): the relative bound on n rounding
+    factors of unit roundoff u (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 3.1).  With Cauchy-Schwarz, a D-term dot
+    product summed in any order is within gamma_D ||a|| ||b|| of the exact
+    value (eq. 3.5)."""
+    return n * u / (1.0 - n * u)
 
 
 def child_env(*, tests: bool = False, **variables: str) -> dict[str, str]:
@@ -270,12 +283,31 @@ def stack(gradients: dict[int, ParamVector]) -> tuple[np.ndarray, list[int]]:
     return np.stack([gradients[i] for i in ids]), ids
 
 
+def fold_weights(
+    projections: list[tuple[int, int, float]], weights: list[float]
+) -> list[float]:
+    """alpha = w^T M, so that sum_q alpha_q g_q = sum_p w_p corrected_p, for
+    a report's projections (p, q, c), each corrected_p -= c g_q.
+
+    alpha_q = w_q - sum w_p c over the projections off row q, the products
+    subtracted in list order in Python float arithmetic.  Without
+    projections alpha equals weights exactly."""
+    alpha = list(weights)
+    for p, q, c in projections:
+        alpha[q] -= weights[p] * c
+    return alpha
+
+
 def plan_by_id(
-    plan: CorrectionPlan, ids: list[int]
+    projections: list[tuple[int, int, float]], ids: list[int]
 ) -> dict[int, list[tuple[int, float]]]:
-    """A row-indexed plan keyed by client id, row p being client ids[p]:
-    client i's projections (j, c) in the order applied."""
-    return {ids[p]: [(ids[q], c) for q, c in steps] for p, steps in enumerate(plan)}
+    """A report's projections keyed by client id, row p being client ids[p]:
+    client i's projections (j, c) in the order applied, [] for every client
+    projected off nothing."""
+    plan: dict[int, list[tuple[int, float]]] = {i: [] for i in ids}
+    for p, q, c in projections:
+        plan[ids[p]].append((ids[q], c))
+    return plan
 
 
 def correct_round(
@@ -284,16 +316,18 @@ def correct_round(
     num_references: int,
     rng: np.random.Generator,
 ) -> tuple[dict[int, ParamVector], CorrectionReport]:
-    """Materialise ``correction.plan_round`` in plan order.
+    """Materialise the projections of ``correction.plan_round`` in the order
+    decided.
 
     Each projection (j, c) of client i is one scale_add r <- r - c g_j.  The
     input mapping is never mutated; untouched gradients appear in the output
     as the same objects.
     """
     uploads, ids = stack(gradients)
-    plan, report = plan_round(uploads, ids, mode, num_references, rng)
+    weights = [1.0 / len(ids)] * len(ids)
+    _, report = plan_round(uploads, ids, weights, mode, num_references, rng)
     corrected: dict[int, ParamVector] = {}
-    for i, steps in plan_by_id(plan, ids).items():
+    for i, steps in plan_by_id(report.projections, ids).items():
         running = gradients[i]
         for j, c in steps:
             running = scale_add(running, -c, gradients[j])
@@ -308,7 +342,9 @@ def correct_round_on_vectors(
     rng: np.random.Generator,
 ) -> tuple[dict[int, ParamVector], CorrectionReport]:
     """``correct_round`` on the vectors: every test recomputes the cosine,
-    and every projection its coefficient, from D-length dots."""
+    and every projection its coefficient, from D-length dots.  The report
+    holds the references and the cosines; its projections list stays
+    empty."""
     ids = sorted(gradients)
     report = CorrectionReport()
     corrected: dict[int, ParamVector] = {}
@@ -318,10 +354,7 @@ def correct_round_on_vectors(
         for j in order:
             j = int(j)
             report.cosines[(i, j)] = cosine(running, gradients[j])
-            report.cosine_tests += 1
-            running, applied = project_if_conflicting(running, gradients[j])
-            if applied:
-                report.projections_applied += 1
+            running, _ = project_if_conflicting(running, gradients[j])
         return running
 
     if mode == "reference":

@@ -11,7 +11,6 @@ import oracle
 from dpfedsim.config import ExperimentConfig
 from dpfedsim.correction import (
     CORRECTION_MODES,
-    fold_weights,
     gram,
     plan_round,
     resolve_num_references,
@@ -21,6 +20,8 @@ from oracle import (
     child_env,
     correct_round,
     dot,
+    fold_weights,
+    gamma,
     l2_norm,
     plan_by_id,
     project_if_conflicting,
@@ -135,7 +136,7 @@ def test_correct_round_counts_cosine_evaluations():
         for m in range(1, n):
             grads = {i: rng_data.standard_normal(4) for i in range(n)}
             out, report = correct_round(grads, "reference", m, np.random.default_rng(1))
-            assert report.cosine_tests == m * (n - m)
+            assert len(report.cosines) == m * (n - m)
             assert len(report.reference_ids) == m
             assert set(out) == set(grads)
 
@@ -156,7 +157,7 @@ def test_correct_round_no_conflicts_is_identity():
     out, report = correct_round(
         grads, "reference", 0, np.random.default_rng(2)
     )
-    assert report.projections_applied == 0
+    assert report.projections == []
     for i in grads:
         assert out[i] is grads[i]
 
@@ -168,7 +169,7 @@ def test_correct_round_resolves_conflict():
     out, report = correct_round(
         grads, "reference", 0, np.random.default_rng(4)
     )
-    assert report.projections_applied == 1
+    assert len(report.projections) == 1
     ref = report.reference_ids[0]
     other = 1 - ref
     assert dot(out[other], out[ref]) >= -1e-12
@@ -198,7 +199,7 @@ def test_pairwise_mode_tests_all_ordered_pairs():
     rng = np.random.default_rng(1)
     grads = {i: rng.standard_normal(5) for i in range(4)}
     out, report = correct_round(grads, "pairwise", 0, np.random.default_rng(0))
-    assert report.cosine_tests == 4 * 3
+    assert len(report.cosines) == 4 * 3
     assert report.reference_ids == []
     assert set(report.cosines) == {
         (i, j) for i in range(4) for j in range(4) if i != j
@@ -243,24 +244,9 @@ def test_report_summary_shape():
     grads = {i: rng.standard_normal(8) for i in range(4)}
     _, report = correct_round(grads, "reference", 0, np.random.default_rng(3))
     s = report.summary()
-    assert s["cosine_evaluations"] == report.cosine_tests
-    assert s["projections_applied"] == report.projections_applied
+    assert s["cosine_evaluations"] == len(report.cosines) == 2 * 2
+    assert s["projections_applied"] == len(report.projections)
     assert s["cosine_min"] <= s["cosine_mean"] <= s["cosine_max"]
-
-
-# Unit roundoff of float64.
-U = 2.0**-53
-
-
-def _gamma(dim: int) -> float:
-    """Higham's gamma_D = D u / (1 - D u).
-
-    A D-term dot product summed in any order is within gamma_D * ||a|| ||b||
-    of the exact value (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., eq. 3.5, with Cauchy-Schwarz).  This covers both the
-    oracle's sequential scan and the einsum loop that builds the Gram matrix.
-    """
-    return dim * U / (1.0 - dim * U)
 
 
 def _assert_matches_oracle(grads, config, seed):
@@ -297,11 +283,11 @@ def _assert_matches_oracle(grads, config, seed):
         grads, *config, np.random.default_rng(seed)
     )
     assert report.reference_ids == want_report.reference_ids
-    assert report.cosine_tests == want_report.cosine_tests
     assert list(report.cosines) == list(want_report.cosines)
     assert set(out) == set(grads)
 
-    gamma = _gamma(next(iter(grads.values())).shape[0])
+    # gamma_D bounds both the oracle's sequential scan and the Gram's dots
+    gamma_d = gamma(next(iter(grads.values())).shape[0])
     running = dict(grads)
     projections = dict.fromkeys(grads, 0)
     parted = set()
@@ -310,7 +296,7 @@ def _assert_matches_oracle(grads, config, seed):
             continue
         norm_i, norm_r = l2_norm(grads[i]), l2_norm(running[i])
         kappa = 1.0 if norm_i == 0.0 else norm_i / norm_r if norm_r else np.inf
-        tol = 4 * (projections[i] + 1) ** 2 * gamma * kappa**2
+        tol = 4 * (projections[i] + 1) ** 2 * gamma_d * kappa**2
         cos = report.cosines[(i, j)]
         assert abs(cos - want_cos) <= tol, (i, j, cos, want_cos, tol)
         if abs(want_cos) <= tol:
@@ -328,9 +314,9 @@ def _assert_matches_oracle(grads, config, seed):
             assert out[i] is grads[i] and want[i] is grads[i]
         else:
             err = l2_norm(out[i] - want[i])
-            assert err <= 2 * (projections[i] + 1) ** 2 * gamma * l2_norm(grads[i])
-    if not parted:
-        assert report.projections_applied == want_report.projections_applied
+            assert err <= 2 * (projections[i] + 1) ** 2 * gamma_d * l2_norm(grads[i])
+    if not parted:  # the walk replayed every projection of the oracle
+        assert len(report.projections) == sum(projections.values())
     return out, report
 
 
@@ -373,7 +359,7 @@ def test_correct_round_matches_oracle_at_d_1e4(mode):
         _, report = _assert_matches_oracle(
             grads, _config(mode, 12, int(rng.integers(0, 12))), int(rng.integers(99))
         )
-        assert report.projections_applied > 0
+        assert report.projections
 
 
 @pytest.mark.parametrize("mode", CORRECTION_MODES)
@@ -416,7 +402,7 @@ def test_antiparallel_pair_corrects_to_exact_zero():
     # reference mode: the non-reference client ends at exact zero
     out, report = _assert_matches_oracle({0: g, 1: -g}, ("reference", 0), 5)
     (other,) = {0, 1} - set(report.reference_ids)
-    assert report.projections_applied == 1
+    assert len(report.projections) == 1
     assert np.all(out[other] == 0.0)
 
 
@@ -424,7 +410,7 @@ def test_antiparallel_pair_corrects_to_exact_zero():
 def test_all_aligned_uploads_come_back_as_the_same_objects(mode):
     grads = _uploads(np.random.default_rng(6), 8, 13, 20.0)
     out, report = _assert_matches_oracle(grads, (mode, 0), 7)
-    assert report.projections_applied == 0
+    assert report.projections == []
     assert all(cos > 0 for cos in report.cosines.values())
     for i in grads:
         assert out[i] is grads[i]
@@ -449,11 +435,11 @@ def test_gram_is_within_gamma_d_of_exact_dots(n, dim):
     products) and gamma_D."""
     vectors = _exact_product_vectors(np.random.default_rng(dim), n, dim)
     g = gram(vectors)
-    gamma = _gamma(dim)
+    gamma_d = gamma(dim)
     for a, va in enumerate(vectors):
         for b, vb in enumerate(vectors):
             exact = math.fsum(va * vb)
-            bound = gamma * l2_norm(va) * l2_norm(vb)
+            bound = gamma_d * l2_norm(va) * l2_norm(vb)
             assert abs(g[a, b] - exact) <= bound, (a, b, g[a, b], exact, bound)
 
 
@@ -477,11 +463,12 @@ def test_gram_is_exactly_symmetric_and_reproducible(n, dim):
 def test_correct_round_materialises_plan_round_in_plan_order(mode):
     grads = _uploads(np.random.default_rng(12), 7, 30, 0.0)
     uploads, ids = stack(grads)
-    rows, report = plan_round(uploads, ids, mode, 0, np.random.default_rng(5))
-    plan = plan_by_id(rows, ids)
+    weights = [1.0 / len(ids)] * len(ids)
+    _, report = plan_round(uploads, ids, weights, mode, 0, np.random.default_rng(5))
+    plan = plan_by_id(report.projections, ids)
     out, want_report = correct_round(grads, mode, 0, np.random.default_rng(5))
     assert report.cosines == want_report.cosines
-    assert report.projections_applied == sum(len(s) for s in plan.values()) > 0
+    assert len(report.projections) == sum(len(s) for s in plan.values()) > 0
     assert list(plan) == sorted(grads)
     for i, steps in plan.items():
         running = grads[i]
@@ -494,25 +481,42 @@ def test_correct_round_materialises_plan_round_in_plan_order(mode):
 @pytest.mark.parametrize("mode", CORRECTION_MODES)
 def test_fold_weights_is_w_transpose_m(mode):
     """corrected_i = g_i - sum c_ij g_j, so sum_i w_i corrected_i = sum_j
-    alpha_j g_j with alpha_j = w_j - sum_i w_i c_ij; the fold sums those
+    alpha_j g_j with alpha_j = w_j - sum_i w_i c_ij; plan_round folds those
     terms in a fixed order, within gamma_2N of the exact sum."""
     grads = _uploads(np.random.default_rng(21), 6, 12, 0.0)
     uploads, ids = stack(grads)
-    rows, _ = plan_round(uploads, ids, mode, 0, np.random.default_rng(2))
-    plan = plan_by_id(rows, ids)
-    assert any(plan.values())
     weights = {i: (i + 1) / 21 for i in grads}
     in_rows = [weights[i] for i in ids]
-    alpha = dict(zip(ids, fold_weights(rows, in_rows)))
+    alpha_rows, report = plan_round(
+        uploads, ids, in_rows, mode, 0, np.random.default_rng(2)
+    )
+    plan = plan_by_id(report.projections, ids)
+    assert any(plan.values())
+    alpha = dict(zip(ids, alpha_rows))
     assert list(alpha) == list(weights)
     for j in grads:
         terms = [weights[j]] + [
             -weights[i] * c for i, steps in plan.items() for k, c in steps if k == j
         ]
-        bound = _gamma(2 * len(grads)) * math.fsum(abs(t) for t in terms)
+        bound = gamma(2 * len(grads)) * math.fsum(abs(t) for t in terms)
         assert abs(alpha[j] - math.fsum(terms)) <= bound
-    assert fold_weights([[] for _ in ids], in_rows) == in_rows
-    assert fold_weights([], in_rows) == in_rows
+
+
+@pytest.mark.parametrize("mode", CORRECTION_MODES)
+@pytest.mark.parametrize("shared", [0.0, 20.0], ids=["conflicting", "aligned"])
+def test_plan_round_alpha_is_its_projections_folded_bitwise(mode, shared):
+    """plan_round's alpha is the reference fold of the projections it
+    reports, for unequal weights, to the bit; with no projection it is the
+    weights themselves."""
+    grads = _uploads(np.random.default_rng(23), 7, 15, shared)
+    uploads, ids = stack(grads)
+    weights = [(i + 1) / 28 for i in ids]
+    alpha, report = plan_round(uploads, ids, weights, mode, 0, np.random.default_rng(4))
+    want = fold_weights(report.projections, weights)
+    assert np.array(alpha).tobytes() == np.array(want).tobytes()
+    assert bool(report.projections) == (shared == 0.0)
+    if not report.projections:
+        assert np.array(alpha).tobytes() == np.array(weights).tobytes()
 
 
 _BLAS_PROBE = """
@@ -529,8 +533,8 @@ for mode in ("reference", "pairwise"):
     for i in sorted(out):
         digest.update(out[i].tobytes())
     digest.update(repr(sorted(report.cosines.items())).encode())
-    digest.update(repr((report.reference_ids, report.projections_applied)).encode())
-    print(mode, report.projections_applied, digest.hexdigest())
+    digest.update(repr((report.reference_ids, report.projections)).encode())
+    print(mode, len(report.projections), digest.hexdigest())
 """
 
 
@@ -563,7 +567,7 @@ def test_correct_round_is_byte_identical_across_blas_thread_counts():
 _FOLD_PROBE = """
 import hashlib
 import numpy as np
-from dpfedsim.correction import fold_weights, plan_round
+from dpfedsim.correction import plan_round
 from dpfedsim.linalg import weighted_sum
 from oracle import stack
 
@@ -573,17 +577,16 @@ grads = {i: 1e-3 * base + rng.standard_normal(101_770) for i in range(32)}
 uploads, ids = stack(grads)
 weights = [(i + 1) / 528 for i in ids]
 for mode in ("reference", "pairwise"):
-    plan, report = plan_round(uploads, ids, mode, 0, np.random.default_rng(11))
-    alpha = fold_weights(plan, weights)
+    alpha, report = plan_round(uploads, ids, weights, mode, 0, np.random.default_rng(11))
     digest = hashlib.sha256(weighted_sum(uploads, alpha).tobytes())
     digest.update(repr(alpha).encode())
-    print(mode, report.projections_applied, digest.hexdigest())
+    print(mode, len(report.projections), digest.hexdigest())
 """
 
 
 def test_folded_aggregate_is_byte_identical_across_blas_thread_counts():
-    """The update a gcfl round takes, sum_j alpha_j g_j with alpha folded from
-    the plan, does not depend on the BLAS thread count at the benchmark shape."""
+    """The update a gcfl round takes, sum_j alpha_j g_j with alpha folded by
+    plan_round, does not depend on the BLAS thread count at the benchmark shape."""
     outputs = _outputs_under_blas_threads(_FOLD_PROBE)
     assert outputs[0] == outputs[1]
     lines = outputs[0].split()

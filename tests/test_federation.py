@@ -12,7 +12,7 @@ import pytest
 import dpfedsim.cli as cli
 import dpfedsim.federation as federation
 from dpfedsim.config import ExperimentConfig
-from dpfedsim.correction import CORRECTION_MODES, fold_weights, plan_round
+from dpfedsim.correction import CORRECTION_MODES, plan_round
 from dpfedsim.data import Dataset, features, partition_iid
 from dpfedsim.data import synthetic_blobs
 from dpfedsim.dp import epsilon_spent, poisson_sample
@@ -27,8 +27,10 @@ from dpfedsim.federation import (
 from dpfedsim.linalg import weighted_sum
 from dpfedsim.model import MlpSpec, init_params
 from oracle import (
+    U,
     aggregate,
     correct_round,
+    gamma,
     noisy_batch_gradient,
     per_sample_gradient,
     plan_by_id,
@@ -497,9 +499,9 @@ def _capture_round_zero(monkeypatch, state):
         uploads[client_of(state, rows)] = args[5].copy()
         return out
 
-    def plan(rows, ids, mode, num_references, rng):
+    def plan(rows, ids, weights, mode, num_references, rng):
         handed.append(copy.deepcopy(rng))
-        out = real_plan(rows, ids, mode, num_references, rng)
+        out = real_plan(rows, ids, weights, mode, num_references, rng)
         reports.append(out[1])
         return out
 
@@ -514,15 +516,8 @@ def _capture_round_zero(monkeypatch, state):
     return w0, uploads, reports[0], handed[0]
 
 
-U = 2.0**-53
-
-
-def _gamma(k):
-    return k * U / (1.0 - k * U)
-
-
 # each row's share of the weight: the round's own 1 / P, and the unequal
-# shard sizes' shares, which fold_weights takes as readily
+# shard sizes' shares, which plan_round folds as readily
 @pytest.mark.parametrize(
     "shares", [(1,) * 6, (5, 10, 7, 8, 15, 15)], ids=["one_over_p", "unequal"]
 )
@@ -552,9 +547,9 @@ def test_gcfl_round_matches_aggregating_the_corrected_uploads(
     rows, ids = stack(uploads)
     in_rows = [share / sum(shares) for share in shares]
     weights = dict(zip(ids, in_rows))
-    plan_rows = plan_round(rows, ids, mode, 0, copy.deepcopy(rng))[0]
-    plan = plan_by_id(plan_rows, ids)
-    folded = weighted_sum(rows, fold_weights(plan_rows, in_rows))
+    alpha, own_report = plan_round(rows, ids, in_rows, mode, 0, copy.deepcopy(rng))
+    plan = plan_by_id(own_report.projections, ids)
+    folded = weighted_sum(rows, alpha)
     got = server_step(w0, folded, state.cfg, rows)
     if len(set(shares)) == 1:
         assert got.tobytes() == state.weights.tobytes()
@@ -562,13 +557,13 @@ def test_gcfl_round_matches_aggregating_the_corrected_uploads(
     want = server_step(w0, aggregate(corrected, weights), state.cfg, rows)
 
     assert report.cosines == want_report.cosines
-    assert report.projections_applied == want_report.projections_applied > 0
+    assert len(report.projections) == len(want_report.projections) > 0
     magnitude = sum(
         weights[i] * (np.abs(g) + sum(abs(c) * np.abs(uploads[j]) for j, c in plan[i]))
         for i, g in uploads.items()
     )
     eta = state.cfg.eta
-    tol = 4 * _gamma(2 * len(uploads) + 2) * eta * magnitude + 3 * U * np.abs(want)
+    tol = 4 * gamma(2 * len(uploads) + 2) * eta * magnitude + 3 * U * np.abs(want)
     assert np.all(np.abs(got - want) <= tol)
 
 
@@ -581,7 +576,7 @@ def test_gcfl_round_without_projections_is_the_plain_aggregate_bitwise(
     state = make_state(n_clients=4, sigma=0.0, batch_size=FULL_BATCH)
     state.cfg = replace(state.cfg, correction_mode=mode)
     w0, uploads, report, _ = _capture_round_zero(monkeypatch, state)
-    assert report.cosine_tests > 0 and report.projections_applied == 0
+    assert report.cosines and report.projections == []
     weights = {cid: 1.0 / len(uploads) for cid in uploads}
     want = server_step(w0, aggregate(uploads, weights), state.cfg, stack(uploads)[0])
     assert state.weights.tobytes() == want.tobytes()
@@ -1059,7 +1054,7 @@ def test_isolated_model_is_the_sequential_local_model(
             assert got.tobytes() == want.tobytes()
             continue
         size = np.abs(start) + eta * sum(np.abs(n) for n in steps[cid])
-        assert np.all(np.abs(got - want) <= 2 * _gamma(k + 3) * size)
+        assert np.all(np.abs(got - want) <= 2 * gamma(k + 3) * size)
     _assert_every_step_released(steps, state, 1)
 
 
@@ -1092,10 +1087,10 @@ def test_scaffold_variate_is_option_two_of_the_local_model(
         w_k = _sequential_model(start, steps[cid], eta)
         want = old[cid] - c + (start - w_k) / (k * eta)
         a = sum(np.abs(n) for n in steps[cid])
-        e_w = _gamma(k + 1) * (np.abs(start) + eta * a)
+        e_w = gamma(k + 1) * (np.abs(start) + eta * a)
         tol = (
-            _gamma(k) * a / k
-            + ((1 + _gamma(3)) * e_w + _gamma(3) * eta * a) / (k * eta)
+            gamma(k) * a / k
+            + ((1 + gamma(3)) * e_w + gamma(3) * eta * a) / (k * eta)
             + U / (1 - U) * (np.abs(new) + np.abs(want))
         )
         assert np.all(np.abs(new - want) <= tol)

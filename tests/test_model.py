@@ -7,7 +7,7 @@ from dpfedsim import model
 from dpfedsim.data import features
 from dpfedsim.model import MlpSpec, init_params, unpack
 from oracle import forward, forward_batch, logits_batch, loss, loss_and_gradient
-from oracle import per_sample_gradient, predict
+from oracle import gamma, per_sample_gradient, predict
 
 SMALL = MlpSpec((6, 5, 3))
 
@@ -184,14 +184,8 @@ def test_deeper_network_gradient_also_matches():
     assert np.max(np.abs(analytic - numeric) / (np.abs(numeric) + 1e-4)) <= 1e-4
 
 
-# unit roundoffs: a rounded result is x (1 + d) with |d| <= u
+# float32's unit roundoff: a rounded result is x (1 + d) with |d| <= u
 U32 = 2.0**-24
-U64 = 2.0**-53
-
-
-def _gamma(n, u):
-    """gamma_n = n u / (1 - n u): the relative bound on n rounding factors."""
-    return n * u / (1 - n * u)
 
 
 def prediction_margins(spec, w, X):
@@ -219,7 +213,7 @@ def prediction_margins(spec, w, X):
     e32, e64 = U32 * np.abs(h), np.zeros_like(h)
     for weight, bias in unpack(spec, w):
         n = weight.shape[0]
-        g32, g64 = _gamma(n + 2, U32), _gamma(n + 2, U64)
+        g32, g64 = gamma(n + 2, U32), gamma(n + 2)
         a, abs_w, abs_b = np.abs(h), np.abs(weight), np.abs(bias)
         e32, e64 = (
             (e32 + g32 * (a + e32 + e64)) @ abs_w + g32 * abs_b,

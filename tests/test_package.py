@@ -13,12 +13,14 @@ reach a run through one driver.  float32 is named only where the test
 set's features are built, the one input that sets evaluation's width.
 Only the config calls the privacy accountant.  Every mutant of the
 mutation sweep (``tests/mutants.py``) edits text that occurs once in
-``src/``.
+``src/``, and names as its killer a test that pytest collects.
 """
 
 import ast
 import importlib
 import re
+import subprocess
+import sys
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -26,7 +28,8 @@ import numpy as np
 
 from dpfedsim.config import ExperimentConfig
 from dpfedsim.federation import Stream
-from mutants import MUTANTS, SURVIVORS
+from mutants import LIST_CHECK, MUTANTS, PINS, SURVIVORS
+from oracle import child_env
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "dpfedsim"
@@ -356,3 +359,17 @@ def test_every_mutants_old_text_occurs_once_in_src():
         assert sum(text.count(mutant.old) for text in sources.values()) == 1
         assert mutant.new != mutant.old
     assert set(SURVIVORS) <= {m.id for m in MUTANTS}
+
+
+def test_every_mutants_killer_is_a_test_pytest_collects():
+    """The sweep runs each mutant's recorded killer alone first, so each
+    names, by its node id, a test that exists and is not a byte pin."""
+    killers = sorted({m.killer for m in MUTANTS})
+    assert not [k for k in killers if k.startswith(PINS) or k == LIST_CHECK]
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q",
+         "-p", "no:cacheprovider", *killers],
+        cwd=ROOT, env=child_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+    assert set(killers) <= set(done.stdout.splitlines())
