@@ -82,6 +82,11 @@ def build_data(
     if cfg.dataset == "idx":
         train = data_mod.load_idx(cfg.train_images, cfg.train_labels)
         test = data_mod.load_idx(cfg.test_images, cfg.test_labels)
+        if test.feature_dim != train.feature_dim:
+            raise ValueError(
+                f"test_images has {test.feature_dim} pixels per image, "
+                f"train_images {train.feature_dim}"
+            )
         if train.num_classes < test.num_classes:
             # a small train split can simply miss the largest label
             train = data_mod.Dataset(train.X, train.y, test.num_classes)
@@ -122,9 +127,12 @@ def build_data(
             "subsample_train",
         )
     if cfg.label_split:
-        shards = data_mod.partition_label_split(
-            train, parse_label_split(cfg.label_split)
-        )
+        try:
+            shards = data_mod.partition_label_split(
+                train, parse_label_split(cfg.label_split)
+            )
+        except ValueError as exc:
+            raise ValueError(f"label_split: {exc}") from None
     else:
         shards = data_mod.partition_iid(
             train, cfg.n_clients, derive_rng(seed, 0, 0, Stream.PARTITION)

@@ -9,7 +9,9 @@ the valid ones.  An empty file runs the full default experiment.
 ``ExperimentConfig`` is the one config record: every layer reads its keys by
 name.  The README's config table lists each key with its default and
 meaning.  Constructing a config validates it, so every config in the program
-is a valid one.
+is a valid one.  Each value is checked once, where it enters: a key here, a
+file in the IDX reader and ``Dataset``, the data against the config in
+``cli.build_data``.  The layers below trust what they are given.
 """
 
 from __future__ import annotations

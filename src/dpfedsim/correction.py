@@ -103,10 +103,6 @@ def select_references(
     n: int, num_references: int, rng: np.random.Generator
 ) -> list[int]:
     """Uniform draw of num_references distinct rows of n, returned ascending."""
-    if not 1 <= num_references < n:
-        raise ValueError(
-            f"num_references must be in [1, {n - 1}], got {num_references}"
-        )
     return sorted(int(p) for p in rng.choice(n, size=num_references, replace=False))
 
 
@@ -137,9 +133,6 @@ def plan_round(
     without projections alpha equals weights exactly.
     """
     n = len(ids)
-    if n < 2:
-        raise ValueError("correction needs at least 2 client gradients")
-
     g = gram(uploads)
     report = CorrectionReport()
     alpha = list(weights)

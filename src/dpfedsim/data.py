@@ -172,14 +172,6 @@ def synthetic_blobs(
     larger), which is finished and rounded straight into the chunk's rows
     of X; no array of X's size is built beside X.
     """
-    if num_classes < 2:
-        raise ValueError("num_classes must be >= 2")
-    if per_class < 1:
-        raise ValueError("per_class must be >= 1")
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    if spread < 0:
-        raise ValueError("spread must be >= 0")
     if centers is None:
         centers = class_centers(num_classes, dim, rng)
     X = np.empty((num_classes * per_class, dim), dtype=np.uint8)

@@ -56,10 +56,6 @@ def poisson_sample(
     poisson keeps each index with probability min(1, batch_size /
     shard_size), so batch_size is the expected size (the draw may be empty).
     """
-    if shard_size < 1:
-        raise ValueError("shard_size must be >= 1")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
     if mode == "poisson":
         mask = rng.random(shard_size) < min(1.0, batch_size / shard_size)
         return np.flatnonzero(mask)

@@ -245,8 +245,8 @@ def client_local_phase(
     a zero shift adds nothing to the norms or the sum.  dp_scaffold adds
     the control-variate shift server - client, from ``scaffold_variates``
     = (server, client), after noising.  No local model is built after the
-    last step.  An empty shard, or a non-finite per-sample gradient norm or
-    step gradient, raises ValueError (``run_round`` names the client).
+    last step.  A non-finite per-sample gradient norm or step gradient
+    raises ValueError (``run_round`` names the client).
 
     The upload is the mean of the K step vectors.  The first is built in
     the upload row itself, so the row is written once; each later one is
@@ -259,8 +259,6 @@ def client_local_phase(
     there (never in the clipped sum's, the kernel's scratch), and the
     scaffold shift in the clipped sum's vector once the step has read it.
     """
-    if rows.size == 0:
-        raise ValueError("empty shard")
     dim = start_params.shape[0]
     clipped = np.empty(dim)  # the kernel's clipped sum, then the scaffold shift
     prox = cfg.algorithm == "dp_fedprox" and cfg.prox_mu != 0
@@ -513,8 +511,6 @@ def init_state(
     holds the rows shards[i] of train, evaluated on the test set's features
     test_X, in their dtype, and labels test_y; the state holds the arrays
     as given."""
-    if len(shards) != cfg.n_clients:
-        raise ValueError(f"got {len(shards)} shards for n_clients={cfg.n_clients}")
     w = model_mod.init_params(model_spec, derive_rng(seed, 0, 0, Stream.INIT))
     state = ExperimentState(
         model_spec=model_spec,

@@ -44,8 +44,6 @@ def add_scaled(out: ParamVector, c: float, v: ParamVector) -> None:
     """out += c * v in place, block by block through one 64 KiB temporary:
     each entry is out_i + (c * v_i), the bytes of ``out += c * v`` without
     its full-length temporary."""
-    if out.shape != v.shape:
-        raise ValueError(f"vector shape mismatch: {out.shape} vs {v.shape}")
     n = out.shape[0]
     tmp = np.empty(min(_BLOCK, n))
     for lo in range(0, n, _BLOCK):

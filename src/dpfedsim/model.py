@@ -51,16 +51,8 @@ class MlpSpec:
         return self.layer_sizes[-1]
 
 
-def _check_params(spec: MlpSpec, w: ParamVector) -> None:
-    if w.ndim != 1 or w.shape[0] != spec.num_params:
-        raise ValueError(
-            f"parameter vector has {w.shape} entries, spec wants ({spec.num_params},)"
-        )
-
-
 def unpack(spec: MlpSpec, w: ParamVector) -> list[tuple[np.ndarray, np.ndarray]]:
     """Views (no copies) of (W_l, b_l) per layer over the flat vector."""
-    _check_params(spec, w)
     layers = []
     offset = 0
     for n_in, n_out in zip(spec.layer_sizes, spec.layer_sizes[1:]):
@@ -98,10 +90,6 @@ def _layers(
     (n, input_dim) matrix X, computed in X's float dtype: w is cast to it
     once, unless it already has it.  Each layer's output is built in the
     array of its product: x @ W, then + b and the relu in place."""
-    if X.ndim != 2 or X.shape[1] != spec.layer_sizes[0]:
-        raise ValueError(
-            f"features {X.shape} must be (n, feature dimension {spec.layer_sizes[0]})"
-        )
     layers = unpack(spec, w.astype(X.dtype, copy=False))
     inputs = [X]
     for weight, bias in layers[:-1]:
@@ -125,14 +113,6 @@ def predict(spec: MlpSpec, w: np.ndarray, X: np.ndarray) -> np.ndarray:
     if not np.isfinite(logits).all():
         raise ValueError(f"logits not finite in {X.dtype}")
     return np.argmax(logits, axis=1)
-
-
-def _batch_labels(spec: MlpSpec, labels) -> np.ndarray:
-    """Labels as a flat int64 array; rejects a bad class."""
-    labs = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if np.any((labs < 0) | (labs >= spec.num_classes)):
-        raise ValueError(f"label out of range [0, {spec.num_classes})")
-    return labs
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -166,15 +146,11 @@ def clipped_gradient_sum(
     the squared norm, with <grad_n, v> = sum_l a_n^T V_l d_n + d_n . v_b, and
     (sum_n s_n) v to the sum.
     """
-    labs = _batch_labels(spec, labels)
+    labs = np.asarray(labels, dtype=np.int64).reshape(-1)
     if out is None:
         out = np.empty(spec.num_params)
-    elif out.shape != (spec.num_params,):
-        raise ValueError(f"out has shape {out.shape}, spec wants ({spec.num_params},)")
     inputs, logits = _layers(spec, w, np.asarray(features, dtype=np.float64))
     probs = _softmax_rows(logits)
-    if probs.shape[0] != labs.size:
-        raise ValueError("features and labels disagree on batch size")
     rows = np.arange(labs.size)
     losses = -np.log(np.maximum(probs[rows, labs], _PROB_FLOOR))
 

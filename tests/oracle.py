@@ -47,7 +47,7 @@ from dpfedsim.correction import (
 )
 from dpfedsim.data import Dataset
 from dpfedsim.linalg import ParamVector, weighted_sum
-from dpfedsim.model import _PROB_FLOOR, MlpSpec, _batch_labels, _softmax_rows
+from dpfedsim.model import _PROB_FLOOR, MlpSpec, _softmax_rows
 from dpfedsim.model import unpack
 
 _TESTS = Path(__file__).resolve().parent
@@ -171,7 +171,7 @@ def predict(spec: MlpSpec, w: ParamVector, features: np.ndarray) -> int:
 
 def loss(spec: MlpSpec, w: ParamVector, features: np.ndarray, labels) -> float:
     """Mean cross-entropy -log p[label] over a nonempty batch."""
-    labs = _batch_labels(spec, labels)
+    labs = np.asarray(labels, dtype=np.int64).reshape(-1)
     if labs.size == 0:
         raise ValueError("loss over an empty batch is undefined")
     probs = forward_batch(spec, w, features)

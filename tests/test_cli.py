@@ -18,6 +18,7 @@ from dpfedsim.data import shard_fingerprint
 from dpfedsim.dp import epsilon_spent, steps_for_budget
 from dpfedsim.federation import ALGORITHMS, pinned_worker
 from oracle import child_env
+from test_data import write_idx_pair
 from test_idx_bytes import _idx_pairs
 
 FAST_CFG = """
@@ -186,6 +187,69 @@ def test_a_subsample_above_its_set_names_the_key_and_the_size(
     assert capsys.readouterr().err == (
         f"error: {key} must be in [1, {size}], the set's size, got {n}\n"
     )
+
+
+# 40 synthetic train rows of 4 classes and 6 features
+DATA_CFG = """
+synthetic_classes = 4
+synthetic_per_class = 10
+synthetic_dim = 6
+rounds = 1
+seeds = 1
+record_timing = false
+"""
+
+
+@pytest.mark.parametrize(
+    "dataset, overrides, error",
+    [
+        ("synthetic", ["n_clients=50"], "n_clients must be in [1, 40], got 50"),
+        (
+            "synthetic",
+            ["n_clients=2", "label_split=0-1;2-4"],
+            "label_split: label 4 out of range [0, 4)",
+        ),
+        (
+            "synthetic",
+            ["n_clients=2", "label_split=0-2;2-3"],
+            "label_split: label groups overlap on [2]",
+        ),
+        (
+            "synthetic",
+            ["n_clients=2", "label_split=0;1"],
+            "label_split: label groups do not cover classes [2, 3]",
+        ),
+        (
+            "synthetic",
+            ["n_clients=4", "label_split=0;1;2;3", "subsample_train=2"],
+            "label_split: label group 2 selects no examples",
+        ),
+        (
+            "synthetic",
+            ["layer_sizes=7,5,4"],
+            "layer_sizes starts at 7 but the data has 6 features",
+        ),
+        (
+            "synthetic",
+            ["layer_sizes=6,5,3"],
+            "layer_sizes ends at 3 but the data has 4 classes",
+        ),
+        ("idx", [], "test_images has 16 pixels per image, train_images 64"),
+    ],
+    ids=["iid", "range", "overlap", "cover", "empty", "features", "classes", "idx"],
+)
+def test_a_config_the_data_cannot_meet_stops_the_run_naming_the_key(
+    tmp_path, capsys, dataset, overrides, error
+):
+    text = DATA_CFG
+    if dataset == "idx":  # 8x8 train images, 4x4 test images
+        text += "dataset = idx\n" + _idx_pairs(tmp_path)
+        write_idx_pair(tmp_path / "test", np.zeros((40, 4, 4)), np.arange(40) % 4)
+    argv = ["run", "--config", write_cfg(tmp_path, text)]
+    for item in overrides:
+        argv += ["--override", item]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
 
 
 def test_missing_config_file_returns_nonzero(tmp_path, capsys):

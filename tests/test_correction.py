@@ -78,17 +78,14 @@ def test_projection_orthogonality_and_norm_shrink():
         assert l2_norm(out) <= l2_norm(g_i) + 1e-12
 
 
-def test_select_references_bounds_and_determinism():
+def test_select_references_draws_distinct_rows_ascending():
     ids = list(range(6))
     rng = np.random.default_rng(5)
     refs = select_references(len(ids), 3, rng)
     assert len(refs) == 3
+    assert len(set(refs)) == 3
     assert refs == sorted(refs)
     assert set(refs) <= set(ids)
-    with pytest.raises(ValueError):
-        select_references(len(ids), 0, rng)
-    with pytest.raises(ValueError):
-        select_references(len(ids), 6, rng)
 
 
 def test_select_references_uniform_frequency():
@@ -220,16 +217,9 @@ def test_pairwise_uses_original_counterpart_gradients():
     np.testing.assert_array_equal(out[1], expected1)
 
 
-def test_correct_round_validation():
-    with pytest.raises(ValueError, match="at least 2"):
-        correct_round({0: np.ones(2)}, "reference", 0, np.random.default_rng(0))
+def test_oracle_stack_rejects_uploads_of_unequal_dimension():
     with pytest.raises(ValueError, match="dimension"):
-        correct_round(
-            {0: np.ones(2), 1: np.ones(3)},
-            "reference",
-            0,
-            np.random.default_rng(0),
-        )
+        stack({0: np.ones(2), 1: np.ones(3)})
 
 
 def test_correction_config_validation():

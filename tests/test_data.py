@@ -194,15 +194,6 @@ def test_blobs_zero_spread_collapses_classes():
             np.testing.assert_array_equal(f, feats[0])
 
 
-def test_blobs_validation():
-    with pytest.raises(ValueError):
-        synthetic_blobs(1, 5, 4, 0.1, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        synthetic_blobs(3, 0, 4, 0.1, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        synthetic_blobs(3, 5, 4, -0.1, np.random.default_rng(0))
-
-
 def _tiny_dataset(n, num_classes=2):
     """n <= 256 examples, each with its own level."""
     return Dataset(

@@ -169,18 +169,6 @@ def test_single_sample_upload_respects_clip_bound_at_any_scale(
         assert l2_norm(clipped_sum) <= clip * (1 + RTOL)
 
 
-def test_kernel_rejects_bad_labels_and_shapes():
-    spec = MlpSpec((3, 4, 2))
-    w = np.zeros(spec.num_params)
-    X = np.zeros((2, 3))
-    with pytest.raises(ValueError, match="range"):
-        clipped_gradient_sum(spec, w, X, [0, 2], 1.0)
-    with pytest.raises(ValueError, match="batch size"):
-        clipped_gradient_sum(spec, w, X, [0], 1.0)
-    with pytest.raises(ValueError, match="feature dimension"):
-        clipped_gradient_sum(spec, w, np.zeros((2, 4)), [0, 1], 1.0)
-
-
 @pytest.mark.parametrize("shifted", [False, True])
 def test_kernel_on_an_empty_batch_returns_a_zero_sum(shifted):
     """An empty Poisson draw still steps: over 0 samples the kernel returns

@@ -129,21 +129,6 @@ def test_local_phase_exact_batch_gradient_when_noise_free():
     np.testing.assert_allclose(upload, total / cfg.batch_size, rtol=0, atol=1e-12)
 
 
-def test_local_phase_empty_shard_errors():
-    state = make_state()
-    with pytest.raises(ValueError, match="empty shard"):
-        client_local_phase(
-            state.train,
-            np.arange(0),
-            state.weights,
-            state.model_spec,
-            state.cfg,
-            derive_rng(0, 0, 0, Stream.BATCH),
-            derive_rng(0, 0, 0, Stream.NOISE),
-            np.zeros_like(state.weights),
-        )
-
-
 def test_prox_mu_zero_is_bitwise_fedavg():
     s_avg = make_state(algorithm="dp_fedavg", sigma=0.4, rounds=4)
     s_prox = make_state(algorithm="dp_fedprox", sigma=0.4, rounds=4, prox_mu=0.0)
@@ -459,20 +444,6 @@ def test_epsilon_budget_stops_early():
     state2 = make_state(sigma=0.5, rounds=len(result) + 1)
     result2 = run_all_rounds(state2)
     assert result2[-1].epsilon_spent > 60.0
-
-
-def test_init_state_validates_shard_count():
-    state = make_state()
-    with pytest.raises(ValueError, match="shards"):
-        init_state(
-            state.model_spec,
-            state.cfg,
-            state.seed,
-            state.train,
-            state.shards[:1],
-            state.test_X,
-            state.test_y,
-        )
 
 
 def test_federation_config_validation():

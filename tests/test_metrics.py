@@ -60,23 +60,3 @@ def test_matches_brute_force_on_random_scenarios():
         assert abs(accuracy - acc) <= 1e-12
         assert abs(macro_recall - rec) <= 1e-12
         assert abs(macro_f1 - f1) <= 1e-12
-
-
-def test_accumulate_validation():
-    with pytest.raises(ValueError, match="equal-length"):
-        accumulate([0, 1], [0], 2)
-    with pytest.raises(ValueError, match="out of range"):
-        accumulate([0, 2], [0, 1], 2)
-    with pytest.raises(ValueError, match="out of range"):
-        accumulate([0, 1], [0, -1], 2)
-
-
-def test_empty_matrix_rejected():
-    empty = np.zeros((3, 3), dtype=np.int64)
-    with pytest.raises(ValueError, match="empty"):
-        scores(empty)
-
-
-def test_non_square_rejected():
-    with pytest.raises(ValueError, match="square"):
-        scores(np.zeros((2, 3)))
