@@ -14,9 +14,9 @@ untouched; every other client's gradient is tested against each reference in
 a per-client random order, carrying the partially corrected vector from test
 to test.  Cosine evaluations per round are exactly M * (N - M).
 
-pairwise mode: every ordered pair (i, j), i != j, in ascending id order; the
-running, partially corrected g_i is tested against the *original* upload of
-client j.
+pairwise mode: every ordered pair (p, q), p != q, in ascending row order;
+the running, partially corrected g_p is tested against the *original*
+upload in row q.
 
 Every test runs in coefficient space (the Gram formulation of PCGrad, Yu et
 al. 2020, arXiv:2001.06782).  The Gram matrix G[a, b] = <g_a, g_b> of the
@@ -44,18 +44,20 @@ CORRECTION_MODES = ("reference", "pairwise")
 
 @dataclass
 class CorrectionReport:
-    """What one round of correction did, for metrics and audit."""
+    """What one round of correction did, for metrics and audit, in rows of
+    U: cosines[(p, q)] tests row p's running vector against row q."""
 
-    reference_ids: list[int] = field(default_factory=list)
+    references: list[int] = field(default_factory=list)  # ascending
     cosines: dict[tuple[int, int], float] = field(default_factory=dict)
     # (p, q, c) in the order decided: row p's running vector took
     # r <- r - c * g_q, with g_q the original upload in row q of U
     projections: list[tuple[int, int, float]] = field(default_factory=list)
 
-    def summary(self) -> dict:
+    def summary(self, ids: list[int]) -> dict:
+        """The report for a summary, row p labelled with client ids[p]."""
         values = list(self.cosines.values())
         return {
-            "references": list(self.reference_ids),
+            "references": [ids[p] for p in self.references],
             "cosine_evaluations": len(values),
             "projections_applied": len(self.projections),
             "negative_cosines": sum(1 for v in values if v < 0),
@@ -113,7 +115,6 @@ def resolve_num_references(num_references: int, n_clients: int) -> int:
 
 def plan_round(
     uploads: np.ndarray,
-    ids: list[int],
     weights: list[float],
     mode: str,
     num_references: int,
@@ -121,18 +122,17 @@ def plan_round(
 ) -> tuple[list[float], CorrectionReport]:
     """Decide one round of conflict correction from the Gram matrix alone.
 
-    Row p of the (N, D) array uploads is the upload of client ids[p], of
-    weight weights[p]; ids label the report's cosines and references and
-    nothing else.  mode is one of CORRECTION_MODES; num_references (0 =
-    auto) is read only in reference mode.  Returns alpha, with sum_q
-    alpha_q g_q = sum_p w_p corrected_p, and the report; the uploads are
-    read only to build the Gram matrix.
+    Row p of the (N, D) array uploads has weight weights[p].  mode is one
+    of CORRECTION_MODES; num_references (0 = auto) is read only in
+    reference mode.  Returns alpha, with sum_q alpha_q g_q = sum_p w_p
+    corrected_p, and the report; the uploads are read only to build the
+    Gram matrix.
 
     Each projection (p, q, c) does alpha_q -= w_p * c when it is decided,
     in ascending row p and then test order, in Python float arithmetic;
     without projections alpha equals weights exactly.
     """
-    n = len(ids)
+    n = len(weights)
     g = gram(uploads)
     report = CorrectionReport()
     alpha = list(weights)
@@ -149,7 +149,7 @@ def plan_round(
             d = float(row[q])
             sq_q = float(g[q, q])
             cos = cosine_from_products(sq, sq_q, d)
-            report.cosines[(ids[p], ids[q])] = cos
+            report.cosines[(p, q)] = cos
             if cos < 0:
                 c = d / sq_q
                 report.projections.append((p, q, c))
@@ -159,7 +159,7 @@ def plan_round(
 
     if mode == "reference":
         refs = select_references(n, resolve_num_references(num_references, n), rng)
-        report.reference_ids = [ids[p] for p in refs]
+        report.references = refs
         for p in range(n):
             if p not in refs:
                 plan_one(p, rng.permutation(refs).tolist())

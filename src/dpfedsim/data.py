@@ -155,25 +155,23 @@ def synthetic_blobs(
     dim: int,
     spread: float,
     rng: np.random.Generator,
-    centers: np.ndarray | None = None,
+    centers: np.ndarray,
 ) -> Dataset:
     """Gaussian blobs: one deterministic unit-norm center per class.
 
     Each feature's level is rint(clip(127.5 spread z + 127.5 (center + 1),
     0, 255)) for a standard normal z: the affine map takes the roughly
     [-1, 1] signal range onto the levels, whose features lie in [0, 1].
-    spread == 0 makes every example of a class identical.  The centers come
-    first from rng (``class_centers``), or are given, and then rng, drawn
-    from where it stands, draws noise only, so the same stream and centers
-    always yield the same dataset.
+    spread == 0 makes every example of a class identical.  centers holds
+    one row per class (``class_centers``), and rng, drawn from where it
+    stands, draws noise only, so the same stream and centers always yield
+    the same dataset.
 
     Each class's rows are drawn in class order, a chunk of rows at a time,
     into one float64 temporary of at most 128 KiB (one row, when a row is
     larger), which is finished and rounded straight into the chunk's rows
     of X; no array of X's size is built beside X.
     """
-    if centers is None:
-        centers = class_centers(num_classes, dim, rng)
     X = np.empty((num_classes * per_class, dim), dtype=np.uint8)
     chunk = min(per_class, max(1, _BLOB_CHUNK_BYTES // (8 * dim)))
     temp = np.empty((chunk, dim))
@@ -240,7 +238,7 @@ def partition_label_split(
 
 
 def subsample(
-    dataset: Dataset, n: int, rng: np.random.Generator, name: str = "n"
+    dataset: Dataset, n: int, rng: np.random.Generator, name: str
 ) -> Dataset:
     """Stratified subsample of size n, drawn from rng, preserving class proportions.
 

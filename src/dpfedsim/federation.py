@@ -29,7 +29,7 @@ A client id indexes the run's lists of shards (row-index arrays into the
 one train set), per-client models and variates.  The server step speaks
 rows: the participant weights w and the aggregate's weights alpha are
 lists by row of U, and client ids appear only at the round's edges (shard
-lookup, per-client models and variates, the report's keys).  Every
+lookup, per-client models and variates, the summary's references).  Every
 aggregate is one weighted sum sum_q alpha_q g_q over the rows of U in
 order (``linalg.weighted_sum``), with alpha = w except under gcfl, where
 ``correction.plan_round`` folds each projection it decides from the Gram
@@ -450,8 +450,7 @@ def run_round(
         alpha = [1.0 / len(participants)] * len(participants)
         if cfg.algorithm == "gcfl" and len(participants) > 1:
             alpha, report = plan_round(
-                uploads, participants, alpha, cfg.correction_mode,
-                cfg.num_references,
+                uploads, alpha, cfg.correction_mode, cfg.num_references,
                 derive_rng(state.seed, round_index, 0, Stream.CORRECTION),
             )
         aggregated = weighted_sum(uploads, alpha)
@@ -494,7 +493,7 @@ def run_round(
         test_macro_f1=f1,
         projections_applied=len(report.projections) if report else 0,
         wall_millis=wall,
-        correction=report.summary() if report else {},
+        correction=report.summary(participants) if report else {},
     )
 
 

@@ -87,10 +87,10 @@ def _layers(
     spec: MlpSpec, w: ParamVector, X: np.ndarray
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """(inputs of every layer, X first; the last layer's logits) of the
-    (n, input_dim) matrix X, computed in X's float dtype: w is cast to it
-    once, unless it already has it.  Each layer's output is built in the
-    array of its product: x @ W, then + b and the relu in place."""
-    layers = unpack(spec, w.astype(X.dtype, copy=False))
+    (n, input_dim) matrix X, computed in the float dtype of X and w, which
+    agree.  Each layer's output is built in the array of its product:
+    x @ W, then + b and the relu in place."""
+    layers = unpack(spec, w)
     inputs = [X]
     for weight, bias in layers[:-1]:
         h = inputs[-1] @ weight
@@ -105,9 +105,9 @@ def _layers(
 def predict(spec: MlpSpec, w: np.ndarray, X: np.ndarray) -> np.ndarray:
     """The class of each row of the (n, input_dim) matrix X: the argmax of
     the last layer's logits (no softmax), the lowest class on a tie, from a
-    forward pass in X's float dtype.  A caller that predicts many chunks
-    casts w to that dtype once itself.  Logits that overflow the dtype raise
-    ValueError, with no numpy warning on the calling thread."""
+    forward pass in the float dtype of X and w, which agree.  Logits that
+    overflow the dtype raise ValueError, with no numpy warning on the
+    calling thread."""
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         logits = _layers(spec, w, X)[1]
     if not np.isfinite(logits).all():
@@ -124,17 +124,17 @@ def clipped_gradient_sum(
     spec: MlpSpec,
     w: ParamVector,
     features: np.ndarray,
-    labels,
+    labels: np.ndarray,
     clip_threshold: float,
-    shift: ParamVector | None = None,
-    out: ParamVector | None = None,
+    shift: ParamVector | None,
+    out: ParamVector,
 ) -> tuple[np.ndarray, np.ndarray, ParamVector]:
     """(losses, sq_norms, clipped_sum) of one batch, from one forward/backward.
-    clipped_sum is written into ``out`` when one is given, and no other
-    D-length vector is allocated.  An empty batch gives a zero sum.
+    clipped_sum is written into ``out``, and no other D-length vector is
+    allocated.  An empty batch gives a zero sum.
 
-    Sample n's gradient is g_n = grad_n + v, its loss gradient plus an
-    optional shift v.  sq_norms[n] is ||g_n||^2 and clipped_sum is
+    Sample n's gradient is g_n = grad_n + v, its loss gradient plus a shift
+    v, none when shift is None.  sq_norms[n] is ||g_n||^2 and clipped_sum is
     sum_n s_n g_n with s_n = min(1, C / ||g_n||), the sum of the per-sample
     gradients clipped to L2 norm C.  No per-sample gradient is built.
 
@@ -146,16 +146,13 @@ def clipped_gradient_sum(
     the squared norm, with <grad_n, v> = sum_l a_n^T V_l d_n + d_n . v_b, and
     (sum_n s_n) v to the sum.
     """
-    labs = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if out is None:
-        out = np.empty(spec.num_params)
     inputs, logits = _layers(spec, w, np.asarray(features, dtype=np.float64))
     probs = _softmax_rows(logits)
-    rows = np.arange(labs.size)
-    losses = -np.log(np.maximum(probs[rows, labs], _PROB_FLOOR))
+    rows = np.arange(labels.size)
+    losses = -np.log(np.maximum(probs[rows, labels], _PROB_FLOOR))
 
     delta = probs
-    delta[rows, labs] -= 1.0  # d loss / d logits for softmax + cross-entropy
+    delta[rows, labels] -= 1.0  # d loss / d logits for softmax + cross-entropy
     layers = unpack(spec, w)
     deltas = [delta]  # output deltas of every layer, filled from the last
     for l in range(len(layers) - 1, 0, -1):

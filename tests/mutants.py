@@ -77,7 +77,7 @@ MUTANTS = (
         "federation.py",
         "noisy *= cfg.sigma * cfg.clip_threshold",
         "noisy *= 0.5 * cfg.sigma * cfg.clip_threshold",
-        "tests/test_federation.py::test_non_finite_step_gradient_stops_the_round",
+        "tests/test_federation.py::test_an_upload_carries_noise_of_deviation_sigma_c_over_b",
     ),
     Mutant(
         "fixed_size_sensitivity_1",
@@ -110,7 +110,7 @@ MUTANTS = (
         "federation.py",
         "derive_rng(state.seed, round_index, cid, Stream.NOISE)",
         "derive_rng(state.seed, round_index, 0, Stream.NOISE)",
-        "tests/test_cli.py::test_each_compare_row_is_the_final_row_of_a_separate_run",
+        "tests/test_federation.py::test_every_stream_a_run_derives_is_distinct",
     ),
     Mutant(
         "accountant_ignores_k",
@@ -184,7 +184,7 @@ MUTANTS = (
         "the prox shift is clipped with the gradient it shifts",
         "model.py",
         "add_scaled(out, np.sum(scale), shift)",
-        "add_scaled(out, float(labs.size), shift)",
+        "add_scaled(out, float(labels.size), shift)",
         "tests/test_dp_kernel.py::test_kernel_matches_oracle",
     ),
     Mutant(

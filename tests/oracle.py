@@ -11,12 +11,13 @@ as a new vector, where the server step writes into the aggregate;
 ``model.clipped_gradient_sum`` builds no per-sample gradient.
 ``noisy_batch_gradient`` forms a step's noisy mean in one call, where a
 client builds the same bytes in the noise vector it draws.
-``stack`` turns a dict of uploads into the round's (N, D) upload array.
+``stack`` turns a dict of uploads into the round's (N, D) upload array,
+row p holding the upload of the p-th smallest client id.
 ``correct_round`` materialises the projections of ``correction.plan_round``
 in the order decided, and ``correct_round_on_vectors`` corrects the
-D-length vectors with fresh dots for every test; both key their output by
-client id, where a report's projections speak rows (``plan_by_id``
-relabels them).  ``fold_weights`` folds a report's projections into the
+D-length vectors with fresh dots for every test; both key the corrected
+vectors by client id and write their reports in rows, as ``plan_round``
+does.  ``fold_weights`` folds a report's projections into the
 row weights one at a time, as ``plan_round`` does while it decides them.
 ``aggregate`` is the plain weighted average, which every round takes as
 one weighted sum of folded weights.  ``gamma`` is Higham's rounding
@@ -31,7 +32,6 @@ imports this checkout's package.
 
 from __future__ import annotations
 
-import math
 import os
 from pathlib import Path
 
@@ -77,17 +77,12 @@ def child_env(*, tests: bool = False, **variables: str) -> dict[str, str]:
 
 
 def as_vector(values) -> ParamVector:
-    """Coerce to a 1-D float64 array, rejecting higher-rank input."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"expected a flat vector, got array of shape {v.shape}")
-    return v
+    """Coerce a flat sequence to a 1-D float64 array."""
+    return np.asarray(values, dtype=np.float64)
 
 
 def scale_add(a: ParamVector, c: float, b: ParamVector) -> ParamVector:
     """Return a + c*b as a new vector; inputs are left untouched."""
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"vector length mismatch: {a.shape[0]} vs {b.shape[0]}")
     return a + c * b
 
 
@@ -97,8 +92,6 @@ def dot(a: ParamVector, b: ParamVector) -> float:
     ``np.add.accumulate`` is a sequential scan, bitwise identical to an
     explicit Python loop at C speed, whatever the thread count.
     """
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"vector length mismatch: {a.shape[0]} vs {b.shape[0]}")
     if a.shape[0] == 0:
         return 0.0
     return float(np.add.accumulate(np.multiply(a, b))[-1])
@@ -129,12 +122,6 @@ def noisy_batch_gradient(
     client step builds the same bytes in place, in the noise vector it
     draws (``federation.client_local_phase``).
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    if not clip_threshold > 0:
-        raise ValueError("clip_threshold must be > 0")
-    if noise_multiplier < 0:
-        raise ValueError("noise_multiplier must be >= 0")
     total = clipped_sum
     if noise_multiplier > 0:
         total = total + rng.standard_normal(total.shape[0]) * (
@@ -172,11 +159,7 @@ def predict(spec: MlpSpec, w: ParamVector, features: np.ndarray) -> int:
 def loss(spec: MlpSpec, w: ParamVector, features: np.ndarray, labels) -> float:
     """Mean cross-entropy -log p[label] over a nonempty batch."""
     labs = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if labs.size == 0:
-        raise ValueError("loss over an empty batch is undefined")
     probs = forward_batch(spec, w, features)
-    if probs.shape[0] != labs.size:
-        raise ValueError("features and labels disagree on batch size")
     picked = np.maximum(probs[np.arange(labs.size), labs], _PROB_FLOOR)
     return float(np.add.accumulate(-np.log(picked))[-1] / labs.size)
 
@@ -190,13 +173,7 @@ def loss_and_gradient(
     assembled into the same flat layout as the input.
     """
     x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != spec.layer_sizes[0]:
-        raise ValueError(
-            f"expected a flat feature vector of length {spec.layer_sizes[0]}"
-        )
     label = int(label)
-    if not 0 <= label < spec.num_classes:
-        raise ValueError(f"label out of range [0, {spec.num_classes})")
     layers = unpack(spec, w)
 
     # forward, keeping activations per layer
@@ -236,8 +213,6 @@ def clip_gradient(gradient: ParamVector, clip_threshold: float) -> ParamVector:
     Vectors already inside the ball are returned unchanged (same object, same
     bits); callers treat gradients as immutable.
     """
-    if not clip_threshold > 0:
-        raise ValueError("clip_threshold must be > 0")
     norm = l2_norm(gradient)
     if norm <= clip_threshold:
         return gradient
@@ -261,14 +236,8 @@ def project_if_conflicting(
 def aggregate(
     gradients: dict[int, ParamVector], weights: dict[int, float]
 ) -> ParamVector:
-    """Weighted sum in ascending client-id order; weights must sum to 1."""
-    if set(gradients) != set(weights):
-        raise ValueError("gradients and weights must cover the same client ids")
-    if any(w < 0 for w in weights.values()):
-        raise ValueError("aggregation weights must be nonnegative")
-    total_w = math.fsum(weights.values())
-    if abs(total_w - 1.0) > 1e-12:
-        raise ValueError(f"aggregation weights sum to {total_w}, expected 1")
+    """Weighted sum in ascending client-id order of the gradients and the
+    weights, both keyed by the same client ids."""
     ids = sorted(gradients)
     return weighted_sum([gradients[i] for i in ids], [weights[i] for i in ids])
 
@@ -277,9 +246,6 @@ def stack(gradients: dict[int, ParamVector]) -> tuple[np.ndarray, list[int]]:
     """A round's uploads as the package holds them: one (N, D) array whose
     row p is the upload of ids[p], with the ids ascending."""
     ids = sorted(gradients)
-    dim = gradients[ids[0]].shape[0]
-    if any(gradients[i].shape != (dim,) for i in ids):
-        raise ValueError("client gradients must all share one dimension")
     return np.stack([gradients[i] for i in ids]), ids
 
 
@@ -298,18 +264,6 @@ def fold_weights(
     return alpha
 
 
-def plan_by_id(
-    projections: list[tuple[int, int, float]], ids: list[int]
-) -> dict[int, list[tuple[int, float]]]:
-    """A report's projections keyed by client id, row p being client ids[p]:
-    client i's projections (j, c) in the order applied, [] for every client
-    projected off nothing."""
-    plan: dict[int, list[tuple[int, float]]] = {i: [] for i in ids}
-    for p, q, c in projections:
-        plan[ids[p]].append((ids[q], c))
-    return plan
-
-
 def correct_round(
     gradients: dict[int, ParamVector],
     mode: str,
@@ -319,20 +273,18 @@ def correct_round(
     """Materialise the projections of ``correction.plan_round`` in the order
     decided.
 
-    Each projection (j, c) of client i is one scale_add r <- r - c g_j.  The
+    Each projection (p, q, c) is one scale_add r_p <- r_p - c g_q.  The
     input mapping is never mutated; untouched gradients appear in the output
     as the same objects.
     """
     uploads, ids = stack(gradients)
     weights = [1.0 / len(ids)] * len(ids)
-    _, report = plan_round(uploads, ids, weights, mode, num_references, rng)
-    corrected: dict[int, ParamVector] = {}
-    for i, steps in plan_by_id(report.projections, ids).items():
-        running = gradients[i]
-        for j, c in steps:
-            running = scale_add(running, -c, gradients[j])
-        corrected[i] = running
-    return corrected, report
+    _, report = plan_round(uploads, weights, mode, num_references, rng)
+    originals = [gradients[i] for i in ids]
+    running = list(originals)
+    for p, q, c in report.projections:
+        running[p] = scale_add(running[p], -c, originals[q])
+    return dict(zip(ids, running)), report
 
 
 def correct_round_on_vectors(
@@ -346,31 +298,27 @@ def correct_round_on_vectors(
     holds the references and the cosines; its projections list stays
     empty."""
     ids = sorted(gradients)
+    n = len(ids)
     report = CorrectionReport()
-    corrected: dict[int, ParamVector] = {}
+    originals = [gradients[i] for i in ids]
+    running = list(originals)
 
-    def correct_one(i: int, order) -> ParamVector:
-        running = gradients[i]
-        for j in order:
-            j = int(j)
-            report.cosines[(i, j)] = cosine(running, gradients[j])
-            running, _ = project_if_conflicting(running, gradients[j])
-        return running
+    def correct_one(p: int, order: list[int]) -> None:
+        for q in order:
+            report.cosines[(p, q)] = cosine(running[p], originals[q])
+            running[p], _ = project_if_conflicting(running[p], originals[q])
 
     if mode == "reference":
-        m = resolve_num_references(num_references, len(ids))
-        refs = [ids[p] for p in select_references(len(ids), m, rng)]
-        report.reference_ids = refs
-        ref_array = np.asarray(refs)
-        for i in refs:
-            corrected[i] = gradients[i]
-        for i in ids:
-            if i not in corrected:
-                corrected[i] = correct_one(i, rng.permutation(ref_array))
+        report.references = select_references(
+            n, resolve_num_references(num_references, n), rng
+        )
+        for p in range(n):
+            if p not in report.references:
+                correct_one(p, rng.permutation(report.references).tolist())
     else:  # pairwise
-        for i in ids:
-            corrected[i] = correct_one(i, [j for j in ids if j != i])
-    return corrected, report
+        for p in range(n):
+            correct_one(p, [q for q in range(n) if q != p])
+    return dict(zip(ids, running)), report
 
 
 def run_one_round(
@@ -408,14 +356,6 @@ def synthetic_blobs(
     test set built with a fresh train stream as centers_rng shares the
     train set's centers.
     """
-    if num_classes < 2:
-        raise ValueError("num_classes must be >= 2")
-    if per_class < 1:
-        raise ValueError("per_class must be >= 1")
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    if spread < 0:
-        raise ValueError("spread must be >= 0")
     centers_rng = rng if centers_rng is None else centers_rng
     raw = centers_rng.standard_normal((dim, num_classes))
     if dim >= num_classes:

@@ -20,7 +20,7 @@ import pytest
 
 from dpfedsim.cli import main, run_seeds
 from dpfedsim.config import ExperimentConfig
-from dpfedsim.data import features, partition_iid, synthetic_blobs
+from dpfedsim.data import features, partition_iid
 from dpfedsim.dp import epsilon_spent, rdp_to_dp
 from dpfedsim.federation import init_state, pinned_worker
 from dpfedsim.metrics import accumulate, scores
@@ -35,6 +35,7 @@ from oracle import (
     per_sample_gradient,
     project_if_conflicting,
     run_all_rounds,
+    synthetic_blobs,
 )
 
 

@@ -12,6 +12,7 @@ from dpfedsim.cli import build_data
 from dpfedsim.config import ExperimentConfig
 from dpfedsim.data import (
     Dataset,
+    class_centers,
     features,
     load_idx,
     partition_iid,
@@ -162,10 +163,15 @@ def test_a_run_keeps_the_test_set_only_as_features_and_labels(
     assert test_y.shape == (test_X.shape[0],)
 
 
+def _blobs(num_classes, per_class, dim, spread, seed):
+    """synthetic_blobs around centers drawn first from its own stream."""
+    rng = np.random.default_rng(seed)
+    centers = class_centers(num_classes, dim, rng)
+    return synthetic_blobs(num_classes, per_class, dim, spread, rng, centers)
+
+
 def test_blobs_shape_balance_and_range():
-    ds = synthetic_blobs(
-        num_classes=4, per_class=25, dim=12, spread=0.3, rng=np.random.default_rng(5)
-    )
+    ds = _blobs(num_classes=4, per_class=25, dim=12, spread=0.3, seed=5)
     assert ds.size == 100
     assert ds.num_classes == 4
     counts = np.bincount(ds.y)
@@ -176,16 +182,16 @@ def test_blobs_shape_balance_and_range():
 
 
 def test_blobs_deterministic_in_seed():
-    a = synthetic_blobs(3, 10, 8, 0.2, np.random.default_rng(9))
-    b = synthetic_blobs(3, 10, 8, 0.2, np.random.default_rng(9))
-    c = synthetic_blobs(3, 10, 8, 0.2, np.random.default_rng(10))
+    a = _blobs(3, 10, 8, 0.2, 9)
+    b = _blobs(3, 10, 8, 0.2, 9)
+    c = _blobs(3, 10, 8, 0.2, 10)
     for ea, eb in zip(a.X, b.X):
         np.testing.assert_array_equal(ea, eb)
     assert any(not np.array_equal(ea, ec) for ea, ec in zip(a.X, c.X))
 
 
 def test_blobs_zero_spread_collapses_classes():
-    ds = synthetic_blobs(3, 5, 6, spread=0.0, rng=np.random.default_rng(1))
+    ds = _blobs(3, 5, 6, spread=0.0, seed=1)
     by_class = {}
     for features, label in zip(ds.X, ds.y):
         by_class.setdefault(label, []).append(features)
@@ -244,21 +250,21 @@ def test_partition_label_split_rejects_overlap_and_gaps():
 
 def test_subsample_balanced_exact():
     ds = Dataset(np.zeros((5000, 1), np.uint8), np.arange(5000) % 10, 10)
-    sub = subsample(ds, 1000, np.random.default_rng(4))
+    sub = subsample(ds, 1000, np.random.default_rng(4), "n")
     counts = np.bincount(sub.y, minlength=10)
     np.testing.assert_array_equal(counts, [100] * 10)
 
 
 def test_subsample_full_size_is_identity_multiset():
     ds = _tiny_dataset(40, num_classes=4)
-    sub = subsample(ds, 40, np.random.default_rng(0))
+    sub = subsample(ds, 40, np.random.default_rng(0), "n")
     assert sorted(sub.y) == sorted(ds.y)
 
 
 def test_subsample_keeps_proportions_with_remainder():
     # 30 of class 0, 10 of class 1 -> n=9 should give 7/2 (floor 6.75 -> 6, 2.25 -> 2, +1 to larger remainder)
     ds = Dataset(np.zeros((40, 1), np.uint8), [0] * 30 + [1] * 10, 2)
-    sub = subsample(ds, 9, np.random.default_rng(0))
+    sub = subsample(ds, 9, np.random.default_rng(0), "n")
     counts = np.bincount(sub.y, minlength=2)
     assert counts.sum() == 9
     assert counts[0] == 7 and counts[1] == 2
@@ -297,7 +303,7 @@ def test_subsample_takes_n_rows_with_the_documented_class_counts(mix, seed):
         np.arange(len(labels), dtype=np.uint8)[:, None], labels, num_classes
     )
     for n in range(1, ds.size + 1):
-        sub = subsample(ds, n, np.random.default_rng(seed))
+        sub = subsample(ds, n, np.random.default_rng(seed), "n")
         assert sub.size == n
         want = documented_targets(labels, num_classes, n)
         counts = np.bincount(sub.y, minlength=num_classes).tolist()
@@ -311,9 +317,9 @@ def test_subsample_takes_n_rows_with_the_documented_class_counts(mix, seed):
 def test_subsample_bounds():
     ds = _tiny_dataset(10)
     with pytest.raises(ValueError):
-        subsample(ds, 0, np.random.default_rng(0))
+        subsample(ds, 0, np.random.default_rng(0), "n")
     with pytest.raises(ValueError):
-        subsample(ds, 11, np.random.default_rng(0))
+        subsample(ds, 11, np.random.default_rng(0), "n")
 
 
 def test_dataset_validation():
@@ -321,6 +327,19 @@ def test_dataset_validation():
         Dataset(np.zeros((0, 1), np.uint8), [], 2)
     with pytest.raises(ValueError, match="range"):
         Dataset(np.zeros((1, 1), np.uint8), [5], 2)
+
+
+def test_dataset_rejects_features_and_labels_of_other_shapes():
+    """Shapes are checked where data enters: X must be (n, d) and y (n,)."""
+    with pytest.raises(ValueError, match=r"must be \(n, d\) and \(n,\)"):
+        Dataset(np.zeros(3, np.uint8), [0, 1, 0], 2)
+    with pytest.raises(ValueError, match=r"features \(3, 1\) and labels \(2,\)"):
+        Dataset(np.zeros((3, 1), np.uint8), [0, 1], 2)
+
+
+def test_dataset_needs_two_classes():
+    with pytest.raises(ValueError, match="at least 2 classes"):
+        Dataset(np.zeros((2, 1), np.uint8), [0, 0], 1)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, np.int8, bool])

@@ -19,12 +19,12 @@ import pytest
 
 from dpfedsim.cli import run_seeds
 from dpfedsim.config import ExperimentConfig
-from dpfedsim.data import partition_label_split, synthetic_blobs
+from dpfedsim.data import partition_label_split
 from dpfedsim.dp import SENSITIVITY, epsilon_spent
 from dpfedsim.federation import Stream, client_local_phase, derive_rng
 from dpfedsim.federation import pinned_worker
 from dpfedsim.model import MlpSpec, init_params
-from oracle import correct_round, cosine, dot
+from oracle import correct_round, cosine, dot, synthetic_blobs
 
 
 def _conflicting_client_gradients():
@@ -70,7 +70,7 @@ def test_correction_strictly_improves_reference_alignment():
         grads, "reference", 0, np.random.default_rng(5)
     )
     assert len(report.projections) == 1
-    ref = report.reference_ids[0]
+    ref = report.references[0]
     other = 1 - ref
     # the conflicting component is gone...
     tol = (

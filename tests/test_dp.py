@@ -45,8 +45,10 @@ def test_clip_property_over_random_inputs():
 
 
 def test_clip_rejects_bad_threshold():
-    with pytest.raises(ValueError, match="clip_threshold"):
-        clip_gradient(np.ones(2), 0.0)
+    """A threshold of 0 is rejected where it enters, by the config; the
+    kernel and the oracle's clip_gradient take the checked value as is."""
+    with pytest.raises(ValueError, match="clip_threshold must be > 0"):
+        ExperimentConfig(clip_threshold=0.0)
 
 
 def test_poisson_sample_fixed_size():
@@ -87,9 +89,7 @@ def test_noisy_batch_gradient_sigma_zero_is_plain_mean():
     np.testing.assert_array_equal(out, np.array([2.0, 2.0]) / 3)
 
 
-def test_noisy_batch_gradient_takes_a_positive_divisor_and_zero_samples():
-    with pytest.raises(ValueError, match="batch_size"):
-        noisy_batch_gradient(np.zeros(2), 0, 1.5, 0.8, np.random.default_rng(0))
+def test_noisy_batch_gradient_of_zero_samples_is_the_noise_over_the_divisor():
     # an empty batch: its zero sum plus the noise, over the configured divisor
     out = noisy_batch_gradient(np.zeros(3), 4, 1.5, 0.8, np.random.default_rng(0))
     z = np.random.default_rng(0).standard_normal(3)

@@ -27,10 +27,11 @@ import numpy as np
 import pytest
 
 from dpfedsim.config import ExperimentConfig
-from dpfedsim.data import Dataset, features, synthetic_blobs
+from dpfedsim.data import Dataset, features
 from dpfedsim.dp import epsilon_spent
 from dpfedsim.federation import Stream, client_local_phase, derive_rng
 from dpfedsim.model import MlpSpec, init_params
+from oracle import synthetic_blobs
 
 SIGMA, CLIP, DELTA = 0.8, 1.5, 1e-5
 TRIALS = 6000  # per side: the first half picks the rule, the second scores it

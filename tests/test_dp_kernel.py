@@ -36,6 +36,11 @@ RTOL = 1e-12
 TINY = np.finfo(np.float64).tiny
 
 
+def kernel(spec, w, X, y, clip, shift=None):
+    """clipped_gradient_sum, its sum written into a new vector."""
+    return clipped_gradient_sum(spec, w, X, y, clip, shift, np.empty(spec.num_params))
+
+
 def oracle_batch(spec, w, X, y, clip, shift):
     """Per-sample (loss, grad, grad + shift, clipped) from the scalar path."""
     out = []
@@ -49,7 +54,7 @@ def oracle_batch(spec, w, X, y, clip, shift):
 def check_against_oracle(spec, w, X, y, clip, shift):
     """Assert every kernel output matches the oracle; return the number of
     samples the oracle clipped."""
-    losses, sq_norms, clipped_sum = clipped_gradient_sum(spec, w, X, y, clip, shift)
+    losses, sq_norms, clipped_sum = kernel(spec, w, X, y, clip, shift)
     per_sample = oracle_batch(spec, w, X, y, clip, shift)
     v_norm = 0.0 if shift is None else l2_norm(shift)
 
@@ -144,7 +149,7 @@ def test_no_sample_clipped(with_shift):
     # nothing clipped: the sum is the plain sum of the (shifted) gradients
     plain = sum(s for _, _, s, _ in oracle_batch(spec, w, X, y, clip, shift))
     np.testing.assert_allclose(
-        clipped_gradient_sum(spec, w, X, y, clip, shift)[2], plain,
+        kernel(spec, w, X, y, clip, shift)[2], plain,
         rtol=0, atol=RTOL * l2_norm(plain),
     )
 
@@ -164,7 +169,7 @@ def test_single_sample_upload_respects_clip_bound_at_any_scale(
     y = rng.integers(0, spec.num_classes, 1)
     clip = 10.0**log_clip
     for shift in (None, random_shift(rng, spec.num_params, shift_ratio * clip)):
-        _, sq_norms, clipped_sum = clipped_gradient_sum(spec, w, X, y, clip, shift)
+        _, sq_norms, clipped_sum = kernel(spec, w, X, y, clip, shift)
         assert np.isfinite(sq_norms).all() and sq_norms[0] >= 0
         assert l2_norm(clipped_sum) <= clip * (1 + RTOL)
 
@@ -178,7 +183,7 @@ def test_kernel_on_an_empty_batch_returns_a_zero_sum(shifted):
     shift = np.ones(spec.num_params) if shifted else None
     out = np.full(spec.num_params, np.nan)
     losses, sq_norms, clipped = clipped_gradient_sum(
-        spec, w, np.zeros((0, 3)), [], 1.0, shift, out=out
+        spec, w, np.zeros((0, 3)), np.zeros(0, np.int64), 1.0, shift, out=out
     )
     assert losses.shape == sq_norms.shape == (0,)
     assert clipped is out
@@ -193,8 +198,8 @@ def test_kernel_runs_a_float32_batch_in_float64():
     w = rng.standard_normal(spec.num_params)
     X32 = rng.standard_normal((9, 5)).astype(np.float32)
     y = rng.integers(0, 3, 9)
-    got = clipped_gradient_sum(spec, w, X32, y, 0.5)
-    want = clipped_gradient_sum(spec, w, X32.astype(np.float64), y, 0.5)
+    got = kernel(spec, w, X32, y, 0.5)
+    want = kernel(spec, w, X32.astype(np.float64), y, 0.5)
     for g, e in zip(got, want):
         assert g.dtype == np.float64
         assert g.tobytes() == e.tobytes()
@@ -214,5 +219,5 @@ def test_predict_and_the_kernel_share_one_forward_pass(monkeypatch):
     monkeypatch.setattr(model, "_layers", counted)
     model.predict(spec, w.astype(np.float32), np.zeros((2, 3), np.float32))
     assert calls == [np.float32]
-    clipped_gradient_sum(spec, w, np.zeros((2, 3)), [0, 1], 1.0)
+    kernel(spec, w, np.zeros((2, 3)), np.array([0, 1]), 1.0)
     assert calls == [np.float32, np.float64]

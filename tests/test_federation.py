@@ -12,9 +12,13 @@ import pytest
 import dpfedsim.cli as cli
 import dpfedsim.federation as federation
 from dpfedsim.config import ExperimentConfig
-from dpfedsim.correction import CORRECTION_MODES, plan_round
+from dpfedsim.correction import (
+    CORRECTION_MODES,
+    plan_round,
+    resolve_num_references,
+    select_references,
+)
 from dpfedsim.data import Dataset, features, partition_iid
-from dpfedsim.data import synthetic_blobs
 from dpfedsim.dp import epsilon_spent, poisson_sample
 from dpfedsim.federation import (
     ALGORITHMS,
@@ -33,11 +37,11 @@ from oracle import (
     gamma,
     noisy_batch_gradient,
     per_sample_gradient,
-    plan_by_id,
     run_all_rounds,
     run_one_round,
     scale_add,
     stack,
+    synthetic_blobs,
 )
 
 # make_state's data set has 60 training examples, so a batch of 60 takes the
@@ -173,16 +177,10 @@ def test_fedexp_boosts_step_on_disagreement():
     assert np.linalg.norm(stepped) > np.linalg.norm(plain)
 
 
-def test_aggregate_weighted_sum_and_validation():
+def test_aggregate_is_the_weighted_sum():
     grads = {0: np.array([1.0, 0.0]), 1: np.array([0.0, 2.0])}
     out = aggregate(grads, {0: 0.25, 1: 0.75})
     np.testing.assert_allclose(out, [0.25, 1.5])
-    with pytest.raises(ValueError, match="same client ids"):
-        aggregate(grads, {0: 1.0})
-    with pytest.raises(ValueError, match="nonnegative"):
-        aggregate(grads, {0: -0.5, 1: 1.5})
-    with pytest.raises(ValueError, match="sum"):
-        aggregate(grads, {0: 0.6, 1: 0.6})
 
 
 def test_unequal_shards_weigh_one_over_p(monkeypatch):
@@ -361,6 +359,27 @@ def test_partial_participation_selects_subset_deterministically():
         assert a == b
 
 
+@pytest.mark.parametrize("mode", CORRECTION_MODES)
+def test_the_summary_names_each_reference_row_by_its_client_id(mode):
+    """With 3 of 6 clients a round, rows of U and client ids differ: every
+    round's summary names as references participants[p] for each reference
+    row p, the rows its correction stream draws first (none when pairwise)."""
+    state = make_state(n_clients=6, clients_per_round=3, rounds=6, sigma=2.0)
+    state.cfg = replace(state.cfg, correction_mode=mode)
+    records = run_all_rounds(state)
+    relabelled = 0
+    for r, record in enumerate(records):
+        ids = federation._select_participants(state, r)
+        rows = []
+        if mode == "reference":
+            m = resolve_num_references(state.cfg.num_references, len(ids))
+            rng = derive_rng(state.seed, r, 0, Stream.CORRECTION)
+            rows = select_references(len(ids), m, rng)
+        assert record.correction["references"] == [ids[p] for p in rows]
+        relabelled += rows != [ids[p] for p in rows]
+    assert len(records) == 6 and (relabelled > 0) == (mode == "reference")
+
+
 def test_every_stream_a_run_derives_is_distinct(monkeypatch):
     """SeedSequence pads a name with zeros, so a three-int name is the same
     stream as the four-int name ending in 0.  Every stream of a run with
@@ -470,9 +489,9 @@ def _capture_round_zero(monkeypatch, state):
         uploads[client_of(state, rows)] = args[5].copy()
         return out
 
-    def plan(rows, ids, weights, mode, num_references, rng):
+    def plan(rows, weights, mode, num_references, rng):
         handed.append(copy.deepcopy(rng))
-        out = real_plan(rows, ids, weights, mode, num_references, rng)
+        out = real_plan(rows, weights, mode, num_references, rng)
         reports.append(out[1])
         return out
 
@@ -483,7 +502,7 @@ def _capture_round_zero(monkeypatch, state):
     if not handed:
         assert record.correction == {}
         return w0, uploads, None, None
-    assert record.correction == reports[0].summary()
+    assert record.correction == reports[0].summary(sorted(uploads))
     return w0, uploads, reports[0], handed[0]
 
 
@@ -517,21 +536,19 @@ def test_gcfl_round_matches_aggregating_the_corrected_uploads(
     w0, uploads, report, rng = _capture_round_zero(monkeypatch, state)
     rows, ids = stack(uploads)
     in_rows = [share / sum(shares) for share in shares]
-    weights = dict(zip(ids, in_rows))
-    alpha, own_report = plan_round(rows, ids, in_rows, mode, 0, copy.deepcopy(rng))
-    plan = plan_by_id(own_report.projections, ids)
+    alpha, _ = plan_round(rows, in_rows, mode, 0, copy.deepcopy(rng))
     folded = weighted_sum(rows, alpha)
     got = server_step(w0, folded, state.cfg, rows)
     if len(set(shares)) == 1:
         assert got.tobytes() == state.weights.tobytes()
     corrected, want_report = correct_round(uploads, mode, 0, rng)
-    want = server_step(w0, aggregate(corrected, weights), state.cfg, rows)
+    want = server_step(
+        w0, aggregate(corrected, dict(zip(ids, in_rows))), state.cfg, rows
+    )
 
-    assert report.cosines == want_report.cosines
-    assert len(report.projections) == len(want_report.projections) > 0
-    magnitude = sum(
-        weights[i] * (np.abs(g) + sum(abs(c) * np.abs(uploads[j]) for j, c in plan[i]))
-        for i, g in uploads.items()
+    assert report == want_report and report.projections
+    magnitude = sum(in_rows[p] * np.abs(g) for p, g in enumerate(rows)) + sum(
+        in_rows[p] * abs(c) * np.abs(rows[q]) for p, q, c in report.projections
     )
     eta = state.cfg.eta
     tol = 4 * gamma(2 * len(uploads) + 2) * eta * magnitude + 3 * U * np.abs(want)
@@ -887,6 +904,27 @@ def _benchmark_shape_state(algorithm, n_clients):
     return init_state(
         spec, cfg, 4, train, shards, features(test.X, np.float32), test.y
     )
+
+
+def test_an_upload_carries_noise_of_deviation_sigma_c_over_b():
+    """A client's upload minus its sigma = 0 twin, which draws the same
+    batches, is the noise z sigma C / B.  Over the D = 101,770 coordinates
+    its standard deviation is within 1% of sigma C / B; the sample
+    deviation's own relative spread is 1 / sqrt(2 D), about 0.22%."""
+    state = _benchmark_shape_state("dp_fedavg", 2)
+    cfg = state.cfg
+    uploads = []
+    for sigma in (cfg.sigma, 0.0):
+        uploads.append(np.empty(state.weights.shape[0]))
+        client_local_phase(
+            state.train, state.shards[0], state.weights, state.model_spec,
+            replace(cfg, sigma=sigma), derive_rng(4, 0, 0, Stream.BATCH),
+            derive_rng(4, 0, 0, Stream.NOISE), uploads[-1],
+        )
+    noise = uploads[0] - uploads[1]
+    assert noise.size >= 10**5
+    want = cfg.sigma * cfg.clip_threshold / cfg.batch_size
+    assert abs(np.std(noise) / want - 1.0) <= 0.01
 
 
 @pytest.mark.parametrize("algorithm", ["gcfl", "dp_fedavg", "dp_fedexp"])

@@ -29,11 +29,6 @@ def test_dot_worked_examples():
     assert dot(as_vector([1, -1]), as_vector([0, 2])) == -2.0
 
 
-def test_dot_dimension_mismatch_names_lengths():
-    with pytest.raises(ValueError, match="3 vs 2"):
-        dot(np.zeros(3), np.zeros(2))
-
-
 @given(vectors)
 def test_dot_matches_sequential_python_loop_bitwise(values):
     a = as_vector(values)
@@ -118,8 +113,3 @@ def test_cosine_always_clamped(xs, ys):
     a = as_vector(xs[:n])
     b = as_vector(ys[:n])
     assert abs(cosine(a, b)) <= 1.0
-
-
-def test_as_vector_rejects_matrices():
-    with pytest.raises(ValueError, match="shape"):
-        as_vector(np.zeros((2, 2)))

@@ -111,12 +111,6 @@ def test_batch_loss_is_mean_of_singles():
     assert batch == pytest.approx(np.mean(singles), rel=0, abs=1e-12)
 
 
-def test_loss_rejects_an_empty_batch():
-    w = init_params(SMALL, np.random.default_rng(1))
-    with pytest.raises(ValueError, match="empty"):
-        loss(SMALL, w, np.zeros((0, 6)), [])
-
-
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(42)
     worst = 0.0
@@ -139,16 +133,6 @@ def test_loss_and_gradient_consistent_with_loss():
     assert value == pytest.approx(loss(SMALL, w, x[None, :], [2]), abs=1e-12)
     assert grad.shape == w.shape
     assert np.isfinite(grad).all()
-
-
-def test_gradient_rejects_bad_shapes():
-    w = init_params(SMALL, np.random.default_rng(1))
-    with pytest.raises(ValueError):
-        per_sample_gradient(SMALL, w, np.zeros(5), 0)
-    with pytest.raises(ValueError):
-        per_sample_gradient(SMALL, w[:-1], np.zeros(6), 0)
-    with pytest.raises(ValueError):
-        per_sample_gradient(SMALL, w, np.zeros(6), 3)
 
 
 def test_predict_breaks_ties_toward_lower_index():

@@ -308,7 +308,9 @@ def test_blobs_match_the_one_thread_oracle(num_classes, per_class, dim, spread, 
     oracle's, which draws and finishes each class's block whole."""
     args = (num_classes, per_class, dim, spread)
     want = _bytes(oracle.synthetic_blobs(*args, np.random.default_rng(seed)))
-    assert _bytes(data_mod.synthetic_blobs(*args, np.random.default_rng(seed))) == want
+    rng = np.random.default_rng(seed)
+    centers = data_mod.class_centers(num_classes, dim, rng)
+    assert _bytes(data_mod.synthetic_blobs(*args, rng, centers)) == want
 
 
 @pytest.mark.parametrize(
@@ -325,12 +327,14 @@ def test_the_blob_build_allocates_nothing_beside_x(shape):
     test set, are drawn and finished through one float64 temporary of at
     most 128 KiB: the build's traced peak is X plus at most 1 MiB, with no
     class block held apart from X.  A throwaway draw imports numpy.random
-    first, so the trace charges only the build, not the module's import."""
+    first, so the trace charges only the build, the centers' draw included,
+    not the module's import."""
     np.random.default_rng(0).standard_normal()
     rng = np.random.default_rng(3)
     tracemalloc.start()
     try:
-        train = data_mod.synthetic_blobs(*shape, rng)
+        centers = data_mod.class_centers(shape[0], shape[2], rng)
+        train = data_mod.synthetic_blobs(*shape, rng, centers)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
