@@ -18,9 +18,10 @@ are built on both threads (build_data): the calling thread draws the class
 centers, then builds the whole train set from the train stream; the worker
 builds the whole test set around those centers from its own stream, and its
 float32 features, at the same time.  The bytes are those of a one-thread
-build.  A run keeps of the test set only its float32 features, which
-evaluation alone reads, and its labels; the train set's features are
-float64, as is every step of training.
+build.  A run keeps of the test set only its labels and the float32
+features evaluation reads, or their levels where the round's uploads can
+hold them (``federation.evaluates_in_uploads``); the train set's features
+are float64, as is every step of training.
 A data stream is ``derive_rng``'s (seed, 0, 0, tag), tag TRAIN (the centers,
 then the train set), TEST, SUB_TRAIN, SUB_TEST or PARTITION.
 """
@@ -44,8 +45,8 @@ import numpy as np
 from . import data as data_mod
 from .config import ExperimentConfig, parse_config, parse_label_split
 from .dp import SENSITIVITY
-from .federation import RoundMetrics, Stream, derive_rng, init_state
-from .federation import pinned_worker, run_experiment, weights_sha256
+from .federation import RoundMetrics, Stream, derive_rng, evaluates_in_uploads
+from .federation import init_state, pinned_worker, run_experiment, weights_sha256
 from .model import MlpSpec
 
 # the final-round metrics of summary.json's mean_final and comparison.csv
@@ -58,9 +59,10 @@ Run = tuple[list[RoundMetrics], str]
 
 
 def _finish_test_set(
-    cfg: ExperimentConfig, seed: int, test: data_mod.Dataset
+    cfg: ExperimentConfig, seed: int, test: data_mod.Dataset, spec: MlpSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(float32 features, labels) of the test set, subsampled when
+    """(float32 features, or a copy of the levels where
+    ``evaluates_in_uploads``, labels) of the test set, subsampled when
     configured: all a run keeps of it.  Evaluation runs in the features'
     dtype, so half width halves the matrix and its products."""
     if cfg.subsample_test:
@@ -68,6 +70,11 @@ def _finish_test_set(
             test, cfg.subsample_test, derive_rng(seed, 0, 0, Stream.SUB_TEST),
             "subsample_test",
         )
+    if evaluates_in_uploads(cfg, spec.num_params, test.X.shape):
+        # a copy, so the build's levels are freed as on the other path: that
+        # lifts glibc's mmap and trim thresholds, and round 0's client
+        # workspaces keep their pages
+        return test.X.copy(), test.y
     return data_mod.features(test.X, np.float32), test.y
 
 
@@ -75,10 +82,11 @@ def build_data(
     cfg: ExperimentConfig, seed: int, worker: Executor
 ) -> tuple[MlpSpec, data_mod.Dataset, list[np.ndarray], np.ndarray, np.ndarray]:
     """(the model, the train set, each client's rows of it, the test set's
-    float32 features, its labels) for one run seed, built on the command's
-    worker and this thread; no task of the build is left on the worker when
-    this returns or raises.  The model is layer_sizes, or (features, 128,
-    classes) of the train set when unset."""
+    float32 features or levels (``_finish_test_set``), its labels) for one
+    run seed, built on the command's worker and this thread; no task of
+    the build is left on the worker when this returns or raises.  The
+    model is layer_sizes, or (features, 128, classes) of the train set
+    when unset."""
     if cfg.dataset == "idx":
         train = data_mod.load_idx(cfg.train_images, cfg.train_labels)
         test = data_mod.load_idx(cfg.test_images, cfg.test_labels)
@@ -90,10 +98,14 @@ def build_data(
         if train.num_classes < test.num_classes:
             # a small train split can simply miss the largest label
             train = data_mod.Dataset(train.X, train.y, test.num_classes)
-        test_X, test_y = _finish_test_set(cfg, seed, test)
+        spec = MlpSpec(cfg.layer_sizes or (train.feature_dim, 128, train.num_classes))
+        test_X, test_y = _finish_test_set(cfg, seed, test, spec)
     else:
         # the worker builds the test set and its features around the train
         # stream's centers while this thread builds the train set
+        spec = MlpSpec(
+            cfg.layer_sizes or (cfg.synthetic_dim, 128, cfg.synthetic_classes)
+        )
         rng = derive_rng(seed, 0, 0, Stream.TRAIN)
         centers = data_mod.class_centers(cfg.synthetic_classes, cfg.synthetic_dim, rng)
 
@@ -106,7 +118,7 @@ def build_data(
                 derive_rng(seed, 0, 0, Stream.TEST),
                 centers,
             )
-            return _finish_test_set(cfg, seed, test)
+            return _finish_test_set(cfg, seed, test, spec)
 
         test_build = worker.submit(build_test)
         try:
@@ -138,7 +150,7 @@ def build_data(
             train, cfg.n_clients, derive_rng(seed, 0, 0, Stream.PARTITION)
         )
     feature_dim, num_classes = train.feature_dim, train.num_classes
-    sizes = cfg.layer_sizes or (feature_dim, 128, num_classes)
+    sizes = spec.layer_sizes
     if sizes[0] != feature_dim:
         raise ValueError(
             f"layer_sizes starts at {sizes[0]} but the data has {feature_dim} features"
@@ -147,7 +159,7 @@ def build_data(
         raise ValueError(
             f"layer_sizes ends at {sizes[-1]} but the data has {num_classes} classes"
         )
-    return MlpSpec(tuple(sizes)), train, shards, test_X, test_y
+    return spec, train, shards, test_X, test_y
 
 
 def run_seeds(

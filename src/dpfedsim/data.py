@@ -4,7 +4,8 @@ shards, each an int64 array of row indices into the one train set.
 A dataset stores its features as uint8 pixel levels 0-255, the form IDX
 images arrive in; ``features`` turns levels into the values in [0, 1]
 that training, evaluation and fingerprints read, level / 255: float64 for
-training and fingerprints, float32 for the test set that evaluation reads.
+training and fingerprints, float32 for the test set that evaluation reads,
+in a new array or written into one (``features_into``).
 Synthetic blobs are drawn in row chunks through one small float64
 temporary and stored as levels (``synthetic_blobs``), so their build holds
 no float64 matrix of the set's size.  A function that draws is given its
@@ -32,6 +33,15 @@ def features(levels: np.ndarray, dtype=np.float64) -> np.ndarray:
     """Features of uint8 levels: a new array of level / 255, in [0, 1],
     computed in dtype (float64, or float32 for the test set)."""
     out = levels.astype(dtype)
+    out /= 255.0
+    return out
+
+
+def features_into(levels: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``features`` of uint8 levels written into out and returned: the
+    same ops in out's dtype, so the same bytes (the cast of a level is
+    exact)."""
+    np.copyto(out, levels)
     out /= 255.0
     return out
 

@@ -7,7 +7,8 @@ between uploads (algorithm "gcfl"), aggregates them, and takes a global step.
 
 The round's uploads are the rows of one (P, D) array U, one row per
 participant in ascending client id; each client overwrites its row with
-its upload, and U is dropped before evaluation.  The upload is the only
+its upload; U is freed before evaluation, or at the round's end where it
+holds the test features (below).  The upload is the only
 per-client vector the server reads.  A client builds its first step in
 its row and its other D-length vectors in a workspace it allocates once
 (``client_local_phase``), so no step allocates one; under dp_fedprox a
@@ -21,9 +22,9 @@ turns its batch's uint8 levels into float64 features (``data.features``);
 the whole DP step runs in float64, and so do the uploads, the Gram, the
 aggregate, the server step and every model the state holds.  Evaluation
 alone runs at half width: it reads the test set's float32 features and
-labels, given before round 0 and held as ``ExperimentState.test_X`` and
-``test_y``, and predicts the argmax of float32 logits
-(``model.predict``).
+predicts the argmax of float32 logits (``model.predict``).  Where U has
+room for them (``evaluates_in_uploads``), the run holds the test levels
+and each round builds the features in its spent U.
 
 A client id indexes the run's lists of shards (row-index arrays into the
 one train set), per-client models and variates.  The server step speaks
@@ -82,7 +83,7 @@ import numpy as np
 from . import metrics as metrics_mod
 from . import model as model_mod
 from .correction import plan_round
-from .data import Dataset, features
+from .data import Dataset, features, features_into
 from .dp import poisson_sample
 from .linalg import ParamVector, add_scaled, one_blas_thread, weighted_sum
 from .model import MlpSpec
@@ -132,7 +133,7 @@ class ExperimentState:
     seed: int
     train: Dataset
     shards: list[np.ndarray]  # by client id: its rows of train
-    test_X: np.ndarray  # the test set's features, float32 in a run
+    test_X: np.ndarray  # uint8 levels where evaluates_in_uploads, else features
     test_y: np.ndarray  # and its labels
     weights: ParamVector
     client_models: list[ParamVector] = field(default_factory=list)  # by client id
@@ -339,17 +340,46 @@ def server_step(
     return aggregated
 
 
+def evaluates_in_uploads(
+    cfg: ExperimentConfig, num_params: int, test_shape: tuple[int, int]
+) -> bool:
+    """Whether a round's (P, D) float64 uploads have room for the float32
+    features of an (n, d) test set: P D 8 >= n d 4 bytes."""
+    n, d = test_shape
+    return (cfg.clients_per_round or cfg.n_clients) * num_params * 8 >= n * d * 4
+
+
+def _features_in_uploads(
+    levels: np.ndarray, uploads: np.ndarray, worker: Executor
+) -> np.ndarray:
+    """The float32 features of levels, built by ``features_into`` over the
+    start of the spent uploads in _EVAL_ROWS-row chunks (``_halves``)."""
+    n, d = levels.shape
+    out = uploads.reshape(-1).view(np.float32)[: n * d].reshape(n, d)
+    starts = range(0, n, _EVAL_ROWS)
+
+    def build(chunks: range) -> None:
+        for lo in starts[chunks.start : chunks.stop]:
+            features_into(levels[lo : lo + _EVAL_ROWS], out[lo : lo + _EVAL_ROWS])
+
+    _halves(worker, build, len(starts))
+    return out
+
+
 def _evaluate(
-    state: ExperimentState, w: ParamVector, round_index: int, worker: Executor
+    state: ExperimentState,
+    test_X: np.ndarray,
+    w: ParamVector,
+    round_index: int,
+    worker: Executor,
 ) -> tuple[float, float, float]:
-    """(accuracy, macro recall, macro F1) of w on the test set, predicted
-    in the dtype of its features (float32 in a run: w is cast once per
-    call) in _EVAL_ROWS-row chunks split between the worker and this
-    thread (``_halves``); a chunk's bytes do not depend on the thread
-    under the pin.  A w not finite once cast (a float64 beyond float32's
-    range is not), or logits it overflows, raise ValueError naming the
-    round."""
-    spec, test_X = state.model_spec, state.test_X
+    """(accuracy, macro recall, macro F1) of w on the test features test_X,
+    predicted in their dtype (float32 in a run: w is cast once per call)
+    in _EVAL_ROWS-row chunks split between the worker and this thread
+    (``_halves``); a chunk's bytes do not depend on the thread under the
+    pin.  A w not finite once cast (a float64 beyond float32's range is
+    not), or logits it overflows, raise ValueError naming the round."""
+    spec = state.model_spec
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         w_eval = w.astype(test_X.dtype)
     if not np.isfinite(w_eval).all():
@@ -407,7 +437,9 @@ def run_round(
     participants = _select_participants(state, round_index)
 
     # row p is the upload of participants[p], ascending client id; each
-    # client overwrites only its own row and losses[p]
+    # client overwrites only its own row and losses[p].  A new U each
+    # round: freeing it lifts glibc's mmap and trim thresholds above a
+    # D-vector, so the clients' workspaces keep their pages
     uploads = np.empty((len(participants), state.weights.shape[0]))
     losses = np.empty(len(participants))
 
@@ -472,12 +504,15 @@ def run_round(
             move = weighted_sum(uploads, [1.0 / cfg.n_clients] * len(participants))
             move += scaffold.server_variate
             scaffold.server_variate = move
-    del uploads  # the round's P x D uploads are not held through evaluation
 
-    # metrics
+    # metrics; U is read for the last time above
+    test_X = state.test_X
+    if test_X.dtype == np.uint8:
+        test_X = _features_in_uploads(test_X, uploads, worker)
+    del uploads  # frees U now unless test_X is a view of it
     train_loss = float(np.mean(losses))
     models = _evaluated_models(state)
-    scores = [_evaluate(state, w, round_index, worker) for w in models]
+    scores = [_evaluate(state, test_X, w, round_index, worker) for w in models]
     acc, rec, f1 = (float(np.mean([s[k] for s in scores])) for k in range(3))
 
     eps = cfg.epsilon_after(round_index + 1)[0]
@@ -507,9 +542,9 @@ def init_state(
     test_y: np.ndarray,
 ) -> ExperimentState:
     """The state before round 0 of the run with this seed, whose client i
-    holds the rows shards[i] of train, evaluated on the test set's features
-    test_X, in their dtype, and labels test_y; the state holds the arrays
-    as given."""
+    holds the rows shards[i] of train, evaluated on the test set test_X
+    (levels only where ``evaluates_in_uploads``) and labels test_y; the
+    state holds the arrays as given."""
     w = model_mod.init_params(model_spec, derive_rng(seed, 0, 0, Stream.INIT))
     state = ExperimentState(
         model_spec=model_spec,

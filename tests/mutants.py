@@ -205,6 +205,15 @@ MUTANTS = (
         "tests/test_determinism.py::"
         "test_every_output_file_is_byte_identical[blas-n32_gcfl_pairwise]",
     ),
+    Mutant(
+        "test_features_not_rebuilt",
+        "evaluation reads the test features, never the uploads' bytes",
+        "federation.py",
+        "features_into(levels[lo : lo + _EVAL_ROWS], out[lo : lo + _EVAL_ROWS])",
+        "pass",
+        "tests/test_federation.py::"
+        "test_each_rounds_scores_are_those_of_freshly_built_features[gcfl-levels]",
+    ),
 )
 
 # mutant id -> the open ROADMAP item that will kill it

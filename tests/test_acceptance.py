@@ -14,6 +14,7 @@ import os
 import shutil
 import tempfile
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,17 +22,17 @@ import pytest
 from dpfedsim.cli import main, run_seeds
 from dpfedsim.config import ExperimentConfig
 from dpfedsim.data import features, partition_iid
-from dpfedsim.dp import epsilon_spent, rdp_to_dp
-from dpfedsim.federation import init_state, pinned_worker
+from dpfedsim.dp import epsilon_spent, poisson_sample, rdp_to_dp
+from dpfedsim.federation import Stream, client_local_phase, derive_rng, init_state
+from dpfedsim.federation import pinned_worker
 from dpfedsim.metrics import accumulate, scores
-from dpfedsim.model import MlpSpec
+from dpfedsim.model import MlpSpec, init_params
 from oracle import (
     clip_gradient,
     correct_round,
     dot,
     l2_norm,
     loss,
-    noisy_batch_gradient,
     per_sample_gradient,
     project_if_conflicting,
     run_all_rounds,
@@ -138,26 +139,41 @@ def test_criterion_03_gradient_fidelity():
 
 
 def test_criterion_04_noise_calibration():
-    """Monte Carlo noise stdev == sigma*C/|S| within 1% over 10^5 draws
-    (sigma=0.8, C=1.5, |S|=4)."""
+    """The noise in a client's upload has stdev sigma*C/|S| within 1% over
+    >= 10^5 coordinates (sigma=0.8, C=1.5, |S| = batch_size = 4): the
+    upload of ``federation.client_local_phase`` minus its sigma = 0 twin,
+    which draws the same batch.  The shard has 3 rows, so the drawn batch
+    is not |S|; at 784-128-10 one upload has D = 101,770 coordinates."""
     sigma, c, batch = 0.8, 1.5, 4
     expected = sigma * c / batch  # 0.3
-    dim = 3
-    rng = np.random.default_rng(404)
-    zeros = np.zeros(dim)
+    spec = MlpSpec((784, 128, 10))
+    train = synthetic_blobs(10, 1, 784, 0.25, np.random.default_rng(404))
+    rows = np.arange(3)
+    cfg = ExperimentConfig(
+        algorithm="dp_fedavg", sigma=sigma, clip_threshold=c, batch_size=batch
+    )
+    w = init_params(spec, np.random.default_rng(405))
     start = time.perf_counter()
-    draws = np.empty((100_000, dim))
-    for k in range(draws.shape[0]):
-        draws[k] = noisy_batch_gradient(zeros, batch, c, sigma, rng)
+    uploads = []
+    for s in (sigma, 0.0):
+        uploads.append(np.empty(spec.num_params))
+        client_local_phase(
+            train, rows, w, spec, replace(cfg, sigma=s),
+            derive_rng(404, 0, 0, Stream.BATCH), derive_rng(404, 0, 0, Stream.NOISE),
+            uploads[-1],
+        )
+    noise = uploads[0] - uploads[1]
     elapsed = time.perf_counter() - start
-    per_coord = draws.std(axis=0)
-    pooled = draws.std()
-    for s in per_coord:
-        assert abs(s - expected) / expected <= 0.01
+    drawn = poisson_sample(rows.size, batch, cfg.sampling_mode,
+                           derive_rng(404, 0, 0, Stream.BATCH))
+    assert drawn.size == rows.size < batch
+    assert noise.size >= 10**5
+    pooled = noise.std()
     assert abs(pooled - expected) / expected <= 0.01
     assert elapsed < 30.0
     print(
-        f"criterion 4 PASS: noise stdev {pooled:.6f} vs sigma*C/|S| = {expected} "
+        f"criterion 4 PASS: upload noise stdev {pooled:.6f} vs sigma*C/|S| = "
+        f"{expected} over {noise.size} coordinates, drawn batch {drawn.size} "
         f"(rel err {abs(pooled - expected) / expected:.2%} <= 1%), {elapsed:.2f}s"
     )
 

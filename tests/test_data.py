@@ -126,41 +126,73 @@ def test_load_idx_rejects_a_count_of_zero_naming_the_file(tmp_path, images, labe
 )
 def test_the_test_set_is_the_train_sets_task(classes, per_class, dim):
     """A nearest-train-centroid classifier scores >= 0.9 on the synthetic
-    test set: test class c lies around train class c's center."""
+    test set: test class c lies around train class c's center.  The run
+    holds the test set as levels or as features; either is read as
+    features."""
     cfg = ExperimentConfig(
         synthetic_classes=classes, synthetic_per_class=per_class, synthetic_dim=dim
     )
     with pinned_worker() as (_, worker):
         _, train, _, test_X, test_y = build_data(cfg, 1, worker)
+    if test_X.dtype == np.uint8:
+        test_X = features(test_X)
     train_X = features(train.X)
     means = np.stack([train_X[train.y == c].mean(axis=0) for c in range(classes)])
     dists = ((test_X[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
     assert np.mean(dists.argmin(axis=1) == test_y) >= 0.9
 
 
-@pytest.mark.parametrize("subsample_test", [0, 150])
-def test_a_run_keeps_the_test_set_only_as_features_and_labels(
-    monkeypatch, subsample_test
-):
-    """Once build_data returns, the uint8 level matrix the synthetic test
-    set's features were built from is unreachable: the run holds the float32
-    features and the labels, and nothing else of the test set."""
-    real_features = data_mod.features
-    converted = []
+# (path, the config's keys): at 784-128-10 with 2 clients a round's uploads
+# (2 D 8 = 1.6 MB) cannot hold the 2,000 x 784 float32 test features (6.3
+# MB), but can hold 150 rows of them; at the default 32-128-10 they can
+# hold the default 200 x 32
+BENCHMARK_SHAPE = {"synthetic_dim": 784, "synthetic_per_class": 1000}
+TEST_SET_FORMS = {
+    "features": ("features", BENCHMARK_SHAPE),
+    "features-subsampled": ("features", {**BENCHMARK_SHAPE, "subsample_test": 1500}),
+    "levels": ("levels", {}),
+    "levels-subsampled": ("levels", {"subsample_test": 150}),
+    "levels-benchmark-shape": ("levels", {**BENCHMARK_SHAPE, "subsample_test": 150}),
+}
+
+
+@pytest.mark.parametrize("case", TEST_SET_FORMS)
+def test_a_run_keeps_of_the_test_set_one_form_and_its_labels(monkeypatch, case):
+    """Once build_data returns, the run holds the labels and one form of
+    the synthetic test set: its float32 features where a round's uploads
+    cannot hold them, else a copy of its uint8 levels, which nothing
+    converts.  The level matrix the build made is unreachable either way,
+    a subsample's source too."""
+    path, keys = TEST_SET_FORMS[case]
+    real_features, real_blobs = data_mod.features, data_mod.synthetic_blobs
+    converted, built = [], []
 
     def features(levels, dtype=np.float64):
         converted.append(weakref.ref(levels))
         return real_features(levels, dtype)
 
+    def blobs(*args):
+        out = real_blobs(*args)
+        built.append(weakref.ref(out.X))
+        return out
+
     monkeypatch.setattr(data_mod, "features", features)
-    cfg = ExperimentConfig(subsample_test=subsample_test)
+    monkeypatch.setattr(data_mod, "synthetic_blobs", blobs)
+    cfg = ExperimentConfig(**keys)
     with pinned_worker() as (_, worker):
-        _, _, _, test_X, test_y = build_data(cfg, 1, worker)
-    (levels,) = converted  # the build converts the test set alone
-    assert levels() is None
-    assert test_X.shape == (subsample_test or 200, cfg.synthetic_dim)
-    assert test_X.dtype == np.float32
-    assert test_y.shape == (test_X.shape[0],)
+        _, train, _, test_X, test_y = build_data(cfg, 1, worker)
+    n = cfg.subsample_test or 2 * cfg.synthetic_per_class
+    assert test_X.shape == (n, cfg.synthetic_dim)
+    assert test_y.shape == (n,)
+    (test_levels,) = [ref for ref in built if ref() is not train.X]
+    assert test_levels() is None
+    if path == "features":
+        (levels,) = converted  # the build converts the test set alone
+        assert levels() is None
+        assert test_X.dtype == np.float32
+    else:
+        assert converted == []
+        assert test_X.dtype == np.uint8
 
 
 def _blobs(num_classes, per_class, dim, spread, seed):

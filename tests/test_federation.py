@@ -1,5 +1,9 @@
 import copy
+import json
 import math
+import platform
+import subprocess
+import sys
 import threading
 import tracemalloc
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -29,10 +33,13 @@ from dpfedsim.federation import (
     server_step,
 )
 from dpfedsim.linalg import weighted_sum
-from dpfedsim.model import MlpSpec, init_params
+from dpfedsim.metrics import accumulate
+from dpfedsim.metrics import scores as metric_scores
+from dpfedsim.model import MlpSpec, init_params, predict
 from oracle import (
     U,
     aggregate,
+    child_env,
     correct_round,
     gamma,
     noisy_batch_gradient,
@@ -61,7 +68,11 @@ def make_state(
     clients_per_round=0,
     sampling_mode="fixed_size",
     epsilon_budget=0.0,
+    test_levels=False,
 ):
+    """A 6-5-3 run on 60 train and 15 test examples; the state holds the
+    test set's float32 features, or its uint8 levels when test_levels (a
+    round's uploads have room for the features at every n_clients)."""
     rng = np.random.default_rng
     ds = synthetic_blobs(num_classes=3, per_class=20, dim=6, spread=0.2, rng=rng(seed))
     test = synthetic_blobs(
@@ -83,9 +94,8 @@ def make_state(
         record_timing=False,
         epsilon_budget=epsilon_budget,
     )
-    return init_state(
-        spec, cfg, seed, ds, shards, features(test.X, np.float32), test.y
-    )
+    test_X = test.X if test_levels else features(test.X, np.float32)
+    return init_state(spec, cfg, seed, ds, shards, test_X, test.y)
 
 
 def client_of(state, rows):
@@ -890,20 +900,21 @@ def test_a_client_with_only_empty_draws_releases_noise_over_the_batch_size(
     assert row.tobytes() == want.tobytes()
 
 
-def _benchmark_shape_state(algorithm, n_clients):
+def _benchmark_shape_state(algorithm, n_clients, test_per_class=2, test_levels=False):
     """A state at the benchmark's 784-128-10 shape (D = 101,770), with 50
-    training examples per client and a small test set."""
+    training examples per client and a test set of test_per_class
+    examples per class, held as float32 features, or as uint8 levels when
+    test_levels."""
     spec = MlpSpec((784, 128, 10))
     train = synthetic_blobs(10, 5 * n_clients, 784, 0.25, np.random.default_rng(4))
-    test = synthetic_blobs(10, 2, 784, 0.25, np.random.default_rng(5))
+    test = synthetic_blobs(10, test_per_class, 784, 0.25, np.random.default_rng(5))
     cfg = ExperimentConfig(
         algorithm=algorithm, sigma=0.8, batch_size=32, eta=0.05,
         n_clients=n_clients, record_timing=False,
     )
     shards = partition_iid(train, n_clients, np.random.default_rng(6))
-    return init_state(
-        spec, cfg, 4, train, shards, features(test.X, np.float32), test.y
-    )
+    test_X = test.X if test_levels else features(test.X, np.float32)
+    return init_state(spec, cfg, 4, train, shards, test_X, test.y)
 
 
 def test_an_upload_carries_noise_of_deviation_sigma_c_over_b():
@@ -958,6 +969,149 @@ def test_the_server_step_is_written_into_the_aggregate(monkeypatch, algorithm):
         tracemalloc.stop()
     assert len(peaks) == 1
     assert peaks[0] < 1.5 * dim * 8, peaks[0] / (dim * 8)
+
+
+def _fresh_scores(spec, models, X, y):
+    """run_round's (accuracy, recall, F1) of the models on the float32
+    features X, predicted in evaluation's row chunks, each model's weights
+    cast to float32: the mean over the models of each score."""
+    rows = federation._EVAL_ROWS
+    scores = []
+    for w in models:
+        w32 = w.astype(np.float32)
+        preds = np.concatenate(
+            [predict(spec, w32, X[lo : lo + rows]) for lo in range(0, len(X), rows)]
+        )
+        scores.append(metric_scores(accumulate(preds, y, spec.num_classes)))
+    return tuple(float(np.mean([s[k] for s in scores])) for k in range(3))
+
+
+@pytest.mark.parametrize(
+    "n_clients, levels", [(2, False), (16, True)], ids=["features", "levels"]
+)
+@pytest.mark.parametrize("algorithm", ["gcfl", "dp_scaffold", "isolated"])
+def test_each_rounds_scores_are_those_of_freshly_built_features(
+    monkeypatch, algorithm, n_clients, levels
+):
+    """On each side of the room rule, every round's accuracy, recall and
+    F1 equal those of the round's evaluated models on float32 features
+    built afresh from the test levels.  A 6-50-3 net (D = 503) and 2,100
+    test rows of 6 features (three evaluation chunks, 50 KB as float32):
+    the uploads of 2 clients (8 KB) hold no features, those of 16 (64 KB)
+    do, and the run holds the levels and builds the features there, after
+    dp_scaffold has written new - old into the rows and isolated has read
+    them; isolated evaluates every client's model on those features."""
+    rng = np.random.default_rng
+    spec = MlpSpec((6, 50, 3))
+    train = synthetic_blobs(3, 32, 6, 0.3, rng(7))
+    test = synthetic_blobs(3, 700, 6, 0.3, rng(8))
+    cfg = ExperimentConfig(
+        algorithm=algorithm, n_clients=n_clients, rounds=3, local_steps=2,
+        batch_size=4, eta=0.05, sigma=0.5, record_timing=False,
+    )
+    assert federation.evaluates_in_uploads(cfg, spec.num_params, test.X.shape) == levels
+    fresh = features(test.X, np.float32)
+    shards = partition_iid(train, n_clients, rng(9))
+    state = init_state(
+        spec, cfg, 3, train, shards, test.X if levels else fresh, test.y
+    )
+    got, want = [], []
+    real_round = federation.run_round
+
+    def scored(state, round_index, worker):
+        record = real_round(state, round_index, worker)
+        got.append(
+            (record.test_accuracy, record.test_macro_recall, record.test_macro_f1)
+        )
+        models = federation._evaluated_models(state)
+        want.append(_fresh_scores(spec, models, fresh, test.y))
+        return record
+
+    monkeypatch.setattr(federation, "run_round", scored)
+    run_all_rounds(state)
+    assert len(got) == 3
+    assert got == want
+    assert state.test_X is (test.X if levels else fresh)
+
+
+def test_an_evaluation_in_the_uploads_allocates_less_than_one_test_matrix(
+    monkeypatch,
+):
+    """From the start of the features' build in the spent uploads to the
+    end of evaluation, the traced peak stays under one float32 test matrix
+    (2,000 x 784, 6.3 MB; the uploads of 8 clients at D = 101,770 hold 6.5
+    MB): the float32 weights and a chunk's activations.  A build that made
+    the features beside the uploads holds the whole matrix."""
+    state = _benchmark_shape_state("dp_fedavg", 8, test_per_class=200, test_levels=True)
+    matrix = state.test_X.size * 4
+    assert federation.evaluates_in_uploads(
+        state.cfg, state.weights.shape[0], state.test_X.shape
+    )
+    starts, peaks = [], []
+    real_build, real_evaluate = federation._features_in_uploads, federation._evaluate
+
+    def build(*args):
+        tracemalloc.reset_peak()
+        starts.append(tracemalloc.get_traced_memory()[0])
+        return real_build(*args)
+
+    def evaluate(*args):
+        out = real_evaluate(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - starts[-1])
+        return out
+
+    monkeypatch.setattr(federation, "_features_in_uploads", build)
+    monkeypatch.setattr(federation, "_evaluate", evaluate)
+    tracemalloc.start()
+    try:
+        run_one_round(state, 0)
+    finally:
+        tracemalloc.stop()
+    assert len(starts) == len(peaks) == 1
+    assert peaks[0] < matrix, peaks[0] / matrix
+
+
+_FAULTS_CHILD = """
+import json, resource, sys
+import dpfedsim.federation as fed
+from dpfedsim.cli import main
+faults, real = [], fed.run_round
+def counted(*args):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    out = real(*args)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return out
+fed.run_round = counted
+code = main(["run", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps([code, faults]))
+"""
+
+
+def test_rounds_after_the_first_two_take_few_page_faults(tmp_path):
+    """Rounds 2-5 of a 784-128-10 dp_fedprox run with 4 local steps, 8 of
+    32 clients a round, take fewer than 400 minor page faults in all,
+    counted in a child process around each run_round.  Each round frees
+    its upload matrix, which glibc mapped; that raises glibc's dynamic
+    mmap and trim thresholds above one D-vector, so from then on the
+    clients' workspaces come from the heap and keep their pages.  An
+    upload matrix held for the run keeps the thresholds low and costs
+    thousands of faults in every round."""
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("the mmap and trim thresholds are glibc's")
+    cfg = tmp_path / "fedprox.cfg"
+    cfg.write_text(
+        "synthetic_per_class = 200\nsynthetic_dim = 784\nlayer_sizes = 784,128,10\n"
+        "n_clients = 32\nclients_per_round = 8\nlocal_steps = 4\n"
+        "sampling_mode = poisson\nalgorithm = dp_fedprox\nrounds = 6\nseeds = 1\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _FAULTS_CHILD, str(cfg), str(tmp_path / "out")],
+        env=child_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    code, faults = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0 and len(faults) == 6
+    assert sum(faults[2:]) < 400, faults
 
 
 class _IdleWorker:
@@ -1189,14 +1343,22 @@ def test_a_client_with_only_empty_draws_moves_its_model_and_variate_by_its_uploa
             assert state.scaffold.client_variates[cid].tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("test_dtype", [np.float32, np.uint8])
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_a_round_keeps_the_dp_step_and_all_it_feeds_in_float64(monkeypatch, algorithm):
+def test_a_round_keeps_the_dp_step_and_all_it_feeds_in_float64(
+    monkeypatch, algorithm, test_dtype
+):
     """Evaluation alone runs at half width.  In a round that evaluates on
-    float32 test features, as a run does, the kernel reads float64 features
-    and float64 weights, and the uploads, the global weights, the client
-    models and the scaffold variates all stay float64."""
-    state = make_state(algorithm=algorithm, n_clients=3, local_steps=2)
-    assert state.test_X.dtype == np.float32
+    float32 test features, as a run does, held for the run or built from
+    the held uint8 levels in the round's spent uploads, the kernel reads
+    float64 features and float64 weights, and the uploads, the global
+    weights, the client models and the scaffold variates all stay
+    float64."""
+    state = make_state(
+        algorithm=algorithm, n_clients=3, local_steps=2,
+        test_levels=test_dtype == np.uint8,
+    )
+    assert state.test_X.dtype == test_dtype
     read, uploads = [], []
     real_kernel = federation.model_mod.clipped_gradient_sum
     real_local = federation.client_local_phase

@@ -337,23 +337,27 @@ def _names_float32(node: ast.AST) -> bool:
 def test_float32_is_named_only_where_the_test_features_are_built():
     """The DP step, the uploads, the aggregate, the server step and the
     accountant run in float64; evaluation alone runs at half width, in the
-    dtype of the test features that ``cli._finish_test_set`` builds.  So no
-    other function of the package names float32: a float32 anywhere else
-    would narrow a step whose bytes the DP guarantee and the output pins
-    rest on."""
+    dtype of the test features, which ``cli._finish_test_set`` builds
+    before round 0 or ``federation._features_in_uploads`` builds in a
+    round's spent uploads.  So no other function of the package names
+    float32: a float32 anywhere else would narrow a step whose bytes the DP
+    guarantee and the output pins rest on."""
     named = set()
     for path in PACKAGE.glob("*.py"):
         for top in ast.parse(path.read_text()).body:
             if any(_names_float32(node) for node in ast.walk(top)):
                 named.add((path.name, getattr(top, "name", ast.unparse(top))))
-    assert named == {("cli.py", "_finish_test_set")}
+    assert named == {
+        ("cli.py", "_finish_test_set"),
+        ("federation.py", "_features_in_uploads"),
+    }
 
 
 def test_every_mutants_old_text_occurs_once_in_src():
     """The mutation sweep's list stays applicable: a refactor that moves a
     mutant's text updates ``tests/mutants.py``."""
     sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
-    assert len({m.id for m in MUTANTS}) == len(MUTANTS) == 16
+    assert len({m.id for m in MUTANTS}) == len(MUTANTS) == 17
     for mutant in MUTANTS:
         assert sources[mutant.file].count(mutant.old) == 1, mutant.id
         assert sum(text.count(mutant.old) for text in sources.values()) == 1

@@ -10,7 +10,8 @@ leave no thread behind and the caller's BLAS thread count as it found it.
 ``tests/test_determinism.py`` checks, with the rest of the determinism
 promise, that which thread runs a half, and when, changes no output byte.
 The synthetic data build shares the worker too: the calling thread builds
-the train set, and the worker the test set and its float32 features.
+the train set, and the worker the test set and, where the run holds
+them, its float32 features.
 """
 
 import json
@@ -346,7 +347,10 @@ BUILD_SHAPES = [  # classes, per class, dim, spread; the test set has per // 5
     (3, 6, 4, 0.0),
     (4, 1, 5, 0.3),  # one example per class in both sets
     (3, 7, 13, 0.25),  # odd sizes
-    (10, 1000, 784, 0.25),  # the benchmark's 784-dim, 10k/2k shape
+    # the benchmark's 784-dim, 10k/2k shape: at 2 clients a round's uploads
+    # (2 D 8 bytes) cannot hold the float32 test features, so the run holds
+    # them; every smaller shape holds the levels
+    (10, 1000, 784, 0.25),
 ]
 
 
@@ -355,12 +359,14 @@ BUILD_SHAPES = [  # classes, per class, dim, spread; the test set has per // 5
 def test_build_data_matches_the_oracle_and_builds_the_test_set_on_the_worker(
     monkeypatch, mode, shape
 ):
-    """build_data's train set, and the test set's float32 features and
-    labels, the test set around the train set's class centers, equal the
-    oracle's under each executor: the features are the oracle's levels /
-    255 in float32, one-to-one on 0-255.  The train set is built on the calling
-    thread, and the test set and its features on the executor: inline that
-    is the calling thread too, otherwise the worker."""
+    """build_data's train set, and the test set and its labels, the test
+    set around the train set's class centers, equal the oracle's under each
+    executor.  The run holds the test set as the oracle's levels where a
+    round's uploads have room for its float32 features, and else as those
+    features: the levels / 255 in float32, one-to-one on 0-255.  The train
+    set is built on the calling thread, and the test set and any features
+    on the executor: inline that is the calling thread too, otherwise the
+    worker."""
     classes, per_class, dim, spread = shape
     monkeypatch.setattr(federation, "_new_worker", EXECUTORS[mode])
     real_blobs, real_features = data_mod.synthetic_blobs, data_mod.features
@@ -403,18 +409,23 @@ def test_build_data_matches_the_oracle_and_builds_the_test_set_on_the_worker(
             classes, max(1, per_class // 5), dim, spread,
             derive_rng(seed, 0, 0, Stream.TEST), derive_rng(seed, 0, 0, Stream.TRAIN),
         )
-        assert test_X.dtype == np.float32
-        assert test_X.tobytes() == (want.X.astype(np.float32) / 255.0).tobytes()
+        if dim == 784:
+            assert test_X.dtype == np.float32
+            assert test_X.tobytes() == (want.X.astype(np.float32) / 255.0).tobytes()
+        else:
+            assert test_X.dtype == np.uint8
+            assert test_X.tobytes() == want.X.tobytes()
         assert test_y.tobytes() == want.y.tobytes()
     here = threading.current_thread().name
     roles = {role: {on for r, on in built_on if r == role} for role, _ in built_on}
     called = sorted(role for role, _ in built_on)
-    assert called == ["features", "features", "test", "test", "train", "train"]
+    features = ["features", "features"] if dim == 784 else []
+    assert called == [*features, "test", "test", "train", "train"]
     assert roles["train"] == {here}
     if mode == "inline":
-        assert roles["test"] == roles["features"] == {here}
+        assert roles["test"] | roles.get("features", set()) == {here}
     else:
-        (test_on,) = roles["test"] | roles["features"]
+        (test_on,) = roles["test"] | roles.get("features", set())
         assert test_on.startswith(WORKER_PREFIX)
     assert _worker_threads() == []
 
@@ -423,9 +434,10 @@ def test_build_data_matches_the_oracle_and_builds_the_test_set_on_the_worker(
 def test_a_failure_in_the_workers_share_of_the_build_stops_run(
     tmp_path, monkeypatch, capsys, share
 ):
-    """The worker builds SMALL's test set (synthetic_blobs) and its float32
-    features (features); a raise in either on the worker surfaces from
-    build_data, `run` exits 1 naming it, and no worker is left."""
+    """The worker builds SMALL's test set (synthetic_blobs) and, with 200
+    examples per class, so that the run holds them, its float32 features
+    (features); a raise in either on the worker surfaces from build_data,
+    `run` exits 1 naming it, and no worker is left."""
     real = getattr(data_mod, share)
 
     def fail_on_the_worker(*args):
@@ -435,7 +447,7 @@ def test_a_failure_in_the_workers_share_of_the_build_stops_run(
 
     monkeypatch.setattr(data_mod, share, fail_on_the_worker)
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text(SMALL)
+    cfg.write_text(SMALL.replace("per_class = 20", "per_class = 200"))
     with pytest.raises(ValueError, match=share), pinned_worker() as (_, worker):
         build_data(parse_config(str(cfg)), 5, worker)
     assert _worker_threads() == []
