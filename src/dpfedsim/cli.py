@@ -16,12 +16,11 @@ run and compare each hold one worker thread and one BLAS pin
 run writes whether BLAS was pinned to summary.json.  A seed's synthetic data
 are built on both threads (build_data): the calling thread draws the class
 centers, then builds the whole train set from the train stream; the worker
-builds the whole test set around those centers from its own stream, and its
-float32 features, at the same time.  The bytes are those of a one-thread
-build.  A run keeps of the test set only its labels and the float32
-features evaluation reads, or their levels where the round's uploads can
-hold them (``federation.evaluates_in_uploads``); the train set's features
-are float64, as is every step of training.
+builds the whole test set around those centers from its own stream, and
+what the run holds of it, at the same time.  The bytes are those of a
+one-thread build.  A run keeps of the test set only its labels and the form
+``federation.held_test_set`` decides: the features evaluation reads, or
+their levels.
 A data stream is ``derive_rng``'s (seed, 0, 0, tag), tag TRAIN (the centers,
 then the train set), TEST, SUB_TRAIN, SUB_TEST or PARTITION.
 """
@@ -45,7 +44,7 @@ import numpy as np
 from . import data as data_mod
 from .config import ExperimentConfig, parse_config, parse_label_split
 from .dp import SENSITIVITY
-from .federation import RoundMetrics, Stream, derive_rng, evaluates_in_uploads
+from .federation import RoundMetrics, Stream, derive_rng, held_test_set
 from .federation import init_state, pinned_worker, run_experiment, weights_sha256
 from .model import MlpSpec
 
@@ -61,28 +60,21 @@ Run = tuple[list[RoundMetrics], str]
 def _finish_test_set(
     cfg: ExperimentConfig, seed: int, test: data_mod.Dataset, spec: MlpSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(float32 features, or a copy of the levels where
-    ``evaluates_in_uploads``, labels) of the test set, subsampled when
-    configured: all a run keeps of it.  Evaluation runs in the features'
-    dtype, so half width halves the matrix and its products."""
+    """(what the run holds of the levels (``held_test_set``), labels) of
+    the test set, subsampled when configured: all a run keeps of it."""
     if cfg.subsample_test:
         test = data_mod.subsample(
             test, cfg.subsample_test, derive_rng(seed, 0, 0, Stream.SUB_TEST),
             "subsample_test",
         )
-    if evaluates_in_uploads(cfg, spec.num_params, test.X.shape):
-        # a copy, so the build's levels are freed as on the other path: that
-        # lifts glibc's mmap and trim thresholds, and round 0's client
-        # workspaces keep their pages
-        return test.X.copy(), test.y
-    return data_mod.features(test.X, np.float32), test.y
+    return held_test_set(cfg, spec.num_params, test.X), test.y
 
 
 def build_data(
     cfg: ExperimentConfig, seed: int, worker: Executor
 ) -> tuple[MlpSpec, data_mod.Dataset, list[np.ndarray], np.ndarray, np.ndarray]:
-    """(the model, the train set, each client's rows of it, the test set's
-    float32 features or levels (``_finish_test_set``), its labels) for one
+    """(the model, the train set, each client's rows of it, what the run
+    holds of the test set (``_finish_test_set``), its labels) for one
     run seed, built on the command's worker and this thread; no task of
     the build is left on the worker when this returns or raises.  The
     model is layer_sizes, or (features, 128, classes) of the train set
@@ -101,8 +93,8 @@ def build_data(
         spec = MlpSpec(cfg.layer_sizes or (train.feature_dim, 128, train.num_classes))
         test_X, test_y = _finish_test_set(cfg, seed, test, spec)
     else:
-        # the worker builds the test set and its features around the train
-        # stream's centers while this thread builds the train set
+        # the worker builds the test set and the run's form of it around the
+        # train stream's centers while this thread builds the train set
         spec = MlpSpec(
             cfg.layer_sizes or (cfg.synthetic_dim, 128, cfg.synthetic_classes)
         )

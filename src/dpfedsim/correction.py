@@ -73,7 +73,7 @@ def cosine_from_products(sq_a: float, sq_b: float, ab: float) -> float:
     The denominator is sqrt(sq_a * sq_b) — one square root instead of two
     keeps exactly parallel vectors at exactly +/-1 — with a two-root fallback
     when the product overflows.  The quotient is clamped to [-1, 1] so sign
-    tests never see |cos| > 1 from rounding.
+    tests never see |cos| > 1 from rounding; a NaN stays NaN (no conflict).
     """
     if sq_a == 0.0 or sq_b == 0.0:
         return 0.0
@@ -84,7 +84,8 @@ def cosine_from_products(sq_a: float, sq_b: float, ab: float) -> float:
         denom = math.sqrt(sq_a) * math.sqrt(sq_b)
     if denom == 0.0:  # norms so small even their product underflows
         return 0.0
-    return min(1.0, max(-1.0, float(ab) / denom))
+    cos = float(ab) / denom
+    return cos if math.isnan(cos) else min(1.0, max(-1.0, cos))
 
 
 def gram(uploads: np.ndarray) -> np.ndarray:
@@ -126,14 +127,17 @@ def plan_round(
     of CORRECTION_MODES; num_references (0 = auto) is read only in
     reference mode.  Returns alpha, with sum_q alpha_q g_q = sum_p w_p
     corrected_p, and the report; the uploads are read only to build the
-    Gram matrix.
+    Gram matrix, and one that is not finite raises ValueError.
 
     Each projection (p, q, c) does alpha_q -= w_p * c when it is decided,
     in ascending row p and then test order, in Python float arithmetic;
     without projections alpha equals weights exactly.
     """
     n = len(weights)
-    g = gram(uploads)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        g = gram(uploads)
+    if not np.isfinite(g).all():
+        raise ValueError("Gram matrix of the uploads not finite")
     report = CorrectionReport()
     alpha = list(weights)
 

@@ -31,16 +31,15 @@ _BLOB_CHUNK_BYTES = 128 * 1024
 
 def features(levels: np.ndarray, dtype=np.float64) -> np.ndarray:
     """Features of uint8 levels: a new array of level / 255, in [0, 1],
-    computed in dtype (float64, or float32 for the test set)."""
-    out = levels.astype(dtype)
-    out /= 255.0
-    return out
+    computed in dtype (float64, or float32 for the test set) by
+    ``features_into``."""
+    return features_into(levels, np.empty(levels.shape, dtype))
 
 
 def features_into(levels: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``features`` of uint8 levels written into out and returned: the
-    same ops in out's dtype, so the same bytes (the cast of a level is
-    exact)."""
+    """``features`` of uint8 levels written into out and returned: each
+    level cast to out's dtype, which is exact, then divided by 255 in that
+    dtype."""
     np.copyto(out, levels)
     out /= 255.0
     return out

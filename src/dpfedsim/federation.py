@@ -7,8 +7,8 @@ between uploads (algorithm "gcfl"), aggregates them, and takes a global step.
 
 The round's uploads are the rows of one (P, D) array U, one row per
 participant in ascending client id; each client overwrites its row with
-its upload; U is freed before evaluation, or at the round's end where it
-holds the test features (below).  The upload is the only
+its upload; U is freed before evaluation, or at the round's end where
+evaluation builds the test features in it (below).  The upload is the only
 per-client vector the server reads.  A client builds its first step in
 its row and its other D-length vectors in a workspace it allocates once
 (``client_local_phase``), so no step allocates one; under dp_fedprox a
@@ -22,9 +22,9 @@ turns its batch's uint8 levels into float64 features (``data.features``);
 the whole DP step runs in float64, and so do the uploads, the Gram, the
 aggregate, the server step and every model the state holds.  Evaluation
 alone runs at half width: it reads the test set's float32 features and
-predicts the argmax of float32 logits (``model.predict``).  Where U has
-room for them (``evaluates_in_uploads``), the run holds the test levels
-and each round builds the features in its spent U.
+predicts the argmax of float32 logits (``model.predict``).  This module
+alone decides their form (``held_test_set``): where U has room for them,
+the run holds levels, and each round's evaluation builds them in spent U.
 
 A client id indexes the run's lists of shards (row-index arrays into the
 one train set), per-client models and variates.  The server step speaks
@@ -103,6 +103,7 @@ ALGORITHMS = (
 _FEDEXP_EPS = 1e-3
 
 _EVAL_ROWS = 1024  # test rows per forward pass: keeps activations in cache
+_EVAL_DTYPE = np.float32  # evaluation's width: the test features' dtype
 
 
 @dataclass
@@ -133,7 +134,7 @@ class ExperimentState:
     seed: int
     train: Dataset
     shards: list[np.ndarray]  # by client id: its rows of train
-    test_X: np.ndarray  # uint8 levels where evaluates_in_uploads, else features
+    test_X: np.ndarray  # uint8 levels or float32 features (held_test_set)
     test_y: np.ndarray  # and its labels
     weights: ParamVector
     client_models: list[ParamVector] = field(default_factory=list)  # by client id
@@ -340,65 +341,62 @@ def server_step(
     return aggregated
 
 
-def evaluates_in_uploads(
-    cfg: ExperimentConfig, num_params: int, test_shape: tuple[int, int]
-) -> bool:
-    """Whether a round's (P, D) float64 uploads have room for the float32
-    features of an (n, d) test set: P D 8 >= n d 4 bytes."""
-    n, d = test_shape
-    return (cfg.clients_per_round or cfg.n_clients) * num_params * 8 >= n * d * 4
-
-
-def _features_in_uploads(
-    levels: np.ndarray, uploads: np.ndarray, worker: Executor
+def held_test_set(
+    cfg: ExperimentConfig, num_params: int, levels: np.ndarray
 ) -> np.ndarray:
-    """The float32 features of levels, built by ``features_into`` over the
-    start of the spent uploads in _EVAL_ROWS-row chunks (``_halves``)."""
+    """What a run holds of its (n, d) test levels: a copy where a round's
+    (P, D) float64 uploads have room for their float32 features, P D 8 >=
+    n d 4 bytes, else those features.  Either frees the build's levels,
+    which keeps round 0's workspaces' pages (glibc's thresholds rise)."""
     n, d = levels.shape
-    out = uploads.reshape(-1).view(np.float32)[: n * d].reshape(n, d)
-    starts = range(0, n, _EVAL_ROWS)
-
-    def build(chunks: range) -> None:
-        for lo in starts[chunks.start : chunks.stop]:
-            features_into(levels[lo : lo + _EVAL_ROWS], out[lo : lo + _EVAL_ROWS])
-
-    _halves(worker, build, len(starts))
-    return out
+    if (cfg.clients_per_round or cfg.n_clients) * num_params * 8 >= n * d * 4:
+        return levels.copy()
+    return features(levels, _EVAL_DTYPE)
 
 
 def _evaluate(
     state: ExperimentState,
-    test_X: np.ndarray,
-    w: ParamVector,
+    spent: np.ndarray | None,
+    models: list[ParamVector],
     round_index: int,
     worker: Executor,
 ) -> tuple[float, float, float]:
-    """(accuracy, macro recall, macro F1) of w on the test features test_X,
-    predicted in their dtype (float32 in a run: w is cast once per call)
-    in _EVAL_ROWS-row chunks split between the worker and this thread
-    (``_halves``); a chunk's bytes do not depend on the thread under the
-    pin.  A w not finite once cast (a float64 beyond float32's range is
-    not), or logits it overflows, raise ValueError naming the round."""
-    spec = state.model_spec
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        w_eval = w.astype(test_X.dtype)
-    if not np.isfinite(w_eval).all():
-        raise ValueError(f"round {round_index}: weights not finite in {test_X.dtype}")
-    preds = np.empty(test_X.shape[0], dtype=np.int64)
+    """The means over models of (accuracy, macro recall, macro F1), from
+    one pass over the test set's _EVAL_ROWS-row chunks split between the
+    worker and this thread (``_halves``).  Given spent U, a half builds
+    its chunks' features in their rows of U, then predicts them with each
+    model in turn, cast into the half's buffer.  Weights not finite once
+    cast, or logits they overflow, raise ValueError naming the round."""
+    spec, held = state.model_spec, state.test_X
+    test_X = held
+    if spent is not None:
+        test_X = spent.reshape(-1).view(_EVAL_DTYPE)[: held.size].reshape(held.shape)
+    preds = np.empty((len(models), test_X.shape[0]), dtype=np.int64)
     starts = range(0, test_X.shape[0], _EVAL_ROWS)
+    # made here: a cast made on the worker, or an isfinite mask, raised peak RSS
+    casts = np.empty((2, spec.num_params), test_X.dtype)
 
     def predict(chunks: range) -> None:
-        for lo in starts[chunks.start : chunks.stop]:
-            chunk = test_X[lo : lo + _EVAL_ROWS]
-            preds[lo : lo + chunk.shape[0]] = model_mod.predict(spec, w_eval, chunk)
+        half = [slice(lo, lo + _EVAL_ROWS) for lo in starts[chunks.start : chunks.stop]]
+        w_eval = casts[int(chunks.start > 0)]
+        if spent is not None:
+            for rows in half:
+                features_into(held[rows], test_X[rows])
+        for m, w in enumerate(models):
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                np.copyto(w_eval, w, casting="same_kind")
+            if not (math.isfinite(w_eval.min()) and math.isfinite(w_eval.max())):
+                raise ValueError(f"weights not finite in {test_X.dtype}")
+            for rows in half:
+                preds[m, rows] = model_mod.predict(spec, w_eval, test_X[rows])
 
     try:
         _halves(worker, predict, len(starts))
-    except ValueError as exc:  # from model.predict: logits not finite
+    except ValueError as exc:  # the cast's, or model.predict's (logits)
         raise ValueError(f"round {round_index}: {exc}") from None
-    return metrics_mod.scores(
-        metrics_mod.accumulate(preds, state.test_y, spec.num_classes)
-    )
+    cms = (metrics_mod.accumulate(p, state.test_y, spec.num_classes) for p in preds)
+    scores = [metrics_mod.scores(cm) for cm in cms]
+    return tuple(float(np.mean([s[k] for s in scores])) for k in range(3))
 
 
 def _evaluated_models(state: ExperimentState) -> list[ParamVector]:
@@ -481,10 +479,13 @@ def run_round(
     else:
         alpha = [1.0 / len(participants)] * len(participants)
         if cfg.algorithm == "gcfl" and len(participants) > 1:
-            alpha, report = plan_round(
-                uploads, alpha, cfg.correction_mode, cfg.num_references,
-                derive_rng(state.seed, round_index, 0, Stream.CORRECTION),
-            )
+            try:
+                alpha, report = plan_round(
+                    uploads, alpha, cfg.correction_mode, cfg.num_references,
+                    derive_rng(state.seed, round_index, 0, Stream.CORRECTION),
+                )
+            except ValueError as exc:  # the Gram matrix is not finite
+                raise ValueError(f"round {round_index}: {exc}") from None
         aggregated = weighted_sum(uploads, alpha)
         # the new weights are written into the aggregate, the round's one
         # server-side D-vector
@@ -506,14 +507,11 @@ def run_round(
             scaffold.server_variate = move
 
     # metrics; U is read for the last time above
-    test_X = state.test_X
-    if test_X.dtype == np.uint8:
-        test_X = _features_in_uploads(test_X, uploads, worker)
-    del uploads  # frees U now unless test_X is a view of it
+    spent = uploads if state.test_X.dtype == np.uint8 else None
+    del uploads  # frees U now unless evaluation builds the features in it
     train_loss = float(np.mean(losses))
     models = _evaluated_models(state)
-    scores = [_evaluate(state, test_X, w, round_index, worker) for w in models]
-    acc, rec, f1 = (float(np.mean([s[k] for s in scores])) for k in range(3))
+    acc, rec, f1 = _evaluate(state, spent, models, round_index, worker)
 
     eps = cfg.epsilon_after(round_index + 1)[0]
     wall = (
@@ -543,7 +541,7 @@ def init_state(
 ) -> ExperimentState:
     """The state before round 0 of the run with this seed, whose client i
     holds the rows shards[i] of train, evaluated on the test set test_X
-    (levels only where ``evaluates_in_uploads``) and labels test_y; the
+    (``held_test_set``) and labels test_y; the
     state holds the arrays as given."""
     w = model_mod.init_params(model_spec, derive_rng(seed, 0, 0, Stream.INIT))
     state = ExperimentState(

@@ -11,9 +11,10 @@ Run the sweep from the repository root (it is not part of tier-1):
     python tests/mutants.py --full   # every mutant against all of tier-1
 
 It copies the repository's files (``git ls-files``, untracked files that
-are not ignored included) into a temporary directory, applies one mutant
-there and runs tests in that copy.  The unmutated tree runs first, all of
-tier-1, and must pass.
+are not ignored included; outside a git checkout, every file but caches,
+``.bench_work/`` and ``mutants.json``) into a temporary directory, applies
+one mutant there and runs tests in that copy.  The unmutated tree runs
+first, all of tier-1, and must pass.
 
 Each mutant names its killer: a test of the mutant's promise that is not
 a byte pin and that killed it in a full run.  By default the sweep runs
@@ -209,25 +210,49 @@ MUTANTS = (
         "test_features_not_rebuilt",
         "evaluation reads the test features, never the uploads' bytes",
         "federation.py",
-        "features_into(levels[lo : lo + _EVAL_ROWS], out[lo : lo + _EVAL_ROWS])",
+        "features_into(held[rows], test_X[rows])",
         "pass",
         "tests/test_federation.py::"
         "test_each_rounds_scores_are_those_of_freshly_built_features[gcfl-levels]",
+    ),
+    Mutant(
+        "every_model_scored_as_model_0",
+        "isolated scores each client's model on its own predictions",
+        "federation.py",
+        "for p in preds",
+        "for p in [preds[0]] * len(preds)",
+        "tests/test_federation.py::"
+        "test_each_rounds_scores_are_those_of_freshly_built_features[isolated-levels]",
     ),
 )
 
 # mutant id -> the open ROADMAP item that will kill it
 SURVIVORS: dict[str, str] = {}
 
+# directories a tree that is not a git checkout leaves out of its copy
+NOT_COPIED = {
+    ".git", ".bench_work", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks"
+}
 
-def copy_tree(dest: Path) -> None:
-    """The repository's tracked and untracked-but-not-ignored files."""
-    listed = subprocess.run(
-        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
-        cwd=ROOT, check=True, capture_output=True,
-    ).stdout.decode().split("\0")
+
+def copy_tree(dest: Path, root: Path = ROOT) -> None:
+    """Copy root's tracked and untracked-but-not-ignored files into dest.
+    Where ``git ls-files`` fails, as in a ``git archive`` tree, every file
+    of root but those under NOT_COPIED and root's mutants.json."""
+    try:
+        listed = subprocess.run(
+            ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+            cwd=root, check=True, capture_output=True,
+        ).stdout.decode().split("\0")
+    except (OSError, subprocess.CalledProcessError):
+        listed = [
+            str(path.relative_to(root))
+            for path in root.rglob("*")
+            if not NOT_COPIED.intersection(path.relative_to(root).parts)
+            and path != root / "mutants.json"
+        ]
     for name in filter(None, listed):
-        src = ROOT / name
+        src = root / name
         if src.is_file():
             (dest / name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(src, dest / name)

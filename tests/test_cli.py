@@ -270,23 +270,32 @@ def test_diverging_run_returns_nonzero(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "eta, error",
-    [("1e300", "weights not finite in float32"), ("1e30", "logits not finite in float32")],
-    ids=["1e300", "1e30"],
+    "keys, error",
+    [
+        ("eta = 1e300\nsigma = 0", "weights not finite in float32"),
+        ("eta = 1e30\nsigma = 0", "logits not finite in float32"),
+        (
+            "eta = 1e-170\nclip_threshold = 1e160\ncorrection_mode = pairwise",
+            "Gram matrix of the uploads not finite",
+        ),
+    ],
+    ids=["1e300", "1e30", "gram"],
 )
 def test_a_model_beyond_float32_stops_the_run_with_one_error_line(
-    tmp_path, capsys, eta, error
+    tmp_path, capsys, keys, error
 ):
     """At sigma = 0 and eta = 1e300, round 0 leaves float64 weights that are
     finite but overflow the float32 evaluation casts them to; at eta = 1e30
-    the cast weights are finite but overflow the float32 logits.  Either
-    run exits 1 with one error line naming the round: no numpy warning
-    escapes, from this thread or the worker, and no score of NaN logits is
-    written."""
+    the cast weights are finite but overflow the float32 logits.  At C =
+    1e160 the uploads' squared norms overflow float64, so their Gram
+    matrix is not finite, and no NaN cosine of it may count as a conflict.
+    Each run exits 1 with one error line naming the round and the cause:
+    no numpy warning escapes, from this thread or the worker, and no score
+    of NaN logits is written."""
     cfg = write_cfg(
         tmp_path,
         "synthetic_dim = 6\nsynthetic_classes = 3\nsynthetic_per_class = 10\n"
-        f"n_clients = 3\neta = {eta}\nsigma = 0\nrounds = 1\n",
+        f"n_clients = 3\n{keys}\nrounds = 1\n",
     )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

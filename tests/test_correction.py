@@ -11,6 +11,7 @@ import oracle
 from dpfedsim.config import ExperimentConfig
 from dpfedsim.correction import (
     CORRECTION_MODES,
+    cosine_from_products,
     gram,
     plan_round,
     resolve_num_references,
@@ -58,6 +59,15 @@ def test_projection_zero_vector_never_conflicts():
     assert not applied and out is zero
     out, applied = project_if_conflicting(g, zero)
     assert not applied and out is g
+
+
+def test_a_nan_cosine_stays_nan_and_no_conflict():
+    """The clamp to [-1, 1] keeps a NaN cosine NaN, which no sign test
+    reads as a conflict, where min(1, max(-1, x)) made it -1."""
+    cos = cosine_from_products(1.0, 1.0, math.nan)
+    assert math.isnan(cos) and not cos < 0
+    assert cosine_from_products(1.0, 1.0, -1.5) == -1.0
+    assert cosine_from_products(1.0, 1.0, 1.5) == 1.0
 
 
 def test_projection_orthogonality_and_norm_shrink():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dpfedsim.data as data_mod
+import dpfedsim.federation as federation
 from dpfedsim.cli import build_data
 from dpfedsim.config import ExperimentConfig
 from dpfedsim.data import (
@@ -164,7 +165,7 @@ def test_a_run_keeps_of_the_test_set_one_form_and_its_labels(monkeypatch, case):
     converts.  The level matrix the build made is unreachable either way,
     a subsample's source too."""
     path, keys = TEST_SET_FORMS[case]
-    real_features, real_blobs = data_mod.features, data_mod.synthetic_blobs
+    real_features, real_blobs = federation.features, data_mod.synthetic_blobs
     converted, built = [], []
 
     def features(levels, dtype=np.float64):
@@ -176,7 +177,7 @@ def test_a_run_keeps_of_the_test_set_one_form_and_its_labels(monkeypatch, case):
         built.append(weakref.ref(out.X))
         return out
 
-    monkeypatch.setattr(data_mod, "features", features)
+    monkeypatch.setattr(federation, "features", features)
     monkeypatch.setattr(data_mod, "synthetic_blobs", blobs)
     cfg = ExperimentConfig(**keys)
     with pinned_worker() as (_, worker):

@@ -986,6 +986,24 @@ def _fresh_scores(spec, models, X, y):
     return tuple(float(np.mean([s[k] for s in scores])) for k in range(3))
 
 
+def _chunked_test_state(algorithm, n_clients):
+    """(a state, its test set): a 6-50-3 net (D = 503) and 2,100 test rows
+    of 6 features (three evaluation chunks, 50 KB as float32), held as
+    ``held_test_set`` decides: the uploads of 2 clients (8 KB) hold no
+    features, those of 16 (64 KB) do."""
+    rng = np.random.default_rng
+    spec = MlpSpec((6, 50, 3))
+    train = synthetic_blobs(3, 32, 6, 0.3, rng(7))
+    test = synthetic_blobs(3, 700, 6, 0.3, rng(8))
+    cfg = ExperimentConfig(
+        algorithm=algorithm, n_clients=n_clients, rounds=3, local_steps=2,
+        batch_size=4, eta=0.05, sigma=0.5, record_timing=False,
+    )
+    test_X = federation.held_test_set(cfg, spec.num_params, test.X)
+    shards = partition_iid(train, n_clients, rng(9))
+    return init_state(spec, cfg, 3, train, shards, test_X, test.y), test
+
+
 @pytest.mark.parametrize(
     "n_clients, levels", [(2, False), (16, True)], ids=["features", "levels"]
 )
@@ -995,26 +1013,15 @@ def test_each_rounds_scores_are_those_of_freshly_built_features(
 ):
     """On each side of the room rule, every round's accuracy, recall and
     F1 equal those of the round's evaluated models on float32 features
-    built afresh from the test levels.  A 6-50-3 net (D = 503) and 2,100
-    test rows of 6 features (three evaluation chunks, 50 KB as float32):
-    the uploads of 2 clients (8 KB) hold no features, those of 16 (64 KB)
-    do, and the run holds the levels and builds the features there, after
-    dp_scaffold has written new - old into the rows and isolated has read
-    them; isolated evaluates every client's model on those features."""
-    rng = np.random.default_rng
-    spec = MlpSpec((6, 50, 3))
-    train = synthetic_blobs(3, 32, 6, 0.3, rng(7))
-    test = synthetic_blobs(3, 700, 6, 0.3, rng(8))
-    cfg = ExperimentConfig(
-        algorithm=algorithm, n_clients=n_clients, rounds=3, local_steps=2,
-        batch_size=4, eta=0.05, sigma=0.5, record_timing=False,
-    )
-    assert federation.evaluates_in_uploads(cfg, spec.num_params, test.X.shape) == levels
+    built afresh from the test levels (``_chunked_test_state``).  Where
+    the run holds the levels, evaluation builds the features in the spent
+    uploads, after dp_scaffold has written new - old into the rows and
+    isolated has read them; isolated evaluates every client's model on
+    those features."""
+    state, test = _chunked_test_state(algorithm, n_clients)
+    test_X = state.test_X
+    assert (test_X.dtype == np.uint8) == levels
     fresh = features(test.X, np.float32)
-    shards = partition_iid(train, n_clients, rng(9))
-    state = init_state(
-        spec, cfg, 3, train, shards, test.X if levels else fresh, test.y
-    )
     got, want = [], []
     real_round = federation.run_round
 
@@ -1024,50 +1031,69 @@ def test_each_rounds_scores_are_those_of_freshly_built_features(
             (record.test_accuracy, record.test_macro_recall, record.test_macro_f1)
         )
         models = federation._evaluated_models(state)
-        want.append(_fresh_scores(spec, models, fresh, test.y))
+        want.append(_fresh_scores(state.model_spec, models, fresh, test.y))
         return record
 
     monkeypatch.setattr(federation, "run_round", scored)
     run_all_rounds(state)
     assert len(got) == 3
     assert got == want
-    assert state.test_X is (test.X if levels else fresh)
+    assert state.test_X is test_X
+    assert test_X.tobytes() == (test.X if levels else fresh).tobytes()
+
+
+@pytest.mark.parametrize("n_clients", [16, 24])
+def test_a_round_evaluates_every_model_in_one_pass_that_converts_each_chunk_once(
+    monkeypatch, n_clients
+):
+    """Under isolated, where the run holds the levels, each round runs two
+    ``_halves`` passes, its clients' and evaluation's, and ``features_into``
+    once per test chunk, whatever the number of models."""
+    state, _ = _chunked_test_state("isolated", n_clients)
+    assert state.test_X.dtype == np.uint8
+    calls = {"_halves": 0, "features_into": 0}
+    for name in calls:
+        real = getattr(federation, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(federation, name, counted)
+    assert len(run_all_rounds(state)) == 3
+    assert calls == {"_halves": 2 * 3, "features_into": 3 * 3}
 
 
 def test_an_evaluation_in_the_uploads_allocates_less_than_one_test_matrix(
     monkeypatch,
 ):
-    """From the start of the features' build in the spent uploads to the
-    end of evaluation, the traced peak stays under one float32 test matrix
-    (2,000 x 784, 6.3 MB; the uploads of 8 clients at D = 101,770 hold 6.5
-    MB): the float32 weights and a chunk's activations.  A build that made
-    the features beside the uploads holds the whole matrix."""
+    """From the start of evaluation, which builds the features in the
+    spent uploads, to its end, the traced peak stays under one float32
+    test matrix (2,000 x 784, 6.3 MB; the uploads of 8 clients at D =
+    101,770 hold 6.5 MB): each half's float32 weights and a chunk's
+    activations.  A build that made the features beside the uploads holds
+    the whole matrix."""
     state = _benchmark_shape_state("dp_fedavg", 8, test_per_class=200, test_levels=True)
     matrix = state.test_X.size * 4
-    assert federation.evaluates_in_uploads(
-        state.cfg, state.weights.shape[0], state.test_X.shape
-    )
-    starts, peaks = [], []
-    real_build, real_evaluate = federation._features_in_uploads, federation._evaluate
-
-    def build(*args):
-        tracemalloc.reset_peak()
-        starts.append(tracemalloc.get_traced_memory()[0])
-        return real_build(*args)
+    held = federation.held_test_set(state.cfg, state.weights.shape[0], state.test_X)
+    assert held.dtype == np.uint8
+    peaks = []
+    real_evaluate = federation._evaluate
 
     def evaluate(*args):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
         out = real_evaluate(*args)
-        peaks.append(tracemalloc.get_traced_memory()[1] - starts[-1])
+        peaks.append(tracemalloc.get_traced_memory()[1] - start)
         return out
 
-    monkeypatch.setattr(federation, "_features_in_uploads", build)
     monkeypatch.setattr(federation, "_evaluate", evaluate)
     tracemalloc.start()
     try:
         run_one_round(state, 0)
     finally:
         tracemalloc.stop()
-    assert len(starts) == len(peaks) == 1
+    assert len(peaks) == 1
     assert peaks[0] < matrix, peaks[0] / matrix
 
 

@@ -9,11 +9,13 @@ read by the layer it configures, and the README's config table names
 exactly the config keys, each with its default.  Every random stream is
 made by derive_rng and named by four ints, a tag of the one tag table
 last.  Only the commands hold the BLAS pin and the worker thread, and both
-reach a run through one driver.  float32 is named only where the test
-set's features are built, the one input that sets evaluation's width.
+reach a run through one driver.  float32 is named once, in
+``federation``, which alone decides the form of the test set, the one
+input that sets evaluation's width.
 Only the config calls the privacy accountant.  Every mutant of the
 mutation sweep (``tests/mutants.py``) edits text that occurs once in
-``src/``, and names as its killer a test that pytest collects.
+``src/``, and names as its killer a test that pytest collects; the sweep
+copies a tree that is not a git checkout too.
 """
 
 import ast
@@ -28,7 +30,7 @@ import numpy as np
 
 from dpfedsim.config import ExperimentConfig
 from dpfedsim.federation import Stream
-from mutants import LIST_CHECK, MUTANTS, PINS, SURVIVORS
+from mutants import LIST_CHECK, MUTANTS, PINS, SURVIVORS, copy_tree
 from oracle import child_env
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -337,27 +339,24 @@ def _names_float32(node: ast.AST) -> bool:
 def test_float32_is_named_only_where_the_test_features_are_built():
     """The DP step, the uploads, the aggregate, the server step and the
     accountant run in float64; evaluation alone runs at half width, in the
-    dtype of the test features, which ``cli._finish_test_set`` builds
-    before round 0 or ``federation._features_in_uploads`` builds in a
-    round's spent uploads.  So no other function of the package names
-    float32: a float32 anywhere else would narrow a step whose bytes the DP
-    guarantee and the output pins rest on."""
+    dtype of the test features, which ``federation`` builds before round 0
+    (``held_test_set``) or in a round's spent uploads (``_evaluate``).
+    Both read its one constant, the package's single float32: a float32
+    anywhere else would narrow a step whose bytes the DP guarantee and the
+    output pins rest on."""
     named = set()
     for path in PACKAGE.glob("*.py"):
         for top in ast.parse(path.read_text()).body:
             if any(_names_float32(node) for node in ast.walk(top)):
                 named.add((path.name, getattr(top, "name", ast.unparse(top))))
-    assert named == {
-        ("cli.py", "_finish_test_set"),
-        ("federation.py", "_features_in_uploads"),
-    }
+    assert named == {("federation.py", "_EVAL_DTYPE = np.float32")}
 
 
 def test_every_mutants_old_text_occurs_once_in_src():
     """The mutation sweep's list stays applicable: a refactor that moves a
     mutant's text updates ``tests/mutants.py``."""
     sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
-    assert len({m.id for m in MUTANTS}) == len(MUTANTS) == 17
+    assert len({m.id for m in MUTANTS}) == len(MUTANTS) == 18
     for mutant in MUTANTS:
         assert sources[mutant.file].count(mutant.old) == 1, mutant.id
         assert sum(text.count(mutant.old) for text in sources.values()) == 1
@@ -377,3 +376,23 @@ def test_every_mutants_killer_is_a_test_pytest_collects():
     )
     assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
     assert set(killers) <= set(done.stdout.splitlines())
+
+
+def test_the_sweep_copies_a_tree_that_is_not_a_git_checkout(tmp_path):
+    """In a tree with no .git, as ``git archive`` writes one, ``git
+    ls-files`` fails, and ``copy_tree`` copies every file but the caches,
+    .bench_work/ and the sweep's own mutants.json."""
+    kept = ["README.md", "src/dpfedsim/data.py", "tests/mutants.json"]
+    left = [
+        "mutants.json", ".bench_work/n2.cfg", ".pytest_cache/v/x",
+        ".hypothesis/examples/x", "src/dpfedsim/__pycache__/data.pyc",
+    ]
+    tree = tmp_path / "archive"
+    for name in kept + left:
+        (tree / name).parent.mkdir(parents=True, exist_ok=True)
+        (tree / name).write_text(name)
+    dest = tmp_path / "copy"
+    copy_tree(dest, tree)
+    copied = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert copied == sorted(kept)
+    assert all((dest / name).read_text() == name for name in kept)

@@ -369,7 +369,7 @@ def test_build_data_matches_the_oracle_and_builds_the_test_set_on_the_worker(
     worker."""
     classes, per_class, dim, spread = shape
     monkeypatch.setattr(federation, "_new_worker", EXECUTORS[mode])
-    real_blobs, real_features = data_mod.synthetic_blobs, data_mod.features
+    real_blobs, real_features = data_mod.synthetic_blobs, federation.features
     built_on, purposes = [], {}
 
     def derive(*name):
@@ -389,7 +389,7 @@ def test_build_data_matches_the_oracle_and_builds_the_test_set_on_the_worker(
 
     monkeypatch.setattr(cli, "derive_rng", derive)
     monkeypatch.setattr(data_mod, "synthetic_blobs", blobs)
-    monkeypatch.setattr(data_mod, "features", features)
+    monkeypatch.setattr(federation, "features", features)
     cfg = ExperimentConfig(
         synthetic_classes=classes,
         synthetic_per_class=per_class,
@@ -436,16 +436,17 @@ def test_a_failure_in_the_workers_share_of_the_build_stops_run(
 ):
     """The worker builds SMALL's test set (synthetic_blobs) and, with 200
     examples per class, so that the run holds them, its float32 features
-    (features); a raise in either on the worker surfaces from build_data,
-    `run` exits 1 naming it, and no worker is left."""
-    real = getattr(data_mod, share)
+    (``federation.features``); a raise in either on the worker surfaces
+    from build_data, `run` exits 1 naming it, and no worker is left."""
+    module = {"synthetic_blobs": data_mod, "features": federation}[share]
+    real = getattr(module, share)
 
     def fail_on_the_worker(*args):
         if threading.current_thread().name.startswith(WORKER_PREFIX):
             raise ValueError(f"{share} failed on the worker")
         return real(*args)
 
-    monkeypatch.setattr(data_mod, share, fail_on_the_worker)
+    monkeypatch.setattr(module, share, fail_on_the_worker)
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(SMALL.replace("per_class = 20", "per_class = 200"))
     with pytest.raises(ValueError, match=share), pinned_worker() as (_, worker):
