@@ -141,6 +141,12 @@ class ExperimentConfig:
             raise ValueError("prox_mu must be >= 0")
         if self.sigma < 0:
             raise ValueError("sigma: noise_multiplier must be >= 0")
+        charged = self.charged_sigma()  # the accountant divides by its square
+        if self.sigma and not 0 < charged * charged < math.inf:
+            raise ValueError(
+                f"sigma: noise_multiplier = {self.sigma} is out of the accountant's "
+                "range: (sigma / sensitivity)**2 must be a finite float > 0"
+            )
         if self.clip_threshold <= 0:
             raise ValueError("clip_threshold must be > 0")
         if not 0 < self.delta < 1:
@@ -177,9 +183,14 @@ class ExperimentConfig:
                     f"label_split defines {len(groups)} groups "
                     f"but n_clients is {self.n_clients}"
                 )
+        if self.sigma == 0 and 0 < self.epsilon_budget < math.inf:
+            raise ValueError(
+                "epsilon_budget: noise_multiplier must be > 0: "
+                "sigma == 0 has infinite privacy cost"
+            )
         try:
             allowed = self.budget_steps()
-        except ValueError as exc:  # no noise, below the floor or above the cap
+        except ValueError as exc:  # below the floor or above the cap
             raise ValueError(f"epsilon_budget: {exc}") from None
         if allowed is not None and allowed < self.local_steps:
             raise ValueError(

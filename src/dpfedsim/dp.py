@@ -29,12 +29,13 @@ set by the private shard size, so adding an example changes every other
 example's inclusion probability too; the charge at C assumes a fixed rate.
 It is the one known limit of this kind: the server weighs every upload
 1 / P, from public counts only.
-Settings are validated where the config is built; the functions here check
-only what their own arithmetic needs.
+Settings are validated where the config is built; the functions here
+re-check nothing the config checked.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -59,31 +60,12 @@ def poisson_sample(
     if mode == "poisson":
         mask = rng.random(shard_size) < min(1.0, batch_size / shard_size)
         return np.flatnonzero(mask)
-    if mode == "fixed_size":
-        size = min(batch_size, shard_size)
-        return np.sort(rng.choice(shard_size, size=size, replace=False))
-    raise ValueError(f"sampling_mode must be one of {SAMPLING_MODES}, got {mode!r}")
-
-
-def rdp_cost_per_step(noise_multiplier: float, alpha: float) -> float:
-    """Renyi cost of one Gaussian-mechanism step: alpha / (2 sigma^2)."""
-    if not alpha > 1:
-        raise ValueError("alpha must be > 1")
-    if not noise_multiplier > 0:
-        raise ValueError(
-            "noise_multiplier must be > 0: sigma == 0 has infinite privacy cost"
-        )
-    return alpha / (2.0 * noise_multiplier**2)
+    size = min(batch_size, shard_size)
+    return np.sort(rng.choice(shard_size, size=size, replace=False))
 
 
 def rdp_to_dp(rdp: float, alpha: float, delta: float) -> float:
     """Convert a Renyi-DP bound at one order to an (epsilon, delta) bound."""
-    if not alpha > 1:
-        raise ValueError("alpha must be > 1")
-    if not 0 < delta < 1:
-        raise ValueError("delta must be in (0, 1)")
-    if rdp < 0:
-        raise ValueError("rdp must be >= 0")
     return (
         rdp
         + math.log((alpha - 1.0) / alpha)
@@ -94,28 +76,21 @@ def rdp_to_dp(rdp: float, alpha: float, delta: float) -> float:
 def epsilon_spent(steps: int, sigma: float, delta: float) -> tuple[float, float]:
     """(epsilon, best_alpha) after `steps` noisy steps at noise multiplier sigma.
 
-    Minimizes the converted bound over ``DEFAULT_ALPHA_GRID``, which is
-    ascending; ties go to the smaller alpha.
+    A step at order alpha costs alpha / (2 sigma^2).  The converted bound
+    is minimized over ``DEFAULT_ALPHA_GRID``, which is ascending; ties go
+    to the smaller alpha.
     """
-    best_eps = math.inf
-    best_alpha = None
-    for alpha in DEFAULT_ALPHA_GRID:
-        rdp = steps * rdp_cost_per_step(sigma, alpha)
-        eps = rdp_to_dp(rdp, alpha, delta)
-        if eps < best_eps:
-            best_eps = eps
-            best_alpha = alpha
-    return best_eps, best_alpha
+    return min(
+        (rdp_to_dp(steps * (alpha / (2.0 * sigma**2)), alpha, delta), alpha)
+        for alpha in DEFAULT_ALPHA_GRID
+    )
 
 
 def steps_for_budget(sigma: float, delta: float, epsilon_target: float) -> int:
     """Largest noisy-step count whose spent epsilon stays <= epsilon_target.
 
-    Raises ValueError unless sigma > 0, the target is finite (inf is no
-    budget, which has no step count) and the count is at most 2**40.
+    Raises ValueError when no count fits the budget or more than 2**40 do.
     """
-    if not 0 < epsilon_target < math.inf:
-        raise ValueError(f"epsilon_target must be finite and > 0, got {epsilon_target}")
 
     def eps_at(steps: int) -> float:
         return epsilon_spent(steps, sigma, delta)[0]
@@ -133,11 +108,5 @@ def steps_for_budget(sigma: float, delta: float, epsilon_target: float) -> int:
     hi = 1
     while eps_at(hi) <= epsilon_target:
         hi *= 2
-    lo = hi // 2  # eps_at(lo) <= target < eps_at(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if eps_at(mid) <= epsilon_target:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    # eps_at(hi // 2) <= target < eps_at(hi): the count is in [hi // 2, hi)
+    return bisect.bisect_right(range(hi), epsilon_target, lo=hi // 2, key=eps_at) - 1

@@ -215,6 +215,7 @@ def _halves(worker: Executor, fn: Callable[[range], None], n: int) -> None:
         upper.result()
 
 
+@np.errstate(over="ignore", invalid="ignore")  # each step checks its vector
 def client_local_phase(
     train: Dataset,
     rows: np.ndarray,
@@ -425,6 +426,7 @@ def _select_participants(state: ExperimentState, round_index: int) -> list[int]:
     return sorted(int(i) for i in rng.choice(n, size=k, replace=False))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # evaluation checks the models
 def run_round(
     state: ExperimentState, round_index: int, worker: Executor
 ) -> RoundMetrics:

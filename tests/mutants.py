@@ -224,6 +224,15 @@ MUTANTS = (
         "tests/test_federation.py::"
         "test_each_rounds_scores_are_those_of_freshly_built_features[isolated-levels]",
     ),
+    Mutant(
+        "zero_rounds_accepted",
+        "a config no command can run is refused by one line that names its key",
+        "config.py",
+        "if self.rounds < 1:",
+        "if self.rounds < 0:",
+        "tests/test_boundary.py::"
+        "test_every_config_runs_clean_or_is_refused_naming_its_key_or_round[ordinary-run]",
+    ),
 )
 
 # mutant id -> the open ROADMAP item that will kill it

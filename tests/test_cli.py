@@ -259,7 +259,6 @@ def test_missing_config_file_returns_nonzero(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverging_run_returns_nonzero(tmp_path, capsys):
     # eta = 1e300 takes the weights beyond float32's range in round 0, so
     # round 1 would see NaN gradients; the run must stop at round 0's

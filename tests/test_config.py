@@ -167,6 +167,21 @@ def test_budget_is_set_only_between_zero_and_inf():
         ExperimentConfig(epsilon_budget=7.04e12)
 
 
+@pytest.mark.parametrize(
+    "mode, low, high", [("poisson", 1e-162, 2e154), ("fixed_size", 2e-162, 3e154)]
+)
+def test_sigma_whose_charged_square_is_zero_or_inf_is_refused(mode, low, high):
+    """The accountant divides by (sigma / s)**2, s the sensitivity.  Below
+    low that square underflows to 0, and above high it overflows (Python's
+    float ** raises); the config refuses such a sigma and accepts 2 low and
+    high / 2."""
+    for sigma in (low, high):
+        with pytest.raises(ValueError, match=r"^sigma: .* must be a finite float > 0$"):
+            ExperimentConfig(sampling_mode=mode, sigma=sigma)
+    for sigma in (2 * low, high / 2):
+        assert ExperimentConfig(sampling_mode=mode, sigma=sigma).epsilon_after(1)[0] > 0
+
+
 def test_parse_label_split():
     assert parse_label_split("0-4;5-9") == [set(range(5)), set(range(5, 10))]
     assert parse_label_split("0,2;1,3-5") == [{0, 2}, {1, 3, 4, 5}]

@@ -9,7 +9,6 @@ from dpfedsim.dp import (
     DEFAULT_ALPHA_GRID,
     epsilon_spent,
     poisson_sample,
-    rdp_cost_per_step,
     rdp_to_dp,
     steps_for_budget,
 )
@@ -77,11 +76,6 @@ def test_poisson_sample_poisson_mode_statistics():
     assert abs(np.mean(sizes) - 100) < 10  # ~5 stderr
 
 
-def test_poisson_sample_rejects_an_unknown_mode():
-    with pytest.raises(ValueError, match="sampling_mode"):
-        poisson_sample(10, 5, "bernoulli", np.random.default_rng(0))
-
-
 def test_noisy_batch_gradient_sigma_zero_is_plain_mean():
     batch = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0])]
     rng = np.random.default_rng(0)
@@ -111,28 +105,21 @@ def test_noisy_batch_gradient_noise_scale():
     assert np.std(draws) == pytest.approx(expected, rel=0.02)
 
 
-def test_rdp_cost_per_step():
-    assert rdp_cost_per_step(1.0, 2.0) == 1.0
-    assert rdp_cost_per_step(0.8, 3.0) == pytest.approx(3 / (2 * 0.64))
-    with pytest.raises(ValueError, match="infinite"):
-        rdp_cost_per_step(0.0, 2.0)
-    with pytest.raises(ValueError, match="alpha"):
-        rdp_cost_per_step(1.0, 1.0)
+def test_rdp_cost_per_step(monkeypatch):
+    """One step at order alpha costs alpha / (2 sigma^2): on a one-order
+    grid, epsilon_spent converts steps times that cost."""
+    for sigma, alpha, cost in ((1.0, 2.0, 1.0), (0.8, 3.0, 3 / (2 * 0.64))):
+        monkeypatch.setattr(dp, "DEFAULT_ALPHA_GRID", (alpha,))
+        for steps in (1, 7):
+            eps, best = epsilon_spent(steps, sigma, 1e-5)
+            assert best == alpha
+            assert eps == pytest.approx(rdp_to_dp(steps * cost, alpha, 1e-5))
 
 
 def test_rdp_to_dp_known_values():
     # R=1, alpha=2, delta=1e-5: 1 + ln(1/2) - (ln(1e-5) + ln 2)/1
     assert rdp_to_dp(1.0, 2.0, 1e-5) == pytest.approx(11.126631, abs=1e-6)
     assert rdp_to_dp(1.0, 10.0, 1e-5) == pytest.approx(1.918011, abs=1e-6)
-
-
-def test_rdp_to_dp_validation():
-    with pytest.raises(ValueError):
-        rdp_to_dp(1.0, 1.0, 1e-5)
-    with pytest.raises(ValueError):
-        rdp_to_dp(1.0, 2.0, 0.0)
-    with pytest.raises(ValueError):
-        rdp_to_dp(-0.5, 2.0, 1e-5)
 
 
 def test_default_alpha_grid():
@@ -166,11 +153,17 @@ def test_epsilon_tie_goes_to_smaller_alpha(monkeypatch):
     monkeypatch.setattr(dp, "DEFAULT_ALPHA_GRID", (2.0, 2.0, 3.0))
     eps, alpha = epsilon_spent(5, 0.8, delta)
     assert alpha in (2.0, 3.0)
-    two = rdp_to_dp(5 * rdp_cost_per_step(0.8, 2.0), 2.0, delta)
-    three = rdp_to_dp(5 * rdp_cost_per_step(0.8, 3.0), 3.0, delta)
+    two = rdp_to_dp(5 * (2.0 / (2.0 * 0.8**2)), 2.0, delta)
+    three = rdp_to_dp(5 * (3.0 / (2.0 * 0.8**2)), 3.0, delta)
     assert eps == min(two, three)
     if two == three:
         assert alpha == 2.0
+
+
+def test_a_cost_past_the_float_range_spends_inf_at_the_smallest_alpha():
+    """At sigma = 1e-160 a step's cost alpha / (2 sigma^2) is inf at every
+    order; they all tie, so the smallest is reported."""
+    assert epsilon_spent(1, 1e-160, 1e-5) == (math.inf, 1.5)
 
 
 def test_steps_for_budget_round_trip():
@@ -239,12 +232,6 @@ def test_accountant_bounds_the_exact_composed_gaussian(sigma, delta, s):
         budget = steps_for_budget(sigma / s, delta, target)
         assert budget >= steps
         assert _exact_delta(target, budget, sigma, s) <= delta, (steps, budget)
-
-
-@pytest.mark.parametrize("target", [math.inf, math.nan, 0.0])
-def test_steps_for_budget_rejects_a_target_that_is_no_budget(target):
-    with pytest.raises(ValueError, match="epsilon_target must be finite and > 0"):
-        steps_for_budget(0.8, 1e-5, target)
 
 
 def test_dp_config_validation_messages():

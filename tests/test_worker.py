@@ -138,7 +138,6 @@ def test_normal_run_leaves_no_worker_and_restores_the_blas_threads(two_blas_thre
     assert _worker_threads() == []
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_failing_run_leaves_no_worker_and_restores_the_blas_threads(two_blas_threads):
     state = make_state(batch_size=60, sigma=0.5)  # every step takes row 0
     poison_first_example(state, 1, np.nan)
@@ -165,7 +164,6 @@ def test_worker_failure_reaches_the_run(two_blas_threads, monkeypatch):
     assert _worker_threads() == []
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("executor", ["inline", "worker", "delayed"])
 @pytest.mark.parametrize("poisoned, named", [((1, 3), 1), ((3,), 3)])
 def test_the_lowest_failing_client_is_named_whichever_half_fails(
@@ -204,7 +202,6 @@ def test_pin_nests_and_restores_each_level(two_blas_threads):
     assert two_blas_threads() == 2
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverging_run_exits_1_naming_the_client_without_hanging(tmp_path):
     """The worker thread must not keep the process alive after an error."""
     cfg = tmp_path / "exp.cfg"
