@@ -134,8 +134,7 @@ def plan_round(
     without projections alpha equals weights exactly.
     """
     n = len(weights)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        g = gram(uploads)
+    g = gram(uploads)
     if not np.isfinite(g).all():
         raise ValueError("Gram matrix of the uploads not finite")
     report = CorrectionReport()

@@ -11,9 +11,7 @@ its upload; U is freed before evaluation, or at the round's end where
 evaluation builds the test features in it (below).  The upload is the only
 per-client vector the server reads.  A client builds its first step in
 its row and its other D-length vectors in a workspace it allocates once
-(``client_local_phase``), so no step allocates one; under dp_fedprox a
-step's prox shift is built in the step's own vector, which the kernel
-reads it from before the step is built there.  A client's K local
+(``client_local_phase``), so no step allocates one.  A client's K local
 steps w <- w - eta * noisy_k end at start - K eta * upload, so isolated stores
 that as the client's model, and dp_scaffold's option-II update
 c_i <- c_i - c + (start - w_K) / (K eta) adds the upload itself.  The
@@ -63,10 +61,16 @@ ended.  Under the pin a matrix product's bytes do not depend on which
 thread runs it, so the output bytes are the same with the worker, without
 it, and under any timing.  Every task of a round is submitted after the
 round starts and has ended when the round returns.
+
+A round's floating-point policy is one ``np.errstate``, on ``run_round``,
+which ``_halves`` carries to the worker: numpy ignores overflow and
+invalid, and each producer (a client step, the Gram, the cast, the
+logits) checks its output and raises ValueError.
 """
 
 from __future__ import annotations
 
+import contextvars
 import enum
 import hashlib
 import math
@@ -197,12 +201,13 @@ def pinned_worker() -> Iterator[tuple[bool, Executor]]:
 
 
 def _halves(worker: Executor, fn: Callable[[range], None], n: int) -> None:
-    """Run fn(range(h, n)) on the worker and fn(range(h)) here, h = ceil(n / 2);
-    this thread runs the upper half too if the worker has not started it.
+    """Run fn(range(h)) here and fn(range(h, n)) on the worker, in a copy of
+    this thread's context, h = ceil(n / 2); this thread runs the upper half
+    too if the worker has not started it.
     Both halves have ended when this returns or raises, and if both fail
     the lower half's error is raised."""
     h = (n + 1) // 2
-    upper = worker.submit(fn, range(h, n))
+    upper = worker.submit(contextvars.copy_context().run, fn, range(h, n))
     try:
         fn(range(h))
     except BaseException:
@@ -215,7 +220,6 @@ def _halves(worker: Executor, fn: Callable[[range], None], n: int) -> None:
         upper.result()
 
 
-@np.errstate(over="ignore", invalid="ignore")  # each step checks its vector
 def client_local_phase(
     train: Dataset,
     rows: np.ndarray,
@@ -248,8 +252,8 @@ def client_local_phase(
     a zero shift adds nothing to the norms or the sum.  dp_scaffold adds
     the control-variate shift server - client, from ``scaffold_variates``
     = (server, client), after noising.  No local model is built after the
-    last step.  A non-finite per-sample gradient norm or step gradient
-    raises ValueError (``run_round`` names the client).
+    last step.  A non-finite per-sample gradient norm or step vector
+    raises ValueError.
 
     The upload is the mean of the K step vectors.  The first is built in
     the upload row itself, so the row is written once; each later one is
@@ -332,8 +336,11 @@ def server_step(
     eta_g = cfg.eta
     if cfg.algorithm == "dp_fedexp":
         # N + 1 einsum dots, not the whole Gram's N(N+1)/2; fsum is exact,
-        # so order is immaterial
-        sum_sq = math.fsum(float(np.einsum("d,d->", g, g)) for g in uploads)
+        # so order is immaterial, and it raises on finite terms past the range
+        try:
+            sum_sq = math.fsum(float(np.einsum("d,d->", g, g)) for g in uploads)
+        except OverflowError:
+            sum_sq = math.inf
         sq_mean = float(np.einsum("d,d->", aggregated, aggregated))
         denom = 2.0 * len(uploads) * sq_mean + _FEDEXP_EPS
         eta_g = cfg.eta * max(1.0, sum_sq / denom)
@@ -359,7 +366,6 @@ def _evaluate(
     state: ExperimentState,
     spent: np.ndarray | None,
     models: list[ParamVector],
-    round_index: int,
     worker: Executor,
 ) -> tuple[float, float, float]:
     """The means over models of (accuracy, macro recall, macro F1), from
@@ -367,7 +373,7 @@ def _evaluate(
     worker and this thread (``_halves``).  Given spent U, a half builds
     its chunks' features in their rows of U, then predicts them with each
     model in turn, cast into the half's buffer.  Weights not finite once
-    cast, or logits they overflow, raise ValueError naming the round."""
+    cast, or logits they overflow, raise ValueError."""
     spec, held = state.model_spec, state.test_X
     test_X = held
     if spent is not None:
@@ -384,17 +390,13 @@ def _evaluate(
             for rows in half:
                 features_into(held[rows], test_X[rows])
         for m, w in enumerate(models):
-            with np.errstate(over="ignore", invalid="ignore"):  # checked below
-                np.copyto(w_eval, w, casting="same_kind")
+            np.copyto(w_eval, w, casting="same_kind")
             if not (math.isfinite(w_eval.min()) and math.isfinite(w_eval.max())):
                 raise ValueError(f"weights not finite in {test_X.dtype}")
             for rows in half:
                 preds[m, rows] = model_mod.predict(spec, w_eval, test_X[rows])
 
-    try:
-        _halves(worker, predict, len(starts))
-    except ValueError as exc:  # the cast's, or model.predict's (logits)
-        raise ValueError(f"round {round_index}: {exc}") from None
+    _halves(worker, predict, len(starts))
     cms = (metrics_mod.accumulate(p, state.test_y, spec.num_classes) for p in preds)
     scores = [metrics_mod.scores(cm) for cm in cms]
     return tuple(float(np.mean([s[k] for s in scores])) for k in range(3))
@@ -426,7 +428,7 @@ def _select_participants(state: ExperimentState, round_index: int) -> list[int]:
     return sorted(int(i) for i in rng.choice(n, size=k, replace=False))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # evaluation checks the models
+@np.errstate(over="ignore", invalid="ignore")
 def run_round(
     state: ExperimentState, round_index: int, worker: Executor
 ) -> RoundMetrics:
@@ -473,47 +475,47 @@ def run_round(
     _halves(worker, run_clients, len(participants))
 
     report = None
-    if cfg.algorithm == "isolated":
-        scale = -cfg.eta * cfg.local_steps  # the K steps' move per unit upload
-        for p, cid in enumerate(participants):
-            # a new vector: the old model may be a caller's start array
-            state.client_models[cid] = state.client_models[cid] + scale * uploads[p]
-    else:
-        alpha = [1.0 / len(participants)] * len(participants)
-        if cfg.algorithm == "gcfl" and len(participants) > 1:
-            try:
+    try:
+        if cfg.algorithm == "isolated":
+            scale = -cfg.eta * cfg.local_steps  # the K steps' move per unit upload
+            for p, cid in enumerate(participants):
+                # a new vector: the old model may be a caller's start array
+                state.client_models[cid] = state.client_models[cid] + scale * uploads[p]
+        else:
+            alpha = [1.0 / len(participants)] * len(participants)
+            if cfg.algorithm == "gcfl" and len(participants) > 1:
                 alpha, report = plan_round(
                     uploads, alpha, cfg.correction_mode, cfg.num_references,
                     derive_rng(state.seed, round_index, 0, Stream.CORRECTION),
                 )
-            except ValueError as exc:  # the Gram matrix is not finite
-                raise ValueError(f"round {round_index}: {exc}") from None
-        aggregated = weighted_sum(uploads, alpha)
-        # the new weights are written into the aggregate, the round's one
-        # server-side D-vector
-        state.weights = server_step(state.weights, aggregated, cfg, uploads)
+            aggregated = weighted_sum(uploads, alpha)
+            # the new weights are written into the aggregate, the round's one
+            # server-side D-vector
+            state.weights = server_step(state.weights, aggregated, cfg, uploads)
 
-        if cfg.algorithm == "dp_scaffold":
-            # the server variate moves by (1 / n) sum of every participant's
-            # new - old, summed in row order; row p is read for the last
-            # time here, so it takes new - old
-            scaffold = state.scaffold
-            for p, cid in enumerate(participants):
-                old = scaffold.client_variates[cid]
-                new = old - scaffold.server_variate
-                new += uploads[p]
-                np.subtract(new, old, out=uploads[p])
-                scaffold.client_variates[cid] = new
-            move = weighted_sum(uploads, [1.0 / cfg.n_clients] * len(participants))
-            move += scaffold.server_variate
-            scaffold.server_variate = move
+            if cfg.algorithm == "dp_scaffold":
+                # the server variate moves by (1 / n) sum of every participant's
+                # new - old, summed in row order; row p is read for the last
+                # time here, so it takes new - old
+                scaffold = state.scaffold
+                for p, cid in enumerate(participants):
+                    old = scaffold.client_variates[cid]
+                    new = old - scaffold.server_variate
+                    new += uploads[p]
+                    np.subtract(new, old, out=uploads[p])
+                    scaffold.client_variates[cid] = new
+                move = weighted_sum(uploads, [1.0 / cfg.n_clients] * len(participants))
+                move += scaffold.server_variate
+                scaffold.server_variate = move
 
-    # metrics; U is read for the last time above
-    spent = uploads if state.test_X.dtype == np.uint8 else None
-    del uploads  # frees U now unless evaluation builds the features in it
-    train_loss = float(np.mean(losses))
-    models = _evaluated_models(state)
-    acc, rec, f1 = _evaluate(state, spent, models, round_index, worker)
+        # metrics; U is read for the last time above
+        spent = uploads if state.test_X.dtype == np.uint8 else None
+        del uploads  # frees U now unless evaluation builds the features in it
+        train_loss = float(np.mean(losses))
+        models = _evaluated_models(state)
+        acc, rec, f1 = _evaluate(state, spent, models, worker)
+    except ValueError as exc:
+        raise ValueError(f"round {round_index}: {exc}") from None
 
     eps = cfg.epsilon_after(round_index + 1)[0]
     wall = (

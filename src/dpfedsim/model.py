@@ -106,10 +106,8 @@ def predict(spec: MlpSpec, w: np.ndarray, X: np.ndarray) -> np.ndarray:
     """The class of each row of the (n, input_dim) matrix X: the argmax of
     the last layer's logits (no softmax), the lowest class on a tie, from a
     forward pass in the float dtype of X and w, which agree.  Logits that
-    overflow the dtype raise ValueError, with no numpy warning on the
-    calling thread."""
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        logits = _layers(spec, w, X)[1]
+    overflow the dtype raise ValueError."""
+    logits = _layers(spec, w, X)[1]
     if not np.isfinite(logits).all():
         raise ValueError(f"logits not finite in {X.dtype}")
     return np.argmax(logits, axis=1)

@@ -233,6 +233,15 @@ MUTANTS = (
         "tests/test_boundary.py::"
         "test_every_config_runs_clean_or_is_refused_naming_its_key_or_round[ordinary-run]",
     ),
+    Mutant(
+        "worker_half_outside_the_policy",
+        "a round's floating-point policy holds on the worker's half too",
+        "federation.py",
+        "worker.submit(contextvars.copy_context().run, fn, range(h, n))",
+        "worker.submit(fn, range(h, n))",
+        "tests/test_worker.py::"
+        "test_the_workers_half_runs_under_the_callers_floating_point_policy[worker]",
+    ),
 )
 
 # mutant id -> the open ROADMAP item that will kill it

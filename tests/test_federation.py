@@ -189,6 +189,20 @@ def test_fedexp_boosts_step_on_disagreement():
     assert np.linalg.norm(stepped) > np.linalg.norm(plain)
 
 
+def test_fedexp_step_past_the_float_range_is_not_finite():
+    """Each row's squared norm, about 1.2e308, is finite, but their sum is
+    not: math.fsum raises OverflowError there, so the step takes the sum
+    as inf.  The aggregate is small and finite, so eta_g is infinite and
+    the weights it returns are not finite, for evaluation to refuse."""
+    cfg = ExperimentConfig(algorithm="dp_fedexp", eta=0.1)
+    rows = np.array([[7.7e153, 7.7e153], [-7.6e153, -7.6e153]])
+    agg = weighted_sum(rows, [0.5, 0.5])
+    sq_norms = np.einsum("pd,pd->p", rows, rows)
+    assert np.isfinite(agg).all() and np.isfinite(sq_norms).all()
+    stepped = server_step(np.zeros(2), agg, cfg, rows)
+    assert not np.isfinite(stepped).any()
+
+
 def test_aggregate_is_the_weighted_sum():
     grads = {0: np.array([1.0, 0.0]), 1: np.array([0.0, 2.0])}
     out = aggregate(grads, {0: 0.25, 1: 0.75})

@@ -327,13 +327,25 @@ _FLOAT32 = {"float32", "single", "f4", "<f4", "=f4"}
 assert all(np.dtype(name) == np.float32 for name in _FLOAT32)
 
 
-def _names_float32(node: ast.AST) -> bool:
-    """A float32 name, bare or as an attribute, or a float32 dtype string."""
+def _names(node: ast.AST, names: set[str]) -> bool:
+    """One of names, bare or as an attribute, or as a string constant."""
     return (
-        (isinstance(node, ast.Name) and node.id in _FLOAT32)
-        or (isinstance(node, ast.Attribute) and node.attr in _FLOAT32)
-        or (isinstance(node, ast.Constant) and node.value in _FLOAT32)
+        (isinstance(node, ast.Name) and node.id in names)
+        or (isinstance(node, ast.Attribute) and node.attr in names)
+        or (isinstance(node, ast.Constant) and node.value in names)
     )
+
+
+def _tops_naming(names: set[str]) -> list[tuple[str, str]]:
+    """(file, top-level statement) of src/dpfedsim, once per node naming
+    one of names; a statement is shown by its name, or else its text."""
+    return [
+        (path.name, getattr(top, "name", ast.unparse(top)))
+        for path in sorted(PACKAGE.glob("*.py"))
+        for top in ast.parse(path.read_text()).body
+        for node in ast.walk(top)
+        if _names(node, names)
+    ]
 
 
 def test_float32_is_named_only_where_the_test_features_are_built():
@@ -344,19 +356,23 @@ def test_float32_is_named_only_where_the_test_features_are_built():
     Both read its one constant, the package's single float32: a float32
     anywhere else would narrow a step whose bytes the DP guarantee and the
     output pins rest on."""
-    named = set()
-    for path in PACKAGE.glob("*.py"):
-        for top in ast.parse(path.read_text()).body:
-            if any(_names_float32(node) for node in ast.walk(top)):
-                named.add((path.name, getattr(top, "name", ast.unparse(top))))
+    named = set(_tops_naming(_FLOAT32))
     assert named == {("federation.py", "_EVAL_DTYPE = np.float32")}
+
+
+def test_errstate_is_named_once_on_run_round():
+    """A round's floating-point policy is set in one place: ``run_round``'s
+    ``np.errstate``, which ``_halves`` carries to the worker's half.  The
+    layers below check their outputs and set no policy of their own, so a
+    second ``errstate`` would be a second policy for part of a round."""
+    assert _tops_naming({"errstate"}) == [("federation.py", "run_round")]
 
 
 def test_every_mutants_old_text_occurs_once_in_src():
     """The mutation sweep's list stays applicable: a refactor that moves a
     mutant's text updates ``tests/mutants.py``."""
     sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
-    assert len({m.id for m in MUTANTS}) == len(MUTANTS) == 19
+    assert len({m.id for m in MUTANTS}) == len(MUTANTS) == 20
     for mutant in MUTANTS:
         assert sources[mutant.file].count(mutant.old) == 1, mutant.id
         assert sum(text.count(mutant.old) for text in sources.values()) == 1

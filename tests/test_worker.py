@@ -22,6 +22,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
@@ -280,6 +281,38 @@ EXECUTORS = {
     "worker": federation._new_worker,
     "delayed": lambda: SleepyExecutor(seed=13),
 }
+
+
+@pytest.mark.parametrize("mode", EXECUTORS)
+def test_the_workers_half_runs_under_the_callers_floating_point_policy(mode):
+    """A round's floating-point policy is set once, by ``run_round``'s
+    ``np.errstate``: numpy keeps that state in a context variable, and
+    ``_halves`` runs the worker's half in a copy of the calling thread's
+    context.  So a half that overflows and then takes inf - inf warns
+    nothing on either thread.  The lower half waits until the upper half
+    has started, so a worker thread, not this one, runs the upper half."""
+    seen, upper_started = {}, threading.Event()
+
+    def half(part: range) -> None:
+        if part.start:
+            upper_started.set()
+        else:
+            assert upper_started.wait(timeout=60)
+        seen[part.start] = (np.geterr()["over"], np.geterr()["invalid"])
+        x = np.full(2, 1e300)
+        x *= x  # overflow
+        x -= x  # invalid
+
+    worker = EXECUTORS[mode]()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with np.errstate(over="ignore", invalid="ignore"):
+                federation._halves(worker, half, 2)
+    finally:
+        worker.shutdown(wait=True)
+    assert [str(w.message) for w in caught] == []
+    assert seen == {0: ("ignore", "ignore"), 1: ("ignore", "ignore")}
 
 
 def _bytes(ds):
