@@ -53,14 +53,13 @@ A command owns one worker thread and one BLAS pin to one thread
 (``pinned_worker``), held from its first data build to its last run.  Each
 run shares work with that worker one way (``_halves``): the worker takes
 the upper half of a round's participants, or of evaluation's test chunks,
-and the calling thread takes the lower half, and the upper half too if
-the worker has not started it.  A client draws from its own streams and
-writes only its own row of U; it reads only state that nothing writes
-during the client phase, and the server reads U once both halves have
-ended.  Under the pin a matrix product's bytes do not depend on which
-thread runs it, so the output bytes are the same with the worker, without
-it, and under any timing.  Every task of a round is submitted after the
-round starts and has ended when the round returns.
+and the calling thread takes the lower half.  A client draws from its
+own streams and writes only its own row of U; it reads only state that
+nothing writes during the client phase, and the server reads U once both
+halves have ended.  Under the pin a matrix product's bytes do not depend
+on which thread runs it, so the output bytes are the same with the
+worker, without it, and under any timing.  Every task of a round is
+submitted after the round starts and has ended when the round returns.
 
 A round's floating-point policy is one ``np.errstate``, on ``run_round``,
 which ``_halves`` carries to the worker: numpy ignores overflow and
@@ -81,6 +80,7 @@ from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
+from weakref import proxy
 
 import numpy as np
 
@@ -203,11 +203,13 @@ def pinned_worker() -> Iterator[tuple[bool, Executor]]:
 def _halves(worker: Executor, fn: Callable[[range], None], n: int) -> None:
     """Run fn(range(h)) here and fn(range(h, n)) on the worker, in a copy of
     this thread's context, h = ceil(n / 2); this thread runs the upper half
-    too if the worker has not started it.
+    too if the worker has not started it.  The worker gets a weak proxy of
+    fn: a task it drops late, or a cancelled one, keeps nothing of fn's
+    (a round's U) alive.
     Both halves have ended when this returns or raises, and if both fail
     the lower half's error is raised."""
     h = (n + 1) // 2
-    upper = worker.submit(contextvars.copy_context().run, fn, range(h, n))
+    upper = worker.submit(contextvars.copy_context().run, proxy(fn), range(h, n))
     try:
         fn(range(h))
     except BaseException:
@@ -331,7 +333,7 @@ def server_step(
 
     dp_fedexp scales the step: eta_g = eta * max(1, sum_i ||g_i||^2 /
     (2 n ||g_bar||^2 + 1e-3)) with g_i the rows of uploads and g_bar the
-    aggregate; every other algorithm uses eta_g = eta.
+    aggregate, and NaN for a NaN ratio; every other algorithm uses eta.
     """
     eta_g = cfg.eta
     if cfg.algorithm == "dp_fedexp":
@@ -343,7 +345,7 @@ def server_step(
             sum_sq = math.inf
         sq_mean = float(np.einsum("d,d->", aggregated, aggregated))
         denom = 2.0 * len(uploads) * sq_mean + _FEDEXP_EPS
-        eta_g = cfg.eta * max(1.0, sum_sq / denom)
+        eta_g = cfg.eta * max(sum_sq / denom, 1.0)
     aggregated *= -eta_g
     aggregated += w  # w + (-eta_g * aggregate)
     return aggregated
@@ -438,10 +440,8 @@ def run_round(
     cfg = state.cfg
     participants = _select_participants(state, round_index)
 
-    # row p is the upload of participants[p], ascending client id; each
-    # client overwrites only its own row and losses[p].  A new U each
-    # round: freeing it lifts glibc's mmap and trim thresholds above a
-    # D-vector, so the clients' workspaces keep their pages
+    # a new U each round: freeing it lifts glibc's mmap and trim
+    # thresholds above a D-vector, so the clients' workspaces keep their pages
     uploads = np.empty((len(participants), state.weights.shape[0]))
     losses = np.empty(len(participants))
 

@@ -162,7 +162,7 @@ MUTANTS = (
         "model.py",
         "scale = clip_threshold / np.maximum(np.sqrt(sq_norms), clip_threshold)",
         "scale = 2 * clip_threshold / np.maximum(np.sqrt(sq_norms), 2 * clip_threshold)",
-        "tests/test_dp_kernel.py::test_kernel_matches_oracle",
+        "tests/test_acceptance.py::test_criterion_01_clipping_bound",
     ),
     Mutant(
         "norm_without_bias_term",
@@ -170,7 +170,7 @@ MUTANTS = (
         "model.py",
         "(_row_dots(a, a) + 1.0) * _row_dots(d, d)",
         "_row_dots(a, a) * _row_dots(d, d)",
-        "tests/test_dp_kernel.py::test_kernel_matches_oracle",
+        "tests/test_acceptance.py::test_criterion_01_clipping_bound",
     ),
     Mutant(
         "norm_without_prox_cross_term",
@@ -237,8 +237,8 @@ MUTANTS = (
         "worker_half_outside_the_policy",
         "a round's floating-point policy holds on the worker's half too",
         "federation.py",
-        "worker.submit(contextvars.copy_context().run, fn, range(h, n))",
-        "worker.submit(fn, range(h, n))",
+        "worker.submit(contextvars.copy_context().run, proxy(fn), range(h, n))",
+        "worker.submit(proxy(fn), range(h, n))",
         "tests/test_worker.py::"
         "test_the_workers_half_runs_under_the_callers_floating_point_policy[worker]",
     ),

@@ -1,16 +1,16 @@
 """Reference implementations the package replaced, and helpers only tests call.
 
 Tests compare the package's kernels against the slow, obvious form of the
-same arithmetic: ``logits_batch`` and ``forward_batch`` are the float64
-forward pass, which the package runs once per call of ``model.predict``,
-in its features' dtype (float32 on a run's test set), and of
-``model.clipped_gradient_sum``, in float64; ``scale_add`` builds a + c b
-as a new vector, where the server step writes into the aggregate;
-``dot`` accumulates strictly left to right; ``loss_and_gradient`` and
-``clip_gradient`` take one sample at a time where
-``model.clipped_gradient_sum`` builds no per-sample gradient.
+same arithmetic.  ``logits_batch`` is the float64 forward pass, which
+``model.predict`` runs in its features' dtype (float32 on a run's test
+set).  ``loss_and_gradient`` and ``clip_gradient`` take one sample at a
+time where ``model.clipped_gradient_sum`` builds no per-sample gradient.
 ``noisy_batch_gradient`` forms a step's noisy mean in one call, where a
-client builds the same bytes in the noise vector it draws.
+client builds the same bytes in the noise vector it draws.  ``dot``
+accumulates strictly left to right, ``l2_norm`` and ``cosine`` read it,
+and ``scale_add`` builds a + c b as a new vector, where the server step
+writes into the aggregate; ``project_if_conflicting`` projects one
+vector off another with them.
 ``stack`` turns a dict of uploads into the round's (N, D) upload array,
 row p holding the upload of the p-th smallest client id.
 ``correct_round`` materialises the projections of ``correction.plan_round``
@@ -76,11 +76,6 @@ def child_env(*, tests: bool = False, **variables: str) -> dict[str, str]:
     return env
 
 
-def as_vector(values) -> ParamVector:
-    """Coerce a flat sequence to a 1-D float64 array."""
-    return np.asarray(values, dtype=np.float64)
-
-
 def scale_add(a: ParamVector, c: float, b: ParamVector) -> ParamVector:
     """Return a + c*b as a new vector; inputs are left untouched."""
     return a + c * b
@@ -141,29 +136,6 @@ def logits_batch(spec: MlpSpec, w: ParamVector, features: np.ndarray) -> np.ndar
     return h @ weight + bias
 
 
-def forward_batch(spec: MlpSpec, w: ParamVector, features: np.ndarray) -> np.ndarray:
-    """Class probabilities for a (n, input_dim) batch in float64; rows sum to 1."""
-    return _softmax_rows(logits_batch(spec, w, features))
-
-
-def forward(spec: MlpSpec, w: ParamVector, features: np.ndarray) -> np.ndarray:
-    """Class probabilities for a single example (1-D feature vector)."""
-    return forward_batch(spec, w, features)[0]
-
-
-def predict(spec: MlpSpec, w: ParamVector, features: np.ndarray) -> int:
-    """Argmax class; ties resolve to the lowest index (np.argmax semantics)."""
-    return int(np.argmax(forward(spec, w, features)))
-
-
-def loss(spec: MlpSpec, w: ParamVector, features: np.ndarray, labels) -> float:
-    """Mean cross-entropy -log p[label] over a nonempty batch."""
-    labs = np.asarray(labels, dtype=np.int64).reshape(-1)
-    probs = forward_batch(spec, w, features)
-    picked = np.maximum(probs[np.arange(labs.size), labs], _PROB_FLOOR)
-    return float(np.add.accumulate(-np.log(picked))[-1] / labs.size)
-
-
 def loss_and_gradient(
     spec: MlpSpec, w: ParamVector, features: np.ndarray, label: int
 ) -> tuple[float, ParamVector]:
@@ -199,12 +171,6 @@ def loss_and_gradient(
             # relu derivative: the stored activation is already max(z, 0)
             delta = (layers[l][0] @ delta) * (activations[l] > 0.0)
     return loss_value, grad
-
-
-def per_sample_gradient(
-    spec: MlpSpec, w: ParamVector, features: np.ndarray, label: int
-) -> ParamVector:
-    return loss_and_gradient(spec, w, features, label)[1]
 
 
 def clip_gradient(gradient: ParamVector, clip_threshold: float) -> ParamVector:

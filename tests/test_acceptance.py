@@ -21,81 +21,126 @@ import pytest
 
 from dpfedsim.cli import main, run_seeds
 from dpfedsim.config import ExperimentConfig
+from dpfedsim.correction import plan_round
 from dpfedsim.data import features, partition_iid
 from dpfedsim.dp import epsilon_spent, poisson_sample, rdp_to_dp
 from dpfedsim.federation import Stream, client_local_phase, derive_rng, init_state
 from dpfedsim.federation import pinned_worker
+from dpfedsim.linalg import weighted_sum
 from dpfedsim.metrics import accumulate, scores
-from dpfedsim.model import MlpSpec, init_params
-from oracle import (
-    clip_gradient,
-    correct_round,
-    dot,
-    l2_norm,
-    loss,
-    per_sample_gradient,
-    project_if_conflicting,
-    run_all_rounds,
-    synthetic_blobs,
-)
+from dpfedsim.model import MlpSpec, clipped_gradient_sum, init_params
+from oracle import run_all_rounds, synthetic_blobs
+
+
+def _sum(spec, w, X, y, clip, shift=None):
+    """``model.clipped_gradient_sum`` of a batch: (losses, sq_norms, sum),
+    the sum written into a new vector."""
+    return clipped_gradient_sum(spec, w, X, y, clip, shift, np.empty(spec.num_params))
+
+
+def _dot(a, b):
+    """<a, b> summed index by index in long double: with the 64-bit
+    significand of x86-64, its error is about 2^-11 of a float64 sum's; a
+    platform whose long double is float64 gets the ordered float64 sum."""
+    return float(np.dot(a.astype(np.longdouble), b.astype(np.longdouble)))
+
+
+def _norm(v):
+    return math.sqrt(_dot(v, v))
+
+
+def _random_spec(rng):
+    """An MLP of 1-3 hidden layers, every width 1-12, 2-6 classes."""
+    sizes = rng.integers(1, 13, size=int(rng.integers(2, 5)))
+    return MlpSpec((*sizes.tolist(), int(rng.integers(2, 7))))
 
 
 def test_criterion_01_clipping_bound():
-    """1000 random (g, C): norm <= C + 1e-9; sub-threshold bitwise unchanged."""
+    """1000 random one-sample batches through ``model.clipped_gradient_sum``,
+    on random specs with weights and features scaled by 10^[-2, 2] and C
+    in 10^[-3, 3], half of them with a shift in a random direction of norm
+    up to 10C.  The sum is then the sample's clipped gradient: its
+    norm <= C + 1e-9 and <= C (1 + 1e-12), its squared norm finite and
+    >= 0; within C, the sum is bitwise the one at 2C, where nothing clips.
+    A shift that cancels the gradient is not drawn (ROADMAP item 12)."""
     rng = np.random.default_rng(101)
-    worst_excess = -math.inf
-    unchanged_checked = 0
+    worst_excess = worst_ratio = -math.inf
+    unchanged_checked = clipped = 0
     start = time.perf_counter()
     for _ in range(1000):
-        dim = int(rng.integers(1, 200))
-        g = rng.standard_normal(dim) * rng.uniform(0.01, 20)
-        c = rng.uniform(1e-6, 5.0)
-        out = clip_gradient(g, c)
-        worst_excess = max(worst_excess, l2_norm(out) - c)
-        if l2_norm(g) <= c:
-            assert out is g and out.tobytes() == g.tobytes()
+        spec = _random_spec(rng)
+        scale = 10.0 ** rng.uniform(-2, 2)
+        w = rng.standard_normal(spec.num_params) * scale
+        X = rng.standard_normal((1, spec.layer_sizes[0])) * scale
+        y = rng.integers(0, spec.num_classes, 1)
+        c = 10.0 ** rng.uniform(-3, 3)
+        v = None
+        if rng.random() < 0.5:
+            v = rng.standard_normal(spec.num_params)
+            v *= rng.uniform(0, 10) * c / _norm(v)
+        _, sq_norms, out = _sum(spec, w, X, y, c, v)
+        assert np.isfinite(sq_norms).all() and sq_norms[0] >= 0
+        norm = _norm(out)
+        worst_excess = max(worst_excess, norm - c)
+        worst_ratio = max(worst_ratio, norm / c - 1)
+        if sq_norms[0] <= c * c:
+            assert out.tobytes() == _sum(spec, w, X, y, 2 * c, v)[2].tobytes()
             unchanged_checked += 1
+        else:
+            clipped += 1
     elapsed = time.perf_counter() - start
     assert worst_excess <= 1e-9
-    assert unchanged_checked > 0
+    assert worst_ratio <= 1e-12
+    assert unchanged_checked > 0 and clipped > 0
     assert elapsed < 1.0
     print(
-        f"criterion 1 PASS: max norm excess {worst_excess:.3e} <= 1e-9, "
-        f"{unchanged_checked} sub-threshold vectors bitwise unchanged, {elapsed:.2f}s"
+        f"criterion 1 PASS: max norm excess {worst_excess:.3e} <= 1e-9 "
+        f"({worst_ratio:.3e} of C <= 1e-12) over {clipped} clipped samples, "
+        f"{unchanged_checked} within C bitwise unclipped, {elapsed:.2f}s"
     )
 
 
 def test_criterion_02_projection_correctness():
-    """1000 conflicting pairs per dim in {2, 10, 10^4}: post-projection dot
-    within |dot(g_i,g_j)|*1e-12 + 1e-12; aligned pairs bitwise unchanged;
-    antiparallel pair -> exact zero vector."""
+    """1000 conflicting pairs per dim in {2, 10, 10^4} through
+    ``correction.plan_round`` (pairwise) with weights (1, 0), so that
+    ``linalg.weighted_sum`` of the pair by alpha is g_i corrected against
+    g_j: its dot with g_j within |<g_i, g_j>| 1e-12 + 1e-12, its norm
+    within ||g_i|| + 1e-12; an aligned pair keeps its weights bitwise; an
+    antiparallel pair corrects to the exact zero vector."""
     rng = np.random.default_rng(202)
+
+    def corrected(g_i, g_j):
+        uploads = np.stack([g_i, g_j])
+        alpha, report = plan_round(uploads, [1.0, 0.0], "pairwise", 0, rng)
+        return alpha, report, weighted_sum(uploads, alpha)
+
     start = time.perf_counter()
     worst_ratio = 0.0
     for dim in (2, 10, 10_000):
         for _ in range(1000):
             g_j = rng.standard_normal(dim)
             g_i = rng.standard_normal(dim)
-            if dot(g_i, g_j) >= 0:
-                g_i = -g_i
-            if dot(g_i, g_j) >= 0:  # exact zero dot: not a conflict
+            dot = float(g_i @ g_j)
+            if dot >= 0:
+                g_i, dot = -g_i, -dot
+            if dot >= 0:  # exact zero dot: not a conflict
                 continue
-            out, applied = project_if_conflicting(g_i, g_j)
-            assert applied
-            tol = abs(dot(g_i, g_j)) * 1e-12 + 1e-12
-            residual = abs(dot(out, g_j))
+            _, report, out = corrected(g_i, g_j)
+            assert report.projections[0][:2] == (0, 1)
+            tol = abs(dot) * 1e-12 + 1e-12
+            residual = abs(_dot(out, g_j))
             assert residual <= tol
             worst_ratio = max(worst_ratio, residual / tol)
-            assert l2_norm(out) <= l2_norm(g_i) + 1e-12
-    # aligned pair: bitwise identity
+            assert _norm(out) <= _norm(g_i) + 1e-12
+    # aligned pair: the weights bitwise, no projection
     a = rng.standard_normal(10)
-    b = a + rng.standard_normal(10) * 0.01
-    out, applied = project_if_conflicting(a, b)
-    assert not applied and out is a
+    alpha, report, _ = corrected(a, a + rng.standard_normal(10) * 0.01)
+    assert report.projections == []
+    assert np.array(alpha).tobytes() == np.array([1.0, 0.0]).tobytes()
     # antiparallel: exact zero
     g = rng.standard_normal(10)
-    out, applied = project_if_conflicting(-g, g)
-    assert applied
+    _, report, out = corrected(-g, g)
+    assert report.projections
     assert np.all(out == 0.0)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
@@ -106,35 +151,39 @@ def test_criterion_02_projection_correctness():
 
 
 def test_criterion_03_gradient_fidelity():
-    """Analytic per-sample gradients vs central differences (h=1e-5):
-    max relative error <= 1e-4 over 20 random nets/samples."""
-    spec = MlpSpec((6, 5, 3))
+    """The kernel's sum of a one-sample batch, unclipped (C = 1e300, far
+    above its norm, so it scales by exactly 1), vs central differences
+    (h=1e-5) of the kernel's own losses: max relative error <= 1e-4 over
+    20 random nets/samples each of a 6-5-3 and a 5-7-6-4 net."""
     rng = np.random.default_rng(303)
     h = 1e-5
     worst = 0.0
     start = time.perf_counter()
-    for trial in range(20):
-        w = rng.standard_normal(spec.num_params) * 0.5
-        x = rng.random(6)
-        label = int(rng.integers(0, 3))
-        analytic = per_sample_gradient(spec, w, x, label)
-        numeric = np.zeros_like(w)
-        for k in range(w.shape[0]):
-            wp, wm = w.copy(), w.copy()
-            wp[k] += h
-            wm[k] -= h
-            numeric[k] = (
-                loss(spec, wp, x[None, :], [label])
-                - loss(spec, wm, x[None, :], [label])
-            ) / (2 * h)
-        rel = float(np.max(np.abs(analytic - numeric) / (np.abs(numeric) + 1e-4)))
-        worst = max(worst, rel)
+    for spec in (MlpSpec((6, 5, 3)), MlpSpec((5, 7, 6, 4))):
+        n_in = spec.layer_sizes[0]
+        for _ in range(20):
+            w = rng.standard_normal(spec.num_params) * 0.5
+            x = rng.random((1, n_in))
+            label = rng.integers(0, spec.num_classes, 1)
+
+            def loss(params):
+                return _sum(spec, params, x, label, 1e300)[0][0]
+
+            analytic = _sum(spec, w, x, label, 1e300)[2]
+            numeric = np.zeros_like(w)
+            for k in range(w.shape[0]):
+                wp, wm = w.copy(), w.copy()
+                wp[k] += h
+                wm[k] -= h
+                numeric[k] = (loss(wp) - loss(wm)) / (2 * h)
+            rel = float(np.max(np.abs(analytic - numeric) / (np.abs(numeric) + 1e-4)))
+            worst = max(worst, rel)
     elapsed = time.perf_counter() - start
     assert worst <= 1e-4
     assert elapsed < 10.0
     print(
         f"criterion 3 PASS: max relative error {worst:.3e} <= 1e-4 "
-        f"over 20 nets, {elapsed:.2f}s"
+        f"over 40 nets, {elapsed:.2f}s"
     )
 
 
@@ -220,17 +269,19 @@ def test_criterion_05_accountant_matches_high_precision_oracle():
 
 
 def test_criterion_06_cosine_evaluation_count():
-    """Reference mode performs exactly M*(N-M) cosine evaluations per round
-    for every N in 2..8, M in 1..N-1."""
+    """Reference mode (``correction.plan_round``) draws M references and
+    performs exactly M*(N-M) cosine evaluations per round for every N in
+    2..8, M in 1..N-1."""
     rng = np.random.default_rng(606)
     start = time.perf_counter()
     checked = 0
     for n in range(2, 9):
         for m in range(1, n):
-            grads = {i: rng.standard_normal(5) for i in range(n)}
-            _, report = correct_round(
-                grads, "reference", m, np.random.default_rng(n * 100 + m)
+            _, report = plan_round(
+                rng.standard_normal((n, 5)), [1.0 / n] * n, "reference", m,
+                np.random.default_rng(n * 100 + m),
             )
+            assert len(report.references) == m
             assert len(report.cosines) == m * (n - m)
             checked += 1
     elapsed = time.perf_counter() - start

@@ -281,8 +281,12 @@ def test_diverging_run_returns_nonzero(tmp_path, capsys):
             "algorithm = dp_fedexp\nsigma = 1\nclip_threshold = 1.1e154",
             "weights not finite in float32",
         ),
+        (
+            "algorithm = dp_fedexp\neta = 1e-170\nclip_threshold = 1e160",
+            "weights not finite in float32",
+        ),
     ],
-    ids=["1e300", "1e30", "gram", "fsum"],
+    ids=["1e300", "1e30", "gram", "fsum", "fedexp_nan"],
 )
 def test_a_model_beyond_float32_stops_the_run_with_one_error_line(
     tmp_path, capsys, keys, error
@@ -294,7 +298,9 @@ def test_a_model_beyond_float32_stops_the_run_with_one_error_line(
     matrix is not finite, and no NaN cosine of it may count as a conflict.
     At C = 1.1e154 each upload's squared norm is finite but their sum is
     not, so dp_fedexp steps with an infinite sum of squares, whose weights
-    overflow the float32 cast.
+    overflow the float32 cast.  At C = 1e160 under dp_fedexp the sum of
+    squares and the aggregate's squared norm are both inf, so eta_g is
+    NaN, and so are the weights.
     Each run exits 1 with one error line naming the round and the cause:
     no numpy warning escapes, from this thread or the worker, and no score
     of NaN logits is written."""

@@ -12,40 +12,37 @@ from dpfedsim.dp import (
     rdp_to_dp,
     steps_for_budget,
 )
-from oracle import clip_gradient, l2_norm, noisy_batch_gradient
+from dpfedsim.model import MlpSpec, clipped_gradient_sum
+
+
+def _one_sample_sum(clip, shift=None):
+    """``model.clipped_gradient_sum`` of the 1-2 net with zero weights on
+    the sample x = 1 of class 0: probabilities (1/2, 1/2), so its gradient
+    is (-1/2, 1/2) for the weights and again for the biases, of norm 1."""
+    spec = MlpSpec((1, 2))
+    return clipped_gradient_sum(
+        spec, np.zeros(4), np.ones((1, 1)), np.array([0]), clip, shift, np.empty(4)
+    )
 
 
 def test_clip_worked_example():
-    clipped = clip_gradient(np.array([3.0, 4.0]), 1.5)
-    np.testing.assert_allclose(clipped, [0.9, 1.2], rtol=0, atol=1e-15)
-
-
-def test_clip_leaves_small_vectors_bitwise_alone():
-    g = np.array([0.1, -0.2, 0.05])
-    out = clip_gradient(g, 1.5)
-    assert out is g  # same object, same bits
+    losses, sq_norms, clipped = _one_sample_sum(0.5)
+    assert losses[0] == pytest.approx(math.log(2), rel=1e-15)
+    assert sq_norms.tolist() == [1.0]
+    assert clipped.tolist() == [-0.25, 0.25, -0.25, 0.25]
 
 
 def test_clip_zero_vector():
-    g = np.zeros(4)
-    np.testing.assert_array_equal(clip_gradient(g, 1.0), g)
-
-
-def test_clip_property_over_random_inputs():
-    rng = np.random.default_rng(12)
-    for _ in range(1000):
-        dim = int(rng.integers(1, 50))
-        g = rng.standard_normal(dim) * rng.uniform(0.1, 10)
-        c = rng.uniform(1e-3, 5.0)
-        out = clip_gradient(g, c)
-        assert l2_norm(out) <= c + 1e-9
-        if l2_norm(g) <= c:
-            assert out is g
+    """A shift that cancels the gradient exactly: its zero norm scales by 1,
+    not 0 / 0."""
+    _, sq_norms, clipped = _one_sample_sum(1.0, np.array([0.5, -0.5, 0.5, -0.5]))
+    assert sq_norms.tolist() == [0.0]
+    np.testing.assert_array_equal(clipped, np.zeros(4))
 
 
 def test_clip_rejects_bad_threshold():
     """A threshold of 0 is rejected where it enters, by the config; the
-    kernel and the oracle's clip_gradient take the checked value as is."""
+    kernel takes the checked value as is."""
     with pytest.raises(ValueError, match="clip_threshold must be > 0"):
         ExperimentConfig(clip_threshold=0.0)
 
@@ -74,35 +71,6 @@ def test_poisson_sample_poisson_mode_statistics():
     rng = np.random.default_rng(2)
     sizes = [poisson_sample(1000, 100, "poisson", rng).size for _ in range(200)]
     assert abs(np.mean(sizes) - 100) < 10  # ~5 stderr
-
-
-def test_noisy_batch_gradient_sigma_zero_is_plain_mean():
-    batch = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0])]
-    rng = np.random.default_rng(0)
-    out = noisy_batch_gradient(sum(batch), len(batch), 1.5, 0.0, rng)
-    np.testing.assert_array_equal(out, np.array([2.0, 2.0]) / 3)
-
-
-def test_noisy_batch_gradient_of_zero_samples_is_the_noise_over_the_divisor():
-    # an empty batch: its zero sum plus the noise, over the configured divisor
-    out = noisy_batch_gradient(np.zeros(3), 4, 1.5, 0.8, np.random.default_rng(0))
-    z = np.random.default_rng(0).standard_normal(3)
-    np.testing.assert_array_equal(out, z * (0.8 * 1.5) / 4)
-
-
-def test_noisy_batch_gradient_noise_scale():
-    # zero gradients isolate the noise term: stdev should be sigma*C/|S|
-    sigma, c, batch_size = 0.8, 1.5, 4
-    rng = np.random.default_rng(3)
-    batch = [np.zeros(8)] * batch_size
-    draws = np.concatenate(
-        [
-            noisy_batch_gradient(sum(batch), len(batch), c, sigma, rng)
-            for _ in range(4000)
-        ]
-    )
-    expected = sigma * c / batch_size
-    assert np.std(draws) == pytest.approx(expected, rel=0.02)
 
 
 def test_rdp_cost_per_step(monkeypatch):

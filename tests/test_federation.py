@@ -42,8 +42,8 @@ from oracle import (
     child_env,
     correct_round,
     gamma,
+    loss_and_gradient,
     noisy_batch_gradient,
-    per_sample_gradient,
     run_all_rounds,
     run_one_round,
     scale_add,
@@ -133,12 +133,12 @@ def test_local_phase_exact_batch_gradient_when_noise_free():
     )
     total = np.zeros_like(state.weights)
     for i in shard:
-        total = total + per_sample_gradient(
+        total = total + loss_and_gradient(
             state.model_spec,
             state.weights,
             features(train.X[i]),
             train.y[i],
-        )
+        )[1]
     # the whole shard of 30 is the batch, and the divisor is the configured
     # batch_size of 60, a public constant, not the shard size
     assert shard.size < cfg.batch_size
@@ -200,6 +200,20 @@ def test_fedexp_step_past_the_float_range_is_not_finite():
     sq_norms = np.einsum("pd,pd->p", rows, rows)
     assert np.isfinite(agg).all() and np.isfinite(sq_norms).all()
     stepped = server_step(np.zeros(2), agg, cfg, rows)
+    assert not np.isfinite(stepped).any()
+
+
+def test_fedexp_step_of_overflowing_norms_is_not_finite():
+    """Each row's squared norm overflows to inf, and so does the
+    aggregate's, so the ratio of sums is inf / inf = NaN: eta_g is NaN,
+    not eta (a plain FedAvg step), and the weights it returns are not
+    finite, for evaluation to refuse.  The numpy policy is run_round's."""
+    cfg = ExperimentConfig(algorithm="dp_fedexp", eta=0.1)
+    rows = np.full((3, 2), 1e160)
+    agg = weighted_sum(rows, [1 / 3] * 3)
+    assert np.isfinite(agg).all()
+    with np.errstate(over="ignore", invalid="ignore"):
+        stepped = server_step(np.zeros(2), agg, cfg, rows)
     assert not np.isfinite(stepped).any()
 
 
@@ -1112,9 +1126,29 @@ def test_an_evaluation_in_the_uploads_allocates_less_than_one_test_matrix(
 
 
 _FAULTS_CHILD = """
-import json, resource, sys
+import json, resource, sys, time
+from concurrent.futures import Future, ThreadPoolExecutor
 import dpfedsim.federation as fed
 from dpfedsim.cli import main
+
+class LingeringWorker(ThreadPoolExecutor):
+    # one thread, which holds each task 5 ms past its end, cancelled or not
+    def __init__(self):
+        super().__init__(max_workers=1)
+    def submit(self, fn, *args):
+        future = Future()
+        def task():
+            if future.set_running_or_notify_cancel():
+                try:
+                    future.set_result(fn(*args))
+                except BaseException as exc:
+                    future.set_exception(exc)
+            time.sleep(0.005)
+        super().submit(task)
+        return future
+
+if sys.argv[3] == "lingering":
+    fed._new_worker = LingeringWorker
 faults, real = [], fed.run_round
 def counted(*args):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -1127,7 +1161,8 @@ print(json.dumps([code, faults]))
 """
 
 
-def test_rounds_after_the_first_two_take_few_page_faults(tmp_path):
+@pytest.mark.parametrize("worker", ["thread", "lingering"])
+def test_rounds_after_the_first_two_take_few_page_faults(tmp_path, worker):
     """Rounds 2-5 of a 784-128-10 dp_fedprox run with 4 local steps, 8 of
     32 clients a round, take fewer than 400 minor page faults in all,
     counted in a child process around each run_round.  Each round frees
@@ -1135,7 +1170,11 @@ def test_rounds_after_the_first_two_take_few_page_faults(tmp_path):
     mmap and trim thresholds above one D-vector, so from then on the
     clients' workspaces come from the heap and keep their pages.  An
     upload matrix held for the run keeps the thresholds low and costs
-    thousands of faults in every round."""
+    thousands of faults in every round.
+    The lingering worker holds each task 5 ms past its end, as a worker
+    thread descheduled before it drops the task does.  A task that kept a
+    round's upload matrix alive into the next round would put that
+    round's matrix on fresh pages: over 2,000 faults in rounds 2-5."""
     if platform.libc_ver()[0] != "glibc":
         pytest.skip("the mmap and trim thresholds are glibc's")
     cfg = tmp_path / "fedprox.cfg"
@@ -1145,7 +1184,7 @@ def test_rounds_after_the_first_two_take_few_page_faults(tmp_path):
         "sampling_mode = poisson\nalgorithm = dp_fedprox\nrounds = 6\nseeds = 1\n"
     )
     done = subprocess.run(
-        [sys.executable, "-c", _FAULTS_CHILD, str(cfg), str(tmp_path / "out")],
+        [sys.executable, "-c", _FAULTS_CHILD, str(cfg), str(tmp_path / "o"), worker],
         env=child_env(), capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr[-2000:]

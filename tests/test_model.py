@@ -6,24 +6,16 @@ from hypothesis import strategies as st
 from dpfedsim import model
 from dpfedsim.data import features
 from dpfedsim.model import MlpSpec, init_params, unpack
-from oracle import forward, forward_batch, logits_batch, loss, loss_and_gradient
-from oracle import gamma, per_sample_gradient, predict
+from oracle import gamma, logits_batch
 
 SMALL = MlpSpec((6, 5, 3))
 
 
-def finite_difference_gradient(spec, w, x, label, h=1e-5):
-    """Central differences on the scalar loss, one coordinate at a time."""
-    grad = np.zeros_like(w)
-    for k in range(w.shape[0]):
-        wp = w.copy()
-        wp[k] += h
-        wm = w.copy()
-        wm[k] -= h
-        lp = loss(spec, wp, x[None, :], [label])
-        lm = loss(spec, wm, x[None, :], [label])
-        grad[k] = (lp - lm) / (2 * h)
-    return grad
+def kernel_losses(spec, w, X, labels):
+    """The per-sample losses ``model.clipped_gradient_sum`` returns."""
+    return model.clipped_gradient_sum(
+        spec, w, X, np.asarray(labels), 1.0, None, np.empty(spec.num_params)
+    )[0]
 
 
 def test_param_count_mnist_shape():
@@ -70,100 +62,63 @@ def test_init_params_glorot_bounds_and_zero_bias():
 
 
 def test_forward_rows_sum_to_one():
+    """The kernel's losses of one sample under each label are -log of a
+    distribution: the softmax's row, in (0, 1) and summing to 1."""
     rng = np.random.default_rng(0)
     for _ in range(100):
         w = init_params(SMALL, np.random.default_rng(rng.integers(1 << 31)))
         x = rng.random(6)
-        probs = forward(SMALL, w, x)
-        assert probs.shape == (3,)
+        probs = np.exp(-kernel_losses(SMALL, w, np.tile(x, (3, 1)), [0, 1, 2]))
         assert np.all(probs > 0) and np.all(probs < 1)
         assert abs(probs.sum() - 1.0) <= 1e-12
 
 
 def test_forward_handles_extreme_logits():
-    # huge final-layer weights should saturate, not overflow
+    """Logits of +-1000 saturate the softmax, not overflow it: the losses,
+    floored at -log(1e-15), the norms and the sum stay finite."""
     spec = MlpSpec((2, 2))
     w = np.array([1000.0, -1000.0, 0.0, 0.0, 0.0, 0.0])
-    probs = forward(spec, w, np.array([1.0, 0.0]))
-    assert np.isfinite(probs).all()
-    assert probs[0] > 0.999999
+    X = np.array([[1.0, 0.0], [1.0, 0.0]])
+    losses, sq_norms, clipped = model.clipped_gradient_sum(
+        spec, w, X, np.array([0, 1]), 1.0, None, np.empty(6)
+    )
+    assert 0.0 <= losses[0] < 1e-6
+    assert losses[1] == pytest.approx(-np.log(1e-15), rel=1e-15)
+    assert np.isfinite(sq_norms).all() and np.isfinite(clipped).all()
+    assert model.predict(spec, w, X).tolist() == [0, 0]
 
 
 def test_forward_invariant_to_final_bias_shift():
     rng = np.random.default_rng(5)
     w = init_params(SMALL, np.random.default_rng(11))
-    x = rng.random(6)
-    base = forward(SMALL, w, x)
+    X = np.tile(rng.random(6), (3, 1))
+    base = kernel_losses(SMALL, w, X, [0, 1, 2])
     w2 = w.copy()
     layers = unpack(SMALL, w2)
     layers[-1][1][...] += 7.3  # constant shift of every output logit
-    shifted = forward(SMALL, w2, x)
+    shifted = kernel_losses(SMALL, w2, X, [0, 1, 2])
     np.testing.assert_allclose(shifted, base, rtol=0, atol=1e-12)
 
 
-def test_batch_loss_is_mean_of_singles():
+def test_batch_losses_are_those_of_single_rows():
+    # batched and single-row matmuls may dispatch to different BLAS kernels,
+    # so agreement is to tolerance, not bitwise
     rng = np.random.default_rng(2)
     w = init_params(SMALL, np.random.default_rng(8))
     xs = rng.random((7, 6))
     ys = rng.integers(0, 3, size=7)
-    batch = loss(SMALL, w, xs, ys)
-    singles = [loss(SMALL, w, xs[i][None, :], [ys[i]]) for i in range(7)]
-    assert batch == pytest.approx(np.mean(singles), rel=0, abs=1e-12)
-
-
-def test_gradient_matches_finite_differences():
-    rng = np.random.default_rng(42)
-    worst = 0.0
-    for trial in range(20):
-        w = init_params(SMALL, np.random.default_rng(1000 + trial))
-        w += rng.standard_normal(w.shape) * 0.1  # nonzero biases too
-        x = rng.random(6)
-        label = int(rng.integers(0, 3))
-        analytic = per_sample_gradient(SMALL, w, x, label)
-        numeric = finite_difference_gradient(SMALL, w, x, label)
-        rel = np.max(np.abs(analytic - numeric) / (np.abs(numeric) + 1e-4))
-        worst = max(worst, rel)
-    assert worst <= 1e-4
-
-
-def test_loss_and_gradient_consistent_with_loss():
-    w = init_params(SMALL, np.random.default_rng(77))
-    x = np.linspace(0, 1, 6)
-    value, grad = loss_and_gradient(SMALL, w, x, 2)
-    assert value == pytest.approx(loss(SMALL, w, x[None, :], [2]), abs=1e-12)
-    assert grad.shape == w.shape
-    assert np.isfinite(grad).all()
-
-
-def test_predict_breaks_ties_toward_lower_index():
-    # zero weights and biases give uniform probabilities: tie on every class
-    spec = MlpSpec((4, 3))
-    w = np.zeros(spec.num_params)
-    assert predict(spec, w, np.ones(4)) == 0
-
-
-def test_forward_batch_matches_single():
-    # batched and single-row matmuls may dispatch to different BLAS kernels,
-    # so agreement is to tolerance, not bitwise
-    rng = np.random.default_rng(9)
-    w = init_params(SMALL, np.random.default_rng(21))
-    xs = rng.random((5, 6))
-    batch = forward_batch(SMALL, w, xs)
-    for i in range(5):
-        np.testing.assert_allclose(
-            batch[i], forward(SMALL, w, xs[i]), rtol=0, atol=1e-12
+    batch = kernel_losses(SMALL, w, xs, ys)
+    for i in range(7):
+        assert batch[i] == pytest.approx(
+            kernel_losses(SMALL, w, xs[i : i + 1], ys[i : i + 1])[0], rel=0, abs=1e-12
         )
 
 
-def test_deeper_network_gradient_also_matches():
-    spec = MlpSpec((5, 7, 6, 4))
-    rng = np.random.default_rng(31)
-    w = init_params(spec, np.random.default_rng(13))
-    w += rng.standard_normal(spec.num_params) * 0.05
-    x = rng.random(5)
-    analytic = per_sample_gradient(spec, w, x, 1)
-    numeric = finite_difference_gradient(spec, w, x, 1)
-    assert np.max(np.abs(analytic - numeric) / (np.abs(numeric) + 1e-4)) <= 1e-4
+def test_predict_breaks_ties_toward_lower_index():
+    # zero weights and biases give equal logits: a tie on every class
+    spec = MlpSpec((4, 3))
+    w = np.zeros(spec.num_params)
+    assert model.predict(spec, w, np.ones((2, 4))).tolist() == [0, 0]
 
 
 # float32's unit roundoff: a rounded result is x (1 + d) with |d| <= u

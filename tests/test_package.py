@@ -3,7 +3,8 @@
 Every public top-level function and class, and every module-level
 UPPER_CASE constant, in ``src/dpfedsim`` is used in ``src/dpfedsim``: code
 that only tests call lives in ``tests/oracle.py``, not in the package, and
-a constant no package code reads does not survive for tests alone.  Every
+a constant no package code reads does not survive for tests alone; every
+public function of ``tests/oracle.py`` is in turn used by a test.  Every
 dataclass field is read somewhere in the package.  Every config key is
 read by the layer it configures, and the README's config table names
 exactly the config keys, each with its default.  Every random stream is
@@ -80,6 +81,34 @@ def test_every_public_function_and_class_is_used_in_the_package():
                 used.update(alias.name for alias in node.names)
     unused = sorted(name for name in defined if name.split(":")[1] not in used)
     assert unused == []
+
+
+def test_every_public_function_of_the_oracle_is_used_by_a_test():
+    """The mirror of the rule above for ``tests/oracle.py``: each of its
+    public functions and classes is imported from ``oracle``, or read as
+    ``oracle.<name>``, by some ``tests/test_*.py``, so reference code does
+    not outlive the last test that compares the program against it."""
+    tests = ROOT / "tests"
+    tree = ast.parse((tests / "oracle.py").read_text())
+    defined = {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    }
+    assert len(defined) > 15  # the walk found the oracle's functions
+    used = set()
+    for path in tests.glob("test_*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "oracle":
+                used.update(alias.name for alias in node.names)
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "oracle"
+            ):
+                used.add(node.attr)
+    assert sorted(defined - used) == []
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
