@@ -18,9 +18,8 @@ are built on both threads (build_data): the calling thread draws the class
 centers, then builds the whole train set from the train stream; the worker
 builds the whole test set around those centers from its own stream, and
 what the run holds of it, at the same time.  The bytes are those of a
-one-thread build.  A run keeps of the test set only its labels and the form
-``federation.held_test_set`` decides: the features evaluation reads, or
-their levels.
+one-thread build.  A run keeps of the test set only a copy of its uint8
+levels, whose features each round's evaluation builds, and its labels.
 A data stream is ``derive_rng``'s (seed, 0, 0, tag), tag TRAIN (the centers,
 then the train set), TEST, SUB_TRAIN, SUB_TEST or PARTITION.
 """
@@ -44,7 +43,7 @@ import numpy as np
 from . import data as data_mod
 from .config import ExperimentConfig, parse_config, parse_label_split
 from .dp import SENSITIVITY
-from .federation import RoundMetrics, Stream, derive_rng, held_test_set
+from .federation import RoundMetrics, Stream, derive_rng
 from .federation import init_state, pinned_worker, run_experiment, weights_sha256
 from .model import MlpSpec
 
@@ -58,16 +57,17 @@ Run = tuple[list[RoundMetrics], str]
 
 
 def _finish_test_set(
-    cfg: ExperimentConfig, seed: int, test: data_mod.Dataset, spec: MlpSpec
+    cfg: ExperimentConfig, seed: int, test: data_mod.Dataset
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(what the run holds of the levels (``held_test_set``), labels) of
-    the test set, subsampled when configured: all a run keeps of it."""
+    """(a copy of the levels, labels) of the test set, subsampled when
+    configured: all a run keeps of it.  The copy frees the build's levels,
+    which keeps round 0's workspaces' pages (glibc's thresholds rise)."""
     if cfg.subsample_test:
         test = data_mod.subsample(
             test, cfg.subsample_test, derive_rng(seed, 0, 0, Stream.SUB_TEST),
             "subsample_test",
         )
-    return held_test_set(cfg, spec.num_params, test.X), test.y
+    return test.X.copy(), test.y
 
 
 def build_data(
@@ -91,9 +91,9 @@ def build_data(
             # a small train split can simply miss the largest label
             train = data_mod.Dataset(train.X, train.y, test.num_classes)
         spec = MlpSpec(cfg.layer_sizes or (train.feature_dim, 128, train.num_classes))
-        test_X, test_y = _finish_test_set(cfg, seed, test, spec)
+        test_X, test_y = _finish_test_set(cfg, seed, test)
     else:
-        # the worker builds the test set and the run's form of it around the
+        # the worker builds the test set and the run's copy of it around the
         # train stream's centers while this thread builds the train set
         spec = MlpSpec(
             cfg.layer_sizes or (cfg.synthetic_dim, 128, cfg.synthetic_classes)
@@ -110,7 +110,7 @@ def build_data(
                 derive_rng(seed, 0, 0, Stream.TEST),
                 centers,
             )
-            return _finish_test_set(cfg, seed, test, spec)
+            return _finish_test_set(cfg, seed, test)
 
         test_build = worker.submit(build_test)
         try:

@@ -4,8 +4,9 @@ shards, each an int64 array of row indices into the one train set.
 A dataset stores its features as uint8 pixel levels 0-255, the form IDX
 images arrive in; ``features`` turns levels into the values in [0, 1]
 that training, evaluation and fingerprints read, level / 255: float64 for
-training and fingerprints, float32 for the test set that evaluation reads,
-in a new array or written into one (``features_into``).
+training and fingerprints, in a new array, and float32 for the test set
+that evaluation reads, written into the round's spent uploads
+(``features_into``).
 Synthetic blobs are drawn in row chunks through one small float64
 temporary and stored as levels (``synthetic_blobs``), so their build holds
 no float64 matrix of the set's size.  A function that draws is given its
@@ -29,11 +30,10 @@ _FINGERPRINT_ROWS = 1024
 _BLOB_CHUNK_BYTES = 128 * 1024
 
 
-def features(levels: np.ndarray, dtype=np.float64) -> np.ndarray:
-    """Features of uint8 levels: a new array of level / 255, in [0, 1],
-    computed in dtype (float64, or float32 for the test set) by
-    ``features_into``."""
-    return features_into(levels, np.empty(levels.shape, dtype))
+def features(levels: np.ndarray) -> np.ndarray:
+    """Float64 features of uint8 levels: a new array of level / 255, in
+    [0, 1], computed by ``features_into``."""
+    return features_into(levels, np.empty(levels.shape))
 
 
 def features_into(levels: np.ndarray, out: np.ndarray) -> np.ndarray:

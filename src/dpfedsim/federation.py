@@ -7,8 +7,8 @@ between uploads (algorithm "gcfl"), aggregates them, and takes a global step.
 
 The round's uploads are the rows of one (P, D) array U, one row per
 participant in ascending client id; each client overwrites its row with
-its upload; U is freed before evaluation, or at the round's end where
-evaluation builds the test features in it (below).  The upload is the only
+its upload; U is held through evaluation, which builds the test features
+in it (below), and freed at the round's end.  The upload is the only
 per-client vector the server reads.  A client builds its first step in
 its row and its other D-length vectors in a workspace it allocates once
 (``client_local_phase``), so no step allocates one.  A client's K local
@@ -19,10 +19,10 @@ server step writes the new weights into the aggregate.  A client step
 turns its batch's uint8 levels into float64 features (``data.features``);
 the whole DP step runs in float64, and so do the uploads, the Gram, the
 aggregate, the server step and every model the state holds.  Evaluation
-alone runs at half width: it reads the test set's float32 features and
-predicts the argmax of float32 logits (``model.predict``).  This module
-alone decides their form (``held_test_set``): where U has room for them,
-the run holds levels, and each round's evaluation builds them in spent U.
+alone runs at half width: it predicts the argmax of float32 logits
+(``model.predict``) from the test set's float32 features.  A run holds
+the test set only as uint8 levels, and each round's evaluation builds
+those features chunk by chunk in spent U (``_evaluate``).
 
 A client id indexes the run's lists of shards (row-index arrays into the
 one train set), per-client models and variates.  The server step speaks
@@ -138,7 +138,7 @@ class ExperimentState:
     seed: int
     train: Dataset
     shards: list[np.ndarray]  # by client id: its rows of train
-    test_X: np.ndarray  # uint8 levels or float32 features (held_test_set)
+    test_X: np.ndarray  # uint8 levels, whose features evaluation builds
     test_y: np.ndarray  # and its labels
     weights: ParamVector
     client_models: list[ParamVector] = field(default_factory=list)  # by client id
@@ -351,52 +351,52 @@ def server_step(
     return aggregated
 
 
-def held_test_set(
-    cfg: ExperimentConfig, num_params: int, levels: np.ndarray
-) -> np.ndarray:
-    """What a run holds of its (n, d) test levels: a copy where a round's
-    (P, D) float64 uploads have room for their float32 features, P D 8 >=
-    n d 4 bytes, else those features.  Either frees the build's levels,
-    which keeps round 0's workspaces' pages (glibc's thresholds rise)."""
-    n, d = levels.shape
-    if (cfg.clients_per_round or cfg.n_clients) * num_params * 8 >= n * d * 4:
-        return levels.copy()
-    return features(levels, _EVAL_DTYPE)
-
-
 def _evaluate(
     state: ExperimentState,
-    spent: np.ndarray | None,
+    uploads: np.ndarray,
     models: list[ParamVector],
     worker: Executor,
 ) -> tuple[float, float, float]:
     """The means over models of (accuracy, macro recall, macro F1), from
-    one pass over the test set's _EVAL_ROWS-row chunks split between the
-    worker and this thread (``_halves``).  Given spent U, a half builds
-    its chunks' features in their rows of U, then predicts them with each
-    model in turn, cast into the half's buffer.  Weights not finite once
-    cast, or logits they overflow, raise ValueError."""
-    spec, held = state.model_spec, state.test_X
-    test_X = held
-    if spent is not None:
-        test_X = spent.reshape(-1).view(_EVAL_DTYPE)[: held.size].reshape(held.shape)
-    preds = np.empty((len(models), test_X.shape[0]), dtype=np.int64)
-    starts = range(0, test_X.shape[0], _EVAL_ROWS)
+    one pass over the test set's row chunks split between the worker and
+    this thread (``_halves``), each chunk's float32 features built once in
+    the round's spent uploads U.  Where U holds the whole matrix, a half
+    builds each of its _EVAL_ROWS-row chunks in the chunk's own rows of U,
+    then predicts them with each model in turn; elsewhere chunks have
+    min(_EVAL_ROWS, rows U holds // 2) rows, and a half builds each in
+    turn in its own half of those rows and predicts it with each model.
+    A half casts a model into its buffer when it is not the one cast last.
+    Weights not finite once cast, or logits they overflow, raise
+    ValueError."""
+    spec, levels = state.model_spec, state.test_X
+    n, d = levels.shape
+    room = uploads.reshape(-1).view(_EVAL_DTYPE)
+    fits = room.size >= levels.size
+    rows = _EVAL_ROWS if fits else min(_EVAL_ROWS, room.size // (2 * d))
+    starts = range(0, n, rows)
+    preds = np.empty((len(models), n), dtype=np.int64)
     # made here: a cast made on the worker, or an isfinite mask, raised peak RSS
-    casts = np.empty((2, spec.num_params), test_X.dtype)
+    casts = np.empty((2, spec.num_params), _EVAL_DTYPE)
 
     def predict(chunks: range) -> None:
-        half = [slice(lo, lo + _EVAL_ROWS) for lo in starts[chunks.start : chunks.stop]]
-        w_eval = casts[int(chunks.start > 0)]
-        if spent is not None:
-            for rows in half:
-                features_into(held[rows], test_X[rows])
-        for m, w in enumerate(models):
-            np.copyto(w_eval, w, casting="same_kind")
-            if not (math.isfinite(w_eval.min()) and math.isfinite(w_eval.max())):
-                raise ValueError(f"weights not finite in {test_X.dtype}")
-            for rows in half:
-                preds[m, rows] = model_mod.predict(spec, w_eval, test_X[rows])
+        upper = int(chunks.start > 0)
+        w_eval, cast = casts[upper], None
+        half = [slice(lo, lo + rows) for lo in starts[chunks.start : chunks.stop]]
+        for part in [half] if fits else [[c] for c in half]:
+            xs = []
+            for c in part:
+                at = (c.start if fits else upper * rows) * d
+                x = room[at : at + levels[c].size].reshape(-1, d)
+                xs.append(features_into(levels[c], x))
+            for m, w in enumerate(models):
+                if m != cast:
+                    np.copyto(w_eval, w, casting="same_kind")
+                    finite = math.isfinite(w_eval.min()) and math.isfinite(w_eval.max())
+                    if not finite:
+                        raise ValueError(f"weights not finite in {w_eval.dtype}")
+                    cast = m
+                for c, x in zip(part, xs):
+                    preds[m, c] = model_mod.predict(spec, w_eval, x)
 
     _halves(worker, predict, len(starts))
     cms = (metrics_mod.accumulate(p, state.test_y, spec.num_classes) for p in preds)
@@ -508,12 +508,10 @@ def run_round(
                 move += scaffold.server_variate
                 scaffold.server_variate = move
 
-        # metrics; U is read for the last time above
-        spent = uploads if state.test_X.dtype == np.uint8 else None
-        del uploads  # frees U now unless evaluation builds the features in it
+        # metrics; U is read for the last time above, and evaluation builds
+        # the test features in it
         train_loss = float(np.mean(losses))
-        models = _evaluated_models(state)
-        acc, rec, f1 = _evaluate(state, spent, models, worker)
+        acc, rec, f1 = _evaluate(state, uploads, _evaluated_models(state), worker)
     except ValueError as exc:
         raise ValueError(f"round {round_index}: {exc}") from None
 
@@ -544,9 +542,8 @@ def init_state(
     test_y: np.ndarray,
 ) -> ExperimentState:
     """The state before round 0 of the run with this seed, whose client i
-    holds the rows shards[i] of train, evaluated on the test set test_X
-    (``held_test_set``) and labels test_y; the
-    state holds the arrays as given."""
+    holds the rows shards[i] of train, evaluated on the test set's uint8
+    levels test_X and labels test_y; the state holds the arrays as given."""
     w = model_mod.init_params(model_spec, derive_rng(seed, 0, 0, Stream.INIT))
     state = ExperimentState(
         model_spec=model_spec,

@@ -210,10 +210,20 @@ MUTANTS = (
         "test_features_not_rebuilt",
         "evaluation reads the test features, never the uploads' bytes",
         "federation.py",
-        "features_into(held[rows], test_X[rows])",
-        "pass",
+        "xs.append(features_into(levels[c], x))",
+        "xs.append(x)",
         "tests/test_federation.py::"
-        "test_each_rounds_scores_are_those_of_freshly_built_features[gcfl-levels]",
+        "test_each_rounds_scores_are_those_of_freshly_built_features[gcfl-streamed]",
+    ),
+    Mutant(
+        "eval_halves_offset_by_one_row",
+        "each half streams the test features through its own rows of the uploads",
+        "federation.py",
+        "else upper * rows) * d",
+        "else upper * rows + 1) * d",
+        "tests/test_federation.py::"
+        "test_each_rounds_scores_are_those_of_freshly_built_features"
+        "[gcfl-smallest-room]",
     ),
     Mutant(
         "every_model_scored_as_model_0",
@@ -222,7 +232,8 @@ MUTANTS = (
         "for p in preds",
         "for p in [preds[0]] * len(preds)",
         "tests/test_federation.py::"
-        "test_each_rounds_scores_are_those_of_freshly_built_features[isolated-levels]",
+        "test_each_rounds_scores_are_those_of_freshly_built_features"
+        "[isolated-one-pass]",
     ),
     Mutant(
         "zero_rounds_accepted",

@@ -22,7 +22,7 @@ import pytest
 from dpfedsim.cli import main, run_seeds
 from dpfedsim.config import ExperimentConfig
 from dpfedsim.correction import plan_round
-from dpfedsim.data import features, partition_iid
+from dpfedsim.data import partition_iid
 from dpfedsim.dp import epsilon_spent, poisson_sample, rdp_to_dp
 from dpfedsim.federation import Stream, client_local_phase, derive_rng, init_state
 from dpfedsim.federation import pinned_worker
@@ -309,7 +309,7 @@ def _no_conflict_state(algorithm: str):
         record_timing=False,
     )
     return init_state(
-        MlpSpec((6, 5, 3)), cfg, 4, train, shards, features(test.X, np.float32), test.y
+        MlpSpec((6, 5, 3)), cfg, 4, train, shards, test.X, test.y
     )
 
 

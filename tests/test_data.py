@@ -143,41 +143,41 @@ def test_the_test_set_is_the_train_sets_task(classes, per_class, dim):
     assert np.mean(dists.argmin(axis=1) == test_y) >= 0.9
 
 
-# (path, the config's keys): at 784-128-10 with 2 clients a round's uploads
-# (2 D 8 = 1.6 MB) cannot hold the 2,000 x 784 float32 test features (6.3
-# MB), but can hold 150 rows of them; at the default 32-128-10 they can
-# hold the default 200 x 32
+# at 784-128-10 with 2 clients a round's uploads (2 D 8 = 1.6 MB) cannot
+# hold the 2,000 x 784 float32 test features (6.3 MB), but can hold 519
+# rows of them; at the default 32-128-10 they can hold the default 200 x 32
 BENCHMARK_SHAPE = {"synthetic_dim": 784, "synthetic_per_class": 1000}
-TEST_SET_FORMS = {
-    "features": ("features", BENCHMARK_SHAPE),
-    "features-subsampled": ("features", {**BENCHMARK_SHAPE, "subsample_test": 1500}),
-    "levels": ("levels", {}),
-    "levels-subsampled": ("levels", {"subsample_test": 150}),
-    "levels-benchmark-shape": ("levels", {**BENCHMARK_SHAPE, "subsample_test": 150}),
+TEST_SET_SHAPES = {
+    "benchmark-shape": BENCHMARK_SHAPE,
+    "benchmark-shape-subsampled": {**BENCHMARK_SHAPE, "subsample_test": 1500},
+    "default": {},
+    "default-subsampled": {"subsample_test": 150},
+    "benchmark-shape-in-room": {**BENCHMARK_SHAPE, "subsample_test": 150},
 }
 
 
-@pytest.mark.parametrize("case", TEST_SET_FORMS)
+@pytest.mark.parametrize("case", TEST_SET_SHAPES)
 def test_a_run_keeps_of_the_test_set_one_form_and_its_labels(monkeypatch, case):
     """Once build_data returns, the run holds the labels and one form of
-    the synthetic test set: its float32 features where a round's uploads
-    cannot hold them, else a copy of its uint8 levels, which nothing
-    converts.  The level matrix the build made is unreachable either way,
-    a subsample's source too."""
-    path, keys = TEST_SET_FORMS[case]
-    real_features, real_blobs = federation.features, data_mod.synthetic_blobs
+    the synthetic test set, whether or not a round's uploads could hold
+    its float32 features: a copy of its uint8 levels, which nothing
+    converts.  The level matrix the build made is unreachable, a
+    subsample's source too."""
+    keys = TEST_SET_SHAPES[case]
+    real_into, real_blobs = data_mod.features_into, data_mod.synthetic_blobs
     converted, built = [], []
 
-    def features(levels, dtype=np.float64):
-        converted.append(weakref.ref(levels))
-        return real_features(levels, dtype)
+    def features_into(levels, out):
+        converted.append(levels.shape)
+        return real_into(levels, out)
 
     def blobs(*args):
         out = real_blobs(*args)
         built.append(weakref.ref(out.X))
         return out
 
-    monkeypatch.setattr(federation, "features", features)
+    monkeypatch.setattr(data_mod, "features_into", features_into)
+    monkeypatch.setattr(federation, "features_into", features_into)
     monkeypatch.setattr(data_mod, "synthetic_blobs", blobs)
     cfg = ExperimentConfig(**keys)
     with pinned_worker() as (_, worker):
@@ -185,15 +185,10 @@ def test_a_run_keeps_of_the_test_set_one_form_and_its_labels(monkeypatch, case):
     n = cfg.subsample_test or 2 * cfg.synthetic_per_class
     assert test_X.shape == (n, cfg.synthetic_dim)
     assert test_y.shape == (n,)
+    assert test_X.dtype == np.uint8
+    assert converted == []
     (test_levels,) = [ref for ref in built if ref() is not train.X]
     assert test_levels() is None
-    if path == "features":
-        (levels,) = converted  # the build converts the test set alone
-        assert levels() is None
-        assert test_X.dtype == np.float32
-    else:
-        assert converted == []
-        assert test_X.dtype == np.uint8
 
 
 def _blobs(num_classes, per_class, dim, spread, seed):

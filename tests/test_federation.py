@@ -68,16 +68,15 @@ def make_state(
     clients_per_round=0,
     sampling_mode="fixed_size",
     epsilon_budget=0.0,
-    test_levels=False,
     clip_threshold=1.5,
+    test_per_class=5,
 ):
-    """A 6-5-3 run on 60 train and 15 test examples; the state holds the
-    test set's float32 features, or its uint8 levels when test_levels (a
-    round's uploads have room for the features at every n_clients)."""
+    """A 6-5-3 run on 60 train examples and test_per_class test examples
+    per class, whose uint8 levels the state holds."""
     rng = np.random.default_rng
     ds = synthetic_blobs(num_classes=3, per_class=20, dim=6, spread=0.2, rng=rng(seed))
     test = synthetic_blobs(
-        num_classes=3, per_class=5, dim=6, spread=0.2, rng=rng(seed + 1)
+        num_classes=3, per_class=test_per_class, dim=6, spread=0.2, rng=rng(seed + 1)
     )
     shards = partition_iid(ds, n_clients, rng(seed + 2))
     spec = MlpSpec((6, 5, 3))
@@ -96,8 +95,7 @@ def make_state(
         epsilon_budget=epsilon_budget,
         clip_threshold=clip_threshold,
     )
-    test_X = test.X if test_levels else features(test.X, np.float32)
-    return init_state(spec, cfg, seed, ds, shards, test_X, test.y)
+    return init_state(spec, cfg, seed, ds, shards, test.X, test.y)
 
 
 def client_of(state, rows):
@@ -479,8 +477,7 @@ def test_the_initial_weights_do_not_name_client_0s_first_batch(monkeypatch):
 
     monkeypatch.setattr(federation, "poisson_sample", record)
     state = init_state(
-        spec, cfg, 1, train, [np.arange(n)],
-        features(train.X[:10], np.float32), train.y[:10],
+        spec, cfg, 1, train, [np.arange(n)], train.X[:10], train.y[:10],
     )
     limit = math.sqrt(6.0 / (784 + 128))
     u = (state.weights[:n] + limit) / (2 * limit)
@@ -928,11 +925,10 @@ def test_a_client_with_only_empty_draws_releases_noise_over_the_batch_size(
     assert row.tobytes() == want.tobytes()
 
 
-def _benchmark_shape_state(algorithm, n_clients, test_per_class=2, test_levels=False):
+def _benchmark_shape_state(algorithm, n_clients, test_per_class=2):
     """A state at the benchmark's 784-128-10 shape (D = 101,770), with 50
     training examples per client and a test set of test_per_class
-    examples per class, held as float32 features, or as uint8 levels when
-    test_levels."""
+    examples per class, held as uint8 levels."""
     spec = MlpSpec((784, 128, 10))
     train = synthetic_blobs(10, 5 * n_clients, 784, 0.25, np.random.default_rng(4))
     test = synthetic_blobs(10, test_per_class, 784, 0.25, np.random.default_rng(5))
@@ -941,8 +937,7 @@ def _benchmark_shape_state(algorithm, n_clients, test_per_class=2, test_levels=F
         n_clients=n_clients, record_timing=False,
     )
     shards = partition_iid(train, n_clients, np.random.default_rng(6))
-    test_X = test.X if test_levels else features(test.X, np.float32)
-    return init_state(spec, cfg, 4, train, shards, test_X, test.y)
+    return init_state(spec, cfg, 4, train, shards, test.X, test.y)
 
 
 def test_an_upload_carries_noise_of_deviation_sigma_c_over_b():
@@ -1014,43 +1009,57 @@ def _fresh_scores(spec, models, X, y):
     return tuple(float(np.mean([s[k] for s in scores])) for k in range(3))
 
 
-def _chunked_test_state(algorithm, n_clients):
-    """(a state, its test set): a 6-50-3 net (D = 503) and 2,100 test rows
-    of 6 features (three evaluation chunks, 50 KB as float32), held as
-    ``held_test_set`` decides: the uploads of 2 clients (8 KB) hold no
-    features, those of 16 (64 KB) do."""
+def _chunked_test_state(algorithm, n_clients, hidden=50):
+    """(a state, its test set): a 6-hidden-3 net and 2,100 test rows of 6
+    features (50 KB as float32), whose uint8 levels the state holds.  At
+    hidden 50 (D = 503) the uploads of 2 clients (8 KB, 335 rows) cannot
+    hold the features, so evaluation streams them, and those of 16 (64
+    KB) can, so it builds them in one pass, in three chunks.  At hidden 1
+    (D = 13) the uploads of 1 client hold 4 rows, 2 for each half.  The
+    step size and noise let the models tell classes apart within 3
+    rounds, so the scores depend on the features."""
     rng = np.random.default_rng
-    spec = MlpSpec((6, 50, 3))
+    spec = MlpSpec((6, hidden, 3))
     train = synthetic_blobs(3, 32, 6, 0.3, rng(7))
     test = synthetic_blobs(3, 700, 6, 0.3, rng(8))
     cfg = ExperimentConfig(
-        algorithm=algorithm, n_clients=n_clients, rounds=3, local_steps=2,
-        batch_size=4, eta=0.05, sigma=0.5, record_timing=False,
+        algorithm=algorithm, n_clients=n_clients, rounds=3, local_steps=4,
+        batch_size=16, eta=1.0, sigma=0.1, record_timing=False,
     )
-    test_X = federation.held_test_set(cfg, spec.num_params, test.X)
     shards = partition_iid(train, n_clients, rng(9))
-    return init_state(spec, cfg, 3, train, shards, test_X, test.y), test
+    return init_state(spec, cfg, 3, train, shards, test.X, test.y), test
+
+
+def _uploads_hold_the_test_features(state):
+    """Whether a round's uploads, P D float64s, hold the test set's
+    float32 features, n d of them."""
+    return len(state.shards) * state.weights.size * 8 >= state.test_X.size * 4
 
 
 @pytest.mark.parametrize(
-    "n_clients, levels", [(2, False), (16, True)], ids=["features", "levels"]
+    "n_clients, hidden, fits",
+    [(2, 50, False), (16, 50, True), (1, 1, False)],
+    ids=["streamed", "one-pass", "smallest-room"],
 )
 @pytest.mark.parametrize("algorithm", ["gcfl", "dp_scaffold", "isolated"])
 def test_each_rounds_scores_are_those_of_freshly_built_features(
-    monkeypatch, algorithm, n_clients, levels
+    monkeypatch, algorithm, n_clients, hidden, fits
 ):
-    """On each side of the room rule, every round's accuracy, recall and
-    F1 equal those of the round's evaluated models on float32 features
-    built afresh from the test levels (``_chunked_test_state``).  Where
-    the run holds the levels, evaluation builds the features in the spent
-    uploads, after dp_scaffold has written new - old into the rows and
-    isolated has read them; isolated evaluates every client's model on
-    those features."""
-    state, test = _chunked_test_state(algorithm, n_clients)
+    """Whether or not the uploads hold the whole test matrix, every
+    round's accuracy, recall and F1 equal those of the round's evaluated
+    models on float32 features built afresh from the test levels
+    (``_chunked_test_state``).  Evaluation builds the features in the
+    spent uploads, after dp_scaffold has written new - old into the rows
+    and isolated has read them; isolated evaluates every client's model
+    on those features.  Some round's model predicts more than one class,
+    so features other than the test set's would move the scores.  The
+    run holds the levels alone, unchanged."""
+    state, test = _chunked_test_state(algorithm, n_clients, hidden)
+    assert _uploads_hold_the_test_features(state) == fits
     test_X = state.test_X
-    assert (test_X.dtype == np.uint8) == levels
-    fresh = features(test.X, np.float32)
-    got, want = [], []
+    assert test_X.dtype == np.uint8
+    fresh = features(test.X).astype(np.float32)
+    got, want, classes = [], [], []
     real_round = federation.run_round
 
     def scored(state, round_index, worker):
@@ -1060,25 +1069,31 @@ def test_each_rounds_scores_are_those_of_freshly_built_features(
         )
         models = federation._evaluated_models(state)
         want.append(_fresh_scores(state.model_spec, models, fresh, test.y))
+        for w in models:
+            labels = predict(state.model_spec, w.astype(np.float32), fresh)
+            classes.append(np.unique(labels).size)
         return record
 
     monkeypatch.setattr(federation, "run_round", scored)
     run_all_rounds(state)
     assert len(got) == 3
     assert got == want
+    assert max(classes) > 1
     assert state.test_X is test_X
-    assert test_X.tobytes() == (test.X if levels else fresh).tobytes()
+    assert test_X.tobytes() == test.X.tobytes()
 
 
-@pytest.mark.parametrize("n_clients", [16, 24])
+@pytest.mark.parametrize("n_clients, chunks", [(16, 3), (24, 3), (2, 13)])
 def test_a_round_evaluates_every_model_in_one_pass_that_converts_each_chunk_once(
-    monkeypatch, n_clients
+    monkeypatch, n_clients, chunks
 ):
-    """Under isolated, where the run holds the levels, each round runs two
-    ``_halves`` passes, its clients' and evaluation's, and ``features_into``
-    once per test chunk, whatever the number of models."""
+    """Under isolated each round runs two ``_halves`` passes, its clients'
+    and evaluation's, and ``features_into`` once per test chunk, whatever
+    the number of models: 3 chunks of 1,024 rows where the uploads hold
+    the test features, and where they do not, as at 2 clients (2,012
+    floats, 335 rows), 13 chunks of 167 rows."""
     state, _ = _chunked_test_state("isolated", n_clients)
-    assert state.test_X.dtype == np.uint8
+    assert _uploads_hold_the_test_features(state) == (n_clients > 2)
     calls = {"_halves": 0, "features_into": 0}
     for name in calls:
         real = getattr(federation, name)
@@ -1089,22 +1104,25 @@ def test_a_round_evaluates_every_model_in_one_pass_that_converts_each_chunk_once
 
         monkeypatch.setattr(federation, name, counted)
     assert len(run_all_rounds(state)) == 3
-    assert calls == {"_halves": 2 * 3, "features_into": 3 * 3}
+    assert calls == {"_halves": 2 * 3, "features_into": chunks * 3}
 
 
+@pytest.mark.parametrize("n_clients", [8, 2])
 def test_an_evaluation_in_the_uploads_allocates_less_than_one_test_matrix(
-    monkeypatch,
+    monkeypatch, n_clients
 ):
     """From the start of evaluation, which builds the features in the
     spent uploads, to its end, the traced peak stays under one float32
-    test matrix (2,000 x 784, 6.3 MB; the uploads of 8 clients at D =
-    101,770 hold 6.5 MB): each half's float32 weights and a chunk's
-    activations.  A build that made the features beside the uploads holds
-    the whole matrix."""
-    state = _benchmark_shape_state("dp_fedavg", 8, test_per_class=200, test_levels=True)
+    test matrix (2,000 x 784, 6.3 MB): each half's float32 weights and a
+    chunk's activations.  The uploads of 8 clients at D = 101,770 (6.5 MB)
+    hold the whole matrix; those of 2 (1.6 MB), the benchmark's n2 shape,
+    hold 519 rows, so evaluation streams it in chunks of 259.  Either way
+    the state holds the uint8 levels alone.  A build that made the
+    features beside the uploads holds the whole matrix."""
+    state = _benchmark_shape_state("dp_fedavg", n_clients, test_per_class=200)
+    assert state.test_X.dtype == np.uint8
+    assert _uploads_hold_the_test_features(state) == (n_clients == 8)
     matrix = state.test_X.size * 4
-    held = federation.held_test_set(state.cfg, state.weights.shape[0], state.test_X)
-    assert held.dtype == np.uint8
     peaks = []
     real_evaluate = federation._evaluate
 
@@ -1422,22 +1440,25 @@ def test_a_client_with_only_empty_draws_moves_its_model_and_variate_by_its_uploa
             assert state.scaffold.client_variates[cid].tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("test_dtype", [np.float32, np.uint8])
+@pytest.mark.parametrize(
+    "test_per_class", [5, 20], ids=["one-pass", "streamed"]
+)
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_a_round_keeps_the_dp_step_and_all_it_feeds_in_float64(
-    monkeypatch, algorithm, test_dtype
+    monkeypatch, algorithm, test_per_class
 ):
     """Evaluation alone runs at half width.  In a round that evaluates on
-    float32 test features, as a run does, held for the run or built from
-    the held uint8 levels in the round's spent uploads, the kernel reads
+    float32 test features, as a run does, built from the held uint8 levels
+    in the round's spent uploads, in one pass (15 test rows) or streamed
+    (60 rows, 360 floats; 3 uploads at D = 53 hold 318), the kernel reads
     float64 features and float64 weights, and the uploads, the global
     weights, the client models and the scaffold variates all stay
     float64."""
     state = make_state(
         algorithm=algorithm, n_clients=3, local_steps=2,
-        test_levels=test_dtype == np.uint8,
+        test_per_class=test_per_class,
     )
-    assert state.test_X.dtype == test_dtype
+    assert state.test_X.dtype == np.uint8
     read, uploads = [], []
     real_kernel = federation.model_mod.clipped_gradient_sum
     real_local = federation.client_local_phase

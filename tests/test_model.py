@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpfedsim import model
-from dpfedsim.data import features
+from dpfedsim.data import features, features_into
 from dpfedsim.model import MlpSpec, init_params, unpack
 from oracle import gamma, logits_batch
 
@@ -206,5 +206,6 @@ def test_predict_on_the_benchmark_shape_checks_most_rows():
     levels = rng.integers(0, 256, size=(600, 784), dtype=np.uint8)
     X64 = features(levels)
     # the float32 features a run builds are the float64 ones rounded once
-    assert features(levels, np.float32).tobytes() == X64.astype(np.float32).tobytes()
+    X32 = features_into(levels, np.empty(levels.shape, np.float32))
+    assert X32.tobytes() == X64.astype(np.float32).tobytes()
     assert check_predict_against_oracle(spec, w, X64) >= 0.9

@@ -380,11 +380,10 @@ def _tops_naming(names: set[str]) -> list[tuple[str, str]]:
 def test_float32_is_named_only_where_the_test_features_are_built():
     """The DP step, the uploads, the aggregate, the server step and the
     accountant run in float64; evaluation alone runs at half width, in the
-    dtype of the test features, which ``federation`` builds before round 0
-    (``held_test_set``) or in a round's spent uploads (``_evaluate``).
-    Both read its one constant, the package's single float32: a float32
-    anywhere else would narrow a step whose bytes the DP guarantee and the
-    output pins rest on."""
+    dtype of the test features, which ``federation`` builds in a round's
+    spent uploads (``_evaluate``).  It reads its one constant, the
+    package's single float32: a float32 anywhere else would narrow a step
+    whose bytes the DP guarantee and the output pins rest on."""
     named = set(_tops_naming(_FLOAT32))
     assert named == {("federation.py", "_EVAL_DTYPE = np.float32")}
 
@@ -401,7 +400,7 @@ def test_every_mutants_old_text_occurs_once_in_src():
     """The mutation sweep's list stays applicable: a refactor that moves a
     mutant's text updates ``tests/mutants.py``."""
     sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
-    assert len({m.id for m in MUTANTS}) == len(MUTANTS) == 20
+    assert len({m.id for m in MUTANTS}) == len(MUTANTS) == 21
     for mutant in MUTANTS:
         assert sources[mutant.file].count(mutant.old) == 1, mutant.id
         assert sum(text.count(mutant.old) for text in sources.values()) == 1

@@ -378,8 +378,8 @@ BUILD_SHAPES = [  # classes, per class, dim, spread; the test set has per // 5
     (4, 1, 5, 0.3),  # one example per class in both sets
     (3, 7, 13, 0.25),  # odd sizes
     # the benchmark's 784-dim, 10k/2k shape: at 2 clients a round's uploads
-    # (2 D 8 bytes) cannot hold the float32 test features, so the run holds
-    # them; every smaller shape holds the levels
+    # (2 D 8 bytes) cannot hold the float32 test features, and the run
+    # holds the levels as at every smaller shape
     (10, 1000, 784, 0.25),
 ]
 
@@ -391,15 +391,13 @@ def test_build_data_matches_the_oracle_and_builds_the_test_set_on_the_worker(
 ):
     """build_data's train set, and the test set and its labels, the test
     set around the train set's class centers, equal the oracle's under each
-    executor.  The run holds the test set as the oracle's levels where a
-    round's uploads have room for its float32 features, and else as those
-    features: the levels / 255 in float32, one-to-one on 0-255.  The train
-    set is built on the calling thread, and the test set and any features
-    on the executor: inline that is the calling thread too, otherwise the
-    worker."""
+    executor.  The run holds the test set as the oracle's uint8 levels at
+    every shape, and builds no features of it.  The train set is built on
+    the calling thread, and the test set on the executor: inline that is
+    the calling thread too, otherwise the worker."""
     classes, per_class, dim, spread = shape
     monkeypatch.setattr(federation, "_new_worker", EXECUTORS[mode])
-    real_blobs, real_features = data_mod.synthetic_blobs, federation.features
+    real_blobs, real_into = data_mod.synthetic_blobs, data_mod.features_into
     built_on, purposes = [], {}
 
     def derive(*name):
@@ -413,13 +411,14 @@ def test_build_data_matches_the_oracle_and_builds_the_test_set_on_the_worker(
         built_on.append((role, threading.current_thread().name))
         return real_blobs(*args)
 
-    def features(levels, dtype=np.float64):
+    def features_into(levels, out):
         built_on.append(("features", threading.current_thread().name))
-        return real_features(levels, dtype)
+        return real_into(levels, out)
 
     monkeypatch.setattr(cli, "derive_rng", derive)
     monkeypatch.setattr(data_mod, "synthetic_blobs", blobs)
-    monkeypatch.setattr(federation, "features", features)
+    monkeypatch.setattr(data_mod, "features_into", features_into)
+    monkeypatch.setattr(federation, "features_into", features_into)
     cfg = ExperimentConfig(
         synthetic_classes=classes,
         synthetic_per_class=per_class,
@@ -439,46 +438,40 @@ def test_build_data_matches_the_oracle_and_builds_the_test_set_on_the_worker(
             classes, max(1, per_class // 5), dim, spread,
             derive_rng(seed, 0, 0, Stream.TEST), derive_rng(seed, 0, 0, Stream.TRAIN),
         )
-        if dim == 784:
-            assert test_X.dtype == np.float32
-            assert test_X.tobytes() == (want.X.astype(np.float32) / 255.0).tobytes()
-        else:
-            assert test_X.dtype == np.uint8
-            assert test_X.tobytes() == want.X.tobytes()
+        assert test_X.dtype == np.uint8
+        assert test_X.tobytes() == want.X.tobytes()
         assert test_y.tobytes() == want.y.tobytes()
     here = threading.current_thread().name
     roles = {role: {on for r, on in built_on if r == role} for role, _ in built_on}
     called = sorted(role for role, _ in built_on)
-    features = ["features", "features"] if dim == 784 else []
-    assert called == [*features, "test", "test", "train", "train"]
+    assert called == ["test", "test", "train", "train"]
     assert roles["train"] == {here}
     if mode == "inline":
-        assert roles["test"] | roles.get("features", set()) == {here}
+        assert roles["test"] == {here}
     else:
-        (test_on,) = roles["test"] | roles.get("features", set())
+        (test_on,) = roles["test"]
         assert test_on.startswith(WORKER_PREFIX)
     assert _worker_threads() == []
 
 
-@pytest.mark.parametrize("share", ["synthetic_blobs", "features"])
+@pytest.mark.parametrize("share", ["synthetic_blobs", "subsample"])
 def test_a_failure_in_the_workers_share_of_the_build_stops_run(
     tmp_path, monkeypatch, capsys, share
 ):
-    """The worker builds SMALL's test set (synthetic_blobs) and, with 200
-    examples per class, so that the run holds them, its float32 features
-    (``federation.features``); a raise in either on the worker surfaces
-    from build_data, `run` exits 1 naming it, and no worker is left."""
-    module = {"synthetic_blobs": data_mod, "features": federation}[share]
-    real = getattr(module, share)
+    """The worker builds SMALL's test set (synthetic_blobs) and, with
+    subsample_test set, its subsample (``data.subsample``); a raise in
+    either on the worker surfaces from build_data, `run` exits 1 naming
+    it, and no worker is left."""
+    real = getattr(data_mod, share)
 
     def fail_on_the_worker(*args):
         if threading.current_thread().name.startswith(WORKER_PREFIX):
             raise ValueError(f"{share} failed on the worker")
         return real(*args)
 
-    monkeypatch.setattr(module, share, fail_on_the_worker)
+    monkeypatch.setattr(data_mod, share, fail_on_the_worker)
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text(SMALL.replace("per_class = 20", "per_class = 200"))
+    cfg.write_text(SMALL + "subsample_test = 10\n")
     with pytest.raises(ValueError, match=share), pinned_worker() as (_, worker):
         build_data(parse_config(str(cfg)), 5, worker)
     assert _worker_threads() == []
