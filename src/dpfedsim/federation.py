@@ -360,19 +360,16 @@ def _evaluate(
     """The means over models of (accuracy, macro recall, macro F1), from
     one pass over the test set's row chunks split between the worker and
     this thread (``_halves``), each chunk's float32 features built once in
-    the round's spent uploads U.  Where U holds the whole matrix, a half
-    builds each of its _EVAL_ROWS-row chunks in the chunk's own rows of U,
-    then predicts them with each model in turn; elsewhere chunks have
-    min(_EVAL_ROWS, rows U holds // 2) rows, and a half builds each in
-    turn in its own half of those rows and predicts it with each model.
-    A half casts a model into its buffer when it is not the one cast last.
-    Weights not finite once cast, or logits they overflow, raise
-    ValueError."""
+    the round's spent uploads U.  Chunks have min(_EVAL_ROWS, rows U holds
+    // 2) rows, and a half builds each in turn in its own half of those
+    rows, then predicts it with each model.  A half casts a model into its
+    buffer when it is not the one cast last: once per round at one model,
+    and once per chunk for each of several (isolated).  Weights not finite
+    once cast, or logits they overflow, raise ValueError."""
     spec, levels = state.model_spec, state.test_X
     n, d = levels.shape
     room = uploads.reshape(-1).view(_EVAL_DTYPE)
-    fits = room.size >= levels.size
-    rows = _EVAL_ROWS if fits else min(_EVAL_ROWS, room.size // (2 * d))
+    rows = min(_EVAL_ROWS, room.size // (2 * d))
     starts = range(0, n, rows)
     preds = np.empty((len(models), n), dtype=np.int64)
     # made here: a cast made on the worker, or an isfinite mask, raised peak RSS
@@ -381,13 +378,11 @@ def _evaluate(
     def predict(chunks: range) -> None:
         upper = int(chunks.start > 0)
         w_eval, cast = casts[upper], None
-        half = [slice(lo, lo + rows) for lo in starts[chunks.start : chunks.stop]]
-        for part in [half] if fits else [[c] for c in half]:
-            xs = []
-            for c in part:
-                at = (c.start if fits else upper * rows) * d
-                x = room[at : at + levels[c].size].reshape(-1, d)
-                xs.append(features_into(levels[c], x))
+        at = upper * rows * d
+        for lo in starts[chunks.start : chunks.stop]:
+            c = slice(lo, lo + rows)
+            x = room[at : at + levels[c].size].reshape(-1, d)
+            features_into(levels[c], x)
             for m, w in enumerate(models):
                 if m != cast:
                     np.copyto(w_eval, w, casting="same_kind")
@@ -395,8 +390,7 @@ def _evaluate(
                     if not finite:
                         raise ValueError(f"weights not finite in {w_eval.dtype}")
                     cast = m
-                for c, x in zip(part, xs):
-                    preds[m, c] = model_mod.predict(spec, w_eval, x)
+                preds[m, c] = model_mod.predict(spec, w_eval, x)
 
     _halves(worker, predict, len(starts))
     cms = (metrics_mod.accumulate(p, state.test_y, spec.num_classes) for p in preds)

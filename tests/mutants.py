@@ -210,20 +210,21 @@ MUTANTS = (
         "test_features_not_rebuilt",
         "evaluation reads the test features, never the uploads' bytes",
         "federation.py",
-        "xs.append(features_into(levels[c], x))",
-        "xs.append(x)",
-        "tests/test_federation.py::"
-        "test_each_rounds_scores_are_those_of_freshly_built_features[gcfl-streamed]",
-    ),
-    Mutant(
-        "eval_halves_offset_by_one_row",
-        "each half streams the test features through its own rows of the uploads",
-        "federation.py",
-        "else upper * rows) * d",
-        "else upper * rows + 1) * d",
+        "            features_into(levels[c], x)",
+        "            pass",
         "tests/test_federation.py::"
         "test_each_rounds_scores_are_those_of_freshly_built_features"
-        "[gcfl-smallest-room]",
+        "[gcfl-167-row-chunks]",
+    ),
+    Mutant(
+        "eval_halves_share_the_lower_rows",
+        "each half streams the test features through its own rows of the uploads",
+        "federation.py",
+        "at = upper * rows * d",
+        "at = 0",
+        "tests/test_federation.py::"
+        "test_the_halves_of_an_evaluation_convert_into_disjoint_parts_of_the_uploads"
+        "[167-row-chunks]",
     ),
     Mutant(
         "every_model_scored_as_model_0",
@@ -233,7 +234,7 @@ MUTANTS = (
         "for p in [preds[0]] * len(preds)",
         "tests/test_federation.py::"
         "test_each_rounds_scores_are_those_of_freshly_built_features"
-        "[isolated-one-pass]",
+        "[isolated-1024-row-chunks]",
     ),
     Mutant(
         "zero_rounds_accepted",

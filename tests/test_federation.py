@@ -1011,13 +1011,14 @@ def _fresh_scores(spec, models, X, y):
 
 def _chunked_test_state(algorithm, n_clients, hidden=50):
     """(a state, its test set): a 6-hidden-3 net and 2,100 test rows of 6
-    features (50 KB as float32), whose uint8 levels the state holds.  At
-    hidden 50 (D = 503) the uploads of 2 clients (8 KB, 335 rows) cannot
-    hold the features, so evaluation streams them, and those of 16 (64
-    KB) can, so it builds them in one pass, in three chunks.  At hidden 1
-    (D = 13) the uploads of 1 client hold 4 rows, 2 for each half.  The
-    step size and noise let the models tell classes apart within 3
-    rounds, so the scores depend on the features."""
+    features (50 KB as float32), whose uint8 levels the state holds.
+    Evaluation streams the features through the uploads U in chunks of
+    min(1,024, rows U holds // 2) rows.  At hidden 50 (D = 503) the U of 2
+    clients (8 KB) holds 335 rows, so chunks have 167, and that of 16 (64
+    KB) holds the whole matrix, so chunks have 1,024.  At hidden 1 (D =
+    13) the U of 1 client holds 4 rows, 2 for each half.  The step size
+    and noise let the models tell classes apart within 3 rounds, so the
+    scores depend on the features."""
     rng = np.random.default_rng
     spec = MlpSpec((6, hidden, 3))
     train = synthetic_blobs(3, 32, 6, 0.3, rng(7))
@@ -1030,32 +1031,28 @@ def _chunked_test_state(algorithm, n_clients, hidden=50):
     return init_state(spec, cfg, 3, train, shards, test.X, test.y), test
 
 
-def _uploads_hold_the_test_features(state):
-    """Whether a round's uploads, P D float64s, hold the test set's
-    float32 features, n d of them."""
-    return len(state.shards) * state.weights.size * 8 >= state.test_X.size * 4
-
-
-@pytest.mark.parametrize(
-    "n_clients, hidden, fits",
-    [(2, 50, False), (16, 50, True), (1, 1, False)],
-    ids=["streamed", "one-pass", "smallest-room"],
+_ROOMS = pytest.mark.parametrize(
+    "n_clients, hidden",
+    [(2, 50), (16, 50), (1, 1)],
+    ids=["167-row-chunks", "1024-row-chunks", "smallest-room"],
 )
+
+
+@_ROOMS
 @pytest.mark.parametrize("algorithm", ["gcfl", "dp_scaffold", "isolated"])
 def test_each_rounds_scores_are_those_of_freshly_built_features(
-    monkeypatch, algorithm, n_clients, hidden, fits
+    monkeypatch, algorithm, n_clients, hidden
 ):
-    """Whether or not the uploads hold the whole test matrix, every
-    round's accuracy, recall and F1 equal those of the round's evaluated
-    models on float32 features built afresh from the test levels
-    (``_chunked_test_state``).  Evaluation builds the features in the
-    spent uploads, after dp_scaffold has written new - old into the rows
-    and isolated has read them; isolated evaluates every client's model
-    on those features.  Some round's model predicts more than one class,
-    so features other than the test set's would move the scores.  The
-    run holds the levels alone, unchanged."""
+    """Whatever the room in the uploads, every round's accuracy, recall
+    and F1 equal those of the round's evaluated models on float32 features
+    built afresh from the test levels (``_chunked_test_state``).
+    Evaluation builds the features in the spent uploads, after dp_scaffold
+    has written new - old into the rows and isolated has read them;
+    isolated evaluates every client's model on those features.  Some
+    round's model predicts more than one class, so features other than
+    the test set's would move the scores.  The run holds the levels
+    alone, unchanged."""
     state, test = _chunked_test_state(algorithm, n_clients, hidden)
-    assert _uploads_hold_the_test_features(state) == fits
     test_X = state.test_X
     assert test_X.dtype == np.uint8
     fresh = features(test.X).astype(np.float32)
@@ -1083,6 +1080,54 @@ def test_each_rounds_scores_are_those_of_freshly_built_features(
     assert test_X.tobytes() == test.X.tobytes()
 
 
+@_ROOMS
+def test_the_halves_of_an_evaluation_convert_into_disjoint_parts_of_the_uploads(
+    monkeypatch, n_clients, hidden
+):
+    """The two halves of evaluation's ``_halves`` pass, which may run at
+    once, convert their chunks only into the round's uploads U, and never
+    into the same bytes of U: whichever thread runs a half, every byte
+    span the lower half converts into is disjoint from every span of the
+    upper half's.  Each half converts at least one chunk.  The halves are
+    told apart by the chunks they are given, not by the thread that runs
+    them, so the check holds under any timing."""
+    state, _ = _chunked_test_state("gcfl", n_clients, hidden)
+    half = threading.local()
+    evals = []
+    real_evaluate, real_halves = federation._evaluate, federation._halves
+    real_into = federation.features_into
+
+    def span(a):
+        lo = a.__array_interface__["data"][0]
+        return lo, lo + a.nbytes
+
+    def evaluate(state, uploads, *args):
+        evals.append((span(uploads), (set(), set())))
+        return real_evaluate(state, uploads, *args)
+
+    def halves(worker, fn, n):
+        def marked(chunks):
+            half.upper = int(chunks.start > 0)
+            return fn(chunks)
+
+        return real_halves(worker, marked, n)
+
+    def into(levels, out):
+        evals[-1][1][half.upper].add(span(out))
+        return real_into(levels, out)
+
+    monkeypatch.setattr(federation, "_evaluate", evaluate)
+    monkeypatch.setattr(federation, "_halves", halves)
+    monkeypatch.setattr(federation, "features_into", into)
+    assert len(run_all_rounds(state)) == 3
+    assert len(evals) == 3
+    for (u_lo, u_hi), (lower, upper) in evals:
+        assert lower and upper
+        assert all(u_lo <= lo < hi <= u_hi for lo, hi in lower | upper)
+        for a_lo, a_hi in lower:
+            assert all(a_hi <= b_lo or b_hi <= a_lo for b_lo, b_hi in upper)
+
+
 @pytest.mark.parametrize("n_clients, chunks", [(16, 3), (24, 3), (2, 13)])
 def test_a_round_evaluates_every_model_in_one_pass_that_converts_each_chunk_once(
     monkeypatch, n_clients, chunks
@@ -1090,10 +1135,9 @@ def test_a_round_evaluates_every_model_in_one_pass_that_converts_each_chunk_once
     """Under isolated each round runs two ``_halves`` passes, its clients'
     and evaluation's, and ``features_into`` once per test chunk, whatever
     the number of models: 3 chunks of 1,024 rows where the uploads hold
-    the test features, and where they do not, as at 2 clients (2,012
+    two such chunks, and where they do not, as at 2 clients (2,012
     floats, 335 rows), 13 chunks of 167 rows."""
     state, _ = _chunked_test_state("isolated", n_clients)
-    assert _uploads_hold_the_test_features(state) == (n_clients > 2)
     calls = {"_halves": 0, "features_into": 0}
     for name in calls:
         real = getattr(federation, name)
@@ -1115,13 +1159,13 @@ def test_an_evaluation_in_the_uploads_allocates_less_than_one_test_matrix(
     spent uploads, to its end, the traced peak stays under one float32
     test matrix (2,000 x 784, 6.3 MB): each half's float32 weights and a
     chunk's activations.  The uploads of 8 clients at D = 101,770 (6.5 MB)
-    hold the whole matrix; those of 2 (1.6 MB), the benchmark's n2 shape,
-    hold 519 rows, so evaluation streams it in chunks of 259.  Either way
-    the state holds the uint8 levels alone.  A build that made the
-    features beside the uploads holds the whole matrix."""
+    hold the whole matrix, so evaluation streams it in two chunks of
+    1,024 rows; those of 2 (1.6 MB), the benchmark's n2 shape, hold 519
+    rows, so it streams chunks of 259.  Either way the state holds the
+    uint8 levels alone.  A build that made the features beside the
+    uploads holds the whole matrix."""
     state = _benchmark_shape_state("dp_fedavg", n_clients, test_per_class=200)
     assert state.test_X.dtype == np.uint8
-    assert _uploads_hold_the_test_features(state) == (n_clients == 8)
     matrix = state.test_X.size * 4
     peaks = []
     real_evaluate = federation._evaluate
@@ -1441,7 +1485,7 @@ def test_a_client_with_only_empty_draws_moves_its_model_and_variate_by_its_uploa
 
 
 @pytest.mark.parametrize(
-    "test_per_class", [5, 20], ids=["one-pass", "streamed"]
+    "test_per_class", [5, 20], ids=["one-chunk", "three-chunks"]
 )
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_a_round_keeps_the_dp_step_and_all_it_feeds_in_float64(
@@ -1449,8 +1493,9 @@ def test_a_round_keeps_the_dp_step_and_all_it_feeds_in_float64(
 ):
     """Evaluation alone runs at half width.  In a round that evaluates on
     float32 test features, as a run does, built from the held uint8 levels
-    in the round's spent uploads, in one pass (15 test rows) or streamed
-    (60 rows, 360 floats; 3 uploads at D = 53 hold 318), the kernel reads
+    in the round's spent uploads (3 uploads at D = 53 hold 318 floats, 53
+    rows, so chunks have 26), in one chunk (15 test rows) or three (60
+    rows), the kernel reads
     float64 features and float64 weights, and the uploads, the global
     weights, the client models and the scaffold variates all stay
     float64."""
