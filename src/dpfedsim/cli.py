@@ -52,7 +52,7 @@ FINAL_KEYS = ("epsilon", "train_loss", "test_acc", "test_recall", "test_f1")
 
 CSV_HEADER = ["round", *FINAL_KEYS, "projections", "wall_ms"]
 
-# a run's round records and the weights_sha256 of its final models
+# a run's round records and the weights_sha256 of its final weights
 Run = tuple[list[RoundMetrics], str]
 
 
@@ -305,7 +305,8 @@ def cmd_privacy(args) -> int:
         return 0
     s = SENSITIVITY[cfg.sampling_mode]
     print(f"sigma={cfg.sigma} delta={cfg.delta} local_steps={cfg.local_steps} "
-          "neighbours=add/remove one training example "
+          "neighbours=add/remove one example in one client's shard, other "
+          "shards fixed "
           f"sensitivity={'' if s == 1 else s}C")
     print(f"{'round':>6} {'steps':>6} {'epsilon':>12} {'alpha':>6}")
     for t in range(1, cfg.rounds + 1):

@@ -1,6 +1,8 @@
 """Differential privacy primitives: batch sampling, Gaussian noise, RDP accounting.
 
-Neighbouring datasets differ by adding or removing one training example.
+Neighbouring datasets differ by adding or removing one example in one
+client's shard, the other shards fixed: how the simulator partitions and
+subsamples its data lies outside the mechanism.
 Each step clips per-sample gradients to an L2 threshold C and sums them
 (``model.clipped_gradient_sum``), adds one Gaussian draw N(0, (sigma*C)^2 I)
 and divides by the configured batch_size, a public constant, whatever the

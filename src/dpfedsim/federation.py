@@ -6,60 +6,33 @@ mean of its noisy batch gradients.  The server optionally corrects conflicts
 between uploads (algorithm "gcfl"), aggregates them, and takes a global step.
 
 The round's uploads are the rows of one (P, D) array U, one row per
-participant in ascending client id; each client overwrites its row with
-its upload; U is held through evaluation, which builds the test features
-in it (below), and freed at the round's end.  The upload is the only
-per-client vector the server reads.  A client builds its first step in
-its row and its other D-length vectors in a workspace it allocates once
-(``client_local_phase``), so no step allocates one.  A client's K local
-steps w <- w - eta * noisy_k end at start - K eta * upload, so isolated stores
-that as the client's model, and dp_scaffold's option-II update
-c_i <- c_i - c + (start - w_K) / (K eta) adds the upload itself.  The
-server step writes the new weights into the aggregate.  A client step
-turns its batch's uint8 levels into float64 features (``data.features``);
-the whole DP step runs in float64, and so do the uploads, the Gram, the
-aggregate, the server step and every model the state holds.  Evaluation
-alone runs at half width: it predicts the argmax of float32 logits
-(``model.predict``) from the test set's float32 features.  A run holds
-the test set only as uint8 levels, and each round's evaluation builds
-those features chunk by chunk in spent U (``_evaluate``).
+participant in ascending client id: the only per-client vector the server
+reads.  Client ids index the run's shards and scaffold variates and appear
+only at the round's edges; the server speaks rows of U.  Every aggregate is
+one weighted sum over the rows of U in order (``linalg.weighted_sum``), each
+row weighted 1 / P, a public count, never the private shard sizes; under
+gcfl ``correction.plan_round`` folds its projections into those weights.
+The Gram's, the fold's and the sum's fixed orders set the update's bytes,
+whatever the BLAS thread count.  Everything but evaluation runs in float64.
+Evaluation predicts from float32 test features, built chunk by chunk in
+spent U from the uint8 levels that are all the run holds of the test set
+(``_evaluate``).
 
-A client id indexes the run's lists of shards (row-index arrays into the
-one train set), per-client models and variates.  The server step speaks
-rows: the participant weights w and the aggregate's weights alpha are
-lists by row of U, and client ids appear only at the round's edges (shard
-lookup, per-client models and variates, the summary's references).  Every
-aggregate is one weighted sum sum_q alpha_q g_q over the rows of U in
-order (``linalg.weighted_sum``), with alpha = w except under gcfl, where
-``correction.plan_round`` folds each projection it decides from the Gram
-matrix of U into alpha.  Three fixed orders set the update's bytes, none
-of them dependent on the BLAS thread count: the Gram's (one BLAS syrk;
-see ``correction.gram``), the fold's (ascending row p, then test order)
-and the weighted sum's (ascending row q, elementwise axpys; see
-``linalg``).  Each of a round's P participants weighs w_p = 1 / P: a
-public count, never the private shard sizes.
+Every draw of a run comes from a stream that ``derive_rng`` names by four
+ints, a ``Stream`` tag last: (seed, round, client_id, BATCH or NOISE),
+(seed, round, 0, CORRECTION or SELECT) and (seed, 0, 0, INIT or a data
+tag).  So no two streams share a name, a client's draws do not depend on
+who else takes part, and reruns are bit-identical.  The run seed travels as
+``ExperimentState.seed``; every setting is read from the validated
+``ExperimentConfig``.
 
-Every function here reads its settings from the run's ``ExperimentConfig``
-by key name (``cfg.sigma``, ``cfg.eta``, ``cfg.correction_mode``); the
-config validated them when it was built.  The run seed is not a config key
-(a config lists several) and travels as ``ExperimentState.seed``.  Every
-draw of a run, its data and initial model too, comes from a stream that
-``derive_rng`` names by four ints, a ``Stream`` tag last: (seed, round,
-client_id, BATCH or NOISE), (seed, round, 0, CORRECTION or SELECT) and
-(seed, 0, 0, INIT or a data tag).  So no two streams share a name, a client's
-draws do not depend on who else takes part, and reruns are bit-identical.
-
-A command owns one worker thread and one BLAS pin to one thread
-(``pinned_worker``), held from its first data build to its last run.  Each
-run shares work with that worker one way (``_halves``): the worker takes
-the upper half of a round's participants, or of evaluation's test chunks,
-and the calling thread takes the lower half.  A client draws from its
-own streams and writes only its own row of U; it reads only state that
-nothing writes during the client phase, and the server reads U once both
-halves have ended.  Under the pin a matrix product's bytes do not depend
-on which thread runs it, so the output bytes are the same with the
-worker, without it, and under any timing.  Every task of a round is
-submitted after the round starts and has ended when the round returns.
+A command owns one worker thread and pins BLAS to one thread
+(``pinned_worker``).  A round splits its clients, and its test chunks,
+between that worker and the calling thread (``_halves``).  A client draws
+from its own streams, writes only its own row of U and reads nothing that
+the client phase writes, and under the pin a product's bytes do not depend
+on the thread that runs it, so the output bytes are the same with the
+worker, without it, and under any timing.
 
 A round's floating-point policy is one ``np.errstate``, on ``run_round``,
 which ``_halves`` carries to the worker: numpy ignores overflow and
@@ -78,7 +51,7 @@ import time
 from collections.abc import Callable, Iterator
 from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 from weakref import proxy
 
@@ -101,7 +74,6 @@ ALGORITHMS = (
     "dp_fedprox",
     "dp_scaffold",
     "dp_fedexp",
-    "isolated",
 )
 
 _FEDEXP_EPS = 1e-3
@@ -141,7 +113,6 @@ class ExperimentState:
     test_X: np.ndarray  # uint8 levels, whose features evaluation builds
     test_y: np.ndarray  # and its labels
     weights: ParamVector
-    client_models: list[ParamVector] = field(default_factory=list)  # by client id
     scaffold: ScaffoldState | None = None
 
 
@@ -236,37 +207,25 @@ def client_local_phase(
     """Run one client's local steps on its shard, the given rows of train,
     write its upload into the ``upload`` row (whatever it held), and return
     the mean of the steps' objectives, each the summed sample losses of its
-    batch over B, the batch_size.
+    batch over B, the configured batch_size.
 
-    Per step: draw a minibatch of the rows, gather its float64 features
-    (``data.features``), clip each per-sample gradient to C and sum in one
-    batched pass, add a noise vector z * sigma C with z drawn from
-    ``noise_rng`` (at sigma = 0 nothing is drawn),
-    divide by B, the configured public constant, then step the local model.
-    Every step releases its vector, one with an empty Poisson draw too (its
-    clipped sum is zero).  The step vector is built where z is drawn,
-    (z sigma C + clipped sum) / B: the bytes of (clipped sum + noise) / B,
-    since IEEE addition commutes; at sigma = 0 the clipped sum is copied
-    there instead.  Under dp_fedprox with prox_mu != 0,
-    prox_mu * (w_local - w_start) is added to each per-sample gradient
-    before clipping from the second step on; at the first, w_local is
-    w_start and the shift is exactly zero, so the kernel runs without one:
-    a zero shift adds nothing to the norms or the sum.  dp_scaffold adds
-    the control-variate shift server - client, from ``scaffold_variates``
-    = (server, client), after noising.  No local model is built after the
-    last step.  A non-finite per-sample gradient norm or step vector
-    raises ValueError.
+    Per step: draw a minibatch of the rows, clip each per-sample gradient on
+    its float64 features to C and sum, add sigma C z with z drawn from
+    ``noise_rng`` (nothing is drawn at sigma = 0), divide by B, a public
+    constant whatever the batch drawn, and step the local model.  An empty
+    Poisson draw releases its step too.  The upload is the mean of the K
+    step vectors.  A step vector is built where z is drawn: (z sigma C +
+    clipped sum) / B has the bytes of (clipped sum + noise) / B, since IEEE
+    addition commutes.  dp_fedprox with prox_mu != 0 adds prox_mu * (w_local
+    - w_start) to each per-sample gradient before clipping, from the second
+    step on: at the first the shift is exactly zero.  dp_scaffold adds
+    server - client, from ``scaffold_variates`` = (server, client), after
+    noising.  A non-finite per-sample gradient norm or step vector raises
+    ValueError.
 
-    The upload is the mean of the K step vectors.  The first is built in
-    the upload row itself, so the row is written once; each later one is
-    built in a vector of its own and added into the row, which is divided
-    by K when K > 1.  The client allocates its workspace once, before its
-    first step: the clipped sum, and when K > 1 the later-step vector and
-    the local model.  Every step overwrites what it reads of it, so a step
-    allocates no D-length vector: the dp_fedprox shift is built in the
-    step's own vector, which the kernel reads before the noise is drawn
-    there (never in the clipped sum's, the kernel's scratch), and the
-    scaffold shift in the clipped sum's vector once the step has read it.
+    The first step vector is built in the upload row itself.  The client's
+    other D-vectors are allocated once, before its first step, and each step
+    overwrites what it reads of them, so no step allocates one.
     """
     dim = start_params.shape[0]
     clipped = np.empty(dim)  # the kernel's clipped sum, then the scaffold shift
@@ -352,66 +311,48 @@ def server_step(
 
 
 def _evaluate(
-    state: ExperimentState,
-    uploads: np.ndarray,
-    models: list[ParamVector],
-    worker: Executor,
+    state: ExperimentState, uploads: np.ndarray, worker: Executor
 ) -> tuple[float, float, float]:
-    """The means over models of (accuracy, macro recall, macro F1), from
-    one pass over the test set's row chunks split between the worker and
-    this thread (``_halves``), each chunk's float32 features built once in
-    the round's spent uploads U.  Chunks have min(_EVAL_ROWS, rows U holds
-    // 2) rows, and a half builds each in turn in its own half of those
-    rows, then predicts it with each model.  A half casts a model into its
-    buffer when it is not the one cast last: once per round at one model,
-    and once per chunk for each of several (isolated).  Weights not finite
-    once cast, or logits they overflow, raise ValueError."""
+    """(accuracy, macro recall, macro F1) of the global weights, from one
+    pass over the test set's row chunks split between the worker and this
+    thread (``_halves``), each chunk's float32 features built once in the
+    round's spent uploads U.  Chunks have min(_EVAL_ROWS, rows U holds // 2)
+    rows, and a half builds each in turn in its own half of those rows.
+    Each half casts the weights into its own buffer once, before its first
+    chunk.  Weights not finite once cast, or logits they overflow, raise
+    ValueError."""
     spec, levels = state.model_spec, state.test_X
     n, d = levels.shape
     room = uploads.reshape(-1).view(_EVAL_DTYPE)
     rows = min(_EVAL_ROWS, room.size // (2 * d))
     starts = range(0, n, rows)
-    preds = np.empty((len(models), n), dtype=np.int64)
+    preds = np.empty(n, dtype=np.int64)
     # made here: a cast made on the worker, or an isfinite mask, raised peak RSS
     casts = np.empty((2, spec.num_params), _EVAL_DTYPE)
 
     def predict(chunks: range) -> None:
         upper = int(chunks.start > 0)
-        w_eval, cast = casts[upper], None
+        w_eval = casts[upper]
+        np.copyto(w_eval, state.weights, casting="same_kind")
+        if not (math.isfinite(w_eval.min()) and math.isfinite(w_eval.max())):
+            raise ValueError(f"weights not finite in {w_eval.dtype}")
         at = upper * rows * d
         for lo in starts[chunks.start : chunks.stop]:
             c = slice(lo, lo + rows)
             x = room[at : at + levels[c].size].reshape(-1, d)
             features_into(levels[c], x)
-            for m, w in enumerate(models):
-                if m != cast:
-                    np.copyto(w_eval, w, casting="same_kind")
-                    finite = math.isfinite(w_eval.min()) and math.isfinite(w_eval.max())
-                    if not finite:
-                        raise ValueError(f"weights not finite in {w_eval.dtype}")
-                    cast = m
-                preds[m, c] = model_mod.predict(spec, w_eval, x)
+            preds[c] = model_mod.predict(spec, w_eval, x)
 
     _halves(worker, predict, len(starts))
-    cms = (metrics_mod.accumulate(p, state.test_y, spec.num_classes) for p in preds)
-    scores = [metrics_mod.scores(cm) for cm in cms]
-    return tuple(float(np.mean([s[k] for s in scores])) for k in range(3))
-
-
-def _evaluated_models(state: ExperimentState) -> list[ParamVector]:
-    """The models a round evaluates: under isolated every client's, in
-    ascending id, else the global weights."""
-    return state.client_models if state.cfg.algorithm == "isolated" else [state.weights]
+    return metrics_mod.scores(
+        metrics_mod.accumulate(preds, state.test_y, spec.num_classes)
+    )
 
 
 def weights_sha256(state: ExperimentState) -> str:
-    """SHA-256 over the float64 bytes of the models the last evaluation
-    read (``_evaluated_models``), in order: a fingerprint of every weight
-    byte, where the test metrics see only the predictions."""
-    digest = hashlib.sha256()
-    for w in _evaluated_models(state):
-        digest.update(w)
-    return digest.hexdigest()
+    """SHA-256 over the float64 bytes of the global weights: a fingerprint of
+    every weight byte, where the test metrics see only the predictions."""
+    return hashlib.sha256(state.weights).hexdigest()
 
 
 def _select_participants(state: ExperimentState, round_index: int) -> list[int]:
@@ -442,11 +383,6 @@ def run_round(
     def run_clients(part: range) -> None:
         for p in part:
             cid = participants[p]
-            start = (
-                state.client_models[cid]
-                if cfg.algorithm == "isolated"
-                else state.weights
-            )
             variates = None
             if cfg.algorithm == "dp_scaffold":
                 scaffold = state.scaffold
@@ -455,7 +391,7 @@ def run_round(
                 losses[p] = client_local_phase(
                     state.train,
                     state.shards[cid],
-                    start,
+                    state.weights,
                     state.model_spec,
                     cfg,
                     derive_rng(state.seed, round_index, cid, Stream.BATCH),
@@ -470,42 +406,37 @@ def run_round(
 
     report = None
     try:
-        if cfg.algorithm == "isolated":
-            scale = -cfg.eta * cfg.local_steps  # the K steps' move per unit upload
-            for p, cid in enumerate(participants):
-                # a new vector: the old model may be a caller's start array
-                state.client_models[cid] = state.client_models[cid] + scale * uploads[p]
-        else:
-            alpha = [1.0 / len(participants)] * len(participants)
-            if cfg.algorithm == "gcfl" and len(participants) > 1:
-                alpha, report = plan_round(
-                    uploads, alpha, cfg.correction_mode, cfg.num_references,
-                    derive_rng(state.seed, round_index, 0, Stream.CORRECTION),
-                )
-            aggregated = weighted_sum(uploads, alpha)
-            # the new weights are written into the aggregate, the round's one
-            # server-side D-vector
-            state.weights = server_step(state.weights, aggregated, cfg, uploads)
+        alpha = [1.0 / len(participants)] * len(participants)
+        if cfg.algorithm == "gcfl" and len(participants) > 1:
+            alpha, report = plan_round(
+                uploads, alpha, cfg.correction_mode, cfg.num_references,
+                derive_rng(state.seed, round_index, 0, Stream.CORRECTION),
+            )
+        aggregated = weighted_sum(uploads, alpha)
+        # the new weights are written into the aggregate, the round's one
+        # server-side D-vector
+        state.weights = server_step(state.weights, aggregated, cfg, uploads)
 
-            if cfg.algorithm == "dp_scaffold":
-                # the server variate moves by (1 / n) sum of every participant's
-                # new - old, summed in row order; row p is read for the last
-                # time here, so it takes new - old
-                scaffold = state.scaffold
-                for p, cid in enumerate(participants):
-                    old = scaffold.client_variates[cid]
-                    new = old - scaffold.server_variate
-                    new += uploads[p]
-                    np.subtract(new, old, out=uploads[p])
-                    scaffold.client_variates[cid] = new
-                move = weighted_sum(uploads, [1.0 / cfg.n_clients] * len(participants))
-                move += scaffold.server_variate
-                scaffold.server_variate = move
+        if cfg.algorithm == "dp_scaffold":
+            # option II, c_i - c + (start - w_K) / (K eta), is c_i - c + the
+            # upload; the server variate moves by (1 / n) sum of every
+            # participant's new - old, summed in row order; row p is read for
+            # the last time here, so it takes new - old
+            scaffold = state.scaffold
+            for p, cid in enumerate(participants):
+                old = scaffold.client_variates[cid]
+                new = old - scaffold.server_variate
+                new += uploads[p]
+                np.subtract(new, old, out=uploads[p])
+                scaffold.client_variates[cid] = new
+            move = weighted_sum(uploads, [1.0 / cfg.n_clients] * len(participants))
+            move += scaffold.server_variate
+            scaffold.server_variate = move
 
         # metrics; U is read for the last time above, and evaluation builds
         # the test features in it
         train_loss = float(np.mean(losses))
-        acc, rec, f1 = _evaluate(state, uploads, _evaluated_models(state), worker)
+        acc, rec, f1 = _evaluate(state, uploads, worker)
     except ValueError as exc:
         raise ValueError(f"round {round_index}: {exc}") from None
 
@@ -549,8 +480,6 @@ def init_state(
         test_y=test_y,
         weights=w,
     )
-    if cfg.algorithm == "isolated":
-        state.client_models = [w.copy() for _ in shards]
     if cfg.algorithm == "dp_scaffold":
         dim = w.shape[0]
         state.scaffold = ScaffoldState(np.zeros(dim), [np.zeros(dim) for _ in shards])

@@ -227,16 +227,6 @@ MUTANTS = (
         "[167-row-chunks]",
     ),
     Mutant(
-        "every_model_scored_as_model_0",
-        "isolated scores each client's model on its own predictions",
-        "federation.py",
-        "for p in preds",
-        "for p in [preds[0]] * len(preds)",
-        "tests/test_federation.py::"
-        "test_each_rounds_scores_are_those_of_freshly_built_features"
-        "[isolated-1024-row-chunks]",
-    ),
-    Mutant(
         "zero_rounds_accepted",
         "a config no command can run is refused by one line that names its key",
         "config.py",
@@ -244,6 +234,18 @@ MUTANTS = (
         "if self.rounds < 0:",
         "tests/test_boundary.py::"
         "test_every_config_runs_clean_or_is_refused_naming_its_key_or_round[ordinary-run]",
+    ),
+    Mutant(
+        "poisson_rate_from_the_train_set",
+        "a client's release depends on its own shard alone",
+        "federation.py",
+        "idx = poisson_sample(rows.size, cfg.batch_size, cfg.sampling_mode, batch_rng)",
+        "idx = poisson_sample(rows.size, cfg.batch_size * rows.size * cfg.n_clients"
+        " / train.size if cfg.sampling_mode == 'poisson' else cfg.batch_size,"
+        " cfg.sampling_mode, batch_rng)",
+        "tests/test_federation.py::"
+        "test_one_example_more_in_one_shard_moves_that_clients_release_alone"
+        "[gcfl-poisson-0]",
     ),
     Mutant(
         "worker_half_outside_the_policy",

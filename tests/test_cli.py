@@ -62,18 +62,13 @@ def test_run_writes_metrics_and_summary(tmp_path, capsys):
     assert "run complete" in captured.out
 
 
-@pytest.mark.parametrize("algorithm", ["gcfl", "isolated"])
-def test_weights_sha256_sees_one_ulp_of_the_final_weights(
-    tmp_path, monkeypatch, algorithm
-):
+def test_weights_sha256_sees_one_ulp_of_the_final_weights(tmp_path, monkeypatch):
     """Each seed's weights_sha256 is SHA-256 over the float64 bytes of the
-    models the last evaluation read: the global weights, or under isolated
-    every client's model in ascending id.  One ulp added to one coordinate
-    of the last of them, after the last evaluation, leaves every metrics
-    CSV unchanged and changes every seed's weights_sha256, and nothing else
-    in summary.json."""
+    final global weights.  One ulp added to their last coordinate, after
+    the last evaluation, leaves every metrics CSV unchanged and changes
+    every seed's weights_sha256, and nothing else in summary.json."""
     text = FAST_CFG.replace("seeds = 2", "seeds = 2,3")
-    cfg = write_cfg(tmp_path, text + f"algorithm = {algorithm}\n")
+    cfg = write_cfg(tmp_path, text + "algorithm = gcfl\n")
     real = dpfedsim.cli.run_experiment
     csvs, summaries, shas = {}, {}, {}
     for nudge in (False, True):
@@ -81,15 +76,10 @@ def test_weights_sha256_sees_one_ulp_of_the_final_weights(
 
         def run_experiment(state, worker):
             rounds = real(state, worker)
-            if algorithm == "isolated":
-                models = list(state.client_models)
-            else:
-                models = [state.weights]
+            w = state.weights
             if nudge:
-                models[-1][-1] = np.nextafter(models[-1][-1], np.inf)
-            hashed[state.seed] = hashlib.sha256(
-                b"".join(m.astype(np.float64).tobytes() for m in models)
-            ).hexdigest()
+                w[-1] = np.nextafter(w[-1], np.inf)
+            hashed[state.seed] = hashlib.sha256(w.tobytes()).hexdigest()
             return rounds
 
         monkeypatch.setattr(dpfedsim.cli, "run_experiment", run_experiment)
@@ -411,7 +401,8 @@ def test_run_reports_the_privacy_schedule_of_its_sampling_mode(
     header, _, *table = capsys.readouterr().out.splitlines()
     assert header == (
         f"sigma=0.8 delta=1e-05 local_steps={local_steps} neighbours=add/remove "
-        f"one training example sensitivity={sensitivity}"
+        f"one example in one client's shard, other shards fixed "
+        f"sensitivity={sensitivity}"
     )
     schedule = [line.split()[2] for line in table if not line.startswith("budget")]
     assert len(schedule) == 3 and schedule[0] == first

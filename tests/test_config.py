@@ -259,6 +259,7 @@ BAD_VALUES = {
     "batch_size": {"batch_size": "-1"},
     "sampling_mode": {"sampling_mode": "uniform"},
     "algorithm": {"algorithm": "fedsgd"},
+    "algorithm-isolated": {"algorithm": "isolated"},
     "prox_mu": {"prox_mu": "-1"},
     "sigma": {"sigma": "-1"},
     "clip_threshold": {"clip_threshold": "0"},

@@ -23,7 +23,7 @@ from dpfedsim.correction import (
     select_references,
 )
 from dpfedsim.data import Dataset, features, partition_iid
-from dpfedsim.dp import epsilon_spent, poisson_sample
+from dpfedsim.dp import SAMPLING_MODES, epsilon_spent, poisson_sample
 from dpfedsim.federation import (
     ALGORITHMS,
     Stream,
@@ -365,16 +365,6 @@ def test_epsilon_monotone_and_inf_when_noise_free():
     assert all(math.isinf(r.epsilon_spent) for r in res0)
 
 
-def test_isolated_keeps_global_weights_fixed_and_models_diverge():
-    state = make_state(algorithm="isolated", sigma=0.2, rounds=3)
-    w0 = state.weights.copy()
-    result = run_all_rounds(state)
-    np.testing.assert_array_equal(state.weights, w0)
-    models = state.client_models
-    assert not np.array_equal(models[0], models[1])
-    assert all(r.projections_applied == 0 for r in result)
-
-
 def test_gcfl_reports_correction_and_others_dont():
     g = make_state(algorithm="gcfl", sigma=1.5, rounds=2, seed=3)
     report = run_one_round(g, 0).correction
@@ -607,7 +597,7 @@ def test_gcfl_round_without_projections_is_the_plain_aggregate_bitwise(
 
 @pytest.mark.parametrize(
     "algorithm, clients_per_round",
-    [(a, 0) for a in ALGORITHMS if a not in ("gcfl", "isolated")] + [("gcfl", 1)],
+    [(a, 0) for a in ALGORITHMS if a != "gcfl"] + [("gcfl", 1)],
 )
 def test_uncorrected_round_aggregates_the_raw_uploads_bitwise(
     monkeypatch, algorithm, clients_per_round
@@ -724,7 +714,7 @@ def _state_after_round_zero(algorithm, local_steps, sampling_mode, batch_size):
         local_steps=local_steps, sampling_mode=sampling_mode,
         batch_size=batch_size,
     )
-    run_one_round(state, 0)  # round 1 starts from diverged models and variates
+    run_one_round(state, 0)  # round 1 starts from moved weights and variates
     return state
 
 
@@ -857,7 +847,7 @@ def test_a_reused_upload_row_carries_nothing_into_the_next_client(
         local_steps=local_steps, sampling_mode=sampling_mode,
         batch_size=batch_size,
     )
-    run_one_round(state, 0)  # round 1 starts from diverged models and variates
+    run_one_round(state, 0)  # round 1 starts from moved weights and variates
     dim = state.weights.shape[0]
 
     def upload_of(cid, row):
@@ -994,19 +984,15 @@ def test_the_server_step_is_written_into_the_aggregate(monkeypatch, algorithm):
     assert peaks[0] < 1.5 * dim * 8, peaks[0] / (dim * 8)
 
 
-def _fresh_scores(spec, models, X, y):
-    """run_round's (accuracy, recall, F1) of the models on the float32
-    features X, predicted in evaluation's row chunks, each model's weights
-    cast to float32: the mean over the models of each score."""
+def _fresh_scores(spec, w, X, y):
+    """run_round's (accuracy, recall, F1) of the weights w on the float32
+    features X, predicted in evaluation's row chunks, w cast to float32."""
     rows = federation._EVAL_ROWS
-    scores = []
-    for w in models:
-        w32 = w.astype(np.float32)
-        preds = np.concatenate(
-            [predict(spec, w32, X[lo : lo + rows]) for lo in range(0, len(X), rows)]
-        )
-        scores.append(metric_scores(accumulate(preds, y, spec.num_classes)))
-    return tuple(float(np.mean([s[k] for s in scores])) for k in range(3))
+    w32 = w.astype(np.float32)
+    preds = np.concatenate(
+        [predict(spec, w32, X[lo : lo + rows]) for lo in range(0, len(X), rows)]
+    )
+    return metric_scores(accumulate(preds, y, spec.num_classes))
 
 
 def _chunked_test_state(algorithm, n_clients, hidden=50):
@@ -1039,19 +1025,17 @@ _ROOMS = pytest.mark.parametrize(
 
 
 @_ROOMS
-@pytest.mark.parametrize("algorithm", ["gcfl", "dp_scaffold", "isolated"])
+@pytest.mark.parametrize("algorithm", ["gcfl", "dp_scaffold"])
 def test_each_rounds_scores_are_those_of_freshly_built_features(
     monkeypatch, algorithm, n_clients, hidden
 ):
     """Whatever the room in the uploads, every round's accuracy, recall
-    and F1 equal those of the round's evaluated models on float32 features
+    and F1 equal those of the round's global weights on float32 features
     built afresh from the test levels (``_chunked_test_state``).
     Evaluation builds the features in the spent uploads, after dp_scaffold
-    has written new - old into the rows and isolated has read them;
-    isolated evaluates every client's model on those features.  Some
-    round's model predicts more than one class, so features other than
-    the test set's would move the scores.  The run holds the levels
-    alone, unchanged."""
+    has written new - old into the rows.  Some round's model predicts more
+    than one class, so features other than the test set's would move the
+    scores.  The run holds the levels alone, unchanged."""
     state, test = _chunked_test_state(algorithm, n_clients, hidden)
     test_X = state.test_X
     assert test_X.dtype == np.uint8
@@ -1064,11 +1048,10 @@ def test_each_rounds_scores_are_those_of_freshly_built_features(
         got.append(
             (record.test_accuracy, record.test_macro_recall, record.test_macro_f1)
         )
-        models = federation._evaluated_models(state)
-        want.append(_fresh_scores(state.model_spec, models, fresh, test.y))
-        for w in models:
-            labels = predict(state.model_spec, w.astype(np.float32), fresh)
-            classes.append(np.unique(labels).size)
+        w = state.weights
+        want.append(_fresh_scores(state.model_spec, w, fresh, test.y))
+        labels = predict(state.model_spec, w.astype(np.float32), fresh)
+        classes.append(np.unique(labels).size)
         return record
 
     monkeypatch.setattr(federation, "run_round", scored)
@@ -1129,15 +1112,14 @@ def test_the_halves_of_an_evaluation_convert_into_disjoint_parts_of_the_uploads(
 
 
 @pytest.mark.parametrize("n_clients, chunks", [(16, 3), (24, 3), (2, 13)])
-def test_a_round_evaluates_every_model_in_one_pass_that_converts_each_chunk_once(
+def test_a_round_evaluates_in_one_pass_that_converts_each_chunk_once(
     monkeypatch, n_clients, chunks
 ):
-    """Under isolated each round runs two ``_halves`` passes, its clients'
-    and evaluation's, and ``features_into`` once per test chunk, whatever
-    the number of models: 3 chunks of 1,024 rows where the uploads hold
-    two such chunks, and where they do not, as at 2 clients (2,012
-    floats, 335 rows), 13 chunks of 167 rows."""
-    state, _ = _chunked_test_state("isolated", n_clients)
+    """Each round runs two ``_halves`` passes, its clients' and
+    evaluation's, and ``features_into`` once per test chunk: 3 chunks of
+    1,024 rows where the uploads hold two such chunks, and where they do
+    not, as at 2 clients (2,012 floats, 335 rows), 13 chunks of 167 rows."""
+    state, _ = _chunked_test_state("gcfl", n_clients)
     calls = {"_halves": 0, "features_into": 0}
     for name in calls:
         real = getattr(federation, name)
@@ -1331,38 +1313,6 @@ def test_a_client_allocates_its_workspace_and_no_step_vector(algorithm, local_st
 
 
 @pytest.mark.parametrize("local_steps, sampling_mode, batch_size", LOCAL_PHASES)
-def test_isolated_model_is_the_sequential_local_model(
-    monkeypatch, local_steps, sampling_mode, batch_size
-):
-    """isolated stores start - (K eta) * upload, where the upload is the
-    mean of the K step vectors; the client's own steps reach w_K.
-
-    With K = 1 both sides compute start + (-eta) * n_1 (or start + -0.0),
-    so they are bitwise equal.  Otherwise, per coordinate with
-    S = |start| + eta sum_k |n_k| and u = 2^-53: the sequential w_K is
-    K + 1 roundings of a sum of K + 1 terms, within gamma_{K+1} S of the
-    exact start - eta sum_k n_k.  The stored model is K - 1 additions and a
-    division for the upload, the product -eta * K, its product with the
-    upload and one addition: gamma_{K+3} S.  tol = 2 gamma_{K+3} S.
-    """
-    state = _state_after_round_zero("isolated", local_steps, sampling_mode, batch_size)
-    before = list(state.client_models)
-    starts, steps, _ = _record_round(monkeypatch, state, 1)
-    eta = state.cfg.eta
-    for cid, start in starts.items():
-        assert start is before[cid]
-        got = state.client_models[cid]
-        want = _sequential_model(start, steps[cid], eta)
-        k = len(steps[cid])
-        if k == 1:
-            assert got.tobytes() == want.tobytes()
-            continue
-        size = np.abs(start) + eta * sum(np.abs(n) for n in steps[cid])
-        assert np.all(np.abs(got - want) <= 2 * gamma(k + 3) * size)
-    _assert_every_step_released(steps, state, 1)
-
-
-@pytest.mark.parametrize("local_steps, sampling_mode, batch_size", LOCAL_PHASES)
 def test_scaffold_variate_is_option_two_of_the_local_model(
     monkeypatch, local_steps, sampling_mode, batch_size
 ):
@@ -1371,8 +1321,9 @@ def test_scaffold_variate_is_option_two_of_the_local_model(
 
     Per coordinate, with A = sum_k |n_k|, u = 2^-53 and g = sum_k n_k / K:
     the upload is K - 1 additions and a division, within gamma_K A / K of
-    g.  w_K is within E_w = gamma_{K+1} (|start| + eta A) of start - eta K g
-    (see the isolated test), and the subtraction, the product K * eta and
+    g.  The sequential w_K is K + 1 roundings of a sum of K + 1 terms, so
+    it is within E_w = gamma_{K+1} (|start| + eta A) of start - eta K g,
+    and the subtraction, the product K * eta and
     the division add gamma_3, so the model difference over K eta is within
     ((1 + gamma_3) E_w + gamma_3 eta A) / (K eta) of g.  Both sides then
     add their value to the same rounded old - c, one rounding each:
@@ -1446,18 +1397,15 @@ def test_scaffold_server_variate_adds_every_participants_delta_over_n_bitwise(
     assert after[empty].tobytes() == moved.tobytes()
 
 
-@pytest.mark.parametrize("algorithm", ["isolated", "dp_scaffold"])
-def test_a_client_with_only_empty_draws_moves_its_model_and_variate_by_its_upload(
-    monkeypatch, algorithm
+def test_a_client_with_only_empty_draws_moves_its_variate_by_its_upload(
+    monkeypatch,
 ):
     """With every Poisson draw of round 1 empty, each participant still
-    releases its K steps: isolated moves each model to start - (K eta) *
-    upload, dp_scaffold each variate to old - c + upload, bitwise, and the
-    round reports epsilon after 2K steps."""
-    state = _state_after_round_zero(algorithm, 3, "poisson", 2)
-    models = list(state.client_models)
-    variates = list(state.scaffold.client_variates) if state.scaffold else []
-    server = state.scaffold.server_variate if state.scaffold else None
+    releases its K steps: dp_scaffold moves each variate to old - c +
+    upload, bitwise, and the round reports epsilon after 2K steps."""
+    state = _state_after_round_zero("dp_scaffold", 3, "poisson", 2)
+    variates = list(state.scaffold.client_variates)
+    server = state.scaffold.server_variate
     uploads = {}
     real_local = federation.client_local_phase
 
@@ -1475,13 +1423,9 @@ def test_a_client_with_only_empty_draws_moves_its_model_and_variate_by_its_uploa
     assert sorted(uploads) == list(range(cfg.n_clients))
     for cid, upload in uploads.items():
         assert np.all(upload != 0)
-        if algorithm == "isolated":
-            want = models[cid] + (-cfg.eta * cfg.local_steps) * upload
-            assert state.client_models[cid].tobytes() == want.tobytes()
-        else:
-            want = variates[cid] - server
-            want += upload
-            assert state.scaffold.client_variates[cid].tobytes() == want.tobytes()
+        want = variates[cid] - server
+        want += upload
+        assert state.scaffold.client_variates[cid].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -1497,8 +1441,7 @@ def test_a_round_keeps_the_dp_step_and_all_it_feeds_in_float64(
     rows, so chunks have 26), in one chunk (15 test rows) or three (60
     rows), the kernel reads
     float64 features and float64 weights, and the uploads, the global
-    weights, the client models and the scaffold variates all stay
-    float64."""
+    weights and the scaffold variates all stay float64."""
     state = make_state(
         algorithm=algorithm, n_clients=3, local_steps=2,
         test_per_class=test_per_class,
@@ -1524,9 +1467,81 @@ def test_a_round_keeps_the_dp_step_and_all_it_feeds_in_float64(
     assert read and set(read) == {(f64, f64)}
     assert uploads == [f64] * 3
     assert state.weights.dtype == f64
-    models = list(state.client_models)
+    variates = []
     if state.scaffold is not None:
-        models += [state.scaffold.server_variate]
-        models += state.scaffold.client_variates
-    assert len(models) == {"isolated": 3, "dp_scaffold": 4}.get(algorithm, 0)
-    assert {m.dtype for m in models} <= {f64}
+        variates = [state.scaffold.server_variate, *state.scaffold.client_variates]
+    assert len(variates) == (4 if algorithm == "dp_scaffold" else 0)
+    assert {v.dtype for v in variates} <= {f64}
+
+
+def _releases(monkeypatch, state, round_index):
+    """Run one round; return, by client id, the bytes of its upload and the
+    (shard size, batch size, mode) of each of its sampler calls."""
+    uploads, draws, current = {}, {}, threading.local()
+    real_local, real_sample = federation.client_local_phase, federation.poisson_sample
+
+    def local(train, rows, *args, **kwargs):
+        current.cid = cid = client_of(state, rows)
+        draws[cid] = []
+        out = real_local(train, rows, *args, **kwargs)
+        uploads[cid] = args[5].tobytes()
+        return out
+
+    def sample(*args):
+        draws[current.cid].append(args[:3])
+        return real_sample(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(federation, "client_local_phase", local)
+        patch.setattr(federation, "poisson_sample", sample)
+        run_one_round(state, round_index)
+    return uploads, draws
+
+
+@pytest.mark.parametrize("clients_per_round", [0, 3])
+@pytest.mark.parametrize("sampling_mode", SAMPLING_MODES)
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_one_example_more_in_one_shard_moves_that_clients_release_alone(
+    monkeypatch, algorithm, sampling_mode, clients_per_round
+):
+    """The premise of parallel composition, by which a round charges K
+    steps: neighbouring datasets differ by one example in one client's
+    shard, the other shards fixed, and no other client's release depends
+    on that example.  Two round-1 states share their start model and
+    scaffold variates and differ by one example, appended to train and to
+    client j's shard.  In the round, every other participant's sampler
+    gets the same arguments, and its upload and dp_scaffold variate keep
+    their bytes; client j's upload and variate change."""
+    state = make_state(
+        algorithm=algorithm, n_clients=4, clients_per_round=clients_per_round,
+        sampling_mode=sampling_mode, local_steps=2, batch_size=4, seed=5,
+    )
+    run_one_round(state, 0)  # round 1 starts from moved weights and variates
+    participants = federation._select_participants(state, 1)
+    j = participants[1]
+    train = state.train
+    neighbour = replace(
+        state,
+        train=Dataset(
+            np.vstack([train.X, np.full((1, train.X.shape[1]), 200, np.uint8)]),
+            np.append(train.y, 0),
+            train.num_classes,
+        ),
+        shards=[
+            np.append(shard, train.size) if cid == j else shard
+            for cid, shard in enumerate(state.shards)
+        ],
+        weights=state.weights.copy(),
+        scaffold=copy.deepcopy(state.scaffold),
+    )
+    (uploads, draws), (uploads_j, draws_j) = (
+        _releases(monkeypatch, s, 1) for s in (state, neighbour)
+    )
+    assert sorted(uploads) == sorted(uploads_j) == participants
+    assert len(participants) == (clients_per_round or 4)
+    for cid in participants:
+        assert (uploads_j[cid] == uploads[cid]) is (cid != j), cid
+        assert (draws_j[cid] == draws[cid]) is (cid != j), cid
+        if algorithm == "dp_scaffold":
+            a, b = (s.scaffold.client_variates[cid] for s in (state, neighbour))
+            assert (a.tobytes() == b.tobytes()) is (cid != j), cid

@@ -28,9 +28,12 @@ from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from dpfedsim.config import ExperimentConfig
-from dpfedsim.federation import Stream
+from dpfedsim.correction import CORRECTION_MODES
+from dpfedsim.dp import SAMPLING_MODES
+from dpfedsim.federation import ALGORITHMS, Stream
 from mutants import LIST_CHECK, MUTANTS, PINS, SURVIVORS, copy_tree
 from oracle import child_env
 
@@ -184,25 +187,46 @@ def test_every_config_key_is_read_outside_config_py():
     assert sorted(CONFIG_KEYS - read) == []
 
 
+def _readme_config_cells() -> list[list[str]]:
+    """The (keys, defaults, meaning) cells of each row of the README's
+    config table."""
+    readme = (ROOT / "README.md").read_text()
+    table = readme.split("## Config file format", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in table.splitlines() if line.startswith("| `")]
+    return [line.split("|", 3)[1:] for line in rows]
+
+
 def _readme_config_rows() -> list[tuple[list[str], list[str]]]:
     """(keys, default cells) of each row of the README's config table; a
     cell joined to the next by " / " is its own cell, backticks dropped."""
-    readme = (ROOT / "README.md").read_text()
-    table = readme.split("## Config file format", 1)[1].split("\n## ", 1)[0]
-    rows = []
-    for line in table.splitlines():
-        if line.startswith("| `"):
-            keys, defaults = line.split("|")[1:3]
-            rows.append((
-                re.findall(r"`(\w+)`", keys),
-                [cell.strip().strip("`") for cell in defaults.split(" / ")],
-            ))
-    return rows
+    return [
+        (
+            re.findall(r"`(\w+)`", keys),
+            [cell.strip().strip("`") for cell in defaults.split(" / ")],
+        )
+        for keys, defaults, _ in _readme_config_cells()
+    ]
 
 
 def test_readme_config_table_names_exactly_the_config_keys():
     named = [key for keys, _ in _readme_config_rows() for key in keys]
     assert sorted(named) == sorted(CONFIG_KEYS)
+
+
+@pytest.mark.parametrize(
+    "key, values",
+    [
+        ("algorithm", ALGORITHMS),
+        ("sampling_mode", SAMPLING_MODES),
+        ("correction_mode", CORRECTION_MODES),
+    ],
+)
+def test_readme_config_table_lists_exactly_each_modes_values(key, values):
+    """The values a row's meaning names in backticks are the key's values,
+    in the package's order."""
+    cells = _readme_config_cells()
+    (meaning,) = [m for keys, _, m in cells if keys.strip() == f"`{key}`"]
+    assert tuple(re.findall(r"`(\w+)`", meaning)) == values
 
 
 def _readme_default(key: str, value) -> str:
