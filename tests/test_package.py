@@ -213,20 +213,20 @@ def test_readme_config_table_names_exactly_the_config_keys():
     assert sorted(named) == sorted(CONFIG_KEYS)
 
 
-@pytest.mark.parametrize(
-    "key, values",
-    [
-        ("algorithm", ALGORITHMS),
-        ("sampling_mode", SAMPLING_MODES),
-        ("correction_mode", CORRECTION_MODES),
-    ],
-)
-def test_readme_config_table_lists_exactly_each_modes_values(key, values):
+MODES = {
+    "algorithm": ALGORITHMS,
+    "sampling_mode": SAMPLING_MODES,
+    "correction_mode": CORRECTION_MODES,
+}
+
+
+@pytest.mark.parametrize("key", MODES)
+def test_readme_config_table_lists_exactly_each_modes_values(key):
     """The values a row's meaning names in backticks are the key's values,
     in the package's order."""
     cells = _readme_config_cells()
     (meaning,) = [m for keys, _, m in cells if keys.strip() == f"`{key}`"]
-    assert tuple(re.findall(r"`(\w+)`", meaning)) == values
+    assert tuple(re.findall(r"`(\w+)`", meaning)) == MODES[key]
 
 
 def _readme_default(key: str, value) -> str:
