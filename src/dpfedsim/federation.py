@@ -34,6 +34,11 @@ the client phase writes, and under the pin a product's bytes do not depend
 on the thread that runs it, so the output bytes are the same with the
 worker, without it, and under any timing.
 
+A client builds each step vector where the kernel writes the step's
+clipped sum, its row of U first, and adds noise and shifts through one
+buffer, a 64 KiB block (``linalg.blocks``) but under dp_fedprox with
+K > 1; the dp_scaffold variate update goes block by block, in place.
+
 A round's floating-point policy is one ``np.errstate``, on ``run_round``,
 which ``_halves`` carries to the worker: numpy ignores overflow and
 invalid, and each producer (a client step, the Gram, the cast, the
@@ -62,7 +67,9 @@ from . import model as model_mod
 from .correction import plan_round
 from .data import Dataset, features, features_into
 from .dp import poisson_sample
-from .linalg import ParamVector, add_scaled, one_blas_thread, weighted_sum
+from .linalg import (
+    ParamVector, add_scaled, block, blocks, one_blas_thread, weighted_sum
+)
 from .model import MlpSpec
 
 if TYPE_CHECKING:  # config.py imports this module's mode tuples
@@ -193,6 +200,12 @@ def _halves(worker: Executor, fn: Callable[[range], None], n: int) -> None:
         upper.result()
 
 
+def _finite(v: np.ndarray) -> bool:
+    """Whether every entry of the non-empty v is finite, read from its min
+    and max (NaN propagates through both), with no mask of v's length."""
+    return math.isfinite(v.min()) and math.isfinite(v.max())
+
+
 def client_local_phase(
     train: Dataset,
     rows: np.ndarray,
@@ -214,27 +227,31 @@ def client_local_phase(
     ``noise_rng`` (nothing is drawn at sigma = 0), divide by B, a public
     constant whatever the batch drawn, and step the local model.  An empty
     Poisson draw releases its step too.  The upload is the mean of the K
-    step vectors.  A step vector is built where z is drawn: (z sigma C +
-    clipped sum) / B has the bytes of (clipped sum + noise) / B, since IEEE
-    addition commutes.  dp_fedprox with prox_mu != 0 adds prox_mu * (w_local
-    - w_start) to each per-sample gradient before clipping, from the second
+    step vectors.  dp_fedprox with prox_mu != 0 adds prox_mu * (w_local -
+    w_start) to each per-sample gradient before clipping, from the second
     step on: at the first the shift is exactly zero.  dp_scaffold adds
     server - client, from ``scaffold_variates`` = (server, client), after
     noising.  A non-finite per-sample gradient norm or step vector raises
     ValueError.
 
-    The first step vector is built in the upload row itself.  The client's
-    other D-vectors are allocated once, before its first step, and each step
-    overwrites what it reads of them, so no step allocates one.
+    A step vector is built where the kernel writes its clipped sum: the
+    upload row at the first step, the later-step vector after.  z is drawn,
+    scaled and added a block at a time (``linalg.blocks``) through one
+    buffer, as is the scaffold shift: clipped sum + z sigma C has the bytes
+    of z sigma C + clipped sum, and blocks drawn in order read the stream's
+    normals in order.  Under dp_fedprox with K > 1 the buffer is a whole
+    D-vector: it holds each later step's prox shift while the kernel reads
+    it, apart from its out, then takes the noise as one block.  Every
+    D-vector is allocated before the first step.
     """
     dim = start_params.shape[0]
-    clipped = np.empty(dim)  # the kernel's clipped sum, then the scaffold shift
     prox = cfg.algorithm == "dp_fedprox" and cfg.prox_mu != 0
     if cfg.local_steps > 1:
         later = np.empty(dim)  # steps 2..K, each added into the upload
         w_local = start_params.copy()  # start_params is never written
     else:
         later, w_local = None, start_params
+    tmp = np.empty(dim) if prox and later is not None else block(dim)
     loss_total = 0.0
 
     for k in range(cfg.local_steps):
@@ -243,9 +260,8 @@ def client_local_phase(
         noisy = later if k else upload
         shift = None
         if prox and k:
-            # read by the kernel before the step is built here; at k = 0
-            # w_local is the start, so the shift is zero and is left out
-            shift = np.subtract(w_local, start_params, out=noisy)
+            # at k = 0 w_local is the start, so the shift is zero and is left out
+            shift = np.subtract(w_local, start_params, out=tmp)
             shift *= cfg.prox_mu
         losses, sq_norms, _ = model_mod.clipped_gradient_sum(
             model_spec,
@@ -254,19 +270,20 @@ def client_local_phase(
             train.y[batch],
             cfg.clip_threshold,
             shift,
-            out=clipped,
+            out=noisy,
         )
-        if cfg.sigma == 0:
-            np.copyto(noisy, clipped)
-        else:
-            noise_rng.standard_normal(out=noisy)
-            noisy *= cfg.sigma * cfg.clip_threshold
-            noisy += clipped
+        if cfg.sigma != 0:
+            for lo, z in blocks(tmp, dim):
+                noise_rng.standard_normal(out=z)
+                z *= cfg.sigma * cfg.clip_threshold
+                noisy[lo : lo + z.size] += z
         noisy /= cfg.batch_size
         if scaffold_variates is not None:
-            # the step has read the clipped sum: its vector takes the shift
-            noisy += np.subtract(*scaffold_variates, out=clipped)
-        if not (np.isfinite(sq_norms).all() and np.isfinite(noisy).all()):
+            server, client = scaffold_variates
+            for lo, t in blocks(tmp, dim):
+                s = slice(lo, lo + t.size)
+                noisy[s] += np.subtract(server[s], client[s], out=t)
+        if not (np.isfinite(sq_norms).all() and _finite(noisy)):
             raise ValueError(
                 f"non-finite per-sample gradient norm or upload at local step {k + 1}"
             )
@@ -318,8 +335,8 @@ def _evaluate(
     thread (``_halves``), each chunk's float32 features built once in the
     round's spent uploads U.  Chunks have min(_EVAL_ROWS, rows U holds // 2)
     rows, and a half builds each in turn in its own half of those rows.
-    Each half casts the weights into its own buffer once, before its first
-    chunk.  Weights not finite once cast, or logits they overflow, raise
+    Both halves read one cast of the weights, made on this thread before
+    them.  Weights not finite once cast, or logits they overflow, raise
     ValueError."""
     spec, levels = state.model_spec, state.test_X
     n, d = levels.shape
@@ -328,14 +345,12 @@ def _evaluate(
     starts = range(0, n, rows)
     preds = np.empty(n, dtype=np.int64)
     # made here: a cast made on the worker, or an isfinite mask, raised peak RSS
-    casts = np.empty((2, spec.num_params), _EVAL_DTYPE)
+    w_eval = state.weights.astype(_EVAL_DTYPE)
+    if not _finite(w_eval):
+        raise ValueError(f"weights not finite in {w_eval.dtype}")
 
     def predict(chunks: range) -> None:
         upper = int(chunks.start > 0)
-        w_eval = casts[upper]
-        np.copyto(w_eval, state.weights, casting="same_kind")
-        if not (math.isfinite(w_eval.min()) and math.isfinite(w_eval.max())):
-            raise ValueError(f"weights not finite in {w_eval.dtype}")
         at = upper * rows * d
         for lo in starts[chunks.start : chunks.stop]:
             c = slice(lo, lo + rows)
@@ -420,15 +435,20 @@ def run_round(
         if cfg.algorithm == "dp_scaffold":
             # option II, c_i - c + (start - w_K) / (K eta), is c_i - c + the
             # upload; the server variate moves by (1 / n) sum of every
-            # participant's new - old, summed in row order; row p is read for
-            # the last time here, so it takes new - old
+            # participant's new - old, summed in row order.  A block at a
+            # time, row p, read for the last time here, takes new - old and
+            # the variate takes new in place
             scaffold = state.scaffold
+            c, dim = scaffold.server_variate, state.weights.shape[0]
+            tmp = block(dim)
             for p, cid in enumerate(participants):
-                old = scaffold.client_variates[cid]
-                new = old - scaffold.server_variate
-                new += uploads[p]
-                np.subtract(new, old, out=uploads[p])
-                scaffold.client_variates[cid] = new
+                variate, row = scaffold.client_variates[cid], uploads[p]
+                for lo, new in blocks(tmp, dim):
+                    s = slice(lo, lo + new.size)
+                    np.subtract(variate[s], c[s], out=new)
+                    new += row[s]
+                    np.subtract(new, variate[s], out=row[s])
+                    variate[s] = new
             move = weighted_sum(uploads, [1.0 / cfg.n_clients] * len(participants))
             move += scaffold.server_variate
             scaffold.server_variate = move

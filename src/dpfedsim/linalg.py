@@ -37,7 +37,22 @@ import numpy as np
 ParamVector = np.ndarray
 
 
-_BLOCK = 8192  # entries per block of add_scaled's temporary (64 KiB)
+_BLOCK = 8192  # entries per block of a blocked loop's temporary (64 KiB)
+
+
+def block(n: int) -> np.ndarray:
+    """A float64 temporary for ``blocks`` over n >= 1 entries: _BLOCK
+    entries, or n if fewer."""
+    return np.empty(min(_BLOCK, n))
+
+
+def blocks(tmp: np.ndarray, n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(lo, t) for each block [lo, lo + t.size) of range(n), in order, with
+    t the first t.size entries of tmp: every block but the last is tmp's
+    size.  An elementwise loop over the blocks has the bytes of the same
+    loop over whole vectors, without a full-length temporary."""
+    for lo in range(0, n, tmp.size):
+        yield lo, tmp[: min(tmp.size, n - lo)]
 
 
 def add_scaled(out: ParamVector, c: float, v: ParamVector) -> None:
@@ -45,10 +60,8 @@ def add_scaled(out: ParamVector, c: float, v: ParamVector) -> None:
     each entry is out_i + (c * v_i), the bytes of ``out += c * v`` without
     its full-length temporary."""
     n = out.shape[0]
-    tmp = np.empty(min(_BLOCK, n))
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        out[lo:hi] += np.multiply(c, v[lo:hi], out=tmp[: hi - lo])
+    for lo, t in blocks(block(n), n):
+        out[lo : lo + t.size] += np.multiply(c, v[lo : lo + t.size], out=t)
 
 
 def weighted_sum(rows, coefs) -> ParamVector:

@@ -128,8 +128,9 @@ def clipped_gradient_sum(
     out: ParamVector,
 ) -> tuple[np.ndarray, np.ndarray, ParamVector]:
     """(losses, sq_norms, clipped_sum) of one batch, from one forward/backward.
-    clipped_sum is written into ``out``, and no other D-length vector is
-    allocated.  An empty batch gives a zero sum.
+    clipped_sum is written into ``out``, whatever it held, and no other
+    D-length vector is allocated; out is scratch while shift is read, so
+    it must not overlap shift.  An empty batch gives a zero sum.
 
     Sample n's gradient is g_n = grad_n + v, its loss gradient plus a shift
     v, none when shift is None.  sq_norms[n] is ||g_n||^2 and clipped_sum is

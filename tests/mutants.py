@@ -76,9 +76,19 @@ MUTANTS = (
         "noise_half",
         "the noise is calibrated to sigma C",
         "federation.py",
-        "noisy *= cfg.sigma * cfg.clip_threshold",
-        "noisy *= 0.5 * cfg.sigma * cfg.clip_threshold",
+        "z *= cfg.sigma * cfg.clip_threshold",
+        "z *= 0.5 * cfg.sigma * cfg.clip_threshold",
         "tests/test_federation.py::test_an_upload_carries_noise_of_deviation_sigma_c_over_b",
+    ),
+    Mutant(
+        "noise_blocks_land_in_the_first",
+        "every coordinate of a step carries its own noise",
+        "federation.py",
+        "noisy[lo : lo + z.size] += z",
+        "noisy[: z.size] += z",
+        # the noise's total variance is kept, so its deviation test passes
+        "tests/test_federation.py::"
+        "test_an_upload_at_the_benchmark_shape_is_the_oracle_over_13_blocks[dp_fedavg]",
     ),
     Mutant(
         "fixed_size_sensitivity_1",

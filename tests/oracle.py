@@ -114,8 +114,9 @@ def noisy_batch_gradient(
     Add one N(0, (sigma*C)^2 I) draw to the sum and divide by batch_size,
     the configured public divisor, whatever the batch held.  sigma == 0
     skips the draw entirely so the no-noise path is bit-deterministic.  A
-    client step builds the same bytes in place, in the noise vector it
-    draws (``federation.client_local_phase``).
+    client step builds the same bytes in place, in the vector that holds
+    its clipped sum, drawing the noise a block at a time
+    (``federation.client_local_phase``).
     """
     total = clipped_sum
     if noise_multiplier > 0:

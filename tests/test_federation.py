@@ -15,6 +15,7 @@ import pytest
 
 import dpfedsim.cli as cli
 import dpfedsim.federation as federation
+from dpfedsim import linalg
 from dpfedsim.config import ExperimentConfig
 from dpfedsim.correction import (
     CORRECTION_MODES,
@@ -613,21 +614,6 @@ def test_uncorrected_round_aggregates_the_raw_uploads_bitwise(
     assert state.weights.tobytes() == want.tobytes()
 
 
-class _RecordingRng:
-    """Hands out the draws of ``rng`` into the caller's ``out`` and keeps
-    ``last``, the vector it drew into last: client_local_phase builds its
-    last step vector there, and it holds that vector when the client
-    returns."""
-
-    def __init__(self, rng):
-        self._rng = rng
-        self.last = None
-
-    def standard_normal(self, size=None, out=None):
-        self.last = self._rng.standard_normal(size, out=out)
-        return self.last
-
-
 class StartedWorker(ThreadPoolExecutor):
     """The worker thread, returning from submit only once the task has
     started, so the calling thread never takes the worker's half over."""
@@ -655,33 +641,30 @@ def _record_round(monkeypatch, state, round_index):
 
     Every step but the last moves the local model by
     add_scaled(w_local, -eta, step vector), so a spy copies each of those
-    vectors there; the last is copied from the buffer of the client's last
-    noise draw, which holds it when the client returns.  A step vector's
-    buffer may take the next step's prox shift before the next draw, so
-    the draws themselves do not mark when a vector is complete.  Each
-    client gets its own recording rng and step list, whichever thread runs
-    it."""
+    vectors there; the last is copied from the ``out`` the kernel last
+    wrote, where the step vector is built and which holds it when the
+    client returns.  Each client gets its own step list, whichever thread
+    runs it."""
     starts, steps, uploads = {}, {}, {}
-    current = threading.local()  # the step list of the client this thread runs
+    current = threading.local()  # the client this thread runs
     real_local, real_add = federation.client_local_phase, federation.add_scaled
+    real_kernel = federation.model_mod.clipped_gradient_sum
 
-    def local(
-        train, rows, start_params, spec, cfg, batch_rng, noise_rng, upload, **kwargs
-    ):
+    def local(train, rows, start_params, *args, **kwargs):
         cid = client_of(state, rows)
-        noise = _RecordingRng(noise_rng)
         current.steps = steps[cid] = []
         try:
-            out = real_local(
-                train, rows, start_params, spec, cfg, batch_rng, noise, upload,
-                **kwargs,
-            )
+            out = real_local(train, rows, start_params, *args, **kwargs)
         finally:
             current.steps = None
-        steps[cid].append(noise.last.copy())
+        steps[cid].append(current.out.copy())
         starts[cid] = start_params
-        uploads[cid] = upload.copy()
+        uploads[cid] = args[4].copy()  # the upload row
         return out
+
+    def kernel(*args, out):
+        current.out = out
+        return real_kernel(*args, out=out)
 
     def add(w, coef, vector):
         if getattr(current, "steps", None) is not None:  # not the server's
@@ -690,6 +673,7 @@ def _record_round(monkeypatch, state, round_index):
 
     with monkeypatch.context() as patch:
         patch.setattr(federation, "client_local_phase", local)
+        patch.setattr(federation.model_mod, "clipped_gradient_sum", kernel)
         patch.setattr(federation, "add_scaled", add)
         run_one_round(state, round_index)
     return starts, steps, uploads
@@ -748,8 +732,7 @@ def test_upload_is_the_mean_of_the_step_vectors_bitwise(
     """Each upload is (0.0 + n_1 + ... + n_K) / K: the step vectors (the
     scaffold shift included) added in step order to a zero row, with no
     divide at K = 1.  Under dp_fedprox each later step's prox shift is
-    built in the vector that held the step before it, after that step was
-    added into the row."""
+    built in the client's buffer, apart from every step vector."""
     state = _state_after_round_zero(algorithm, local_steps, sampling_mode, batch_size)
     _, steps, uploads = _record_round(monkeypatch, state, 1)
     for cid, vectors in steps.items():
@@ -762,27 +745,73 @@ def test_upload_is_the_mean_of_the_step_vectors_bitwise(
     _assert_every_step_released(steps, state, 1)
 
 
+def _oracle_upload(sums, cfg, rng, shift):
+    """The mean of the oracle's noisy_batch_gradient steps, each fed its
+    clipped sum in sums, the configured batch_size and rng, which draws
+    each step's whole noise vector at once, plus the scaffold shift (None
+    for none), added in step order to a zero row."""
+    want = np.zeros_like(sums[0])
+    for clipped_sum in sums:
+        step = noisy_batch_gradient(
+            clipped_sum, cfg.batch_size, cfg.clip_threshold, cfg.sigma, rng
+        )
+        if shift is not None:
+            step = step + shift
+        want = want + step
+    if len(sums) > 1:
+        want = want / len(sums)
+    return want
+
+
+def _kernel_spy(sums, current, starts, algorithm, prox_mu):
+    """A clipped_gradient_sum that appends a copy of each clipped sum to
+    sums[current.cid] and checks its shift: given under dp_fedprox only,
+    from the second step on, bitwise (w - start) * prox_mu for the step's
+    local model w, in a vector apart from the kernel's out, which the
+    kernel uses as scratch; at the first step w is bitwise the start, so
+    the shift left out is zero."""
+    real_kernel = federation.model_mod.clipped_gradient_sum
+
+    def kernel(spec, w, features, labels, clip_threshold, shift, out):
+        later_step = bool(sums[current.cid])
+        assert (shift is not None) == (algorithm == "dp_fedprox" and later_step)
+        if not later_step:
+            assert w.tobytes() == starts[current.cid].tobytes()
+        if shift is not None:
+            want = (w - starts[current.cid]) * prox_mu
+            assert shift.tobytes() == want.tobytes()
+            assert not np.shares_memory(shift, out)
+        result = real_kernel(spec, w, features, labels, clip_threshold, shift, out=out)
+        sums[current.cid].append(result[2].copy())
+        return result
+
+    return kernel
+
+
+@pytest.mark.parametrize("block", [8192, 7], ids=["one-block", "blocks-of-7"])
 @pytest.mark.parametrize("algorithm", ["dp_fedavg", "dp_fedprox", "dp_scaffold"])
 @pytest.mark.parametrize("local_steps, sampling_mode, batch_size", LOCAL_PHASES)
-def test_upload_from_noise_drawn_ahead_is_the_oracle_fed_from_the_same_stream(
-    monkeypatch, algorithm, local_steps, sampling_mode, batch_size
+def test_upload_built_in_blocks_is_the_oracle_fed_from_the_same_stream(
+    monkeypatch, algorithm, local_steps, sampling_mode, batch_size, block
 ):
-    """A client's upload, built in the noise vectors it drew on whichever
-    thread ran it, is bitwise the mean of the oracle's noisy_batch_gradient
-    steps, each fed the step's clipped sum (zeros for an empty draw), the
-    configured batch_size and the client's own noise stream, plus the
-    scaffold shift: the same arithmetic in the same order.  The kernel is
-    given a shift under dp_fedprox only, from the second step on, and it
-    is bitwise (w - start) * prox_mu for the step's local model w, in a
-    vector apart from the kernel's out, which the kernel uses as scratch;
-    at the first step w is bitwise the start, so the shift left out is
-    zero.  The worker always runs its half here, clients 2 and 3."""
+    """A client's upload, built on whichever thread ran it, is bitwise the
+    mean of the oracle's noisy_batch_gradient steps, each fed the step's
+    clipped sum (zeros for an empty draw), the configured batch_size and
+    the client's own noise stream, plus the scaffold shift: the same
+    arithmetic in the same order, though the client draws its noise and
+    adds its shift a block at a time and the oracle draws each vector at
+    once.  At D = 53, blocks of 7 entries give 7 whole blocks and one of
+    4; the default block holds the whole vector.  The kernel's shift is
+    checked by ``_kernel_spy``.  The worker always runs its half here,
+    clients 2 and 3."""
+    monkeypatch.setattr(linalg, "_BLOCK", block)
     state = _state_after_round_zero(algorithm, local_steps, sampling_mode, batch_size)
     cfg = state.cfg
+    dim = state.weights.shape[0]
+    assert dim == 53 and federation.block(dim).size == min(block, dim)
     sums, starts, shifts, uploads, ran_on = {}, {}, {}, {}, {}
     current = threading.local()  # the client this thread is running
     real_local = federation.client_local_phase
-    real_kernel = federation.model_mod.clipped_gradient_sum
 
     def local(train, rows, *args, **kwargs):
         current.cid = cid = client_of(state, rows)
@@ -795,19 +824,7 @@ def test_upload_from_noise_drawn_ahead_is_the_oracle_fed_from_the_same_stream(
         uploads[cid] = args[5].copy()
         return out
 
-    def kernel(spec, w, features, labels, clip_threshold, shift, out):
-        later_step = bool(sums[current.cid])
-        assert (shift is not None) == (algorithm == "dp_fedprox" and later_step)
-        if not later_step:
-            assert w.tobytes() == starts[current.cid].tobytes()
-        if shift is not None:
-            want = (w - starts[current.cid]) * cfg.prox_mu
-            assert shift.tobytes() == want.tobytes()
-            assert not np.shares_memory(shift, out)
-        result = real_kernel(spec, w, features, labels, clip_threshold, shift, out=out)
-        sums[current.cid].append(result[2].copy())
-        return result
-
+    kernel = _kernel_spy(sums, current, starts, algorithm, cfg.prox_mu)
     monkeypatch.setattr(federation, "client_local_phase", local)
     monkeypatch.setattr(federation.model_mod, "clipped_gradient_sum", kernel)
     monkeypatch.setattr(federation, "_new_worker", StartedWorker)
@@ -816,18 +833,40 @@ def test_upload_from_noise_drawn_ahead_is_the_oracle_fed_from_the_same_stream(
     assert on_worker == {2, 3}
     for cid, steps in sums.items():
         rng = derive_rng(state.seed, 1, cid, Stream.NOISE)
-        want = np.zeros_like(uploads[cid])
-        for clipped_sum in steps:
-            step = noisy_batch_gradient(
-                clipped_sum, cfg.batch_size, cfg.clip_threshold, cfg.sigma, rng
-            )
-            if shifts[cid] is not None:
-                step = step + shifts[cid]
-            want = want + step
-        if len(steps) > 1:
-            want = want / len(steps)
+        want = _oracle_upload(steps, cfg, rng, shifts[cid])
         assert uploads[cid].tobytes() == want.tobytes()
     _assert_every_step_released(sums, state, 1)
+
+
+@pytest.mark.parametrize("algorithm", ["dp_fedavg", "dp_fedprox", "dp_scaffold"])
+def test_an_upload_at_the_benchmark_shape_is_the_oracle_over_13_blocks(
+    monkeypatch, algorithm
+):
+    """At 784-128-10 (D = 101,770: 12 blocks of 8,192 entries and one of
+    3,466) with 2 local steps, a client's upload is bitwise the oracle's
+    mean of noisy_batch_gradient steps fed its clipped sums and its noise
+    stream, each noise vector drawn at once, plus a dp_scaffold shift that
+    differs in every coordinate."""
+    state = _benchmark_shape_state(algorithm, 2)
+    cfg = replace(state.cfg, local_steps=2, prox_mu=0.01)
+    dim = state.weights.shape[0]
+    assert dim == 12 * 8192 + 3466 and federation.block(dim).size == 8192
+    variates = shift = None
+    if algorithm == "dp_scaffold":
+        variates = (np.linspace(-1e-3, 1e-3, dim), np.full(dim, 2e-4))
+        shift = np.subtract(*variates)
+    sums, current = {0: []}, SimpleNamespace(cid=0)
+    kernel = _kernel_spy(sums, current, {0: state.weights}, algorithm, cfg.prox_mu)
+    monkeypatch.setattr(federation.model_mod, "clipped_gradient_sum", kernel)
+    upload = np.full(dim, np.nan)
+    client_local_phase(
+        state.train, state.shards[0], state.weights, state.model_spec, cfg,
+        derive_rng(4, 0, 0, Stream.BATCH), derive_rng(4, 0, 0, Stream.NOISE),
+        upload, scaffold_variates=variates,
+    )
+    assert len(sums[0]) == 2
+    want = _oracle_upload(sums[0], cfg, derive_rng(4, 0, 0, Stream.NOISE), shift)
+    assert upload.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("algorithm", ["dp_fedprox", "dp_scaffold"])
@@ -1139,16 +1178,23 @@ def test_an_evaluation_in_the_uploads_allocates_less_than_one_test_matrix(
 ):
     """From the start of evaluation, which builds the features in the
     spent uploads, to its end, the traced peak stays under one float32
-    test matrix (2,000 x 784, 6.3 MB): each half's float32 weights and a
-    chunk's activations.  The uploads of 8 clients at D = 101,770 (6.5 MB)
-    hold the whole matrix, so evaluation streams it in two chunks of
-    1,024 rows; those of 2 (1.6 MB), the benchmark's n2 shape, hold 519
-    rows, so it streams chunks of 259.  Either way the state holds the
-    uint8 levels alone.  A build that made the features beside the
-    uploads holds the whole matrix."""
+    test matrix (2,000 x 784, 6.3 MB), and under what one float32 cast of
+    the weights, which both halves read, and a chunk on each half hold:
+    per chunk row, its 128 hidden and 10 logit float32 entries, 10 finite
+    flags and an int64 prediction, plus the (2,000,) int64 predictions
+    and 64 KiB for small objects.  The uploads of 8 clients at D =
+    101,770 (6.5 MB) hold the whole matrix, so evaluation streams it in
+    two chunks of 1,024 rows; those of 2 (1.6 MB), the benchmark's n2
+    shape, hold 519 rows, so it streams chunks of 259.  Either way the
+    state holds the uint8 levels alone.  A build that made the features
+    beside the uploads holds the whole matrix; a cast per half, at n2,
+    goes past the second bound."""
     state = _benchmark_shape_state("dp_fedavg", n_clients, test_per_class=200)
     assert state.test_X.dtype == np.uint8
+    n_test, dim = state.test_X.shape[0], state.weights.shape[0]
     matrix = state.test_X.size * 4
+    rows = {8: 1024, 2: 259}[n_clients]
+    one_cast = dim * 4 + 2 * rows * ((128 + 10) * 4 + 10 + 8) + n_test * 8 + 2**16
     peaks = []
     real_evaluate = federation._evaluate
 
@@ -1167,6 +1213,7 @@ def test_an_evaluation_in_the_uploads_allocates_less_than_one_test_matrix(
         tracemalloc.stop()
     assert len(peaks) == 1
     assert peaks[0] < matrix, peaks[0] / matrix
+    assert peaks[0] < one_cast, peaks[0] / one_cast
 
 
 _FAULTS_CHILD = """
@@ -1247,9 +1294,10 @@ class _IdleWorker:
 
 def test_a_scaffold_round_holds_under_one_vector_more_than_fedavg():
     """At D = 101,770 and N = 8, a dp_scaffold round's traced peak is less
-    than one D-vector above the same dp_fedavg round's: each client's shift
-    is built in its workspace's clipped-sum vector, and the variate update
-    writes each new - old into the upload row it has read for the last
+    than one D-vector above the same dp_fedavg round's: each client adds
+    its shift through its 64 KiB block, and the variate update goes block
+    by block through one more, writing each new into the client's variate
+    in place and new - old into the upload row it has read for the last
     time.  The two halves of the client phase run one after the other, so
     the peaks do not hang on how they overlap.  Tracing starts before the
     state is built, so the variates a round replaces count as freed."""
@@ -1276,11 +1324,13 @@ def test_a_client_allocates_its_workspace_and_no_step_vector(algorithm, local_st
     """At the benchmark's 784-128-10 shape (D = 101,770), a client's local
     phase, given its upload row and scaffold variates, holds w D-length
     vectors and less than one more at its traced peak.  The workspace is
-    w = 1 + 2 [K > 1] vectors for every algorithm: the clipped sum, which
-    then takes the scaffold shift; the later-step vector and the local
-    model when K > 1.  The first step is built in the upload row, each
-    step's prox shift in the step's own vector, and no step allocates a
-    D-length vector of its own."""
+    w = 2 [K > 1] + [dp_fedprox, K > 1] vectors: the later-step vector and
+    the local model when K > 1, and under dp_fedprox with K > 1 the buffer
+    that holds each later step's prox shift and then its noise.  Every
+    step vector is built where the kernel writes its clipped sum, the
+    upload row first; the noise and the scaffold shift go in through a 64
+    KiB block otherwise, and no step allocates a D-length vector of its
+    own.  At K = 1 the whole phase stays under one D-vector."""
     spec = MlpSpec((784, 128, 10))
     dim = spec.num_params
     train = synthetic_blobs(10, 20, 784, 0.25, np.random.default_rng(4))
@@ -1308,7 +1358,7 @@ def test_a_client_allocates_its_workspace_and_no_step_vector(algorithm, local_st
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    workspace = 1 + 2 * (local_steps > 1)
+    workspace = (2 + (algorithm == "dp_fedprox")) * (local_steps > 1)
     assert workspace * dim * 8 <= peak < (workspace + 1) * dim * 8, peak / (dim * 8)
 
 
@@ -1333,7 +1383,7 @@ def test_scaffold_variate_is_option_two_of_the_local_model(
     state = _state_after_round_zero("dp_scaffold", local_steps, sampling_mode, batch_size)
     c = state.scaffold.server_variate
     assert np.all(c != 0)  # round 0 moved it, so a sign slip in c shows
-    old = list(state.scaffold.client_variates)
+    old = [v.copy() for v in state.scaffold.client_variates]  # updated in place
     starts, steps, _ = _record_round(monkeypatch, state, 1)
     eta = state.cfg.eta
     for cid, start in starts.items():
@@ -1368,7 +1418,7 @@ def test_scaffold_server_variate_adds_every_participants_delta_over_n_bitwise(
     run_one_round(state, 0)  # variates nonzero from here on
     empty = min(federation._select_participants(state, 1))
     server = state.scaffold.server_variate
-    before = list(state.scaffold.client_variates)
+    before = [v.copy() for v in state.scaffold.client_variates]  # updated in place
     uploads, current = {}, threading.local()
     real_local, real_sample = federation.client_local_phase, federation.poisson_sample
 
@@ -1404,7 +1454,7 @@ def test_a_client_with_only_empty_draws_moves_its_variate_by_its_upload(
     releases its K steps: dp_scaffold moves each variate to old - c +
     upload, bitwise, and the round reports epsilon after 2K steps."""
     state = _state_after_round_zero("dp_scaffold", 3, "poisson", 2)
-    variates = list(state.scaffold.client_variates)
+    variates = [v.copy() for v in state.scaffold.client_variates]  # updated in place
     server = state.scaffold.server_variate
     uploads = {}
     real_local = federation.client_local_phase
