@@ -27,16 +27,14 @@ then the train set), TEST, SUB_TRAIN, SUB_TEST or PARTITION.
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
 import itertools
-import json
 import math
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from concurrent.futures import Executor, wait
 from dataclasses import replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -46,6 +44,9 @@ from .dp import SENSITIVITY
 from .federation import RoundMetrics, Stream, derive_rng
 from .federation import init_state, pinned_worker, run_experiment, weights_sha256
 from .model import MlpSpec
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 # the final-round metrics of summary.json's mean_final and comparison.csv
 FINAL_KEYS = ("epsilon", "train_loss", "test_acc", "test_recall", "test_f1")
@@ -123,7 +124,7 @@ def build_data(
                 centers,
             )
         finally:
-            wait([test_build])
+            test_build.exception()  # wait: the build must not outlive the call
         test_X, test_y = test_build.result()
     if cfg.subsample_train:
         train = data_mod.subsample(
@@ -187,6 +188,8 @@ def _finals(rm: RoundMetrics) -> list[float]:
 
 def write_metrics_csv(path: str, header: list[str], rows: Iterable[list]) -> None:
     """The one writer of a command's CSV files: header, then rows."""
+    import csv  # here: a run's rounds never need it resident
+
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
@@ -224,6 +227,8 @@ def write_summary_json(
     results: dict[int, Run],
     blas_pinned: bool,
 ) -> None:
+    import json  # here: a run's rounds never need it resident
+
     per_seed = {str(seed): _final_block(cfg, res) for seed, res in results.items()}
     mean_final = {
         k: float(np.mean([per_seed[s][k] for s in per_seed])) for k in FINAL_KEYS

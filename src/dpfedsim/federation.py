@@ -26,13 +26,14 @@ who else takes part, and reruns are bit-identical.  The run seed travels as
 ``ExperimentState.seed``; every setting is read from the validated
 ``ExperimentConfig``.
 
-A command owns one worker thread and pins BLAS to one thread
-(``pinned_worker``).  A round splits its clients, and its test chunks,
-between that worker and the calling thread (``_halves``).  A client draws
-from its own streams, writes only its own row of U and reads nothing that
-the client phase writes, and under the pin a product's bytes do not depend
-on the thread that runs it, so the output bytes are the same with the
-worker, without it, and under any timing.
+A command owns one worker thread, the package's own ``Worker``, and pins
+BLAS to one thread (``pinned_worker``).  A round splits its clients, and
+its test chunks, between that worker and the calling thread
+(``_halves``).  A client draws from its own streams, writes only its own
+row of U and reads nothing that the client phase writes, and under the
+pin a product's bytes do not depend on the thread that runs it, so the
+output bytes are the same with the worker, without it, and under any
+timing.
 
 A client builds each step vector where the kernel writes the step's
 clipped sum, its row of U first, and adds noise and shifts through one
@@ -51,11 +52,12 @@ import contextvars
 import enum
 import hashlib
 import math
+import queue
 import sys
+import threading
 import time
 from collections.abc import Callable, Iterator
-from concurrent.futures import Executor, ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 from weakref import proxy
@@ -73,6 +75,8 @@ from .linalg import (
 from .model import MlpSpec
 
 if TYPE_CHECKING:  # config.py imports this module's mode tuples
+    from concurrent.futures import Executor
+
     from .config import ExperimentConfig
 
 ALGORITHMS = (
@@ -152,9 +156,90 @@ def derive_rng(
     return np.random.default_rng((seed, round_index, client_id, purpose))
 
 
-def _new_worker() -> Executor:
+class _Task:
+    """A call submitted to a ``Worker``, and its outcome once it has run.
+
+    Whichever of the worker's ``run`` and the caller's ``cancel`` comes
+    first takes the claim; the task drops its call once run or cancelled.
+    A cancelled task's result and exception are None."""
+
+    def __init__(self, fn: Callable, args: tuple) -> None:
+        self._call: tuple[Callable, tuple] | None = (fn, args)
+        self._claim = threading.Lock()  # taken once, never released
+        self._done = threading.Event()
+        self._result = self._error = None
+
+    def run(self) -> None:
+        """Run the call unless cancelled, keeping its value or error."""
+        if not self._claim.acquire(blocking=False):
+            return  # cancelled before the worker reached it
+        fn, args = self._call
+        self._call = None
+        try:
+            self._result = fn(*args)
+        except BaseException as exc:
+            self._error = exc
+        finally:
+            del fn, args  # the error's traceback holds this frame
+            self._done.set()
+
+    def cancel(self) -> bool:
+        """Cancel the call if the worker has not started it; whether it did."""
+        if not self._claim.acquire(blocking=False):
+            return False
+        self._call = None
+        self._done.set()
+        return True
+
+    def exception(self) -> BaseException | None:
+        """The call's error, or None, once it has run or been cancelled."""
+        self._done.wait()
+        return self._error
+
+    def result(self):
+        """The call's return value once it has run; its error is raised."""
+        if self.exception() is not None:
+            raise self._error
+        return self._result
+
+
+class Worker:
+    """One daemon thread that runs submitted calls in order: of
+    ``concurrent.futures``' one-thread executor, the submit, cancel, result
+    and shutdown a command uses, without importing that package (and
+    ``logging`` with it)."""
+
+    def __init__(self) -> None:
+        self._tasks: queue.SimpleQueue[_Task | None] = queue.SimpleQueue()
+        self._thread = threading.Thread(
+            target=self._serve, name="dpfedsim-worker", daemon=True
+        )
+        self._thread.start()
+
+    def _serve(self) -> None:
+        while (task := self._tasks.get()) is not None:
+            task.run()
+
+    def submit(self, fn: Callable, *args) -> _Task:
+        task = _Task(fn, args)
+        self._tasks.put(task)
+        return task
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        """End the thread after the queued tasks, cancelled first if
+        cancel_futures; wait for it to end if wait."""
+        if cancel_futures:
+            with suppress(queue.Empty):
+                while task := self._tasks.get_nowait():
+                    task.cancel()
+        self._tasks.put(None)
+        if wait:
+            self._thread.join()
+
+
+def _new_worker() -> Worker:
     """The one worker thread of a command (tests swap in other executors)."""
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="dpfedsim-worker")
+    return Worker()
 
 
 @contextmanager
@@ -182,8 +267,9 @@ def _halves(worker: Executor, fn: Callable[[range], None], n: int) -> None:
     """Run fn(range(h)) here and fn(range(h, n)) on the worker, in a copy of
     this thread's context, h = ceil(n / 2); this thread runs the upper half
     too if the worker has not started it.  The worker gets a weak proxy of
-    fn: a task it drops late, or a cancelled one, keeps nothing of fn's
-    (a round's U) alive.
+    fn: a task that an executor drops late, or a cancelled one it keeps
+    queued, keeps nothing of fn's (a round's U) alive (``Worker`` itself
+    drops a task's call once run or cancelled).
     Both halves have ended when this returns or raises, and if both fail
     the lower half's error is raised."""
     h = (n + 1) // 2

@@ -1,4 +1,4 @@
-"""One-line mutants of the privacy and determinism promises, and their sweep.
+"""Mutants of the privacy and determinism promises, and their sweep.
 
 Each mutant breaks one promise with one textual edit of one file in
 ``src/dpfedsim``.  ``tests/test_package.py`` checks that every mutant's old
@@ -265,6 +265,15 @@ MUTANTS = (
         "worker.submit(proxy(fn), range(h, n))",
         "tests/test_worker.py::"
         "test_the_workers_half_runs_under_the_callers_floating_point_policy[worker]",
+    ),
+    Mutant(
+        "worker_runs_a_cancelled_task",
+        "a cancelled task never runs, and a started one cannot be cancelled",
+        "federation.py",
+        "        if not self._claim.acquire(blocking=False):\n"
+        "            return  # cancelled before the worker reached it\n",
+        "",
+        "tests/test_worker.py::test_a_started_task_cannot_be_cancelled",
     ),
 )
 

@@ -12,6 +12,10 @@ promise, that which thread runs a half, and when, changes no output byte.
 The synthetic data build shares the worker too: the calling thread builds
 the train set, and the worker the test set and, where the run holds
 them, its float32 features.
+The worker is the package's own ``federation.Worker``, one thread that
+keeps the part of ``concurrent.futures``' executor interface a command
+uses; a run never loads ``concurrent.futures`` (nor ``logging``), and
+loads ``csv`` and ``json`` only to write its outputs.
 """
 
 import json
@@ -23,6 +27,8 @@ import threading
 import time
 import tracemalloc
 import warnings
+import weakref
+from ast import literal_eval
 from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
@@ -478,3 +484,174 @@ def test_a_failure_in_the_workers_share_of_the_build_stops_run(
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert f"error: {share} failed on the worker" in capsys.readouterr().err
     assert _worker_threads() == []
+
+
+@pytest.fixture
+def release():
+    """An event that a test's calls on the worker wait on."""
+    return threading.Event()
+
+
+@pytest.fixture
+def worker(release):
+    """A new ``federation.Worker``; at teardown ``release`` is set, the
+    worker shut down, and its thread must be gone."""
+    made = federation.Worker()
+    yield made
+    release.set()
+    made.shutdown(wait=True)
+    assert _worker_threads() == []
+
+
+def test_a_task_cancelled_before_it_starts_never_runs(worker, release):
+    """The worker runs tasks in order, so the second waits behind the first;
+    cancelled there, it never runs, and waiting on it returns at once."""
+    ran = []
+    busy = worker.submit(release.wait, 60)
+    queued = worker.submit(ran.append, "queued")
+    assert queued.cancel()
+    assert queued.exception() is None and queued.result() is None
+    release.set()
+    assert busy.result() is True
+    worker.shutdown(wait=True)
+    assert ran == []
+
+
+def test_a_started_task_cannot_be_cancelled(worker, release):
+    started = threading.Event()
+
+    def call():
+        started.set()
+        release.wait(60)
+        return "done"
+
+    task = worker.submit(call)
+    assert started.wait(60)
+    assert not task.cancel()
+    release.set()
+    assert task.result() == "done"
+    assert not task.cancel()
+
+
+def test_result_raises_the_calls_error_and_exception_returns_it(worker):
+    error = KeyError("lost")
+
+    def fail():
+        raise error
+
+    task = worker.submit(fail)
+    assert task.exception() is error
+    with pytest.raises(KeyError) as caught:
+        task.result()
+    assert caught.value is error
+
+
+def test_shutdown_cancelling_futures_cancels_the_queued_tasks_and_joins_the_thread(
+    worker,
+):
+    """The first task, once started, holds the thread until shutdown has
+    cancelled the two queued behind it, from another thread, which must
+    then see the worker's thread end."""
+    started, ready = threading.Event(), threading.Event()
+    ran, queued = [], []
+
+    def busy():
+        started.set()
+        assert ready.wait(60)
+        for task in queued:
+            task.exception()  # returns once shutdown has cancelled it
+        ran.append("busy")
+
+    first = worker.submit(busy)
+    assert started.wait(60)
+    queued += [worker.submit(ran.append, i) for i in range(2)]
+    ready.set()
+    stopper = threading.Thread(
+        target=worker.shutdown, kwargs={"wait": True, "cancel_futures": True}
+    )
+    stopper.start()
+    stopper.join(60)
+    assert not stopper.is_alive()
+    assert _worker_threads() == []
+    assert first.exception() is None
+    assert ran == ["busy"]
+
+
+def test_each_task_either_runs_or_is_cancelled_when_both_race_for_it(worker):
+    """2,000 tasks, each cancelled as soon as it is submitted, under a
+    1 µs switch interval, so the caller's cancel races the worker's start
+    for each: every task runs or is cancelled, never both."""
+    ran, cancelled = [], []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for i in range(2000):
+            if worker.submit(ran.append, i).cancel():
+                cancelled.append(i)
+        worker.shutdown(wait=True)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(ran + cancelled) == list(range(2000))
+
+
+class _Payload:
+    pass
+
+
+@pytest.mark.parametrize("end", ["finished", "cancelled"])
+def test_a_finished_or_cancelled_task_holds_no_reference_to_its_call(
+    worker, release, end
+):
+    """Once a task has run, or been cancelled while queued, nothing of the
+    worker's keeps its function or arguments alive, with no collection
+    run: a task that the worker holds past its end keeps no round's U."""
+
+    def call(payload):
+        return None
+
+    payload = _Payload()
+    refs = [weakref.ref(call), weakref.ref(payload)]
+    worker.submit(release.wait, 60)
+    task = worker.submit(call, payload)
+    del call, payload
+    if end == "cancelled":
+        assert task.cancel()
+    else:
+        release.set()
+    assert task.exception() is None
+    assert [ref() for ref in refs] == [None, None]
+
+
+_RESIDENT_CHILD = """
+import sys
+import dpfedsim.federation as fed
+from dpfedsim.cli import main
+
+WATCHED = ("logging", "concurrent.futures", "json", "csv")
+loaded, real = [], fed.run_round
+def watched(*args):
+    out = real(*args)
+    loaded.append([name for name in WATCHED if name in sys.modules])
+    return out
+fed.run_round = watched
+code = main(["run", "--config", sys.argv[1], "--out", sys.argv[2]])
+loaded.append([name for name in WATCHED if name in sys.modules])
+print(repr((code, loaded)))
+"""
+
+
+def test_a_run_loads_no_executor_package_and_its_writers_modules_last(tmp_path):
+    """In a ``run`` child process, ``concurrent.futures`` and ``logging``
+    (which it imports) are never loaded, and ``json`` and ``csv``, which
+    only the output writers use, are loaded after the last round ends:
+    imported code that no round runs stays out of a run's peak RSS."""
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(SMALL)
+    done = subprocess.run(
+        [sys.executable, "-c", _RESIDENT_CHILD, str(cfg), str(tmp_path / "o")],
+        env=child_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    code, loaded = literal_eval(done.stdout.splitlines()[-1])
+    assert code == 0
+    assert loaded == [[], [], [], ["json", "csv"]]
