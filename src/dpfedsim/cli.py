@@ -34,19 +34,15 @@ import os
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import data as data_mod
 from .config import ExperimentConfig, parse_config, parse_label_split
 from .dp import SENSITIVITY
-from .federation import RoundMetrics, Stream, derive_rng
+from .federation import RoundMetrics, Stream, Worker, derive_rng
 from .federation import init_state, pinned_worker, run_experiment, weights_sha256
 from .model import MlpSpec
-
-if TYPE_CHECKING:
-    from concurrent.futures import Executor
 
 # the final-round metrics of summary.json's mean_final and comparison.csv
 FINAL_KEYS = ("epsilon", "train_loss", "test_acc", "test_recall", "test_f1")
@@ -72,7 +68,7 @@ def _finish_test_set(
 
 
 def build_data(
-    cfg: ExperimentConfig, seed: int, worker: Executor
+    cfg: ExperimentConfig, seed: int, worker: Worker
 ) -> tuple[MlpSpec, data_mod.Dataset, list[np.ndarray], np.ndarray, np.ndarray]:
     """(the model, the train set, each client's rows of it, what the run
     holds of the test set (``_finish_test_set``), its labels) for one
@@ -156,7 +152,7 @@ def build_data(
 
 
 def run_seeds(
-    configs: list[ExperimentConfig], worker: Executor
+    configs: list[ExperimentConfig], worker: Worker
 ) -> Iterator[tuple[int, data_mod.Dataset, list[np.ndarray], list[Run]]]:
     """Per seed of configs[0], in order: the seed, its train set, each
     client's rows of it and each config's run on them, in the order of

@@ -35,7 +35,13 @@ def _parse_bool(raw: str) -> bool:
 
 
 def _parse_int_list(raw: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
+    """Comma-separated ints; an empty value is the empty tuple, and an
+    empty item an error."""
+    if not raw.strip():
+        return ()
+    parts = [p.strip() for p in raw.split(",")]
+    if "" in parts:
+        raise ValueError("empty item in the comma list")
     return tuple(int(p) for p in parts)
 
 

@@ -116,8 +116,9 @@ def _read_idx(path: str, magic: int, dims: int, kind: str) -> tuple[list[int], b
             raise ValueError(
                 f"{path}: negative size in the {what} header: {tuple(sizes)}"
             )
-        if sizes[0] == 0:
-            raise ValueError(f"{path}: the {what} header gives a count of 0")
+        if 0 in sizes:
+            zero = ("count", "row count", "column count")[sizes.index(0)]
+            raise ValueError(f"{path}: the {what} header gives a {zero} of 0")
         n = math.prod(sizes)
         left = os.fstat(f.fileno()).st_size - f.tell()
         if n > left:
@@ -134,9 +135,9 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
     Both files are big-endian: images carry magic 2051 then count/rows/cols
     and count*rows*cols unsigned bytes; labels carry magic 2049 then count
     and count unsigned bytes.  The pixels are kept as their levels, each
-    image flattened row-major.  A count of 0 or a negative size in a
-    header, or one larger than the file, raises ValueError naming the file
-    before any read.
+    image flattened row-major.  A size of 0 (count, rows or columns) or a
+    negative size in a header, or one larger than the file, raises
+    ValueError naming the file before any read.
     """
     (count, rows, cols), raw = _read_idx(images_path, _IDX_IMAGES_MAGIC, 3, "image")
     (label_count,), label_raw = _read_idx(labels_path, _IDX_LABELS_MAGIC, 1, "label")

@@ -60,7 +60,6 @@ from collections.abc import Callable, Iterator
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
-from weakref import proxy
 
 import numpy as np
 
@@ -75,8 +74,6 @@ from .linalg import (
 from .model import MlpSpec
 
 if TYPE_CHECKING:  # config.py imports this module's mode tuples
-    from concurrent.futures import Executor
-
     from .config import ExperimentConfig
 
 ALGORITHMS = (
@@ -204,10 +201,9 @@ class _Task:
 
 
 class Worker:
-    """One daemon thread that runs submitted calls in order: of
-    ``concurrent.futures``' one-thread executor, the submit, cancel, result
-    and shutdown a command uses, without importing that package (and
-    ``logging`` with it)."""
+    """One daemon thread that runs submitted calls in order.  A command
+    uses ``submit`` and ``close``, and a task's ``cancel``, ``result`` and
+    ``exception``."""
 
     def __init__(self) -> None:
         self._tasks: queue.SimpleQueue[_Task | None] = queue.SimpleQueue()
@@ -225,25 +221,18 @@ class Worker:
         self._tasks.put(task)
         return task
 
-    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
-        """End the thread after the queued tasks, cancelled first if
-        cancel_futures; wait for it to end if wait."""
-        if cancel_futures:
-            with suppress(queue.Empty):
-                while task := self._tasks.get_nowait():
-                    task.cancel()
+    def close(self) -> None:
+        """Cancel the queued tasks, and end the thread once its running
+        task, if any, has ended; return when it has."""
+        with suppress(queue.Empty):
+            while task := self._tasks.get_nowait():
+                task.cancel()
         self._tasks.put(None)
-        if wait:
-            self._thread.join()
-
-
-def _new_worker() -> Worker:
-    """The one worker thread of a command (tests swap in other executors)."""
-    return Worker()
+        self._thread.join()
 
 
 @contextmanager
-def pinned_worker() -> Iterator[tuple[bool, Executor]]:
+def pinned_worker() -> Iterator[tuple[bool, Worker]]:
     """(whether BLAS is pinned to one thread, a new worker) for the block.
 
     Without a controllable BLAS this says so on stderr, once.  On exit,
@@ -256,24 +245,20 @@ def pinned_worker() -> Iterator[tuple[bool, Executor]]:
                 "on the BLAS thread count",
                 file=sys.stderr,
             )
-        worker = _new_worker()
+        worker = Worker()
         try:
             yield pinned, worker
         finally:
-            worker.shutdown(wait=True, cancel_futures=True)
+            worker.close()
 
 
-def _halves(worker: Executor, fn: Callable[[range], None], n: int) -> None:
+def _halves(worker: Worker, fn: Callable[[range], None], n: int) -> None:
     """Run fn(range(h)) here and fn(range(h, n)) on the worker, in a copy of
     this thread's context, h = ceil(n / 2); this thread runs the upper half
-    too if the worker has not started it.  The worker gets a weak proxy of
-    fn: a task that an executor drops late, or a cancelled one it keeps
-    queued, keeps nothing of fn's (a round's U) alive (``Worker`` itself
-    drops a task's call once run or cancelled).
-    Both halves have ended when this returns or raises, and if both fail
-    the lower half's error is raised."""
+    too if the worker has not started it.  Both halves have ended when this
+    returns or raises, and if both fail the lower half's error is raised."""
     h = (n + 1) // 2
-    upper = worker.submit(contextvars.copy_context().run, proxy(fn), range(h, n))
+    upper = worker.submit(contextvars.copy_context().run, fn, range(h, n))
     try:
         fn(range(h))
     except BaseException:
@@ -414,7 +399,7 @@ def server_step(
 
 
 def _evaluate(
-    state: ExperimentState, uploads: np.ndarray, worker: Executor
+    state: ExperimentState, uploads: np.ndarray, worker: Worker
 ) -> tuple[float, float, float]:
     """(accuracy, macro recall, macro F1) of the global weights, from one
     pass over the test set's row chunks split between the worker and this
@@ -468,7 +453,7 @@ def _select_participants(state: ExperimentState, round_index: int) -> list[int]:
 
 @np.errstate(over="ignore", invalid="ignore")
 def run_round(
-    state: ExperimentState, round_index: int, worker: Executor
+    state: ExperimentState, round_index: int, worker: Worker
 ) -> RoundMetrics:
     """Advance the experiment by one round on the command's worker, mutating
     state in place, and return the round's record."""
@@ -592,7 +577,7 @@ def init_state(
     return state
 
 
-def run_experiment(state: ExperimentState, worker: Executor) -> list[RoundMetrics]:
+def run_experiment(state: ExperimentState, worker: Worker) -> list[RoundMetrics]:
     """Run the configured rounds on the command's worker and return their
     records; the run stops early, with fewer than cfg.rounds records, before
     a round that could cross the epsilon budget."""

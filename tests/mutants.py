@@ -261,8 +261,8 @@ MUTANTS = (
         "worker_half_outside_the_policy",
         "a round's floating-point policy holds on the worker's half too",
         "federation.py",
-        "worker.submit(contextvars.copy_context().run, proxy(fn), range(h, n))",
-        "worker.submit(proxy(fn), range(h, n))",
+        "worker.submit(contextvars.copy_context().run, fn, range(h, n))",
+        "worker.submit(fn, range(h, n))",
         "tests/test_worker.py::"
         "test_the_workers_half_runs_under_the_callers_floating_point_policy[worker]",
     ),
@@ -274,6 +274,16 @@ MUTANTS = (
         "            return  # cancelled before the worker reached it\n",
         "",
         "tests/test_worker.py::test_a_started_task_cannot_be_cancelled",
+    ),
+    Mutant(
+        "task_keeps_its_call",
+        "a task the worker holds past its end keeps nothing of its call alive",
+        "federation.py",
+        "        fn, args = self._call\n"
+        "        self._call = None\n",
+        "        fn, args = self._call\n",
+        "tests/test_worker.py::"
+        "test_a_finished_or_cancelled_task_holds_no_reference_to_its_call[finished]",
     ),
 )
 

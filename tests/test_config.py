@@ -251,6 +251,7 @@ BAD_VALUES = {
     "subsample_test": {"subsample_test": "-1"},
     "label_split": {"label_split": "0-4;;5-9"},
     "layer_sizes": {"layer_sizes": "6,0,3"},
+    "layer_sizes-empty-item": {"layer_sizes": "32,,10"},
     "n_clients": {"n_clients": "0"},
     "clients_per_round": {"clients_per_round": "3"},
     "rounds": {"rounds": "0"},
@@ -268,8 +269,17 @@ BAD_VALUES = {
     "correction_mode": {"correction_mode": "global"},
     "num_references": {"num_references": "-1"},
     "seeds": {"seeds": "1,-2"},
+    "seeds-trailing-comma": {"seeds": "1,"},
+    "seeds-empty": {"seeds": ""},
     "record_timing": {"record_timing": "sometimes"},
 }
+
+
+def test_an_empty_int_list_value_leaves_layer_sizes_unset(tmp_path):
+    """A wholly empty value is the empty list: layer_sizes unset (seeds,
+    which must list one seed, is refused in BAD_VALUES, as is an empty
+    item in either list)."""
+    assert parse_config(write(tmp_path, "layer_sizes =\n")).layer_sizes == ()
 
 
 def test_bad_value_cases_cover_every_key():

@@ -109,10 +109,16 @@ def test_load_idx_count_mismatch(tmp_path):
         load_idx(img, lab)
 
 
-@pytest.mark.parametrize("images, labels", [((0, 2, 2), 0), ((2, 2, 2), 0)])
+@pytest.mark.parametrize(
+    "images, labels",
+    [((0, 2, 2), 0), ((2, 2, 2), 0), ((2, 0, 2), 2), ((2, 2, 0), 2)],
+)
 def test_load_idx_rejects_a_count_of_zero_naming_the_file(tmp_path, images, labels):
+    """A count, rows or columns of 0 in a header is refused where the file
+    is read, naming it: an (n, 0) image set would fail later, in the model
+    spec, naming neither."""
     img, lab = write_idx_pair(tmp_path, np.zeros(images), np.zeros(labels))
-    path = img if images[0] == 0 else lab
+    path = img if 0 in images else lab
     with pytest.raises(ValueError, match=re.escape(path) + ": .* count of 0"):
         load_idx(img, lab)
 

@@ -136,7 +136,7 @@ def _executor(tmp_path, monkeypatch, cfg, commands):
 
     factories = {**EXECUTORS, "inline": inline_worker}
     for mode, factory in factories.items():
-        monkeypatch.setattr(federation, "_new_worker", factory)
+        monkeypatch.setattr(federation, "Worker", factory)
         interval = sys.getswitchinterval()
         if mode == "delayed":
             sys.setswitchinterval(1e-5)

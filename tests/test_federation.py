@@ -6,7 +6,6 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -614,12 +613,9 @@ def test_uncorrected_round_aggregates_the_raw_uploads_bitwise(
     assert state.weights.tobytes() == want.tobytes()
 
 
-class StartedWorker(ThreadPoolExecutor):
+class StartedWorker(federation.Worker):
     """The worker thread, returning from submit only once the task has
     started, so the calling thread never takes the worker's half over."""
-
-    def __init__(self):
-        super().__init__(max_workers=1, thread_name_prefix="dpfedsim-worker")
 
     def submit(self, fn, *args):
         started = threading.Event()
@@ -827,7 +823,7 @@ def test_upload_built_in_blocks_is_the_oracle_fed_from_the_same_stream(
     kernel = _kernel_spy(sums, current, starts, algorithm, cfg.prox_mu)
     monkeypatch.setattr(federation, "client_local_phase", local)
     monkeypatch.setattr(federation.model_mod, "clipped_gradient_sum", kernel)
-    monkeypatch.setattr(federation, "_new_worker", StartedWorker)
+    monkeypatch.setattr(federation, "Worker", StartedWorker)
     run_one_round(state, 1)
     on_worker = {c for c, name in ran_on.items() if name.startswith("dpfedsim-worker")}
     assert on_worker == {2, 3}
@@ -1218,28 +1214,18 @@ def test_an_evaluation_in_the_uploads_allocates_less_than_one_test_matrix(
 
 _FAULTS_CHILD = """
 import json, resource, sys, time
-from concurrent.futures import Future, ThreadPoolExecutor
 import dpfedsim.federation as fed
 from dpfedsim.cli import main
 
-class LingeringWorker(ThreadPoolExecutor):
-    # one thread, which holds each task 5 ms past its end, cancelled or not
-    def __init__(self):
-        super().__init__(max_workers=1)
-    def submit(self, fn, *args):
-        future = Future()
-        def task():
-            if future.set_running_or_notify_cancel():
-                try:
-                    future.set_result(fn(*args))
-                except BaseException as exc:
-                    future.set_exception(exc)
+class LingeringWorker(fed.Worker):
+    # holds each task 5 ms past its end, cancelled or not
+    def _serve(self):
+        while (task := self._tasks.get()) is not None:
+            task.run()
             time.sleep(0.005)
-        super().submit(task)
-        return future
 
 if sys.argv[3] == "lingering":
-    fed._new_worker = LingeringWorker
+    fed.Worker = LingeringWorker
 faults, real = [], fed.run_round
 def counted(*args):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -1262,10 +1248,12 @@ def test_rounds_after_the_first_two_take_few_page_faults(tmp_path, worker):
     clients' workspaces come from the heap and keep their pages.  An
     upload matrix held for the run keeps the thresholds low and costs
     thousands of faults in every round.
-    The lingering worker holds each task 5 ms past its end, as a worker
-    thread descheduled before it drops the task does.  A task that kept a
-    round's upload matrix alive into the next round would put that
-    round's matrix on fresh pages: over 2,000 faults in rounds 2-5."""
+    A task drops its call once run or cancelled, so the command's worker,
+    which holds its last task until the next arrives, keeps nothing of a
+    round alive.  The lingering worker holds each task 5 ms past its end,
+    as a worker thread descheduled before it drops the task does.  A task
+    that kept a round's upload matrix alive into the next round would put
+    that round's matrix on fresh pages: over 2,000 faults in rounds 2-5."""
     if platform.libc_ver()[0] != "glibc":
         pytest.skip("the mmap and trim thresholds are glibc's")
     cfg = tmp_path / "fedprox.cfg"
@@ -1284,12 +1272,12 @@ def test_rounds_after_the_first_two_take_few_page_faults(tmp_path, worker):
     assert sum(faults[2:]) < 400, faults
 
 
-class _IdleWorker:
-    """A worker that never starts a task: the calling thread takes both
+class IdleWorker:
+    """A worker whose tasks are never run: the calling thread takes both
     halves of a round, one after the other."""
 
     def submit(self, fn, *args):
-        return Future()
+        return federation._Task(fn, args)
 
 
 def test_a_scaffold_round_holds_under_one_vector_more_than_fedavg():
@@ -1306,10 +1294,10 @@ def test_a_scaffold_round_holds_under_one_vector_more_than_fedavg():
         tracemalloc.start()
         try:
             state = _benchmark_shape_state(algorithm, 8)
-            federation.run_round(state, 0, _IdleWorker())  # fills caches
+            federation.run_round(state, 0, IdleWorker())  # fills caches
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
-            federation.run_round(state, 1, _IdleWorker())
+            federation.run_round(state, 1, IdleWorker())
             peaks[algorithm] = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()

@@ -12,10 +12,11 @@ promise, that which thread runs a half, and when, changes no output byte.
 The synthetic data build shares the worker too: the calling thread builds
 the train set, and the worker the test set and, where the run holds
 them, its float32 features.
-The worker is the package's own ``federation.Worker``, one thread that
-keeps the part of ``concurrent.futures``' executor interface a command
-uses; a run never loads ``concurrent.futures`` (nor ``logging``), and
-loads ``csv`` and ``json`` only to write its outputs.
+The worker is the package's own ``federation.Worker``, one thread; a
+command uses its ``submit`` and ``close`` and a task's ``cancel``,
+``result`` and ``exception``.  The fakes below are ``Worker``s too.  A run
+never loads ``concurrent.futures`` (nor ``logging``), and loads ``csv``
+and ``json`` only to write its outputs.
 """
 
 import json
@@ -29,7 +30,6 @@ import tracemalloc
 import warnings
 import weakref
 from ast import literal_eval
-from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -46,35 +46,32 @@ from dpfedsim.federation import Stream, derive_rng, pinned_worker
 from dpfedsim.federation import run_experiment
 from dpfedsim.linalg import _openblas, one_blas_thread
 from oracle import child_env, run_all_rounds
-from test_federation import StartedWorker, make_state, poison_first_example
+from test_federation import IdleWorker, StartedWorker, make_state
+from test_federation import poison_first_example
 
 WORKER_PREFIX = "dpfedsim-worker"
 
 
-class InlineExecutor:
-    """Runs each task when it is submitted, on the submitting thread."""
+class InlineExecutor(federation.Worker):
+    """Runs each task when it is submitted, on the submitting thread; the
+    worker's own thread gets none."""
 
     def __init__(self):
+        super().__init__()
         self.submitted = 0
 
     def submit(self, fn, *args):
         self.submitted += 1
-        future = Future()
-        try:
-            future.set_result(fn(*args))
-        except BaseException as exc:
-            future.set_exception(exc)
-        return future
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        pass
+        task = federation._Task(fn, args)
+        task.run()
+        return task
 
 
-class SleepyExecutor(ThreadPoolExecutor):
+class SleepyExecutor(federation.Worker):
     """The worker thread, sleeping a random 0 to 2 ms before each task."""
 
     def __init__(self, seed):
-        super().__init__(max_workers=1, thread_name_prefix=WORKER_PREFIX)
+        super().__init__()
         self._pauses = random.Random(seed)
 
     def submit(self, fn, *args):
@@ -164,7 +161,7 @@ def test_worker_failure_reaches_the_run(two_blas_threads, monkeypatch):
         return real_kernel(*args, **kwargs)
 
     monkeypatch.setattr(federation.model_mod, "clipped_gradient_sum", broken)
-    monkeypatch.setattr(federation, "_new_worker", StartedWorker)
+    monkeypatch.setattr(federation, "Worker", StartedWorker)
     with pytest.raises(RuntimeError, match="draw failed"):
         run_all_rounds(make_state(sigma=0.5))
     assert two_blas_threads() == 2
@@ -181,10 +178,10 @@ def test_the_lowest_failing_client_is_named_whichever_half_fails(
     worker's half alone reaches the run."""
     factory = {
         "inline": InlineExecutor,
-        "worker": federation._new_worker,
+        "worker": federation.Worker,
         "delayed": lambda: SleepyExecutor(seed=13),
     }[executor]
-    monkeypatch.setattr(federation, "_new_worker", factory)
+    monkeypatch.setattr(federation, "Worker", factory)
     state = make_state(n_clients=4, batch_size=60, sigma=0.5)  # whole shards
     for cid in poisoned:
         poison_first_example(state, cid, np.nan)
@@ -229,7 +226,7 @@ def test_a_command_holds_one_worker_and_one_pin_from_data_build_to_last_run(
     """compare over 2 seeds and 3 algorithms makes one worker and enters the
     pin once; each seed's data build and every round run inside both."""
     made, pins, seen = [], [], []
-    real_new, real_pin = federation._new_worker, federation.one_blas_thread
+    real_new, real_pin = federation.Worker, federation.one_blas_thread
     real_blobs, real_step = data_mod.synthetic_blobs, federation.server_step
 
     def new_worker():
@@ -247,7 +244,7 @@ def test_a_command_holds_one_worker_and_one_pin_from_data_build_to_last_run(
 
         return call
 
-    monkeypatch.setattr(federation, "_new_worker", new_worker)
+    monkeypatch.setattr(federation, "Worker", new_worker)
     monkeypatch.setattr(federation, "one_blas_thread", pin)
     monkeypatch.setattr(data_mod, "synthetic_blobs", watch(real_blobs))
     monkeypatch.setattr(federation, "server_step", watch(real_step))
@@ -284,7 +281,7 @@ def test_run_without_a_controllable_blas_says_so_and_records_it(
 
 EXECUTORS = {
     "inline": InlineExecutor,
-    "worker": federation._new_worker,
+    "worker": federation.Worker,
     "delayed": lambda: SleepyExecutor(seed=13),
 }
 
@@ -316,9 +313,44 @@ def test_the_workers_half_runs_under_the_callers_floating_point_policy(mode):
             with np.errstate(over="ignore", invalid="ignore"):
                 federation._halves(worker, half, 2)
     finally:
-        worker.shutdown(wait=True)
+        worker.close()
     assert [str(w.message) for w in caught] == []
     assert seen == {0: ("ignore", "ignore"), 1: ("ignore", "ignore")}
+
+
+@pytest.mark.parametrize("upper_on", ["worker", "idle", "busy"])
+def test_halves_leaves_no_reference_to_its_half(upper_on):
+    """Once ``_halves`` returns, nothing keeps its half's function (in a
+    round, a closure over U) alive, with no collection run.  The upper
+    half runs on the worker, which holds that task until its next one
+    arrives, or the calling thread takes it back: from an idle worker,
+    which never queues it, or from a worker busy with an earlier task,
+    whose queue keeps the cancelled task.  On the worker, the lower half
+    waits until the upper half has started."""
+    upper_started, release, ran_on = threading.Event(), threading.Event(), {}
+
+    def half(part: range) -> None:
+        if part.start:
+            upper_started.set()
+        elif upper_on == "worker":
+            assert upper_started.wait(timeout=60)
+        ran_on[part.start] = threading.current_thread().name
+
+    ref = weakref.ref(half)
+    worker = IdleWorker() if upper_on == "idle" else federation.Worker()
+    if upper_on == "busy":
+        worker.submit(release.wait, 60)
+    try:
+        federation._halves(worker, half, 2)
+        del half
+        assert ref() is None
+    finally:
+        release.set()
+        if upper_on != "idle":
+            worker.close()
+    here = threading.current_thread().name
+    assert ran_on[0] == here
+    assert ran_on[1].startswith(WORKER_PREFIX) == (upper_on == "worker")
 
 
 def _bytes(ds):
@@ -402,7 +434,7 @@ def test_build_data_matches_the_oracle_and_builds_the_test_set_on_the_worker(
     the calling thread, and the test set on the executor: inline that is
     the calling thread too, otherwise the worker."""
     classes, per_class, dim, spread = shape
-    monkeypatch.setattr(federation, "_new_worker", EXECUTORS[mode])
+    monkeypatch.setattr(federation, "Worker", EXECUTORS[mode])
     real_blobs, real_into = data_mod.synthetic_blobs, data_mod.features_into
     built_on, purposes = [], {}
 
@@ -495,11 +527,11 @@ def release():
 @pytest.fixture
 def worker(release):
     """A new ``federation.Worker``; at teardown ``release`` is set, the
-    worker shut down, and its thread must be gone."""
+    worker closed, and its thread must be gone."""
     made = federation.Worker()
     yield made
     release.set()
-    made.shutdown(wait=True)
+    made.close()
     assert _worker_threads() == []
 
 
@@ -513,7 +545,7 @@ def test_a_task_cancelled_before_it_starts_never_runs(worker, release):
     assert queued.exception() is None and queued.result() is None
     release.set()
     assert busy.result() is True
-    worker.shutdown(wait=True)
+    worker.close()
     assert ran == []
 
 
@@ -546,10 +578,8 @@ def test_result_raises_the_calls_error_and_exception_returns_it(worker):
     assert caught.value is error
 
 
-def test_shutdown_cancelling_futures_cancels_the_queued_tasks_and_joins_the_thread(
-    worker,
-):
-    """The first task, once started, holds the thread until shutdown has
+def test_close_cancels_the_queued_tasks_and_joins_the_thread(worker):
+    """The first task, once started, holds the thread until close has
     cancelled the two queued behind it, from another thread, which must
     then see the worker's thread end."""
     started, ready = threading.Event(), threading.Event()
@@ -559,16 +589,14 @@ def test_shutdown_cancelling_futures_cancels_the_queued_tasks_and_joins_the_thre
         started.set()
         assert ready.wait(60)
         for task in queued:
-            task.exception()  # returns once shutdown has cancelled it
+            task.exception()  # returns once close has cancelled it
         ran.append("busy")
 
     first = worker.submit(busy)
     assert started.wait(60)
     queued += [worker.submit(ran.append, i) for i in range(2)]
     ready.set()
-    stopper = threading.Thread(
-        target=worker.shutdown, kwargs={"wait": True, "cancel_futures": True}
-    )
+    stopper = threading.Thread(target=worker.close)
     stopper.start()
     stopper.join(60)
     assert not stopper.is_alive()
@@ -588,7 +616,7 @@ def test_each_task_either_runs_or_is_cancelled_when_both_race_for_it(worker):
         for i in range(2000):
             if worker.submit(ran.append, i).cancel():
                 cancelled.append(i)
-        worker.shutdown(wait=True)
+        worker.close()
     finally:
         sys.setswitchinterval(interval)
     assert sorted(ran + cancelled) == list(range(2000))
