@@ -226,11 +226,11 @@ def test_a_command_holds_one_worker_and_one_pin_from_data_build_to_last_run(
     """compare over 2 seeds and 3 algorithms makes one worker and enters the
     pin once; each seed's data build and every round run inside both."""
     made, pins, seen = [], [], []
-    real_new, real_pin = federation.Worker, federation.one_blas_thread
+    real_worker, real_pin = federation.Worker, federation.one_blas_thread
     real_blobs, real_step = data_mod.synthetic_blobs, federation.server_step
 
     def new_worker():
-        made.append(real_new())
+        made.append(real_worker())
         return made[-1]
 
     def pin():
