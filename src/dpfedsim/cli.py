@@ -269,9 +269,11 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = parse_config(args.config, args.override)
-    algos = [a.strip() for a in args.algos.split(",") if a.strip()]
-    if not algos:
+    if not args.algos.strip():
         raise ValueError("--algos must list at least one algorithm")
+    algos = [a.strip() for a in args.algos.split(",")]
+    if "" in algos:
+        raise ValueError("--algos: empty item in the comma list")
     repeated = next((a for a in algos if algos.count(a) > 1), None)
     if repeated is not None:
         raise ValueError(f"--algos: {repeated} is listed twice")

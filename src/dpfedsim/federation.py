@@ -57,7 +57,7 @@ import sys
 import threading
 import time
 from collections.abc import Callable, Iterator
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -155,21 +155,15 @@ def derive_rng(
 
 class _Task:
     """A call submitted to a ``Worker``, and its outcome once it has run.
-
-    Whichever of the worker's ``run`` and the caller's ``cancel`` comes
-    first takes the claim; the task drops its call once run or cancelled.
-    A cancelled task's result and exception are None."""
+    The task drops its call before it is marked done."""
 
     def __init__(self, fn: Callable, args: tuple) -> None:
         self._call: tuple[Callable, tuple] | None = (fn, args)
-        self._claim = threading.Lock()  # taken once, never released
         self._done = threading.Event()
         self._result = self._error = None
 
     def run(self) -> None:
-        """Run the call unless cancelled, keeping its value or error."""
-        if not self._claim.acquire(blocking=False):
-            return  # cancelled before the worker reached it
+        """Run the call, keeping its value or error."""
         fn, args = self._call
         self._call = None
         try:
@@ -180,16 +174,8 @@ class _Task:
             del fn, args  # the error's traceback holds this frame
             self._done.set()
 
-    def cancel(self) -> bool:
-        """Cancel the call if the worker has not started it; whether it did."""
-        if not self._claim.acquire(blocking=False):
-            return False
-        self._call = None
-        self._done.set()
-        return True
-
     def exception(self) -> BaseException | None:
-        """The call's error, or None, once it has run or been cancelled."""
+        """The call's error, or None, once it has run."""
         self._done.wait()
         return self._error
 
@@ -202,7 +188,7 @@ class _Task:
 
 class Worker:
     """One daemon thread that runs submitted calls in order.  A command
-    uses ``submit`` and ``close``, and a task's ``cancel``, ``result`` and
+    uses ``submit`` and ``close``, and a task's ``result`` and
     ``exception``."""
 
     def __init__(self) -> None:
@@ -222,11 +208,8 @@ class Worker:
         return task
 
     def close(self) -> None:
-        """Cancel the queued tasks, and end the thread once its running
-        task, if any, has ended; return when it has."""
-        with suppress(queue.Empty):
-            while task := self._tasks.get_nowait():
-                task.cancel()
+        """End the thread once it has run the queued tasks; return when it
+        has."""
         self._tasks.put(None)
         self._thread.join()
 
@@ -236,8 +219,8 @@ def pinned_worker() -> Iterator[tuple[bool, Worker]]:
     """(whether BLAS is pinned to one thread, a new worker) for the block.
 
     Without a controllable BLAS this says so on stderr, once.  On exit,
-    normal or not, the worker's queued tasks are cancelled, its running
-    task is waited for, and the caller's BLAS thread count is restored."""
+    normal or not, the worker is closed and the caller's BLAS thread count
+    is restored."""
     with one_blas_thread() as pinned:
         if not pinned:
             print(
@@ -254,21 +237,15 @@ def pinned_worker() -> Iterator[tuple[bool, Worker]]:
 
 def _halves(worker: Worker, fn: Callable[[range], None], n: int) -> None:
     """Run fn(range(h)) here and fn(range(h, n)) on the worker, in a copy of
-    this thread's context, h = ceil(n / 2); this thread runs the upper half
-    too if the worker has not started it.  Both halves have ended when this
+    this thread's context, h = ceil(n / 2).  Both halves have ended when this
     returns or raises, and if both fail the lower half's error is raised."""
     h = (n + 1) // 2
     upper = worker.submit(contextvars.copy_context().run, fn, range(h, n))
     try:
         fn(range(h))
-    except BaseException:
-        if not upper.cancel():
-            upper.exception()  # wait: the upper half must not outlive the call
-        raise
-    if upper.cancel():
-        fn(range(h, n))
-    else:
-        upper.result()
+    finally:
+        upper.exception()  # wait: the upper half must not outlive the call
+    upper.result()
 
 
 def _finite(v: np.ndarray) -> bool:

@@ -267,13 +267,15 @@ MUTANTS = (
         "test_the_workers_half_runs_under_the_callers_floating_point_policy[worker]",
     ),
     Mutant(
-        "worker_runs_a_cancelled_task",
-        "a cancelled task never runs, and a started one cannot be cancelled",
+        "halves_skips_the_wait_on_failure",
+        "a failing half raises only once the worker's half has ended",
         "federation.py",
-        "        if not self._claim.acquire(blocking=False):\n"
-        "            return  # cancelled before the worker reached it\n",
-        "",
-        "tests/test_worker.py::test_a_started_task_cannot_be_cancelled",
+        "    try:\n"
+        "        fn(range(h))\n"
+        "    finally:\n"
+        "        upper.exception()  # wait: the upper half must not outlive the call\n",
+        "    fn(range(h))\n",
+        "tests/test_worker.py::test_halves_raises_only_once_the_workers_half_has_ended",
     ),
     Mutant(
         "task_keeps_its_call",
@@ -282,8 +284,7 @@ MUTANTS = (
         "        fn, args = self._call\n"
         "        self._call = None\n",
         "        fn, args = self._call\n",
-        "tests/test_worker.py::"
-        "test_a_finished_or_cancelled_task_holds_no_reference_to_its_call[finished]",
+        "tests/test_worker.py::test_a_finished_task_holds_no_reference_to_its_call",
     ),
 )
 

@@ -529,12 +529,28 @@ def test_each_subcommands_help_explains_every_option(capsys, command, lines):
     )
 
 
-def test_compare_rejects_a_repeated_algorithm_before_creating_out(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "algos, message",
+    [
+        ("gcfl,dp_fedavg,gcfl", "--algos: gcfl is listed twice"),
+        ("gcfl,,dp_fedavg,", "--algos: empty item in the comma list"),
+        ("gcfl, ,dp_fedavg", "--algos: empty item in the comma list"),
+        (",gcfl", "--algos: empty item in the comma list"),
+        ("gcfl,", "--algos: empty item in the comma list"),
+        (" ", "--algos must list at least one algorithm"),
+    ],
+    ids=["repeated", "empty-items", "blank-item", "leading-comma",
+         "trailing-comma", "blank"],
+)
+def test_compare_rejects_a_repeated_algorithm_before_creating_out(
+    tmp_path, capsys, algos, message
+):
+    """A repeated or empty item of --algos, or a blank list, is refused
+    with one error line before --out is created."""
     out = tmp_path / "cmp"
     argv = ["compare", "--config", write_cfg(tmp_path), "--out", str(out)]
-    assert main([*argv, "--algos", "gcfl,dp_fedavg,gcfl"]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert err == ["error: --algos: gcfl is listed twice"]
+    assert main([*argv, "--algos", algos]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not out.exists()
 
 

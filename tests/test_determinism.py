@@ -32,7 +32,8 @@ from dpfedsim.federation import ALGORITHMS
 from dpfedsim.linalg import _openblas
 from oracle import child_env
 from test_cli import FAST_CFG, write_cfg
-from test_worker import EXECUTORS, SMALL, WORKER_PREFIX, InlineExecutor, _worker_threads
+from test_federation import InlineExecutor
+from test_worker import EXECUTORS, SMALL, WORKER_PREFIX, _worker_threads
 
 BENCH_SHAPE = """
 synthetic_classes = 10
@@ -108,9 +109,10 @@ def _python_m(tmp_path, monkeypatch, cfg, commands):
 def _executor(tmp_path, monkeypatch, cfg, commands):
     """Every task run inline, on the worker thread, and on the worker with
     random sleeps before each task and a 10-microsecond interpreter switch
-    interval.  Each round's 4 clients are split 2 and 2, and evaluation
-    takes 7-row chunks here, so the 12-row test set is split between the
-    two threads too."""
+    interval.  Each round's 4 clients are split 2 and 2: clients 0 and 1
+    run on the calling thread and 2 and 3 on the worker, or inline on the
+    calling thread too.  Evaluation takes 7-row chunks here, so the 12-row
+    test set is split between the two threads too."""
     monkeypatch.setattr(federation, "_EVAL_ROWS", 7)
     real_sample = federation.poisson_sample
     batch_sizes = []
@@ -121,13 +123,14 @@ def _executor(tmp_path, monkeypatch, cfg, commands):
         return idx
 
     monkeypatch.setattr(federation, "poisson_sample", record)
-    real_local, ran_on = federation.client_local_phase, []
+    real_derive, ran_on = federation.derive_rng, {}
 
-    def local(*args, **kwargs):
-        ran_on.append(threading.current_thread().name)
-        return real_local(*args, **kwargs)
+    def derive(seed, round_index, cid, purpose):
+        if purpose is federation.Stream.BATCH:  # drawn where the client runs
+            ran_on[mode].add((cid, threading.current_thread().name))
+        return real_derive(seed, round_index, cid, purpose)
 
-    monkeypatch.setattr(federation, "client_local_phase", local)
+    monkeypatch.setattr(federation, "derive_rng", derive)
     inline = []
 
     def inline_worker():
@@ -136,6 +139,7 @@ def _executor(tmp_path, monkeypatch, cfg, commands):
 
     factories = {**EXECUTORS, "inline": inline_worker}
     for mode, factory in factories.items():
+        ran_on[mode] = set()
         monkeypatch.setattr(federation, "Worker", factory)
         interval = sys.getswitchinterval()
         if mode == "delayed":
@@ -146,7 +150,10 @@ def _executor(tmp_path, monkeypatch, cfg, commands):
             sys.setswitchinterval(interval)
     assert 0 in batch_sizes  # some step found its Poisson batch empty
     assert inline[0].submitted > 0  # the tasks went through the executor
-    assert any(name.startswith(WORKER_PREFIX) for name in ran_on)
+    here = threading.current_thread().name
+    assert ran_on["inline"] == {(cid, here) for cid in range(4)}
+    split = {(0, here), (1, here), (2, WORKER_PREFIX), (3, WORKER_PREFIX)}
+    assert ran_on["worker"] == ran_on["delayed"] == split
     assert _worker_threads() == []
     return [tmp_path / mode for mode in factories]
 

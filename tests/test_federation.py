@@ -613,20 +613,19 @@ def test_uncorrected_round_aggregates_the_raw_uploads_bitwise(
     assert state.weights.tobytes() == want.tobytes()
 
 
-class StartedWorker(federation.Worker):
-    """The worker thread, returning from submit only once the task has
-    started, so the calling thread never takes the worker's half over."""
+class InlineExecutor(federation.Worker):
+    """Runs each task when it is submitted, on the submitting thread; the
+    worker's own thread gets none."""
+
+    def __init__(self):
+        super().__init__()
+        self.submitted = 0
 
     def submit(self, fn, *args):
-        started = threading.Event()
-
-        def task():
-            started.set()
-            return fn(*args)
-
-        future = super().submit(task)
-        assert started.wait(timeout=60)
-        return future
+        self.submitted += 1
+        task = federation._Task(fn, args)
+        task.run()
+        return task
 
 
 def _record_round(monkeypatch, state, round_index):
@@ -823,7 +822,6 @@ def test_upload_built_in_blocks_is_the_oracle_fed_from_the_same_stream(
     kernel = _kernel_spy(sums, current, starts, algorithm, cfg.prox_mu)
     monkeypatch.setattr(federation, "client_local_phase", local)
     monkeypatch.setattr(federation.model_mod, "clipped_gradient_sum", kernel)
-    monkeypatch.setattr(federation, "Worker", StartedWorker)
     run_one_round(state, 1)
     on_worker = {c for c, name in ran_on.items() if name.startswith("dpfedsim-worker")}
     assert on_worker == {2, 3}
@@ -1218,7 +1216,7 @@ import dpfedsim.federation as fed
 from dpfedsim.cli import main
 
 class LingeringWorker(fed.Worker):
-    # holds each task 5 ms past its end, cancelled or not
+    # holds each task 5 ms past its end
     def _serve(self):
         while (task := self._tasks.get()) is not None:
             task.run()
@@ -1248,7 +1246,7 @@ def test_rounds_after_the_first_two_take_few_page_faults(tmp_path, worker):
     clients' workspaces come from the heap and keep their pages.  An
     upload matrix held for the run keeps the thresholds low and costs
     thousands of faults in every round.
-    A task drops its call once run or cancelled, so the command's worker,
+    A task drops its call once it has run, so the command's worker,
     which holds its last task until the next arrives, keeps nothing of a
     round alive.  The lingering worker holds each task 5 ms past its end,
     as a worker thread descheduled before it drops the task does.  A task
@@ -1272,35 +1270,31 @@ def test_rounds_after_the_first_two_take_few_page_faults(tmp_path, worker):
     assert sum(faults[2:]) < 400, faults
 
 
-class IdleWorker:
-    """A worker whose tasks are never run: the calling thread takes both
-    halves of a round, one after the other."""
-
-    def submit(self, fn, *args):
-        return federation._Task(fn, args)
-
-
 def test_a_scaffold_round_holds_under_one_vector_more_than_fedavg():
     """At D = 101,770 and N = 8, a dp_scaffold round's traced peak is less
     than one D-vector above the same dp_fedavg round's: each client adds
     its shift through its 64 KiB block, and the variate update goes block
     by block through one more, writing each new into the client's variate
     in place and new - old into the upload row it has read for the last
-    time.  The two halves of the client phase run one after the other, so
-    the peaks do not hang on how they overlap.  Tracing starts before the
-    state is built, so the variates a round replaces count as freed."""
+    time.  Each half runs inline, one after the other, so the peaks do not
+    hang on how they overlap.  Tracing starts before the state is built,
+    so the variates a round replaces count as freed."""
     peaks = {}
-    for algorithm in ("dp_fedavg", "dp_scaffold"):
-        tracemalloc.start()
-        try:
-            state = _benchmark_shape_state(algorithm, 8)
-            federation.run_round(state, 0, IdleWorker())  # fills caches
-            tracemalloc.reset_peak()
-            start = tracemalloc.get_traced_memory()[0]
-            federation.run_round(state, 1, IdleWorker())
-            peaks[algorithm] = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
+    worker = InlineExecutor()
+    try:
+        for algorithm in ("dp_fedavg", "dp_scaffold"):
+            tracemalloc.start()
+            try:
+                state = _benchmark_shape_state(algorithm, 8)
+                federation.run_round(state, 0, worker)  # fills caches
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                federation.run_round(state, 1, worker)
+                peaks[algorithm] = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+    finally:
+        worker.close()
     dim = state.weights.shape[0]
     extra = peaks["dp_scaffold"] - peaks["dp_fedavg"]
     assert extra < dim * 8, extra / (dim * 8)

@@ -4,19 +4,20 @@ A command holds one worker thread and one BLAS pin to one thread
 (``federation.pinned_worker``) from its first data build to its last run.
 A run splits each round's participants, and evaluation's test chunks, in
 halves: the upper half goes to the worker and the calling thread runs the
-lower half.  A failure on either thread must stop the run, naming the
-lowest failing client, and a command, or a ``pinned_worker`` block, must
-leave no thread behind and the caller's BLAS thread count as it found it.
+lower half, then waits for the upper half to end.  A failure on either
+thread must stop the run, naming the lowest failing client, and a
+command, or a ``pinned_worker`` block, must leave no thread behind and
+the caller's BLAS thread count as it found it.
 ``tests/test_determinism.py`` checks, with the rest of the determinism
 promise, that which thread runs a half, and when, changes no output byte.
 The synthetic data build shares the worker too: the calling thread builds
 the train set, and the worker the test set and, where the run holds
 them, its float32 features.
 The worker is the package's own ``federation.Worker``, one thread; a
-command uses its ``submit`` and ``close`` and a task's ``cancel``,
-``result`` and ``exception``.  The fakes below are ``Worker``s too.  A run
-never loads ``concurrent.futures`` (nor ``logging``), and loads ``csv``
-and ``json`` only to write its outputs.
+command uses its ``submit`` and ``close`` and a task's ``result`` and
+``exception``.  The fakes here and in ``tests/test_federation.py`` are
+``Worker``s too.  A run never loads ``concurrent.futures`` (nor
+``logging``), and loads ``csv`` and ``json`` only to write its outputs.
 """
 
 import json
@@ -46,25 +47,9 @@ from dpfedsim.federation import Stream, derive_rng, pinned_worker
 from dpfedsim.federation import run_experiment
 from dpfedsim.linalg import _openblas, one_blas_thread
 from oracle import child_env, run_all_rounds
-from test_federation import IdleWorker, StartedWorker, make_state
-from test_federation import poison_first_example
+from test_federation import InlineExecutor, make_state, poison_first_example
 
 WORKER_PREFIX = "dpfedsim-worker"
-
-
-class InlineExecutor(federation.Worker):
-    """Runs each task when it is submitted, on the submitting thread; the
-    worker's own thread gets none."""
-
-    def __init__(self):
-        super().__init__()
-        self.submitted = 0
-
-    def submit(self, fn, *args):
-        self.submitted += 1
-        task = federation._Task(fn, args)
-        task.run()
-        return task
 
 
 class SleepyExecutor(federation.Worker):
@@ -161,7 +146,6 @@ def test_worker_failure_reaches_the_run(two_blas_threads, monkeypatch):
         return real_kernel(*args, **kwargs)
 
     monkeypatch.setattr(federation.model_mod, "clipped_gradient_sum", broken)
-    monkeypatch.setattr(federation, "Worker", StartedWorker)
     with pytest.raises(RuntimeError, match="draw failed"):
         run_all_rounds(make_state(sigma=0.5))
     assert two_blas_threads() == 2
@@ -292,15 +276,10 @@ def test_the_workers_half_runs_under_the_callers_floating_point_policy(mode):
     ``np.errstate``: numpy keeps that state in a context variable, and
     ``_halves`` runs the worker's half in a copy of the calling thread's
     context.  So a half that overflows and then takes inf - inf warns
-    nothing on either thread.  The lower half waits until the upper half
-    has started, so a worker thread, not this one, runs the upper half."""
-    seen, upper_started = {}, threading.Event()
+    nothing on either thread."""
+    seen = {}
 
     def half(part: range) -> None:
-        if part.start:
-            upper_started.set()
-        else:
-            assert upper_started.wait(timeout=60)
         seen[part.start] = (np.geterr()["over"], np.geterr()["invalid"])
         x = np.full(2, 1e300)
         x *= x  # overflow
@@ -318,39 +297,38 @@ def test_the_workers_half_runs_under_the_callers_floating_point_policy(mode):
     assert seen == {0: ("ignore", "ignore"), 1: ("ignore", "ignore")}
 
 
-@pytest.mark.parametrize("upper_on", ["worker", "idle", "busy"])
-def test_halves_leaves_no_reference_to_its_half(upper_on):
+def test_halves_leaves_no_reference_to_its_half(worker):
     """Once ``_halves`` returns, nothing keeps its half's function (in a
-    round, a closure over U) alive, with no collection run.  The upper
-    half runs on the worker, which holds that task until its next one
-    arrives, or the calling thread takes it back: from an idle worker,
-    which never queues it, or from a worker busy with an earlier task,
-    whose queue keeps the cancelled task.  On the worker, the lower half
-    waits until the upper half has started."""
-    upper_started, release, ran_on = threading.Event(), threading.Event(), {}
+    round, a closure over U) alive, with no collection run, though the
+    worker that ran the upper half holds that task until its next one
+    arrives."""
+    ran_on = {}
 
     def half(part: range) -> None:
-        if part.start:
-            upper_started.set()
-        elif upper_on == "worker":
-            assert upper_started.wait(timeout=60)
         ran_on[part.start] = threading.current_thread().name
 
     ref = weakref.ref(half)
-    worker = IdleWorker() if upper_on == "idle" else federation.Worker()
-    if upper_on == "busy":
-        worker.submit(release.wait, 60)
-    try:
+    federation._halves(worker, half, 2)
+    del half
+    assert ref() is None
+    assert ran_on == {0: threading.current_thread().name, 1: WORKER_PREFIX}
+
+
+def test_halves_raises_only_once_the_workers_half_has_ended(worker):
+    """A lower half that fails at once still waits for the worker's half,
+    which sleeps 50 ms and then records that it ran: the record is there
+    when ``_halves`` raises the lower half's error."""
+    ran = []
+
+    def half(part: range) -> None:
+        if not part.start:
+            raise KeyError("lower half")
+        time.sleep(0.05)
+        ran.append(part.start)
+
+    with pytest.raises(KeyError, match="lower half"):
         federation._halves(worker, half, 2)
-        del half
-        assert ref() is None
-    finally:
-        release.set()
-        if upper_on != "idle":
-            worker.close()
-    here = threading.current_thread().name
-    assert ran_on[0] == here
-    assert ran_on[1].startswith(WORKER_PREFIX) == (upper_on == "worker")
+    assert ran == [1]
 
 
 def _bytes(ds):
@@ -535,36 +513,6 @@ def worker(release):
     assert _worker_threads() == []
 
 
-def test_a_task_cancelled_before_it_starts_never_runs(worker, release):
-    """The worker runs tasks in order, so the second waits behind the first;
-    cancelled there, it never runs, and waiting on it returns at once."""
-    ran = []
-    busy = worker.submit(release.wait, 60)
-    queued = worker.submit(ran.append, "queued")
-    assert queued.cancel()
-    assert queued.exception() is None and queued.result() is None
-    release.set()
-    assert busy.result() is True
-    worker.close()
-    assert ran == []
-
-
-def test_a_started_task_cannot_be_cancelled(worker, release):
-    started = threading.Event()
-
-    def call():
-        started.set()
-        release.wait(60)
-        return "done"
-
-    task = worker.submit(call)
-    assert started.wait(60)
-    assert not task.cancel()
-    release.set()
-    assert task.result() == "done"
-    assert not task.cancel()
-
-
 def test_result_raises_the_calls_error_and_exception_returns_it(worker):
     error = KeyError("lost")
 
@@ -578,61 +526,38 @@ def test_result_raises_the_calls_error_and_exception_returns_it(worker):
     assert caught.value is error
 
 
-def test_close_cancels_the_queued_tasks_and_joins_the_thread(worker):
-    """The first task, once started, holds the thread until close has
-    cancelled the two queued behind it, from another thread, which must
-    then see the worker's thread end."""
-    started, ready = threading.Event(), threading.Event()
-    ran, queued = [], []
+def test_close_runs_the_queued_tasks_and_joins_the_thread(worker, release):
+    """close, called from another thread while the worker's first task
+    holds it, returns only once the worker has run that task and the two
+    queued behind it, in order, and its thread has ended."""
+    ran = []
 
     def busy():
-        started.set()
-        assert ready.wait(60)
-        for task in queued:
-            task.exception()  # returns once close has cancelled it
+        release.wait(60)
         ran.append("busy")
 
-    first = worker.submit(busy)
-    assert started.wait(60)
-    queued += [worker.submit(ran.append, i) for i in range(2)]
-    ready.set()
+    worker.submit(busy)
+    queued = [worker.submit(ran.append, i) for i in range(2)]
     stopper = threading.Thread(target=worker.close)
     stopper.start()
+    stopper.join(0.05)
+    assert stopper.is_alive()  # the first task still holds the thread
+    release.set()
     stopper.join(60)
     assert not stopper.is_alive()
     assert _worker_threads() == []
-    assert first.exception() is None
-    assert ran == ["busy"]
-
-
-def test_each_task_either_runs_or_is_cancelled_when_both_race_for_it(worker):
-    """2,000 tasks, each cancelled as soon as it is submitted, under a
-    1 µs switch interval, so the caller's cancel races the worker's start
-    for each: every task runs or is cancelled, never both."""
-    ran, cancelled = [], []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for i in range(2000):
-            if worker.submit(ran.append, i).cancel():
-                cancelled.append(i)
-        worker.close()
-    finally:
-        sys.setswitchinterval(interval)
-    assert sorted(ran + cancelled) == list(range(2000))
+    assert ran == ["busy", 0, 1]
+    assert [task.exception() for task in queued] == [None, None]
 
 
 class _Payload:
     pass
 
 
-@pytest.mark.parametrize("end", ["finished", "cancelled"])
-def test_a_finished_or_cancelled_task_holds_no_reference_to_its_call(
-    worker, release, end
-):
-    """Once a task has run, or been cancelled while queued, nothing of the
-    worker's keeps its function or arguments alive, with no collection
-    run: a task that the worker holds past its end keeps no round's U."""
+def test_a_finished_task_holds_no_reference_to_its_call(worker, release):
+    """Once a task has run, nothing of the worker's keeps its function or
+    arguments alive, with no collection run: a task that the worker holds
+    past its end keeps no round's U."""
 
     def call(payload):
         return None
@@ -642,10 +567,7 @@ def test_a_finished_or_cancelled_task_holds_no_reference_to_its_call(
     worker.submit(release.wait, 60)
     task = worker.submit(call, payload)
     del call, payload
-    if end == "cancelled":
-        assert task.cancel()
-    else:
-        release.set()
+    release.set()
     assert task.exception() is None
     assert [ref() for ref in refs] == [None, None]
 
