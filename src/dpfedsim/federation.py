@@ -37,8 +37,8 @@ timing.
 
 A client builds each step vector where the kernel writes the step's
 clipped sum, its row of U first, and adds noise and shifts through one
-buffer, a 64 KiB block (``linalg.blocks``) but under dp_fedprox with
-K > 1; the dp_scaffold variate update goes block by block, in place.
+64 KiB block (``linalg.blocks``); the dp_scaffold variate update goes
+block by block, in place.
 
 A round's floating-point policy is one ``np.errstate``, on ``run_round``,
 which ``_halves`` carries to the worker: numpy ignores overflow and
@@ -275,22 +275,21 @@ def client_local_phase(
     ``noise_rng`` (nothing is drawn at sigma = 0), divide by B, a public
     constant whatever the batch drawn, and step the local model.  An empty
     Poisson draw releases its step too.  The upload is the mean of the K
-    step vectors.  dp_fedprox with prox_mu != 0 adds prox_mu * (w_local -
-    w_start) to each per-sample gradient before clipping, from the second
-    step on: at the first the shift is exactly zero.  dp_scaffold adds
-    server - client, from ``scaffold_variates`` = (server, client), after
-    noising.  A non-finite per-sample gradient norm or step vector raises
+    step vectors.  After the divide, dp_fedprox with prox_mu != 0 adds the
+    pull prox_mu * (w_local - w_start) from the second step on (at the
+    first it is zero), and dp_scaffold adds server - client, from
+    ``scaffold_variates`` = (server, client).  Neither is clipped: neither
+    reads a sample of the step, and w_local is made of the client's earlier
+    releases.  A non-finite per-sample gradient norm or step vector raises
     ValueError.
 
     A step vector is built where the kernel writes its clipped sum: the
     upload row at the first step, the later-step vector after.  z is drawn,
     scaled and added a block at a time (``linalg.blocks``) through one
-    buffer, as is the scaffold shift: clipped sum + z sigma C has the bytes
-    of z sigma C + clipped sum, and blocks drawn in order read the stream's
-    normals in order.  Under dp_fedprox with K > 1 the buffer is a whole
-    D-vector: it holds each later step's prox shift while the kernel reads
-    it, apart from its out, then takes the noise as one block.  Every
-    D-vector is allocated before the first step.
+    64 KiB buffer, as are the pull and the scaffold shift: clipped sum +
+    z sigma C has the bytes of z sigma C + clipped sum, and blocks drawn in
+    order read the stream's normals in order.  Every D-vector is allocated
+    before the first step.
     """
     dim = start_params.shape[0]
     prox = cfg.algorithm == "dp_fedprox" and cfg.prox_mu != 0
@@ -299,25 +298,19 @@ def client_local_phase(
         w_local = start_params.copy()  # start_params is never written
     else:
         later, w_local = None, start_params
-    tmp = np.empty(dim) if prox and later is not None else block(dim)
+    tmp = block(dim)
     loss_total = 0.0
 
     for k in range(cfg.local_steps):
         idx = poisson_sample(rows.size, cfg.batch_size, cfg.sampling_mode, batch_rng)
         batch = rows[idx]
         noisy = later if k else upload
-        shift = None
-        if prox and k:
-            # at k = 0 w_local is the start, so the shift is zero and is left out
-            shift = np.subtract(w_local, start_params, out=tmp)
-            shift *= cfg.prox_mu
         losses, sq_norms, _ = model_mod.clipped_gradient_sum(
             model_spec,
             w_local,
             features(train.X[batch]),
             train.y[batch],
             cfg.clip_threshold,
-            shift,
             out=noisy,
         )
         if cfg.sigma != 0:
@@ -326,6 +319,12 @@ def client_local_phase(
                 z *= cfg.sigma * cfg.clip_threshold
                 noisy[lo : lo + z.size] += z
         noisy /= cfg.batch_size
+        if prox and k:
+            for lo, t in blocks(tmp, dim):
+                s = slice(lo, lo + t.size)
+                np.subtract(w_local[s], start_params[s], out=t)
+                t *= cfg.prox_mu
+                noisy[s] += t
         if scaffold_variates is not None:
             server, client = scaffold_variates
             for lo, t in blocks(tmp, dim):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ParamVector, add_scaled
+from .linalg import ParamVector
 
 _PROB_FLOOR = 1e-15  # clamp applied to predicted probabilities before log
 
@@ -124,26 +124,20 @@ def clipped_gradient_sum(
     features: np.ndarray,
     labels: np.ndarray,
     clip_threshold: float,
-    shift: ParamVector | None,
     out: ParamVector,
 ) -> tuple[np.ndarray, np.ndarray, ParamVector]:
     """(losses, sq_norms, clipped_sum) of one batch, from one forward/backward.
     clipped_sum is written into ``out``, whatever it held, and no other
-    D-length vector is allocated; out is scratch while shift is read, so
-    it must not overlap shift.  An empty batch gives a zero sum.
+    D-length vector is allocated.  An empty batch gives a zero sum.
 
-    Sample n's gradient is g_n = grad_n + v, its loss gradient plus a shift
-    v, none when shift is None.  sq_norms[n] is ||g_n||^2 and clipped_sum is
-    sum_n s_n g_n with s_n = min(1, C / ||g_n||), the sum of the per-sample
-    gradients clipped to L2 norm C.  No per-sample gradient is built.
-
-    Layer l's weight gradient for sample n is the outer product of its input
-    a_n and output delta d_n, so ||grad_n||^2 = sum_l (||a_n||^2 + 1) ||d_n||^2
-    (the 1 is the bias), and the layer's clipped sum is A^T (s * D) for the
-    weights and sum_n s_n d_n for the bias: one matrix product per layer
-    (Goodfellow, arXiv:1510.01799).  A shift adds 2 <grad_n, v> + ||v||^2 to
-    the squared norm, with <grad_n, v> = sum_l a_n^T V_l d_n + d_n . v_b, and
-    (sum_n s_n) v to the sum.
+    sq_norms[n] is ||g_n||^2 for sample n's loss gradient g_n, and
+    clipped_sum is sum_n s_n g_n with s_n = min(1, C / ||g_n||), the sum of
+    the per-sample gradients clipped to L2 norm C.  No per-sample gradient
+    is built: layer l's weight gradient for sample n is the outer product of
+    its input a_n and output delta d_n, so ||g_n||^2 = sum_l (||a_n||^2 + 1)
+    ||d_n||^2 (the 1 is the bias), and the layer's clipped sum is A^T (s * D)
+    for the weights and sum_n s_n d_n for the bias: one matrix product per
+    layer (Goodfellow, arXiv:1510.01799).
     """
     inputs, logits = _layers(spec, w, np.asarray(features, dtype=np.float64))
     probs = _softmax_rows(logits)
@@ -161,20 +155,10 @@ def clipped_gradient_sum(
     sq_norms = sum(
         (_row_dots(a, a) + 1.0) * _row_dots(d, d) for a, d in zip(inputs, deltas)
     )
-    if shift is not None:
-        cross = sum(
-            _row_dots(a @ v_weight + v_bias, d)
-            for (v_weight, v_bias), a, d in zip(unpack(spec, shift), inputs, deltas)
-        )
-        # out holds v * v until the layer sums below overwrite it
-        shift_sq = np.sum(np.multiply(shift, shift, out=out))
-        sq_norms = np.maximum(sq_norms + 2.0 * cross + shift_sq, 0.0)
 
     scale = clip_threshold / np.maximum(np.sqrt(sq_norms), clip_threshold)
     for (g_weight, g_bias), a, d in zip(unpack(spec, out), inputs, deltas):
         scaled = d * scale[:, None]
         np.matmul(a.T, scaled, out=g_weight)
         scaled.sum(axis=0, out=g_bias)
-    if shift is not None:
-        add_scaled(out, np.sum(scale), shift)
     return losses, sq_norms, out

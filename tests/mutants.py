@@ -183,20 +183,22 @@ MUTANTS = (
         "tests/test_acceptance.py::test_criterion_01_clipping_bound",
     ),
     Mutant(
-        "norm_without_prox_cross_term",
-        "the per-sample norm is that of the shifted gradient",
-        "model.py",
-        "np.maximum(sq_norms + 2.0 * cross + shift_sq, 0.0)",
-        "np.maximum(sq_norms + shift_sq, 0.0)",
-        "tests/test_dp_kernel.py::test_kernel_matches_oracle",
+        "prox_pull_dropped",
+        "a dp_fedprox step adds the pull prox_mu (w_local - start)",
+        "federation.py",
+        "if prox and k:",
+        "if False:",
+        "tests/test_federation.py::"
+        "test_a_fedprox_upload_is_the_fedavg_upload_plus_half_the_pull[fixed_size]",
     ),
     Mutant(
-        "prox_shift_added_unclipped",
-        "the prox shift is clipped with the gradient it shifts",
-        "model.py",
-        "add_scaled(out, np.sum(scale), shift)",
-        "add_scaled(out, float(labels.size), shift)",
-        "tests/test_dp_kernel.py::test_kernel_matches_oracle",
+        "prox_pull_scaled_by_the_batch",
+        "the prox pull is added after the divide by the batch size",
+        "federation.py",
+        "t *= cfg.prox_mu",
+        "t *= cfg.prox_mu / cfg.batch_size",
+        "tests/test_federation.py::"
+        "test_a_fedprox_upload_is_the_fedavg_upload_plus_half_the_pull[fixed_size]",
     ),
     Mutant(
         "conflict_sign_flipped",

@@ -32,10 +32,10 @@ from dpfedsim.model import MlpSpec, clipped_gradient_sum, init_params
 from oracle import run_all_rounds, synthetic_blobs
 
 
-def _sum(spec, w, X, y, clip, shift=None):
+def _sum(spec, w, X, y, clip):
     """``model.clipped_gradient_sum`` of a batch: (losses, sq_norms, sum),
     the sum written into a new vector."""
-    return clipped_gradient_sum(spec, w, X, y, clip, shift, np.empty(spec.num_params))
+    return clipped_gradient_sum(spec, w, X, y, clip, np.empty(spec.num_params))
 
 
 def _dot(a, b):
@@ -58,11 +58,9 @@ def _random_spec(rng):
 def test_criterion_01_clipping_bound():
     """1000 random one-sample batches through ``model.clipped_gradient_sum``,
     on random specs with weights and features scaled by 10^[-2, 2] and C
-    in 10^[-3, 3], half of them with a shift in a random direction of norm
-    up to 10C.  The sum is then the sample's clipped gradient: its
+    in 10^[-3, 3].  The sum is then the sample's clipped gradient: its
     norm <= C + 1e-9 and <= C (1 + 1e-12), its squared norm finite and
-    >= 0; within C, the sum is bitwise the one at 2C, where nothing clips.
-    A shift that cancels the gradient is not drawn (ROADMAP item 12)."""
+    >= 0; within C, the sum is bitwise the one at 2C, where nothing clips."""
     rng = np.random.default_rng(101)
     worst_excess = worst_ratio = -math.inf
     unchanged_checked = clipped = 0
@@ -74,17 +72,13 @@ def test_criterion_01_clipping_bound():
         X = rng.standard_normal((1, spec.layer_sizes[0])) * scale
         y = rng.integers(0, spec.num_classes, 1)
         c = 10.0 ** rng.uniform(-3, 3)
-        v = None
-        if rng.random() < 0.5:
-            v = rng.standard_normal(spec.num_params)
-            v *= rng.uniform(0, 10) * c / _norm(v)
-        _, sq_norms, out = _sum(spec, w, X, y, c, v)
+        _, sq_norms, out = _sum(spec, w, X, y, c)
         assert np.isfinite(sq_norms).all() and sq_norms[0] >= 0
         norm = _norm(out)
         worst_excess = max(worst_excess, norm - c)
         worst_ratio = max(worst_ratio, norm / c - 1)
         if sq_norms[0] <= c * c:
-            assert out.tobytes() == _sum(spec, w, X, y, 2 * c, v)[2].tobytes()
+            assert out.tobytes() == _sum(spec, w, X, y, 2 * c)[2].tobytes()
             unchanged_checked += 1
         else:
             clipped += 1

@@ -61,8 +61,9 @@ n_clients = 32
 algorithm = gcfl
 correction_mode = pairwise
 """, id="blas-n32_gcfl_pairwise"),
-    # the prox shift through two local steps on Poisson batches, so the
-    # clipping kernel's per-layer products carry it
+    # dp_fedprox through two local steps on Poisson batches: the second
+    # step's kernel runs at a local model off the global one, and the step
+    # adds the prox pull
     pytest.param("blas", RUN, BENCH_SHAPE + """
 n_clients = 4
 algorithm = dp_fedprox

@@ -15,13 +15,14 @@ from dpfedsim.dp import (
 from dpfedsim.model import MlpSpec, clipped_gradient_sum
 
 
-def _one_sample_sum(clip, shift=None):
-    """``model.clipped_gradient_sum`` of the 1-2 net with zero weights on
-    the sample x = 1 of class 0: probabilities (1/2, 1/2), so its gradient
-    is (-1/2, 1/2) for the weights and again for the biases, of norm 1."""
+def _one_sample_sum(clip, w=(0.0, 0.0, 0.0, 0.0)):
+    """``model.clipped_gradient_sum`` of the 1-2 net with weights w on the
+    sample x = 1 of class 0.  At zero weights the probabilities are
+    (1/2, 1/2), so its gradient is (-1/2, 1/2) for the weights and again
+    for the biases, of norm 1."""
     spec = MlpSpec((1, 2))
     return clipped_gradient_sum(
-        spec, np.zeros(4), np.ones((1, 1)), np.array([0]), clip, shift, np.empty(4)
+        spec, np.array(w), np.ones((1, 1)), np.array([0]), clip, np.empty(4)
     )
 
 
@@ -33,9 +34,10 @@ def test_clip_worked_example():
 
 
 def test_clip_zero_vector():
-    """A shift that cancels the gradient exactly: its zero norm scales by 1,
-    not 0 / 0."""
-    _, sq_norms, clipped = _one_sample_sum(1.0, np.array([0.5, -0.5, 0.5, -0.5]))
+    """A saturated softmax: logits (1000, -1000) give probabilities exactly
+    (1, 0) for class 0, so the gradient is exactly zero, and its zero norm
+    scales by 1, not 0 / 0."""
+    _, sq_norms, clipped = _one_sample_sum(1.0, (1000.0, -1000.0, 0.0, 0.0))
     assert sq_norms.tolist() == [0.0]
     np.testing.assert_array_equal(clipped, np.zeros(4))
 

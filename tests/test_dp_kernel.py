@@ -1,8 +1,8 @@
 """The batched clipping kernel against the one-sample-at-a-time oracle.
 
 ``model.clipped_gradient_sum`` never builds a per-sample gradient, so each
-case here builds them with ``oracle.loss_and_gradient``, adds the shift,
-clips each with ``oracle.clip_gradient`` and compares.
+case here builds them with ``oracle.loss_and_gradient``, clips each with
+``oracle.clip_gradient`` and compares.
 
 Weights and features lie on a coarse binary grid (multiples of 1/64 and 1/4,
 a few units at most), so every product and sum of the forward pass is exact
@@ -16,8 +16,8 @@ The clip bound of the kernel's own output is checked on arbitrary inputs by
 acceptance criterion 1 (``tests/test_acceptance.py``).
 
 Sums are compared relative to the total magnitude of what the kernel adds
-up, sum_n s_n (||grad_n|| + ||v||), the scale that rounding in a sum is
-proportional to.
+up, sum_n s_n ||grad_n||, the scale that rounding in a sum is proportional
+to.
 """
 
 import math
@@ -36,43 +36,40 @@ RTOL = 1e-12
 TINY = np.finfo(np.float64).tiny
 
 
-def kernel(spec, w, X, y, clip, shift=None):
+def kernel(spec, w, X, y, clip):
     """clipped_gradient_sum, its sum written into a new vector."""
-    return clipped_gradient_sum(spec, w, X, y, clip, shift, np.empty(spec.num_params))
+    return clipped_gradient_sum(spec, w, X, y, clip, np.empty(spec.num_params))
 
 
-def oracle_batch(spec, w, X, y, clip, shift):
-    """Per-sample (loss, grad, grad + shift, clipped) from the scalar path."""
+def oracle_batch(spec, w, X, y, clip):
+    """Per-sample (loss, grad, clipped) from the scalar path."""
     out = []
     for x, label in zip(X, y):
         loss, grad = loss_and_gradient(spec, w, x, label)
-        shifted = grad if shift is None else grad + shift
-        out.append((loss, grad, shifted, clip_gradient(shifted, clip)))
+        out.append((loss, grad, clip_gradient(grad, clip)))
     return out
 
 
-def check_against_oracle(spec, w, X, y, clip, shift):
+def check_against_oracle(spec, w, X, y, clip):
     """Assert every kernel output matches the oracle; return the number of
     samples the oracle clipped."""
-    losses, sq_norms, clipped_sum = kernel(spec, w, X, y, clip, shift)
-    per_sample = oracle_batch(spec, w, X, y, clip, shift)
-    v_norm = 0.0 if shift is None else l2_norm(shift)
+    losses, sq_norms, clipped_sum = kernel(spec, w, X, y, clip)
+    per_sample = oracle_batch(spec, w, X, y, clip)
 
     want_sum = np.zeros(spec.num_params)
     magnitude = 0.0
     clipped_count = 0
-    for n, (loss, grad, shifted, clipped) in enumerate(per_sample):
+    for n, (loss, grad, clipped) in enumerate(per_sample):
         assert losses[n] == pytest.approx(loss, rel=RTOL, abs=TINY)
-        want_sq = dot(shifted, shifted)
-        sq_scale = (l2_norm(grad) + v_norm) ** 2
-        assert abs(sq_norms[n] - want_sq) <= RTOL * sq_scale + TINY
+        want_sq = dot(grad, grad)
+        assert abs(sq_norms[n] - want_sq) <= RTOL * want_sq + TINY
         # criterion-1 clip bound on the factor the kernel applies: its norm,
         # not the oracle's, decides s_n
         s_n = min(1.0, clip / math.sqrt(sq_norms[n])) if sq_norms[n] > 0 else 1.0
-        assert l2_norm(s_n * shifted) <= clip * (1 + RTOL)
+        assert l2_norm(s_n * grad) <= clip * (1 + RTOL)
         want_sum = want_sum + clipped
-        magnitude += s_n * (l2_norm(grad) + v_norm)
-        clipped_count += clipped is not shifted
+        magnitude += s_n * l2_norm(grad)
+        clipped_count += clipped is not grad
     assert l2_norm(clipped_sum - want_sum) <= RTOL * magnitude
     assert l2_norm(clipped_sum) <= len(per_sample) * clip * (1 + RTOL)
     return clipped_count
@@ -84,11 +81,6 @@ def grid_params(rng, spec, denominator):
 
 def grid_features(rng, size, dim):
     return rng.integers(-8, 9, (size, dim)) / 4.0
-
-
-def random_shift(rng, dim, norm):
-    direction = rng.standard_normal(dim)
-    return direction / l2_norm(direction) * norm
 
 
 @st.composite
@@ -109,10 +101,7 @@ def batches(draw):
                       max_size=size))
     )
     clip = 10.0 ** draw(st.floats(-3.0, 3.0))
-    shift = None
-    if draw(st.booleans()):
-        shift = random_shift(rng, spec.num_params, draw(st.floats(0.0, 10.0)) * clip)
-    return spec, w, X, y, clip, shift
+    return spec, w, X, y, clip
 
 
 @given(batches())
@@ -121,49 +110,42 @@ def test_kernel_matches_oracle(case):
     check_against_oracle(*case)
 
 
-def _fixed_case(seed, spec, size, shift_norm=None):
+def _fixed_case(seed, spec, size):
     rng = np.random.default_rng(seed)
     w = grid_params(rng, spec, 16)
     X = grid_features(rng, size, spec.layer_sizes[0])
     y = rng.integers(0, spec.num_classes, size)
-    shift = None
-    if shift_norm is not None:
-        shift = random_shift(rng, spec.num_params, shift_norm)
-    return w, X, y, shift
+    return w, X, y
 
 
-@pytest.mark.parametrize("with_shift", [False, True])
-def test_every_sample_clipped(with_shift):
+def test_every_sample_clipped():
     spec = MlpSpec((7, 9, 5, 4))
     clip = 1e-4
-    w, X, y, shift = _fixed_case(1, spec, 48, 5 * clip if with_shift else None)
-    assert check_against_oracle(spec, w, X, y, clip, shift) == 48
+    w, X, y = _fixed_case(1, spec, 48)
+    assert check_against_oracle(spec, w, X, y, clip) == 48
 
 
-@pytest.mark.parametrize("with_shift", [False, True])
-def test_no_sample_clipped(with_shift):
+def test_no_sample_clipped():
     spec = MlpSpec((7, 9, 5, 4))
     clip = 1e4
-    w, X, y, shift = _fixed_case(2, spec, 48, 3.0 if with_shift else None)
-    assert check_against_oracle(spec, w, X, y, clip, shift) == 0
-    # nothing clipped: the sum is the plain sum of the (shifted) gradients
-    plain = sum(s for _, _, s, _ in oracle_batch(spec, w, X, y, clip, shift))
+    w, X, y = _fixed_case(2, spec, 48)
+    assert check_against_oracle(spec, w, X, y, clip) == 0
+    # nothing clipped: the sum is the plain sum of the gradients
+    plain = sum(g for _, g, _ in oracle_batch(spec, w, X, y, clip))
     np.testing.assert_allclose(
-        kernel(spec, w, X, y, clip, shift)[2], plain,
+        kernel(spec, w, X, y, clip)[2], plain,
         rtol=0, atol=RTOL * l2_norm(plain),
     )
 
 
-@pytest.mark.parametrize("shifted", [False, True])
-def test_kernel_on_an_empty_batch_returns_a_zero_sum(shifted):
+def test_kernel_on_an_empty_batch_returns_a_zero_sum():
     """An empty Poisson draw still steps: over 0 samples the kernel returns
-    empty losses and norms and writes a zero clipped sum, shift or not."""
+    empty losses and norms and writes a zero clipped sum."""
     spec = MlpSpec((3, 4, 2))
     w = np.random.default_rng(0).standard_normal(spec.num_params)
-    shift = np.ones(spec.num_params) if shifted else None
     out = np.full(spec.num_params, np.nan)
     losses, sq_norms, clipped = clipped_gradient_sum(
-        spec, w, np.zeros((0, 3)), np.zeros(0, np.int64), 1.0, shift, out=out
+        spec, w, np.zeros((0, 3)), np.zeros(0, np.int64), 1.0, out=out
     )
     assert losses.shape == sq_norms.shape == (0,)
     assert clipped is out

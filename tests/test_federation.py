@@ -143,9 +143,15 @@ def test_local_phase_exact_batch_gradient_when_noise_free():
     np.testing.assert_allclose(upload, total / cfg.batch_size, rtol=0, atol=1e-12)
 
 
-def test_prox_mu_zero_is_bitwise_fedavg():
-    s_avg = make_state(algorithm="dp_fedavg", sigma=0.4, rounds=4)
-    s_prox = make_state(algorithm="dp_fedprox", sigma=0.4, rounds=4, prox_mu=0.0)
+@pytest.mark.parametrize("local_steps", [1, 3])
+def test_prox_mu_zero_is_bitwise_fedavg(local_steps):
+    s_avg = make_state(
+        algorithm="dp_fedavg", sigma=0.4, rounds=4, local_steps=local_steps
+    )
+    s_prox = make_state(
+        algorithm="dp_fedprox", sigma=0.4, rounds=4, local_steps=local_steps,
+        prox_mu=0.0,
+    )
     r_avg = run_all_rounds(s_avg)
     r_prox = run_all_rounds(s_prox)
     np.testing.assert_array_equal(s_avg.weights, s_prox.weights)
@@ -630,9 +636,9 @@ class InlineExecutor(federation.Worker):
 
 def _record_round(monkeypatch, state, round_index):
     """Run one round; return each client's start vector, the step vectors
-    its local steps took (noisy batch gradient plus any scaffold shift, the
-    exact bytes client_local_phase stepped by) in step order, and a copy of
-    the upload it wrote.
+    its local steps took (noisy batch gradient plus any prox pull or
+    scaffold shift, the exact bytes client_local_phase stepped by) in step
+    order, and a copy of the upload it wrote.
 
     Every step but the last moves the local model by
     add_scaled(w_local, -eta, step vector), so a spy copies each of those
@@ -725,9 +731,8 @@ def test_upload_is_the_mean_of_the_step_vectors_bitwise(
     monkeypatch, algorithm, local_steps, sampling_mode, batch_size
 ):
     """Each upload is (0.0 + n_1 + ... + n_K) / K: the step vectors (the
-    scaffold shift included) added in step order to a zero row, with no
-    divide at K = 1.  Under dp_fedprox each later step's prox shift is
-    built in the client's buffer, apart from every step vector."""
+    prox pull and the scaffold shift included) added in step order to a
+    zero row, with no divide at K = 1."""
     state = _state_after_round_zero(algorithm, local_steps, sampling_mode, batch_size)
     _, steps, uploads = _record_round(monkeypatch, state, 1)
     for cid, vectors in steps.items():
@@ -740,16 +745,21 @@ def test_upload_is_the_mean_of_the_step_vectors_bitwise(
     _assert_every_step_released(steps, state, 1)
 
 
-def _oracle_upload(sums, cfg, rng, shift):
-    """The mean of the oracle's noisy_batch_gradient steps, each fed its
-    clipped sum in sums, the configured batch_size and rng, which draws
-    each step's whole noise vector at once, plus the scaffold shift (None
-    for none), added in step order to a zero row."""
-    want = np.zeros_like(sums[0])
-    for clipped_sum in sums:
+def _oracle_upload(sums, start, cfg, rng, shift):
+    """The mean of the oracle's noisy_batch_gradient steps, each fed the
+    clipped sum of a (local model, clipped sum) pair in sums, the
+    configured batch_size and rng, which draws each step's whole noise
+    vector at once, plus, from the second step on under dp_fedprox, the
+    pull prox_mu (w_k - start) of the step's local model w_k, plus the
+    scaffold shift (None for none), added in step order to a zero row."""
+    prox = cfg.algorithm == "dp_fedprox"
+    want = np.zeros_like(start)
+    for k, (w, clipped_sum) in enumerate(sums):
         step = noisy_batch_gradient(
             clipped_sum, cfg.batch_size, cfg.clip_threshold, cfg.sigma, rng
         )
+        if prox and k:
+            step = step + (w - start) * cfg.prox_mu
         if shift is not None:
             step = step + shift
         want = want + step
@@ -758,26 +768,17 @@ def _oracle_upload(sums, cfg, rng, shift):
     return want
 
 
-def _kernel_spy(sums, current, starts, algorithm, prox_mu):
-    """A clipped_gradient_sum that appends a copy of each clipped sum to
-    sums[current.cid] and checks its shift: given under dp_fedprox only,
-    from the second step on, bitwise (w - start) * prox_mu for the step's
-    local model w, in a vector apart from the kernel's out, which the
-    kernel uses as scratch; at the first step w is bitwise the start, so
-    the shift left out is zero."""
+def _kernel_spy(sums, current, starts):
+    """A clipped_gradient_sum that appends a copy of each step's local
+    model and clipped sum to sums[current.cid].  Its signature takes no
+    shift, and at the first step the local model is bitwise the start."""
     real_kernel = federation.model_mod.clipped_gradient_sum
 
-    def kernel(spec, w, features, labels, clip_threshold, shift, out):
-        later_step = bool(sums[current.cid])
-        assert (shift is not None) == (algorithm == "dp_fedprox" and later_step)
-        if not later_step:
+    def kernel(spec, w, features, labels, clip_threshold, *, out):
+        if not sums[current.cid]:
             assert w.tobytes() == starts[current.cid].tobytes()
-        if shift is not None:
-            want = (w - starts[current.cid]) * prox_mu
-            assert shift.tobytes() == want.tobytes()
-            assert not np.shares_memory(shift, out)
-        result = real_kernel(spec, w, features, labels, clip_threshold, shift, out=out)
-        sums[current.cid].append(result[2].copy())
+        result = real_kernel(spec, w, features, labels, clip_threshold, out=out)
+        sums[current.cid].append((w.copy(), result[2].copy()))
         return result
 
     return kernel
@@ -792,13 +793,12 @@ def test_upload_built_in_blocks_is_the_oracle_fed_from_the_same_stream(
     """A client's upload, built on whichever thread ran it, is bitwise the
     mean of the oracle's noisy_batch_gradient steps, each fed the step's
     clipped sum (zeros for an empty draw), the configured batch_size and
-    the client's own noise stream, plus the scaffold shift: the same
-    arithmetic in the same order, though the client draws its noise and
-    adds its shift a block at a time and the oracle draws each vector at
-    once.  At D = 53, blocks of 7 entries give 7 whole blocks and one of
-    4; the default block holds the whole vector.  The kernel's shift is
-    checked by ``_kernel_spy``.  The worker always runs its half here,
-    clients 2 and 3."""
+    the client's own noise stream, plus the prox pull or the scaffold
+    shift: the same arithmetic in the same order, though the client draws
+    its noise and adds its pull or shift a block at a time and the oracle
+    builds each vector at once.  At D = 53, blocks of 7 entries give 7
+    whole blocks and one of 4; the default block holds the whole vector.
+    The worker always runs its half here, clients 2 and 3."""
     monkeypatch.setattr(linalg, "_BLOCK", block)
     state = _state_after_round_zero(algorithm, local_steps, sampling_mode, batch_size)
     cfg = state.cfg
@@ -819,7 +819,7 @@ def test_upload_built_in_blocks_is_the_oracle_fed_from_the_same_stream(
         uploads[cid] = args[5].copy()
         return out
 
-    kernel = _kernel_spy(sums, current, starts, algorithm, cfg.prox_mu)
+    kernel = _kernel_spy(sums, current, starts)
     monkeypatch.setattr(federation, "client_local_phase", local)
     monkeypatch.setattr(federation.model_mod, "clipped_gradient_sum", kernel)
     run_one_round(state, 1)
@@ -827,7 +827,7 @@ def test_upload_built_in_blocks_is_the_oracle_fed_from_the_same_stream(
     assert on_worker == {2, 3}
     for cid, steps in sums.items():
         rng = derive_rng(state.seed, 1, cid, Stream.NOISE)
-        want = _oracle_upload(steps, cfg, rng, shifts[cid])
+        want = _oracle_upload(steps, starts[cid], cfg, rng, shifts[cid])
         assert uploads[cid].tobytes() == want.tobytes()
     _assert_every_step_released(sums, state, 1)
 
@@ -839,8 +839,8 @@ def test_an_upload_at_the_benchmark_shape_is_the_oracle_over_13_blocks(
     """At 784-128-10 (D = 101,770: 12 blocks of 8,192 entries and one of
     3,466) with 2 local steps, a client's upload is bitwise the oracle's
     mean of noisy_batch_gradient steps fed its clipped sums and its noise
-    stream, each noise vector drawn at once, plus a dp_scaffold shift that
-    differs in every coordinate."""
+    stream, each noise vector drawn at once, plus the dp_fedprox pull or
+    a dp_scaffold shift that differs in every coordinate."""
     state = _benchmark_shape_state(algorithm, 2)
     cfg = replace(state.cfg, local_steps=2, prox_mu=0.01)
     dim = state.weights.shape[0]
@@ -850,7 +850,7 @@ def test_an_upload_at_the_benchmark_shape_is_the_oracle_over_13_blocks(
         variates = (np.linspace(-1e-3, 1e-3, dim), np.full(dim, 2e-4))
         shift = np.subtract(*variates)
     sums, current = {0: []}, SimpleNamespace(cid=0)
-    kernel = _kernel_spy(sums, current, {0: state.weights}, algorithm, cfg.prox_mu)
+    kernel = _kernel_spy(sums, current, {0: state.weights})
     monkeypatch.setattr(federation.model_mod, "clipped_gradient_sum", kernel)
     upload = np.full(dim, np.nan)
     client_local_phase(
@@ -859,8 +859,45 @@ def test_an_upload_at_the_benchmark_shape_is_the_oracle_over_13_blocks(
         upload, scaffold_variates=variates,
     )
     assert len(sums[0]) == 2
-    want = _oracle_upload(sums[0], cfg, derive_rng(4, 0, 0, Stream.NOISE), shift)
+    noise = derive_rng(4, 0, 0, Stream.NOISE)
+    want = _oracle_upload(sums[0], state.weights, cfg, noise, shift)
     assert upload.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("sampling_mode", ["fixed_size", "poisson"])
+def test_a_fedprox_upload_is_the_fedavg_upload_plus_half_the_pull(sampling_mode):
+    """At K = 2, dp_fedprox and dp_fedavg draw the same batches and noise
+    and take the same first step n_1 (the K = 1 upload) to the same
+    w_1 = w_0 - eta n_1, so the second step's clipped sum and noise agree
+    too, and the fedprox upload is the fedavg one plus the unclipped pull
+    p = prox_mu (w_1 - w_0), halved: (n_1 + (n_2 + p)) / 2 against
+    (n_1 + n_2) / 2.  p is rounded the same way on both sides, and the
+    three additions and the test's subtraction round at most u = 2^-53 of
+    2 |a| + 4 |b| + |n_1| apart, for uploads a (fedavg) and b (fedprox):
+    within 4 ulps of |n_1| + |a| + |b|."""
+    state = make_state(
+        algorithm="dp_fedavg", local_steps=2, sampling_mode=sampling_mode,
+        prox_mu=0.5,
+    )
+    w_0, dim = state.weights, state.weights.shape[0]
+
+    def upload(cfg):
+        row = np.full(dim, np.nan)
+        loss = client_local_phase(
+            state.train, state.shards[0], w_0, state.model_spec, cfg,
+            derive_rng(1, 0, 0, Stream.BATCH), derive_rng(1, 0, 0, Stream.NOISE), row,
+        )
+        return loss, row
+
+    n_1 = upload(replace(state.cfg, local_steps=1))[1]
+    loss_a, a = upload(state.cfg)
+    loss_b, b = upload(replace(state.cfg, algorithm="dp_fedprox"))
+    w_1 = w_0 - state.cfg.eta * n_1
+    half_pull = (w_1 - w_0) * state.cfg.prox_mu / 2
+    tol = 4 * np.spacing(np.abs(n_1) + np.abs(a) + np.abs(b))
+    assert loss_a == loss_b
+    assert np.all(np.abs((b - a) - half_pull) <= tol)
+    assert np.all(np.abs(half_pull) > tol)  # the pull shows in every entry
 
 
 @pytest.mark.parametrize("algorithm", ["dp_fedprox", "dp_scaffold"])
@@ -1306,13 +1343,12 @@ def test_a_client_allocates_its_workspace_and_no_step_vector(algorithm, local_st
     """At the benchmark's 784-128-10 shape (D = 101,770), a client's local
     phase, given its upload row and scaffold variates, holds w D-length
     vectors and less than one more at its traced peak.  The workspace is
-    w = 2 [K > 1] + [dp_fedprox, K > 1] vectors: the later-step vector and
-    the local model when K > 1, and under dp_fedprox with K > 1 the buffer
-    that holds each later step's prox shift and then its noise.  Every
-    step vector is built where the kernel writes its clipped sum, the
-    upload row first; the noise and the scaffold shift go in through a 64
-    KiB block otherwise, and no step allocates a D-length vector of its
-    own.  At K = 1 the whole phase stays under one D-vector."""
+    w = 2 [K > 1] vectors for every algorithm: the later-step vector and
+    the local model.  Every step vector is built where the kernel writes
+    its clipped sum, the upload row first; the noise, the prox pull and
+    the scaffold shift go in through a 64 KiB block, and no step allocates
+    a D-length vector of its own.  At K = 1 the whole phase stays under
+    one D-vector."""
     spec = MlpSpec((784, 128, 10))
     dim = spec.num_params
     train = synthetic_blobs(10, 20, 784, 0.25, np.random.default_rng(4))
@@ -1340,7 +1376,7 @@ def test_a_client_allocates_its_workspace_and_no_step_vector(algorithm, local_st
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    workspace = (2 + (algorithm == "dp_fedprox")) * (local_steps > 1)
+    workspace = 2 * (local_steps > 1)
     assert workspace * dim * 8 <= peak < (workspace + 1) * dim * 8, peak / (dim * 8)
 
 

@@ -14,7 +14,7 @@ SMALL = MlpSpec((6, 5, 3))
 def kernel_losses(spec, w, X, labels):
     """The per-sample losses ``model.clipped_gradient_sum`` returns."""
     return model.clipped_gradient_sum(
-        spec, w, X, np.asarray(labels), 1.0, None, np.empty(spec.num_params)
+        spec, w, X, np.asarray(labels), 1.0, np.empty(spec.num_params)
     )[0]
 
 
@@ -80,7 +80,7 @@ def test_forward_handles_extreme_logits():
     w = np.array([1000.0, -1000.0, 0.0, 0.0, 0.0, 0.0])
     X = np.array([[1.0, 0.0], [1.0, 0.0]])
     losses, sq_norms, clipped = model.clipped_gradient_sum(
-        spec, w, X, np.array([0, 1]), 1.0, None, np.empty(6)
+        spec, w, X, np.array([0, 1]), 1.0, np.empty(6)
     )
     assert 0.0 <= losses[0] < 1e-6
     assert losses[1] == pytest.approx(-np.log(1e-15), rel=1e-15)
