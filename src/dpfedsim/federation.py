@@ -81,10 +81,7 @@ ALGORITHMS = (
     "dp_fedavg",
     "dp_fedprox",
     "dp_scaffold",
-    "dp_fedexp",
 )
-
-_FEDEXP_EPS = 1e-3
 
 _EVAL_ROWS = 1024  # test rows per forward pass: keeps activations in cache
 _EVAL_DTYPE = np.float32  # evaluation's width: the test features' dtype
@@ -346,31 +343,12 @@ def client_local_phase(
 
 
 def server_step(
-    w: ParamVector,
-    aggregated: ParamVector,
-    cfg: ExperimentConfig,
-    uploads: np.ndarray,
+    w: ParamVector, aggregated: ParamVector, cfg: ExperimentConfig
 ) -> ParamVector:
-    """Global update w - eta_g * aggregate, written into the aggregate and
-    returned; w is left untouched and must not be the aggregate.
-
-    dp_fedexp scales the step: eta_g = eta * max(1, sum_i ||g_i||^2 /
-    (2 n ||g_bar||^2 + 1e-3)) with g_i the rows of uploads and g_bar the
-    aggregate, and NaN for a NaN ratio; every other algorithm uses eta.
-    """
-    eta_g = cfg.eta
-    if cfg.algorithm == "dp_fedexp":
-        # N + 1 einsum dots, not the whole Gram's N(N+1)/2; fsum is exact,
-        # so order is immaterial, and it raises on finite terms past the range
-        try:
-            sum_sq = math.fsum(float(np.einsum("d,d->", g, g)) for g in uploads)
-        except OverflowError:
-            sum_sq = math.inf
-        sq_mean = float(np.einsum("d,d->", aggregated, aggregated))
-        denom = 2.0 * len(uploads) * sq_mean + _FEDEXP_EPS
-        eta_g = cfg.eta * max(sum_sq / denom, 1.0)
-    aggregated *= -eta_g
-    aggregated += w  # w + (-eta_g * aggregate)
+    """The new weights w - eta * aggregate, written into the aggregate and
+    returned; w is left untouched and must not be the aggregate."""
+    aggregated *= -cfg.eta
+    aggregated += w  # w + (-eta * aggregate)
     return aggregated
 
 
@@ -477,7 +455,7 @@ def run_round(
         aggregated = weighted_sum(uploads, alpha)
         # the new weights are written into the aggregate, the round's one
         # server-side D-vector
-        state.weights = server_step(state.weights, aggregated, cfg, uploads)
+        state.weights = server_step(state.weights, aggregated, cfg)
 
         if cfg.algorithm == "dp_scaffold":
             # option II, c_i - c + (start - w_K) / (K eta), is c_i - c + the

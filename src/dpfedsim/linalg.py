@@ -6,18 +6,17 @@ ascending client id.  ``weighted_sum`` forms every aggregate, the folded
 gcfl update included, as in-place elementwise axpys over those rows in
 order, which no BLAS thread count changes.  Correction reads its inner
 products from one BLAS syrk (``correction.gram``), whose bytes do not
-depend on the thread count either; the dp_fedexp server step reads its
-norms as einsum dots.  The DP step's per-sample norms and clipped sums
-(``model.clipped_gradient_sum``) and the forward pass use numpy reductions
-and BLAS matrix products, which OpenBLAS splits differently by thread
-count at 784-128-10, as does the QR of the synthetic class centres at
-3000 features and 200 classes.  So a command holds ``one_blas_thread`` for
-its whole life, data build included (``federation.pinned_worker``): with
-BLAS on one thread, every product is reduced in one order, whichever
-Python thread calls it and whatever thread count the caller set.
-Subprocess tests check that output bytes do not change between one and
-two BLAS threads: ``tests/test_determinism.py`` for whole runs at
-784-128-10, where a missing pin changes the bytes, and
+depend on the thread count either.  The DP step's per-sample norms and
+clipped sums (``model.clipped_gradient_sum``) and the forward pass use
+numpy reductions and BLAS matrix products, which OpenBLAS splits
+differently by thread count at 784-128-10, as does the QR of the
+synthetic class centres at 3000 features and 200 classes.  So a command
+holds ``one_blas_thread`` for its whole life, data build included
+(``federation.pinned_worker``): with BLAS on one thread, every product is
+reduced in one order, whichever Python thread calls it and whatever
+thread count the caller set.  Subprocess tests check that output bytes do
+not change between one and two BLAS threads: ``tests/test_determinism.py``
+for whole runs at 784-128-10, where a missing pin changes the bytes, and
 ``tests/test_correction.py`` for the Gram, correction and the folded
 aggregate at the full 101,770-parameter shape.
 """

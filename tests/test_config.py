@@ -261,6 +261,7 @@ BAD_VALUES = {
     "sampling_mode": {"sampling_mode": "uniform"},
     "algorithm": {"algorithm": "fedsgd"},
     "algorithm-isolated": {"algorithm": "isolated"},
+    "algorithm-dp_fedexp": {"algorithm": "dp_fedexp"},
     "prox_mu": {"prox_mu": "-1"},
     "sigma": {"sigma": "-1"},
     "clip_threshold": {"clip_threshold": "0"},

@@ -7,7 +7,7 @@ bytes, across the ways a command can be carried out:
   child;
 - executor: every task run inline, on the worker thread, and on the worker
   with random delays, for ``run`` and for a ``compare`` that holds one
-  worker over five algorithms;
+  worker over every algorithm;
 - blas: a child under one and under two OpenBLAS threads.
 
 Each blas case is at the benchmark's 784-128-10 shape, where OpenBLAS

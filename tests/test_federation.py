@@ -170,55 +170,17 @@ def test_prox_term_changes_trajectory_when_positive():
     assert not np.array_equal(s_avg.weights, s_prox.weights)
 
 
-def test_fedexp_identical_gradients_reduce_to_plain_step():
-    cfg = ExperimentConfig(algorithm="dp_fedexp", eta=0.1)
-    g = np.array([0.5, -1.0, 2.0])
-    grads = {0: g.copy(), 1: g.copy(), 2: g.copy()}
-    w = np.zeros(3)
-    agg = aggregate(grads, {i: 1 / 3 for i in range(3)})
-    stepped = server_step(w, agg.copy(), cfg, stack(grads)[0])
-    fedavg = ExperimentConfig(algorithm="dp_fedavg", eta=0.1)
-    plain = server_step(w, agg.copy(), fedavg, stack(grads)[0])
-    np.testing.assert_array_equal(stepped, plain)
-
-
-def test_fedexp_boosts_step_on_disagreement():
-    cfg = ExperimentConfig(algorithm="dp_fedexp", eta=0.1)
-    grads = {0: np.array([1.0, 0.0]), 1: np.array([-1.0, 0.001])}
-    agg = aggregate(grads, {0: 0.5, 1: 0.5})  # near-cancellation
-    w = np.zeros(2)
-    stepped = server_step(w, agg.copy(), cfg, stack(grads)[0])
-    plain = w - 0.1 * agg
-    # eta_g > eta because sum ||g_i||^2 >> 2n||mean||^2
-    assert np.linalg.norm(stepped) > np.linalg.norm(plain)
-
-
-def test_fedexp_step_past_the_float_range_is_not_finite():
-    """Each row's squared norm, about 1.2e308, is finite, but their sum is
-    not: math.fsum raises OverflowError there, so the step takes the sum
-    as inf.  The aggregate is small and finite, so eta_g is infinite and
-    the weights it returns are not finite, for evaluation to refuse."""
-    cfg = ExperimentConfig(algorithm="dp_fedexp", eta=0.1)
-    rows = np.array([[7.7e153, 7.7e153], [-7.6e153, -7.6e153]])
-    agg = weighted_sum(rows, [0.5, 0.5])
-    sq_norms = np.einsum("pd,pd->p", rows, rows)
-    assert np.isfinite(agg).all() and np.isfinite(sq_norms).all()
-    stepped = server_step(np.zeros(2), agg, cfg, rows)
-    assert not np.isfinite(stepped).any()
-
-
-def test_fedexp_step_of_overflowing_norms_is_not_finite():
-    """Each row's squared norm overflows to inf, and so does the
-    aggregate's, so the ratio of sums is inf / inf = NaN: eta_g is NaN,
-    not eta (a plain FedAvg step), and the weights it returns are not
-    finite, for evaluation to refuse.  The numpy policy is run_round's."""
-    cfg = ExperimentConfig(algorithm="dp_fedexp", eta=0.1)
-    rows = np.full((3, 2), 1e160)
-    agg = weighted_sum(rows, [1 / 3] * 3)
-    assert np.isfinite(agg).all()
-    with np.errstate(over="ignore", invalid="ignore"):
-        stepped = server_step(np.zeros(2), agg, cfg, rows)
-    assert not np.isfinite(stepped).any()
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_server_step_writes_w_minus_eta_aggregate_into_the_aggregate(algorithm):
+    """Every algorithm takes the same server step."""
+    cfg = ExperimentConfig(algorithm=algorithm, eta=0.1)
+    w = np.array([0.3, -1.7, 2.5e-3, 4.0])
+    agg = np.array([0.5, -1.0, 2.0, -3.3e-2])
+    w_before, want = w.copy(), w + (-0.1 * agg)
+    out = server_step(w, agg, cfg)
+    assert out is agg
+    assert out.tobytes() == want.tobytes()
+    assert w.tobytes() == w_before.tobytes()
 
 
 def test_aggregate_is_the_weighted_sum():
@@ -241,10 +203,10 @@ def test_unequal_shards_weigh_one_over_p(monkeypatch):
     )
     w0, uploads, _, _ = _capture_round_zero(monkeypatch, state)
     rows, _ = stack(uploads)
-    want = server_step(w0, weighted_sum(rows, [1.0 / 3] * 3), state.cfg, rows)
+    want = server_step(w0, weighted_sum(rows, [1.0 / 3] * 3), state.cfg)
     assert state.weights.tobytes() == want.tobytes()
     by_size = [p.size / train.size for p in parts]
-    sized = server_step(w0, weighted_sum(rows, by_size), state.cfg, rows)
+    sized = server_step(w0, weighted_sum(rows, by_size), state.cfg)
     assert np.abs(state.weights - sized).max() > 1e-6
 
 
@@ -569,12 +531,12 @@ def test_gcfl_round_matches_aggregating_the_corrected_uploads(
     in_rows = [share / sum(shares) for share in shares]
     alpha, _ = plan_round(rows, in_rows, mode, 0, copy.deepcopy(rng))
     folded = weighted_sum(rows, alpha)
-    got = server_step(w0, folded, state.cfg, rows)
+    got = server_step(w0, folded, state.cfg)
     if len(set(shares)) == 1:
         assert got.tobytes() == state.weights.tobytes()
     corrected, want_report = correct_round(uploads, mode, 0, rng)
     want = server_step(
-        w0, aggregate(corrected, dict(zip(ids, in_rows))), state.cfg, rows
+        w0, aggregate(corrected, dict(zip(ids, in_rows))), state.cfg
     )
 
     assert report == want_report and report.projections
@@ -597,7 +559,7 @@ def test_gcfl_round_without_projections_is_the_plain_aggregate_bitwise(
     w0, uploads, report, _ = _capture_round_zero(monkeypatch, state)
     assert report.cosines and report.projections == []
     weights = {cid: 1.0 / len(uploads) for cid in uploads}
-    want = server_step(w0, aggregate(uploads, weights), state.cfg, stack(uploads)[0])
+    want = server_step(w0, aggregate(uploads, weights), state.cfg)
     assert state.weights.tobytes() == want.tobytes()
 
 
@@ -615,7 +577,7 @@ def test_uncorrected_round_aggregates_the_raw_uploads_bitwise(
     w0, uploads, report, rng = _capture_round_zero(monkeypatch, state)
     assert report is None and rng is None
     weights = {cid: 1.0 / len(uploads) for cid in uploads}
-    want = server_step(w0, aggregate(uploads, weights), state.cfg, stack(uploads)[0])
+    want = server_step(w0, aggregate(uploads, weights), state.cfg)
     assert state.weights.tobytes() == want.tobytes()
 
 
@@ -900,7 +862,7 @@ def test_a_fedprox_upload_is_the_fedavg_upload_plus_half_the_pull(sampling_mode)
     assert np.all(np.abs(half_pull) > tol)  # the pull shows in every entry
 
 
-@pytest.mark.parametrize("algorithm", ["dp_fedprox", "dp_scaffold"])
+@pytest.mark.parametrize("algorithm", ["dp_fedavg", "dp_fedprox", "dp_scaffold"])
 @pytest.mark.parametrize("sigma", [0.0, 0.5])
 @pytest.mark.parametrize(
     "local_steps, sampling_mode, batch_size", [LOCAL_PHASES[0], LOCAL_PHASES[2]]
@@ -1021,12 +983,12 @@ def test_an_upload_carries_noise_of_deviation_sigma_c_over_b():
     assert abs(np.std(noise) / want - 1.0) <= 0.01
 
 
-@pytest.mark.parametrize("algorithm", ["gcfl", "dp_fedavg", "dp_fedexp"])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_the_server_step_is_written_into_the_aggregate(monkeypatch, algorithm):
     """From the start of run_round's weighted sum to the end of its server
     step, the traced peak stays under one and a half D-vectors: the
     aggregate, which then takes the new weights, and add_scaled's 64 KiB
-    temporary.  A server step that makes -eta_g * aggregate, or a result
+    temporary.  A server step that makes -eta * aggregate, or a result
     beside the aggregate, holds two."""
     state = _benchmark_shape_state(algorithm, 2)
     dim = state.weights.shape[0]
@@ -1095,7 +1057,7 @@ _ROOMS = pytest.mark.parametrize(
 
 
 @_ROOMS
-@pytest.mark.parametrize("algorithm", ["gcfl", "dp_scaffold"])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_each_rounds_scores_are_those_of_freshly_built_features(
     monkeypatch, algorithm, n_clients, hidden
 ):
