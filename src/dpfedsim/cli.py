@@ -9,8 +9,10 @@ privacy  prints the epsilon schedule implied by the config without training.
 
 run and compare reach their runs through one driver (run_seeds): per seed,
 build_data builds the data and the model spec once, and each of the
-command's configs (one for run, one per algorithm for compare) runs on them.  Both
-write their CSV files through one writer (write_metrics_csv).
+command's configs (one for run, one per algorithm for compare) runs on them;
+only the runs outlive the seed, so the next seed's build starts with no
+data held.  Both write their CSV files through one writer
+(write_metrics_csv).
 run and compare each hold one worker thread and one BLAS pin
 (``federation.pinned_worker``) around all of their data builds and runs;
 run writes whether BLAS was pinned to summary.json.  A seed's synthetic data
@@ -153,18 +155,20 @@ def build_data(
 
 def run_seeds(
     configs: list[ExperimentConfig], worker: Worker
-) -> Iterator[tuple[int, data_mod.Dataset, list[np.ndarray], list[Run]]]:
-    """Per seed of configs[0], in order: the seed, its train set, each
-    client's rows of it and each config's run on them, in the order of
-    configs.  The configs differ only in how they train, so a seed's data
-    are built once, from configs[0]."""
+) -> Iterator[tuple[int, list[Run]]]:
+    """Per seed of configs[0], in order: the seed and each config's run on
+    its data, in the order of configs.  The configs differ only in how they
+    train, so a seed's data are built once, from configs[0], and nothing of
+    them or of the last run's state is held when the next seed's build
+    starts."""
     for seed in configs[0].seeds:
         spec, train, shards, test_X, test_y = build_data(configs[0], seed, worker)
         runs = []
         for cfg in configs:
             state = init_state(spec, cfg, seed, train, shards, test_X, test_y)
             runs.append((run_experiment(state, worker), weights_sha256(state)))
-        yield seed, train, shards, runs
+        del train, shards, test_X, test_y, state
+        yield seed, runs
 
 
 def _fmt(x: float) -> str:
@@ -245,7 +249,7 @@ def cmd_run(args) -> int:
     cfg = parse_config(args.config, args.override)
     os.makedirs(args.out, exist_ok=True)
     with pinned_worker() as (pinned, worker):
-        results = {seed: run for seed, _, _, (run,) in run_seeds([cfg], worker)}
+        results = {seed: run for seed, (run,) in run_seeds([cfg], worker)}
     first = cfg.seeds[0]
     files = {"metrics.csv": first}
     if len(cfg.seeds) > 1:
@@ -283,18 +287,16 @@ def cmd_compare(args) -> int:
     # the rows are written algorithm-major
     rows: list[list[list]] = [[] for _ in algos]
     with pinned_worker() as (_, worker):
-        for seed, train, shards, runs in run_seeds(configs, worker):
-            shard_hash = data_mod.shard_fingerprint(0, train, shards[0])[:16]
+        for seed, runs in run_seeds(configs, worker):
             for algo_rows, acfg, run in zip(rows, configs, runs):
                 final = _final_block(acfg, run)
                 algo_rows.append(
-                    [acfg.algorithm, seed, shard_hash]
+                    [acfg.algorithm, seed]
                     + [_fmt(final[k]) for k in FINAL_KEYS]
                     + [final["projections_total"], final["weights_sha256"]]
                 )
     path = os.path.join(args.out, "comparison.csv")
-    header = ["algorithm", "seed", "shard_hash", *FINAL_KEYS]
-    header += ["projections", "weights_sha256"]
+    header = ["algorithm", "seed", *FINAL_KEYS, "projections", "weights_sha256"]
     write_metrics_csv(path, header, itertools.chain(*rows))
     print(f"compared {len(algos)} algorithm(s) over {len(cfg.seeds)} seed(s): {path}")
     return 0

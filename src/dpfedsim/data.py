@@ -3,10 +3,9 @@ shards, each an int64 array of row indices into the one train set.
 
 A dataset stores its features as uint8 pixel levels 0-255, the form IDX
 images arrive in; ``features`` turns levels into the values in [0, 1]
-that training, evaluation and fingerprints read, level / 255: float64 for
-training and fingerprints, in a new array, and float32 for the test set
-that evaluation reads, written into the round's spent uploads
-(``features_into``).
+that training and evaluation read, level / 255: float64 for training, in
+a new array, and float32 for the test set that evaluation reads, written
+into the round's spent uploads (``features_into``).
 Synthetic blobs are drawn in row chunks through one small float64
 temporary and stored as levels (``synthetic_blobs``), so their build holds
 no float64 matrix of the set's size.  A function that draws is given its
@@ -15,7 +14,6 @@ Generator and seeds none: ``federation.derive_rng`` names every stream.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import struct
@@ -25,7 +23,6 @@ import numpy as np
 
 _IDX_IMAGES_MAGIC = 2051
 _IDX_LABELS_MAGIC = 2049
-_FINGERPRINT_ROWS = 1024
 # bytes of the float64 temporary a blob build draws its rows through
 _BLOB_CHUNK_BYTES = 128 * 1024
 
@@ -279,22 +276,3 @@ def subsample(
     rows = np.sort(np.concatenate(chosen))
     return Dataset(dataset.X[rows], dataset.y[rows], dataset.num_classes)
 
-
-def shard_fingerprint(client_id: int, dataset: Dataset, rows: np.ndarray) -> str:
-    """sha256 over client_id's shard, the given rows of dataset, for runs to compare.
-
-    Hashes the client id, then per row in shard order its label as a
-    4-byte big-endian int followed by its float64 features (``features``),
-    in chunks of rows so that a large shard is never copied whole.
-    """
-    h = hashlib.sha256()
-    h.update(str(client_id).encode())
-    dim = dataset.feature_dim
-    record = np.dtype([("label", ">i4"), ("features", np.float64, (dim,))])
-    for lo in range(0, rows.size, _FINGERPRINT_ROWS):
-        idx = rows[lo : lo + _FINGERPRINT_ROWS]
-        records = np.empty(idx.size, dtype=record)
-        records["label"] = dataset.y[idx]
-        records["features"] = features(dataset.X[idx])
-        h.update(records.tobytes())
-    return h.hexdigest()

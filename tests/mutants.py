@@ -288,6 +288,14 @@ MUTANTS = (
         "        fn, args = self._call\n",
         "tests/test_worker.py::test_a_finished_task_holds_no_reference_to_its_call",
     ),
+    Mutant(
+        "unlisted_metrics_column",
+        "every field a command writes is classed once in the release ledger",
+        "cli.py",
+        'CSV_HEADER = ["round", *FINAL_KEYS, "projections", "wall_ms"]',
+        'CSV_HEADER = ["round", *FINAL_KEYS, "projections", "wall_ms", "shard_size"]',
+        "tests/test_releases.py::test_every_field_run_and_compare_write_is_classed_once",
+    ),
 )
 
 # mutant id -> the open ROADMAP item that will kill it

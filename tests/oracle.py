@@ -26,12 +26,14 @@ a whole run outside a command, each holding the BLAS pin and a worker of
 its own (``federation.pinned_worker``) as a command does.
 ``synthetic_blobs`` draws and finishes each class's whole block at once,
 where ``data.synthetic_blobs`` goes through a small temporary a chunk of
-rows at a time.  ``child_env`` is the environment of a subprocess that
-imports this checkout's package.
+rows at a time.  ``shard_fingerprint`` hashes a client's shard for the
+data pins; no command writes it.  ``child_env`` is the environment of a
+subprocess that imports this checkout's package.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 from pathlib import Path
 
@@ -45,7 +47,7 @@ from dpfedsim.correction import (
     resolve_num_references,
     select_references,
 )
-from dpfedsim.data import Dataset
+from dpfedsim.data import Dataset, features
 from dpfedsim.linalg import ParamVector, weighted_sum
 from dpfedsim.model import _PROB_FLOOR, MlpSpec, _softmax_rows
 from dpfedsim.model import unpack
@@ -341,3 +343,16 @@ def synthetic_blobs(
     X = np.concatenate(blocks)
     y = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
     return Dataset(X, y, num_classes=num_classes)
+
+
+def shard_fingerprint(client_id: int, dataset: Dataset, rows: np.ndarray) -> str:
+    """sha256 over client_id's shard, the given rows of dataset: the client
+    id, then per row in shard order its label as a 4-byte big-endian int
+    followed by its float64 features (``data.features``)."""
+    record = np.dtype(
+        [("label", ">i4"), ("features", np.float64, (dataset.feature_dim,))]
+    )
+    records = np.empty(rows.size, dtype=record)
+    records["label"] = dataset.y[rows]
+    records["features"] = features(dataset.X[rows])
+    return hashlib.sha256(str(client_id).encode() + records.tobytes()).hexdigest()

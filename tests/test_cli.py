@@ -6,17 +6,17 @@ import re
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dpfedsim.cli
-from dpfedsim.cli import CSV_HEADER, build_data, main
+from dpfedsim.cli import CSV_HEADER, main
 from dpfedsim.config import parse_config
-from dpfedsim.data import shard_fingerprint
 from dpfedsim.dp import epsilon_spent, steps_for_budget
-from dpfedsim.federation import ALGORITHMS, pinned_worker
+from dpfedsim.federation import ALGORITHMS
 from oracle import child_env
 from test_data import write_idx_pair
 from test_idx_bytes import _idx_pairs
@@ -396,27 +396,79 @@ def test_run_reports_the_privacy_schedule_of_its_sampling_mode(
     assert [row.split(",")[1] for row in rows] == schedule[:rounds_run]
 
 
-def test_compare_runs_algorithms_on_identical_shards(tmp_path):
-    cfg = write_cfg(tmp_path)
+def test_compare_builds_each_seeds_data_once_and_runs_every_algorithm_on_it(
+    tmp_path, monkeypatch
+):
+    """The driver's same-data promise: build_data runs once per seed, and
+    every algorithm's init_state receives that build's train set and
+    shards, the very objects."""
+    real_build, real_init = dpfedsim.cli.build_data, dpfedsim.cli.init_state
+    builds, inits = {}, []
+
+    def build_data(cfg, seed, worker):
+        builds[seed] = built = real_build(cfg, seed, worker)
+        return built
+
+    def init_state(spec, cfg, seed, train, shards, *test):
+        inits.append((seed, cfg.algorithm, train, shards))
+        return real_init(spec, cfg, seed, train, shards, *test)
+
+    monkeypatch.setattr(dpfedsim.cli, "build_data", build_data)
+    monkeypatch.setattr(dpfedsim.cli, "init_state", init_state)
+    cfg = write_cfg(tmp_path, FAST_CFG.replace("seeds = 2", "seeds = 1,2"))
     out = tmp_path / "cmp"
-    code = main(
-        [
-            "compare",
-            "--config",
-            cfg,
-            "--out",
-            str(out),
-            "--algos",
-            "gcfl,dp_fedavg",
-        ]
-    )
-    assert code == 0
+    argv = ["compare", "--config", cfg, "--out", str(out)]
+    assert main([*argv, "--algos", "gcfl,dp_fedavg"]) == 0
+    assert list(builds) == [1, 2]
+    assert [(seed, algo) for seed, algo, _, _ in inits] == [
+        (1, "gcfl"), (1, "dp_fedavg"), (2, "gcfl"), (2, "dp_fedavg"),
+    ]
+    for seed, _, train, shards in inits:
+        assert train is builds[seed][1] and shards is builds[seed][2]
     lines = (out / "comparison.csv").read_text().splitlines()
-    assert lines[0].startswith("algorithm,seed,shard_hash")
-    assert len(lines) == 3  # two algorithms, one seed
-    hash_gcfl = lines[1].split(",")[2]
-    hash_avg = lines[2].split(",")[2]
-    assert hash_gcfl == hash_avg
+    assert lines[0] == (
+        "algorithm,seed,epsilon,train_loss,test_acc,test_recall,test_f1,"
+        "projections,weights_sha256"
+    )
+    assert len(lines) == 5  # two algorithms, two seeds
+
+
+@pytest.mark.parametrize(
+    "argv, configs",
+    [(["run"], 1), (["compare", "--algos", "gcfl,dp_scaffold"], 2)],
+    ids=["run", "compare"],
+)
+def test_a_seeds_data_and_states_are_freed_before_the_next_seeds_build(
+    tmp_path, monkeypatch, argv, configs
+):
+    """With the collector off, nothing of seed 1's train set, test levels or
+    run states (weights and dp_scaffold variates) is alive when seed 2's
+    build starts: a run holds one seed's data at a time."""
+    real_build, real_init = dpfedsim.cli.build_data, dpfedsim.cli.init_state
+    refs = []
+
+    def build_data(cfg, seed, worker):
+        assert [ref for ref in refs if ref() is not None] == []
+        built = real_build(cfg, seed, worker)
+        refs.extend([weakref.ref(built[1]), weakref.ref(built[3])])
+        return built
+
+    def init_state(*args):
+        state = real_init(*args)
+        refs.append(weakref.ref(state))
+        return state
+
+    monkeypatch.setattr(dpfedsim.cli, "build_data", build_data)
+    monkeypatch.setattr(dpfedsim.cli, "init_state", init_state)
+    text = FAST_CFG.replace("seeds = 2", "seeds = 1,2")
+    cfg = write_cfg(tmp_path, text + "algorithm = dp_scaffold\n")
+    gc.disable()
+    try:
+        code = main([*argv, "--config", cfg, "--out", str(tmp_path / "out")])
+    finally:
+        gc.enable()
+    assert code == 0
+    assert len(refs) == 2 * (2 + configs)  # per seed: train, test levels, states
 
 
 def test_each_compare_row_is_the_final_row_of_a_separate_run(tmp_path):
@@ -434,15 +486,12 @@ def test_each_compare_row_is_the_final_row_of_a_separate_run(tmp_path):
         argv = ["run", "--config", cfg, "--out", str(run_out)]
         assert main([*argv, "--override", f"algorithm={algo}"]) == 0
         for seed in (1, 2):
-            with pinned_worker() as (_, worker):
-                _, train, shards, _, _ = build_data(parse_config(cfg), seed, worker)
             lines = (run_out / f"metrics_seed{seed}.csv").read_text().splitlines()
             final = lines[-1].split(",")
             projections = sum(int(line.split(",")[6]) for line in lines[1:])
             summary = json.loads((run_out / "summary.json").read_text())
             want.append(
-                [algo, str(seed), shard_fingerprint(0, train, shards[0])[:16],
-                 *final[1:6], str(projections),
+                [algo, str(seed), *final[1:6], str(projections),
                  summary["per_seed"][str(seed)]["weights_sha256"]]
             )
     assert rows[0][-1] == "weights_sha256"

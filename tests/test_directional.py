@@ -109,7 +109,7 @@ def _protocol_runs(partition):
         for algo in ("gcfl", "dp_fedavg"):
             cfg = ExperimentConfig(**base, algorithm=algo)
             cfg.validate()
-            results = {seed: run[0] for seed, _, _, (run,) in run_seeds([cfg], worker)}
+            results = {seed: run[0] for seed, (run,) in run_seeds([cfg], worker)}
             runs[algo] = (cfg, results)
     return runs
 

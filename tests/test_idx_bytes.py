@@ -15,8 +15,9 @@ import numpy as np
 
 from dpfedsim.cli import build_data, main
 from dpfedsim.config import parse_config
-from dpfedsim.data import load_idx, shard_fingerprint
+from dpfedsim.data import load_idx
 from dpfedsim.federation import pinned_worker
+from oracle import shard_fingerprint
 from test_data import write_idx_pair
 
 ALL_LEVELS_DIGEST = "e93b2709f3872bcfde6df97f8de7c98f6ebae111184885368c9858bff2accb44"
